@@ -128,8 +128,11 @@ def _command_name(args):
 _PRIVATE_ARGS = ("handler", "machine", "report", "command", "subcommand")
 
 
-def _finish(args, verdict, exit_code, inputs, counts=None, witnesses=None,
-            data=None, lines=()):
+def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
+            data=None, lines=None):
+    """Build the machine report; print it with ``--machine``, else print
+    ``lines`` and the verdict (nothing when ``lines`` is None); write it to
+    ``--report``.  Returns the exit code."""
     report = {
         "command": _command_name(args),
         "arguments": {
@@ -141,13 +144,13 @@ def _finish(args, verdict, exit_code, inputs, counts=None, witnesses=None,
         "verdict": verdict,
         "exit_code": exit_code,
         "counts": dict(counts or {}),
-        "witnesses": [str(w) for w in (witnesses or ())],
+        "witnesses": [str(w) for w in witnesses],
         "data": data or {},
     }
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.machine:
         print(text)
-    else:
+    elif lines is not None:
         for ln in lines:
             print(ln)
         print(f"verdict: {verdict}")
@@ -155,6 +158,14 @@ def _finish(args, verdict, exit_code, inputs, counts=None, witnesses=None,
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return exit_code
+
+
+def _finish(args, ok, inputs, counts=None, witnesses=(), data=None, lines=()):
+    """Report a completed check: pass and exit 0, or fail and exit 1."""
+    return _report(
+        args, "pass" if ok else "fail", 0 if ok else 1, inputs,
+        counts, witnesses, data, lines,
+    )
 
 
 def cmd_pi1(args):
@@ -190,7 +201,7 @@ def cmd_pi1(args):
                 f"  reduced loop counts, lengths 0..6: {data['free_loop_counts']}"
             )
     return _finish(
-        args, "pass", 0, [args.complex_file], counts=counts, data=data, lines=lines
+        args, True, [args.complex_file], counts=counts, data=data, lines=lines
     )
 
 
@@ -224,8 +235,7 @@ def cmd_vkt(args):
     ok = result.evidence_ok
     return _finish(
         args,
-        "pass" if ok else "fail",
-        0 if ok else 1,
+        ok,
         [args.cover_file],
         counts=counts,
         witnesses=witnesses,
@@ -288,8 +298,7 @@ def cmd_pushout(args):
             witnesses.append(f"{t.target}: {t.witness!r}")
     return _finish(
         args,
-        "pass" if rep.ok else "fail",
-        0 if rep.ok else 1,
+        rep.ok,
         [args.u_file, args.v_file, args.w_file],
         counts=counts,
         witnesses=witnesses,
@@ -319,8 +328,7 @@ def cmd_xmod_check(args):
     data = {"kernel_sizes": {str(x): n for x, n in cent.kernel_sizes}}
     return _finish(
         args,
-        "pass" if ok else "fail",
-        0 if ok else 1,
+        ok,
         [args.xmod_file],
         counts=counts,
         witnesses=witnesses,
@@ -341,8 +349,7 @@ def cmd_xmod_aut(args):
     witnesses = [f"{family}: {w!r}" for family, w in law.failures]
     return _finish(
         args,
-        "pass" if law.ok else "fail",
-        0 if law.ok else 1,
+        law.ok,
         [args.group_file],
         counts=counts,
         witnesses=witnesses,
@@ -352,27 +359,22 @@ def cmd_xmod_aut(args):
 
 def cmd_xmod_normal(args):
     g = _load(args.group_file, "group")
-    carrier = _csv(args.subgroup)
-    sub = subgroup(g, carrier)
-    members = set(sub.elements)
+    sub = subgroup(g, _csv(args.subgroup))
     counts = {"group_order": len(g), "subgroup_order": len(sub.elements)}
-    for m in sub.elements:
-        for a in g.elements:
-            out = g.conj(m, a)
-            if out not in members:
-                witness = (
-                    f"conjugating {m} by {a} gives {out}, outside the subgroup"
-                )
-                return _finish(
-                    args,
-                    "fail",
-                    1,
-                    [args.group_file],
-                    counts=counts,
-                    witnesses=[witness],
-                    lines=["subgroup is not normal", f"  {witness}"],
-                )
-    xm = from_normal_subgroup(carrier, g)
+    try:
+        xm = from_normal_subgroup(sub, g)
+    except ValidationError as exc:
+        # ``sub`` is already a subgroup, so normality is what failed.
+        m, a, out = exc.witness
+        witness = f"conjugating {m} by {a} gives {out}, outside the subgroup"
+        return _finish(
+            args,
+            False,
+            [args.group_file],
+            counts=counts,
+            witnesses=[witness],
+            lines=["subgroup is not normal", f"  {witness}"],
+        )
     law = check_axioms(xm)
     lines = [
         "subgroup is normal; conjugation crossed module built",
@@ -380,8 +382,7 @@ def cmd_xmod_normal(args):
     ]
     return _finish(
         args,
-        "pass" if law.ok else "fail",
-        0 if law.ok else 1,
+        law.ok,
         [args.group_file],
         counts=counts,
         witnesses=[f"{family}: {w!r}" for family, w in law.failures],
@@ -413,7 +414,7 @@ def cmd_xmod_free(args):
         for r, images in fr.fibers:
             lines.append(f"  fiber of {r}: {{{', '.join(images)}}}")
     return _finish(
-        args, "pass", 0, inputs, counts=counts, data=data, lines=lines
+        args, True, inputs, counts=counts, data=data, lines=lines
     )
 
 
@@ -438,7 +439,7 @@ def cmd_xmod_induced(args):
             f"maps over the homomorphism into the target: {len(mors)}"
         )
     return _finish(
-        args, "pass", 0, inputs, counts=counts, data=data, lines=lines
+        args, True, inputs, counts=counts, data=data, lines=lines
     )
 
 
@@ -469,8 +470,7 @@ def cmd_dgpd_compose(args):
     ]
     return _finish(
         args,
-        "pass",
-        0,
+        True,
         [args.squares_file],
         counts={"squares": len(seq)},
         data={"result": _square_data(out)},
@@ -496,8 +496,7 @@ def cmd_dgpd_array(args):
     witnesses = [] if ok else [f"{rows_first!r} vs {columns_first!r}"]
     return _finish(
         args,
-        "pass" if ok else "fail",
-        0 if ok else 1,
+        ok,
         [args.squares_file],
         counts=counts,
         witnesses=witnesses,
@@ -528,8 +527,7 @@ def cmd_dgpd_roundtrip(args):
     ]
     return _finish(
         args,
-        "pass" if ok else "fail",
-        0 if ok else 1,
+        ok,
         [args.xmod_file],
         counts=counts,
         witnesses=[f"{family}: {w!r}" for family, w in rep.failures],
@@ -552,8 +550,7 @@ def cmd_cube_check(args):
     )
     return _finish(
         args,
-        "pass" if rep.ok else "fail",
-        0 if rep.ok else 1,
+        rep.ok,
         [args.cube_file],
         counts={"group_order": len(doc.group)},
         witnesses=witnesses,
@@ -579,8 +576,7 @@ def cmd_cube_compose(args):
     ]
     return _finish(
         args,
-        "pass" if rep.ok else "fail",
-        0 if rep.ok else 1,
+        rep.ok,
         [args.cube_file, args.cube_file2],
         counts={"group_order": len(g)},
         witnesses=witnesses,
@@ -591,7 +587,6 @@ def cmd_cube_compose(args):
 def cmd_eh_check(args):
     d = _load(args.eh_file, "eh")
     rep = eckmann_hilton_check(d.elements, d.op1, d.op2, d.unit1, d.unit2)
-    counts = {"elements": len(d.elements)}
     if rep.ok:
         lines = [
             "both operations are unital and satisfy interchange",
@@ -603,17 +598,18 @@ def cmd_eh_check(args):
             "ops_equal": rep.ops_equal,
             "commutative": rep.commutative,
         }
-        return _finish(
-            args, "pass", 0, [args.eh_file], counts=counts, data=data, lines=lines
-        )
-    lines = [f"hypotheses fail, witness: {rep.witness!r}"]
+        witnesses = []
+    else:
+        lines = [f"hypotheses fail, witness: {rep.witness!r}"]
+        data = None
+        witnesses = [repr(rep.witness)]
     return _finish(
         args,
-        "fail",
-        1,
+        rep.ok,
         [args.eh_file],
-        counts=counts,
-        witnesses=[repr(rep.witness)],
+        counts={"elements": len(d.elements)},
+        witnesses=witnesses,
+        data=data,
         lines=lines,
     )
 
@@ -759,28 +755,11 @@ _ERROR_KINDS = (
 
 
 def _error_exit(args, kind, code, exc):
-    report = {
-        "command": _command_name(args),
-        "arguments": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in _PRIVATE_ARGS and v is not None
-        },
-        "inputs": {},
-        "verdict": "fail" if code == 1 else "error",
-        "exit_code": code,
-        "counts": {},
-        "witnesses": [str(exc)],
-        "data": {"error_kind": kind},
-    }
-    text = json.dumps(report, sort_keys=True, indent=2)
     print(f"error: {exc}", file=sys.stderr)
-    if args.machine:
-        print(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return code
+    return _report(
+        args, "fail" if code == 1 else "error", code,
+        witnesses=[exc], data={"error_kind": kind},
+    )
 
 
 def main(argv=None):

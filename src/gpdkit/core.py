@@ -9,6 +9,10 @@ Conventions that hold across the whole package:
   function, so concurrent use needs no locking.
 - Enumerations run in a canonical order derived from the declared order of
   objects and arrows, so repeated runs produce identical output.
+- Connectivity has one routine, ``skeleton_components`` (union-find over
+  any vertex and edge lists): blocks come ordered by their first vertex,
+  each block in vertex order.  Groupoid components, complex skeleta and
+  vertex-group presentations all use it.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.
 """
@@ -401,10 +405,15 @@ def vertex_group(g, x):
     return finite_group(loops, table, unit=g.id_of[x], name=f"{g.name or 'gpd'}@{x}")
 
 
-def components(g):
-    """Connected components of ``g``'s objects, in canonical order."""
-    index = {x: i for i, x in enumerate(g.objects)}
-    parent = list(range(len(g.objects)))
+def skeleton_components(vertices, edges, src, tgt):
+    """Connected components of the graph on ``vertices`` whose edges join
+    ``src[e]`` and ``tgt[e]``, direction ignored.
+
+    Union-find keeps the lesser vertex index as each root, so blocks come
+    in the order of their first vertex and each block is in vertex order.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
 
     def find(i):
         while parent[i] != i:
@@ -412,14 +421,19 @@ def components(g):
             i = parent[i]
         return i
 
-    for a in g.arrows:
-        i, j = find(index[g.src[a]]), find(index[g.tgt[a]])
+    for e in edges:
+        i, j = find(index[src[e]]), find(index[tgt[e]])
         if i != j:
             parent[max(i, j)] = min(i, j)
     blocks = {}
-    for x in g.objects:
-        blocks.setdefault(find(index[x]), []).append(x)
+    for v in vertices:
+        blocks.setdefault(find(index[v]), []).append(v)
     return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
+def components(g):
+    """Connected components of ``g``'s objects, in canonical order."""
+    return skeleton_components(g.objects, g.arrows, g.src, g.tgt)
 
 
 def disjoint_union(g, h, tags=("l", "r")):

@@ -14,10 +14,16 @@ relation ``f(e) = g(e)`` per generator of the common source.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .core import DEFAULT_SIZE_GUARD, SizeGuardExceeded, ValidationError
+from .core import (
+    DEFAULT_SIZE_GUARD,
+    SizeGuardExceeded,
+    ValidationError,
+    skeleton_components,
+)
 
 
 @dataclass(frozen=True)
@@ -28,12 +34,13 @@ class Quiver:
     etgt: dict
 
     def validate(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
             raise ValidationError("duplicate vertices", witness=self.vertices)
         if len(set(self.edges)) != len(self.edges):
             raise ValidationError("duplicate edges", witness=self.edges)
         for e in self.edges:
-            if self.esrc.get(e) not in self.vertices or self.etgt.get(e) not in self.vertices:
+            if self.esrc.get(e) not in vset or self.etgt.get(e) not in vset:
                 raise ValidationError("edge with bad endpoints", witness=e)
         return self
 
@@ -485,19 +492,6 @@ class GroupPresentation:
         return f"<{gens} | {rels}>"
 
 
-def _component_of(q, x):
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        v = frontier.pop()
-        for e in q.edges:
-            for s, t in ((q.esrc[e], q.etgt[e]), (q.etgt[e], q.esrc[e])):
-                if s == v and t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return seen
-
-
 def spanning_tree(q, roots):
     """Breadth-first forest rooted at ``roots``: maps each reached vertex to
     the path of signed tree letters from its root, and lists tree edges.
@@ -507,22 +501,23 @@ def spanning_tree(q, roots):
     """
     vorder = {v: i for i, v in enumerate(q.vertices)}
     roots = sorted(roots, key=lambda v: vorder[v])
+    # (edge, sign, far end) per vertex, in edge input order; a loop is
+    # listed once, at its source.
+    incident = {v: [] for v in q.vertices}
+    for e in q.edges:
+        s, t = q.esrc[e], q.etgt[e]
+        incident[s].append((e, 1, t))
+        if t != s:
+            incident[t].append((e, -1, s))
     paths = {r: () for r in roots}
     root_of = {r: r for r in roots}
     tree_edges = set()
-    queue = list(roots)
+    queue = deque(roots)
     while queue:
-        v = queue.pop(0)
-        for e in q.edges:
-            if q.esrc[e] == v and q.etgt[e] not in paths:
-                w = q.etgt[e]
-                paths[w] = paths[v] + ((e, 1),)
-                root_of[w] = root_of[v]
-                tree_edges.add(e)
-                queue.append(w)
-            elif q.etgt[e] == v and q.esrc[e] not in paths:
-                w = q.esrc[e]
-                paths[w] = paths[v] + ((e, -1),)
+        v = queue.popleft()
+        for e, sign, w in incident[v]:
+            if w not in paths:
+                paths[w] = paths[v] + ((e, sign),)
                 root_of[w] = root_of[v]
                 tree_edges.add(e)
                 queue.append(w)
@@ -541,10 +536,11 @@ def vertex_group_presentation(p, x):
     q = p.quiver
     if x not in q.vertices:
         raise ValidationError("no such vertex", witness=x)
-    comp = _component_of(q, x)
-    vorder = {v: i for i, v in enumerate(q.vertices)}
-    root = min(comp, key=lambda v: vorder[v])
-    paths, _, tree_edges = spanning_tree(q, [root])
+    block = next(
+        b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
+    )
+    comp = set(block)
+    paths, _, tree_edges = spanning_tree(q, [block[0]])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_SIZE_GUARD, HypothesisError, ValidationError
+from .core import (
+    DEFAULT_SIZE_GUARD,
+    HypothesisError,
+    ValidationError,
+    skeleton_components,
+)
 from .presentations import (
     GroupoidPresentation,
     PresentationMorphism,
@@ -177,27 +182,6 @@ class SubcomplexCover:
 
 def cover(x, u_cells, v_cells):
     return SubcomplexCover(x=x, u=close_cells(x, u_cells), v=close_cells(x, v_cells)).validate()
-
-
-def skeleton_components(vertices, edges, esrc, etgt):
-    order = {v: i for i, v in enumerate(vertices)}
-    seen = set()
-    blocks = []
-    for start in vertices:
-        if start in seen:
-            continue
-        block = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for e in edges:
-                for s, t in ((esrc[e], etgt[e]), (etgt[e], esrc[e])):
-                    if s == v and t not in block:
-                        block.add(t)
-                        frontier.append(t)
-        seen |= block
-        blocks.append(tuple(sorted(block, key=lambda v: order[v])))
-    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -382,13 +366,12 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
             f"base points miss a component of {piece}: {block!r}", report=report
         )
 
-    xu, xv, xw = restrict(c.x, c.u), restrict(c.x, c.v), restrict(c.x, c.w)
-    bu = tuple(v for v in base if v in set(xu.vertices))
-    bv = tuple(v for v in base if v in set(xv.vertices))
-    bw = tuple(v for v in base if v in set(xw.vertices))
-    pu, ru = _fundamental(xu, bu)
-    pv, rv = _fundamental(xv, bv)
-    pw, rw = _fundamental(xw, bw)
+    pieces = []
+    for sub in (c.u, c.v, c.w):
+        vset = set(sub.vertices)
+        bsub = tuple(v for v in base if v in vset)
+        pieces.append(_fundamental(restrict(c.x, sub), bsub))
+    (pu, ru), (pv, rv), (pw, rw) = pieces
 
     f = _inclusion_morphism(pw, rw, pu, ru)
     g = _inclusion_morphism(pw, rw, pv, rv)

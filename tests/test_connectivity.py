@@ -1,0 +1,191 @@
+"""Differential tests: the union-find components and the indexed spanning
+forest against the edge-rescanning walkers they replaced.
+
+The oracles below rescan every edge for each vertex they visit, which is
+O(V·E) but obviously right; the library must agree with them exactly,
+block order, forest paths and generator order included.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from gpdkit.core import skeleton_components
+from gpdkit.presentations import (
+    GroupPresentation,
+    empty_word,
+    presentation,
+    quiver,
+    spanning_tree,
+    vertex_group_presentation,
+    word,
+)
+from gpdkit.vankampen import skeleton_components as vankampen_components
+
+
+def oracle_components(vertices, edges, esrc, etgt):
+    order = {v: i for i, v in enumerate(vertices)}
+    seen = set()
+    blocks = []
+    for start in vertices:
+        if start in seen:
+            continue
+        block = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for e in edges:
+                for s, t in ((esrc[e], etgt[e]), (etgt[e], esrc[e])):
+                    if s == v and t not in block:
+                        block.add(t)
+                        frontier.append(t)
+        seen |= block
+        blocks.append(tuple(sorted(block, key=lambda v: order[v])))
+    return tuple(blocks)
+
+
+def oracle_spanning_tree(q, roots):
+    vorder = {v: i for i, v in enumerate(q.vertices)}
+    roots = sorted(roots, key=lambda v: vorder[v])
+    paths = {r: () for r in roots}
+    root_of = {r: r for r in roots}
+    tree_edges = set()
+    queue = list(roots)
+    while queue:
+        v = queue.pop(0)
+        for e in q.edges:
+            if q.esrc[e] == v and q.etgt[e] not in paths:
+                w = q.etgt[e]
+                paths[w] = paths[v] + ((e, 1),)
+                root_of[w] = root_of[v]
+                tree_edges.add(e)
+                queue.append(w)
+            elif q.etgt[e] == v and q.esrc[e] not in paths:
+                w = q.esrc[e]
+                paths[w] = paths[v] + ((e, -1),)
+                root_of[w] = root_of[v]
+                tree_edges.add(e)
+                queue.append(w)
+    return paths, root_of, tree_edges
+
+
+def oracle_component_of(q, x):
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        v = frontier.pop()
+        for e in q.edges:
+            for s, t in ((q.esrc[e], q.etgt[e]), (q.etgt[e], q.esrc[e])):
+                if s == v and t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return seen
+
+
+def oracle_vertex_group_presentation(p, x):
+    q = p.quiver
+    comp = oracle_component_of(q, x)
+    vorder = {v: i for i, v in enumerate(q.vertices)}
+    root = min(comp, key=lambda v: vorder[v])
+    paths, _, tree_edges = oracle_spanning_tree(q, [root])
+    generators = tuple(
+        e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
+    )
+
+    def rewrite(w):
+        out = []
+        for e, s in w.letters:
+            if e in tree_edges:
+                continue
+            if out and out[-1] == (e, -s):
+                out.pop()
+            else:
+                out.append((e, s))
+        return tuple(out)
+
+    relators = []
+    dropped = []
+    for lhs, rhs in p.relations:
+        if lhs.src not in comp:
+            dropped.append((lhs, rhs))
+            continue
+        rel = rewrite(lhs.concat(rhs.inverse()))
+        if rel:
+            relators.append(rel)
+    return GroupPresentation(
+        generators=generators,
+        relators=tuple(relators),
+        dropped_relations=tuple(dropped),
+    )
+
+
+@st.composite
+def quivers(draw):
+    """Small quivers with vertices declared in a shuffled order; small
+    vertex counts make self-loops, parallel edges and isolated vertices
+    common."""
+    n = draw(st.integers(1, 8))
+    vertices = tuple(draw(st.permutations(range(n))))
+    ends = st.sampled_from(vertices)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    return quiver(vertices, [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
+
+
+def _walk(q, start, choices):
+    """A word from ``start`` that takes, at each step, the incident letter
+    picked by the next choice (stopping at a vertex with no edges)."""
+    letters = []
+    v = start
+    for c in choices:
+        options = [(e, 1) for e in q.edges if q.esrc[e] == v]
+        options += [(e, -1) for e in q.edges if q.etgt[e] == v]
+        if not options:
+            break
+        letters.append(options[c % len(options)])
+        v = q.letter_tgt(letters[-1])
+    return word(q, letters, at=start)
+
+
+@st.composite
+def presentations(draw):
+    """A presentation over a random quiver whose relations are the
+    coterminal pairs among random walks, plus every closed walk set equal
+    to the empty word."""
+    q = draw(quivers())
+    steps = st.lists(st.integers(0, 20), max_size=6)
+    walks = [
+        _walk(q, draw(st.sampled_from(q.vertices)), draw(steps))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    relations = [(w, empty_word(w.src)) for w in walks if w.src == w.tgt]
+    relations += [
+        (u, w) for u in walks for w in walks
+        if u is not w and (u.src, u.tgt) == (w.src, w.tgt)
+    ]
+    return presentation(q, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quivers())
+def test_components_match_oracle(q):
+    want = oracle_components(q.vertices, q.edges, q.esrc, q.etgt)
+    assert skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) == want
+    assert vankampen_components(q.vertices, q.edges, q.esrc, q.etgt) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spanning_forest_matches_oracle(data):
+    q = data.draw(quivers())
+    roots = data.draw(st.lists(st.sampled_from(q.vertices), max_size=4))
+    paths, root_of, tree_edges = spanning_tree(q, roots)
+    want_paths, want_root_of, want_tree_edges = oracle_spanning_tree(q, roots)
+    assert list(paths.items()) == list(want_paths.items())
+    assert root_of == want_root_of
+    assert tree_edges == want_tree_edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vertex_group_presentation_matches_oracle(data):
+    p = data.draw(presentations())
+    x = data.draw(st.sampled_from(p.quiver.vertices))
+    assert vertex_group_presentation(p, x) == oracle_vertex_group_presentation(p, x)
