@@ -14,7 +14,7 @@ relation ``f(e) = g(e)`` per generator of the common source.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -103,17 +103,45 @@ def word(q, letters, at=None):
         if at is None or at not in q.vertices:
             raise ValidationError("empty word needs a vertex", witness=at)
         return empty_word(at)
-    here = q.letter_src(letters[0])
     for i, letter in enumerate(letters):
         e, s = letter
         if e not in q.esrc or s not in (1, -1):
             raise ValidationError("malformed letter", witness=letter)
-        if q.letter_src(letter) != here:
+        if i == 0:
+            src = here = q.letter_src(letter)
+        elif q.letter_src(letter) != here:
             raise ValidationError(
                 "letters do not chain", witness=(i, letter, here)
             )
         here = q.letter_tgt(letter)
-    return Word(src=q.letter_src(letters[0]), tgt=here, letters=letters)
+    return Word(src=src, tgt=here, letters=letters)
+
+
+def _is_exact_word(q, w):
+    """True when ``word(q, w.letters, at=w.src)`` would rebuild ``w``
+    itself; walks the letters in place without building anything."""
+    letters = w.letters
+    if not isinstance(letters, tuple):
+        return False
+    if not letters:
+        return w.src in q.vertices and w.tgt == w.src
+    here = w.src
+    for letter in letters:
+        if not isinstance(letter, tuple):
+            return False
+        e, s = letter
+        if e not in q.esrc or s not in (1, -1) or q.letter_src(letter) != here:
+            return False
+        here = q.letter_tgt(letter)
+    return here == w.tgt
+
+
+def _check_word(q, w, message, witness):
+    """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
+    ``word`` builds from its letters; a word that ``word`` rejects raises
+    ``word``'s own error."""
+    if not _is_exact_word(q, w) and word(q, w.letters, at=w.src) != w:
+        raise ValidationError(message, witness=witness)
 
 
 def free_reduce(w):
@@ -160,9 +188,7 @@ class GroupoidPresentation:
         self.quiver.validate()
         for lhs, rhs in self.relations:
             for w in (lhs, rhs):
-                rebuilt = word(self.quiver, w.letters, at=w.src)
-                if rebuilt != w:
-                    raise ValidationError("malformed relation word", witness=w)
+                _check_word(self.quiver, w, "malformed relation word", w)
             if lhs.src != rhs.src or lhs.tgt != rhs.tgt:
                 raise ValidationError(
                     "relation sides are not coterminal", witness=(lhs, rhs)
@@ -192,9 +218,7 @@ class PresentationMorphism:
             w = self.emap.get(e)
             if w is None:
                 raise ValidationError("edge image missing", witness=e)
-            rebuilt = word(tq, w.letters, at=w.src)
-            if rebuilt != w:
-                raise ValidationError("edge image is malformed", witness=(e, w))
+            _check_word(tq, w, "edge image is malformed", (e, w))
             if w.src != self.vmap[sq.esrc[e]] or w.tgt != self.vmap[sq.etgt[e]]:
                 raise ValidationError(
                     "edge image has wrong endpoints", witness=(e, w)
@@ -400,6 +424,15 @@ def compose_presmap(f, pm, t):
     )
 
 
+def _restriction_key(f, pm, t):
+    """``presmap_key(compose_presmap(f, pm, t), f.source)``, built directly."""
+    q = f.source.quiver
+    return (
+        tuple(pm.vmap[f.vmap[v]] for v in q.vertices),
+        tuple(eval_word(f.emap[e], pm, t) for e in q.edges),
+    )
+
+
 @dataclass(frozen=True)
 class TargetUniversality:
     target: str
@@ -420,6 +453,17 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     targets: every compatible pair of morphisms out of U and V admits
     exactly one mediating morphism out of the apex.
 
+    Every apex morphism restricts to exactly one pair (its composites with
+    the two injections), so counting apex morphisms by that pair of
+    restriction keys gives each pair's mediator count by lookup.  The
+    morphisms out of V are indexed by their restriction to W, so each
+    morphism out of U meets only the morphisms out of V it is compatible
+    with.  Per target this costs O(|U| + |V| + |apex| + pairs) restrictions,
+    where |X| counts the morphisms out of X.  Pairs are visited in the
+    order of the morphisms out of U, then out of V, and the first pair
+    without exactly one mediator is the witness.  When every pair has one,
+    the pairs must also exhaust the apex morphisms ("count-mismatch").
+
     The verdict is relative to the supplied target battery, and says so.
     """
     from .core import battery
@@ -432,33 +476,28 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_u = enumerate_pres_morphisms(square.u, t, guard)
         mors_v = enumerate_pres_morphisms(square.v, t, guard)
         mors_p = enumerate_pres_morphisms(square.apex, t, guard)
-        wq = square.w.quiver
+        over_w = {}
+        for pv in mors_v:
+            over_w.setdefault(_restriction_key(square.g, pv, t), []).append(pv)
+        mediators = Counter(
+            (
+                _restriction_key(square.inj_u, pm, t),
+                _restriction_key(square.inj_v, pm, t),
+            )
+            for pm in mors_p
+        )
         pairs = 0
         ok = True
         witness = None
         for pu in mors_u:
-            fu = compose_presmap(square.f, pu, t)
-            for pv in mors_v:
-                fv = compose_presmap(square.g, pv, t)
-                if presmap_key(fu, square.w) != presmap_key(fv, square.w):
-                    continue
+            ku = presmap_key(pu, square.u)
+            for pv in over_w.get(_restriction_key(square.f, pu, t), ()):
                 pairs += 1
-                mediators = [
-                    pm
-                    for pm in mors_p
-                    if presmap_key(compose_presmap(square.inj_u, pm, t), square.u)
-                    == presmap_key(pu, square.u)
-                    and presmap_key(compose_presmap(square.inj_v, pm, t), square.v)
-                    == presmap_key(pv, square.v)
-                ]
-                if len(mediators) != 1:
+                kv = presmap_key(pv, square.v)
+                n = mediators[ku, kv]
+                if n != 1 and witness is None:
                     ok = False
-                    if witness is None:
-                        witness = (
-                            presmap_key(pu, square.u),
-                            presmap_key(pv, square.v),
-                            len(mediators),
-                        )
+                    witness = (ku, kv, n)
         if ok and pairs != len(mors_p):
             ok = False
             witness = ("count-mismatch", pairs, len(mors_p))

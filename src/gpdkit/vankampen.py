@@ -31,7 +31,8 @@ from .presentations import (
     PresMap,
     Quiver,
     Word,
-    compose_presmap,
+    _check_word,
+    _restriction_key,
     empty_word,
     enumerate_pres_morphisms,
     free_reduce,
@@ -69,9 +70,7 @@ class Complex2:
             w = self.fboundary.get(f)
             if w is None:
                 raise ValidationError("face without boundary", witness=f)
-            rebuilt = word(q, w.letters, at=w.src)
-            if rebuilt != w:
-                raise ValidationError("malformed boundary word", witness=(f, w))
+            _check_word(q, w, "malformed boundary word", (f, w))
             if w.src != w.tgt:
                 raise ValidationError("boundary word is not closed", witness=(f, w))
         return self
@@ -398,10 +397,7 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_apex = enumerate_pres_morphisms(square.apex, t, guard)
         mors_direct = enumerate_pres_morphisms(direct, t, guard)
         apex_keys = {presmap_key(pm, square.apex) for pm in mors_apex}
-        pulled = {
-            presmap_key(compose_presmap(bridge, pm, t), square.apex)
-            for pm in mors_direct
-        }
+        pulled = {_restriction_key(bridge, pm, t) for pm in mors_direct}
         evidence.append(
             TargetEvidence(
                 target=tname,

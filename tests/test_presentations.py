@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from gpdkit.core import cyclic_group, from_group, symmetric_group, ValidationError
 from gpdkit.presentations import (
+    GroupoidPresentation,
     PresentationMorphism,
+    Word,
     count_reduced_words,
     empty_word,
     enumerate_group_morphisms,
@@ -21,6 +23,7 @@ from gpdkit.presentations import (
     word,
     words_equal,
 )
+from gpdkit.vankampen import Complex2
 
 
 def two_arc_circle_span():
@@ -297,3 +300,83 @@ def test_words_equal_rejects_non_coterminal():
     p = presentation(q)
     with pytest.raises(ValidationError):
         words_equal(p, word(q, [("a", 1)]), empty_word(0))
+
+
+
+# Malformed words reach three validators: relation sides, edge images and
+# face boundaries.  Each case names the word-level error it raises, or
+# None when the word only fails to be rebuilt exactly as given (wrong
+# endpoints, a list of letters, an unnormalised sign), in which case the
+# validator's own message and witness apply.
+_PIN_Q = quiver((0, 1), [("a", 0, 1), ("l", 0, 0)])
+_MALFORMED_WORDS = {
+    "broken chain": (
+        Word(0, 1, (("a", 1), ("a", 1))),
+        ("letters do not chain", (1, ("a", 1), 1)),
+    ),
+    "bad sign": (Word(0, 1, (("a", 2),)), ("malformed letter", ("a", 2))),
+    "unknown edge after the first": (
+        Word(0, 0, (("l", 1), ("zz", 1))),
+        ("malformed letter", ("zz", 1)),
+    ),
+    "wrong source": (Word(1, 1, (("a", 1),)), None),
+    "wrong target": (Word(0, 0, (("a", 1),)), None),
+    "empty word off the quiver": (Word(9, 9, ()), ("empty word needs a vertex", 9)),
+    "empty word with two ends": (Word(0, 1, ()), None),
+    "letters in a list": (Word(0, 1, [("a", 1)]), None),
+    "sign as a string": (Word(0, 1, (("a", "1"),)), None),
+}
+
+
+def _in_relation(w):
+    other = w if w.letters else empty_word(w.src)
+    GroupoidPresentation(quiver=_PIN_Q, relations=((w, other),)).validate()
+
+
+def _as_edge_image(w):
+    PresentationMorphism(
+        source=presentation(quiver(("s", "t"), [("e", "s", "t")])),
+        target=presentation(_PIN_Q),
+        vmap={"s": 0, "t": 1},
+        emap={"e": w},
+    ).validate()
+
+
+def _as_boundary(w):
+    Complex2(
+        vertices=_PIN_Q.vertices,
+        edges=_PIN_Q.edges,
+        esrc=_PIN_Q.esrc,
+        etgt=_PIN_Q.etgt,
+        faces=("F",),
+        fboundary={"F": w},
+    ).validate()
+
+
+# validator, its own message, its witness for word w
+_WORD_VALIDATORS = {
+    "relation": (_in_relation, "malformed relation word", lambda w: w),
+    "edge image": (_as_edge_image, "edge image is malformed", lambda w: ("e", w)),
+    "boundary": (_as_boundary, "malformed boundary word", lambda w: ("F", w)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_WORDS))
+@pytest.mark.parametrize("where", sorted(_WORD_VALIDATORS))
+def test_validators_reject_malformed_words_with_a_witness(case, where):
+    w, expected = _MALFORMED_WORDS[case]
+    validate, message, witness_of = _WORD_VALIDATORS[where]
+    if expected is None:
+        expected = (message, witness_of(w))
+    with pytest.raises(ValidationError) as info:
+        validate(w)
+    assert (str(info.value), info.value.witness) == expected
+
+
+def test_word_rejects_an_unknown_first_letter():
+    with pytest.raises(ValidationError) as info:
+        word(_PIN_Q, [("zz", 1)])
+    assert (str(info.value), info.value.witness) == ("malformed letter", ("zz", 1))
+    for validate, _, _ in _WORD_VALIDATORS.values():
+        with pytest.raises(ValidationError, match="malformed letter"):
+            validate(Word(0, 0, (("zz", 1),)))

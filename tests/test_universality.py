@@ -1,0 +1,308 @@
+"""Differential tests for ``verify_pushout_universal``.
+
+``_verify_oracle`` is the original nested loop, which scans every apex
+morphism for every compatible pair.  The library counts mediators by
+restriction key instead; both must produce the same UniversalityReport
+(verdict, per-target counts and witness) on genuine pushouts and on
+deliberately broken squares.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpdkit.core import DEFAULT_SIZE_GUARD, battery
+from gpdkit.presentations import (
+    PresentationMorphism,
+    TargetUniversality,
+    UniversalityReport,
+    compose_presmap,
+    empty_word,
+    enumerate_pres_morphisms,
+    presentation,
+    presmap_key,
+    pushout,
+    quiver,
+    verify_pushout_universal,
+    word,
+)
+from gpdkit.vankampen import complex2, cover, vkt_square
+
+from test_presentations import c2_free_product_span, two_arc_circle_span, wedge_span
+
+
+def _verify_oracle(square, targets=None, guard=DEFAULT_SIZE_GUARD):
+    if targets is None:
+        targets = battery()
+    results = []
+    all_ok = True
+    for tname, t in targets.items():
+        mors_u = enumerate_pres_morphisms(square.u, t, guard)
+        mors_v = enumerate_pres_morphisms(square.v, t, guard)
+        mors_p = enumerate_pres_morphisms(square.apex, t, guard)
+        wq = square.w.quiver
+        pairs = 0
+        ok = True
+        witness = None
+        for pu in mors_u:
+            fu = compose_presmap(square.f, pu, t)
+            for pv in mors_v:
+                fv = compose_presmap(square.g, pv, t)
+                if presmap_key(fu, square.w) != presmap_key(fv, square.w):
+                    continue
+                pairs += 1
+                mediators = [
+                    pm
+                    for pm in mors_p
+                    if presmap_key(compose_presmap(square.inj_u, pm, t), square.u)
+                    == presmap_key(pu, square.u)
+                    and presmap_key(compose_presmap(square.inj_v, pm, t), square.v)
+                    == presmap_key(pv, square.v)
+                ]
+                if len(mediators) != 1:
+                    ok = False
+                    if witness is None:
+                        witness = (
+                            presmap_key(pu, square.u),
+                            presmap_key(pv, square.v),
+                            len(mediators),
+                        )
+        if ok and pairs != len(mors_p):
+            ok = False
+            witness = ("count-mismatch", pairs, len(mors_p))
+        results.append(
+            TargetUniversality(
+                target=tname,
+                compatible_pairs=pairs,
+                apex_morphisms=len(mors_p),
+                ok=ok,
+                witness=witness,
+            )
+        )
+        all_ok = all_ok and ok
+    return UniversalityReport(ok=all_ok, per_target=tuple(results))
+
+
+def _same_report(square, targets=None):
+    got = verify_pushout_universal(square, targets)
+    assert got == _verify_oracle(square, targets)
+    return got
+
+
+# ----------------------------------------------------------- broken squares
+
+
+def _with_apex(square, relations):
+    """The square with its apex relations replaced; the injections keep
+    their vertex and edge maps."""
+    apex = presentation(square.apex.quiver, relations)
+    return replace(
+        square,
+        apex=apex,
+        inj_u=replace(square.inj_u, target=apex),
+        inj_v=replace(square.inj_v, target=apex),
+    )
+
+
+def _glued_loops_span():
+    """W is one loop sent to U's loop x and to V's loop y, so the apex
+    carries the one gluing relation u:x = v:y."""
+    w = presentation(quiver(("*",), [("e", "*", "*")]))
+    u = presentation(quiver(("*",), [("x", "*", "*")]))
+    v = presentation(quiver(("*",), [("y", "*", "*")]))
+    f = PresentationMorphism(
+        source=w, target=u, vmap={"*": "*"}, emap={"e": word(u.quiver, [("x", 1)])}
+    )
+    g = PresentationMorphism(
+        source=w, target=v, vmap={"*": "*"}, emap={"e": word(v.quiver, [("y", 1)])}
+    )
+    return pushout(f, g)
+
+
+def _drop_gluing(square):
+    return _with_apex(square, square.apex.relations[:-1])
+
+
+def _kill_u_loop(square):
+    """The square with one more apex relation, killing U's first loop;
+    None when U has no loop."""
+    uq = square.u.quiver
+    loops = [e for e in uq.edges if uq.esrc[e] == uq.etgt[e]]
+    if not loops:
+        return None
+    e = square.inj_u.emap[loops[0]]
+    return _with_apex(square, square.apex.relations + ((e, empty_word(e.src)),))
+
+
+def _inj_v_through_u(square):
+    """inj_v replaced by the valid morphism V -> apex that sends V's one
+    loop to U's loop: apex's own V loop is then unconstrained."""
+    (y,) = square.v.quiver.edges
+    (x,) = square.u.quiver.edges
+    inj_v = replace(square.inj_v, emap={y: square.inj_u.emap[x]}).validate()
+    return replace(square, inj_v=inj_v)
+
+
+def test_genuine_pushouts_match_the_oracle():
+    for square in (
+        two_arc_circle_span(),
+        wedge_span(),
+        c2_free_product_span(),
+        _glued_loops_span(),
+    ):
+        assert _same_report(square).ok
+
+
+def test_dropped_gluing_relation_is_a_count_mismatch():
+    rep = _same_report(_drop_gluing(_glued_loops_span()))
+    assert not rep.ok
+    by_name = {r.target: r for r in rep.per_target}
+    # each compatible pair still has its one mediator, but the apex has
+    # |T|^2 morphisms for only |T| pairs
+    assert by_name["s3"].witness == ("count-mismatch", 6, 36)
+
+
+def test_extra_relation_leaves_pairs_without_a_mediator():
+    rep = _same_report(_kill_u_loop(wedge_span()))
+    assert not rep.ok
+    for r in rep.per_target:
+        assert not r.ok
+        assert r.witness[2] == 0
+
+
+def test_swapped_inj_v_gives_many_mediators():
+    rep = _same_report(_inj_v_through_u(wedge_span()))
+    assert not rep.ok
+    by_name = {r.target: r for r in rep.per_target}
+    # the first pair sends both loops to the unit: every image of the
+    # apex's free V loop mediates it
+    assert by_name["s3"].witness[2] == 6
+    assert by_name["c2"].witness[2] == 2
+
+
+# ------------------------------------------------------- hypothesis spans
+
+_SMALL = {name: t for name, t in battery().items() if name in ("c2", "s3")}
+
+
+def _walk(q, start, end, steps):
+    """A word from ``start`` to ``end``: the letters ``steps`` pick, as far
+    as they chain, then the connecting edge ``c`` if one is needed."""
+    letters, here = [], start
+    for pick in steps:
+        out = [
+            (e, s)
+            for e in q.edges
+            for s in (1, -1)
+            if q.letter_src((e, s)) == here
+        ]
+        if not out:
+            break
+        letter = out[pick % len(out)]
+        letters.append(letter)
+        here = q.letter_tgt(letter)
+    if here != end:
+        letters.append(("c", 1) if here == 0 else ("c", -1))
+    return word(q, letters, at=start)
+
+
+@st.composite
+def spans(draw):
+    """A span W -> U, W -> V with random vertex maps, generators sent to
+    random words, and random relations on U and V.  U and V with two
+    vertices carry a connecting edge ``c: 0 -> 1`` so that every word can
+    be closed up; the apex keeps at most three generators, so that the
+    oracle stays fast."""
+    steps = st.lists(st.integers(0, 7), max_size=3)
+
+    def piece(max_edges):
+        nv = draw(st.integers(1, 2 if max_edges else 1))
+        edges = [
+            (f"a{i}", *draw(st.tuples(*[st.integers(0, nv - 1)] * 2)))
+            for i in range(draw(st.integers(0, max_edges - (nv - 1))))
+        ]
+        if nv == 2:
+            edges.append(("c", 0, 1))
+        q = quiver(tuple(range(nv)), edges)
+        relations = []
+        if q.edges and draw(st.booleans()):
+            v = draw(st.integers(0, nv - 1))
+            relations.append((_walk(q, v, v, draw(steps)), empty_word(v)))
+        return presentation(q, relations)
+
+    u = piece(2)
+    v = piece(3 - len(u.quiver.edges))
+    nw = draw(st.integers(1, 2))
+    fv = {x: draw(st.sampled_from(u.quiver.vertices)) for x in range(nw)}
+    gv = {x: draw(st.sampled_from(v.quiver.vertices)) for x in range(nw)}
+    wedges = [
+        (f"e{i}", *draw(st.tuples(*[st.integers(0, nw - 1)] * 2)))
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    w = presentation(quiver(tuple(range(nw)), wedges))
+
+    def leg(target, vmap):
+        return PresentationMorphism(
+            source=w,
+            target=target,
+            vmap=vmap,
+            emap={
+                e: _walk(target.quiver, vmap[s], vmap[t], draw(steps))
+                for e, s, t in wedges
+            },
+        ).validate()
+
+    return pushout(leg(u, fv), leg(v, gv))
+
+
+def _collapse_v_loops(square):
+    """inj_v replaced by the valid morphism V -> apex that sends V's loops
+    to empty words; None when V has no loop."""
+    vq = square.v.quiver
+    if all(vq.esrc[e] != vq.etgt[e] for e in vq.edges):
+        return None
+    emap = dict(square.inj_v.emap)
+    for e in vq.edges:
+        if vq.esrc[e] == vq.etgt[e]:
+            emap[e] = empty_word(square.inj_v.vmap[vq.esrc[e]])
+    return replace(square, inj_v=replace(square.inj_v, emap=emap).validate())
+
+
+_BREAKAGES = {
+    "drop": lambda sq: _drop_gluing(sq) if sq.w.quiver.edges else None,
+    "extra": _kill_u_loop,
+    "swap": _collapse_v_loops,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(spans())
+def test_random_pushouts_match_the_oracle(square):
+    assert _same_report(square, _SMALL).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans(), st.sampled_from(sorted(_BREAKAGES)))
+def test_random_broken_squares_match_the_oracle(square, breakage):
+    broken = _BREAKAGES[breakage](square)
+    if broken is not None:
+        _same_report(broken, _SMALL)
+
+
+# ---------------------------------------------------------- scaling guard
+
+
+def _bouquet_square(a, b):
+    loops = [f"e{i}" for i in range(a + b)]
+    x = complex2(("*",), [(e, "*", "*") for e in loops])
+    return vkt_square(cover(x, loops[:a], loops[a:]), ("*",)).square
+
+
+@pytest.mark.parametrize("a,b", [(2, 2), (2, 3)])
+def test_wedge_universality_scales_with_the_morphism_count(a, b):
+    rep = verify_pushout_universal(_bouquet_square(a, b))
+    assert rep.ok
+    for r, t in zip(rep.per_target, battery().values()):
+        n = len(t.arrows) ** (a + b)
+        assert (r.compatible_pairs, r.apex_morphisms) == (n, n)
