@@ -117,30 +117,11 @@ def word(q, letters, at=None):
     return Word(src=src, tgt=here, letters=letters)
 
 
-def _is_exact_word(q, w):
-    """True when ``word(q, w.letters, at=w.src)`` would rebuild ``w``
-    itself; walks the letters in place without building anything."""
-    letters = w.letters
-    if not isinstance(letters, tuple):
-        return False
-    if not letters:
-        return w.src in q.vertices and w.tgt == w.src
-    here = w.src
-    for letter in letters:
-        if not isinstance(letter, tuple):
-            return False
-        e, s = letter
-        if e not in q.esrc or s not in (1, -1) or q.letter_src(letter) != here:
-            return False
-        here = q.letter_tgt(letter)
-    return here == w.tgt
-
-
 def _check_word(q, w, message, witness):
     """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
     ``word`` builds from its letters; a word that ``word`` rejects raises
     ``word``'s own error."""
-    if not _is_exact_word(q, w) and word(q, w.letters, at=w.src) != w:
+    if word(q, w.letters, at=w.src) != w:
         raise ValidationError(message, witness=witness)
 
 
@@ -425,12 +406,8 @@ def compose_presmap(f, pm, t):
 
 
 def _restriction_key(f, pm, t):
-    """``presmap_key(compose_presmap(f, pm, t), f.source)``, built directly."""
-    q = f.source.quiver
-    return (
-        tuple(pm.vmap[f.vmap[v]] for v in q.vertices),
-        tuple(eval_word(f.emap[e], pm, t) for e in q.edges),
-    )
+    """Key of the restriction of ``pm`` along ``f``."""
+    return presmap_key(compose_presmap(f, pm, t), f.source)
 
 
 @dataclass(frozen=True)
@@ -478,7 +455,9 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_p = enumerate_pres_morphisms(square.apex, t, guard)
         over_w = {}
         for pv in mors_v:
-            over_w.setdefault(_restriction_key(square.g, pv, t), []).append(pv)
+            over_w.setdefault(_restriction_key(square.g, pv, t), []).append(
+                presmap_key(pv, square.v)
+            )
         mediators = Counter(
             (
                 _restriction_key(square.inj_u, pm, t),
@@ -491,9 +470,8 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         witness = None
         for pu in mors_u:
             ku = presmap_key(pu, square.u)
-            for pv in over_w.get(_restriction_key(square.f, pu, t), ()):
+            for kv in over_w.get(_restriction_key(square.f, pu, t), ()):
                 pairs += 1
-                kv = presmap_key(pv, square.v)
                 n = mediators[ku, kv]
                 if n != 1 and witness is None:
                     ok = False
