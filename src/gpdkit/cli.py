@@ -341,7 +341,7 @@ def cmd_xmod_aut(args):
     g = _load(args.group_file, "group")
     xm = automorphism_xmod(g)
     law = check_axioms(xm)
-    counts = {"group_order": len(g), "aut_order": len(xm.m["*"].elements)}
+    counts = {"group_order": len(g), "aut_order": len(xm.p.arrows)}
     lines = [
         f"automorphism group order: {counts['aut_order']}",
         "crossed module axioms: " + ("all hold" if law.ok else "FAIL"),

@@ -14,11 +14,15 @@ Conventions that hold across the whole package:
   each block in vertex order.  Groupoid components, complex skeleta and
   vertex-group presentations all use it.
 - Exhaustive searches count their candidate space first and refuse loudly
-  (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.
+  (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  The group
+  homomorphism search ``group_homs(g, h)`` chooses images for the
+  generators of ``generating_set(g)`` only, so it counts |h|^|generators|
+  candidates, the assignments it actually examines.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -217,6 +221,61 @@ def generating_set(g):
         if len(span) == len(g.elements):
             break
     return tuple(gens)
+
+
+def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
+    """Every homomorphism ``g -> h`` as an image tuple aligned with
+    ``g.elements``, in lexicographic order of the tuples (an image ranks by
+    its position in ``h.elements``).  Both tables must be groups, as
+    ``finite_group`` builds them.
+
+    Only the generators from ``generating_set(g)`` get chosen images; every
+    other image is read off a breadth-first spanning tree of the Cayley
+    graph.  A candidate is kept when phi(x s) = phi(x) phi(s) for every
+    element x and generator s, which by induction on word length makes it
+    a homomorphism.  The guard counts the |h|^|generators| candidates.
+
+    The generators are chosen greedily in element order, so every element
+    listed before the k-th generator is a word in the earlier ones.  Maps
+    that agree on the first k-1 generators therefore agree on every element
+    before the k-th generator, and assigning generator images in
+    lexicographic order lists the image tuples in lexicographic order.
+    """
+    gens = generating_set(g)
+    total = len(h.elements) ** len(gens)
+    if total > guard:
+        raise SizeGuardExceeded(
+            f"homomorphism search needs {total} candidates, the guard allows {guard}"
+        )
+    gi = {x: i for i, x in enumerate(g.elements)}
+    hi = {y: i for i, y in enumerate(h.elements)}
+    hmul = [[hi[h.mul(a, b)] for b in h.elements] for a in h.elements]
+    # steps[k][i]: the index of g.elements[i] times the k-th generator
+    steps = [[gi[g.mul(x, s)] for x in g.elements] for s in gens]
+    root = gi[g.unit]
+    tree = []  # (element, parent, generator position) in breadth-first order
+    seen = {root}
+    frontier = deque([root])
+    while frontier:
+        i = frontier.popleft()
+        for k, step in enumerate(steps):
+            j = step[i]
+            if j not in seen:
+                seen.add(j)
+                tree.append((j, i, k))
+                frontier.append(j)
+    phi = [None] * len(g.elements)
+    phi[root] = hi[h.unit]
+    found = []
+    for images in product(range(len(h.elements)), repeat=len(gens)):
+        for j, i, k in tree:
+            phi[j] = hmul[phi[i]][images[k]]
+        if all(
+            all(phi[j] == hmul[p][c] for j, p in zip(step, phi))
+            for step, c in zip(steps, images)
+        ):
+            found.append(tuple(h.elements[p] for p in phi))
+    return tuple(found)
 
 
 @dataclass(frozen=True)

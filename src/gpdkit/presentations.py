@@ -97,24 +97,31 @@ def empty_word(v):
 
 
 def word(q, letters, at=None):
-    """Validated word over quiver ``q``; ``at`` places an empty word."""
-    letters = tuple((e, int(s)) for e, s in letters)
-    if not letters:
-        if at is None or at not in q.vertices:
-            raise ValidationError("empty word needs a vertex", witness=at)
-        return empty_word(at)
-    for i, letter in enumerate(letters):
-        e, s = letter
-        if e not in q.esrc or s not in (1, -1):
+    """Validated word over quiver ``q``; ``at`` places an empty word.
+    Signs are normalised with ``int``, so ``("a", "1")`` reads as ``("a", 1)``."""
+    normal = []
+    for letter in letters:
+        try:
+            e, s = letter
+            letter = (e, int(s))
+            known = e in q.esrc
+        except (TypeError, ValueError):
+            raise ValidationError("malformed letter", witness=letter) from None
+        if not known or letter[1] not in (1, -1):
             raise ValidationError("malformed letter", witness=letter)
-        if i == 0:
+        if not normal:
             src = here = q.letter_src(letter)
         elif q.letter_src(letter) != here:
             raise ValidationError(
-                "letters do not chain", witness=(i, letter, here)
+                "letters do not chain", witness=(len(normal), letter, here)
             )
         here = q.letter_tgt(letter)
-    return Word(src=src, tgt=here, letters=letters)
+        normal.append(letter)
+    if not normal:
+        if at is None or at not in q.vertices:
+            raise ValidationError("empty word needs a vertex", witness=at)
+        return empty_word(at)
+    return Word(src=src, tgt=here, letters=tuple(normal))
 
 
 def _check_word(q, w, message, witness):

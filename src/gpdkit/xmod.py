@@ -19,9 +19,8 @@ composition is diagrammatic, and conjugation is ``g^{-1} m g``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -34,6 +33,7 @@ from .core import (
     cyclic_group,
     finite_group,
     from_group,
+    group_homs,
     perm_parity,
     subgroup,
     symmetric_group,
@@ -223,22 +223,12 @@ def trivial_xmod(g, name=""):
 
 def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
     """All automorphisms of a finite group, encoded as image tuples aligned
-    with ``g.elements``; composition is "apply left, then right"."""
+    with ``g.elements``; composition is "apply left, then right".  They are
+    the bijective ``group_homs(g, g, guard)``."""
     g.validate()
     n = len(g.elements)
-    if math.factorial(n) > guard:
-        raise SizeGuardExceeded(f"automorphism search over {n}! candidates")
+    autos = [images for images in group_homs(g, g, guard) if len(set(images)) == n]
     idx = {x: i for i, x in enumerate(g.elements)}
-    autos = []
-    for images in permutations(g.elements):
-        if images[idx[g.unit]] != g.unit:
-            continue
-        if all(
-            images[idx[g.mul(a, b)]] == g.mul(images[idx[a]], images[idx[b]])
-            for a in g.elements
-            for b in g.elements
-        ):
-            autos.append(images)
     table = {
         (a, b): tuple(b[idx[a[i]]] for i in range(n))
         for a in autos
@@ -501,7 +491,8 @@ def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
     """All maps phi: M -> N over ``hom`` (group hom, boundary-compatible,
     equivariant) from a one-object crossed module to one over ``hom``'s
     target group.  These classify morphisms out of the induced crossed
-    module, one each."""
+    module, one each.  The group homs come from ``group_homs``, so
+    ``guard`` bounds |N|^|generators of M| candidates."""
     if tuple(xm.p.objects) != ("*",) or tuple(target.p.objects) != ("*",):
         raise ValidationError("one-object crossed modules required")
     if set(target.p.arrows) != set(hom.target.elements):
@@ -510,18 +501,9 @@ def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
             witness=target.p.objects,
         )
     gm, gn = xm.m["*"], target.m["*"]
-    total = len(gn.elements) ** len(gm.elements)
-    if total > guard:
-        raise SizeGuardExceeded(f"{total} candidate maps exceed the guard")
     found = []
-    for images in product(gn.elements, repeat=len(gm.elements)):
+    for images in group_homs(gm, gn, guard):
         phi = dict(zip(gm.elements, images))
-        if any(
-            phi[gm.mul(a, b)] != gn.mul(phi[a], phi[b])
-            for a in gm.elements
-            for b in gm.elements
-        ):
-            continue
         if any(
             target.mu["*"][phi[m]] != hom(xm.mu["*"][m]) for m in gm.elements
         ):

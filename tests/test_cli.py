@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from gpdkit.cli import main
+from gpdkit.core import cyclic_group
+from gpdkit.documents import Document, load_document, render_document
+from gpdkit.xmod import automorphism_group
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,3 +192,19 @@ def test_error_report_written_with_machine_flag(capsys):
     report = json.loads(captured.out)
     assert report["verdict"] == "fail"
     assert report["data"]["error_kind"] == "composition-mismatch"
+
+
+@pytest.mark.parametrize("name", ["z7.grp", "s3.grp"])
+def test_xmod_aut_reports_the_automorphism_group_order(name, capsys):
+    assert main(["xmod", "aut", _p(name), "--machine"]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    g = load_document(_p(name)).payload
+    assert counts == {"group_order": len(g), "aut_order": len(automorphism_group(g))}
+
+
+def test_xmod_aut_handles_order_twelve(tmp_path, capsys):
+    path = tmp_path / "c12.grp"
+    path.write_text(render_document(Document(kind="group", payload=cyclic_group(12))))
+    assert main(["xmod", "aut", str(path), "--machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"group_order": 12, "aut_order": 4}

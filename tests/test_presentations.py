@@ -380,3 +380,10 @@ def test_word_rejects_an_unknown_first_letter():
     for validate, _, _ in _WORD_VALIDATORS.values():
         with pytest.raises(ValidationError, match="malformed letter"):
             validate(Word(0, 0, (("zz", 1),)))
+
+
+@pytest.mark.parametrize("letter", [("a", "x"), ("a", None), ("a",), 5])
+def test_word_rejects_an_unreadable_letter(letter):
+    with pytest.raises(ValidationError) as info:
+        word(_PIN_Q, [letter])
+    assert (str(info.value), info.value.witness) == ("malformed letter", letter)

@@ -8,6 +8,7 @@ from gpdkit.core import (
     ValidationError,
     alternating_group,
     cyclic_group,
+    finite_group,
     from_group,
     symmetric_group,
 )
@@ -115,6 +116,19 @@ def test_automorphism_group_sizes():
     assert len(automorphism_group(symmetric_group(3))) == 6
     assert len(automorphism_group(cyclic_group(3))) == 2
     assert len(automorphism_group(cyclic_group(4))) == 2
+
+
+def test_automorphism_groups_past_the_old_permutation_search():
+    # 24! and 8! permutations; the generator search needs 24^3 and 8^2.
+    assert len(automorphism_group(symmetric_group(4))) == 24
+    elements = tuple(product(range(2), range(4)))
+    table = {
+        (x, y): ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)
+        for x in elements
+        for y in elements
+    }
+    c2c4 = finite_group(elements, table, unit=(0, 0), name="c2xc4")
+    assert len(automorphism_group(c2c4)) == 8
 
 
 def test_automorphism_composition_is_diagrammatic():
