@@ -17,7 +17,7 @@ evidence is relative to the battery used and the report says which one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -56,6 +56,9 @@ class Complex2:
     etgt: dict
     faces: tuple
     fboundary: dict
+    # Set by a successful ``validate``; ``init=False`` keeps raw construction,
+    # ``restrict`` and ``dataclasses.replace`` from inheriting it.
+    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def edge_quiver(self):
         return Quiver(
@@ -63,6 +66,10 @@ class Complex2:
         )
 
     def validate(self):
+        """Check the edge quiver and every face boundary; a successful check
+        is remembered, so a second call is free."""
+        if self._validated:
+            return self
         q = self.edge_quiver().validate()
         if len(set(self.faces)) != len(self.faces):
             raise ValidationError("duplicate faces", witness=self.faces)
@@ -73,6 +80,7 @@ class Complex2:
             _check_word(q, w, "malformed boundary word", (f, w))
             if w.src != w.tgt:
                 raise ValidationError("boundary word is not closed", witness=(f, w))
+        object.__setattr__(self, "_validated", True)
         return self
 
 

@@ -1,12 +1,13 @@
 """End-to-end command line behavior on the document corpus in tests/data."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from gpdkit.cli import main
-from gpdkit.core import cyclic_group
+from gpdkit.core import cyclic_group, finite_group
 from gpdkit.documents import Document, load_document, render_document
 from gpdkit.xmod import automorphism_group
 
@@ -208,3 +209,18 @@ def test_xmod_aut_handles_order_twelve(tmp_path, capsys):
     assert main(["xmod", "aut", str(path), "--machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"] == {"group_order": 12, "aut_order": 4}
+
+
+def test_xmod_aut_handles_the_elementary_abelian_group_of_order_eight(tmp_path, capsys):
+    elements = tuple("".join(map(str, bits)) for bits in product(range(2), repeat=3))
+    table = {
+        (x, y): "".join(str((int(a) + int(b)) % 2) for a, b in zip(x, y))
+        for x in elements
+        for y in elements
+    }
+    c2_3 = finite_group(elements, table, unit="000", name="c2c2c2")
+    path = tmp_path / "c2c2c2.grp"
+    path.write_text(render_document(Document(kind="group", payload=c2_3)))
+    assert main(["xmod", "aut", str(path), "--machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"group_order": 8, "aut_order": 168}

@@ -1,0 +1,360 @@
+"""Group and complex validation: Light's associativity test against the
+brute-force validator it replaced, and the mark that lets a validated
+value skip a second check.
+
+``_old_validate`` is the former body of ``FiniteGroup.validate``, kept
+verbatim as the oracle: it tests associativity on all n^3 triples.  Every
+table, broken or not, must get the same verdict, message and witness from
+both.
+"""
+
+from dataclasses import replace
+from itertools import product
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpdkit import core, vankampen
+from gpdkit.core import (
+    FiniteGroup,
+    ValidationError,
+    alternating_group,
+    cyclic_group,
+    finite_group,
+    from_group,
+    generating_set,
+    subgroup,
+    symmetric_group,
+    trivial_group,
+    vertex_group,
+)
+from gpdkit.documents import load_document
+from gpdkit.presentations import Word
+from gpdkit.vankampen import Complex2, Subcomplex, complex2, fundamental_groupoid, restrict
+from gpdkit.xmod import automorphism_group, automorphism_xmod, crossed_module
+
+DATA = Path(__file__).parent / "data"
+
+
+def _old_validate(self):
+    elems = self.elements
+    eset = set(elems)
+    if len(eset) != len(elems):
+        raise ValidationError("duplicate elements", witness=elems)
+    if self.unit not in eset:
+        raise ValidationError("unit is not an element", witness=self.unit)
+    for a, b in product(elems, repeat=2):
+        if (a, b) not in self.table:
+            raise ValidationError("table is not total", witness=(a, b))
+        if self.table[(a, b)] not in eset:
+            raise ValidationError(
+                "table leaves the carrier", witness=(a, b, self.table[(a, b)])
+            )
+    for a in elems:
+        if self.table[(self.unit, a)] != a or self.table[(a, self.unit)] != a:
+            raise ValidationError("unit law fails", witness=a)
+    for a, b, c in product(elems, repeat=3):
+        left = self.table[(self.table[(a, b)], c)]
+        right = self.table[(a, self.table[(b, c)])]
+        if left != right:
+            raise ValidationError("associativity fails", witness=(a, b, c))
+    for a in elems:
+        if not any(
+            self.table[(a, b)] == self.unit and self.table[(b, a)] == self.unit
+            for b in elems
+        ):
+            raise ValidationError("no two-sided inverse", witness=a)
+    return self
+
+
+def _outcome(check, g):
+    try:
+        check(g)
+    except ValidationError as err:
+        return str(err), err.witness
+    return "ok", None
+
+
+def _raw(g, table=None):
+    return FiniteGroup(elements=g.elements, table=dict(table or g.table), unit=g.unit)
+
+
+def _c2xc4():
+    elements = tuple(product(range(2), range(4)))
+    table = {
+        (x, y): ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)
+        for x in elements
+        for y in elements
+    }
+    return finite_group(elements, table, unit=(0, 0), name="c2xc4")
+
+
+BASES = {f"c{n}": cyclic_group(n) for n in range(2, 9)}
+BASES["s3"] = symmetric_group(3)
+BASES["c2xc4"] = _c2xc4()
+
+# The smallest non-associative loop: a Latin square with unit 0, so the unit
+# law and two-sided inverses hold (x x = 0), but it is not the cyclic group,
+# the only group of order 5.
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+@st.composite
+def perturbed(draw, keep_unit_lines):
+    """A raw copy of a battery table with one to three entries rewritten to
+    other elements, anywhere or only off the unit row and column."""
+    g = BASES[draw(st.sampled_from(sorted(BASES)))]
+    cells = [
+        (a, b)
+        for a, b in product(g.elements, repeat=2)
+        if not keep_unit_lines or g.unit not in (a, b)
+    ]
+    table = dict(g.table)
+    for _ in range(draw(st.integers(1, 3))):
+        table[draw(st.sampled_from(cells))] = draw(st.sampled_from(g.elements))
+    return _raw(g, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed(keep_unit_lines=False))
+def test_light_agrees_with_the_oracle_on_perturbed_tables(g):
+    assert _outcome(FiniteGroup.validate, g) == _outcome(_old_validate, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed(keep_unit_lines=True))
+def test_light_agrees_with_the_oracle_off_the_unit_lines(g):
+    # The unit law holds, so these reach the associativity check.
+    assert _outcome(FiniteGroup.validate, g) == _outcome(_old_validate, g)
+
+
+@pytest.mark.parametrize("name", ["c5", "s3", "c2xc4"])
+def test_every_single_entry_perturbation_keeps_its_verdict(name):
+    g = BASES[name]
+    rejected = 0
+    for cell, value in product(product(g.elements, repeat=2), g.elements):
+        if value == g.table[cell]:
+            continue
+        broken = _raw(g, {**g.table, cell: value})
+        old = _outcome(_old_validate, broken)
+        assert _outcome(FiniteGroup.validate, broken) == old
+        rejected += old[0] != "ok"
+    assert rejected > 0
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda t: t.pop((1, 2)), "table is not total"),
+        (lambda t: t.update({(2, 2): "z"}), "table leaves the carrier"),
+    ],
+)
+def test_totality_and_carrier_failures_keep_their_witness(damage, message):
+    table = dict(cyclic_group(4).table)
+    damage(table)
+    broken = _raw(cyclic_group(4), table)
+    assert _outcome(FiniteGroup.validate, broken) == _outcome(_old_validate, broken)
+    assert _outcome(FiniteGroup.validate, broken)[0] == message
+
+
+def test_a_non_associative_loop_is_rejected_with_the_first_triple():
+    elements = tuple(range(5))
+    table = {(a, b): LOOP5[a][b] for a, b in product(elements, repeat=2)}
+    loop = FiniteGroup(elements=elements, table=table, unit=0)
+    got = _outcome(FiniteGroup.validate, loop)
+    assert got == _outcome(_old_validate, loop)
+    assert got[0] == "associativity fails"
+    with pytest.raises(ValidationError, match="associativity fails"):
+        finite_group(elements, table)
+
+
+def test_a_failure_only_the_second_generator_sees_is_found():
+    s3 = BASES["s3"]
+    r, rr, b = (1, 2, 0), (2, 0, 1), (2, 1, 0)
+    broken = _raw(s3, {**s3.table, (r, b): r, (b, rr): r})
+    first, second = generating_set(broken)
+    for x, y in product(s3.elements, repeat=2):
+        assert broken.mul(broken.mul(x, first), y) == broken.mul(x, broken.mul(first, y))
+    expected = ("associativity fails", (first, second, b))
+    assert _outcome(_old_validate, broken) == expected
+    assert _outcome(FiniteGroup.validate, broken) == expected
+
+
+def test_the_success_path_does_not_visit_every_triple(monkeypatch):
+    repeats = []
+    real = core.product
+
+    def spy(*iterables, repeat=1):
+        repeats.append(repeat)
+        return real(*iterables, repeat=repeat)
+
+    monkeypatch.setattr(core, "product", spy)
+    _raw(symmetric_group(4)).validate()
+    assert 3 not in repeats
+    # Only a failing test falls back to the triple loop for its witness.
+    with pytest.raises(ValidationError, match="associativity fails"):
+        _raw(cyclic_group(3), _broken_c3()).validate()
+    assert 3 in repeats
+
+
+# ------------------------------------------------------- the validated mark
+
+CONSTRUCTORS = {
+    "finite_group": lambda: finite_group(range(3), cyclic_group(3).table),
+    "cyclic_group": lambda: cyclic_group(6),
+    "symmetric_group": lambda: symmetric_group(3),
+    "alternating_group": lambda: alternating_group(4),
+    "trivial_group": lambda: trivial_group(),
+    "subgroup": lambda: subgroup(symmetric_group(3), [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    "vertex_group": lambda: vertex_group(from_group(symmetric_group(3)), "*"),
+    "automorphism_group": lambda: automorphism_group(symmetric_group(3)),
+    "parser (permutations)": lambda: load_document(DATA / "s3.grp").payload,
+    "parser (table)": lambda: load_document(DATA / "z7.grp").payload,
+}
+
+
+@pytest.fixture
+def generating_set_calls(monkeypatch):
+    """Record each group whose associativity ``validate`` checks."""
+    calls = []
+    real = core.generating_set
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(core, "generating_set", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_every_constructor_returns_a_validated_group(make, generating_set_calls):
+    g = make()
+    generating_set_calls.clear()
+    assert g.validate() is g
+    assert generating_set_calls == []
+    # A raw copy of the same table carries no mark and is checked.
+    _raw(g).validate()
+    assert len(generating_set_calls) == 1
+
+
+def _broken_c3():
+    table = dict(cyclic_group(3).table)
+    table[(1, 1)] = 1  # (1 1) 2 = 0 but 1 (1 2) = 1
+    return table
+
+
+def _as_crossed_module(g):
+    return crossed_module(from_group(trivial_group()), {"*": g}, {}, {})
+
+
+@pytest.mark.parametrize(
+    "use",
+    [from_group, automorphism_group, _as_crossed_module],
+    ids=["from_group", "automorphism_group", "crossed_module"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _raw(cyclic_group(3), _broken_c3()),
+        lambda: replace(cyclic_group(3), table=_broken_c3()),
+    ],
+    ids=["raw", "replace"],
+)
+def test_a_broken_unmarked_group_is_rejected_with_the_old_witness(use, build):
+    broken = build()
+    expected = _outcome(_old_validate, broken)
+    assert expected[0] == "associativity fails"
+    for _ in range(2):  # a failed check leaves no mark behind
+        assert _outcome(use, broken) == expected
+
+
+def test_groups_past_the_old_validation_cost():
+    s5 = symmetric_group(5)
+    assert len(s5) == 120
+    assert len(alternating_group(5)) == 60
+    elements = tuple(product(range(2), repeat=3))
+    table = {
+        (x, y): tuple((a + b) % 2 for a, b in zip(x, y))
+        for x in elements
+        for y in elements
+    }
+    c2_3 = finite_group(elements, table, unit=(0, 0, 0), name="c2^3")
+    xm = automorphism_xmod(c2_3)
+    assert len(xm.p.arrows) == 168  # |GL(3, 2)|
+    assert len(xm.m["*"]) == 8
+
+
+# ----------------------------------------------------------------- complexes
+
+
+def _disc():
+    return complex2((0, 1), [("a", 0, 1), ("b", 0, 1)], [("f", [("a", 1), ("b", -1)])])
+
+
+@pytest.fixture
+def face_checks(monkeypatch):
+    """Record each face word ``Complex2.validate`` checks."""
+    calls = []
+    real = vankampen._check_word
+
+    def spy(q, w, message, witness):
+        calls.append(witness)
+        return real(q, w, message, witness)
+
+    monkeypatch.setattr(vankampen, "_check_word", spy)
+    return calls
+
+
+def test_a_built_complex_is_checked_once(face_checks):
+    x = _disc()
+    assert len(face_checks) == 1
+    fundamental_groupoid(x, (0,))
+    assert x.validate() is x
+    assert len(face_checks) == 1
+
+
+def test_a_restricted_complex_is_still_checked(face_checks):
+    x = _disc()
+    whole = Subcomplex(vertices=x.vertices, edges=x.edges, faces=x.faces)
+    face_checks.clear()
+    fundamental_groupoid(restrict(x, whole), (0,))
+    assert face_checks == [("f", x.fboundary["f"])]
+
+
+def test_a_restriction_that_drops_a_boundary_edge_is_rejected():
+    x = _disc()
+    torn = Subcomplex(vertices=x.vertices, edges=("a",), faces=x.faces)
+    with pytest.raises(ValidationError) as info:
+        fundamental_groupoid(restrict(x, torn), (0,))
+    assert str(info.value) == "malformed letter"
+    assert info.value.witness == ("b", -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x, bad: Complex2(
+            vertices=x.vertices, edges=x.edges, esrc=x.esrc, etgt=x.etgt,
+            faces=x.faces, fboundary=bad,
+        ),
+        lambda x, bad: replace(x, fboundary=bad),
+    ],
+    ids=["raw", "replace"],
+)
+def test_a_broken_unmarked_complex_fails_in_the_fundamental_groupoid(build):
+    x = _disc()
+    open_word = Word(src=0, tgt=1, letters=(("a", 1),))
+    broken = build(x, {"f": open_word})
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            fundamental_groupoid(broken, (0,))
+        assert str(info.value) == "boundary word is not closed"
+        assert info.value.witness == ("f", open_word)
