@@ -10,6 +10,10 @@ edge to a *word* of the target; that generality is what inclusion-induced
 maps between fundamental groupoids need.  Pushouts are computed at the
 presentation level: disjoint union, identify image vertices, add one
 relation ``f(e) = g(e)`` per generator of the common source.
+
+Morphisms into a finite groupoid are enumerated as tuples ``(vertex images,
+edge images)``, each relation checked as soon as its last edge is assigned;
+a presentation morphism compiles into a map restricting such tuples along it.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from operator import itemgetter
 
 from .core import (
     DEFAULT_SIZE_GUARD,
     SizeGuardExceeded,
     ValidationError,
+    from_group,
     skeleton_components,
 )
 
@@ -213,14 +220,6 @@ class PresentationMorphism:
                 )
         return self
 
-    def apply(self, w):
-        """Image of a source word, not freely reduced."""
-        out = empty_word(self.vmap[w.src])
-        for e, s in w.letters:
-            piece = self.emap[e]
-            out = out.concat(piece if s > 0 else piece.inverse())
-        return out
-
 
 def identity_morphism(p):
     q = p.quiver
@@ -232,62 +231,108 @@ def identity_morphism(p):
     )
 
 
-@dataclass(frozen=True)
-class PresMap:
-    """A morphism from a presented groupoid into a finite groupoid:
-    vertex assignment plus one arrow per generator, relations respected."""
-
-    vmap: dict
-    amap: dict
-
-
-def eval_word(w, pm, t):
-    """Evaluate a word in a finite groupoid under a PresMap."""
-    out = t.id_of[pm.vmap[w.src]]
-    for e, s in w.letters:
-        a = pm.amap[e] if s > 0 else t.inv[pm.amap[e]]
-        out = t.comp[(out, a)]
-    return out
-
-
-def presmap_key(pm, p):
-    q = p.quiver
+def _positions(q):
+    """Index of each vertex and each edge of ``q``."""
     return (
-        tuple(pm.vmap[v] for v in q.vertices),
-        tuple(pm.amap[e] for e in q.edges),
+        {v: i for i, v in enumerate(q.vertices)},
+        {e: i for i, e in enumerate(q.edges)},
     )
 
 
+def _program(w, vpos, epos):
+    """A word compiled against positions: its start vertex position and
+    ``(edge position, sign)`` letters."""
+    return vpos[w.src], tuple((epos[e], s) for e, s in w.letters)
+
+
+def _evaluate(prog, vimg, eimg, t):
+    """Value in groupoid ``t`` of a compiled word, given the vertex and edge
+    images of a morphism key."""
+    start, letters = prog
+    out = t.id_of[vimg[start]]
+    for i, s in letters:
+        out = t.comp[out, eimg[i] if s > 0 else t.inv[eimg[i]]]
+    return out
+
+
 def enumerate_pres_morphisms(p, t, guard=DEFAULT_SIZE_GUARD):
-    """All relation-respecting assignments of ``p`` into groupoid ``t``,
-    in canonical (vertex images, edge images) order."""
+    """All relation-respecting assignments of ``p`` into groupoid ``t``, as
+    keys ``(vertex images, edge images)`` aligned with ``p.quiver``'s
+    vertices and edges, in canonical (vertex images, edge images) order.
+
+    The guard counts the whole product space of edge candidates.  The edges,
+    in order, are cut into segments that end where some relation's last
+    edge is assigned; each segment is one ``product`` over its edges'
+    candidate arrows, and the relations ending there are checked at once.
+    """
     q = p.quiver
+    vpos, epos = _positions(q)
+    ends = [(vpos[q.esrc[e]], vpos[q.etgt[e]]) for e in q.edges]
+    between = {(x, y): [] for x in t.objects for y in t.objects}
+    for a in t.arrows:
+        between[t.src[a], t.tgt[a]].append(a)
     plans = []
     total = 0
-    for images in product(t.objects, repeat=len(q.vertices)):
-        vmap = dict(zip(q.vertices, images))
-        cands = []
-        count = 1
-        for e in q.edges:
-            c = t.arrows_between(vmap[q.esrc[e]], vmap[q.etgt[e]])
-            cands.append(c)
-            count *= len(c)
-        total += count
+    for vimg in product(t.objects, repeat=len(q.vertices)):
+        cands = [between[vimg[s], vimg[r]] for s, r in ends]
+        total += prod(map(len, cands))
         if total > guard:
             raise SizeGuardExceeded(
                 f"presentation morphism search needs more than {guard} candidates"
             )
-        plans.append((vmap, cands))
+        plans.append((vimg, cands))
+    checks = {}
+    for lhs, rhs in p.relations:
+        last = max((epos[e] for e, _ in lhs.letters + rhs.letters), default=0)
+        checks.setdefault(min(last + 1, len(q.edges)), []).append(
+            (_program(lhs, vpos, epos), _program(rhs, vpos, epos))
+        )
+    cuts = sorted({*checks, len(q.edges)})
+    segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
     found = []
-    for vmap, cands in plans:
-        for images in product(*cands):
-            pm = PresMap(vmap=vmap, amap=dict(zip(q.edges, images)))
-            if all(
-                eval_word(lhs, pm, t) == eval_word(rhs, pm, t)
-                for lhs, rhs in p.relations
-            ):
-                found.append(pm)
+    for vimg, cands in plans:
+        keys = [()]
+        for lo, hi, rels in segments:
+            keys = _grow(keys, cands[lo:hi], rels, vimg, t)
+        found.extend((vimg, eimg) for eimg in keys)
     return found
+
+
+def _grow(prefixes, cands, rels, vimg, t):
+    """Extend each edge-image prefix by every choice from ``cands``, lazily,
+    keeping the extensions on which the relations ``rels`` hold."""
+    for pre in prefixes:
+        for c in product(*cands):
+            eimg = pre + c
+            if not rels or all(
+                _evaluate(lhs, vimg, eimg, t) == _evaluate(rhs, vimg, eimg, t)
+                for lhs, rhs in rels
+            ):
+                yield eimg
+
+
+def _gather(positions):
+    """``xs -> tuple(xs[i] for i in positions)`` as an ``itemgetter``."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda xs: (xs[i],)
+    return itemgetter(*positions) if positions else lambda xs: ()
+
+
+def _restriction(f, t):
+    """Compile ``f`` against groupoid ``t``: the map sending the key of a
+    morphism out of ``f.target`` to the key of its composite with ``f``."""
+    vpos, epos = _positions(f.target.quiver)
+    vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
+    words = [f.emap[e] for e in f.source.quiver.edges]
+    if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
+        egather = _gather([epos[w.letters[0][0]] for w in words])
+        return lambda key: (vgather(key[0]), egather(key[1]))
+    progs = [_program(w, vpos, epos) for w in words]
+    return lambda key: (
+        vgather(key[0]),
+        tuple(_evaluate(prog, key[0], key[1], t) for prog in progs),
+    )
 
 
 @dataclass(frozen=True)
@@ -404,19 +449,6 @@ def pushout(f, g):
     )
 
 
-def compose_presmap(f, pm, t):
-    """Precompose a PresMap (into ``t``) with a presentation morphism."""
-    return PresMap(
-        vmap={v: pm.vmap[f.vmap[v]] for v in f.source.quiver.vertices},
-        amap={e: eval_word(f.emap[e], pm, t) for e in f.source.quiver.edges},
-    )
-
-
-def _restriction_key(f, pm, t):
-    """Key of the restriction of ``pm`` along ``f``."""
-    return presmap_key(compose_presmap(f, pm, t), f.source)
-
-
 @dataclass(frozen=True)
 class TargetUniversality:
     target: str
@@ -460,24 +492,17 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_u = enumerate_pres_morphisms(square.u, t, guard)
         mors_v = enumerate_pres_morphisms(square.v, t, guard)
         mors_p = enumerate_pres_morphisms(square.apex, t, guard)
+        along_f, along_g = _restriction(square.f, t), _restriction(square.g, t)
+        to_u, to_v = _restriction(square.inj_u, t), _restriction(square.inj_v, t)
         over_w = {}
-        for pv in mors_v:
-            over_w.setdefault(_restriction_key(square.g, pv, t), []).append(
-                presmap_key(pv, square.v)
-            )
-        mediators = Counter(
-            (
-                _restriction_key(square.inj_u, pm, t),
-                _restriction_key(square.inj_v, pm, t),
-            )
-            for pm in mors_p
-        )
+        for kv in mors_v:
+            over_w.setdefault(along_g(kv), []).append(kv)
+        mediators = Counter((to_u(k), to_v(k)) for k in mors_p)
         pairs = 0
         ok = True
         witness = None
-        for pu in mors_u:
-            ku = presmap_key(pu, square.u)
-            for kv in over_w.get(_restriction_key(square.f, pu, t), ()):
+        for ku in mors_u:
+            for kv in over_w.get(along_f(ku), ()):
                 pairs += 1
                 n = mediators[ku, kv]
                 if n != 1 and witness is None:
@@ -607,27 +632,12 @@ def free_loop_counts(gp, kmax):
 
 def enumerate_group_morphisms(gp, group, guard=DEFAULT_SIZE_GUARD):
     """All assignments of ``gp.generators`` into a finite group that kill
-    every relator."""
-    n = len(group.elements) ** len(gp.generators)
-    if n > guard:
-        raise SizeGuardExceeded(
-            f"group morphism search needs more than {guard} candidates"
-        )
-    found = []
-    for images in product(group.elements, repeat=len(gp.generators)):
-        amap = dict(zip(gp.generators, images))
-        good = True
-        for rel in gp.relators:
-            acc = group.unit
-            for gname, s in rel:
-                val = amap[gname] if s > 0 else group.inv(amap[gname])
-                acc = group.mul(acc, val)
-            if acc != group.unit:
-                good = False
-                break
-        if good:
-            found.append(amap)
-    return found
+    every relator, as dicts in canonical order: the morphisms out of the
+    one-vertex presentation of ``gp``."""
+    q = quiver(("*",), [(g, "*", "*") for g in gp.generators])
+    p = presentation(q, [(word(q, r, at="*"), empty_word("*")) for r in gp.relators])
+    keys = enumerate_pres_morphisms(p, from_group(group), guard)
+    return [dict(zip(gp.generators, images)) for _, images in keys]
 
 
 @dataclass(frozen=True)
@@ -660,13 +670,13 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
             return WordVerdict("yes", "bounded rewriting", witness=(reached,))
     if targets is None:
         targets = battery()
+    vpos, epos = _positions(q)
+    pu, pv = _program(ru, vpos, epos), _program(rv, vpos, epos)
     for tname, t in targets.items():
-        for pm in enumerate_pres_morphisms(p, t):
-            if eval_word(ru, pm, t) != eval_word(rv, pm, t):
+        for vimg, eimg in enumerate_pres_morphisms(p, t):
+            if _evaluate(pu, vimg, eimg, t) != _evaluate(pv, vimg, eimg, t):
                 return WordVerdict(
-                    "no",
-                    f"separated in {tname}",
-                    witness=(tname, presmap_key(pm, p)),
+                    "no", f"separated in {tname}", witness=(tname, (vimg, eimg))
                 )
     return WordVerdict("unknown", "bounds exhausted without a certificate")
 

@@ -28,16 +28,14 @@ from .core import (
 from .presentations import (
     GroupoidPresentation,
     PresentationMorphism,
-    PresMap,
     Quiver,
     Word,
     _check_word,
-    _restriction_key,
+    _restriction,
     empty_word,
     enumerate_pres_morphisms,
     free_reduce,
     presentation,
-    presmap_key,
     pushout,
     quiver,
     spanning_tree,
@@ -404,14 +402,13 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
     for tname, t in targets.items():
         mors_apex = enumerate_pres_morphisms(square.apex, t, guard)
         mors_direct = enumerate_pres_morphisms(direct, t, guard)
-        apex_keys = {presmap_key(pm, square.apex) for pm in mors_apex}
-        pulled = {_restriction_key(bridge, pm, t) for pm in mors_direct}
+        pulled = set(map(_restriction(bridge, t), mors_direct))
         evidence.append(
             TargetEvidence(
                 target=tname,
                 apex_morphisms=len(mors_apex),
                 direct_morphisms=len(mors_direct),
-                ok=(len(mors_apex) == len(mors_direct)) and (pulled == apex_keys),
+                ok=len(mors_apex) == len(mors_direct) and pulled == set(mors_apex),
             )
         )
     return VktResult(

@@ -61,6 +61,21 @@ def c2_free_product_span():
     return pushout(f, g)
 
 
+def glued_loops_span():
+    """W is one loop sent to U's loop x and to V's loop y, so the apex
+    carries the one gluing relation u:x = v:y."""
+    w = presentation(quiver(("*",), [("e", "*", "*")]))
+    u = presentation(quiver(("*",), [("x", "*", "*")]))
+    v = presentation(quiver(("*",), [("y", "*", "*")]))
+    f = PresentationMorphism(
+        source=w, target=u, vmap={"*": "*"}, emap={"e": word(u.quiver, [("x", 1)])}
+    )
+    g = PresentationMorphism(
+        source=w, target=v, vmap={"*": "*"}, emap={"e": word(v.quiver, [("y", 1)])}
+    )
+    return pushout(f, g)
+
+
 def test_free_reduce_cancels_inner_pair():
     q = quiver(("a", "b", "c"), [("e", "a", "b"), ("f", "a", "c")])
     w = word(q, [("e", 1), ("e", -1), ("f", 1)])
@@ -284,6 +299,16 @@ def test_words_equal_no_with_separating_quotient():
     verdict = words_equal(sq.apex, loop, empty_word(loop.src))
     assert verdict.answer == "no"
     assert "c2" in verdict.reason
+
+
+def test_words_equal_no_witness_is_the_first_separating_key():
+    sq = two_arc_circle_span()
+    q = sq.apex.quiver
+    a, b = q.edges
+    loop = word(q, [(a, 1), (b, -1)])
+    verdict = words_equal(sq.apex, loop, empty_word(loop.src))
+    assert verdict.reason == "separated in c2"
+    assert verdict.witness == ("c2", (("*", "*"), (0, 1)))
 
 
 def test_words_equal_unknown_when_bounds_exhaust():

@@ -1,0 +1,525 @@
+"""Differential tests for the tuple-keyed presentation-morphism search.
+
+The original enumerator builds a ``PresMap`` (two dicts) per candidate and
+checks every relation on the complete assignment.  It is kept here
+verbatim as ``enumerate_pres_morphisms_oracle``, with the helpers it and
+its callers used: ``PresMap``, ``eval_word``, ``presmap_key``,
+``compose_presmap`` and ``_restriction_key``.  The original
+``enumerate_group_morphisms`` body is kept as
+``enumerate_group_morphisms_oracle``.
+
+The library's search must return the oracle's ``presmap_key`` list in the
+same order and trip the size guard on exactly the same inputs; its
+compiled restrictions must agree with ``_restriction_key``; ``vkt_square``
+evidence and ``words_equal`` witnesses must be the ones the oracle gives.
+"""
+
+from dataclasses import dataclass
+from itertools import product
+from math import prod
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpdkit.cli import _name_inclusion
+from gpdkit.core import (
+    DEFAULT_SIZE_GUARD,
+    SizeGuardExceeded,
+    battery,
+    cyclic_group,
+    disjoint_union,
+    interval_groupoid,
+    symmetric_group,
+)
+from gpdkit.documents import load_document
+from gpdkit.presentations import (
+    GroupPresentation,
+    PresentationMorphism,
+    _restriction,
+    enumerate_group_morphisms,
+    enumerate_pres_morphisms,
+    free_reduce,
+    presentation,
+    pushout,
+    quiver,
+    vertex_group_presentation,
+    word,
+    words_equal,
+)
+from gpdkit.vankampen import (
+    TargetEvidence,
+    complex2,
+    cover,
+    fundamental_groupoid,
+    vkt_square,
+)
+
+from test_presentations import (
+    c2_free_product_span,
+    glued_loops_span,
+    two_arc_circle_span,
+    wedge_span,
+)
+
+DATA = Path(__file__).parent / "data"
+
+# ------------------------------------------------------------------ oracle
+
+
+@dataclass(frozen=True)
+class PresMap:
+    """A morphism from a presented groupoid into a finite groupoid:
+    vertex assignment plus one arrow per generator, relations respected."""
+
+    vmap: dict
+    amap: dict
+
+
+def eval_word(w, pm, t):
+    """Evaluate a word in a finite groupoid under a PresMap."""
+    out = t.id_of[pm.vmap[w.src]]
+    for e, s in w.letters:
+        a = pm.amap[e] if s > 0 else t.inv[pm.amap[e]]
+        out = t.comp[(out, a)]
+    return out
+
+
+def presmap_key(pm, p):
+    q = p.quiver
+    return (
+        tuple(pm.vmap[v] for v in q.vertices),
+        tuple(pm.amap[e] for e in q.edges),
+    )
+
+
+def enumerate_pres_morphisms_oracle(p, t, guard=DEFAULT_SIZE_GUARD):
+    """All relation-respecting assignments of ``p`` into groupoid ``t``,
+    in canonical (vertex images, edge images) order."""
+    q = p.quiver
+    plans = []
+    total = 0
+    for images in product(t.objects, repeat=len(q.vertices)):
+        vmap = dict(zip(q.vertices, images))
+        cands = []
+        count = 1
+        for e in q.edges:
+            c = t.arrows_between(vmap[q.esrc[e]], vmap[q.etgt[e]])
+            cands.append(c)
+            count *= len(c)
+        total += count
+        if total > guard:
+            raise SizeGuardExceeded(
+                f"presentation morphism search needs more than {guard} candidates"
+            )
+        plans.append((vmap, cands))
+    found = []
+    for vmap, cands in plans:
+        for images in product(*cands):
+            pm = PresMap(vmap=vmap, amap=dict(zip(q.edges, images)))
+            if all(
+                eval_word(lhs, pm, t) == eval_word(rhs, pm, t)
+                for lhs, rhs in p.relations
+            ):
+                found.append(pm)
+    return found
+
+
+def compose_presmap(f, pm, t):
+    """Precompose a PresMap (into ``t``) with a presentation morphism."""
+    return PresMap(
+        vmap={v: pm.vmap[f.vmap[v]] for v in f.source.quiver.vertices},
+        amap={e: eval_word(f.emap[e], pm, t) for e in f.source.quiver.edges},
+    )
+
+
+def _restriction_key(f, pm, t):
+    """Key of the restriction of ``pm`` along ``f``."""
+    return presmap_key(compose_presmap(f, pm, t), f.source)
+
+
+def enumerate_group_morphisms_oracle(gp, group, guard=DEFAULT_SIZE_GUARD):
+    """All assignments of ``gp.generators`` into a finite group that kill
+    every relator."""
+    n = len(group.elements) ** len(gp.generators)
+    if n > guard:
+        raise SizeGuardExceeded(
+            f"group morphism search needs more than {guard} candidates"
+        )
+    found = []
+    for images in product(group.elements, repeat=len(gp.generators)):
+        amap = dict(zip(gp.generators, images))
+        good = True
+        for rel in gp.relators:
+            acc = group.unit
+            for gname, s in rel:
+                val = amap[gname] if s > 0 else group.inv(amap[gname])
+                acc = group.mul(acc, val)
+            if acc != group.unit:
+                good = False
+                break
+        if good:
+            found.append(amap)
+    return found
+
+
+# ----------------------------------------------------------------- helpers
+
+TARGETS = {
+    **battery(),
+    "interval": interval_groupoid(),
+    "c2+c3": disjoint_union(battery()["c2"], battery()["c3"]),
+}
+_SMALL = {name: TARGETS[name] for name in ("c2", "s3", "interval", "c2+c3")}
+
+
+def _oracle_keys(p, t):
+    return [presmap_key(pm, p) for pm in enumerate_pres_morphisms_oracle(p, t)]
+
+
+def _same_keys(p, targets=TARGETS):
+    for t in targets.values():
+        assert enumerate_pres_morphisms(p, t) == _oracle_keys(p, t)
+
+
+def _product_count(p, t):
+    """Size of the candidate space the guard counts."""
+    q = p.quiver
+    total = 0
+    for images in product(t.objects, repeat=len(q.vertices)):
+        vmap = dict(zip(q.vertices, images))
+        total += prod(
+            len(t.arrows_between(vmap[q.esrc[e]], vmap[q.etgt[e]])) for e in q.edges
+        )
+    return total
+
+
+def _square_presentations(square):
+    return (square.w, square.u, square.v, square.apex)
+
+
+def _square_legs(square):
+    return (square.f, square.g, square.inj_u, square.inj_v)
+
+
+def _data_vkt_results():
+    covers = [("circle.cov", ("0", "1")), ("wedge.cov", ("0",))]
+    return [
+        vkt_square(load_document(DATA / name).payload, base) for name, base in covers
+    ]
+
+
+def _data_pushout():
+    pu, pv, pw = (
+        load_document(DATA / f"wedge-{x}.pres").payload for x in ("u", "v", "w")
+    )
+    return pushout(_name_inclusion(pw, pu, "u"), _name_inclusion(pw, pv, "v"))
+
+
+def _bundled_squares():
+    return [
+        two_arc_circle_span(),
+        wedge_span(),
+        c2_free_product_span(),
+        glued_loops_span(),
+    ]
+
+
+def _vkt_results():
+    """vkt squares on small complexes, with and without gluing relations."""
+    circle = complex2((0, 1), [("a", 0, 1), ("b", 0, 1)])
+    theta = complex2((0, 1), [("a", 0, 1), ("b", 0, 1), ("c", 0, 1)])
+    disc = complex2((0, 1), [("a", 0, 1), ("b", 0, 1)], [("f", [("a", 1), ("b", -1)])])
+    torus = complex2(
+        ("*",),
+        [("x", "*", "*"), ("y", "*", "*")],
+        [("f", [("x", 1), ("y", 1), ("x", -1), ("y", -1)])],
+    )
+    return _data_vkt_results() + [
+        vkt_square(cover(circle, ["a"], ["b"]), (0, 1)),
+        vkt_square(cover(theta, ["a", "b"], ["b", "c"]), (0, 1)),
+        vkt_square(cover(disc, ["f"], ["a", "b"]), (0, 1)),
+        vkt_square(cover(torus, ["f"], ["x"]), ("*",)),
+    ]
+
+
+def _letters_from(q, v):
+    return [(e, s) for e in q.edges for s in (1, -1) if q.letter_src((e, s)) == v]
+
+
+def _walk(q, start, steps):
+    """The letters ``steps`` pick from ``start``, as far as they chain, and
+    the vertex where they end."""
+    letters, here = [], start
+    for pick in steps:
+        out = _letters_from(q, here)
+        if not out:
+            break
+        letter = out[pick % len(out)]
+        letters.append(letter)
+        here = q.letter_tgt(letter)
+    return letters, here
+
+
+def _paths(q, start):
+    """A breadth-first path of signed letters from ``start`` to each vertex
+    it reaches."""
+    paths = {start: []}
+    queue = [start]
+    for v in queue:
+        for letter in _letters_from(q, v):
+            w = q.letter_tgt(letter)
+            if w not in paths:
+                paths[w] = paths[v] + [letter]
+                queue.append(w)
+    return paths
+
+
+_STEPS = st.lists(st.integers(0, 11), max_size=4)
+
+
+@st.composite
+def _coterminal_pair(draw, q):
+    """Two words from one vertex to one vertex; either may be empty."""
+    x = draw(st.sampled_from(q.vertices))
+    lhs, y = _walk(q, x, draw(_STEPS))
+    rhs, z = _walk(q, x, draw(_STEPS))
+    rhs += _paths(q, z)[y]
+    pair = (word(q, lhs, at=x), word(q, rhs, at=x))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def presentations(draw, max_edges=4):
+    """One to three vertices; loops, parallel edges and isolated vertices;
+    up to three relations, sides possibly empty, over any edges."""
+    nv = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    edges = [
+        (f"e{i}", *draw(ends)) for i in range(draw(st.integers(0, max_edges)))
+    ]
+    q = quiver(tuple(range(nv)), edges)
+    relations = draw(st.lists(_coterminal_pair(q), max_size=3))
+    return presentation(q, relations)
+
+
+@st.composite
+def morphisms(draw):
+    """A presentation morphism into a random presentation: random vertex
+    images, and each source edge sent to a random word between the images
+    of its endpoints (empty, one letter, inverse letters, longer)."""
+    p = draw(presentations(max_edges=3))
+    q = p.quiver
+    ns = draw(st.integers(1, 2))
+    vmap = {x: draw(st.sampled_from(q.vertices)) for x in range(ns)}
+    edges, emap = [], {}
+    for i in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, ns - 1)), draw(st.integers(0, ns - 1))
+        letters, here = _walk(q, vmap[a], draw(_STEPS))
+        path = _paths(q, here).get(vmap[b])
+        if path is None:
+            continue
+        edges.append((f"s{i}", a, b))
+        emap[f"s{i}"] = word(q, letters + path, at=vmap[a])
+    source = presentation(quiver(tuple(range(ns)), edges))
+    return PresentationMorphism(source=source, target=p, vmap=vmap, emap=emap).validate()
+
+
+def _same_restrictions(f, targets=_SMALL):
+    for t in targets.values():
+        restrict = _restriction(f, t)
+        for pm in enumerate_pres_morphisms_oracle(f.target, t):
+            assert restrict(presmap_key(pm, f.target)) == _restriction_key(f, pm, t)
+
+
+# ------------------------------------------------------------ enumeration
+
+
+def test_bundled_spans_match_the_oracle():
+    for square in _bundled_squares():
+        for p in _square_presentations(square):
+            _same_keys(p)
+
+
+def test_data_presentations_and_cover_pieces_match_the_oracle():
+    for p in _square_presentations(_data_pushout()):
+        _same_keys(p)
+    for res in _data_vkt_results():
+        for p in _square_presentations(res.square) + (res.direct,):
+            _same_keys(p)
+    complexes = [("circle.cx", ("0", "1")), ("disc.cx", ("0",)), ("disc.cx", ("0", "1"))]
+    for name, base in complexes:
+        _same_keys(fundamental_groupoid(load_document(DATA / name).payload, base))
+
+
+@pytest.mark.parametrize("where", ["first", "last", "both", "nowhere"])
+def test_relations_ending_at_the_first_or_last_edge(where):
+    q = quiver(("*",), [(e, "*", "*") for e in "xyz"])
+    first = (word(q, [("x", 1), ("x", 1)]), word(q, [], at="*"))
+    last = (word(q, [("z", 1)] * 3), word(q, [("z", -1)] * 3))
+    empty = (word(q, [], at="*"), word(q, [], at="*"))
+    relations = {
+        "first": [first],
+        "last": [last],
+        "both": [last, first],
+        "nowhere": [empty],
+    }[where]
+    _same_keys(presentation(q, relations))
+
+
+def test_an_edgeless_presentation_has_one_morphism_per_vertex_map():
+    p = presentation(quiver((0, 1), []))
+    _same_keys(p)
+    assert len(enumerate_pres_morphisms(p, TARGETS["interval"])) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.sampled_from(sorted(TARGETS)))
+def test_random_presentations_match_the_oracle(p, tname):
+    t = TARGETS[tname]
+    assert enumerate_pres_morphisms(p, t) == _oracle_keys(p, t)
+
+
+# ------------------------------------------------------------------- guard
+
+
+def _guard_outcome(search, p, t, guard):
+    try:
+        search(p, t, guard)
+    except SizeGuardExceeded as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(), st.sampled_from(sorted(TARGETS)))
+def test_guard_trips_on_the_same_inputs(p, tname):
+    t = TARGETS[tname]
+    n = _product_count(p, t)
+    below = _guard_outcome(enumerate_pres_morphisms, p, t, n - 1)
+    assert below is not None
+    assert below == _guard_outcome(enumerate_pres_morphisms_oracle, p, t, n - 1)
+    assert _guard_outcome(enumerate_pres_morphisms, p, t, n) is None
+    assert _guard_outcome(enumerate_pres_morphisms_oracle, p, t, n) is None
+
+
+def test_guard_counts_the_product_space_on_a_bouquet():
+    q = quiver(("*",), [(e, "*", "*") for e in "abcd"])
+    p = presentation(q, [(word(q, [("a", 1)]), word(q, [("b", 1)]))])
+    s3 = TARGETS["s3"]
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_pres_morphisms(p, s3, 6**4 - 1)
+    assert len(enumerate_pres_morphisms(p, s3, 6**4)) == 6**3
+
+
+# ------------------------------------------------------------ restrictions
+
+
+def test_square_restrictions_match_restriction_key():
+    squares = _bundled_squares() + [_data_pushout()]
+    squares += [res.square for res in _vkt_results()]
+    for square in squares:
+        for f in _square_legs(square):
+            _same_restrictions(f)
+    for res in _vkt_results():
+        _same_restrictions(res.bridge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(morphisms())
+def test_random_restrictions_match_restriction_key(f):
+    _same_restrictions(f)
+
+
+def _evidence_oracle(res, targets):
+    evidence = []
+    for tname, t in targets.items():
+        mors_apex = enumerate_pres_morphisms_oracle(res.square.apex, t)
+        mors_direct = enumerate_pres_morphisms_oracle(res.direct, t)
+        apex_keys = {presmap_key(pm, res.square.apex) for pm in mors_apex}
+        pulled = {_restriction_key(res.bridge, pm, t) for pm in mors_direct}
+        evidence.append(
+            TargetEvidence(
+                target=tname,
+                apex_morphisms=len(mors_apex),
+                direct_morphisms=len(mors_direct),
+                ok=(len(mors_apex) == len(mors_direct)) and (pulled == apex_keys),
+            )
+        )
+    return tuple(evidence)
+
+
+def test_vkt_evidence_matches_the_oracle():
+    for res in _vkt_results():
+        assert res.evidence == _evidence_oracle(res, battery())
+        assert res.evidence_ok
+
+
+# ---------------------------------------------------------- group wrapper
+
+_GROUPS = {
+    "c1": cyclic_group(1),
+    "c2": cyclic_group(2),
+    "c4": cyclic_group(4),
+    "s3": symmetric_group(3),
+}
+
+
+@st.composite
+def group_presentations(draw):
+    gens = tuple(f"g{i}" for i in range(draw(st.integers(0, 3))))
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=5), max_size=3)) if gens else []
+    return GroupPresentation(
+        generators=gens, relators=tuple(tuple(r) for r in relators)
+    )
+
+
+def test_vertex_group_morphisms_match_the_oracle():
+    torus = complex2(
+        ("*",),
+        [("x", "*", "*"), ("y", "*", "*")],
+        [("f", [("x", 1), ("y", 1), ("x", -1), ("y", -1)])],
+    )
+    gp = vertex_group_presentation(fundamental_groupoid(torus, ("*",)), "*")
+    for g in _GROUPS.values():
+        assert enumerate_group_morphisms(gp, g) == enumerate_group_morphisms_oracle(gp, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(group_presentations(), st.sampled_from(sorted(_GROUPS)))
+def test_random_group_morphisms_match_the_oracle(gp, gname):
+    g = _GROUPS[gname]
+    assert enumerate_group_morphisms(gp, g) == enumerate_group_morphisms_oracle(gp, g)
+    n = len(g.elements) ** len(gp.generators)
+    for guard, trips in ((n - 1, True), (n, False)):
+        for search in (enumerate_group_morphisms, enumerate_group_morphisms_oracle):
+            try:
+                search(gp, g, guard)
+                assert not trips
+            except SizeGuardExceeded:
+                assert trips
+
+
+# ------------------------------------------------------------- words_equal
+
+
+def _separation_oracle(p, u, v, targets):
+    ru, rv = free_reduce(u), free_reduce(v)
+    for tname, t in targets.items():
+        for pm in enumerate_pres_morphisms_oracle(p, t):
+            if eval_word(ru, pm, t) != eval_word(rv, pm, t):
+                return (tname, presmap_key(pm, p))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_words_equal_separations_match_the_oracle(data):
+    p = data.draw(presentations(max_edges=3))
+    u, v = data.draw(_coterminal_pair(p.quiver))
+    verdict = words_equal(p, u, v, targets=_SMALL, max_steps=50)
+    if verdict.answer != "yes":
+        witness = _separation_oracle(p, u, v, _SMALL)
+        assert verdict.witness == witness
+        assert verdict.answer == ("unknown" if witness is None else "no")

@@ -1,7 +1,8 @@
 """Differential tests for ``verify_pushout_universal``.
 
 ``_verify_oracle`` is the original nested loop, which scans every apex
-morphism for every compatible pair.  The library counts mediators by
+morphism for every compatible pair, over the original enumerator
+(``test_search.enumerate_pres_morphisms_oracle``).  The library counts mediators by
 restriction key instead; both must produce the same UniversalityReport
 (verdict, per-target counts and witness) on genuine pushouts and on
 deliberately broken squares.
@@ -17,11 +18,8 @@ from gpdkit.presentations import (
     PresentationMorphism,
     TargetUniversality,
     UniversalityReport,
-    compose_presmap,
     empty_word,
-    enumerate_pres_morphisms,
     presentation,
-    presmap_key,
     pushout,
     quiver,
     verify_pushout_universal,
@@ -29,7 +27,13 @@ from gpdkit.presentations import (
 )
 from gpdkit.vankampen import complex2, cover, vkt_square
 
-from test_presentations import c2_free_product_span, two_arc_circle_span, wedge_span
+from test_presentations import (
+    c2_free_product_span,
+    glued_loops_span,
+    two_arc_circle_span,
+    wedge_span,
+)
+from test_search import compose_presmap, enumerate_pres_morphisms_oracle, presmap_key
 
 
 def _verify_oracle(square, targets=None, guard=DEFAULT_SIZE_GUARD):
@@ -38,9 +42,9 @@ def _verify_oracle(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     results = []
     all_ok = True
     for tname, t in targets.items():
-        mors_u = enumerate_pres_morphisms(square.u, t, guard)
-        mors_v = enumerate_pres_morphisms(square.v, t, guard)
-        mors_p = enumerate_pres_morphisms(square.apex, t, guard)
+        mors_u = enumerate_pres_morphisms_oracle(square.u, t, guard)
+        mors_v = enumerate_pres_morphisms_oracle(square.v, t, guard)
+        mors_p = enumerate_pres_morphisms_oracle(square.apex, t, guard)
         wq = square.w.quiver
         pairs = 0
         ok = True
@@ -105,21 +109,6 @@ def _with_apex(square, relations):
     )
 
 
-def _glued_loops_span():
-    """W is one loop sent to U's loop x and to V's loop y, so the apex
-    carries the one gluing relation u:x = v:y."""
-    w = presentation(quiver(("*",), [("e", "*", "*")]))
-    u = presentation(quiver(("*",), [("x", "*", "*")]))
-    v = presentation(quiver(("*",), [("y", "*", "*")]))
-    f = PresentationMorphism(
-        source=w, target=u, vmap={"*": "*"}, emap={"e": word(u.quiver, [("x", 1)])}
-    )
-    g = PresentationMorphism(
-        source=w, target=v, vmap={"*": "*"}, emap={"e": word(v.quiver, [("y", 1)])}
-    )
-    return pushout(f, g)
-
-
 def _drop_gluing(square):
     return _with_apex(square, square.apex.relations[:-1])
 
@@ -149,13 +138,13 @@ def test_genuine_pushouts_match_the_oracle():
         two_arc_circle_span(),
         wedge_span(),
         c2_free_product_span(),
-        _glued_loops_span(),
+        glued_loops_span(),
     ):
         assert _same_report(square).ok
 
 
 def test_dropped_gluing_relation_is_a_count_mismatch():
-    rep = _same_report(_drop_gluing(_glued_loops_span()))
+    rep = _same_report(_drop_gluing(glued_loops_span()))
     assert not rep.ok
     by_name = {r.target: r for r in rep.per_target}
     # each compatible pair still has its one mediator, but the apex has
