@@ -1,6 +1,6 @@
 """Squares over a crossed module, with two compositions satisfying the
-interchange law, plus commutative squares, cubes over a group, and the
-unit-collapse (Eckmann-Hilton) check.
+interchange law, plus cubes over a group and the unit-collapse
+(Eckmann-Hilton) check.
 
 A square has four boundary arrows and a label from the crossed module:
 
@@ -19,6 +19,13 @@ composition onto the bottom edge; labels combine through the action:
   vcompose  label = m * n^(second.right)
 
 where n labels the first square and m the second.
+
+A commutative square in a group g is a thin square over the trivial
+crossed module: ``make_square(trivial_xmod(g), unit, top, left, right,
+bottom)`` with ``unit`` the fibre's only element, accepted exactly when
+left-then-bottom equals top-then-right.  Its pastings are ``hcompose`` and
+``vcompose``, so rows of commutative squares and the flattened cube fold
+with the same code as every other square.
 """
 
 from __future__ import annotations
@@ -33,9 +40,8 @@ from .core import (
     SizeGuardExceeded,
     ValidationError,
     finite_group,
-    from_group,
 )
-from .xmod import CrossedModule, XModMorphism
+from .xmod import CrossedModule, XModMorphism, trivial_xmod
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,10 @@ def square_base(xm, s):
 
 
 def boundary_word(xm, s):
-    """The clockwise boundary loop at the bottom-right corner."""
-    p = xm.p
-    return p.compose_many(
-        [p.inverse(s.bottom), p.inverse(s.left), s.top, s.right]
-    )
+    """The clockwise boundary loop at the bottom-right corner.  The edges
+    of ``s`` must frame a square, as ``make_square`` checks."""
+    comp, inv = xm.p.comp, xm.p.inv
+    return comp[(comp[(inv[s.bottom], inv[s.left])], comp[(s.top, s.right)])]
 
 
 def make_square(xm, label, top, left, right, bottom):
@@ -263,12 +268,6 @@ class DoubleGroupoidXM:
     def contains(self, s):
         return s in self.by_left_top.get((s.left, s.top), ())
 
-    def hcompose(self, s1, s2):
-        return hcompose(self.xm, s1, s2)
-
-    def vcompose(self, s1, s2):
-        return vcompose(self.xm, s1, s2)
-
 
 def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
     """Enumerate every boundary-valid square: choose the right, top, and
@@ -283,6 +282,7 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
             total += len(p.arrows_from(p.src[g])) * len(xm.m[w].elements)
             if total > guard:
                 raise SizeGuardExceeded(f"carrier needs more than {guard} squares")
+    comp, inv = p.comp, p.inv
     squares = []
     for w in p.objects:
         for a in p.arrows:
@@ -292,15 +292,12 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
                 if p.tgt[g] != p.src[a]:
                     continue
                 for h in p.arrows_from(p.src[g]):
+                    # h^-1 g a is composable by the loop bounds; mu(n) is
+                    # a loop at w only in a lawful crossed module, so the
+                    # last step keeps the endpoint check.
+                    hga = comp[(comp[(inv[h], g)], a)]
                     for n in xm.m[w].elements:
-                        k = p.compose_many(
-                            [
-                                p.inverse(h),
-                                g,
-                                a,
-                                p.inverse(xm.mu[w][n]),
-                            ]
-                        )
+                        k = p.compose(hga, inv[xm.mu[w][n]])
                         squares.append(
                             LabeledSquare(label=n, top=g, left=h, right=a, bottom=k)
                         )
@@ -402,72 +399,16 @@ def round_trip_isomorphism(xm, recovered):
     )
 
 
-@dataclass(frozen=True)
-class CommSquare:
-    """A commutative square in a groupoid: left-then-bottom equals
-    top-then-right."""
-
-    left: object
-    top: object
-    bottom: object
-    right: object
-
-
-def comm_square(g, left, top, bottom, right):
-    for e in (left, top, bottom, right):
-        if e not in g.src:
-            raise ValidationError("unknown edge", witness=e)
-    if g.src[left] != g.src[top]:
-        raise ValidationError("left and top must share their source", witness=(left, top))
-    if g.tgt[left] != g.src[bottom] or g.tgt[top] != g.src[right]:
-        raise ValidationError(
-            "edges do not frame a square", witness=(left, top, bottom, right)
-        )
-    if g.compose(left, bottom) != g.compose(top, right):
-        raise ValidationError(
-            "square does not commute",
-            witness=(g.compose(left, bottom), g.compose(top, right)),
-        )
-    return CommSquare(left=left, top=top, bottom=bottom, right=right)
-
-
-def comm_compose_h(g, q1, q2):
-    if q1.right != q2.left:
-        raise CompositionError(
-            f"squares do not compose horizontally: {q1.right!r} vs {q2.left!r}"
-        )
-    return CommSquare(
-        left=q1.left,
-        top=g.compose(q1.top, q2.top),
-        bottom=g.compose(q1.bottom, q2.bottom),
-        right=q2.right,
-    )
-
-
-def comm_compose_v(g, q1, q2):
-    if q1.bottom != q2.top:
-        raise CompositionError(
-            f"squares do not compose vertically: {q1.bottom!r} vs {q2.top!r}"
-        )
-    return CommSquare(
-        left=g.compose(q1.left, q2.left),
-        top=q1.top,
-        bottom=q2.bottom,
-        right=g.compose(q1.right, q2.right),
-    )
-
-
-def row_uniqueness(g, squares):
-    """Fold a composable row of commutative squares whose outer vertical
-    edges are identities; the top and bottom composites must agree, and the
-    common value is returned."""
+def row_uniqueness(xm, squares):
+    """Fold a composable row of commutative squares, thin squares over
+    ``trivial_xmod``, whose outer vertical edges are identities; the top and
+    bottom composites must agree, and the common value is returned."""
     if not squares:
         raise ValidationError("empty row")
-    folded = squares[0]
-    for q in squares[1:]:
-        folded = comm_compose_h(g, folded, q)
+    folded = compose_array(xm, [squares])
+    p = xm.p
     for side, arrow in (("left", folded.left), ("right", folded.right)):
-        if arrow != g.id_of[g.src[arrow]]:
+        if arrow != p.id_of[p.src[arrow]]:
             raise HypothesisError(f"outer {side} edge is not an identity: {arrow!r}")
     if folded.top != folded.bottom:
         raise ValidationError(
@@ -477,33 +418,15 @@ def row_uniqueness(g, squares):
     return folded.top
 
 
-def comm_of_labeled(xm, s):
-    """View a thin square over a trivial-fibre crossed module as a
-    commutative square of the base groupoid."""
-    if s.label != xm.m[square_base(xm, s)].unit:
-        raise ValidationError("square is not thin", witness=s.label)
-    return comm_square(xm.p, left=s.left, top=s.top, bottom=s.bottom, right=s.right)
-
-
-def labeled_of_comm(xm, q):
-    base = xm.p.tgt[q.bottom]
-    return make_square(
-        xm,
-        xm.m[base].unit,
-        top=q.top,
-        left=q.left,
-        right=q.right,
-        bottom=q.bottom,
-    )
-
-
 @dataclass(frozen=True)
 class Cube:
     """Twelve group elements on the edges of a cube.
 
     Verticals run top face to bottom face; back/front edges run left to
-    right on their faces; left/right edges run back to front.  Each face
-    carries the commutativity convention of CommSquare after flattening.
+    right on their faces; left/right edges run back to front.  A face, read
+    as ``(left, top, bottom, right)`` by ``cube_face``, commutes when
+    left-then-bottom equals top-then-right, that is when it frames a thin
+    square over ``trivial_xmod(group)``.
     """
 
     back_left: object
@@ -535,7 +458,17 @@ CUBE_EDGES = (
     "bottom_right",
 )
 
-CUBE_FACES = ("bottom", "back", "front", "left", "right", "top")
+# face -> its (left, top, bottom, right) edges; the order is CUBE_FACES
+_FACES = {
+    "bottom": ("bottom_left", "bottom_back", "bottom_front", "bottom_right"),
+    "back": ("back_left", "top_back", "bottom_back", "back_right"),
+    "front": ("front_left", "top_front", "bottom_front", "front_right"),
+    "left": ("top_left", "back_left", "front_left", "bottom_left"),
+    "right": ("back_right", "top_right", "bottom_right", "front_right"),
+    "top": ("top_left", "top_back", "top_front", "top_right"),
+}
+
+CUBE_FACES = tuple(_FACES)
 
 
 def cube(group, **edges):
@@ -553,15 +486,8 @@ def cube(group, **edges):
 
 def cube_face(c, name):
     """The face as a ``(left, top, bottom, right)`` quadruple."""
-    quads = {
-        "bottom": (c.bottom_left, c.bottom_back, c.bottom_front, c.bottom_right),
-        "top": (c.top_left, c.top_back, c.top_front, c.top_right),
-        "back": (c.back_left, c.top_back, c.bottom_back, c.back_right),
-        "front": (c.front_left, c.top_front, c.bottom_front, c.front_right),
-        "left": (c.top_left, c.back_left, c.front_left, c.bottom_left),
-        "right": (c.back_right, c.top_right, c.bottom_right, c.front_right),
-    }
-    return quads[name]
+    left, top, bottom, right = _FACES[name]
+    return (getattr(c, left), getattr(c, top), getattr(c, bottom), getattr(c, right))
 
 
 def _face_commutes(group, quad):
@@ -595,12 +521,13 @@ def commutative_cube_check(group, c):
     top = cube_face(c, "top")
     if bad:
         return CubeReport(ok=False, failing_faces=bad, composite=None, top_face=top)
-    g0 = from_group(group)
+    xm = trivial_xmod(group)
+    one = xm.m["*"].unit
     e = group.unit
     inv = group.inv
 
     def cs(left, top_, bottom, right):
-        return comm_square(g0, left, top_, bottom, right)
+        return make_square(xm, one, top_, left, right, bottom)
 
     grid = [
         [
@@ -619,50 +546,54 @@ def commutative_cube_check(group, c):
             cs(inv(c.front_right), inv(c.front_right), e, e),
         ],
     ]
-    strips = []
-    for row in grid:
-        strip = row[0]
-        for q in row[1:]:
-            strip = comm_compose_h(g0, strip, q)
-        strips.append(strip)
-    folded = strips[0]
-    for strip in strips[1:]:
-        folded = comm_compose_v(g0, folded, strip)
+    folded = compose_array(xm, grid, "rows")
     composite = (folded.left, folded.top, folded.bottom, folded.right)
     ok = composite == top and _face_commutes(group, top)
     return CubeReport(ok=ok, failing_faces=(), composite=composite, top_face=top)
 
 
+def _solved_cube(group, edges):
+    """Complete ``edges`` to a cube from the face equations
+    left * bottom = top * right: sweep the faces in CUBE_FACES order,
+    solving each face with exactly one unknown edge, until a sweep solves
+    nothing.  The order fixes which face solves each edge, which matters
+    only when a face copied in does not commute."""
+    mul, inv = group.mul, group.inv
+    solved = True
+    while solved:
+        solved = False
+        for quad in _FACES.values():
+            missing = [i for i, e in enumerate(quad) if e not in edges]
+            if len(missing) != 1:
+                continue
+            left, top, bottom, right = (edges.get(e) for e in quad)
+            i = missing[0]
+            if i == 0:
+                value = mul(mul(top, right), inv(bottom))
+            elif i == 1:
+                value = mul(mul(left, bottom), inv(right))
+            elif i == 2:
+                value = mul(inv(left), mul(top, right))
+            else:
+                value = mul(inv(top), mul(left, bottom))
+            edges[quad[i]] = value
+            solved = True
+    return cube(group, **edges)
+
+
 def random_commutative_cube(group, rng):
     """Pick seven edges freely and solve for the rest; every face of the
     result commutes."""
-
-    def pick():
-        return rng.choice(group.elements)
-
-    bottom_left, bottom_back, bottom_front = pick(), pick(), pick()
-    a, b, c, d = pick(), pick(), pick(), pick()
-    mul, inv = group.mul, group.inv
-    bottom_right = mul(inv(bottom_back), mul(bottom_left, bottom_front))
-    top_back = mul(a, mul(bottom_back, inv(b)))
-    top_left = mul(a, mul(bottom_left, inv(c)))
-    top_front = mul(c, mul(bottom_front, inv(d)))
-    top_right = mul(b, mul(bottom_right, inv(d)))
-    return cube(
-        group,
-        back_left=a,
-        back_right=b,
-        front_left=c,
-        front_right=d,
-        top_left=top_left,
-        top_back=top_back,
-        top_front=top_front,
-        top_right=top_right,
-        bottom_left=bottom_left,
-        bottom_back=bottom_back,
-        bottom_front=bottom_front,
-        bottom_right=bottom_right,
+    free = (
+        "bottom_left",
+        "bottom_back",
+        "bottom_front",
+        "back_left",
+        "back_right",
+        "front_left",
+        "front_right",
     )
+    return _solved_cube(group, {e: rng.choice(group.elements) for e in free})
 
 
 def perturb_cube(c, edge, value):
@@ -671,81 +602,15 @@ def perturb_cube(c, edge, value):
 
 def random_cube_sharing(group, rng, c1, direction):
     """A random commutative cube that glues onto ``c1`` in ``direction``:
-    the shared face is copied from ``c1`` and the remaining free edges are
-    sampled, with the rest solved from the face equations."""
-    mul, inv = group.mul, group.inv
-
-    def pick():
-        return rng.choice(group.elements)
-
-    if direction == "v":
-        a, b, cv, d = pick(), pick(), pick(), pick()
-        tl, tb, tf, tr = (
-            c1.bottom_left,
-            c1.bottom_back,
-            c1.bottom_front,
-            c1.bottom_right,
-        )
-        return cube(
-            group,
-            back_left=a,
-            back_right=b,
-            front_left=cv,
-            front_right=d,
-            top_left=tl,
-            top_back=tb,
-            top_front=tf,
-            top_right=tr,
-            bottom_left=mul(inv(a), mul(tl, cv)),
-            bottom_back=mul(inv(a), mul(tb, b)),
-            bottom_front=mul(inv(cv), mul(tf, d)),
-            bottom_right=mul(inv(b), mul(tr, d)),
-        )
-    if direction == "h":
-        b, d = pick(), pick()
-        top_back, top_front = pick(), pick()
-        a, cv = c1.back_right, c1.front_right
-        tl, bl = c1.top_right, c1.bottom_right
-        bottom_back = mul(inv(a), mul(top_back, b))
-        bottom_front = mul(inv(cv), mul(top_front, d))
-        return cube(
-            group,
-            back_left=a,
-            back_right=b,
-            front_left=cv,
-            front_right=d,
-            top_left=tl,
-            top_back=top_back,
-            top_front=top_front,
-            top_right=mul(inv(top_back), mul(tl, top_front)),
-            bottom_left=bl,
-            bottom_back=bottom_back,
-            bottom_front=bottom_front,
-            bottom_right=mul(inv(bottom_back), mul(bl, bottom_front)),
-        )
-    if direction == "d":
-        cv, d = pick(), pick()
-        top_left, top_front = pick(), pick()
-        a, b = c1.front_left, c1.front_right
-        tb, bb = c1.top_front, c1.bottom_front
-        bottom_left = mul(inv(a), mul(top_left, cv))
-        bottom_front = mul(inv(cv), mul(top_front, d))
-        return cube(
-            group,
-            back_left=a,
-            back_right=b,
-            front_left=cv,
-            front_right=d,
-            top_left=top_left,
-            top_back=tb,
-            top_front=top_front,
-            top_right=mul(inv(tb), mul(top_left, top_front)),
-            bottom_left=bottom_left,
-            bottom_back=bb,
-            bottom_front=bottom_front,
-            bottom_right=mul(inv(bb), mul(bottom_left, bottom_front)),
-        )
-    raise ValidationError("direction must be 'v', 'h', or 'd'", witness=direction)
+    the shared face is copied from ``c1`` and the direction's free edges
+    are sampled, with the rest solved from the face equations."""
+    if direction not in _GLUE:
+        raise ValidationError("direction must be 'v', 'h', or 'd'", witness=direction)
+    rule = _GLUE[direction]
+    edges = {e2: getattr(c1, e1) for e1, e2 in rule["shared"]}
+    for e in rule["free"]:
+        edges[e] = rng.choice(group.elements)
+    return _solved_cube(group, edges)
 
 
 _GLUE = {
@@ -759,6 +624,7 @@ _GLUE = {
         "first": ("top_left", "top_back", "top_front", "top_right"),
         "second": ("bottom_left", "bottom_back", "bottom_front", "bottom_right"),
         "composed": ("back_left", "back_right", "front_left", "front_right"),
+        "free": ("back_left", "back_right", "front_left", "front_right"),
     },
     "h": {
         "shared": (
@@ -770,6 +636,7 @@ _GLUE = {
         "first": ("back_left", "front_left", "top_left", "bottom_left"),
         "second": ("back_right", "front_right", "top_right", "bottom_right"),
         "composed": ("top_back", "top_front", "bottom_back", "bottom_front"),
+        "free": ("back_right", "front_right", "top_back", "top_front"),
     },
     "d": {
         "shared": (
@@ -781,6 +648,7 @@ _GLUE = {
         "first": ("back_left", "back_right", "top_back", "bottom_back"),
         "second": ("front_left", "front_right", "top_front", "bottom_front"),
         "composed": ("top_left", "top_right", "bottom_left", "bottom_right"),
+        "free": ("front_left", "front_right", "top_left", "top_front"),
     },
 }
 

@@ -208,9 +208,14 @@ def from_normal_subgroup(carrier, g, name=""):
     )
 
 
+# Built and validated once: commutative_cube_check asks for a trivial
+# crossed module on every cube.
+_ONE = trivial_group()
+
+
 def trivial_xmod(g, name=""):
     """The trivial crossed module over a group: M is the one-element group."""
-    one = trivial_group()
+    one = _ONE
     p = from_group(g)
     return CrossedModule(
         p=p,

@@ -18,7 +18,6 @@ from gpdkit.core import (
 )
 from gpdkit.dblgpd import (
     CUBE_EDGES,
-    comm_square,
     commutative_cube_check,
     compose_array,
     cube_compose_check,
@@ -28,6 +27,7 @@ from gpdkit.dblgpd import (
     hcompose,
     interchange_check,
     is_thin,
+    make_square,
     perturb_cube,
     random_commutative_cube,
     random_cube_sharing,
@@ -54,6 +54,7 @@ from gpdkit.xmod import (
     is_xmod_isomorphism,
     kernel_central_check,
     morphisms_from_free,
+    trivial_xmod,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -192,7 +193,7 @@ def test_acceptance_08_triple_arrays_fold_either_way(capsys):
 def test_acceptance_09_row_composites_are_unique(capsys):
     ok = True
     for g, seed in ((cyclic_group(6), 541), (symmetric_group(3), 547)):
-        g0 = from_group(g)
+        xm = trivial_xmod(g)
         rng = random.Random(seed)
         for _ in range(200):
             n = rng.randrange(2, 6)
@@ -208,8 +209,9 @@ def test_acceptance_09_row_composites_are_unique(capsys):
                     g.mul(g.inv(verticals[i]), tops[i]), verticals[i + 1]
                 )
                 squares.append(
-                    comm_square(
-                        g0,
+                    make_square(
+                        xm,
+                        xm.m["*"].unit,
                         left=verticals[i],
                         top=tops[i],
                         bottom=bottom,
@@ -219,7 +221,7 @@ def test_acceptance_09_row_composites_are_unique(capsys):
             expected = tops[0]
             for t in tops[1:]:
                 expected = g.mul(expected, t)
-            ok = ok and row_uniqueness(g0, squares) == expected
+            ok = ok and row_uniqueness(xm, squares) == expected
     _announce(capsys, 9, ok)
     assert ok
 

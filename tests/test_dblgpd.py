@@ -13,14 +13,9 @@ from gpdkit.core import (
     HypothesisError,
     ValidationError,
     cyclic_group,
-    from_group,
     symmetric_group,
 )
 from gpdkit.dblgpd import (
-    comm_compose_h,
-    comm_compose_v,
-    comm_of_labeled,
-    comm_square,
     commutative_cube_check,
     compose_array,
     connection_neg,
@@ -38,7 +33,6 @@ from gpdkit.dblgpd import (
     identity_edge_squares,
     interchange_check,
     is_thin,
-    labeled_of_comm,
     make_square,
     perturb_cube,
     random_commutative_cube,
@@ -270,13 +264,19 @@ def test_round_trip_recovers_the_crossed_module():
         assert is_xmod_isomorphism(iso), name
 
 
+def thin(xm, left, top, bottom, right):
+    """A commutative square: a thin square over a trivial crossed module."""
+    return make_square(xm, xm.m["*"].unit, top, left, right, bottom)
+
+
 def test_comm_square_validation():
-    g = from_group(symmetric_group(3))
+    xm = trivial_xmod(symmetric_group(3))
+    g = xm.p
     a, b = g.arrows[1], g.arrows[2]
     ab = g.compose(a, b)
-    comm_square(g, left=a, top=a, bottom=b, right=b)
+    thin(xm, left=a, top=a, bottom=b, right=b)
     with pytest.raises(ValidationError):
-        comm_square(g, left=a, top=ab, bottom=b, right=b)
+        thin(xm, left=a, top=ab, bottom=b, right=b)
 
 
 def test_comm_composition_matches_labeled_composition():
@@ -285,25 +285,20 @@ def test_comm_composition_matches_labeled_composition():
     xm = trivial_xmod(s3)
     d = from_xmod(xm)
     assert len(d.squares) == 216
-    seen = set()
-    for s in d.squares:
-        q = comm_of_labeled(xm, s)
-        assert labeled_of_comm(xm, q) == s
-        seen.add((q.left, q.top, q.bottom, q.right))
-    assert len(seen) == 216
-    g = xm.p
-    brute = sum(
-        1
-        for l, t, b in product(s3.elements, repeat=3)
-        for r in s3.elements
+    assert all(is_thin(xm, s) for s in d.squares)
+    seen = {(s.left, s.top, s.bottom, s.right) for s in d.squares}
+    brute = {
+        (l, t, b, r)
+        for l, t, b, r in product(s3.elements, repeat=4)
         if s3.mul(l, b) == s3.mul(t, r)
-    )
-    assert brute == 216
+    }
+    assert seen == brute
+    assert len(brute) == 216
 
 
 def test_row_uniqueness_over_two_groups():
     for group in (cyclic_group(6), symmetric_group(3)):
-        g = from_group(group)
+        xm = trivial_xmod(group)
         rng = random.Random(53)
         for _ in range(50):
             n = rng.randint(1, 5)
@@ -319,11 +314,11 @@ def test_row_uniqueness_over_two_groups():
                     group.inv(verts[i]), group.mul(tops[i], verts[i + 1])
                 )
                 row.append(
-                    comm_square(
-                        g, left=verts[i], top=tops[i], bottom=bottom, right=verts[i + 1]
+                    thin(
+                        xm, left=verts[i], top=tops[i], bottom=bottom, right=verts[i + 1]
                     )
                 )
-            value = row_uniqueness(g, row)
+            value = row_uniqueness(xm, row)
             expected = group.unit
             for t in tops:
                 expected = group.mul(expected, t)
@@ -331,34 +326,35 @@ def test_row_uniqueness_over_two_groups():
 
 
 def test_row_uniqueness_needs_identity_ends():
-    group = cyclic_group(6)
-    g = from_group(group)
-    q = comm_square(g, left=2, top=1, bottom=1, right=2)
+    xm = trivial_xmod(cyclic_group(6))
+    q = thin(xm, left=2, top=1, bottom=1, right=2)
     with pytest.raises(HypothesisError):
-        row_uniqueness(g, [q])
+        row_uniqueness(xm, [q])
 
 
 def test_comm_vertical_composition():
     group = symmetric_group(3)
-    g = from_group(group)
+    xm = trivial_xmod(group)
     rng = random.Random(59)
     for _ in range(50):
         l1, t1, r1 = (rng.choice(group.elements) for _ in range(3))
         b1 = group.mul(group.inv(l1), group.mul(t1, r1))
-        q1 = comm_square(g, left=l1, top=t1, bottom=b1, right=r1)
+        q1 = thin(xm, left=l1, top=t1, bottom=b1, right=r1)
         l2, r2 = rng.choice(group.elements), rng.choice(group.elements)
         b2 = group.mul(group.inv(l2), group.mul(b1, r2))
-        q2 = comm_square(g, left=l2, top=b1, bottom=b2, right=r2)
-        v = comm_compose_v(g, q1, q2)
+        q2 = thin(xm, left=l2, top=b1, bottom=b2, right=r2)
+        v = vcompose(xm, q1, q2)
         assert v.left == group.mul(l1, l2)
         assert v.right == group.mul(r1, r2)
         assert v.top == t1 and v.bottom == b2
+        assert is_thin(xm, v)
         t3, r3 = rng.choice(group.elements), rng.choice(group.elements)
         b3 = group.mul(group.inv(r1), group.mul(t3, r3))
-        q3 = comm_square(g, left=r1, top=t3, bottom=b3, right=r3)
-        h = comm_compose_h(g, q1, q3)
+        q3 = thin(xm, left=r1, top=t3, bottom=b3, right=r3)
+        h = hcompose(xm, q1, q3)
         assert h.top == group.mul(t1, t3)
         assert h.bottom == group.mul(b1, b3)
+        assert is_thin(xm, h)
 
 
 def test_random_cubes_commute_and_fold_to_the_top_face():
