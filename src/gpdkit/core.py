@@ -19,15 +19,15 @@ Conventions that hold across the whole package:
   ``generating_set``, at O(n^2 |S|) instead of O(n^3); a table that fails
   still reports the first failing triple in product order.
 - Exhaustive searches count their candidate space first and refuse loudly
-  (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  The group
-  homomorphism search ``group_homs(g, h)`` chooses images for the
-  generators of ``generating_set(g)`` only, so it counts |h|^|generators|
-  candidates, the assignments it actually examines.
+  (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
+  and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
+  found by the one presentation-morphism search in ``presentations``,
+  over the arrows ``greedy_generators`` picks, so the guard counts the
+  |h|^|generators| assignments the search examines.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -235,79 +235,33 @@ def subgroup(g, carrier, name=""):
 
 def generating_set(g):
     """A small generating set, chosen greedily in element order."""
+    return greedy_generators(g.elements, (g.unit,), g.table)
+
+
+def greedy_generators(arrows, units, comp):
+    """Generators chosen greedily in ``arrows`` order: an arrow is taken when
+    no positive word in the arrows taken before it reaches it from
+    ``units``.  ``comp[(y, s)]`` is "y then s" for each composable pair, so
+    a group passes its table and a groupoid its composition."""
     gens = []
-    span = {g.unit}
-    for x in g.elements:
+    span = set(units)
+    for x in arrows:
         if x in span:
             continue
         gens.append(x)
-        frontier = [g.unit]
-        span = {g.unit}
+        frontier = list(units)
+        span = set(units)
         while frontier:
             y = frontier.pop()
-            for h in gens:
-                z = g.mul(y, h)
+            for s in gens:
+                # a pair that does not compose stays at y, already spanned
+                z = comp.get((y, s), y)
                 if z not in span:
                     span.add(z)
                     frontier.append(z)
-        if len(span) == len(g.elements):
+        if len(span) == len(arrows):
             break
     return tuple(gens)
-
-
-def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
-    """Every homomorphism ``g -> h`` as an image tuple aligned with
-    ``g.elements``, in lexicographic order of the tuples (an image ranks by
-    its position in ``h.elements``).  Both tables must be groups, as
-    ``finite_group`` builds them.
-
-    Only the generators from ``generating_set(g)`` get chosen images; every
-    other image is read off a breadth-first spanning tree of the Cayley
-    graph.  A candidate is kept when phi(x s) = phi(x) phi(s) for every
-    element x and generator s, which by induction on word length makes it
-    a homomorphism.  The guard counts the |h|^|generators| candidates.
-
-    The generators are chosen greedily in element order, so every element
-    listed before the k-th generator is a word in the earlier ones.  Maps
-    that agree on the first k-1 generators therefore agree on every element
-    before the k-th generator, and assigning generator images in
-    lexicographic order lists the image tuples in lexicographic order.
-    """
-    gens = generating_set(g)
-    total = len(h.elements) ** len(gens)
-    if total > guard:
-        raise SizeGuardExceeded(
-            f"homomorphism search needs {total} candidates, the guard allows {guard}"
-        )
-    gi = {x: i for i, x in enumerate(g.elements)}
-    hi = {y: i for i, y in enumerate(h.elements)}
-    hmul = [[hi[h.mul(a, b)] for b in h.elements] for a in h.elements]
-    # steps[k][i]: the index of g.elements[i] times the k-th generator
-    steps = [[gi[g.mul(x, s)] for x in g.elements] for s in gens]
-    root = gi[g.unit]
-    tree = []  # (element, parent, generator position) in breadth-first order
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        i = frontier.popleft()
-        for k, step in enumerate(steps):
-            j = step[i]
-            if j not in seen:
-                seen.add(j)
-                tree.append((j, i, k))
-                frontier.append(j)
-    phi = [None] * len(g.elements)
-    phi[root] = hi[h.unit]
-    found = []
-    for images in product(range(len(h.elements)), repeat=len(gens)):
-        for j, i, k in tree:
-            phi[j] = hmul[phi[i]][images[k]]
-        if all(
-            all(phi[j] == hmul[p][c] for j, p in zip(step, phi))
-            for step, c in zip(steps, images)
-        ):
-            found.append(tuple(h.elements[p] for p in phi))
-    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -595,43 +549,6 @@ def check_morphism(f, g, h):
         if f.arrow_map[g.inv[a]] != h.inv[f.arrow_map[a]]:
             return MorphismReport(False, "inverse-preservation", (a, f.arrow_map[a]))
     return MorphismReport(True)
-
-
-def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
-    """All functors ``g -> h`` in canonical (object map, arrow images) order.
-
-    The candidate space is the product of per-arrow image counts, summed
-    over object maps; past ``guard`` candidates the search refuses.
-    """
-    free_arrows = tuple(a for a in g.arrows if a not in set(g.id_of.values()))
-    obj_maps = []
-    total = 0
-    for images in product(h.objects, repeat=len(g.objects)):
-        obj_map = dict(zip(g.objects, images))
-        cands = []
-        count = 1
-        for a in free_arrows:
-            c = h.arrows_between(obj_map[g.src[a]], obj_map[g.tgt[a]])
-            cands.append(c)
-            count *= len(c)
-        total += count
-        if total > guard:
-            raise SizeGuardExceeded(
-                f"morphism search needs more than {guard} candidates"
-            )
-        obj_maps.append((obj_map, cands))
-    found = []
-    for obj_map, cands in obj_maps:
-        for images in product(*cands):
-            arrow_map = dict(zip(free_arrows, images))
-            for x in g.objects:
-                arrow_map[g.id_of[x]] = h.id_of[obj_map[x]]
-            if all(
-                h.comp[(arrow_map[a], arrow_map[b])] == arrow_map[c]
-                for (a, b), c in g.comp.items()
-            ):
-                found.append(GroupoidMorphism(obj_map=obj_map, arrow_map=arrow_map))
-    return found
 
 
 def battery():

@@ -14,6 +14,12 @@ relation ``f(e) = g(e)`` per generator of the common source.
 Morphisms into a finite groupoid are enumerated as tuples ``(vertex images,
 edge images)``, each relation checked as soon as its last edge is assigned;
 a presentation morphism compiles into a map restricting such tuples along it.
+``enumerate_pres_morphisms`` is the package's one morphism search:
+functors between finite groupoids (``enumerate_morphisms``) and group
+homomorphisms (``group_homs``) are read off it, through a presentation on
+k greedily chosen generating arrows, so a search into a group H examines
+|H|^k candidates.  Past the guard it raises ``SizeGuardExceeded`` with
+"presentation morphism search needs more than {guard} candidates".
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from operator import itemgetter
 
 from .core import (
     DEFAULT_SIZE_GUARD,
+    GroupoidMorphism,
     SizeGuardExceeded,
     ValidationError,
     from_group,
+    greedy_generators,
     skeleton_components,
 )
 
@@ -311,6 +319,81 @@ def _grow(prefixes, cands, rels, vimg, t):
                 yield eimg
 
 
+def _arrow_presentation(g):
+    """Present finite groupoid ``g`` on its greedy generating arrows.
+
+    The vertices are ``g.objects`` and the edges ``greedy_generators``
+    chosen in ``g.arrows`` order.  A breadth-first tree from the identities,
+    generators in order, gives every other arrow a positive word; it is
+    returned as ``(arrow, parent, generator position)`` triples in the order
+    they are reached.  Each composable pair (y, s) off the tree, y an arrow
+    and s a generator, adds the relation ``w_y s = w_{y s}``.  By induction
+    on word length, an assignment of the generators satisfying these
+    relations extends along the tree to exactly one functor.
+    """
+    units = [g.id_of[x] for x in g.objects]
+    gens = greedy_generators(g.arrows, units, g.comp)
+    q = Quiver(
+        vertices=g.objects,
+        edges=gens,
+        esrc={s: g.src[s] for s in gens},
+        etgt={s: g.tgt[s] for s in gens},
+    )
+    words = {a: empty_word(g.src[a]) for a in units}
+    tree = []
+    relations = []
+    frontier = deque(units)
+    while frontier:
+        y = frontier.popleft()
+        for k, s in enumerate(gens):
+            if (y, s) not in g.comp:
+                continue
+            z = g.comp[y, s]
+            wy = words[y]
+            w = Word(src=wy.src, tgt=g.tgt[s], letters=wy.letters + ((s, 1),))
+            if z in words:
+                relations.append((w, words[z]))
+            else:
+                words[z] = w
+                tree.append((z, y, k))
+                frontier.append(z)
+    return GroupoidPresentation(quiver=q, relations=tuple(relations)), tree
+
+
+def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
+    """All functors ``g -> h`` in canonical (object map, arrow images) order.
+
+    ``enumerate_pres_morphisms`` assigns images to the generators of
+    ``_arrow_presentation(g)``, so the guard counts those assignments, and
+    every other image is read off the tree once per functor found.  The
+    generators are chosen greedily in arrow order, so every arrow listed
+    before the k-th generator is a word in the earlier ones: assigning
+    generator images in order lists the functors in the order of their
+    arrow images.
+    """
+    p, tree = _arrow_presentation(g)
+    found = []
+    for vimg, eimg in enumerate_pres_morphisms(p, h, guard):
+        obj_map = dict(zip(g.objects, vimg))
+        arrow_map = {g.id_of[x]: h.id_of[y] for x, y in obj_map.items()}
+        for z, y, k in tree:
+            arrow_map[z] = h.comp[arrow_map[y], eimg[k]]
+        found.append(GroupoidMorphism(obj_map=obj_map, arrow_map=arrow_map))
+    return found
+
+
+def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
+    """Every homomorphism ``g -> h`` as an image tuple aligned with
+    ``g.elements``, in lexicographic order of the tuples (an image ranks by
+    its position in ``h.elements``): the functors between the one-object
+    groupoids.  The generators of ``g`` are ``generating_set(g)``, so the
+    guard counts |h|^|generators| candidates."""
+    return tuple(
+        tuple(map(f.arrow_map.__getitem__, g.elements))
+        for f in enumerate_morphisms(from_group(g), from_group(h), guard)
+    )
+
+
 def _gather(positions):
     """``xs -> tuple(xs[i] for i in positions)`` as an ``itemgetter``."""
     if len(positions) == 1:
@@ -373,40 +456,19 @@ def pushout(f, g):
     tagged = [("u", x) for x in u.quiver.vertices] + [
         ("v", x) for x in v.quiver.vertices
     ]
-    order = {t: i for i, t in enumerate(tagged)}
-    parent = {t: t for t in tagged}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if order[ra] > order[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-
-    for x in w.quiver.vertices:
-        union(("u", f.vmap[x]), ("v", g.vmap[x]))
-
-    def vname(t):
-        tag, x = find(t)
-        return f"{tag}:{x}"
-
-    uvname = {x: vname(("u", x)) for x in u.quiver.vertices}
-    vvname = {x: vname(("v", x)) for x in v.quiver.vertices}
+    blocks = skeleton_components(
+        tagged,
+        w.quiver.vertices,
+        {x: ("u", f.vmap[x]) for x in w.quiver.vertices},
+        {x: ("v", g.vmap[x]) for x in w.quiver.vertices},
+    )
+    # each block is named after its first tagged vertex
+    vertices = [f"{tag}:{x}" for tag, x in (block[0] for block in blocks)]
+    vname = {t: n for n, block in zip(vertices, blocks) for t in block}
+    uvname = {x: vname["u", x] for x in u.quiver.vertices}
+    vvname = {x: vname["v", x] for x in v.quiver.vertices}
     uename = {e: f"u:{e}" for e in u.quiver.edges}
     vename = {e: f"v:{e}" for e in v.quiver.edges}
-
-    vertices = []
-    for t in tagged:
-        n = vname(t)
-        if n not in vertices:
-            vertices.append(n)
     edges = [
         (uename[e], uvname[u.quiver.esrc[e]], uvname[u.quiver.etgt[e]])
         for e in u.quiver.edges
@@ -692,34 +754,33 @@ def _bounded_rewrite_search(p, start, goal, max_steps, max_length):
         sides.append((free_reduce(lhs), free_reduce(rhs)))
         sides.append((free_reduce(rhs), free_reduce(lhs)))
     seen = {start}
-    queue = [(start, 0)]
+    queue = deque([(start, 0)])
     steps = 0
     while queue and steps < max_steps:
-        w, depth = queue.pop(0)
+        w, depth = queue.popleft()
         steps += 1
-        for a, b in sides:
-            if a.is_empty():
-                # insert the loop b at any position based at its vertex
-                for i in range(len(w.letters) + 1):
-                    if _vertex_at(q, w, i) != b.src:
-                        continue
-                    letters = w.letters[:i] + b.letters + w.letters[i:]
-                    nw = free_reduce(Word(src=w.src, tgt=w.tgt, letters=letters))
-                    if nw == goal:
-                        return depth + 1
-                    if len(nw.letters) <= max_length and nw not in seen:
-                        seen.add(nw)
-                        queue.append((nw, depth + 1))
-                continue
+        for letters in _rewrites(q, w, sides):
+            nw = free_reduce(Word(src=w.src, tgt=w.tgt, letters=letters))
+            if nw == goal:
+                return depth + 1
+            if len(nw.letters) <= max_length and nw not in seen:
+                seen.add(nw)
+                queue.append((nw, depth + 1))
+    return None
+
+
+def _rewrites(q, w, sides):
+    """The letters of each one-step rewrite of ``w``, in order: per side
+    pair (a, b), an empty ``a`` inserts the loop ``b`` at every position
+    based at its vertex, any other ``a`` is replaced by ``b`` at every
+    occurrence."""
+    for a, b in sides:
+        if a.is_empty():
+            for i in range(len(w.letters) + 1):
+                if _vertex_at(q, w, i) == b.src:
+                    yield w.letters[:i] + b.letters + w.letters[i:]
+        else:
             n = len(a.letters)
             for i in range(len(w.letters) - n + 1):
-                if w.letters[i : i + n] != a.letters:
-                    continue
-                letters = w.letters[:i] + b.letters + w.letters[i + n :]
-                nw = free_reduce(Word(src=w.src, tgt=w.tgt, letters=letters))
-                if nw == goal:
-                    return depth + 1
-                if len(nw.letters) <= max_length and nw not in seen:
-                    seen.add(nw)
-                    queue.append((nw, depth + 1))
-    return None
+                if w.letters[i : i + n] == a.letters:
+                    yield w.letters[:i] + b.letters + w.letters[i + n :]

@@ -33,12 +33,12 @@ from .core import (
     cyclic_group,
     finite_group,
     from_group,
-    group_homs,
     perm_parity,
     subgroup,
     symmetric_group,
     trivial_group,
 )
+from .presentations import group_homs
 
 
 @dataclass(frozen=True)

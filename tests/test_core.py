@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gpdkit import enumerate_morphisms
 from gpdkit.core import (
     CompositionError,
     GroupoidMorphism,
@@ -13,7 +14,6 @@ from gpdkit.core import (
     components,
     cyclic_group,
     disjoint_union,
-    enumerate_morphisms,
     finite_group,
     from_group,
     interval_groupoid,

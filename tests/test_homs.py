@@ -17,6 +17,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpdkit import group_homs
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
     FiniteGroup,
@@ -26,7 +27,6 @@ from gpdkit.core import (
     cyclic_group,
     finite_group,
     generating_set,
-    group_homs,
     perm_parity,
     symmetric_group,
 )
@@ -292,7 +292,7 @@ def test_the_guard_counts_generator_assignments():
     with pytest.raises(SizeGuardExceeded) as info:
         group_homs(s3, s3, guard=need - 1)
     assert str(info.value) == (
-        "homomorphism search needs 36 candidates, the guard allows 35"
+        "presentation morphism search needs more than 35 candidates"
     )
 
 
@@ -302,7 +302,7 @@ def test_callers_pass_their_guard_through():
     over = identity_hom(_base_group(auts3))
     assert len(morphisms_over(auts3, over, auts3, guard=36)) == 1
     assert len(automorphism_group(s3, guard=36)) == 6
-    with pytest.raises(SizeGuardExceeded, match="needs 36 candidates, the guard allows 35"):
+    with pytest.raises(SizeGuardExceeded, match="needs more than 35 candidates"):
         morphisms_over(auts3, over, auts3, guard=35)
-    with pytest.raises(SizeGuardExceeded, match="needs 12 candidates, the guard allows 11"):
+    with pytest.raises(SizeGuardExceeded, match="needs more than 11 candidates"):
         automorphism_group(cyclic_group(12), guard=11)
