@@ -18,6 +18,10 @@ Conventions that hold across the whole package:
   returns at once.  Associativity is checked with Light's test over
   ``generating_set``, at O(n^2 |S|) instead of O(n^3); a table that fails
   still reports the first failing triple in product order.
+- Groupoids that ``build_groupoid``, ``from_group`` or ``disjoint_union``
+  return are marked lawful, which lets ``xmod.check_axioms`` check the
+  laws over base arrows on generators.  ``from_group(g)`` with the
+  default object and name is built once and kept on ``g``.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
@@ -75,6 +79,9 @@ class FiniteGroup:
     # Set by a successful ``validate``; ``init=False`` keeps raw construction
     # and ``dataclasses.replace`` from inheriting it.
     _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    # ``from_group(self)`` with the default object and name, built on first
+    # use; ``init=False`` again keeps copies from sharing it.
+    _groupoid: object = field(default=None, init=False, compare=False, repr=False)
 
     def mul(self, a, b):
         return self.table[(a, b)]
@@ -270,7 +277,8 @@ class FiniteGroupoid:
 
     ``comp[(a, b)]`` is "a then b", defined exactly when ``tgt[a] == src[b]``.
     ``id_of`` maps each object to its identity arrow, ``inv`` each arrow to
-    its two-sided inverse.
+    its two-sided inverse.  Raw construction skips every check; the
+    validating constructors mark what they return as lawful.
     """
 
     objects: tuple
@@ -281,6 +289,10 @@ class FiniteGroupoid:
     id_of: dict
     inv: dict
     name: str = field(default="", compare=False)
+    # Set by ``build_groupoid``, ``from_group`` and ``disjoint_union`` when
+    # every groupoid law holds; raw construction and ``dataclasses.replace``
+    # start unmarked, as with ``FiniteGroup._validated``.
+    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def compose(self, a, b):
         if self.tgt[a] != self.src[b]:
@@ -387,7 +399,7 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
                 break
         else:
             raise ValidationError("arrow with no inverse", witness=a)
-    return FiniteGroupoid(
+    return _lawful(FiniteGroupoid(
         objects=objects,
         arrows=arrows,
         src=src,
@@ -396,7 +408,14 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
         id_of=id_of,
         inv=inv,
         name=name,
-    )
+    ))
+
+
+def _lawful(g, lawful=True):
+    """Mark ``g`` as a groupoid whose laws hold, when ``lawful``."""
+    if lawful:
+        object.__setattr__(g, "_validated", True)
+    return g
 
 
 def interval_groupoid():
@@ -421,24 +440,41 @@ def interval_groupoid():
 
 
 def from_group(g, obj="*", name=""):
-    """The one-object groupoid with arrow set ``g.elements``."""
+    """The one-object groupoid with arrow set ``g.elements``.
+
+    It shares ``g``'s table and inverse map, and with the default object
+    and name it is built once per group and kept on ``g``.  It is marked
+    lawful when ``g.inverse`` is the table's inverse map, as it is for
+    every group ``finite_group`` builds."""
     g.validate()
+    default = obj == "*" and not name
+    if default and g._groupoid is not None:
+        return g._groupoid
     objects = (obj,)
     arrows = g.elements
     src = {a: obj for a in arrows}
     tgt = {a: obj for a in arrows}
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        comp=dict(g.table),
-        id_of={obj: g.unit},
-        inv=dict(g.inverse)
+    inv = (
+        g.inverse
         if g.inverse is not None
-        else {a: next(b for b in arrows if g.table[(a, b)] == g.unit) for a in arrows},
-        name=name or g.name,
+        else {a: next(b for b in arrows if g.table[(a, b)] == g.unit) for a in arrows}
     )
+    p = _lawful(
+        FiniteGroupoid(
+            objects=objects,
+            arrows=arrows,
+            src=src,
+            tgt=tgt,
+            comp=g.table,
+            id_of={obj: g.unit},
+            inv=inv,
+            name=name or g.name,
+        ),
+        all(g.table.get((a, inv.get(a))) == g.unit for a in arrows),
+    )
+    if default:
+        object.__setattr__(g, "_groupoid", p)
+    return p
 
 
 def vertex_group(g, x):
@@ -500,9 +536,12 @@ def disjoint_union(g, h, tags=("l", "r")):
     id_of.update({tag(rt, x): tag(rt, h.id_of[x]) for x in h.objects})
     inv = {tag(lt, a): tag(lt, g.inv[a]) for a in g.arrows}
     inv.update({tag(rt, a): tag(rt, h.inv[a]) for a in h.arrows})
-    return FiniteGroupoid(
-        objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
-        id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
+    return _lawful(
+        FiniteGroupoid(
+            objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
+            id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
+        ),
+        g._validated and h._validated,
     )
 
 

@@ -1,0 +1,395 @@
+"""Crossed-module law checking over generators of the base groupoid,
+against the all-arrows check it replaced, and the groupoid ``from_group``
+keeps on each group.
+
+``_old_check_axioms`` is the former body of ``xmod.check_axioms``, kept
+verbatim as the oracle: it checks ``action-compose`` on every composable
+pair of base arrows and ``action-hom`` and ``boundary-equivariance`` on
+every arrow.  Every crossed module, lawful or broken, over a marked or an
+unmarked base, must get the same ``LawReport`` from both: verdict,
+families and witnesses.
+"""
+
+import random
+from dataclasses import replace
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpdkit import xmod
+from gpdkit.core import (
+    FiniteGroup,
+    FiniteGroupoid,
+    alternating_group,
+    build_groupoid,
+    cyclic_group,
+    disjoint_union,
+    from_group,
+    greedy_generators,
+    interval_groupoid,
+    perm_parity,
+    symmetric_group,
+)
+from gpdkit.dblgpd import (
+    CUBE_EDGES,
+    commutative_cube_check,
+    perturb_cube,
+    random_commutative_cube,
+    random_cube_sharing,
+)
+from gpdkit.xmod import (
+    CrossedModule,
+    LawReport,
+    automorphism_xmod,
+    bundled_xmods,
+    check_axioms,
+    crossed_module,
+    from_normal_subgroup,
+    trivial_xmod,
+)
+from test_cubes import GROUPS, old_commutative_cube_check
+
+
+def _old_check_axioms(xm):
+    p = xm.p
+    failures = []
+
+    def fail(family, witness):
+        if not any(f == family for f, _ in failures):
+            failures.append((family, witness))
+
+    for x in p.objects:
+        table = xm.mu.get(x, {})
+        for m in xm.m[x].elements:
+            a = table.get(m)
+            if a is None or a not in p.arrows or p.src[a] != x or p.tgt[a] != x:
+                fail("boundary-type", (x, m, a))
+    for a in p.arrows:
+        x, y = p.src[a], p.tgt[a]
+        for m in xm.m[x].elements:
+            out = xm.action.get((m, a))
+            if out is None or out not in xm.m[y].elements:
+                fail("action-type", (m, a, out))
+    if failures:
+        return LawReport(ok=False, failures=tuple(failures))
+
+    for x in p.objects:
+        gm = xm.m[x]
+        for m, n in product(gm.elements, repeat=2):
+            if p.compose(xm.mu[x][m], xm.mu[x][n]) != xm.mu[x][gm.mul(m, n)]:
+                fail("boundary-hom", (x, m, n))
+                break
+        for m in gm.elements:
+            if xm.act(m, p.id_of[x]) != m:
+                fail("action-identity", (x, m))
+                break
+    for a in p.arrows:
+        x, y = p.src[a], p.tgt[a]
+        gx, gy = xm.m[x], xm.m[y]
+        for b in p.arrows_from(y):
+            ab = p.compose(a, b)
+            for m in gx.elements:
+                if xm.act(m, ab) != xm.act(xm.act(m, a), b):
+                    fail("action-compose", (m, a, b))
+                    break
+        for m, n in product(gx.elements, repeat=2):
+            if xm.act(gx.mul(m, n), a) != gy.mul(xm.act(m, a), xm.act(n, a)):
+                fail("action-hom", (m, n, a))
+                break
+        if xm.act(gx.unit, a) != gy.unit:
+            fail("action-hom", (gx.unit, gx.unit, a))
+        for m in gx.elements:
+            lhs = xm.mu[y][xm.act(m, a)]
+            rhs = p.compose(p.compose(p.inverse(a), xm.mu[x][m]), a)
+            if lhs != rhs:
+                fail("boundary-equivariance", (m, a))
+                break
+    for x in p.objects:
+        gm = xm.m[x]
+        for m, n in product(gm.elements, repeat=2):
+            if xm.act(m, xm.mu[x][n]) != gm.conj(m, n):
+                fail("peiffer", (x, m, n))
+                break
+    return LawReport(ok=not failures, failures=tuple(failures))
+
+
+def _two_object_xmod():
+    """c3 fibres with trivial boundary over the interval beside s3: the
+    interval's two non-identity arrows and the odd permutations act by
+    negation.  Greedy generators of this base include ``i`` and
+    ``i_inv``, which are not loops."""
+    p = disjoint_union(interval_groupoid(), from_group(symmetric_group(3)))
+    c3 = cyclic_group(3)
+
+    def sign(a):
+        side, v = a
+        odd = v in ("i", "i_inv") if side == "l" else perm_parity(v) == 1
+        return -1 if odd else 1
+
+    return crossed_module(
+        p,
+        {x: c3 for x in p.objects},
+        {x: {m: p.id_of[x] for m in c3.elements} for x in p.objects},
+        {(m, a): sign(a) * m % 3 for a in p.arrows for m in c3.elements},
+        name="c3-over-interval+s3",
+    )
+
+
+# The smallest non-associative loop (see tests/test_validate.py): unit 0,
+# x x = 0, and (1 2) 3 = 4 but 1 (2 3) = 0.
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def _loop_base_xmod():
+    """c2 over a raw one-object "groupoid" whose composition is LOOP5, with
+    trivial boundary and trivial action: no validating constructor accepts
+    this base, so it carries no mark."""
+    arrows = tuple(range(5))
+    p = FiniteGroupoid(
+        objects=("*",),
+        arrows=arrows,
+        src={a: "*" for a in arrows},
+        tgt={a: "*" for a in arrows},
+        comp={(a, b): LOOP5[a][b] for a, b in product(arrows, repeat=2)},
+        id_of={"*": 0},
+        inv={a: a for a in arrows},
+        name="loop5",
+    )
+    c2 = cyclic_group(2)
+    return CrossedModule(
+        p=p,
+        m={"*": c2},
+        mu={"*": {m: 0 for m in c2.elements}},
+        action={(m, a): m for m in c2.elements for a in arrows},
+        name="c2-over-loop5",
+    )
+
+
+MODULES = dict(bundled_xmods())
+MODULES["a4s4"] = from_normal_subgroup(alternating_group(4), symmetric_group(4))
+for _n, _g in (("s3", symmetric_group(3)), ("c7", cyclic_group(7)), ("c8", cyclic_group(8))):
+    MODULES[f"aut-{_n}"] = automorphism_xmod(_g)
+MODULES["two-object"] = _two_object_xmod()
+MODULES["loop-base"] = _loop_base_xmod()
+
+
+def _copy(xm, p=None, mu=None, action=None):
+    """``xm`` with some of its parts replaced, built raw so that broken
+    tables stay constructible."""
+    return CrossedModule(
+        p=xm.p if p is None else p,
+        m=xm.m,
+        mu={x: dict(t) for x, t in (xm.mu if mu is None else mu).items()},
+        action=dict(xm.action if action is None else action),
+        name=xm.name,
+    )
+
+
+def _loops(p, x):
+    return [a for a in p.arrows if p.src[a] == x and p.tgt[a] == x]
+
+
+@st.composite
+def perturbed(draw):
+    """A copy of one of MODULES with one to three action or boundary entries
+    rewritten: an action entry to an element of its target fibre, or to one
+    of another fibre; a boundary entry to a loop at its object, or to any
+    arrow."""
+    xm = MODULES[draw(st.sampled_from(sorted(MODULES)))]
+    p = xm.p
+    out = _copy(xm)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            m, a = draw(st.sampled_from(sorted(xm.action, key=repr)))
+            y = p.tgt[a] if draw(st.integers(0, 4)) else draw(st.sampled_from(p.objects))
+            out.action[(m, a)] = draw(st.sampled_from(xm.m[y].elements))
+        else:
+            x = draw(st.sampled_from(p.objects))
+            m = draw(st.sampled_from(xm.m[x].elements))
+            pool = _loops(p, x) if draw(st.integers(0, 4)) else p.arrows
+            out.mu[x][m] = draw(st.sampled_from(pool))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_module_gets_the_oracle_report(name):
+    xm = MODULES[name]
+    report = check_axioms(xm)
+    assert report == _old_check_axioms(xm)
+    assert report.ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed())
+def test_perturbed_modules_get_the_oracle_report(xm):
+    assert check_axioms(xm) == _old_check_axioms(xm)
+
+
+@pytest.mark.parametrize("name", ["c4c2", "auts3", "two-object", "loop-base"])
+def test_every_single_entry_perturbation_gets_the_oracle_report(name):
+    xm = MODULES[name]
+    p = xm.p
+    rejected = 0
+    cases = [
+        _copy(xm, action={**xm.action, key: v})
+        for key in xm.action
+        for v in xm.m[p.tgt[key[1]]].elements
+        if v != xm.action[key]
+    ]
+    for x in p.objects:
+        for m in xm.m[x].elements:
+            for a in _loops(p, x):
+                if a != xm.mu[x][m]:
+                    mu = {y: dict(t) for y, t in xm.mu.items()}
+                    mu[x][m] = a
+                    cases.append(_copy(xm, mu=mu))
+    for broken in cases:
+        old = _old_check_axioms(broken)
+        assert check_axioms(broken) == old
+        rejected += not old.ok
+    assert rejected > 0
+
+
+def test_the_two_object_base_has_non_loop_generators():
+    p = MODULES["two-object"].p
+    assert p._validated
+    gens = greedy_generators(p.arrows, tuple(p.id_of.values()), p.comp)
+    assert {("l", "i"), ("l", "i_inv")} <= set(gens)
+    # Negating along i but not along i_inv breaks action-compose only at
+    # pairs through the interval.
+    xm = MODULES["two-object"]
+    broken = _copy(xm, action={**xm.action, **{(m, ("l", "i_inv")): m for m in range(3)}})
+    report = check_axioms(broken)
+    assert report == _old_check_axioms(broken)
+    assert report.family("action-compose") == (1, ("l", "i"), ("l", "i_inv"))
+
+
+def test_a_raw_inverse_map_the_generators_miss_is_still_caught():
+    # c3 with a wrong inverse of 2 only: 1 generates c3, so a check of
+    # boundary-equivariance on generators alone would pass.
+    c3 = cyclic_group(3)
+    raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 2, 2: 2})
+    p = from_group(raw)
+    assert not p._validated
+    xm = CrossedModule(
+        p=p,
+        m={"*": c3},
+        mu={"*": {m: m for m in c3.elements}},
+        action={(m, a): m for m in c3.elements for a in c3.elements},
+    )
+    report = check_axioms(xm)
+    assert report == _old_check_axioms(xm)
+    assert report.failures == (("boundary-equivariance", (0, 2)),)
+
+
+# ------------------------------------------------------------- which pass runs
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record, for each pass of the law loop, whether it ranged over every
+    base arrow."""
+    calls = []
+    real = xmod._check_laws
+
+    def spy(xm, over):
+        calls.append(tuple(over) == tuple(xm.p.arrows))
+        return real(xm, over)
+
+    monkeypatch.setattr(xmod, "_check_laws", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"loop-base"}))
+def test_a_lawful_module_never_takes_the_all_arrows_pass(name, passes):
+    assert check_axioms(MODULES[name]).ok
+    assert passes == [False]
+
+
+def test_a_failing_module_falls_back_to_the_all_arrows_pass(passes):
+    xm = MODULES["c4c2"]
+    broken = _copy(xm, action={**xm.action, (1, 1): 3})
+    assert not check_axioms(broken).ok
+    assert passes == [False, True]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MODULES["loop-base"],
+        lambda: _copy(MODULES["a3s3"], p=replace(MODULES["a3s3"].p)),
+    ],
+    ids=["raw", "replace"],
+)
+def test_an_unmarked_base_takes_the_all_arrows_pass_alone(build, passes):
+    assert check_axioms(build()).ok
+    assert passes == [True]
+
+
+# ------------------------------------------------------------ lawful bases
+
+
+def test_validating_constructors_mark_the_base():
+    s3 = from_group(symmetric_group(3))
+    interval = interval_groupoid()
+    assert s3._validated and interval._validated
+    assert build_groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.comp)._validated
+    assert disjoint_union(interval, s3)._validated
+    raw = FiniteGroupoid(
+        objects=s3.objects, arrows=s3.arrows, src=s3.src, tgt=s3.tgt,
+        comp=s3.comp, id_of=s3.id_of, inv=s3.inv,
+    )
+    for unmarked in (raw, replace(s3), disjoint_union(raw, interval), disjoint_union(s3, raw)):
+        assert not unmarked._validated
+
+
+# ------------------------------------------------------- one groupoid per group
+
+
+def test_from_group_is_built_once_per_group():
+    g = symmetric_group(3)
+    p = from_group(g)
+    assert from_group(g) is p
+    assert trivial_xmod(g).p is p
+    assert from_normal_subgroup(alternating_group(3), g).p is p
+
+
+def test_copies_and_other_names_get_fresh_groupoids():
+    g = cyclic_group(4)
+    p = from_group(g)
+    for fresh in (
+        from_group(replace(g)),
+        from_group(g, name="c4"),
+        from_group(g, obj="o"),
+        from_group(FiniteGroup(g.elements, g.table, g.unit)),
+    ):
+        assert fresh is not p
+        assert fresh._validated
+    copy = replace(g)
+    assert copy._groupoid is None
+    assert from_group(copy) == p
+    assert from_group(copy) is from_group(copy)
+    assert from_group(g, name="c4") is not from_group(g, name="c4")
+    assert from_group(g, obj="o").objects == ("o",)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_cube_reports_match_the_oracle_with_the_shared_groupoid(group):
+    rng = random.Random(5)
+    p = from_group(group)
+    for _ in range(3):
+        c = random_commutative_cube(group, rng)
+        for base in [c] + [random_cube_sharing(group, rng, c, d) for d in ("v", "h", "d")]:
+            edge = rng.choice(CUBE_EDGES)
+            for d in (base, perturb_cube(base, edge, rng.choice(group.elements))):
+                assert commutative_cube_check(group, d) == old_commutative_cube_check(
+                    group, d
+                )
+    assert from_group(group) is p
