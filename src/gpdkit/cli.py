@@ -8,15 +8,22 @@ of the same command on the same inputs is byte identical.
 Exit codes: 0 the check passed (or the computation succeeded), 1 a
 verdict failed or a theorem hypothesis was not met (including pasting
 mismatches between well-formed squares or cubes), 2 the input could not
-be read or validated, 3 a size guard tripped.
+be read or validated, 3 a size guard tripped, 4 an internal error (a
+defect in gpdkit, never a verdict on the input).
+
+The argument parser is built once per process (``build_parser`` is
+cached); ``main`` looks up the ``cmd_*`` handler by command name on every
+call, so rebinding a handler on this module still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+import traceback
 
 from .core import (
     CompositionError,
@@ -125,14 +132,15 @@ def _command_name(args):
     return " ".join(parts)
 
 
-_PRIVATE_ARGS = ("handler", "machine", "report", "command", "subcommand")
+_PRIVATE_ARGS = ("machine", "report", "command", "subcommand")
 
 
 def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
             data=None, lines=None):
     """Build the machine report; print it with ``--machine``, else print
     ``lines`` and the verdict (nothing when ``lines`` is None); write it to
-    ``--report``.  Returns the exit code."""
+    ``--report`` first, so a failed write prints nothing.  Returns the exit
+    code."""
     report = {
         "command": _command_name(args),
         "arguments": {
@@ -148,15 +156,18 @@ def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
         "data": data or {},
     }
     text = json.dumps(report, sort_keys=True, indent=2)
+    if args.report:
+        # Take the path off ``args`` before writing: if the write fails, the
+        # io-error report that follows must not try the same write again.
+        path, args.report = args.report, None
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     if args.machine:
         print(text)
     elif lines is not None:
         for ln in lines:
             print(ln)
         print(f"verdict: {verdict}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return exit_code
 
 
@@ -621,7 +632,10 @@ def _common(p):
     p.add_argument("--report", metavar="PATH", help="write the JSON report to PATH")
 
 
+@functools.cache
 def build_parser():
+    """The ``gpdkit`` parser, built on the first call; every later call
+    returns the same object, so callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="gpdkit",
         description=(
@@ -636,7 +650,6 @@ def build_parser():
     p.add_argument("--base", required=True, help="comma separated base vertices")
     p.add_argument("--vertex", help="also present the vertex group here")
     _common(p)
-    p.set_defaults(handler=cmd_pi1)
 
     p = sub.add_parser(
         "vkt", help="verify the pushout square induced by a two-piece cover"
@@ -645,7 +658,6 @@ def build_parser():
     p.add_argument("--base", required=True, help="comma separated base vertices")
     p.add_argument("--targets", help="comma separated battery targets (default all)")
     _common(p)
-    p.set_defaults(handler=cmd_vkt)
 
     p = sub.add_parser(
         "pushout", help="push out a span of presentations given by shared names"
@@ -655,23 +667,19 @@ def build_parser():
     p.add_argument("w_file")
     p.add_argument("--targets", help="comma separated battery targets (default all)")
     _common(p)
-    p.set_defaults(handler=cmd_pushout)
 
     px = sub.add_parser("xmod", help="crossed module commands")
     sx = px.add_subparsers(dest="subcommand", required=True, metavar="action")
     p = sx.add_parser("check", help="check the axioms and kernel centrality")
     p.add_argument("xmod_file")
     _common(p)
-    p.set_defaults(handler=cmd_xmod_check)
     p = sx.add_parser("aut", help="the automorphism crossed module of a group")
     p.add_argument("group_file")
     _common(p)
-    p.set_defaults(handler=cmd_xmod_aut)
     p = sx.add_parser("normal", help="the conjugation crossed module of a subgroup")
     p.add_argument("group_file")
     p.add_argument("--subgroup", required=True, help="comma separated elements")
     _common(p)
-    p.set_defaults(handler=cmd_xmod_normal)
     p = sx.add_parser("free", help="present a free crossed module over a group")
     p.add_argument("group_file")
     p.add_argument("--gens", required=True, help="comma separated generator names")
@@ -685,7 +693,6 @@ def build_parser():
         help="count morphisms into this crossed module",
     )
     _common(p)
-    p.set_defaults(handler=cmd_xmod_free)
     p = sx.add_parser(
         "induced", help="present the crossed module induced along a homomorphism"
     )
@@ -701,7 +708,6 @@ def build_parser():
         help="count maps over the homomorphism into this crossed module",
     )
     _common(p)
-    p.set_defaults(handler=cmd_xmod_induced)
 
     pd = sub.add_parser("dgpd", help="labeled square commands")
     sd = pd.add_subparsers(dest="subcommand", required=True, metavar="action")
@@ -709,37 +715,31 @@ def build_parser():
     p.add_argument("squares_file")
     p.add_argument("--dir", required=True, choices=("h", "v"))
     _common(p)
-    p.set_defaults(handler=cmd_dgpd_compose)
     p = sd.add_parser("array", help="fold the array rows-first and columns-first")
     p.add_argument("squares_file")
     _common(p)
-    p.set_defaults(handler=cmd_dgpd_array)
     p = sd.add_parser(
         "roundtrip", help="rebuild a crossed module from its square carrier"
     )
     p.add_argument("xmod_file")
     _common(p)
-    p.set_defaults(handler=cmd_dgpd_roundtrip)
 
     pc = sub.add_parser("cube", help="edge-labeled cube commands")
     sc = pc.add_subparsers(dest="subcommand", required=True, metavar="action")
     p = sc.add_parser("check", help="five commuting faces force the sixth")
     p.add_argument("cube_file")
     _common(p)
-    p.set_defaults(handler=cmd_cube_check)
     p = sc.add_parser("compose", help="glue two cubes along a shared face")
     p.add_argument("cube_file")
     p.add_argument("cube_file2")
     p.add_argument("--dir", required=True, choices=("v", "h", "d"))
     _common(p)
-    p.set_defaults(handler=cmd_cube_compose)
 
     pe = sub.add_parser("eh", help="two-operation unit collapse commands")
     se = pe.add_subparsers(dest="subcommand", required=True, metavar="action")
     p = se.add_parser("check", help="check interchange and its consequences")
     p.add_argument("eh_file")
     _common(p)
-    p.set_defaults(handler=cmd_eh_check)
 
     return ap
 
@@ -754,23 +754,38 @@ _ERROR_KINDS = (
 )
 
 
-def _error_exit(args, kind, code, exc):
-    print(f"error: {exc}", file=sys.stderr)
+def _error_exit(args, exc):
+    kind, code = next(
+        ((k, c) for t, k, c in _ERROR_KINDS if isinstance(exc, t)),
+        ("internal-error", 4),
+    )
+    data = {"error_kind": kind}
+    if code == 4:
+        # A defect, not a verdict: the traceback goes in the report, and
+        # the exit code is never 1 (check failed).
+        message = f"internal error: {exc!r}"
+        data["traceback"] = traceback.format_exception(exc)
+    else:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
     return _report(
         args, "fail" if code == 1 else "error", code,
-        witnesses=[exc], data={"error_kind": kind},
+        witnesses=[message], data=data,
     )
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + _command_name(args).replace(" ", "_")]
     try:
-        return args.handler(args)
-    except tuple(t for t, _, _ in _ERROR_KINDS) as exc:
-        for etype, kind, code in _ERROR_KINDS:
-            if isinstance(exc, etype):
-                return _error_exit(args, kind, code, exc)
-        raise
+        return handler(args)
+    except Exception as exc:
+        try:
+            return _error_exit(args, exc)
+        except OSError as write_error:
+            # The --report write failed; ``_report`` has cleared the path,
+            # so this report goes to stdout only.
+            return _error_exit(args, write_error)
 
 
 def entry():

@@ -1,11 +1,11 @@
 """Plain-text documents for the objects the command line works with.
 
-The format is line oriented.  ``#`` starts a comment, blank lines are
-ignored, and nesting is by indentation (spaces only, consistent within a
-block).  A line ``key: value`` is an entry; a line ``key:`` opens a nested
-block; a line without a colon is raw content (relation equations, array
-rows).  Keys may contain spaces where a table is keyed by several names,
-as in ``a b: c``.
+The format is line oriented and UTF-8 encoded.  ``#`` starts a comment,
+blank lines are ignored, and nesting is by indentation (spaces only,
+consistent within a block).  A line ``key: value`` is an entry; a line
+``key:`` opens a nested block; a line without a colon is raw content
+(relation equations, array rows).  Keys may contain spaces where a table
+is keyed by several names, as in ``a b: c``.
 
 Every document starts with ``kind: <kind>``.  The kinds:
 
@@ -490,8 +490,17 @@ def parse_document(text):
 
 
 def load_document(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number the line as ``_tree`` does: the bad byte ends the valid prefix.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(
+            f"byte {data[exc.start]:#04x} is not valid UTF-8", line
+        ) from None
+    return parse_document(text)
 
 
 def _render_group(g, indent=""):

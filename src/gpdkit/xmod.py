@@ -329,6 +329,11 @@ class GroupHom:
         return self.mapping[x]
 
     def validate(self):
+        for x in self.mapping:
+            if x not in self.source.elements:
+                raise ValidationError(
+                    f"mapped name {x!r} is not an element of the source", witness=x
+                )
         for x in self.source.elements:
             if self.mapping.get(x) not in self.target.elements:
                 raise ValidationError("image missing or outside target", witness=x)

@@ -1,15 +1,17 @@
 """End-to-end command line behavior on the document corpus in tests/data."""
 
 import json
+import random
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from gpdkit.cli import main
+from gpdkit.cli import build_parser, main
 from gpdkit.core import cyclic_group, finite_group
 from gpdkit.documents import Document, load_document, render_document
 from gpdkit.xmod import automorphism_group
+from test_golden import COMMANDS, GOLDEN, ROOT, _name, _report
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,3 +226,126 @@ def test_xmod_aut_handles_the_elementary_abelian_group_of_order_eight(tmp_path, 
     assert main(["xmod", "aut", str(path), "--machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"] == {"group_order": 8, "aut_order": 168}
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_goldens_hold_for_every_command_run_twice_in_shuffled_order(seed, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    order = COMMANDS * 2
+    random.Random(seed).shuffle(order)
+    for argv in order:
+        want = (GOLDEN / f"{_name(argv)}.json").read_text(encoding="utf-8")
+        assert _report(argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "first,second,option",
+    [
+        (
+            ("pi1", _p("circle.cx"), "--base", "0,1", "--vertex", "0"),
+            ("pi1", _p("circle.cx"), "--base", "0,1"),
+            "vertex",
+        ),
+        (
+            ("vkt", _p("circle.cov"), "--base", "0,1", "--targets", "c2"),
+            ("vkt", _p("circle.cov"), "--base", "0,1"),
+            "targets",
+        ),
+    ],
+)
+def test_an_option_does_not_carry_over_to_the_next_call(first, second, option, capsys):
+    main([*first, "--machine"])
+    assert option in json.loads(capsys.readouterr().out)["arguments"]
+    main([*second, "--machine"])
+    assert option not in json.loads(capsys.readouterr().out)["arguments"]
+
+
+def test_a_report_path_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["xmod", "check", _p("c4c2.xm"), "--report", str(path)]) == 0
+    path.unlink()
+    assert main(["xmod", "check", _p("c4c2.xm")]) == 0
+    capsys.readouterr()
+    assert not path.exists()
+
+
+def test_a_usage_error_between_calls_leaves_the_parser_working(capsys):
+    assert main(["cube", "check", _p("cube-z5.cube")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["dgpd", "compose", _p("squares-c2.sq"), "--dir", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gpdkit dgpd compose")
+    assert "invalid choice: 'x'" in err
+    assert main(["dgpd", "compose", _p("squares-c2.sq"), "--dir", "h"]) == 0
+
+
+def _machine_error(capsys, argv, code):
+    """Run a failing command; return its one report and its stderr lines."""
+    assert main([*argv, "--machine"]) == code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["exit_code"] == code
+    return report, captured.err.splitlines()
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"kind: group\nelements: 0 1\xff\n")
+    report, err = _machine_error(capsys, ["xmod", "aut", str(bad)], 2)
+    assert report["data"] == {"error_kind": "parse-error"}
+    assert report["witnesses"] == ["line 2: byte 0xff is not valid UTF-8"]
+    assert err == ["error: line 2: byte 0xff is not valid UTF-8"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("xmod", "aut", _p("c2.grp")), 0),
+        (("xmod", "check", _p("c2.grp")), 2),  # the error report fails to write
+        (("eh", "check", _p("eh-s3.eh")), 1),
+    ],
+)
+def test_an_unwritable_report_path_is_an_io_error(tmp_path, argv, code, capsys):
+    path = tmp_path / "missing" / "report.json"
+    report, err = _machine_error(capsys, [*argv, "--report", str(path)], 2)
+    assert report["data"] == {"error_kind": "io-error"}
+    assert report["witnesses"] == [err[-1].removeprefix("error: ")]
+    assert str(path) in err[-1]
+    # One failed write: the io-error report does not try again.
+    assert len(err) == (2 if code == 2 else 1)
+    assert not path.parent.exists()
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(xm):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gpdkit.cli.check_axioms", broken)
+    report, err = _machine_error(capsys, ["xmod", "check", _p("c4c2.xm")], 4)
+    assert report["verdict"] == "error"
+    assert report["witnesses"] == ["internal error: RuntimeError('boom')"]
+    assert report["data"]["error_kind"] == "internal-error"
+    assert "RuntimeError: boom" in report["data"]["traceback"][-1]
+    assert err == ["error: internal error: RuntimeError('boom')"]
+    # Without --machine the human output is the one stderr line.
+    assert main(["xmod", "check", _p("c4c2.xm")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError('boom')\n"
+
+
+def test_a_map_from_outside_the_source_group_is_rejected(capsys):
+    argv = [
+        "xmod", "induced", _p("c4c2.xm"),
+        "--to", _p("c2.grp"),
+        "--map", "0=0,1=1,5=1",
+    ]
+    report, _ = _machine_error(capsys, argv, 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert "'5'" in report["witnesses"][0]

@@ -7,6 +7,7 @@ from gpdkit.dblgpd import commutative_cube_check, eckmann_hilton_check, hcompose
 from gpdkit.documents import (
     Document,
     ParseError,
+    load_document,
     parse_document,
     render_document,
 )
@@ -369,6 +370,24 @@ def test_inconsistent_indentation_reports_line():
         parse_document(text2)
     assert exc.value.line == 7
     parse_document(text)  # a deeper but consistent block is fine
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"kind: group\nelements: 0 1\xff\n", 2),
+        (b"\xc3", 1),
+        # \r\n and a lone \r each end one line, as they do for the parser
+        (b"kind: group\r\nname: c\xc3\xa9\relements: \x80 1\n", 3),
+    ],
+)
+def test_invalid_utf8_is_a_parse_error_at_its_line(tmp_path, data, line):
+    path = tmp_path / "doc.grp"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_document(path)
+    assert exc.value.line == line
+    assert "not valid UTF-8" in str(exc.value)
 
 
 def test_value_with_nested_lines_rejected():

@@ -169,6 +169,9 @@ def test_group_hom_validation():
     assert f(3) == 1
     with pytest.raises(ValidationError):
         group_hom(c4, c2, {i: 1 for i in range(4)})
+    with pytest.raises(ValidationError) as exc:
+        group_hom(c4, c2, {**{i: i % 2 for i in range(4)}, 5: 1})
+    assert exc.value.witness == 5
 
 
 def test_identity_xmod_morphism_checks_out():
