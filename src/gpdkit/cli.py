@@ -70,11 +70,6 @@ from .xmod import (
 )
 
 
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _csv(text):
     return tuple(t for t in (s.strip() for s in text.split(",")) if t)
 
@@ -103,13 +98,14 @@ def _battery_subset(names):
     return out
 
 
-def _load(path, kind):
+def _load(args, path, kind):
     doc = load_document(path)
     if doc.kind != kind:
         raise ValidationError(
             f"{path} holds a {doc.kind} document, expected {kind}",
             witness=doc.kind,
         )
+    args.sources[path] = doc.source
     return doc.payload
 
 
@@ -132,15 +128,15 @@ def _command_name(args):
     return " ".join(parts)
 
 
-_PRIVATE_ARGS = ("machine", "report", "command", "subcommand")
+_PRIVATE_ARGS = ("machine", "report", "command", "subcommand", "sources")
 
 
-def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
+def _report(args, verdict, exit_code, inputs=None, counts=None, witnesses=(),
             data=None, lines=None):
-    """Build the machine report; print it with ``--machine``, else print
-    ``lines`` and the verdict (nothing when ``lines`` is None); write it to
-    ``--report`` first, so a failed write prints nothing.  Returns the exit
-    code."""
+    """Build the machine report, digesting ``inputs`` (path -> bytes parsed);
+    print it with ``--machine``, else print ``lines`` and the verdict
+    (nothing when ``lines`` is None); write it to ``--report`` first, so a
+    failed write prints nothing.  Returns the exit code."""
     report = {
         "command": _command_name(args),
         "arguments": {
@@ -148,7 +144,7 @@ def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
             for k, v in vars(args).items()
             if k not in _PRIVATE_ARGS and v is not None
         },
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: hashlib.sha256(b).hexdigest() for p, b in (inputs or {}).items()},
         "verdict": verdict,
         "exit_code": exit_code,
         "counts": dict(counts or {}),
@@ -171,16 +167,17 @@ def _report(args, verdict, exit_code, inputs=(), counts=None, witnesses=(),
     return exit_code
 
 
-def _finish(args, ok, inputs, counts=None, witnesses=(), data=None, lines=()):
-    """Report a completed check: pass and exit 0, or fail and exit 1."""
+def _finish(args, ok, counts=None, witnesses=(), data=None, lines=()):
+    """Report a completed check on every document the command parsed: pass
+    and exit 0, or fail and exit 1."""
     return _report(
-        args, "pass" if ok else "fail", 0 if ok else 1, inputs,
+        args, "pass" if ok else "fail", 0 if ok else 1, args.sources,
         counts, witnesses, data, lines,
     )
 
 
 def cmd_pi1(args):
-    x = _load(args.complex_file, "complex")
+    x = _load(args, args.complex_file, "complex")
     base = _csv(args.base)
     pres = fundamental_groupoid(x, base)
     counts = {
@@ -211,13 +208,11 @@ def cmd_pi1(args):
             lines.append(
                 f"  reduced loop counts, lengths 0..6: {data['free_loop_counts']}"
             )
-    return _finish(
-        args, True, [args.complex_file], counts=counts, data=data, lines=lines
-    )
+    return _finish(args, True, counts=counts, data=data, lines=lines)
 
 
 def cmd_vkt(args):
-    c = _load(args.cover_file, "cover")
+    c = _load(args, args.cover_file, "cover")
     base = _csv(args.base)
     targets = _battery_subset(args.targets)
     result = vkt_square(c, base, targets=targets)
@@ -247,7 +242,6 @@ def cmd_vkt(args):
     return _finish(
         args,
         ok,
-        [args.cover_file],
         counts=counts,
         witnesses=witnesses,
         data={"evidence": evidence},
@@ -275,9 +269,9 @@ def _name_inclusion(src, dst, label):
 
 
 def cmd_pushout(args):
-    pu = _load(args.u_file, "presentation")
-    pv = _load(args.v_file, "presentation")
-    pw = _load(args.w_file, "presentation")
+    pu = _load(args, args.u_file, "presentation")
+    pv = _load(args, args.v_file, "presentation")
+    pw = _load(args, args.w_file, "presentation")
     f = _name_inclusion(pw, pu, args.u_file)
     g = _name_inclusion(pw, pv, args.v_file)
     square = pushout(f, g)
@@ -310,7 +304,6 @@ def cmd_pushout(args):
     return _finish(
         args,
         rep.ok,
-        [args.u_file, args.v_file, args.w_file],
         counts=counts,
         witnesses=witnesses,
         data={"per_target": per_target},
@@ -319,7 +312,7 @@ def cmd_pushout(args):
 
 
 def cmd_xmod_check(args):
-    xm = _load(args.xmod_file, "xmod")
+    xm = _load(args, args.xmod_file, "xmod")
     law = check_axioms(xm)
     cent = kernel_central_check(xm)
     witnesses = [f"{family}: {w!r}" for family, w in law.failures]
@@ -340,7 +333,6 @@ def cmd_xmod_check(args):
     return _finish(
         args,
         ok,
-        [args.xmod_file],
         counts=counts,
         witnesses=witnesses,
         data=data,
@@ -349,7 +341,7 @@ def cmd_xmod_check(args):
 
 
 def cmd_xmod_aut(args):
-    g = _load(args.group_file, "group")
+    g = _load(args, args.group_file, "group")
     xm = automorphism_xmod(g)
     law = check_axioms(xm)
     counts = {"group_order": len(g), "aut_order": len(xm.p.arrows)}
@@ -361,7 +353,6 @@ def cmd_xmod_aut(args):
     return _finish(
         args,
         law.ok,
-        [args.group_file],
         counts=counts,
         witnesses=witnesses,
         lines=lines,
@@ -369,7 +360,7 @@ def cmd_xmod_aut(args):
 
 
 def cmd_xmod_normal(args):
-    g = _load(args.group_file, "group")
+    g = _load(args, args.group_file, "group")
     sub = subgroup(g, _csv(args.subgroup))
     counts = {"group_order": len(g), "subgroup_order": len(sub.elements)}
     try:
@@ -381,7 +372,6 @@ def cmd_xmod_normal(args):
         return _finish(
             args,
             False,
-            [args.group_file],
             counts=counts,
             witnesses=[witness],
             lines=["subgroup is not normal", f"  {witness}"],
@@ -394,7 +384,6 @@ def cmd_xmod_normal(args):
     return _finish(
         args,
         law.ok,
-        [args.group_file],
         counts=counts,
         witnesses=[f"{family}: {w!r}" for family, w in law.failures],
         lines=lines,
@@ -402,7 +391,7 @@ def cmd_xmod_normal(args):
 
 
 def cmd_xmod_free(args):
-    g = _load(args.group_file, "group")
+    g = _load(args, args.group_file, "group")
     gens = _csv(args.gens)
     boundary = _pairs(args.boundary)
     if set(boundary) != set(gens):
@@ -414,24 +403,20 @@ def cmd_xmod_free(args):
     counts = {"generators": len(gens)}
     data = {"presentation": free.render()}
     lines = free.render().splitlines()
-    inputs = [args.group_file]
     if args.verify_against:
-        xm = _load(args.verify_against, "xmod")
-        inputs.append(args.verify_against)
+        xm = _load(args, args.verify_against, "xmod")
         fr = morphisms_from_free(free, xm)
         counts["morphisms"] = fr.count
         data["fibers"] = {r: list(images) for r, images in fr.fibers}
         lines.append(f"morphisms into the target: {fr.count}")
         for r, images in fr.fibers:
             lines.append(f"  fiber of {r}: {{{', '.join(images)}}}")
-    return _finish(
-        args, True, inputs, counts=counts, data=data, lines=lines
-    )
+    return _finish(args, True, counts=counts, data=data, lines=lines)
 
 
 def cmd_xmod_induced(args):
-    xm = _load(args.xmod_file, "xmod")
-    gq = _load(args.to_file, "group")
+    xm = _load(args, args.xmod_file, "xmod")
+    gq = _load(args, args.to_file, "group")
     hom = group_hom(_base_group(xm), gq, _pairs(args.mapping))
     ind = induced_xmod_presentation(xm, hom)
     counts = {
@@ -440,18 +425,14 @@ def cmd_xmod_induced(args):
     }
     data = {"presentation": ind.render()}
     lines = ind.render().splitlines()
-    inputs = [args.xmod_file, args.to_file]
     if args.verify_against:
-        target = _load(args.verify_against, "xmod")
-        inputs.append(args.verify_against)
+        target = _load(args, args.verify_against, "xmod")
         mors = morphisms_over(xm, hom, target)
         counts["morphisms_over"] = len(mors)
         lines.append(
             f"maps over the homomorphism into the target: {len(mors)}"
         )
-    return _finish(
-        args, True, inputs, counts=counts, data=data, lines=lines
-    )
+    return _finish(args, True, counts=counts, data=data, lines=lines)
 
 
 def _square_data(s):
@@ -465,7 +446,7 @@ def _square_data(s):
 
 
 def cmd_dgpd_compose(args):
-    d = _load(args.squares_file, "squares")
+    d = _load(args, args.squares_file, "squares")
     seq = d.listed()
     if not seq:
         raise ValidationError("document lists no squares")
@@ -482,7 +463,6 @@ def cmd_dgpd_compose(args):
     return _finish(
         args,
         True,
-        [args.squares_file],
         counts={"squares": len(seq)},
         data={"result": _square_data(out)},
         lines=lines,
@@ -490,7 +470,7 @@ def cmd_dgpd_compose(args):
 
 
 def cmd_dgpd_array(args):
-    d = _load(args.squares_file, "squares")
+    d = _load(args, args.squares_file, "squares")
     if not d.array:
         raise ValidationError("document has no array block")
     grid = d.grid()
@@ -508,7 +488,6 @@ def cmd_dgpd_array(args):
     return _finish(
         args,
         ok,
-        [args.squares_file],
         counts=counts,
         witnesses=witnesses,
         data={
@@ -520,7 +499,7 @@ def cmd_dgpd_array(args):
 
 
 def cmd_dgpd_roundtrip(args):
-    xm = _load(args.xmod_file, "xmod")
+    xm = _load(args, args.xmod_file, "xmod")
     d = from_xmod(xm)
     recovered = to_xmod(d)
     iso = round_trip_isomorphism(xm, recovered)
@@ -539,7 +518,6 @@ def cmd_dgpd_roundtrip(args):
     return _finish(
         args,
         ok,
-        [args.xmod_file],
         counts=counts,
         witnesses=[f"{family}: {w!r}" for family, w in rep.failures],
         lines=lines,
@@ -547,7 +525,7 @@ def cmd_dgpd_roundtrip(args):
 
 
 def cmd_cube_check(args):
-    doc = _load(args.cube_file, "cube")
+    doc = _load(args, args.cube_file, "cube")
     rep = commutative_cube_check(doc.group, doc.cube)
     witnesses = [f"face {name} does not commute" for name in rep.failing_faces]
     if not rep.ok and not rep.failing_faces:
@@ -562,7 +540,6 @@ def cmd_cube_check(args):
     return _finish(
         args,
         rep.ok,
-        [args.cube_file],
         counts={"group_order": len(doc.group)},
         witnesses=witnesses,
         lines=lines,
@@ -570,8 +547,8 @@ def cmd_cube_check(args):
 
 
 def cmd_cube_compose(args):
-    first = _load(args.cube_file, "cube")
-    second = _load(args.cube_file2, "cube")
+    first = _load(args, args.cube_file, "cube")
+    second = _load(args, args.cube_file2, "cube")
     g = first.group
     h = second.group
     if g.elements != h.elements or g.table != h.table or g.unit != h.unit:
@@ -588,7 +565,6 @@ def cmd_cube_compose(args):
     return _finish(
         args,
         rep.ok,
-        [args.cube_file, args.cube_file2],
         counts={"group_order": len(g)},
         witnesses=witnesses,
         lines=lines,
@@ -596,7 +572,7 @@ def cmd_cube_compose(args):
 
 
 def cmd_eh_check(args):
-    d = _load(args.eh_file, "eh")
+    d = _load(args, args.eh_file, "eh")
     rep = eckmann_hilton_check(d.elements, d.op1, d.op2, d.unit1, d.unit2)
     if rep.ok:
         lines = [
@@ -617,7 +593,6 @@ def cmd_eh_check(args):
     return _finish(
         args,
         rep.ok,
-        [args.eh_file],
         counts={"elements": len(d.elements)},
         witnesses=witnesses,
         data=data,
@@ -776,6 +751,7 @@ def _error_exit(args, exc):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.sources = {}  # path -> the bytes parsed, hashed into the report
     handler = globals()["cmd_" + _command_name(args).replace(" ", "_")]
     try:
         return handler(args)

@@ -28,13 +28,13 @@ contain whitespace, ``:``, ``#``, ``=``, or ``^``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import ValidationError, build_groupoid, finite_group, from_group, perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
 from .presentations import Quiver, presentation, quiver, word
-from .vankampen import Complex2, SubcomplexCover, complex2, cover
+from .vankampen import _complex_on, cover
 from .xmod import CrossedModule, crossed_module
 
 
@@ -59,52 +59,57 @@ KINDS = (
     "eh",
 )
 
-_FORBIDDEN = set(" \t:#=^")
+_FORBIDDEN = frozenset(" \t:#=^")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     line: int
     key: object  # str for entries, None for raw lines
     value: str
+    indent: int  # the column the line's text starts in
     children: list = field(default_factory=list)
 
 
 def _tree(text):
-    """Indentation tree of entry and raw nodes."""
-    root = _Node(line=0, key=None, value="")
-    stack = [(-1, root)]
+    """Indentation tree of entry and raw nodes.  Blank and comment-only
+    lines are skipped before the indentation is looked at."""
+    root = _Node(0, None, "", -1)
+    stack = [root]
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         content = rawline.split("#", 1)[0].rstrip()
-        if not content.strip():
+        if not content:
             continue
-        if "\t" in rawline[: len(rawline) - len(rawline.lstrip())]:
+        body = content.lstrip()
+        lead = content[: len(content) - len(body)]
+        if "\t" in lead:
             raise ParseError("tabs are not allowed in indentation", lineno)
-        indent = len(content) - len(content.lstrip(" "))
-        body = content.strip()
+        indent = len(lead) - len(lead.lstrip(" "))
         if ":" in body:
             key, _, value = body.partition(":")
-            node = _Node(line=lineno, key=key.strip(), value=value.strip())
-            if not node.key:
+            key = key.strip()
+            if not key:
                 raise ParseError("empty key", lineno)
+            node = _Node(lineno, key, value.strip(), indent)
         else:
-            node = _Node(line=lineno, key=None, value=body)
-        while stack and indent <= stack[-1][0]:
+            node = _Node(lineno, None, body, indent)
+        while indent <= stack[-1].indent:
             stack.pop()
-        parent = stack[-1][1]
-        if parent.children:
-            expected = parent.children[0].line_indent
-            if indent != expected:
+        parent = stack[-1]
+        siblings = parent.children
+        if siblings:
+            if indent != siblings[0].indent:
                 raise ParseError("inconsistent indentation", lineno)
-        node.line_indent = indent
-        if parent is not root and parent.key is not None and parent.value:
-            raise ParseError(
-                f"entry {parent.key!r} has both a value and nested lines", lineno
-            )
-        if parent is not root and parent.key is None:
-            raise ParseError("raw lines cannot have nested lines", lineno)
-        parent.children.append(node)
-        stack.append((indent, node))
+        elif parent is not root:
+            # The first child checks its parent once for all its siblings.
+            if parent.key is None:
+                raise ParseError("raw lines cannot have nested lines", lineno)
+            if parent.value:
+                raise ParseError(
+                    f"entry {parent.key!r} has both a value and nested lines", lineno
+                )
+        siblings.append(node)
+        stack.append(node)
     return root
 
 
@@ -144,7 +149,7 @@ def _value_of(node, key, line, required=True):
 def _names(text, line):
     names = text.split()
     for n in names:
-        if set(n) & _FORBIDDEN:
+        if not _FORBIDDEN.isdisjoint(n):
             raise ParseError(f"bad name {n!r}", line)
     return names
 
@@ -316,11 +321,7 @@ def _complex_of(node):
         for row in _entries(faces_node):
             w = _word_of(row.value.split(), q, row.line)
             faces.append((row.key, w))
-    return complex2(
-        q.vertices,
-        [(e, q.esrc[e], q.etgt[e]) for e in q.edges],
-        faces,
-    )
+    return _complex_on(q, faces)
 
 
 def _cover_of(node):
@@ -465,6 +466,7 @@ def _eh_of(node):
 class Document:
     kind: str
     payload: object
+    source: bytes = field(default=b"", compare=False, repr=False)  # bytes parsed
 
 
 _INTERPRETERS = {
@@ -500,7 +502,7 @@ def load_document(path):
         raise ParseError(
             f"byte {data[exc.start]:#04x} is not valid UTF-8", line
         ) from None
-    return parse_document(text)
+    return replace(parse_document(text), source=data)
 
 
 def _render_group(g, indent=""):

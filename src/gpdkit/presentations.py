@@ -25,7 +25,7 @@ k greedily chosen generating arrows, so a search into a group H examines
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -47,8 +47,12 @@ class Quiver:
     edges: tuple
     esrc: dict
     etgt: dict
+    # Set by a successful ``validate``, as on ``FiniteGroup``.
+    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def validate(self):
+        if self._validated:
+            return self
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValidationError("duplicate vertices", witness=self.vertices)
@@ -57,6 +61,7 @@ class Quiver:
         for e in self.edges:
             if self.esrc.get(e) not in vset or self.etgt.get(e) not in vset:
                 raise ValidationError("edge with bad endpoints", witness=e)
+        object.__setattr__(self, "_validated", True)
         return self
 
     def letter_src(self, letter):
@@ -111,39 +116,68 @@ def empty_word(v):
     return Word(src=v, tgt=v, letters=())
 
 
+_ANY = object()  # ``_chain`` start: wherever the first letter starts
+
+
+def _chain(q, letters, here=_ANY):
+    """Source and target of ``letters``, tuples ``(edge, 1 | -1)`` with
+    ``int`` signs, read from vertex ``here``; the first letter that is
+    malformed or does not start where the chain stands raises."""
+    esrc, etgt = q.esrc, q.etgt
+    src = here
+    for i, letter in enumerate(letters):
+        try:
+            e, s = letter
+            known = e in esrc
+        except (TypeError, ValueError):
+            known = False
+        if not (known and type(letter) is tuple and type(s) is int and s in (1, -1)):
+            raise ValidationError("malformed letter", witness=letter)
+        start = esrc[e] if s == 1 else etgt[e]
+        if here is _ANY:
+            src = start
+        elif start != here:
+            raise ValidationError("letters do not chain", witness=(i, letter, here))
+        here = etgt[e] if s == 1 else esrc[e]
+    return src, here
+
+
 def word(q, letters, at=None):
     """Validated word over quiver ``q``; ``at`` places an empty word.
     Signs are normalised with ``int``, so ``("a", "1")`` reads as ``("a", 1)``."""
     normal = []
-    for letter in letters:
-        try:
-            e, s = letter
-            letter = (e, int(s))
-            known = e in q.esrc
-        except (TypeError, ValueError):
-            raise ValidationError("malformed letter", witness=letter) from None
-        if not known or letter[1] not in (1, -1):
-            raise ValidationError("malformed letter", witness=letter)
-        if not normal:
-            src = here = q.letter_src(letter)
-        elif q.letter_src(letter) != here:
-            raise ValidationError(
-                "letters do not chain", witness=(len(normal), letter, here)
-            )
-        here = q.letter_tgt(letter)
-        normal.append(letter)
+
+    def normalised():
+        for letter in letters:
+            try:
+                e, s = letter
+                letter = (e, int(s))
+            except (TypeError, ValueError):
+                raise ValidationError("malformed letter", witness=letter) from None
+            normal.append(letter)
+            yield letter
+
+    src, tgt = _chain(q, normalised())
     if not normal:
         if at is None or at not in q.vertices:
             raise ValidationError("empty word needs a vertex", witness=at)
         return empty_word(at)
-    return Word(src=src, tgt=here, letters=tuple(normal))
+    return Word(src=src, tgt=tgt, letters=tuple(normal))
 
 
 def _check_word(q, w, message, witness):
     """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
     ``word`` builds from its letters; a word that ``word`` rejects raises
-    ``word``'s own error."""
-    if word(q, w.letters, at=w.src) != w:
+    ``word``'s own error.  A nonempty word whose letters walk from ``w.src``
+    to ``w.tgt`` passes in place; any other is rebuilt for ``word``'s say."""
+    letters = w.letters
+    if type(w) is Word and type(letters) is tuple and letters:
+        try:
+            if _chain(q, letters, w.src)[1] == w.tgt:
+                return
+        except ValidationError:
+            pass
+    if word(q, letters, at=w.src) != w:
         raise ValidationError(message, witness=witness)
 
 

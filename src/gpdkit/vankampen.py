@@ -57,11 +57,15 @@ class Complex2:
     # Set by a successful ``validate``; ``init=False`` keeps raw construction,
     # ``restrict`` and ``dataclasses.replace`` from inheriting it.
     _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    # The edge quiver, built on first use or handed over by ``_complex_on``.
+    _quiver: Quiver = field(default=None, init=False, compare=False, repr=False)
 
     def edge_quiver(self):
-        return Quiver(
-            vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt
-        )
+        if self._quiver is None:
+            object.__setattr__(self, "_quiver", Quiver(
+                vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt
+            ))
+        return self._quiver
 
     def validate(self):
         """Check the edge quiver and every face boundary; a successful check
@@ -85,7 +89,11 @@ class Complex2:
 def complex2(vertices, edges, faces=()):
     """Build a complex from edge triples and ``(face, boundary)`` pairs,
     where a boundary is a letter list and letters are ``(edge, sign)``."""
-    q = quiver(vertices, edges)
+    return _complex_on(quiver(vertices, edges), faces)
+
+
+def _complex_on(q, faces):
+    """The complex on a checked edge quiver ``q``, kept as its own."""
     fids = tuple(f for f, _ in faces)
     fboundary = {}
     for f, letters in faces:
@@ -93,14 +101,16 @@ def complex2(vertices, edges, faces=()):
             fboundary[f] = letters
         else:
             fboundary[f] = word(q, list(letters))
-    return Complex2(
+    x = Complex2(
         vertices=q.vertices,
         edges=q.edges,
         esrc=q.esrc,
         etgt=q.etgt,
         faces=fids,
         fboundary=fboundary,
-    ).validate()
+    )
+    object.__setattr__(x, "_quiver", q)
+    return x.validate()
 
 
 @dataclass(frozen=True)
@@ -259,15 +269,15 @@ def _fundamental(x, base):
     bad = [b for b in base if b not in x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    blocks = skeleton_components(x.vertices, x.edges, x.esrc, x.etgt)
-    bset = set(base)
-    for block in blocks:
-        if not bset & set(block):
-            raise HypothesisError(
-                f"base points miss a component: {block!r}", report=block
-            )
     q = x.edge_quiver()
     paths, root_of, tree_edges = spanning_tree(q, base)
+    bset = set(base)
+    if len(paths) < len(x.vertices):  # name the first component missed
+        block = next(
+            b for b in skeleton_components(x.vertices, x.edges, x.esrc, x.etgt)
+            if bset.isdisjoint(b)
+        )
+        raise HypothesisError(f"base points miss a component: {block!r}", report=block)
     generators = tuple(e for e in x.edges if e not in tree_edges)
     pq = quiver(
         tuple(v for v in x.vertices if v in bset),

@@ -1,5 +1,7 @@
 """End-to-end command line behavior on the document corpus in tests/data."""
 
+import builtins
+import hashlib
 import json
 import random
 from itertools import product
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gpdkit import cli
 from gpdkit.cli import build_parser, main
 from gpdkit.core import cyclic_group, finite_group
 from gpdkit.documents import Document, load_document, render_document
@@ -349,3 +352,41 @@ def test_a_map_from_outside_the_source_group_is_rejected(capsys):
     report, _ = _machine_error(capsys, argv, 2)
     assert report["data"] == {"error_kind": "validation-error"}
     assert "'5'" in report["witnesses"][0]
+
+
+def test_each_input_is_opened_once_per_call(tmp_path, monkeypatch, capsys):
+    names = ("wedge-u.pres", "wedge-v.pres", "wedge-w.pres")
+    paths = [str(tmp_path / n) for n in names]
+    for n, p in zip(names, paths):
+        Path(p).write_bytes((DATA / n).read_bytes())
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for _ in range(2):
+        opened.clear()
+        assert main(["pushout", *paths, "--machine"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(opened) == sorted(paths)
+        assert set(report["inputs"]) == set(paths)
+
+
+def test_the_digest_is_of_the_bytes_that_were_parsed(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c4c2.xm"
+    parsed = (DATA / "c4c2.xm").read_bytes()
+    path.write_bytes(parsed)
+    real_load = cli.load_document
+
+    def load_then_edit(p):
+        doc = real_load(p)
+        Path(p).write_bytes(parsed + b"# edited after parsing\n")
+        return doc
+
+    monkeypatch.setattr(cli, "load_document", load_then_edit)
+    assert main(["xmod", "check", str(path), "--machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == {str(path): hashlib.sha256(parsed).hexdigest()}

@@ -30,7 +30,7 @@ from gpdkit.core import (
     vertex_group,
 )
 from gpdkit.documents import load_document
-from gpdkit.presentations import Word
+from gpdkit.presentations import Quiver, Word, presentation, quiver
 from gpdkit.vankampen import Complex2, Subcomplex, complex2, fundamental_groupoid, restrict
 from gpdkit.xmod import automorphism_group, automorphism_xmod, crossed_module
 
@@ -358,3 +358,74 @@ def test_a_broken_unmarked_complex_fails_in_the_fundamental_groupoid(build):
             fundamental_groupoid(broken, (0,))
         assert str(info.value) == "boundary word is not closed"
         assert info.value.witness == ("f", open_word)
+
+
+# ------------------------------------------------------------------ quivers
+
+
+@pytest.fixture
+def quiver_walks(monkeypatch):
+    """Record the vertices of each quiver ``Quiver.validate`` really walks,
+    not counting calls that a successful earlier check made free."""
+    walks = []
+    real = Quiver.validate
+
+    def spy(self):
+        if not self._validated:
+            walks.append(self.vertices)
+        return real(self)
+
+    monkeypatch.setattr(Quiver, "validate", spy)
+    return walks
+
+
+def test_a_built_complex_walks_its_quiver_once(quiver_walks):
+    x = _disc()
+    assert quiver_walks == [(0, 1)]
+    p = fundamental_groupoid(x, (0,))
+    # the presentation's own quiver, walked once by ``quiver``, not again
+    # by ``presentation``
+    assert quiver_walks == [(0, 1), (0,)]
+    assert presentation(p.quiver, p.relations) == p
+    assert quiver_walks == [(0, 1), (0,)]
+
+
+def test_a_parsed_complex_walks_its_quiver_once(quiver_walks):
+    x = load_document(DATA / "disc.cx").payload
+    assert quiver_walks == [("0", "1")]
+    fundamental_groupoid(x, ("0",))
+    assert quiver_walks == [("0", "1"), ("0",)]
+
+
+def test_raw_and_replaced_quivers_are_still_walked(quiver_walks):
+    q = quiver((0, 1), [("a", 0, 1)])
+    raw = Quiver(vertices=q.vertices, edges=q.edges, esrc=q.esrc, etgt=q.etgt)
+    presentation(raw)
+    presentation(replace(q))
+    assert quiver_walks == [(0, 1), (0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda q, bad: Quiver(vertices=q.vertices, edges=q.edges, esrc=bad, etgt=q.etgt),
+        lambda q, bad: replace(q, esrc=bad),
+    ],
+    ids=["raw", "replace"],
+)
+def test_a_broken_unmarked_quiver_is_rejected(build):
+    q = quiver((0, 1), [("a", 0, 1)])
+    broken = build(q, {"a": 2})
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            presentation(broken)
+        assert (str(info.value), info.value.witness) == ("edge with bad endpoints", "a")
+
+
+def test_a_replaced_complex_rebuilds_and_checks_its_quiver():
+    x = _disc()
+    broken = replace(x, etgt={"a": 1, "b": 2})
+    assert broken.edge_quiver() is not x.edge_quiver()
+    with pytest.raises(ValidationError) as info:
+        fundamental_groupoid(broken, (0,))
+    assert (str(info.value), info.value.witness) == ("edge with bad endpoints", "b")

@@ -1,11 +1,21 @@
 """Fundamental groupoid presentations and cover pushouts on small
 complexes whose answers are known independently."""
 
+import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpdkit.core import HypothesisError, ValidationError, battery, symmetric_group
+from gpdkit.cli import main
+from gpdkit.core import (
+    HypothesisError,
+    ValidationError,
+    battery,
+    skeleton_components,
+    symmetric_group,
+)
 from gpdkit.presentations import (
     empty_word,
     enumerate_group_morphisms,
@@ -207,3 +217,85 @@ def test_vkt_explicit_targets_and_determinism():
 def test_pi1_requires_a_base_vertex():
     with pytest.raises(ValidationError):
         pi1(circle(), (0,), 1)
+
+
+# A filled circle on a0, a1, a circle of two arcs on b0, b1, and an
+# isolated vertex z, listed so that the b-component comes first.
+TWO_AND_A_POINT = complex2(
+    ("b1", "a0", "z", "b0", "a1"),
+    [("a", "a0", "a1"), ("b", "a1", "a0"), ("c", "b0", "b1"), ("d", "b0", "b1")],
+    [("f", [("a", 1), ("b", 1)])],
+)
+
+
+@pytest.mark.parametrize("base", [("a1",), ("a0", "a1")])
+def test_a_missed_component_is_named_before_the_isolated_vertex(base):
+    with pytest.raises(HypothesisError) as exc:
+        fundamental_groupoid(TWO_AND_A_POINT, base)
+    assert str(exc.value) == "base points miss a component: ('b1', 'b0')"
+    assert exc.value.report == ("b1", "b0")
+
+
+def test_an_isolated_vertex_is_named_once_the_other_components_are_met():
+    with pytest.raises(HypothesisError) as exc:
+        fundamental_groupoid(TWO_AND_A_POINT, ("b0", "a0"))
+    assert str(exc.value) == "base points miss a component: ('z',)"
+    assert exc.value.report == ("z",)
+    assert fundamental_groupoid(TWO_AND_A_POINT, ("z", "b0", "a0")).quiver.vertices == (
+        "a0", "z", "b0",
+    )
+
+
+def test_the_cli_names_the_missed_component(tmp_path, capsys):
+    path = tmp_path / "two.cx"
+    path.write_text(
+        "kind: complex\n"
+        "vertices: b1 a0 z b0 a1\n"
+        "edges:\n  a: a0 a1\n  b: a1 a0\n  c: b0 b1\n  d: b0 b1\n"
+        "faces:\n  f: a b\n",
+        encoding="utf-8",
+    )
+    assert main(["pi1", str(path), "--base", "a1", "--vertex", "a1", "--machine"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    message = "base points miss a component: ('b1', 'b0')"
+    assert report["verdict"] == "fail"
+    assert report["witnesses"] == [message]
+    assert report["data"] == {"error_kind": "hypothesis-unmet"}
+    assert captured.err == f"error: {message}\n"
+
+
+def _first_missed_block(x, base):
+    """The component check ``_fundamental`` made before the spanning forest
+    came first: the first union-find block without a base point."""
+    bset = set(base)
+    for block in skeleton_components(x.vertices, x.edges, x.esrc, x.etgt):
+        if not bset & set(block):
+            return block
+    return None
+
+
+@st.composite
+def complexes_and_bases(draw):
+    n = draw(st.integers(1, 7))
+    vertices = draw(st.permutations(range(n)))
+    edges = [
+        (f"e{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        for i in range(draw(st.integers(0, 7)))
+    ]
+    base = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3))
+    return complex2(vertices, edges), base
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=complexes_and_bases())
+def test_the_forest_first_check_names_the_union_find_block(case):
+    x, base = case
+    block = _first_missed_block(x, base)
+    if block is None:
+        fundamental_groupoid(x, base)
+        return
+    with pytest.raises(HypothesisError) as exc:
+        fundamental_groupoid(x, base)
+    assert str(exc.value) == f"base points miss a component: {block!r}"
+    assert exc.value.report == block

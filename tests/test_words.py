@@ -1,0 +1,212 @@
+"""Differential tests for the in-place word check.
+
+``_check_word`` used to rebuild every word through ``word`` and compare;
+it now walks the letters of the existing word and rebuilds only when the
+walk fails.  ``word`` itself now walks through the same ``_chain``.  The
+originals of both are kept here verbatim as ``word_oracle`` and
+``check_word_oracle``.  On random quivers, and on words that are well
+formed or broken in every way a caller can break them (list containers and
+list letters, ``str``, ``bool``, float and ±2 signs, unknown edges, letters
+that do not chain, wrong ``src``/``tgt``, empty words at unknown
+vertices), both functions must pass exactly where the oracle passes and
+otherwise raise the oracle's exception with the same message and witness.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpdkit import presentations
+from gpdkit.core import ValidationError
+from gpdkit.presentations import Quiver, Word, _check_word, empty_word, quiver, word
+
+# ------------------------------------------------------------------ oracles
+
+
+def word_oracle(q, letters, at=None):
+    """Validated word over quiver ``q``; ``at`` places an empty word.
+    Signs are normalised with ``int``, so ``("a", "1")`` reads as ``("a", 1)``."""
+    normal = []
+    for letter in letters:
+        try:
+            e, s = letter
+            letter = (e, int(s))
+            known = e in q.esrc
+        except (TypeError, ValueError):
+            raise ValidationError("malformed letter", witness=letter) from None
+        if not known or letter[1] not in (1, -1):
+            raise ValidationError("malformed letter", witness=letter)
+        if not normal:
+            src = here = q.letter_src(letter)
+        elif q.letter_src(letter) != here:
+            raise ValidationError(
+                "letters do not chain", witness=(len(normal), letter, here)
+            )
+        here = q.letter_tgt(letter)
+        normal.append(letter)
+    if not normal:
+        if at is None or at not in q.vertices:
+            raise ValidationError("empty word needs a vertex", witness=at)
+        return empty_word(at)
+    return Word(src=src, tgt=here, letters=tuple(normal))
+
+
+def check_word_oracle(q, w, message, witness):
+    """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
+    ``word`` builds from its letters; a word that ``word`` rejects raises
+    ``word``'s own error."""
+    if word_oracle(q, w.letters, at=w.src) != w:
+        raise ValidationError(message, witness=witness)
+
+
+def _outcome(f, *args):
+    """What a call did: its value, or the exception's type, arguments and
+    witness."""
+    try:
+        return ("returned", f(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), exc.args, getattr(exc, "witness", None))
+
+
+# --------------------------------------------------------------- strategies
+
+VERTICES = (0, 1, 2, "p")
+SIGNS = (1, -1, 2, -2, 0, "1", "-1", "x", True, False, 1.0, -1.0, None)
+
+
+@st.composite
+def quivers(draw):
+    vs = draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    q = quiver(
+        vs,
+        [(f"e{i}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs))) for i in range(n)],
+    )
+    if draw(st.booleans()):
+        return q
+    # A raw quiver whose source map names an edge the target map lacks:
+    # ``validate`` looks at listed edges only, so it still passes.
+    return Quiver(
+        vertices=q.vertices, edges=q.edges, esrc={**q.esrc, "stray": vs[0]}, etgt=q.etgt
+    )
+
+
+def _junk(names):
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(SIGNS))
+    return st.one_of(
+        pair,  # unknown edges, bad signs, letters that do not chain
+        pair.map(list),  # a list letter
+        st.sampled_from([("e0",), ("e0", 1, 0), (["e0"], 1), "e0", None, 7]),
+    )
+
+
+@st.composite
+def cases(draw):
+    """A quiver and a word on it: a walk, then up to three damages."""
+    q = draw(quivers())
+    start = here = draw(st.sampled_from(q.vertices))
+    letters = []
+    for _ in range(draw(st.integers(0, 6))):
+        out = [
+            (e, s) for e in q.edges for s in (1, -1)
+            if (q.esrc[e] if s > 0 else q.etgt[e]) == here
+        ]
+        if not out:
+            break
+        letter = draw(st.sampled_from(out))
+        letters.append(letter)
+        here = q.etgt[letter[0]] if letter[1] > 0 else q.esrc[letter[0]]
+    src, tgt = start, here
+    names = [*q.edges, "zz", "stray"]
+    for _ in range(draw(st.integers(0, 3))):
+        damage = draw(st.sampled_from(["insert", "replace", "drop", "src", "tgt"]))
+        if damage == "insert":
+            letters.insert(draw(st.integers(0, len(letters))), draw(_junk(names)))
+        elif damage in ("replace", "drop") and letters:
+            i = draw(st.integers(0, len(letters) - 1))
+            if damage == "drop":
+                del letters[i]
+            else:
+                letters[i] = draw(_junk(names))
+        elif damage == "src":
+            src = draw(st.sampled_from(VERTICES + ("nowhere", None)))
+        elif damage == "tgt":
+            tgt = draw(st.sampled_from(VERTICES + ("nowhere", None)))
+    container = draw(st.sampled_from([tuple, tuple, list]))
+    return q, Word(src=src, tgt=tgt, letters=container(letters))
+
+
+# -------------------------------------------------------------------- tests
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=cases())
+def test_check_word_agrees_with_the_rebuilding_oracle(case):
+    q, w = case
+    witness = ("w", w)
+    want = _outcome(check_word_oracle, q, w, "bad word", witness)
+    assert _outcome(_check_word, q, w, "bad word", witness) == want
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=cases(), at=st.sampled_from(VERTICES + ("nowhere", None)))
+def test_word_agrees_with_the_original(case, at):
+    q, w = case
+    want = _outcome(word_oracle, q, w.letters, at)
+    assert _outcome(word, q, w.letters, at) == want
+
+
+@dataclass(frozen=True)
+class TaggedWord(Word):
+    pass
+
+
+Q = quiver((0, 1), [("a", 0, 1), ("b", 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        Word(src=0, tgt=0, letters=(("a", 1), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", 1), ("a", -1))),
+        Word(src=0, tgt=0, letters=()),
+        Word(src=0, tgt=1, letters=()),
+        Word(src="nowhere", tgt="nowhere", letters=()),
+        Word(src=None, tgt=None, letters=()),
+        Word(src=0, tgt=0, letters=[]),
+        Word(src=0, tgt=0, letters=[("a", 1), ("b", 1)]),
+        Word(src=0, tgt=0, letters=(["a", 1], ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", True), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", 1.0), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", "1"), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", 2), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("z", 1), ("b", 1))),
+        Word(src=0, tgt=0, letters=(("a", 1), ("a", 1))),
+        Word(src=1, tgt=0, letters=(("a", 1), ("b", 1))),
+        Word(src=0, tgt=1, letters=(("a", 1), ("b", 1))),
+        TaggedWord(src=0, tgt=0, letters=(("a", 1), ("b", 1))),
+    ],
+    ids=repr,
+)
+def test_check_word_agrees_on_hand_picked_words(w):
+    want = _outcome(check_word_oracle, Q, w, "bad word", w)
+    assert _outcome(_check_word, Q, w, "bad word", w) == want
+
+
+def test_a_well_formed_word_is_checked_without_a_rebuild(monkeypatch):
+    calls = []
+    real = presentations.word
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "word", spy)
+    _check_word(Q, Word(src=0, tgt=0, letters=(("a", 1), ("b", 1))), "bad", None)
+    assert calls == []
+    with pytest.raises(ValidationError) as info:
+        _check_word(Q, Word(src=0, tgt=1, letters=(("a", 1), ("b", 1))), "bad", "w")
+    assert (str(info.value), info.value.witness) == ("bad", "w")
+    assert len(calls) == 1
