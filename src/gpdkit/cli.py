@@ -742,6 +742,8 @@ def _error_exit(args, exc):
         data["traceback"] = traceback.format_exception(exc)
     else:
         message = str(exc)
+    if isinstance(exc, SizeGuardExceeded):
+        data.update(needed=exc.needed, allowed=exc.allowed)
     print(f"error: {message}", file=sys.stderr)
     return _report(
         args, "fail" if code == 1 else "error", code,

@@ -47,7 +47,12 @@ class ValidationError(Exception):
 
 
 class SizeGuardExceeded(Exception):
-    """An enumeration would exceed the configured candidate bound."""
+    """An enumeration would exceed the configured candidate bound: it
+    needed more than ``allowed`` candidates, ``needed`` when it stopped."""
+
+    def __init__(self, message, needed=None, allowed=None):
+        super().__init__(message)
+        self.needed, self.allowed = needed, allowed
 
 
 class CompositionError(Exception):

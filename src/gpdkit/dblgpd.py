@@ -281,7 +281,9 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
                 continue
             total += len(p.arrows_from(p.src[g])) * len(xm.m[w].elements)
             if total > guard:
-                raise SizeGuardExceeded(f"carrier needs more than {guard} squares")
+                raise SizeGuardExceeded(
+                    f"carrier needs more than {guard} squares", total, guard
+                )
     comp, inv = p.comp, p.inv
     squares = []
     for w in p.objects:

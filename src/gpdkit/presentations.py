@@ -11,24 +11,27 @@ maps between fundamental groupoids need.  Pushouts are computed at the
 presentation level: disjoint union, identify image vertices, add one
 relation ``f(e) = g(e)`` per generator of the common source.
 
-Morphisms into a finite groupoid are enumerated as tuples ``(vertex images,
-edge images)``, each relation checked as soon as its last edge is assigned;
-a presentation morphism compiles into a map restricting such tuples along it.
-``enumerate_pres_morphisms`` is the package's one morphism search:
-functors between finite groupoids (``enumerate_morphisms``) and group
-homomorphisms (``group_homs``) are read off it, through a presentation on
-k greedily chosen generating arrows, so a search into a group H examines
-|H|^k candidates.  Past the guard it raises ``SizeGuardExceeded`` with
-"presentation morphism search needs more than {guard} candidates".
+Morphisms into a finite groupoid are enumerated in blocks ``(vertex
+images, [edge images, ...])``, one per vertex assignment, each relation
+checked as soon as its last edge is assigned; a presentation morphism
+compiles into a map restricting such blocks along it.  The package's one
+morphism search, ``enumerate_pres_morphisms``, reads them out as keys
+``(vertex images, edge images)``.  Functors (``enumerate_morphisms``) and
+group homomorphisms (``group_homs``) are read off it, through a
+presentation on k greedily chosen generating arrows, so a search into a
+group H examines |H|^k candidates.  Past the guard it raises
+``SizeGuardExceeded`` with "presentation morphism search needs more than
+{guard} candidates".
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import chain, product, repeat, starmap
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -63,6 +66,10 @@ class Quiver:
                 raise ValidationError("edge with bad endpoints", witness=e)
         object.__setattr__(self, "_validated", True)
         return self
+
+    @cached_property
+    def vertex_set(self):
+        return frozenset(self.vertices)
 
     def letter_src(self, letter):
         e, s = letter
@@ -169,13 +176,15 @@ def _check_word(q, w, message, witness):
     """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
     ``word`` builds from its letters; a word that ``word`` rejects raises
     ``word``'s own error.  A nonempty word whose letters walk from ``w.src``
-    to ``w.tgt`` passes in place; any other is rebuilt for ``word``'s say."""
+    to ``w.tgt``, or an empty word at a vertex of ``q``, passes in place; any
+    other is rebuilt for ``word``'s say."""
     letters = w.letters
-    if type(w) is Word and type(letters) is tuple and letters:
+    if type(w) is Word and type(letters) is tuple:
         try:
-            if _chain(q, letters, w.src)[1] == w.tgt:
+            here = _chain(q, letters, w.src)[1]
+            if here == w.tgt and (letters or here in q.vertex_set):
                 return
-        except ValidationError:
+        except (ValidationError, TypeError):  # TypeError: an unhashable vertex
             pass
     if word(q, letters, at=w.src) != w:
         raise ValidationError(message, witness=witness)
@@ -300,12 +309,24 @@ def _evaluate(prog, vimg, eimg, t):
 def enumerate_pres_morphisms(p, t, guard=DEFAULT_SIZE_GUARD):
     """All relation-respecting assignments of ``p`` into groupoid ``t``, as
     keys ``(vertex images, edge images)`` aligned with ``p.quiver``'s
-    vertices and edges, in canonical (vertex images, edge images) order.
+    vertices and edges, in canonical (vertex images, edge images) order:
+    the blocks of ``_morphism_blocks``, each vertex image paired with every
+    edge image of its block."""
+    blocks = _morphism_blocks(p, t, guard)
+    return list(chain.from_iterable(zip(repeat(v), eimgs) for v, eimgs in blocks))
 
-    The guard counts the whole product space of edge candidates.  The edges,
-    in order, are cut into segments that end where some relation's last
-    edge is assigned; each segment is one ``product`` over its edges'
-    candidate arrows, and the relations ending there are checked at once.
+
+def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
+    """The morphisms of ``p`` into groupoid ``t`` as blocks ``(vertex
+    images, [edge images, ...])``: one block per assignment of the vertices
+    that has a morphism, blocks in canonical vertex-image order and edge
+    images in canonical order within each.
+
+    The guard counts the whole product space of edge candidates.  The
+    edges, in order, are cut into segments that end where some relation's
+    last edge is assigned; each segment extends the prefixes by one
+    ``product`` over its edges' candidate arrows, and the relations ending
+    there are checked at once.
     """
     q = p.quiver
     vpos, epos = _positions(q)
@@ -320,7 +341,9 @@ def enumerate_pres_morphisms(p, t, guard=DEFAULT_SIZE_GUARD):
         total += prod(map(len, cands))
         if total > guard:
             raise SizeGuardExceeded(
-                f"presentation morphism search needs more than {guard} candidates"
+                f"presentation morphism search needs more than {guard} candidates",
+                total,
+                guard,
             )
         plans.append((vimg, cands))
     checks = {}
@@ -331,26 +354,31 @@ def enumerate_pres_morphisms(p, t, guard=DEFAULT_SIZE_GUARD):
         )
     cuts = sorted({*checks, len(q.edges)})
     segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
-    found = []
+    blocks = []
     for vimg, cands in plans:
-        keys = [()]
+        eimgs = [()]
         for lo, hi, rels in segments:
-            keys = _grow(keys, cands[lo:hi], rels, vimg, t)
-        found.extend((vimg, eimg) for eimg in keys)
-    return found
+            eimgs = _grow(eimgs, cands[lo:hi], rels, vimg, t)
+        eimgs = list(eimgs)
+        if eimgs:
+            blocks.append((vimg, eimgs))
+    return blocks
 
 
 def _grow(prefixes, cands, rels, vimg, t):
-    """Extend each edge-image prefix by every choice from ``cands``, lazily,
-    keeping the extensions on which the relations ``rels`` hold."""
-    for pre in prefixes:
-        for c in product(*cands):
-            eimg = pre + c
-            if not rels or all(
-                _evaluate(lhs, vimg, eimg, t) == _evaluate(rhs, vimg, eimg, t)
-                for lhs, rhs in rels
-            ):
-                yield eimg
+    """Extend each edge-image prefix by every choice from ``cands``, in
+    order, keeping the extensions on which the relations ``rels`` hold."""
+    grown = starmap(add, product(prefixes, product(*cands)))
+    if not rels:
+        return grown
+
+    def holds(eimg):
+        for lhs, rhs in rels:
+            if _evaluate(lhs, vimg, eimg, t) != _evaluate(rhs, vimg, eimg, t):
+                return False
+        return True
+
+    return filter(holds, grown)
 
 
 def _arrow_presentation(g):
@@ -432,24 +460,31 @@ def _gather(positions):
     """``xs -> tuple(xs[i] for i in positions)`` as an ``itemgetter``."""
     if len(positions) == 1:
         (i,) = positions
-        return lambda xs: (xs[i],)
-    return itemgetter(*positions) if positions else lambda xs: ()
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
 def _restriction(f, t):
-    """Compile ``f`` against groupoid ``t``: the map sending the key of a
-    morphism out of ``f.target`` to the key of its composite with ``f``."""
+    """Compile ``f`` against groupoid ``t``: the map sending a block of
+    morphisms out of ``f.target`` to the block ``(vertex images, iterator
+    of edge images)`` of their composites with ``f``, in the same order.
+    Edge images are gathered by position when ``f`` sends every edge to a
+    single positive edge, else each image word is evaluated per morphism."""
     vpos, epos = _positions(f.target.quiver)
     vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
     words = [f.emap[e] for e in f.source.quiver.edges]
     if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
         egather = _gather([epos[w.letters[0][0]] for w in words])
-        return lambda key: (vgather(key[0]), egather(key[1]))
+        return lambda block: (vgather(block[0]), map(egather, block[1]))
     progs = [_program(w, vpos, epos) for w in words]
-    return lambda key: (
-        vgather(key[0]),
-        tuple(_evaluate(prog, key[0], key[1], t) for prog in progs),
-    )
+
+    def restrict(block):
+        vimg, eimgs = block
+        return vgather(vimg), (
+            tuple(_evaluate(prog, vimg, eimg, t) for prog in progs) for eimg in eimgs
+        )
+
+    return restrict
 
 
 @dataclass(frozen=True)
@@ -567,13 +602,15 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
 
     Every apex morphism restricts to exactly one pair (its composites with
     the two injections), so counting apex morphisms by that pair of
-    restriction keys gives each pair's mediator count by lookup.  The
+    restrictions gives each pair's mediator count by lookup.  The
     morphisms out of V are indexed by their restriction to W, so each
     morphism out of U meets only the morphisms out of V it is compatible
     with.  Per target this costs O(|U| + |V| + |apex| + pairs) restrictions,
-    where |X| counts the morphisms out of X.  Pairs are visited in the
-    order of the morphisms out of U, then out of V, and the first pair
-    without exactly one mediator is the witness.  When every pair has one,
+    where |X| counts the morphisms out of X.  All three are read and
+    restricted as blocks, so whole keys are built only for the witness.
+    Pairs are visited in the order of the morphisms out of U, then out of
+    V, and the first pair without exactly one mediator is the witness
+    ``(U key, V key, mediator count)``.  When every pair has one,
     the pairs must also exhaust the apex morphisms ("count-mismatch").
 
     The verdict is relative to the supplied target battery, and says so.
@@ -585,33 +622,46 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     results = []
     all_ok = True
     for tname, t in targets.items():
-        mors_u = enumerate_pres_morphisms(square.u, t, guard)
-        mors_v = enumerate_pres_morphisms(square.v, t, guard)
-        mors_p = enumerate_pres_morphisms(square.apex, t, guard)
+        blocks_u = _morphism_blocks(square.u, t, guard)
+        blocks_v = _morphism_blocks(square.v, t, guard)
+        blocks_p = _morphism_blocks(square.apex, t, guard)
         along_f, along_g = _restriction(square.f, t), _restriction(square.g, t)
         to_u, to_v = _restriction(square.inj_u, t), _restriction(square.inj_v, t)
+        # W vertex images -> [(V vertex images, {W edge images: [V edge images]})]
         over_w = {}
-        for kv in mors_v:
-            over_w.setdefault(along_g(kv), []).append(kv)
-        mediators = Counter((to_u(k), to_v(k)) for k in mors_p)
+        for vv, ves in blocks_v:
+            wv, wes = along_g((vv, ves))
+            by_w = {}
+            for ve, we in zip(ves, wes):
+                by_w.setdefault(we, []).append(ve)
+            over_w.setdefault(wv, []).append((vv, by_w))
+        # (U, V vertex images) -> Counter of (U, V edge images)
+        mediators = {}
+        for block in blocks_p:
+            (uv, ues), (vv, ves) = to_u(block), to_v(block)
+            mediators.setdefault((uv, vv), Counter()).update(zip(ues, ves))
+        apex_morphisms = sum(len(eimgs) for _, eimgs in blocks_p)
         pairs = 0
-        ok = True
         witness = None
-        for ku in mors_u:
-            for kv in over_w.get(along_f(ku), ()):
-                pairs += 1
-                n = mediators[ku, kv]
-                if n != 1 and witness is None:
-                    ok = False
-                    witness = (ku, kv, n)
-        if ok and pairs != len(mors_p):
+        for uv, ues in blocks_u:
+            wv, wes = along_f((uv, ues))
+            for ue, we in zip(ues, wes):
+                for vv, by_w in over_w.get(wv, ()):
+                    counts = mediators.get((uv, vv), {})
+                    for ve in by_w.get(we, ()):
+                        pairs += 1
+                        n = counts.get((ue, ve), 0)
+                        if n != 1 and witness is None:
+                            witness = ((uv, ue), (vv, ve), n)
+        ok = witness is None
+        if ok and pairs != apex_morphisms:
             ok = False
-            witness = ("count-mismatch", pairs, len(mors_p))
+            witness = ("count-mismatch", pairs, apex_morphisms)
         results.append(
             TargetUniversality(
                 target=tname,
                 compatible_pairs=pairs,
-                apex_morphisms=len(mors_p),
+                apex_morphisms=apex_morphisms,
                 ok=ok,
                 witness=witness,
             )

@@ -31,9 +31,9 @@ from .presentations import (
     Quiver,
     Word,
     _check_word,
+    _morphism_blocks,
     _restriction,
     empty_word,
-    enumerate_pres_morphisms,
     free_reduce,
     presentation,
     pushout,
@@ -361,6 +361,31 @@ def _inclusion_morphism(source_pres, source_ret, target_pres, target_ret):
     ).validate()
 
 
+def _evidence(apex, direct, bridge, targets, guard):
+    """Per target, whether precomposition with ``bridge`` (apex -> direct)
+    bijects the morphisms out of ``direct`` onto those out of ``apex``,
+    compared block by block as ``{vertex images: set of edge images}``."""
+    evidence = []
+    for tname, t in targets.items():
+        apex_blocks = _morphism_blocks(apex, t, guard)
+        direct_blocks = _morphism_blocks(direct, t, guard)
+        pulled = {}
+        for vimg, eimgs in map(_restriction(bridge, t), direct_blocks):
+            pulled.setdefault(vimg, set()).update(eimgs)
+        apex_morphisms = sum(len(eimgs) for _, eimgs in apex_blocks)
+        direct_morphisms = sum(len(eimgs) for _, eimgs in direct_blocks)
+        evidence.append(
+            TargetEvidence(
+                target=tname,
+                apex_morphisms=apex_morphisms,
+                direct_morphisms=direct_morphisms,
+                ok=apex_morphisms == direct_morphisms
+                and pulled == {vimg: set(eimgs) for vimg, eimgs in apex_blocks},
+            )
+        )
+    return tuple(evidence)
+
+
 def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
     """Compute the cover-induced pushout square and verify it presents the
     fundamental groupoid of the whole complex.
@@ -408,25 +433,12 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
         source=square.apex, target=direct, vmap=hvmap, emap=hemap
     ).validate()
 
-    evidence = []
-    for tname, t in targets.items():
-        mors_apex = enumerate_pres_morphisms(square.apex, t, guard)
-        mors_direct = enumerate_pres_morphisms(direct, t, guard)
-        pulled = set(map(_restriction(bridge, t), mors_direct))
-        evidence.append(
-            TargetEvidence(
-                target=tname,
-                apex_morphisms=len(mors_apex),
-                direct_morphisms=len(mors_direct),
-                ok=len(mors_apex) == len(mors_direct) and pulled == set(mors_apex),
-            )
-        )
     return VktResult(
         cover_report=report,
         base=base,
         square=square,
         direct=direct,
         bridge=bridge,
-        evidence=tuple(evidence),
+        evidence=_evidence(square.apex, direct, bridge, targets, guard),
         battery_names=tuple(targets.keys()),
     )

@@ -502,7 +502,7 @@ def morphisms_from_free(free, xm, guard=DEFAULT_SIZE_GUARD):
     for _, images in fibers:
         count *= len(images)
     if count > guard:
-        raise SizeGuardExceeded(f"{count} assignments exceed the guard")
+        raise SizeGuardExceeded(f"{count} assignments exceed the guard", count, guard)
     assignments = tuple(
         dict(zip(free.generators, choice))
         for choice in product(*(images for _, images in fibers))

@@ -171,6 +171,26 @@ def test_size_guard_exit_code(capsys):
     assert "error:" in err
 
 
+def test_size_guard_report_carries_the_count_and_the_guard(capsys):
+    gens = ",".join(f"g{i}" for i in range(30))
+    boundary = ",".join(f"g{i}=1" for i in range(30))
+    code = main(
+        [
+            "xmod", "free", _p("c2.grp"),
+            "--gens", gens,
+            "--boundary", boundary,
+            "--verify-against", _p("c4c2.xm"),
+            "--machine",
+        ]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["data"] == {
+        "error_kind": "size-guard", "needed": 2**30, "allowed": 10**6,
+    }
+    assert report["witnesses"] == [f"{2**30} assignments exceed the guard"]
+
+
 def test_missing_required_option_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["vkt", _p("circle.cov")])

@@ -417,6 +417,26 @@ def test_from_xmod_enumerates_the_same_squares():
         assert from_xmod(xm).squares == old_from_xmod(xm).squares, name
 
 
+def _guard_outcome(build, xm, guard):
+    try:
+        build(xm, guard=guard)
+    except SizeGuardExceeded as exc:
+        return str(exc)
+    return None
+
+
+def test_from_xmod_guard_trips_where_the_old_one_did():
+    for name, xm in bundled_xmods().items():
+        for guard in (0, 3, 4, 17, 35, 36, 647, 648):
+            want = _guard_outcome(old_from_xmod, xm, guard)
+            assert _guard_outcome(from_xmod, xm, guard) == want, (name, guard)
+            if want is not None:
+                with pytest.raises(SizeGuardExceeded) as info:
+                    from_xmod(xm, guard=guard)
+                assert info.value.allowed == guard
+                assert info.value.needed > guard
+
+
 def outcome(fold, *args):
     try:
         return ("value", fold(*args))

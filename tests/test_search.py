@@ -8,15 +8,19 @@ its callers used: ``PresMap``, ``eval_word``, ``presmap_key``,
 ``enumerate_group_morphisms`` body is kept as
 ``enumerate_group_morphisms_oracle``.
 
-The library's search must return the oracle's ``presmap_key`` list in the
-same order and trip the size guard on exactly the same inputs; its
-compiled restrictions must agree with ``_restriction_key``; ``vkt_square``
-evidence and ``words_equal`` witnesses must be the ones the oracle gives.
+The library's search yields blocks ``(vertex images, [edge images])``.
+Read out key by key they must be the oracle's ``presmap_key`` list in the
+same order, and the search must trip the size guard on exactly the same
+inputs; its compiled block restrictions must agree with
+``_restriction_key``; ``vkt_square`` evidence (also over tampered bridges
+and random morphisms) and ``words_equal`` witnesses must be the ones the
+oracle gives.
 """
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import groupby, product
 from math import prod
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,7 @@ from gpdkit.documents import load_document
 from gpdkit.presentations import (
     GroupPresentation,
     PresentationMorphism,
+    _morphism_blocks,
     _restriction,
     enumerate_group_morphisms,
     enumerate_pres_morphisms,
@@ -49,6 +54,7 @@ from gpdkit.presentations import (
 )
 from gpdkit.vankampen import (
     TargetEvidence,
+    _evidence,
     complex2,
     cover,
     fundamental_groupoid,
@@ -326,10 +332,18 @@ def morphisms(draw):
 
 
 def _same_restrictions(f, targets=_SMALL):
+    """Feed the block map every oracle morphism out of ``f.target``, one
+    block per run of equal vertex images, and compare the whole restricted
+    list, in order, with ``_restriction_key``'s."""
     for t in targets.values():
         restrict = _restriction(f, t)
-        for pm in enumerate_pres_morphisms_oracle(f.target, t):
-            assert restrict(presmap_key(pm, f.target)) == _restriction_key(f, pm, t)
+        mors = enumerate_pres_morphisms_oracle(f.target, t)
+        keys = [presmap_key(pm, f.target) for pm in mors]
+        got = []
+        for vimg, run in groupby(keys, itemgetter(0)):
+            rvimg, reimgs = restrict((vimg, [eimg for _, eimg in run]))
+            got += [(rvimg, eimg) for eimg in reimgs]
+        assert got == [_restriction_key(f, pm, t) for pm in mors]
 
 
 # ------------------------------------------------------------ enumeration
@@ -380,6 +394,20 @@ def test_random_presentations_match_the_oracle(p, tname):
     assert enumerate_pres_morphisms(p, t) == _oracle_keys(p, t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.sampled_from(sorted(TARGETS)))
+def test_blocks_are_the_runs_of_equal_vertex_images(p, tname):
+    """One block per vertex assignment that has a morphism: assignments
+    whose candidates are empty, or whose candidates all break a relation,
+    leave no block."""
+    t = TARGETS[tname]
+    runs = [
+        (vimg, [eimg for _, eimg in run])
+        for vimg, run in groupby(_oracle_keys(p, t), itemgetter(0))
+    ]
+    assert _morphism_blocks(p, t) == runs
+
+
 # ------------------------------------------------------------------- guard
 
 
@@ -398,6 +426,10 @@ def test_guard_trips_on_the_same_inputs(p, tname):
     n = _product_count(p, t)
     below = _guard_outcome(enumerate_pres_morphisms, p, t, n - 1)
     assert below is not None
+    with pytest.raises(SizeGuardExceeded) as info:
+        enumerate_pres_morphisms(p, t, n - 1)
+    assert info.value.allowed == n - 1
+    assert info.value.needed > info.value.allowed
     assert below == _guard_outcome(enumerate_pres_morphisms_oracle, p, t, n - 1)
     assert _guard_outcome(enumerate_pres_morphisms, p, t, n) is None
     assert _guard_outcome(enumerate_pres_morphisms_oracle, p, t, n) is None
@@ -431,13 +463,13 @@ def test_random_restrictions_match_restriction_key(f):
     _same_restrictions(f)
 
 
-def _evidence_oracle(res, targets):
+def _evidence_oracle(apex, direct, bridge, targets):
     evidence = []
     for tname, t in targets.items():
-        mors_apex = enumerate_pres_morphisms_oracle(res.square.apex, t)
-        mors_direct = enumerate_pres_morphisms_oracle(res.direct, t)
-        apex_keys = {presmap_key(pm, res.square.apex) for pm in mors_apex}
-        pulled = {_restriction_key(res.bridge, pm, t) for pm in mors_direct}
+        mors_apex = enumerate_pres_morphisms_oracle(apex, t)
+        mors_direct = enumerate_pres_morphisms_oracle(direct, t)
+        apex_keys = {presmap_key(pm, apex) for pm in mors_apex}
+        pulled = {_restriction_key(bridge, pm, t) for pm in mors_direct}
         evidence.append(
             TargetEvidence(
                 target=tname,
@@ -449,10 +481,59 @@ def _evidence_oracle(res, targets):
     return tuple(evidence)
 
 
+def _same_evidence(apex, direct, bridge, targets=TARGETS):
+    got = _evidence(apex, direct, bridge, targets, DEFAULT_SIZE_GUARD)
+    assert got == _evidence_oracle(apex, direct, bridge, targets)
+    return got
+
+
 def test_vkt_evidence_matches_the_oracle():
     for res in _vkt_results():
-        assert res.evidence == _evidence_oracle(res, battery())
+        assert res.evidence == _evidence_oracle(
+            res.square.apex, res.direct, res.bridge, battery()
+        )
         assert res.evidence_ok
+        evidence = _same_evidence(res.square.apex, res.direct, res.bridge)
+        assert all(e.ok for e in evidence)
+
+
+def _tampered_bridges(res):
+    """The bridge of ``res`` with two generators collapsed to one, with a
+    generator sent to its inverse word, and with its vertex map reversed;
+    none is validated."""
+    b = res.bridge
+    x, y = res.square.apex.quiver.edges[:2]
+    vs = res.square.apex.quiver.vertices
+    return {
+        "collapsed": replace(b, emap={**b.emap, y: b.emap[x]}),
+        "inverse": replace(b, emap={**b.emap, x: b.emap[x].inverse()}),
+        "swapped": replace(b, vmap=dict(zip(vs, [b.vmap[v] for v in reversed(vs)]))),
+    }
+
+
+def test_tampered_bridges_match_the_oracle():
+    res = vkt_square(load_document(DATA / "circle.cov").payload, ("0", "1"))
+    verdicts = {}
+    for name, bridge in _tampered_bridges(res).items():
+        got = _same_evidence(res.square.apex, res.direct, bridge)
+        verdicts[name] = {e.target: e.ok for e in got}
+    # Collapsing p and q misses every apex morphism with p != q, which only
+    # the interval groupoid (one arrow 0 -> 1) lacks.  Inverting p is an
+    # automorphism over one object, but p^-1 runs 1 -> 0, which the
+    # interval groupoid sees, as it sees a swapped vertex map.
+    broken = {t: not ok for t, ok in verdicts["collapsed"].items()}
+    assert broken == {**dict.fromkeys(TARGETS, True), "interval": False}
+    for name in ("inverse", "swapped"):
+        broken = {t: not ok for t, ok in verdicts[name].items()}
+        assert broken == {**dict.fromkeys(TARGETS, False), "interval": True}
+
+
+@settings(max_examples=100, deadline=None)
+@given(morphisms())
+def test_random_evidence_matches_the_oracle(f):
+    """A random morphism as the bridge, into targets with several objects,
+    where vertex assignments with no candidates leave empty blocks."""
+    _same_evidence(f.source, f.target, f, _SMALL)
 
 
 # ---------------------------------------------------------- group wrapper

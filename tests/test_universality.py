@@ -3,9 +3,10 @@
 ``_verify_oracle`` is the original nested loop, which scans every apex
 morphism for every compatible pair, over the original enumerator
 (``test_search.enumerate_pres_morphisms_oracle``).  The library counts mediators by
-restriction key instead; both must produce the same UniversalityReport
-(verdict, per-target counts and witness) on genuine pushouts and on
-deliberately broken squares.
+restriction, block by block, instead; both must produce the same
+UniversalityReport (verdict, per-target counts and witness) on genuine
+pushouts and on deliberately broken squares, into one-object targets and
+into targets with two objects.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpdkit.core import DEFAULT_SIZE_GUARD, battery
+from gpdkit.core import DEFAULT_SIZE_GUARD, battery, disjoint_union, interval_groupoid
 from gpdkit.presentations import (
     PresentationMorphism,
     TargetUniversality,
@@ -277,6 +278,26 @@ def test_random_broken_squares_match_the_oracle(square, breakage):
     broken = _BREAKAGES[breakage](square)
     if broken is not None:
         _same_report(broken, _SMALL)
+
+
+# Targets with two objects: a vertex assignment that sends an edge across
+# the components of c2+c3 has no candidates, so the searches meet empty
+# blocks, and the interval groupoid has no loops but the identities.
+_SEVERAL_OBJECTS = {
+    "interval": interval_groupoid(),
+    "c2+c3": disjoint_union(battery()["c2"], battery()["c3"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans(), st.sampled_from(sorted(_BREAKAGES) + ["none"]))
+def test_random_squares_into_targets_with_several_objects_match_the_oracle(
+    square, breakage
+):
+    broken = square if breakage == "none" else _BREAKAGES[breakage](square)
+    if broken is not None:
+        rep = _same_report(broken, _SEVERAL_OBJECTS)
+        assert rep.ok or broken is not square
 
 
 # ---------------------------------------------------------- scaling guard

@@ -175,6 +175,8 @@ Q = quiver((0, 1), [("a", 0, 1), ("b", 1, 0)])
         Word(src=0, tgt=1, letters=()),
         Word(src="nowhere", tgt="nowhere", letters=()),
         Word(src=None, tgt=None, letters=()),
+        Word(src=[0], tgt=[0], letters=()),
+        Word(src=True, tgt=1, letters=()),
         Word(src=0, tgt=0, letters=[]),
         Word(src=0, tgt=0, letters=[("a", 1), ("b", 1)]),
         Word(src=0, tgt=0, letters=(["a", 1], ("b", 1))),
@@ -210,3 +212,38 @@ def test_a_well_formed_word_is_checked_without_a_rebuild(monkeypatch):
         _check_word(Q, Word(src=0, tgt=1, letters=(("a", 1), ("b", 1))), "bad", "w")
     assert (str(info.value), info.value.witness) == ("bad", "w")
     assert len(calls) == 1
+
+
+
+def _spy_on_word(monkeypatch):
+    """The ``(args, kwargs)`` of every ``presentations.word`` call made
+    from now on."""
+    calls = []
+    real = presentations.word
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "word", spy)
+    return calls
+
+
+def test_an_empty_word_at_a_vertex_is_checked_without_a_rebuild(monkeypatch):
+    calls = _spy_on_word(monkeypatch)
+    for v in Q.vertices:
+        _check_word(Q, empty_word(v), "bad", None)
+    assert calls == []
+    with pytest.raises(ValidationError) as info:
+        _check_word(Q, Word(src=0, tgt=1, letters=()), "bad", "w")
+    assert (str(info.value), info.value.witness) == ("bad", "w")
+    assert calls == [((Q, ()), {"at": 0})]
+
+
+def test_an_empty_word_at_a_missing_vertex_is_rebuilt_and_rejected(monkeypatch):
+    calls = _spy_on_word(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        _check_word(Q, empty_word("nowhere"), "bad", "w")
+    assert str(info.value) == "empty word needs a vertex"
+    assert info.value.witness == "nowhere"
+    assert calls == [((Q, ()), {"at": "nowhere"})]

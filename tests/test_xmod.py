@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from gpdkit.core import (
+    SizeGuardExceeded,
     ValidationError,
     alternating_group,
     cyclic_group,
@@ -220,6 +221,16 @@ def test_free_fiber_counts_match_brute_force():
     ]
     assert len(brute2) == report2.count
     assert len(report2.assignments) == report2.count
+
+
+def test_the_free_guard_reports_the_count_it_needed():
+    target = bundled_xmods()["c4c2"]
+    free = free_xmod(cyclic_group(2), ("r", "s"), {"r": 1, "s": 0})
+    assert morphisms_from_free(free, target, guard=4).count == 4
+    with pytest.raises(SizeGuardExceeded) as info:
+        morphisms_from_free(free, target, guard=3)
+    assert str(info.value) == "4 assignments exceed the guard"
+    assert (info.value.needed, info.value.allowed) == (4, 3)
 
 
 def test_free_render_names_the_boundaries():
