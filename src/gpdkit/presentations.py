@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, repeat, starmap
+from itertools import chain, groupby, product, repeat
 from math import prod
 from operator import add, itemgetter
 
@@ -149,6 +149,15 @@ def _chain(q, letters, here=_ANY):
     return src, here
 
 
+def _is_vertex(q, v):
+    """Whether ``v`` is a vertex of ``q`` that can place an empty word
+    (``None`` never can)."""
+    try:
+        return v is not None and v in q.vertex_set
+    except TypeError:  # v, or a vertex of q, is unhashable
+        return v in q.vertices
+
+
 def word(q, letters, at=None):
     """Validated word over quiver ``q``; ``at`` places an empty word.
     Signs are normalised with ``int``, so ``("a", "1")`` reads as ``("a", 1)``."""
@@ -166,7 +175,7 @@ def word(q, letters, at=None):
 
     src, tgt = _chain(q, normalised())
     if not normal:
-        if at is None or at not in q.vertices:
+        if not _is_vertex(q, at):
             raise ValidationError("empty word needs a vertex", witness=at)
         return empty_word(at)
     return Word(src=src, tgt=tgt, letters=tuple(normal))
@@ -181,10 +190,11 @@ def _check_word(q, w, message, witness):
     letters = w.letters
     if type(w) is Word and type(letters) is tuple:
         try:
-            here = _chain(q, letters, w.src)[1]
-            if here == w.tgt and (letters or here in q.vertex_set):
+            if _chain(q, letters, w.src)[1] == w.tgt and (
+                letters or _is_vertex(q, w.src)
+            ):
                 return
-        except (ValidationError, TypeError):  # TypeError: an unhashable vertex
+        except ValidationError:
             pass
     if word(q, letters, at=w.src) != w:
         raise ValidationError(message, witness=witness)
@@ -366,9 +376,10 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
 
 
 def _grow(prefixes, cands, rels, vimg, t):
-    """Extend each edge-image prefix by every choice from ``cands``, in
-    order, keeping the extensions on which the relations ``rels`` hold."""
-    grown = starmap(add, product(prefixes, product(*cands)))
+    """Extend each edge-image prefix by every choice from ``cands``, lazily
+    and in order, keeping the extensions on which the relations ``rels``
+    hold."""
+    grown = chain.from_iterable(map(add, repeat(pre), product(*cands)) for pre in prefixes)
     if not rels:
         return grown
 
@@ -487,6 +498,18 @@ def _restriction(f, t):
     return restrict
 
 
+def _restricted(f, t, keys):
+    """The keys ``keys`` of morphisms out of ``f.target`` restricted along
+    ``f``, in order; each run of keys with the same vertex images passes
+    through ``_restriction``'s map as one block."""
+    restrict = _restriction(f, t)
+    out = []
+    for vimg, run in groupby(keys, itemgetter(0)):
+        v, eimgs = restrict((vimg, [eimg for _, eimg in run]))
+        out.extend(zip(repeat(v), eimgs))
+    return out
+
+
 @dataclass(frozen=True)
 class PushoutSquare:
     """A span W -> U, W -> V together with its computed pushout."""
@@ -602,15 +625,13 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
 
     Every apex morphism restricts to exactly one pair (its composites with
     the two injections), so counting apex morphisms by that pair of
-    restrictions gives each pair's mediator count by lookup.  The
+    restriction keys gives each pair's mediator count by lookup.  The
     morphisms out of V are indexed by their restriction to W, so each
     morphism out of U meets only the morphisms out of V it is compatible
     with.  Per target this costs O(|U| + |V| + |apex| + pairs) restrictions,
-    where |X| counts the morphisms out of X.  All three are read and
-    restricted as blocks, so whole keys are built only for the witness.
-    Pairs are visited in the order of the morphisms out of U, then out of
-    V, and the first pair without exactly one mediator is the witness
-    ``(U key, V key, mediator count)``.  When every pair has one,
+    where |X| counts the morphisms out of X.  Pairs are visited in the
+    order of the morphisms out of U, then out of V, and the first pair
+    without exactly one mediator is the witness.  When every pair has one,
     the pairs must also exhaust the apex morphisms ("count-mismatch").
 
     The verdict is relative to the supplied target battery, and says so.
@@ -622,46 +643,33 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     results = []
     all_ok = True
     for tname, t in targets.items():
-        blocks_u = _morphism_blocks(square.u, t, guard)
-        blocks_v = _morphism_blocks(square.v, t, guard)
-        blocks_p = _morphism_blocks(square.apex, t, guard)
-        along_f, along_g = _restriction(square.f, t), _restriction(square.g, t)
-        to_u, to_v = _restriction(square.inj_u, t), _restriction(square.inj_v, t)
-        # W vertex images -> [(V vertex images, {W edge images: [V edge images]})]
+        mors_u = enumerate_pres_morphisms(square.u, t, guard)
+        mors_v = enumerate_pres_morphisms(square.v, t, guard)
+        mors_p = enumerate_pres_morphisms(square.apex, t, guard)
         over_w = {}
-        for vv, ves in blocks_v:
-            wv, wes = along_g((vv, ves))
-            by_w = {}
-            for ve, we in zip(ves, wes):
-                by_w.setdefault(we, []).append(ve)
-            over_w.setdefault(wv, []).append((vv, by_w))
-        # (U, V vertex images) -> Counter of (U, V edge images)
-        mediators = {}
-        for block in blocks_p:
-            (uv, ues), (vv, ves) = to_u(block), to_v(block)
-            mediators.setdefault((uv, vv), Counter()).update(zip(ues, ves))
-        apex_morphisms = sum(len(eimgs) for _, eimgs in blocks_p)
+        for kv, kw in zip(mors_v, _restricted(square.g, t, mors_v)):
+            over_w.setdefault(kw, []).append(kv)
+        mediators = Counter(
+            zip(_restricted(square.inj_u, t, mors_p), _restricted(square.inj_v, t, mors_p))
+        )
         pairs = 0
+        ok = True
         witness = None
-        for uv, ues in blocks_u:
-            wv, wes = along_f((uv, ues))
-            for ue, we in zip(ues, wes):
-                for vv, by_w in over_w.get(wv, ()):
-                    counts = mediators.get((uv, vv), {})
-                    for ve in by_w.get(we, ()):
-                        pairs += 1
-                        n = counts.get((ue, ve), 0)
-                        if n != 1 and witness is None:
-                            witness = ((uv, ue), (vv, ve), n)
-        ok = witness is None
-        if ok and pairs != apex_morphisms:
+        for ku, kw in zip(mors_u, _restricted(square.f, t, mors_u)):
+            for kv in over_w.get(kw, ()):
+                pairs += 1
+                n = mediators[ku, kv]
+                if n != 1 and witness is None:
+                    ok = False
+                    witness = (ku, kv, n)
+        if ok and pairs != len(mors_p):
             ok = False
-            witness = ("count-mismatch", pairs, apex_morphisms)
+            witness = ("count-mismatch", pairs, len(mors_p))
         results.append(
             TargetUniversality(
                 target=tname,
                 compatible_pairs=pairs,
-                apex_morphisms=apex_morphisms,
+                apex_morphisms=len(mors_p),
                 ok=ok,
                 witness=witness,
             )

@@ -197,6 +197,39 @@ def test_check_word_agrees_on_hand_picked_words(w):
     assert _outcome(_check_word, Q, w, "bad word", w) == want
 
 
+# ``None`` is a vertex here, but it never places an empty word.
+QN = quiver((None, 0), [("a", None, 0), ("b", 0, None)])
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        Word(src=None, tgt=None, letters=()),
+        Word(src=0, tgt=0, letters=()),
+        Word(src=None, tgt=None, letters=(("a", 1), ("b", 1))),
+        Word(src=None, tgt=0, letters=(("a", 1),)),
+        Word(src=0, tgt=None, letters=()),
+    ],
+    ids=repr,
+)
+def test_none_as_a_vertex_agrees_with_the_oracle(w):
+    want = _outcome(check_word_oracle, QN, w, "bad word", w)
+    assert _outcome(_check_word, QN, w, "bad word", w) == want
+    assert _outcome(word, QN, w.letters, w.src) == _outcome(
+        word_oracle, QN, w.letters, w.src
+    )
+
+
+def test_an_unhashable_vertex_of_a_raw_quiver_places_an_empty_word():
+    # ``validate`` rejects unhashable vertices; a raw quiver keeps them.
+    raw = Quiver(vertices=([0], 1), edges=(), esrc={}, etgt={})
+    for w in (empty_word([0]), empty_word([1]), empty_word(1)):
+        want = _outcome(check_word_oracle, raw, w, "bad word", w)
+        assert _outcome(_check_word, raw, w, "bad word", w) == want
+        assert _outcome(word, raw, (), w.src) == _outcome(word_oracle, raw, (), w.src)
+    assert _outcome(word, raw, (), [0])[0] == "returned"
+
+
 def test_a_well_formed_word_is_checked_without_a_rebuild(monkeypatch):
     calls = []
     real = presentations.word
