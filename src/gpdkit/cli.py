@@ -100,12 +100,12 @@ def _battery_subset(names):
 
 def _load(args, path, kind):
     doc = load_document(path)
+    args.sources[path] = doc.source
     if doc.kind != kind:
         raise ValidationError(
             f"{path} holds a {doc.kind} document, expected {kind}",
             witness=doc.kind,
         )
-    args.sources[path] = doc.source
     return doc.payload
 
 
@@ -746,7 +746,7 @@ def _error_exit(args, exc):
         data.update(needed=exc.needed, allowed=exc.allowed)
     print(f"error: {message}", file=sys.stderr)
     return _report(
-        args, "fail" if code == 1 else "error", code,
+        args, "fail" if code == 1 else "error", code, args.sources,
         witnesses=[message], data=data,
     )
 

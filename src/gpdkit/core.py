@@ -33,6 +33,7 @@ Conventions that hold across the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 DEFAULT_SIZE_GUARD = 10**6
@@ -596,10 +597,19 @@ def check_morphism(f, g, h):
 
 
 def battery():
-    """Default finite target battery for separation and universality checks."""
-    return {
-        "c2": from_group(cyclic_group(2), name="c2"),
-        "c3": from_group(cyclic_group(3), name="c3"),
-        "c4": from_group(cyclic_group(4), name="c4"),
-        "s3": from_group(symmetric_group(3), name="s3"),
-    }
+    """Default finite target battery for separation and universality checks.
+
+    Each call returns a fresh dict, so a caller may add or drop keys; the
+    groupoids in it are built once per process and shared by every call,
+    so they must not be mutated."""
+    return dict(_battery_groupoids())
+
+
+@cache
+def _battery_groupoids():
+    return (
+        ("c2", from_group(cyclic_group(2), name="c2")),
+        ("c3", from_group(cyclic_group(3), name="c3")),
+        ("c4", from_group(cyclic_group(4), name="c4")),
+        ("s3", from_group(symmetric_group(3), name="s3")),
+    )

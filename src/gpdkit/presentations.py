@@ -477,15 +477,20 @@ def _gather(positions):
 
 def _restriction(f, t):
     """Compile ``f`` against groupoid ``t``: the map sending a block of
-    morphisms out of ``f.target`` to the block ``(vertex images, iterator
+    morphisms out of ``f.target`` to the block ``(vertex images, iterable
     of edge images)`` of their composites with ``f``, in the same order.
     Edge images are gathered by position when ``f`` sends every edge to a
-    single positive edge, else each image word is evaluated per morphism."""
+    single positive edge, else each image word is evaluated per morphism.
+    When the gather is the identity (the i-th edge to the i-th edge, every
+    target edge covered), the block's own edge-image list is returned."""
     vpos, epos = _positions(f.target.quiver)
     vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
     words = [f.emap[e] for e in f.source.quiver.edges]
     if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
-        egather = _gather([epos[w.letters[0][0]] for w in words])
+        positions = [epos[w.letters[0][0]] for w in words]
+        if positions == list(range(len(epos))):
+            return lambda block: (vgather(block[0]), block[1])
+        egather = _gather(positions)
         return lambda block: (vgather(block[0]), map(egather, block[1]))
     progs = [_program(w, vpos, epos) for w in words]
 

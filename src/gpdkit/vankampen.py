@@ -332,8 +332,11 @@ class VktResult:
     ``square`` holds the piece presentations and their pushout; ``direct``
     is the independently computed presentation of the whole complex;
     ``bridge`` maps apex generators to direct generators, and ``evidence``
-    records, per battery target, that precomposition with the bridge
-    bijects the morphism sets.
+    records, per battery target, whether precomposition with the bridge
+    bijects the morphism sets.  The two sides are compared per vertex
+    image, as lists in the order the search enumerates them; only where
+    the lists differ, as when the bridge reorders generators, are the edge
+    images hashed and compared as sets.
     """
 
     cover_report: CoverReport
@@ -363,16 +366,24 @@ def _inclusion_morphism(source_pres, source_ret, target_pres, target_ret):
 
 def _evidence(apex, direct, bridge, targets, guard):
     """Per target, whether precomposition with ``bridge`` (apex -> direct)
-    bijects the morphisms out of ``direct`` onto those out of ``apex``,
-    compared block by block as ``{vertex images: set of edge images}``."""
+    bijects the morphisms out of ``direct`` onto those out of ``apex``.
+
+    The composites are collected per vertex image, in the order the direct
+    search lists them, and compared with the apex block of that vertex
+    image: as lists first, as sets only where the lists differ (a bridge
+    that reorders generators).  Equal lists have equal sets.  When the
+    vertex images met on the two sides are the same and every block
+    matches as a set, the composites cover every apex morphism; both
+    searches list each morphism once, so equal totals then make the
+    covering a bijection."""
     evidence = []
     for tname, t in targets.items():
-        apex_blocks = _morphism_blocks(apex, t, guard)
+        apex_blocks = dict(_morphism_blocks(apex, t, guard))
         direct_blocks = _morphism_blocks(direct, t, guard)
         pulled = {}
         for vimg, eimgs in map(_restriction(bridge, t), direct_blocks):
-            pulled.setdefault(vimg, set()).update(eimgs)
-        apex_morphisms = sum(len(eimgs) for _, eimgs in apex_blocks)
+            pulled.setdefault(vimg, []).extend(eimgs)
+        apex_morphisms = sum(map(len, apex_blocks.values()))
         direct_morphisms = sum(len(eimgs) for _, eimgs in direct_blocks)
         evidence.append(
             TargetEvidence(
@@ -380,7 +391,11 @@ def _evidence(apex, direct, bridge, targets, guard):
                 apex_morphisms=apex_morphisms,
                 direct_morphisms=direct_morphisms,
                 ok=apex_morphisms == direct_morphisms
-                and pulled == {vimg: set(eimgs) for vimg, eimgs in apex_blocks},
+                and pulled.keys() == apex_blocks.keys()
+                and all(
+                    eimgs == pulled[vimg] or set(eimgs) == set(pulled[vimg])
+                    for vimg, eimgs in apex_blocks.items()
+                ),
             )
         )
     return tuple(evidence)

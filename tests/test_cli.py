@@ -326,6 +326,22 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
     assert err == ["error: line 2: byte 0xff is not valid UTF-8"]
 
 
+def test_an_error_report_digests_the_documents_read_before_the_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(b"kind: presentation\nvertices: 0\xff\n")
+    u, v = _p("wedge-u.pres"), _p("wedge-v.pres")
+    report, _ = _machine_error(capsys, ["pushout", u, v, str(bad)], 2)
+    assert report["data"] == {"error_kind": "parse-error"}
+    digest = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (u, v)}
+    assert report["inputs"] == digest
+    report, _ = _machine_error(capsys, ["pushout", str(bad), u, v], 2)
+    assert report["inputs"] == {}
+    report, _ = _machine_error(capsys, ["pushout", u, v, _p("c2.grp")], 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    c2 = _p("c2.grp")
+    assert report["inputs"] == {**digest, c2: hashlib.sha256(Path(c2).read_bytes()).hexdigest()}
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

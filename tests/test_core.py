@@ -9,6 +9,7 @@ from gpdkit.core import (
     SizeGuardExceeded,
     ValidationError,
     alternating_group,
+    battery,
     build_groupoid,
     check_morphism,
     components,
@@ -204,3 +205,28 @@ def test_alternating_group_inside_symmetric():
     s3 = symmetric_group(3)
     assert set(a3.elements) <= set(s3.elements)
     assert len(a3) == 3
+
+
+def test_battery_is_a_fresh_dict_over_shared_groupoids():
+    first, second = battery(), battery()
+    assert first is not second
+    assert list(first) == ["c2", "c3", "c4", "s3"]
+    assert all(first[name] is second[name] for name in first)
+    assert [len(t.arrows) for t in first.values()] == [2, 3, 4, 6]
+
+
+def test_editing_one_battery_leaves_the_next_whole():
+    edited = battery()
+    edited.pop("s3")
+    edited["c5"] = from_group(cyclic_group(5))
+    assert list(battery()) == ["c2", "c3", "c4", "s3"]
+
+
+def test_an_unknown_battery_target_is_still_named():
+    from gpdkit.cli import _battery_subset
+
+    with pytest.raises(ValidationError, match="'zz'") as err:
+        _battery_subset("c2,zz")
+    assert err.value.witness == "zz"
+    assert list(_battery_subset("s3,c2")) == ["s3", "c2"]
+    assert list(battery()) == ["c2", "c3", "c4", "s3"]

@@ -9,6 +9,8 @@ that is meant to alter a report, rewrite the golden files with
 and review the diff.
 """
 
+import hashlib
+import json
 import re
 from contextlib import redirect_stdout
 from io import StringIO
@@ -74,6 +76,32 @@ def test_machine_report_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     want = (GOLDEN / f"{_name(argv)}.json").read_text(encoding="utf-8")
     assert _report(argv) == want
+
+
+# Error reports that carry their input digests, each with the SHA-256 of
+# its golden as it read when error reports had ``"inputs": {}``.
+UNDIGESTED = {
+    "vkt-circle.cov-base-0":
+        "f4a14e35876e6879daac5d630fa4f3d2794831d061f68cedfe95c5f0c7d0d1e6",
+    "xmod-check-c2.grp":
+        "e2b9f6da856c3578d7e429010656d5c654e36a9efae801f08589700259958b5d",
+    "dgpd-array-squares-c2.sq":
+        "c5672fc20f4f0e6616afc5ccb0f32ae7932aa31553253c0639aaee2a75162f7d",
+    "dgpd-compose-squares-c2.sq-dir-v":
+        "3d2b422d2ff885c23e4ff1e61c6e113591ec330cbd8a4b43ddf7ca7877a8bac4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDIGESTED))
+def test_error_goldens_differ_from_their_undigested_versions_only_in_inputs(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert report["verdict"] in ("fail", "error") and report["data"]["error_kind"]
+    assert report["inputs"] == {
+        p: hashlib.sha256((ROOT / p).read_bytes()).hexdigest() for p in report["inputs"]
+    }
+    assert len(report["inputs"]) == 1
+    old = json.dumps({**report, "inputs": {}}, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == UNDIGESTED[name]
 
 
 def test_golden_names_are_unique():

@@ -12,9 +12,10 @@ The library's search yields blocks ``(vertex images, [edge images])``.
 Read out key by key they must be the oracle's ``presmap_key`` list in the
 same order, and the search must trip the size guard on exactly the same
 inputs; its compiled block restrictions must agree with
-``_restriction_key``; ``vkt_square`` evidence (also over tampered bridges
-and random morphisms) and ``words_equal`` witnesses must be the ones the
-oracle gives.
+``_restriction_key``; ``vkt_square`` evidence (also over tampered bridges,
+bridges that reorder generators or meet extra relations, and random
+morphisms) and ``words_equal`` witnesses must be the ones the oracle
+gives.
 """
 
 from dataclasses import dataclass, replace
@@ -42,6 +43,7 @@ from gpdkit.presentations import (
     PresentationMorphism,
     _morphism_blocks,
     _restriction,
+    empty_word,
     enumerate_group_morphisms,
     enumerate_pres_morphisms,
     free_reduce,
@@ -534,6 +536,83 @@ def test_random_evidence_matches_the_oracle(f):
     """A random morphism as the bridge, into targets with several objects,
     where vertex assignments with no candidates leave empty blocks."""
     _same_evidence(f.source, f.target, f, _SMALL)
+
+
+def _wedge(u="x", v="y"):
+    """``vkt_square`` on the bundled wedge of two loops, with U and V
+    covering the loops named ``u`` and ``v``."""
+    x = load_document(DATA / "wedge.cov").payload.x
+    return vkt_square(cover(x, [u], [v]), ("0",))
+
+
+def test_restriction_hands_back_the_block_only_on_an_identity_gather():
+    t = TARGETS["c3"]
+    ident, swapped = _wedge(), _wedge("y", "x")
+    inverted = replace(
+        ident.bridge, emap={**ident.bridge.emap, "u:x": ident.bridge.emap["u:x"].inverse()}
+    )
+    for f, source, same in (
+        (ident.bridge, ident.direct, True),
+        (swapped.bridge, swapped.direct, False),  # positions (1, 0)
+        (ident.square.inj_u, ident.square.apex, False),  # covers u:x only
+        (inverted, ident.direct, False),  # evaluates a word
+    ):
+        restrict = _restriction(f, t)
+        for vimg, eimgs in _morphism_blocks(source, t):
+            kept = list(eimgs)
+            out = restrict((vimg, eimgs))[1]
+            assert (out is eimgs) == same
+            assert len(list(out)) == len(kept) and eimgs == kept
+
+
+def test_a_reordering_bridge_passes_on_the_set_comparison():
+    """Covering the wedge with U = y and V = x lists the apex generators as
+    (u:y, v:x) and the direct ones as (x, y): the composites come out in
+    another order than the apex block's, and only as sets do they match."""
+    res = _wedge("y", "x")
+    words = [res.bridge.emap[e].letters for e in res.square.apex.quiver.edges]
+    assert words == [(("y", 1),), (("x", 1),)]
+    t = TARGETS["c3"]
+    ((vimg, eimgs),) = _morphism_blocks(res.direct, t)
+    ((_, apex_eimgs),) = _morphism_blocks(res.square.apex, t)
+    pulled = list(_restriction(res.bridge, t)((vimg, eimgs))[1])
+    assert pulled != apex_eimgs and set(pulled) == set(apex_eimgs)
+    assert all(e.ok for e in _same_evidence(res.square.apex, res.direct, res.bridge))
+    assert res.evidence_ok
+
+
+def test_relations_on_an_identity_bridge_fail_where_they_bite():
+    """The bridge of the plain wedge gathers by identity.  An extra direct
+    relation x x = 1 cuts the direct lists wherever x has elements of other
+    orders; moving a relation across (y = 1 on the apex, x = 1 on the
+    direct side) keeps the counts equal and changes only the content."""
+    res = _wedge()
+    apex, direct, q = res.square.apex, res.direct, res.direct.quiver
+    one = empty_word("0")
+    xx = presentation(q, [*direct.relations, (word(q, [("x", 1), ("x", 1)]), one)])
+    got = _same_evidence(apex, xx, replace(res.bridge, target=xx))
+    biting = {t for t in TARGETS if t not in ("c2", "interval")}
+    assert {e.target for e in got if not e.ok} == biting
+    x1 = presentation(q, [(word(q, [("x", 1)]), one)])
+    y1 = presentation(apex.quiver, [(word(apex.quiver, [("v:y", 1)]), empty_word("u:0"))])
+    got = _same_evidence(y1, x1, replace(res.bridge, source=y1, target=x1))
+    assert all(e.apex_morphisms == e.direct_morphisms for e in got)
+    assert {e.target for e in got if not e.ok} == set(TARGETS) - {"interval"}
+
+
+def test_an_apex_block_without_composites_fails():
+    """Two apex vertices sent to one direct vertex with a loop: into two
+    copies of c2 both sides have four morphisms, and the pulled lists match
+    their apex blocks as sets, but the apex blocks that split a and b
+    receive no composites."""
+    apex = presentation(quiver(("a", "b"), []))
+    direct = presentation(quiver(("0",), [("x", "0", "0")]))
+    bridge = PresentationMorphism(
+        source=apex, target=direct, vmap={"a": "0", "b": "0"}, emap={}
+    ).validate()
+    c2c2 = disjoint_union(TARGETS["c2"], TARGETS["c2"])
+    (e,) = _same_evidence(apex, direct, bridge, {"c2+c2": c2c2})
+    assert (e.apex_morphisms, e.direct_morphisms, e.ok) == (4, 4, False)
 
 
 # ---------------------------------------------------------- group wrapper
