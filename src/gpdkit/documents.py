@@ -13,7 +13,8 @@ Every document starts with ``kind: <kind>``.  The kinds:
   groupoid       objects, arrows ``id: src tgt``, comp ``a b: c``
   quiver         vertices, edges ``id: src tgt``
   presentation   a quiver plus relations ``word = word`` (``1`` is empty)
-  complex        a quiver plus faces ``f: closed word``
+  complex        a quiver plus faces ``f: closed word``, or ``f: 1 v`` for
+                 a face whose boundary is the empty word at vertex ``v``
   cover          a nested complex plus ``u:``/``v:`` cell lists
   xmod           nested ``p:``/``m:`` groups, ``mu`` rows ``m: p``,
                  ``action`` rows ``m p: m2``
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from .core import ValidationError, build_groupoid, finite_group, from_group, perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
-from .presentations import Quiver, presentation, quiver, word
+from .presentations import GroupoidPresentation, Quiver, Word, empty_word, quiver
 from .vankampen import _complex_on, cover
 from .xmod import CrossedModule, crossed_module
 
@@ -261,30 +262,39 @@ def _quiver_of(node):
     return quiver(vertices, triples)
 
 
-def _letters_of(tokens, q, line):
-    letters = []
-    for t in tokens:
-        if t.endswith("^-1"):
-            e, s = t[:-3], -1
-        else:
-            e, s = t, 1
-        if e not in q.esrc:
-            raise ParseError(f"unknown edge {e!r}", line)
-        letters.append((e, s))
-    return letters
-
-
 def _word_of(tokens, q, line, at=None):
+    """The word ``tokens`` spell over ``q``, built and checked in one pass
+    over the tokens: each is split off its ``^-1`` and looked up, and its
+    ends are kept for the chain check at the end, so an unknown edge
+    anywhere in the word is reported before a letter that does not chain.
+    ``at`` places the empty word ``1``."""
     if tokens == ["1"]:
         if at is None:
             raise ParseError(
                 "an empty word is only allowed opposite a nonempty side", line
             )
-        return word(q, (), at=at)
-    try:
-        return word(q, _letters_of(tokens, q, line))
-    except ValidationError as exc:
-        raise ParseError(f"word does not chain: {exc}", line)
+        return empty_word(at)
+    esrc, etgt = q.esrc, q.etgt
+    letters, starts, ends = [], [], []
+    for t in tokens:
+        if t.endswith("^-1"):
+            e = t[:-3]
+            if e not in esrc:
+                raise ParseError(f"unknown edge {e!r}", line)
+            letters.append((e, -1))
+            starts.append(etgt[e])
+            ends.append(esrc[e])
+        else:
+            if t not in esrc:
+                raise ParseError(f"unknown edge {t!r}", line)
+            letters.append((t, 1))
+            starts.append(esrc[t])
+            ends.append(etgt[t])
+    if not letters:
+        raise ParseError("word does not chain: empty word needs a vertex", line)
+    if starts[1:] != ends[:-1]:
+        raise ParseError("word does not chain: letters do not chain", line)
+    return Word(src=starts[0], tgt=ends[-1], letters=tuple(letters))
 
 
 def _presentation_of(node):
@@ -309,7 +319,9 @@ def _presentation_of(node):
             if (lhs.src, lhs.tgt) != (rhs.src, rhs.tgt):
                 raise ParseError("relation sides are not coterminal", row.line)
             relations.append((lhs, rhs))
-    return presentation(q, relations)
+    # Each side was checked over ``q`` as it was built, and the sides are
+    # coterminal, so ``validate`` would only walk them again.
+    return GroupoidPresentation(quiver=q, relations=tuple(relations))
 
 
 def _complex_of(node):
@@ -319,7 +331,13 @@ def _complex_of(node):
     if faces_node is not None:
         _block(faces_node)
         for row in _entries(faces_node):
-            w = _word_of(row.value.split(), q, row.line)
+            tokens = row.value.split()
+            if len(tokens) == 2 and tokens[0] == "1":  # an empty boundary
+                if tokens[1] not in q.vertex_set:
+                    raise ParseError(f"unknown vertex {tokens[1]!r}", row.line)
+                w = empty_word(tokens[1])
+            else:
+                w = _word_of(tokens, q, row.line)
             faces.append((row.key, w))
     return _complex_on(q, faces)
 
@@ -521,7 +539,7 @@ def _render_group(g, indent=""):
 
 def _render_word(w):
     if not w.letters:
-        return "1"
+        return f"1 {w.src}"
     return " ".join(e if s > 0 else f"{e}^-1" for e, s in w.letters)
 
 

@@ -202,13 +202,21 @@ def _check_word(q, w, message, witness):
 
 def free_reduce(w):
     """Unique normal form: cancel adjacent ``(e,s)(e,-s)`` pairs."""
+    return Word(src=w.src, tgt=w.tgt, letters=_retracted(w.letters, ()))
+
+
+def _retracted(letters, dropped):
+    """``letters`` without the letters on the edges in ``dropped``, freely
+    reduced, in one stack pass."""
     stack = []
-    for letter in w.letters:
+    for letter in letters:
+        if letter[0] in dropped:
+            continue
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(src=w.src, tgt=w.tgt, letters=tuple(stack))
+    return tuple(stack)
 
 
 def count_reduced_words(q, x, k):
@@ -753,24 +761,19 @@ def vertex_group_presentation(p, x):
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )
 
-    def rewrite(w):
-        out = []
-        for e, s in w.letters:
-            if e in tree_edges:
-                continue
-            if out and out[-1] == (e, -s):
-                out.pop()
-            else:
-                out.append((e, s))
-        return tuple(out)
-
     relators = []
     dropped = []
     for lhs, rhs in p.relations:
         if lhs.src not in comp:
             dropped.append((lhs, rhs))
             continue
-        rel = rewrite(lhs.concat(rhs.inverse()))
+        if lhs.tgt != rhs.tgt:
+            raise ValidationError(
+                "words do not concatenate", witness=(lhs.tgt, rhs.tgt)
+            )
+        # lhs . rhs^-1, read straight off the two letter tuples
+        inverse = ((e, -s) for e, s in reversed(rhs.letters))
+        rel = _retracted(chain(lhs.letters, inverse), tree_edges)
         if rel:
             relators.append(rel)
     return GroupPresentation(
@@ -782,11 +785,23 @@ def vertex_group_presentation(p, x):
 
 def free_loop_counts(gp, kmax):
     """Reduced-word counts (length <= k, k = 0..kmax) in the free group on
-    ``gp.generators``; requires a relator-free presentation."""
+    ``gp.generators``; requires a relator-free presentation.
+
+    In the free group of rank r there is one reduced word of length 0 and
+    2r (2r - 1)^(n - 1) of length n >= 1: 2r choices of first letter, then
+    any letter but the inverse of the one before.  The counts are those
+    sums, the same numbers ``count_reduced_words`` finds on the bouquet of
+    r loops."""
     if gp.relators:
         raise ValidationError("presentation is not free", witness=gp.relators)
     q = quiver(("*",), [(g, "*", "*") for g in gp.generators])
-    return [count_reduced_words(q, "*", k) for k in range(kmax + 1)]
+    letters = 2 * len(q.edges)
+    counts = [1]
+    words = letters  # of length 1
+    for _ in range(kmax):
+        counts.append(counts[-1] + words)
+        words *= letters - 1
+    return counts[: kmax + 1]
 
 
 def enumerate_group_morphisms(gp, group, guard=DEFAULT_SIZE_GUARD):

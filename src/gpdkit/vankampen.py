@@ -33,9 +33,8 @@ from .presentations import (
     _check_word,
     _morphism_blocks,
     _restriction,
+    _retracted,
     empty_word,
-    free_reduce,
-    presentation,
     pushout,
     quiver,
     spanning_tree,
@@ -57,7 +56,7 @@ class Complex2:
     # Set by a successful ``validate``; ``init=False`` keeps raw construction,
     # ``restrict`` and ``dataclasses.replace`` from inheriting it.
     _validated: bool = field(default=False, init=False, compare=False, repr=False)
-    # The edge quiver, built on first use or handed over by ``_complex_on``.
+    # The edge quiver, built on first use or handed over by ``_on_quiver``.
     _quiver: Quiver = field(default=None, init=False, compare=False, repr=False)
 
     def edge_quiver(self):
@@ -88,29 +87,41 @@ class Complex2:
 
 def complex2(vertices, edges, faces=()):
     """Build a complex from edge triples and ``(face, boundary)`` pairs,
-    where a boundary is a letter list and letters are ``(edge, sign)``."""
-    return _complex_on(quiver(vertices, edges), faces)
+    where a boundary is a ``Word`` or a letter list and letters are
+    ``(edge, sign)``.  Every boundary is checked by ``validate``."""
+    q = quiver(vertices, edges)
+    return _on_quiver(
+        q, [(f, w if isinstance(w, Word) else word(q, list(w))) for f, w in faces]
+    ).validate()
 
 
 def _complex_on(q, faces):
-    """The complex on a checked edge quiver ``q``, kept as its own."""
-    fids = tuple(f for f, _ in faces)
-    fboundary = {}
-    for f, letters in faces:
-        if isinstance(letters, Word):
-            fboundary[f] = letters
-        else:
-            fboundary[f] = word(q, list(letters))
+    """The complex on a checked edge quiver ``q`` whose ``(face, boundary)``
+    pairs carry words over ``q`` that were checked as they were built, as
+    the document parser builds them: only the face names and closed
+    boundaries are left to check, and the complex is marked validated."""
+    x = _on_quiver(q, faces)
+    if len(set(x.faces)) != len(x.faces):
+        raise ValidationError("duplicate faces", witness=x.faces)
+    for f, w in faces:
+        if w.src != w.tgt:
+            raise ValidationError("boundary word is not closed", witness=(f, w))
+    object.__setattr__(x, "_validated", True)
+    return x
+
+
+def _on_quiver(q, faces):
+    """The unchecked complex on edge quiver ``q``, kept as its own."""
     x = Complex2(
         vertices=q.vertices,
         edges=q.edges,
         esrc=q.esrc,
         etgt=q.etgt,
-        faces=fids,
-        fboundary=fboundary,
+        faces=tuple(f for f, _ in faces),
+        fboundary=dict(faces),
     )
     object.__setattr__(x, "_quiver", q)
-    return x.validate()
+    return x
 
 
 @dataclass(frozen=True)
@@ -242,11 +253,12 @@ class ForestRetraction:
     tree_edges: frozenset
 
     def apply(self, w):
-        letters = tuple(
-            (e, s) for e, s in w.letters if e not in self.tree_edges
-        )
-        return free_reduce(
-            Word(src=self.root_of[w.src], tgt=self.root_of[w.tgt], letters=letters)
+        """The free reduction of ``w`` with its tree letters dropped, on the
+        roots of its ends."""
+        return Word(
+            src=self.root_of[w.src],
+            tgt=self.root_of[w.tgt],
+            letters=_retracted(w.letters, self.tree_edges),
         )
 
     def carrier_word(self, e):
@@ -264,6 +276,19 @@ class ForestRetraction:
 
 
 def _fundamental(x, base):
+    """The presentation of the fundamental groupoid of ``x`` on ``base``,
+    and the forest retraction that built it.
+
+    The relations are not walked again by ``presentation``: they are valid
+    over ``pq`` by construction.  A boundary word of ``x`` chains over its
+    edge quiver and is closed.  A tree edge joins two vertices of one tree,
+    so dropping its letters leaves each surviving letter ``(e, s)`` starting
+    on the root the previous one ends on, and ``e`` runs between the roots
+    of its ends in ``pq``.  Free reduction cancels adjacent inverse letters
+    and keeps that chaining.  The retracted word therefore runs from the
+    root of the boundary's base point back to it, and the empty word there
+    is the coterminal other side.
+    """
     x.validate()
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
@@ -295,7 +320,7 @@ def _fundamental(x, base):
     for f in x.faces:
         w = retraction.apply(x.fboundary[f])
         relations.append((w, empty_word(w.src)))
-    return presentation(pq, relations), retraction
+    return GroupoidPresentation(quiver=pq, relations=tuple(relations)), retraction
 
 
 def fundamental_groupoid(x, base):

@@ -153,6 +153,15 @@ edges:
   q: 0 1
 """
 
+# The one-vertex 2-sphere: a single face on the empty word at ``v``.
+SPHERE = """\
+kind: complex
+vertices: v
+edges:
+faces:
+  f: 1 v
+"""
+
 COVER = """\
 kind: cover
 complex:
@@ -420,8 +429,8 @@ def test_reserved_edge_name_rejected():
 
 @pytest.mark.parametrize(
     "text",
-    [C2_GROUP, S3_PERMS, CIRCLE, COVER, XMOD_C4C2, SQUARES, CUBE_Z5, EH_C2],
-    ids=["c2", "s3", "circle", "cover", "xmod", "squares", "cube", "eh"],
+    [C2_GROUP, S3_PERMS, CIRCLE, SPHERE, COVER, XMOD_C4C2, SQUARES, CUBE_Z5, EH_C2],
+    ids=["c2", "s3", "circle", "sphere", "cover", "xmod", "squares", "cube", "eh"],
 )
 def test_render_round_trip(text):
     first = parse_document(text)

@@ -1,0 +1,500 @@
+"""Differential tests for words that are built and checked once.
+
+The parser used to turn a face or relation side into letters with
+``_letters_of`` and then build the word through ``presentations.word``;
+``_word_of`` now looks up and chains the tokens in one pass.  A parsed
+complex used to walk every face word again in ``Complex2.validate``; the
+fundamental groupoid's relations used to be filtered, then freely reduced
+into a second ``Word``, then walked again by ``presentation``; and
+``vertex_group_presentation`` built ``lhs.concat(rhs.inverse())`` for each
+relation.  The originals are kept here verbatim as oracles.  On hypothesis
+token lists and complexes, and on the seeded torus-band complexes the
+benchmark runs, the new code must give equal words, complexes and
+presentations, or raise the same error with the same message and line or
+witness.
+"""
+
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpdkit import presentations, vankampen
+from gpdkit.core import ValidationError, skeleton_components
+from gpdkit.documents import ParseError, _word_of, parse_document, render_document
+from gpdkit.presentations import (
+    GroupPresentation,
+    Word,
+    count_reduced_words,
+    empty_word,
+    free_loop_counts,
+    presentation,
+    quiver,
+    vertex_group_presentation,
+    word,
+)
+from gpdkit.vankampen import _fundamental, complex2, fundamental_groupoid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Grid  # noqa: E402
+
+# ------------------------------------------------------------------ oracles
+
+
+def _letters_of(tokens, q, line):
+    letters = []
+    for t in tokens:
+        if t.endswith("^-1"):
+            e, s = t[:-3], -1
+        else:
+            e, s = t, 1
+        if e not in q.esrc:
+            raise ParseError(f"unknown edge {e!r}", line)
+        letters.append((e, s))
+    return letters
+
+
+def word_of_oracle(tokens, q, line, at=None):
+    if tokens == ["1"]:
+        if at is None:
+            raise ParseError(
+                "an empty word is only allowed opposite a nonempty side", line
+            )
+        return word(q, (), at=at)
+    try:
+        return word(q, _letters_of(tokens, q, line))
+    except ValidationError as exc:
+        raise ParseError(f"word does not chain: {exc}", line)
+
+
+def free_reduce_oracle(w):
+    """Unique normal form: cancel adjacent ``(e,s)(e,-s)`` pairs."""
+    stack = []
+    for letter in w.letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return Word(src=w.src, tgt=w.tgt, letters=tuple(stack))
+
+
+def apply_oracle(retraction, w):
+    """``ForestRetraction.apply`` as it was."""
+    letters = tuple(
+        (e, s) for e, s in w.letters if e not in retraction.tree_edges
+    )
+    return free_reduce_oracle(
+        Word(src=retraction.root_of[w.src], tgt=retraction.root_of[w.tgt], letters=letters)
+    )
+
+
+def fundamental_oracle(x, retraction):
+    """The presentation ``_fundamental`` built: relations retracted by the
+    old ``apply`` and walked again by ``presentation``."""
+    relations = []
+    for f in x.faces:
+        w = apply_oracle(retraction, x.fboundary[f])
+        relations.append((w, empty_word(w.src)))
+    return presentation(retraction.presentation_quiver, relations)
+
+
+def vertex_group_oracle(p, x):
+    q = p.quiver
+    if x not in q.vertices:
+        raise ValidationError("no such vertex", witness=x)
+    block = next(
+        b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
+    )
+    comp = set(block)
+    paths, _, tree_edges = presentations.spanning_tree(q, [block[0]])
+    generators = tuple(
+        e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
+    )
+
+    def rewrite(w):
+        out = []
+        for e, s in w.letters:
+            if e in tree_edges:
+                continue
+            if out and out[-1] == (e, -s):
+                out.pop()
+            else:
+                out.append((e, s))
+        return tuple(out)
+
+    relators = []
+    dropped = []
+    for lhs, rhs in p.relations:
+        if lhs.src not in comp:
+            dropped.append((lhs, rhs))
+            continue
+        rel = rewrite(lhs.concat(rhs.inverse()))
+        if rel:
+            relators.append(rel)
+    return GroupPresentation(
+        generators=generators,
+        relators=tuple(relators),
+        dropped_relations=tuple(dropped),
+    )
+
+
+def _outcome(f, *args):
+    """What a call did: its value, or the error's type, message, line and
+    witness."""
+    try:
+        return ("returned", f(*args))
+    except (ParseError, ValidationError) as exc:
+        return (
+            "raised", type(exc), str(exc),
+            getattr(exc, "line", None), getattr(exc, "witness", None),
+        )
+
+
+# ------------------------------------------------------------- token lists
+
+VERTICES = ("v0", "v1", "v2")
+
+
+@st.composite
+def edge_quivers(draw):
+    n = draw(st.integers(0, 5))
+    return quiver(
+        VERTICES,
+        [(f"e{i}", draw(st.sampled_from(VERTICES)), draw(st.sampled_from(VERTICES)))
+         for i in range(n)],
+    )
+
+
+@st.composite
+def token_cases(draw):
+    """A quiver, a token list, and the vertex ``at`` that places ``1``: a
+    walk's tokens, then up to three damages (unknown edges, ``^-1`` on an
+    unknown edge, ``1``, letters that do not chain)."""
+    q = draw(edge_quivers())
+    here = draw(st.sampled_from(VERTICES))
+    tokens = []
+    for _ in range(draw(st.integers(0, 6))):
+        out = [
+            (e, s) for e in q.edges for s in (1, -1)
+            if (q.esrc[e] if s > 0 else q.etgt[e]) == here
+        ]
+        if not out:
+            break
+        e, s = draw(st.sampled_from(out))
+        tokens.append(e if s > 0 else f"{e}^-1")
+        here = q.etgt[e] if s > 0 else q.esrc[e]
+    junk = st.sampled_from(
+        [*q.edges, *(f"{e}^-1" for e in q.edges),
+         "zz", "zz^-1", "1", "1^-1", "^-1", "e0^-1^-1", "v0"]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()) or not tokens:
+            tokens.insert(i, draw(junk))
+        else:
+            del tokens[i - 1]
+    if draw(st.integers(0, 4)) == 0:
+        tokens = ["1"]
+    at = draw(st.sampled_from((None,) + VERTICES))
+    return q, tokens, at
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=token_cases(), line=st.integers(1, 40))
+def test_word_of_matches_the_two_pass_oracle(case, line):
+    q, tokens, at = case
+    assert _outcome(_word_of, tokens, q, line, at) == _outcome(
+        word_of_oracle, tokens, q, line, at
+    )
+
+
+CHAIN = quiver(VERTICES, [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v2", "v0")])
+
+
+@pytest.mark.parametrize(
+    "tokens, at, expected",
+    [
+        # an unknown edge after a chain break is reported first
+        (["a", "c", "zz"], None, ("unknown edge 'zz'",)),
+        (["a", "a", "b", "zz^-1"], None, ("unknown edge 'zz'",)),
+        (["zz^-1"], None, ("unknown edge 'zz'",)),
+        (["1^-1"], None, ("unknown edge '1'",)),
+        (["a", "1"], None, ("unknown edge '1'",)),
+        (["a", "c"], None, ("word does not chain: letters do not chain",)),
+        (["1"], None, ("an empty word is only allowed opposite a nonempty side",)),
+        ([], None, ("word does not chain: empty word needs a vertex",)),
+        (["1"], "v1", Word("v1", "v1", ())),
+        (["a", "b", "c"], None, Word("v0", "v0", (("a", 1), ("b", 1), ("c", 1)))),
+        (["c^-1", "b^-1"], None, Word("v0", "v1", (("c", -1), ("b", -1)))),
+    ],
+)
+def test_hand_picked_token_lists(tokens, at, expected):
+    want = _outcome(word_of_oracle, tokens, CHAIN, 7, at)
+    assert _outcome(_word_of, tokens, CHAIN, 7, at) == want
+    if isinstance(expected, Word):
+        assert want == ("returned", expected)
+    else:
+        assert want[:4] == ("raised", ParseError, f"line 7: {expected[0]}", 7)
+
+
+# --------------------------------------------------------------- complexes
+
+
+@st.composite
+def complexes(draw):
+    """Vertices, edge triples and ``(face, letters)`` pairs whose letters
+    are closed walks; an empty walk is given as the empty ``Word``."""
+    nv = draw(st.integers(1, 5))
+    vertices = draw(st.permutations([f"p{i}" for i in range(nv)]))
+    edges = [
+        (f"e{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        for i in range(draw(st.integers(0, 7)))
+    ]
+    faces = []
+    for k in range(draw(st.integers(0, 4))):
+        start = here = draw(st.sampled_from(vertices))
+        walk, closed = [], 0
+        for _ in range(draw(st.integers(0, 8))):
+            out = [
+                (e, s) for e, a, b in edges for s in (1, -1)
+                if (a if s > 0 else b) == here
+            ]
+            if not out:
+                break
+            e, s = draw(st.sampled_from(out))
+            walk.append((e, s))
+            here = next(b if s > 0 else a for name, a, b in edges if name == e)
+            if here == start:
+                closed = len(walk)
+        letters = walk[:closed]
+        faces.append((f"f{k}", letters or empty_word(start)))
+    return vertices, edges, faces
+
+
+def _text(vertices, edges, faces):
+    lines = ["kind: complex", "vertices: " + " ".join(vertices), "edges:"]
+    lines += [f"  {e}: {a} {b}" for e, a, b in edges]
+    if faces:
+        lines.append("faces:")
+    for f, letters in faces:
+        if isinstance(letters, Word):
+            lines.append(f"  {f}: 1 {letters.src}")
+        else:
+            lines.append(
+                f"  {f}: " + " ".join(e if s > 0 else f"{e}^-1" for e, s in letters)
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _bases(x, draw_extra):
+    """One base point per component (its first vertex), plus extras."""
+    base = [b[0] for b in skeleton_components(x.vertices, x.edges, x.esrc, x.etgt)]
+    return base + [v for v in draw_extra if v not in base]
+
+
+def _check_pipeline(x, base):
+    """``_fundamental`` on ``x`` against the oracles, and the vertex group
+    at every base point against its oracle."""
+    pres, retraction = _fundamental(x, base)
+    want = fundamental_oracle(x, retraction)
+    assert pres == want
+    assert pres.validate() is pres
+    for v in pres.quiver.vertices:
+        assert vertex_group_presentation(pres, v) == vertex_group_oracle(pres, v)
+    return pres
+
+
+@settings(max_examples=300, deadline=None)
+@given(cx=complexes(), extra=st.lists(st.sampled_from([f"p{i}" for i in range(5)])))
+def test_parsed_complexes_equal_built_ones_and_present_the_same_groupoid(cx, extra):
+    vertices, edges, faces = cx
+    text = _text(vertices, edges, faces)
+    parsed = parse_document(text).payload
+    built = complex2(vertices, edges, faces)
+    assert parsed == built
+    assert parsed._validated and built._validated
+    assert render_document(parse_document(text)) == text
+    base = _bases(parsed, [v for v in extra if v in vertices])
+    assert _check_pipeline(parsed, base) == _check_pipeline(built, base)
+
+
+def _grid_complexes():
+    rng = random.Random(23)
+    out = []
+    for n, components in ((8, 1), (10, 2), (12, 3), (16, 1)):
+        grid = Grid(rng, n, components)
+        base = [grid.v(c, rng.randrange(r), rng.randrange(n)) for c, r in enumerate(grid.rows)]
+        out.append((grid, base))
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid, base", _grid_complexes(), ids=["n8", "n10-two-bands", "n12-three-bands", "n16"]
+)
+def test_seeded_grid_complexes_parse_and_present_as_built(grid, base):
+    text = "\n".join(["kind: complex", *grid.complex_lines()]) + "\n"
+    parsed = parse_document(text).payload
+    faces = [(f, _letters_of(w.split(), parsed.edge_quiver(), 0)) for f, w in grid.faces]
+    assert parsed == complex2(grid.vertices, grid.edges, faces)
+    pres = _check_pipeline(parsed, base)
+    assert len(pres.relations) == len(grid.faces)
+
+
+@pytest.fixture
+def word_walks(monkeypatch):
+    """Record each word ``_check_word`` walks, in either module."""
+    calls = []
+    real = presentations._check_word
+
+    def spy(q, w, message, witness):
+        calls.append(w)
+        return real(q, w, message, witness)
+
+    monkeypatch.setattr(presentations, "_check_word", spy)
+    monkeypatch.setattr(vankampen, "_check_word", spy)
+    return calls
+
+
+def test_a_parsed_complex_and_its_groupoid_walk_no_word_again(word_walks):
+    grid, base = _grid_complexes()[1]
+    text = "\n".join(["kind: complex", *grid.complex_lines()]) + "\n"
+    x = parse_document(text).payload
+    pres = fundamental_groupoid(x, base)
+    vertex_group_presentation(pres, base[0])
+    assert word_walks == []
+    # A word handed to ``complex2`` is still walked.
+    complex2(x.vertices, [(e, x.esrc[e], x.etgt[e]) for e in x.edges],
+             [(f, x.fboundary[f]) for f in x.faces[:3]])
+    assert word_walks == [x.fboundary[f] for f in x.faces[:3]]
+
+
+DISC = """\
+kind: complex
+vertices: 0 1
+edges:
+  p: 0 1
+  q: 0 1
+faces:
+  f: p q^-1
+"""
+
+
+@pytest.mark.parametrize(
+    "boundary, message, witness",
+    [
+        (Word("0", "1", (("p", 1),)), "boundary word is not closed", None),
+        (Word("0", "0", (("p", 1), ("p", 1))), "letters do not chain", (1, ("p", 1), "1")),
+        (Word("0", "0", (("z", 1),)), "malformed letter", ("z", 1)),
+        (Word("1", "1", (("p", 1), ("q", -1))), "malformed boundary word", None),
+        (Word("0", "1", ()), "malformed boundary word", None),
+        (Word("9", "9", ()), "empty word needs a vertex", "9"),
+    ],
+    ids=["open", "unchained", "unknown-edge", "wrong-ends", "empty-two-ends", "empty-off"],
+)
+def test_a_replaced_parsed_complex_is_rejected_with_the_old_witness(
+    boundary, message, witness
+):
+    x = parse_document(DISC).payload
+    broken = replace(x, fboundary={"f": boundary})
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            fundamental_groupoid(broken, ("0",))
+        assert str(info.value) == message
+        assert info.value.witness == (("f", boundary) if witness is None else witness)
+    assert fundamental_groupoid(x, ("0",)).relations  # the original is untouched
+
+
+@settings(max_examples=300, deadline=None)
+@given(cx=complexes(), cuts=st.lists(st.integers(0, 8), min_size=4, max_size=4))
+def test_vertex_groups_of_two_sided_relations_match_the_oracle(cx, cuts):
+    """Each closed walk X Y becomes the relation X = Y^-1, so both sides
+    are nonempty whenever the cut falls inside the walk."""
+    vertices, edges, faces = cx
+    q = quiver(vertices, edges)
+    relations = []
+    for (_, letters), cut in zip(faces, cuts):
+        if isinstance(letters, Word) or not 0 < cut < len(letters):
+            continue
+        lhs = word(q, letters[:cut])
+        rhs = word(q, letters[cut:]).inverse()
+        relations.append((lhs, rhs))
+    p = presentation(q, relations)
+    for v in vertices:
+        assert vertex_group_presentation(p, v) == vertex_group_oracle(p, v)
+
+
+PRESENTATIONS = [
+    Path(__file__).parent / "data" / f"wedge-{piece}.pres" for piece in "uvw"
+] + [
+    "kind: presentation\nvertices: a b\nedges:\n  x: a b\n  y: b a\n"
+    "relations:\n  x y = 1\n  1 = y^-1 x^-1\n  x y x = x\n"
+]
+
+
+@pytest.mark.parametrize("source", PRESENTATIONS, ids=["u", "v", "w", "two-vertex"])
+def test_parsed_presentations_are_the_validated_ones(source):
+    text = source if isinstance(source, str) else source.read_text(encoding="utf-8")
+    p = parse_document(text).payload
+    assert p == presentation(p.quiver, p.relations)
+    assert p.validate() is p
+
+
+def test_duplicate_faces_are_rejected_parsed_or_built():
+    text = DISC + "  f: q p^-1\n"
+    with pytest.raises(ValidationError) as parsed:
+        parse_document(text)
+    with pytest.raises(ValidationError) as built:
+        complex2((0, 1), [("p", 0, 1), ("q", 0, 1)],
+                 [("f", [("p", 1), ("q", -1)]), ("f", [("q", 1), ("p", -1)])])
+    for info in (parsed, built):
+        assert (str(info.value), info.value.witness) == ("duplicate faces", ("f", "f"))
+
+
+def test_a_raw_relation_that_does_not_close_keeps_its_error():
+    q = CHAIN
+    raw = presentations.GroupoidPresentation(
+        quiver=q, relations=((Word("v0", "v1", (("a", 1),)), empty_word("v0")),)
+    )
+    want = _outcome(vertex_group_oracle, raw, "v0")
+    assert want[:3] == ("raised", ValidationError, "words do not concatenate")
+    assert _outcome(vertex_group_presentation, raw, "v0") == want
+
+
+# ------------------------------------------------------ faces on the empty word
+
+
+def test_an_empty_face_names_a_vertex_of_the_complex():
+    text = "kind: complex\nvertices: v\nedges:\nfaces:\n  f: 1 w\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert (str(info.value), info.value.line) == ("line 5: unknown vertex 'w'", 5)
+    with pytest.raises(ParseError) as info:
+        parse_document(text.replace("1 w", "1"))
+    assert str(info.value) == (
+        "line 5: an empty word is only allowed opposite a nonempty side"
+    )
+
+
+# ------------------------------------------------------------ loop counts
+
+
+@pytest.mark.parametrize("rank", range(9))
+def test_free_loop_counts_match_the_reduced_word_count(rank):
+    gens = tuple(f"g{i}" for i in range(rank))
+    q = quiver(("*",), [(g, "*", "*") for g in gens])
+    want = [count_reduced_words(q, "*", k) for k in range(7)]
+    assert free_loop_counts(GroupPresentation(generators=gens, relators=()), 6) == want
+    for kmax in range(7):
+        assert free_loop_counts(
+            GroupPresentation(generators=gens, relators=()), kmax
+        ) == want[: kmax + 1]
+
+
+def test_free_loop_counts_on_a_large_rank_are_immediate():
+    gens = tuple(f"g{i}" for i in range(400))
+    counts = free_loop_counts(GroupPresentation(generators=gens, relators=()), 6)
+    assert counts[1] == 801 and counts[2] == 801 + 800 * 799
