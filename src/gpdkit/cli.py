@@ -31,7 +31,7 @@ from .core import (
     SizeGuardExceeded,
     ValidationError,
     battery,
-    finite_group,
+    one_object_group,
     subgroup,
 )
 from .dblgpd import (
@@ -115,9 +115,7 @@ def _base_group(xm):
         raise ValidationError(
             "a one-object crossed module is required", witness=xm.p.objects
         )
-    return finite_group(
-        xm.p.arrows, dict(xm.p.comp), unit=xm.p.id_of["*"], name=xm.p.name
-    )
+    return one_object_group(xm.p)
 
 
 def _command_name(args):
@@ -744,10 +742,13 @@ def _error_exit(args, exc):
         message = str(exc)
     if isinstance(exc, SizeGuardExceeded):
         data.update(needed=exc.needed, allowed=exc.allowed)
+    witnesses = [message]
+    if getattr(exc, "witness", None) is not None:
+        witnesses.append(f"witness: {exc.witness!r}")
     print(f"error: {message}", file=sys.stderr)
     return _report(
         args, "fail" if code == 1 else "error", code, args.sources,
-        witnesses=[message], data=data,
+        witnesses=witnesses, data=data,
     )
 
 

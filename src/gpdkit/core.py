@@ -22,6 +22,12 @@ Conventions that hold across the whole package:
   return are marked lawful, which lets ``xmod.check_axioms`` check the
   laws over base arrows on generators.  ``from_group(g)`` with the
   default object and name is built once and kept on ``g``.
+- Validation keeps an ``IndexView``, the table read into integer rows
+  with inverses, identities and endpoints as indexes.  Every validated
+  group and every groupoid marked lawful carries one (``from_group(g)``
+  shares ``g``'s), and the hot readers (``dblgpd.from_xmod``,
+  ``xmod.automorphism_group``) compose through it instead of hashing
+  elements or arrows.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
@@ -69,12 +75,33 @@ class HypothesisError(Exception):
 
 
 @dataclass(frozen=True)
+class IndexView:
+    """A group or groupoid table read into integers, kept by validation.
+
+    ``items`` are the elements or arrows and ``index`` maps each to its
+    position.  ``rows[i][j]`` is the index of "items[i] then items[j]", or
+    -1 where the two do not compose, and ``inverse[i]`` the index of the
+    inverse.  ``units[x]`` is the identity index at the x-th object, and
+    ``src``/``tgt`` give each arrow's object indexes.  A group is one
+    object: ``units`` is ``(unit index,)`` and every endpoint is 0.
+    """
+
+    items: tuple
+    index: dict
+    rows: tuple
+    inverse: tuple
+    units: tuple
+    src: tuple
+    tgt: tuple
+
+
+@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group: element tuple, full multiplication table, unit.
 
     ``table[(a, b)]`` is the product "a then b".  ``inverse`` is filled in
-    by ``finite_group``; raw dataclass construction is allowed for
-    deliberately broken tables in tests.
+    by ``validate`` when not given; raw dataclass construction is allowed
+    for deliberately broken tables in tests.
     """
 
     elements: tuple
@@ -85,6 +112,9 @@ class FiniteGroup:
     # Set by a successful ``validate``; ``init=False`` keeps raw construction
     # and ``dataclasses.replace`` from inheriting it.
     _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    # The IndexView that ``validate`` reads the table into; shared by
+    # ``from_group(self)`` and every later reader.
+    _view: IndexView = field(default=None, init=False, compare=False, repr=False)
     # ``from_group(self)`` with the default object and name, built on first
     # use; ``init=False`` again keeps copies from sharing it.
     _groupoid: object = field(default=None, init=False, compare=False, repr=False)
@@ -116,7 +146,9 @@ class FiniteGroup:
         element indices, so each (x, s) pair compares two rows: O(n^2 |S|)
         in all, instead of O(n^3).  When the test fails, the triple loop
         finds the first failing ``(a, b, c)`` in product order, the witness
-        it has always reported.
+        it has always reported.  The rows are kept as the group's
+        ``IndexView``, and a group built without an inverse map gets the
+        table's.
         """
         if self._validated:
             return self
@@ -126,17 +158,19 @@ class FiniteGroup:
             raise ValidationError("duplicate elements", witness=elems)
         if self.unit not in index:
             raise ValidationError("unit is not an element", witness=self.unit)
-        # rows[i][j]: the index of elems[i] times elems[j]
+        # rows[i][j]: the index of elems[i] times elems[j], None where the
+        # product is missing or not an element
+        table, get, missing = self.table, index.get, object()
         rows = []
         for a in elems:
-            row = []
-            for b in elems:
-                if (a, b) not in self.table:
+            row = [get(table.get((a, b), missing)) for b in elems]
+            if None in row:
+                b = elems[row.index(None)]
+                if (a, b) not in table:
                     raise ValidationError("table is not total", witness=(a, b))
-                ab = self.table[(a, b)]
-                if ab not in index:
-                    raise ValidationError("table leaves the carrier", witness=(a, b, ab))
-                row.append(index[ab])
+                raise ValidationError(
+                    "table leaves the carrier", witness=(a, b, table[(a, b)])
+                )
             rows.append(row)
         u = index[self.unit]
         for i, a in enumerate(elems):
@@ -152,9 +186,19 @@ class FiniteGroup:
                     if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                         witness = (elems[a], elems[b], elems[c])
                         raise ValidationError("associativity fails", witness=witness)
-        for i, a in enumerate(elems):
-            if not any(rows[i][j] == u and rows[j][i] == u for j in ids):
-                raise ValidationError("no two-sided inverse", witness=a)
+        # The table is associative now, so a right inverse is the only
+        # two-sided inverse there can be.
+        inverse = []
+        for i, row in enumerate(rows):
+            j = row.index(u) if u in row else None
+            if j is None or rows[j][i] != u:
+                raise ValidationError("no two-sided inverse", witness=elems[i])
+            inverse.append(j)
+        ends = (0,) * len(elems)
+        view = IndexView(elems, index, tuple(map(tuple, rows)), tuple(inverse), (u,), ends, ends)
+        if self.inverse is None:
+            object.__setattr__(self, "inverse", dict(zip(elems, map(elems.__getitem__, inverse))))
+        object.__setattr__(self, "_view", view)
         object.__setattr__(self, "_validated", True)
         return self
 
@@ -172,15 +216,7 @@ def finite_group(elements, table, unit=None, name=""):
                 break
         else:
             raise ValidationError("no unit found", witness=elements)
-    inverse = {}
-    for a in elements:
-        for b in elements:
-            if table.get((a, b)) == unit and table.get((b, a)) == unit:
-                inverse[a] = b
-                break
-    return FiniteGroup(
-        elements=elements, table=table, unit=unit, inverse=inverse, name=name
-    ).validate()
+    return FiniteGroup(elements=elements, table=table, unit=unit, name=name).validate()
 
 
 def cyclic_group(n, name=None):
@@ -296,9 +332,11 @@ class FiniteGroupoid:
     inv: dict
     name: str = field(default="", compare=False)
     # Set by ``build_groupoid``, ``from_group`` and ``disjoint_union`` when
-    # every groupoid law holds; raw construction and ``dataclasses.replace``
-    # start unmarked, as with ``FiniteGroup._validated``.
+    # every groupoid law holds, together with the IndexView; raw
+    # construction and ``dataclasses.replace`` start unmarked and without
+    # a view, as with ``FiniteGroup._validated``.
     _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    _view: IndexView = field(default=None, init=False, compare=False, repr=False)
 
     def compose(self, a, b):
         if self.tgt[a] != self.src[b]:
@@ -405,7 +443,7 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
                 break
         else:
             raise ValidationError("arrow with no inverse", witness=a)
-    return _lawful(FiniteGroupoid(
+    p = FiniteGroupoid(
         objects=objects,
         arrows=arrows,
         src=src,
@@ -414,14 +452,61 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
         id_of=id_of,
         inv=inv,
         name=name,
-    ))
+    )
+    return _lawful(p, index_view(p))
 
 
-def _lawful(g, lawful=True):
-    """Mark ``g`` as a groupoid whose laws hold, when ``lawful``."""
-    if lawful:
-        object.__setattr__(g, "_validated", True)
-    return g
+def _lawful(p, view):
+    """Mark ``p`` as a groupoid whose laws hold, keeping ``view`` as its
+    IndexView; a ``view`` of None leaves ``p`` unmarked."""
+    if view is not None:
+        object.__setattr__(p, "_view", view)
+        object.__setattr__(p, "_validated", True)
+    return p
+
+
+def index_view(p):
+    """The IndexView of groupoid ``p``: the one kept on ``p`` when it is
+    marked lawful, else one built for the caller and not kept.  Nothing
+    but indexing is checked: an arrow whose ends are not objects, a
+    composable pair whose composite is missing or not an arrow, an object
+    without an identity arrow, and an arrow without an inverse arrow
+    running the other way raise ValidationError with a witness."""
+    if p._view is not None:
+        return p._view
+    arrows = p.arrows
+    index = {a: i for i, a in enumerate(arrows)}
+    objects = {x: i for i, x in enumerate(p.objects)}
+    src, tgt = [], []
+    for a in arrows:
+        x, y = objects.get(p.src.get(a)), objects.get(p.tgt.get(a))
+        if x is None or y is None:
+            raise ValidationError("arrow with bad endpoints", witness=a)
+        src.append(x)
+        tgt.append(y)
+    comp, get, missing = p.comp, index.get, object()
+    rows = []
+    for a, y in zip(arrows, tgt):
+        row = [
+            get(comp.get((a, b), missing)) if x == y else -1 for b, x in zip(arrows, src)
+        ]
+        if None in row:
+            b = arrows[row.index(None)]
+            if (a, b) not in comp:
+                raise ValidationError("composition table is not total", witness=(a, b))
+            raise ValidationError("composite leaves the carrier", witness=(a, b))
+        rows.append(tuple(row))
+    units = [get(p.id_of.get(x, missing)) for x in p.objects]
+    if None in units:
+        witness = p.objects[units.index(None)]
+        raise ValidationError("object with no identity arrow", witness=witness)
+    inverse = [get(p.inv.get(a, missing)) for a in arrows]
+    for i, j in enumerate(inverse):
+        if j is None or src[j] != tgt[i] or tgt[j] != src[i]:
+            raise ValidationError("arrow with no inverse", witness=arrows[i])
+    return IndexView(
+        arrows, index, tuple(rows), tuple(inverse), tuple(units), tuple(src), tuple(tgt)
+    )
 
 
 def interval_groupoid():
@@ -450,8 +535,8 @@ def from_group(g, obj="*", name=""):
 
     It shares ``g``'s table and inverse map, and with the default object
     and name it is built once per group and kept on ``g``.  It is marked
-    lawful when ``g.inverse`` is the table's inverse map, as it is for
-    every group ``finite_group`` builds."""
+    lawful, with ``g``'s IndexView, when ``g.inverse`` is the table's
+    inverse map, as it is for every group ``finite_group`` builds."""
     g.validate()
     default = obj == "*" and not name
     if default and g._groupoid is not None:
@@ -460,11 +545,7 @@ def from_group(g, obj="*", name=""):
     arrows = g.elements
     src = {a: obj for a in arrows}
     tgt = {a: obj for a in arrows}
-    inv = (
-        g.inverse
-        if g.inverse is not None
-        else {a: next(b for b in arrows if g.table[(a, b)] == g.unit) for a in arrows}
-    )
+    inv = g.inverse
     p = _lawful(
         FiniteGroupoid(
             objects=objects,
@@ -476,11 +557,24 @@ def from_group(g, obj="*", name=""):
             inv=inv,
             name=name or g.name,
         ),
-        all(g.table.get((a, inv.get(a))) == g.unit for a in arrows),
+        g._view if all(g.table.get((a, inv.get(a))) == g.unit for a in arrows) else None,
     )
     if default:
         object.__setattr__(g, "_groupoid", p)
     return p
+
+
+def one_object_group(p):
+    """The group of a one-object groupoid's arrows, named as ``p``.  A
+    lawful ``p`` lends its table, inverses and IndexView, so nothing is
+    rebuilt or revalidated; an unmarked one goes through ``finite_group``."""
+    unit = p.id_of[p.objects[0]]
+    if not p._validated:
+        return finite_group(p.arrows, p.comp, unit=unit, name=p.name)
+    g = FiniteGroup(elements=p.arrows, table=p.comp, unit=unit, inverse=p.inv, name=p.name)
+    object.__setattr__(g, "_view", p._view)
+    object.__setattr__(g, "_validated", True)
+    return g
 
 
 def vertex_group(g, x):
@@ -542,13 +636,11 @@ def disjoint_union(g, h, tags=("l", "r")):
     id_of.update({tag(rt, x): tag(rt, h.id_of[x]) for x in h.objects})
     inv = {tag(lt, a): tag(lt, g.inv[a]) for a in g.arrows}
     inv.update({tag(rt, a): tag(rt, h.inv[a]) for a in h.arrows})
-    return _lawful(
-        FiniteGroupoid(
-            objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
-            id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
-        ),
-        g._validated and h._validated,
+    p = FiniteGroupoid(
+        objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
+        id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
     )
+    return _lawful(p, index_view(p) if g._validated and h._validated else None)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .core import (
     SizeGuardExceeded,
     ValidationError,
     finite_group,
+    index_view,
 )
 from .xmod import CrossedModule, XModMorphism, trivial_xmod
 
@@ -271,49 +272,64 @@ class DoubleGroupoidXM:
 
 def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
     """Enumerate every boundary-valid square: choose the right, top, and
-    left edges and the label; the bottom edge is then forced."""
+    left edges and the label; the bottom edge is then forced.
+
+    Arrows are composed as indexes through the base's IndexView (built for
+    this call when the base is not marked lawful), and the squares are
+    filed under their left and top edges by index, one block per choice of
+    edges."""
     p = xm.p
+    v = index_view(p)
+    arrows, rows, inv = v.items, v.rows, v.inverse
+    into = [[] for _ in p.objects]
+    out = [[] for _ in p.objects]
+    for i, (x, y) in enumerate(zip(v.src, v.tgt)):
+        out[x].append(i)
+        into[y].append(i)
     total = 0
-    for a in p.arrows:
-        w = p.tgt[a]
-        for g in p.arrows:
-            if p.tgt[g] != p.src[a]:
-                continue
-            total += len(p.arrows_from(p.src[g])) * len(xm.m[w].elements)
+    for a, (x, w) in enumerate(zip(v.src, v.tgt)):
+        for g in into[x]:
+            total += len(out[v.src[g]]) * len(xm.m[p.objects[w]].elements)
             if total > guard:
                 raise SizeGuardExceeded(
                     f"carrier needs more than {guard} squares", total, guard
                 )
-    comp, inv = p.comp, p.inv
     squares = []
-    for w in p.objects:
-        for a in p.arrows:
-            if p.tgt[a] != w:
-                continue
-            for g in p.arrows:
-                if p.tgt[g] != p.src[a]:
-                    continue
-                for h in p.arrows_from(p.src[g]):
+    by_left, by_top, by_left_top = {}, {}, {}
+    for w, x in enumerate(p.objects):
+        if not into[w]:  # no square has its corner here
+            continue
+        labels = xm.m[x].elements
+        mu_inv = [inv[v.index[xm.mu[x][n]]] for n in labels]
+        for a in into[w]:
+            right = arrows[a]
+            for g in into[v.src[a]]:
+                top = arrows[g]
+                for h in out[v.src[g]]:
+                    left = arrows[h]
                     # h^-1 g a is composable by the loop bounds; mu(n) is
                     # a loop at w only in a lawful crossed module, so the
                     # last step keeps the endpoint check.
-                    hga = comp[(comp[(inv[h], g)], a)]
-                    for n in xm.m[w].elements:
-                        k = p.compose(hga, inv[xm.mu[w][n]])
-                        squares.append(
-                            LabeledSquare(label=n, top=g, left=h, right=a, bottom=k)
-                        )
-    by_left, by_top, by_left_top = {}, {}, {}
-    for s in squares:
-        by_left.setdefault(s.left, []).append(s)
-        by_top.setdefault(s.top, []).append(s)
-        by_left_top.setdefault((s.left, s.top), []).append(s)
+                    hga = rows[rows[inv[h]][g]][a]
+                    row = rows[hga]
+                    block = []
+                    for n, k in zip(labels, mu_inv):
+                        if row[k] < 0:
+                            raise CompositionError(
+                                f"arrows do not compose: {arrows[hga]!r} then {arrows[k]!r}"
+                            )
+                        bottom = arrows[row[k]]
+                        block.append(LabeledSquare(n, top, left, right, bottom))
+                    squares += block
+                    by_left.setdefault(h, []).extend(block)
+                    by_top.setdefault(g, []).extend(block)
+                    by_left_top.setdefault((h, g), []).extend(block)
     return DoubleGroupoidXM(
         xm=xm,
         squares=tuple(squares),
-        by_left={k: tuple(v) for k, v in by_left.items()},
-        by_top={k: tuple(v) for k, v in by_top.items()},
-        by_left_top={k: tuple(v) for k, v in by_left_top.items()},
+        by_left={arrows[h]: tuple(b) for h, b in by_left.items()},
+        by_top={arrows[g]: tuple(b) for g, b in by_top.items()},
+        by_left_top={(arrows[h], arrows[g]): tuple(b) for (h, g), b in by_left_top.items()},
     )
 
 
@@ -360,11 +376,7 @@ def to_xmod(d, name=""):
     groups, mus, action = {}, {}, {}
     for x in p.objects:
         i = p.id_of[x]
-        elems = tuple(
-            s
-            for s in d.squares
-            if s.top == i and s.left == i and s.bottom == i
-        )
+        elems = tuple(s for s in d.by_left_top.get((i, i), ()) if s.bottom == i)
         table = {(s, t): vcompose(xm, s, t) for s in elems for t in elems}
         groups[x] = finite_group(
             elems, table, unit=double_identity(xm, x), name=f"fibre@{x!r}"

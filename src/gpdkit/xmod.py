@@ -42,13 +42,14 @@ from .core import (
     cyclic_group,
     finite_group,
     from_group,
+    generating_set,
     greedy_generators,
     perm_parity,
     subgroup,
     symmetric_group,
     trivial_group,
 )
-from .presentations import group_homs
+from .presentations import _gather, group_homs
 
 
 @dataclass(frozen=True)
@@ -288,16 +289,22 @@ def trivial_xmod(g, name=""):
 def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
     """All automorphisms of a finite group, encoded as image tuples aligned
     with ``g.elements``; composition is "apply left, then right".  They are
-    the bijective ``group_homs(g, g, guard)``."""
-    g.validate()
+    the bijective ``group_homs(g, g, guard)``.  An automorphism is fixed by
+    its images of ``generating_set(g)``, so each product is composed there,
+    on indexes of ``g``'s IndexView, and looked up among the automorphisms
+    instead of being rebuilt element by element."""
+    index = g.validate()._view.index
     n = len(g.elements)
     autos = [images for images in group_homs(g, g, guard) if len(set(images)) == n]
-    idx = {x: i for i, x in enumerate(g.elements)}
-    table = {
-        (a, b): tuple(b[idx[a[i]]] for i in range(n))
-        for a in autos
-        for b in autos
-    }
+    images = [tuple(map(index.__getitem__, x)) for x in autos]
+    at_gens = _gather([index[s] for s in generating_set(g)])
+    by_gens = {at_gens(a): x for a, x in zip(images, autos)}
+    table = {}
+    for x, a in zip(autos, images):
+        # b read at a's generator images: (a then b) at the generators
+        then = _gather(at_gens(a))
+        for y, b in zip(autos, images):
+            table[(x, y)] = by_gens[then(b)]
     return finite_group(
         tuple(autos), table, unit=tuple(g.elements), name=f"aut({g.name or 'group'})"
     )
@@ -307,14 +314,15 @@ def automorphism_xmod(g, name=""):
     """A group over its automorphism group: the boundary sends an element to
     conjugation by it, and automorphisms act by application."""
     aut = automorphism_group(g)
-    idx = {x: i for i, x in enumerate(g.elements)}
     p = from_group(aut, name=aut.name)
     inner = {m: tuple(g.conj(x, m) for x in g.elements) for m in g.elements}
     return CrossedModule(
         p=p,
         m={"*": g},
         mu={"*": inner},
-        action={(m, alpha): alpha[idx[m]] for m in g.elements for alpha in aut.elements},
+        action={
+            (m, alpha): alpha[i] for i, m in enumerate(g.elements) for alpha in aut.elements
+        },
         name=name or f"{g.name or 'group'}<|aut",
     )
 

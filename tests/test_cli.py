@@ -326,6 +326,19 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
     assert err == ["error: line 2: byte 0xff is not valid UTF-8"]
 
 
+def test_a_validation_error_report_carries_its_witness(tmp_path, capsys):
+    bad = tmp_path / "bad.grp"
+    bad.write_text("kind: group\nname: c2\nelements: 0 1\nunit: 0\n"
+                   "table:\n  0: 0 1\n  1: 1 1\n")
+    report, err = _machine_error(capsys, ["xmod", "aut", str(bad)], 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert report["witnesses"] == ["no two-sided inverse", "witness: '1'"]
+    assert err == ["error: no two-sided inverse"]
+    # An error without a witness reports its message alone.
+    report, _ = _machine_error(capsys, ["dgpd", "compose", _p("squares-c2.sq"), "--dir", "v"], 1)
+    assert report["witnesses"] == ["squares do not compose vertically: '0' vs '1'"]
+
+
 def test_an_error_report_digests_the_documents_read_before_the_error(tmp_path, capsys):
     bad = tmp_path / "bad.pres"
     bad.write_bytes(b"kind: presentation\nvertices: 0\xff\n")

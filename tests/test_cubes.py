@@ -6,11 +6,14 @@ kept commutative squares (``CommSquare``) apart from labeled squares and
 solved each cube edge by hand.  They are kept verbatim as oracles, with
 an ``old_`` prefix where the library still has the name: the library's
 thin-square pasting, face-table cube solver and ``from_xmod`` must
-reproduce them exactly, including every random draw.
+reproduce them exactly, including every random draw.  ``from_xmod`` is
+compared square by square and index by index on one-, two- and
+three-object modules, lawful and unmarked bases, and bases that break;
+``_old_fibre``, further down, is the scan ``to_xmod`` made for each fibre.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
@@ -22,7 +25,9 @@ from gpdkit.core import (
     SizeGuardExceeded,
     ValidationError,
     cyclic_group,
+    disjoint_union,
     from_group,
+    interval_groupoid,
     symmetric_group,
 )
 from gpdkit.dblgpd import (
@@ -38,8 +43,9 @@ from gpdkit.dblgpd import (
     random_commutative_cube,
     random_cube_sharing,
     row_uniqueness,
+    to_xmod,
 )
-from gpdkit.xmod import bundled_xmods, trivial_xmod
+from gpdkit.xmod import CrossedModule, automorphism_xmod, bundled_xmods, trivial_xmod
 
 
 @dataclass(frozen=True)
@@ -412,9 +418,119 @@ def test_cube_reports_match_on_every_single_edge_perturbation(group):
                 )
 
 
+def _interval_xmod(boundary=None):
+    """c2 fibres over the interval with the trivial action; the boundary
+    sends every label at ``x`` to ``boundary[x]``, the identity when not
+    given, which makes a lawful crossed module."""
+    p = interval_groupoid()
+    c2 = cyclic_group(2)
+    boundary = boundary or p.id_of
+    return CrossedModule(
+        p=p,
+        m={x: c2 for x in p.objects},
+        mu={x: {m: boundary[x] for m in c2.elements} for x in p.objects},
+        action={(m, a): m for m in c2.elements for a in p.arrows},
+        name="c2-over-interval",
+    )
+
+
+def _union_xmod(xl, xr):
+    """The crossed module over ``disjoint_union(xl.p, xr.p)`` that is ``xl``
+    on the left objects and ``xr`` on the right ones."""
+    p = disjoint_union(xl.p, xr.p)
+    m, mu, action = {}, {}, {}
+    for t, xm in (("l", xl), ("r", xr)):
+        for x in xm.p.objects:
+            m[(t, x)] = xm.m[x]
+            mu[(t, x)] = {n: (t, a) for n, a in xm.mu[x].items()}
+        action.update({(n, (t, a)): out for (n, a), out in xm.action.items()})
+    return CrossedModule(p=p, m=m, mu=mu, action=action, name=f"{xl.name}+{xr.name}")
+
+
+CARRIER_MODULES = {
+    **bundled_xmods(),
+    "interval": _interval_xmod(),
+    "aut-c8": automorphism_xmod(cyclic_group(8)),
+}
+CARRIER_MODULES["two-object"] = _union_xmod(CARRIER_MODULES["c4c2"], CARRIER_MODULES["a3s3"])
+CARRIER_MODULES["three-object"] = _union_xmod(
+    CARRIER_MODULES["interval"], CARRIER_MODULES["auts3"]
+)
+# An unmarked base: ``replace`` drops the mark and the view.
+CARRIER_MODULES["unmarked-auts3"] = replace(
+    CARRIER_MODULES["auts3"], p=replace(CARRIER_MODULES["auts3"].p)
+)
+
+
 def test_from_xmod_enumerates_the_same_squares():
-    for name, xm in bundled_xmods().items():
-        assert from_xmod(xm).squares == old_from_xmod(xm).squares, name
+    for name, xm in CARRIER_MODULES.items():
+        new, old = from_xmod(xm), old_from_xmod(xm)
+        assert new.squares == old.squares, name
+        for index in ("by_left", "by_top", "by_left_top"):
+            assert list(getattr(new, index).items()) == list(getattr(old, index).items()), name
+
+
+def _failure(build, xm):
+    try:
+        build(xm)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_boundary_off_the_loops_at_w_fails_the_last_step_as_before():
+    # The interval's arrow 0 -> 1 as the boundary at 0: h^-1 g a ends at 0,
+    # where the inverse of the boundary does not start.
+    xm = _interval_xmod({0: "i", 1: "id1"})
+    want = _failure(old_from_xmod, xm)
+    assert want == (CompositionError, "arrows do not compose: 'id0' then 'i_inv'")
+    assert _failure(from_xmod, xm) == want
+
+
+def test_a_base_with_a_missing_pair_is_a_validation_error():
+    xm = bundled_xmods()["a3s3"]
+    pair = (xm.p.arrows[1], xm.p.arrows[2])
+    comp = {k: v for k, v in xm.p.comp.items() if k != pair}
+    broken = replace(xm, p=replace(xm.p, comp=comp))
+    with pytest.raises(KeyError):
+        old_from_xmod(broken)
+    with pytest.raises(ValidationError) as info:
+        from_xmod(broken)
+    assert str(info.value) == "composition table is not total"
+    assert info.value.witness == pair
+    # A composite outside the arrows is reported on its pair as well.
+    comp[pair] = "stray"
+    with pytest.raises(ValidationError) as info:
+        from_xmod(replace(xm, p=replace(xm.p, comp=comp)))
+    assert (str(info.value), info.value.witness) == ("composite leaves the carrier", pair)
+
+
+def test_an_unmarked_base_gets_a_view_for_the_call_only():
+    xm = CARRIER_MODULES["unmarked-auts3"]
+    assert xm.p._view is None
+    assert from_xmod(xm).squares == old_from_xmod(xm).squares
+    assert xm.p._view is None
+
+
+def _old_fibre(d, x):
+    """The fibre scan that ``to_xmod`` used, verbatim."""
+    p = d.xm.p
+    i = p.id_of[x]
+    return tuple(
+        s
+        for s in d.squares
+        if s.top == i and s.left == i and s.bottom == i
+    )
+
+
+@pytest.mark.parametrize("name", [*sorted(bundled_xmods()), "two-object", "three-object"])
+def test_to_xmod_reads_the_same_fibres_off_the_index(name):
+    xm = CARRIER_MODULES[name]
+    d = from_xmod(xm)
+    recovered = to_xmod(d)
+    for x in xm.p.objects:
+        assert recovered.m[x].elements == _old_fibre(d, x)
+        assert len(recovered.m[x]) == len(xm.m[x])
 
 
 def _guard_outcome(build, xm, guard):
@@ -426,7 +542,7 @@ def _guard_outcome(build, xm, guard):
 
 
 def test_from_xmod_guard_trips_where_the_old_one_did():
-    for name, xm in bundled_xmods().items():
+    for name, xm in CARRIER_MODULES.items():
         for guard in (0, 3, 4, 17, 35, 36, 647, 648):
             want = _guard_outcome(old_from_xmod, xm, guard)
             assert _guard_outcome(from_xmod, xm, guard) == want, (name, guard)

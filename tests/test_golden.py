@@ -100,8 +100,44 @@ def test_error_goldens_differ_from_their_undigested_versions_only_in_inputs(name
         p: hashlib.sha256((ROOT / p).read_bytes()).hexdigest() for p in report["inputs"]
     }
     assert len(report["inputs"]) == 1
-    old = json.dumps({**report, "inputs": {}}, sort_keys=True, indent=2) + "\n"
+    # These versions also predate the witness entry (see UNWITNESSED).
+    witnesses = [w for w in report["witnesses"] if not w.startswith("witness: ")]
+    old = json.dumps(
+        {**report, "inputs": {}, "witnesses": witnesses}, sort_keys=True, indent=2
+    ) + "\n"
     assert hashlib.sha256(old.encode("utf-8")).hexdigest() == UNDIGESTED[name]
+
+
+# Validation-error reports whose ``witnesses`` end in the exception's
+# witness (``"witness: <repr>"``), each with the SHA-256 of its golden as
+# it read before that entry was added.
+UNWITNESSED = {
+    "xmod-check-c2.grp":
+        "6cecb4ba2c4e0ed12628edf9b2de11e33e9e39ce6e47039561c0aa13c8abd390",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWITNESSED))
+def test_error_goldens_differ_from_their_unwitnessed_versions_only_in_the_witness(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert report["witnesses"][-1].startswith("witness: ")
+    old = json.dumps(
+        {**report, "witnesses": report["witnesses"][:-1]}, sort_keys=True, indent=2
+    ) + "\n"
+    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == UNWITNESSED[name]
+
+
+def test_only_the_unwitnessed_goldens_carry_a_witness_entry():
+    carrying = {
+        path.stem
+        for path in GOLDEN.glob("*.json")
+        if any(
+            w.startswith("witness: ")
+            for w in json.loads(path.read_text(encoding="utf-8"))["witnesses"]
+        )
+    }
+    assert carrying == set(UNWITNESSED)
 
 
 def test_golden_names_are_unique():
