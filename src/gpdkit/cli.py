@@ -99,7 +99,15 @@ def _battery_subset(names):
 
 
 def _load(args, path, kind):
-    doc = load_document(path)
+    try:
+        doc = load_document(path)
+    except Exception as exc:
+        # A document that fails to load is digested all the same, from the
+        # bytes the error carries.
+        source = getattr(exc, "source", None)
+        if source is not None:
+            args.sources[path] = source
+        raise
     args.sources[path] = doc.source
     if doc.kind != kind:
         raise ValidationError(

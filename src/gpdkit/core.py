@@ -27,7 +27,8 @@ Conventions that hold across the whole package:
   group and every groupoid marked lawful carries one (``from_group(g)``
   shares ``g``'s), and the hot readers (``dblgpd.from_xmod``,
   ``xmod.automorphism_group``) compose through it instead of hashing
-  elements or arrows.
+  elements or arrows.  A crossed module keeps one more level on top of
+  these, ``xmod.XModView``, which the square algebra in ``dblgpd`` runs on.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
@@ -118,6 +119,8 @@ class FiniteGroup:
     # ``from_group(self)`` with the default object and name, built on first
     # use; ``init=False`` again keeps copies from sharing it.
     _groupoid: object = field(default=None, init=False, compare=False, repr=False)
+    # ``xmod.trivial_xmod(self)`` with the default name, kept the same way.
+    _trivial: object = field(default=None, init=False, compare=False, repr=False)
 
     def mul(self, a, b):
         return self.table[(a, b)]

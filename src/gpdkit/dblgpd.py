@@ -26,6 +26,21 @@ bottom)`` with ``unit`` the fibre's only element, accepted exactly when
 left-then-bottom equals top-then-right.  Its pastings are ``hcompose`` and
 ``vcompose``, so rows of commutative squares and the flattened cube fold
 with the same code as every other square.
+
+Inside the module a square is the int tuple ``(label, top, left, right,
+bottom)``: the label's index in the fibre at the bottom-right corner and
+the edges' arrow indexes, read through the crossed module's ``XModView``
+(``CrossedModule._view``, read on the first square and kept when the base
+is marked lawful; over an unmarked base each call reads its own).  One
+kernel does
+``make_square``'s checks, both pastings, the grid folds,
+``interchange_check``, ``commutative_cube_check`` and ``from_xmod``'s
+blocks on these tuples; a ``LabeledSquare`` is built only where a square
+leaves the library.  The public functions take and return
+``LabeledSquare``s and wrap the kernel, and every error keeps its text and
+its witness in names.  ``trivial_xmod(g)`` is kept on ``g`` and keeps its
+view, so a cube check reads ``g``'s table rows without rebuilding
+anything.
 """
 
 from __future__ import annotations
@@ -40,9 +55,8 @@ from .core import (
     SizeGuardExceeded,
     ValidationError,
     finite_group,
-    index_view,
 )
-from .xmod import CrossedModule, XModMorphism, trivial_xmod
+from .xmod import CrossedModule, XModMorphism, trivial_xmod, xmod_view
 
 
 @dataclass(frozen=True)
@@ -69,65 +83,158 @@ def boundary_word(xm, s):
 def make_square(xm, label, top, left, right, bottom):
     """Validated square: edges must frame a square, and the label's boundary
     must equal the boundary loop."""
-    p = xm.p
+    xv = xmod_view(xm)
+    index = xv.base.index
+    edges = []
     for e in (top, left, right, bottom):
-        if e not in p.src:
+        i = index.get(e)
+        if i is None:
             raise ValidationError("unknown edge", witness=e)
-    if p.src[top] != p.src[left]:
-        raise ValidationError("top and left must share their source", witness=(top, left))
-    if p.tgt[top] != p.src[right]:
-        raise ValidationError("right must start where top ends", witness=(top, right))
-    if p.tgt[left] != p.src[bottom]:
-        raise ValidationError("bottom must start where left ends", witness=(left, bottom))
-    if p.tgt[right] != p.tgt[bottom]:
-        raise ValidationError("right and bottom must share their target", witness=(right, bottom))
-    base = p.tgt[bottom]
-    if label not in xm.m[base].elements:
-        raise ValidationError("label outside the fibre group", witness=(label, base))
-    s = LabeledSquare(label=label, top=top, left=left, right=right, bottom=bottom)
-    want = boundary_word(xm, s)
-    if xm.mu[base][label] != want:
-        raise ValidationError(
-            "label boundary does not match the square boundary",
-            witness=(label, xm.mu[base][label], want),
-        )
-    return s
+        edges.append(i)
+    return _named(xv, _square(xm, xv, label, *edges))
 
 
 def hcompose(xm, s1, s2):
     """Paste ``s2`` onto the right edge of ``s1``."""
-    if s1.right != s2.left:
-        raise CompositionError(
-            f"squares do not compose horizontally: {s1.right!r} vs {s2.left!r}"
-        )
-    p = xm.p
-    base = xm.m[p.tgt[s2.bottom]]
-    label = base.mul(xm.act(s1.label, s2.bottom), s2.label)
-    return LabeledSquare(
-        label=label,
-        top=p.compose(s1.top, s2.top),
-        left=s1.left,
-        right=s2.right,
-        bottom=p.compose(s1.bottom, s2.bottom),
-    )
+    xv = xmod_view(xm)
+    return _named(xv, _h(xv, _indexed(xv, s1), _indexed(xv, s2)))
 
 
 def vcompose(xm, s1, s2):
     """Paste ``s2`` onto the bottom edge of ``s1``."""
-    if s1.bottom != s2.top:
-        raise CompositionError(
-            f"squares do not compose vertically: {s1.bottom!r} vs {s2.top!r}"
-        )
-    p = xm.p
-    base = xm.m[p.tgt[s2.bottom]]
-    label = base.mul(s2.label, xm.act(s1.label, s2.right))
+    xv = xmod_view(xm)
+    return _named(xv, _v(xv, _indexed(xv, s1), _indexed(xv, s2)))
+
+
+# The integer kernel, on int squares (see the module docstring).
+
+
+def _indexed(xv, s):
+    """The int square of LabeledSquare ``s``."""
+    b = xv.base
+    index = b.index
+    bottom = index[s.bottom]
+    label = xv.fibres[b.tgt[bottom]].index[s.label]
+    return (label, index[s.top], index[s.left], index[s.right], bottom)
+
+
+def _named(xv, s):
+    """The LabeledSquare of int square ``s``, built where a square leaves
+    the library."""
+    label, top, left, right, bottom = s
+    b = xv.base
+    items = b.items
     return LabeledSquare(
-        label=label,
-        top=s1.top,
-        left=p.compose(s1.left, s2.left),
-        right=p.compose(s1.right, s2.right),
-        bottom=s2.bottom,
+        xv.fibres[b.tgt[bottom]].items[label], items[top], items[left], items[right], items[bottom]
     )
+
+
+def _square(xm, xv, label, top, left, right, bottom):
+    """``make_square`` on arrow indexes, for a label given by name: the same
+    checks in the same order, each failure with the same text and named
+    witness."""
+    b = xv.base
+    src, tgt, items = b.src, b.tgt, b.items
+    if src[top] != src[left]:
+        raise ValidationError(
+            "top and left must share their source", witness=(items[top], items[left])
+        )
+    if tgt[top] != src[right]:
+        raise ValidationError(
+            "right must start where top ends", witness=(items[top], items[right])
+        )
+    if tgt[left] != src[bottom]:
+        raise ValidationError(
+            "bottom must start where left ends", witness=(items[left], items[bottom])
+        )
+    if tgt[right] != tgt[bottom]:
+        raise ValidationError(
+            "right and bottom must share their target", witness=(items[right], items[bottom])
+        )
+    w = tgt[bottom]
+    n = xv.fibres[w].index.get(label)
+    if n is None:
+        raise ValidationError("label outside the fibre group", witness=(label, xm.p.objects[w]))
+    rows, inv = b.rows, b.inverse
+    # the clockwise boundary loop at the corner, as boundary_word reads it
+    want = rows[rows[inv[bottom]][inv[left]]][rows[top][right]]
+    if xv.mu[w][n] != want:
+        base = xm.p.objects[w]
+        raise ValidationError(
+            "label boundary does not match the square boundary",
+            witness=(label, xm.mu[base][label], items[want]),
+        )
+    return (n, top, left, right, bottom)
+
+
+def _uncomposed(b, x, y):
+    """The error ``FiniteGroupoid.compose`` raises on arrow indexes x, y."""
+    return CompositionError(f"arrows do not compose: {b.items[x]!r} then {b.items[y]!r}")
+
+
+def _h(xv, s1, s2):
+    """``hcompose`` on int squares: label = n^(second.bottom) * m."""
+    n, top1, left, right1, bottom1 = s1
+    m, top2, left2, right, bottom2 = s2
+    b = xv.base
+    if right1 != left2:
+        raise CompositionError(
+            f"squares do not compose horizontally: {b.items[right1]!r} vs {b.items[left2]!r}"
+        )
+    rows = b.rows
+    top, bottom = rows[top1][top2], rows[bottom1][bottom2]
+    if top < 0:
+        raise _uncomposed(b, top1, top2)
+    if bottom < 0:
+        raise _uncomposed(b, bottom1, bottom2)
+    label = xv.fibres[b.tgt[bottom2]].rows[xv.act[bottom2][n]][m]
+    return (label, top, left, right, bottom)
+
+
+def _v(xv, s1, s2):
+    """``vcompose`` on int squares: label = m * n^(second.right)."""
+    n, top, left1, right1, bottom1 = s1
+    m, top2, left2, right2, bottom = s2
+    b = xv.base
+    if bottom1 != top2:
+        raise CompositionError(
+            f"squares do not compose vertically: {b.items[bottom1]!r} vs {b.items[top2]!r}"
+        )
+    rows = b.rows
+    left, right = rows[left1][left2], rows[right1][right2]
+    if left < 0:
+        raise _uncomposed(b, left1, left2)
+    if right < 0:
+        raise _uncomposed(b, right1, right2)
+    tgt, fibres = b.tgt, xv.fibres
+    w, r = tgt[bottom], tgt[right2]
+    if tgt[right1] != tgt[bottom1] or r != w:
+        # A hand-built square whose right and bottom edges end apart: move
+        # the labels between the fibres by name, as the action table does.
+        n = fibres[tgt[right1]].index[fibres[tgt[bottom1]].items[n]]
+        x = fibres[w].index[fibres[r].items[xv.act[right2][n]]]
+    else:
+        x = xv.act[right2][n]
+    return (fibres[w].rows[m][x], top, left, right, bottom)
+
+
+def _fold(xv, grid, order):
+    """``compose_array`` on a grid of int squares.  Every strip is pasted
+    before the strips are pasted together, so an error inside a strip is
+    reported before one between strips."""
+    first, then = (_h, _v) if order == "rows" else (_v, _h)
+    if order == "columns":
+        grid = list(zip(*grid))
+    strips = []
+    for row in grid:
+        strip = row[0]
+        for s in row[1:]:
+            strip = first(xv, strip, s)
+        strips.append(strip)
+    out = strips[0]
+    for strip in strips[1:]:
+        out = then(xv, out, strip)
+    return out
 
 
 def hidentity(xm, a):
@@ -218,38 +325,23 @@ def interchange_check(xm, s11, s12, s21, s22):
         s11 s12
         s21 s22
     """
-    rows = vcompose(xm, hcompose(xm, s11, s12), hcompose(xm, s21, s22))
-    cols = hcompose(xm, vcompose(xm, s11, s21), vcompose(xm, s12, s22))
-    return InterchangeReport(ok=rows == cols, row_first=rows, column_first=cols)
+    xv = xmod_view(xm)
+    a, b, c, d = (_indexed(xv, s) for s in (s11, s12, s21, s22))
+    rows = _v(xv, _h(xv, a, b), _h(xv, c, d))
+    cols = _h(xv, _v(xv, a, c), _v(xv, b, d))
+    return InterchangeReport(
+        ok=rows == cols, row_first=_named(xv, rows), column_first=_named(xv, cols)
+    )
 
 
 def compose_array(xm, grid, order="rows"):
     """Fold a rectangular grid of squares, rows first or columns first."""
     if not grid or any(len(row) != len(grid[0]) for row in grid):
         raise ValidationError("grid must be rectangular and nonempty")
-    if order == "rows":
-        strips = []
-        for row in grid:
-            strip = row[0]
-            for s in row[1:]:
-                strip = hcompose(xm, strip, s)
-            strips.append(strip)
-        out = strips[0]
-        for strip in strips[1:]:
-            out = vcompose(xm, out, strip)
-        return out
-    if order == "columns":
-        strips = []
-        for j in range(len(grid[0])):
-            strip = grid[0][j]
-            for i in range(1, len(grid)):
-                strip = vcompose(xm, strip, grid[i][j])
-            strips.append(strip)
-        out = strips[0]
-        for strip in strips[1:]:
-            out = hcompose(xm, out, strip)
-        return out
-    raise ValidationError("order must be 'rows' or 'columns'", witness=order)
+    if order not in ("rows", "columns"):
+        raise ValidationError("order must be 'rows' or 'columns'", witness=order)
+    xv = xmod_view(xm)
+    return _named(xv, _fold(xv, [[_indexed(xv, s) for s in row] for row in grid], order))
 
 
 @dataclass(frozen=True)
@@ -274,12 +366,12 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
     """Enumerate every boundary-valid square: choose the right, top, and
     left edges and the label; the bottom edge is then forced.
 
-    Arrows are composed as indexes through the base's IndexView (built for
-    this call when the base is not marked lawful), and the squares are
-    filed under their left and top edges by index, one block per choice of
-    edges."""
+    Arrows are composed as indexes through the module's XModView (read for
+    this call when the module keeps none), and the squares are filed under
+    their left and top edges by index, one block per choice of edges."""
     p = xm.p
-    v = index_view(p)
+    xv = xmod_view(xm)
+    v = xv.base
     arrows, rows, inv = v.items, v.rows, v.inverse
     into = [[] for _ in p.objects]
     out = [[] for _ in p.objects]
@@ -289,18 +381,18 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
     total = 0
     for a, (x, w) in enumerate(zip(v.src, v.tgt)):
         for g in into[x]:
-            total += len(out[v.src[g]]) * len(xm.m[p.objects[w]].elements)
+            total += len(out[v.src[g]]) * len(xv.fibres[w].items)
             if total > guard:
                 raise SizeGuardExceeded(
                     f"carrier needs more than {guard} squares", total, guard
                 )
     squares = []
     by_left, by_top, by_left_top = {}, {}, {}
-    for w, x in enumerate(p.objects):
+    for w, fibre in enumerate(xv.fibres):
         if not into[w]:  # no square has its corner here
             continue
-        labels = xm.m[x].elements
-        mu_inv = [inv[v.index[xm.mu[x][n]]] for n in labels]
+        labels = fibre.items
+        mu_inv = [inv[k] for k in xv.mu[w]]
         for a in into[w]:
             right = arrows[a]
             for g in into[v.src[a]]:
@@ -504,9 +596,11 @@ def cube_face(c, name):
     return (getattr(c, left), getattr(c, top), getattr(c, bottom), getattr(c, right))
 
 
-def _face_commutes(group, quad):
-    left, top, bottom, right = quad
-    return group.mul(left, bottom) == group.mul(top, right)
+# the five lower faces, in CUBE_FACES order, with their (left, top,
+# bottom, right) edges as positions in CUBE_EDGES
+_LOWER_FACES = tuple(
+    (name, tuple(map(CUBE_EDGES.index, _FACES[name]))) for name in CUBE_FACES if name != "top"
+)
 
 
 @dataclass(frozen=True)
@@ -525,44 +619,54 @@ def commutative_cube_check(group, c):
 
     The five non-top faces are checked first; any failure is reported by
     face name.  The cube is then flattened into a 3x3 grid of commutative
-    squares whose composite is compared against the top face.
+    squares whose composite is compared against the top face.  Faces and
+    squares are read on integers, through the view of ``trivial_xmod(group)``
+    that the group keeps.
     """
+    xm = trivial_xmod(group)
+    xv = xmod_view(xm)
+    b = xv.base
+    rows, inv = b.rows, b.inverse
+    e = [b.index[getattr(c, name)] for name in CUBE_EDGES]
     bad = tuple(
         name
-        for name in ("bottom", "back", "front", "left", "right")
-        if not _face_commutes(group, cube_face(c, name))
+        for name, (left, top, bottom, right) in _LOWER_FACES
+        if rows[e[left]][e[bottom]] != rows[e[top]][e[right]]
     )
     top = cube_face(c, "top")
     if bad:
         return CubeReport(ok=False, failing_faces=bad, composite=None, top_face=top)
-    xm = trivial_xmod(group)
     one = xm.m["*"].unit
-    e = group.unit
-    inv = group.inv
+    u = b.units[0]
+    (back_left, back_right, front_left, front_right, top_left, top_back, top_front,
+     top_right, bottom_left, bottom_back, bottom_front, bottom_right) = e
 
     def cs(left, top_, bottom, right):
-        return make_square(xm, one, top_, left, right, bottom)
+        return _square(xm, xv, one, top_, left, right, bottom)
 
     grid = [
         [
-            cs(e, e, c.back_left, c.back_left),
-            cs(c.back_left, c.top_back, c.bottom_back, c.back_right),
-            cs(c.back_right, e, inv(c.back_right), e),
+            cs(u, u, back_left, back_left),
+            cs(back_left, top_back, bottom_back, back_right),
+            cs(back_right, u, inv[back_right], u),
         ],
         [
-            cs(c.top_left, c.back_left, c.front_left, c.bottom_left),
-            cs(c.bottom_left, c.bottom_back, c.bottom_front, c.bottom_right),
-            cs(c.bottom_right, inv(c.back_right), inv(c.front_right), c.top_right),
+            cs(top_left, back_left, front_left, bottom_left),
+            cs(bottom_left, bottom_back, bottom_front, bottom_right),
+            cs(bottom_right, inv[back_right], inv[front_right], top_right),
         ],
         [
-            cs(e, c.front_left, e, inv(c.front_left)),
-            cs(inv(c.front_left), c.bottom_front, c.top_front, inv(c.front_right)),
-            cs(inv(c.front_right), inv(c.front_right), e, e),
+            cs(u, front_left, u, inv[front_left]),
+            cs(inv[front_left], bottom_front, top_front, inv[front_right]),
+            cs(inv[front_right], inv[front_right], u, u),
         ],
     ]
-    folded = compose_array(xm, grid, "rows")
-    composite = (folded.left, folded.top, folded.bottom, folded.right)
-    ok = composite == top and _face_commutes(group, top)
+    _, f_top, f_left, f_right, f_bottom = _fold(xv, grid, "rows")
+    items = b.items
+    composite = (items[f_left], items[f_top], items[f_bottom], items[f_right])
+    ok = (f_left, f_top, f_bottom, f_right) == (top_left, top_back, top_front, top_right) and (
+        rows[top_left][top_front] == rows[top_back][top_right]
+    )
     return CubeReport(ok=ok, failing_faces=(), composite=composite, top_face=top)
 
 

@@ -510,17 +510,28 @@ def parse_document(text):
 
 
 def load_document(path):
+    """Read and parse the document at ``path``, keeping the bytes read as
+    its ``source``.  An error raised once the bytes are read (bad UTF-8, a
+    parse or validation failure) carries them as ``exc.source`` too, so a
+    failed load can still be digested."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return replace(parse_document(_decoded(data)), source=data)
+    except Exception as exc:
+        exc.source = data
+        raise
+
+
+def _decoded(data):
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Number the line as ``_tree`` does: the bad byte ends the valid prefix.
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(
             f"byte {data[exc.start]:#04x} is not valid UTF-8", line
         ) from None
-    return replace(parse_document(text), source=data)
 
 
 def _render_group(g, indent=""):

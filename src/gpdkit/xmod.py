@@ -36,6 +36,7 @@ from .core import (
     FiniteGroup,
     FiniteGroupoid,
     GroupoidMorphism,
+    IndexView,
     SizeGuardExceeded,
     ValidationError,
     check_morphism,
@@ -44,12 +45,33 @@ from .core import (
     from_group,
     generating_set,
     greedy_generators,
+    index_view,
     perm_parity,
     subgroup,
     symmetric_group,
     trivial_group,
 )
 from .presentations import _gather, group_homs
+
+
+@dataclass(frozen=True)
+class XModView:
+    """A crossed module read into integers, on top of the IndexViews of its
+    base and fibres.
+
+    ``base`` is the base groupoid's IndexView and ``fibres[x]`` the
+    IndexView of the group at the x-th object.  ``act[a][i]`` is the index
+    in M(tgt a) of the i-th element of M(src a) acted on by the a-th arrow,
+    and ``mu[x][i]`` the arrow index of the boundary of the i-th element of
+    M(x).  Where a lawless module's tables give no such index (an action
+    value missing or outside the fibre, a boundary that is not an arrow)
+    the entry is None, and composing through it fails with a TypeError.
+    """
+
+    base: IndexView
+    fibres: tuple
+    act: tuple
+    mu: tuple
 
 
 @dataclass(frozen=True)
@@ -62,6 +84,10 @@ class CrossedModule:
     mu: dict
     action: dict
     name: str = field(default="", compare=False)
+    # The XModView, read by ``xmod_view`` on first use and kept when the
+    # base is marked lawful; ``init=False`` keeps a ``dataclasses.replace``
+    # copy from sharing it, as with ``FiniteGroup._groupoid``.
+    _view: XModView = field(default=None, init=False, compare=False, repr=False)
 
     def group_at(self, x):
         return self.m[x]
@@ -87,6 +113,32 @@ def crossed_module(p, m, mu, action, name=""):
     for x in p.objects:
         m[x].validate()
     return CrossedModule(p=p, m=dict(m), mu=dict(mu), action=dict(action), name=name)
+
+
+def xmod_view(xm):
+    """The XModView of ``xm``, read on first use and kept on ``xm`` when its
+    base is marked lawful; over an unmarked base it is read for the caller
+    and not kept, as ``index_view`` does.  The base is read by
+    ``index_view``, which raises ValidationError on a table it cannot
+    index, and each fibre is validated."""
+    if xm._view is not None:
+        return xm._view
+    p = xm.p
+    base = index_view(p)
+    fibres = tuple(xm.m[x].validate()._view for x in p.objects)
+    action, missing = xm.action, object()
+    act = tuple(
+        tuple(map(fibres[y].index.get, [action.get((m, a), missing) for m in fibres[x].items]))
+        for a, x, y in zip(base.items, base.src, base.tgt)
+    )
+    mu = tuple(
+        tuple(base.index.get(xm.mu.get(x, {}).get(m, missing)) for m in fibre.items)
+        for x, fibre in zip(p.objects, fibres)
+    )
+    v = XModView(base, fibres, act, mu)
+    if p._validated:
+        object.__setattr__(xm, "_view", v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -268,22 +320,29 @@ def from_normal_subgroup(carrier, g, name=""):
     )
 
 
-# Built and validated once: commutative_cube_check asks for a trivial
-# crossed module on every cube.
 _ONE = trivial_group()
 
 
 def trivial_xmod(g, name=""):
-    """The trivial crossed module over a group: M is the one-element group."""
+    """The trivial crossed module over a group: M is the one-element group.
+
+    With the default name it is built once per group and kept on ``g`` as
+    ``from_group(g)`` is, so its view is read once too:
+    ``commutative_cube_check`` asks for it on every cube."""
+    if not name and g._trivial is not None:
+        return g._trivial
     one = _ONE
     p = from_group(g)
-    return CrossedModule(
+    xm = CrossedModule(
         p=p,
         m={"*": one},
         mu={"*": {one.unit: g.unit}},
         action={(one.unit, x): one.unit for x in g.elements},
         name=name or f"1<|{g.name or 'group'}",
     )
+    if not name:
+        object.__setattr__(g, "_trivial", xm)
+    return xm
 
 
 def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
@@ -397,8 +456,9 @@ def check_xmod_morphism(f):
     for x in src.p.objects:
         gm, gn = src.m[x], tgt.m[f.omap[x]]
         table = f.mmap.get(x, {})
+        members = set(gn.elements)
         for m in gm.elements:
-            if table.get(m) not in gn.elements:
+            if table.get(m) not in members:
                 failures.append(("group-map-type", (x, m)))
                 return LawReport(ok=False, failures=tuple(failures))
         for m, n in product(gm.elements, repeat=2):

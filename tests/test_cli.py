@@ -339,6 +339,19 @@ def test_a_validation_error_report_carries_its_witness(tmp_path, capsys):
     assert report["witnesses"] == ["squares do not compose vertically: '0' vs '1'"]
 
 
+def test_a_document_that_fails_validation_while_loading_is_digested(tmp_path, capsys):
+    bad = tmp_path / "bad.grp"
+    bad.write_text("kind: group\nname: c2\nelements: 0 1\nunit: 0\n"
+                   "table:\n  0: 0 1\n  1: 1 1\n")
+    report, _ = _machine_error(capsys, ["xmod", "aut", str(bad)], 2)
+    assert report["witnesses"] == ["no two-sided inverse", "witness: '1'"]
+    assert report["inputs"] == {str(bad): hashlib.sha256(bad.read_bytes()).hexdigest()}
+    # A file that cannot be read has no bytes to digest.
+    report, _ = _machine_error(capsys, ["xmod", "aut", str(tmp_path / "missing.grp")], 2)
+    assert report["data"] == {"error_kind": "io-error"}
+    assert report["inputs"] == {}
+
+
 def test_an_error_report_digests_the_documents_read_before_the_error(tmp_path, capsys):
     bad = tmp_path / "bad.pres"
     bad.write_bytes(b"kind: presentation\nvertices: 0\xff\n")
@@ -346,9 +359,11 @@ def test_an_error_report_digests_the_documents_read_before_the_error(tmp_path, c
     report, _ = _machine_error(capsys, ["pushout", u, v, str(bad)], 2)
     assert report["data"] == {"error_kind": "parse-error"}
     digest = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (u, v)}
-    assert report["inputs"] == digest
+    # The document that failed to parse is digested too, and nothing after it.
+    bad_digest = {str(bad): hashlib.sha256(bad.read_bytes()).hexdigest()}
+    assert report["inputs"] == {**digest, **bad_digest}
     report, _ = _machine_error(capsys, ["pushout", str(bad), u, v], 2)
-    assert report["inputs"] == {}
+    assert report["inputs"] == bad_digest
     report, _ = _machine_error(capsys, ["pushout", u, v, _p("c2.grp")], 2)
     assert report["data"] == {"error_kind": "validation-error"}
     c2 = _p("c2.grp")

@@ -1,4 +1,5 @@
-"""The integer index view that validation keeps, and its readers.
+"""The integer index views that validation keeps, the crossed-module view
+read on first use, and their readers.
 
 ``_old_automorphism_group`` and ``_old_inverse`` are the bodies that
 ``xmod.automorphism_group`` and ``finite_group`` had before they read the
@@ -7,12 +8,14 @@ view, kept verbatim as oracles; ``_old_base_group`` is the rebuild
 table, unit and name, and every group with the same inverse map.
 """
 
+import random
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from gpdkit import xmod
 from gpdkit.cli import _base_group
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
@@ -32,9 +35,30 @@ from gpdkit.core import (
     subgroup,
     symmetric_group,
 )
+from gpdkit.dblgpd import (
+    commutative_cube_check,
+    compose_array,
+    eh_instance_from_squares,
+    from_xmod,
+    hcompose,
+    make_square,
+    random_commutative_cube,
+    sample_grid,
+    to_xmod,
+    vcompose,
+)
 from gpdkit.documents import load_document
 from gpdkit.presentations import group_homs
-from gpdkit.xmod import automorphism_group, bundled_xmods
+from gpdkit.xmod import (
+    automorphism_group,
+    automorphism_xmod,
+    bundled_xmods,
+    crossed_module,
+    from_normal_subgroup,
+    trivial_xmod,
+    xmod_view,
+)
+from test_int_squares import reordered_interval_xmod
 from test_validate import _old_validate, _outcome
 
 DATA = Path(__file__).parent / "data"
@@ -277,3 +301,147 @@ def test_one_object_group_of_a_raw_broken_groupoid_is_validated():
     with pytest.raises(ValidationError) as info:
         one_object_group(p)
     assert str(info.value) == "associativity fails"
+
+
+# ------------------------------------------------------ crossed-module views
+
+
+def _assert_xmod_view_reads_the_tables(xm, v):
+    """``v`` against ``xm``'s tables, name by name."""
+    p = xm.p
+    assert v.base == index_view(p)
+    assert v.fibres == tuple(xm.m[x]._view for x in p.objects)
+    for i, a in enumerate(p.arrows):
+        source, target = v.fibres[p.objects.index(p.src[a])], v.fibres[p.objects.index(p.tgt[a])]
+        want = tuple(target.index[xm.action[(m, a)]] for m in source.items)
+        assert v.act[i] == want, a
+    for x, fibre, mu in zip(p.objects, v.fibres, v.mu):
+        assert mu == tuple(v.base.index[xm.mu[x][m]] for m in fibre.items), x
+
+
+def _constructors():
+    """Each constructor, called afresh by the test that reads it."""
+    c2 = cyclic_group(2)
+    return {
+        "crossed_module": lambda: crossed_module(
+            from_group(c2), {"*": c2}, {"*": {m: 0 for m in c2.elements}},
+            {(m, q): m for m in c2.elements for q in c2.elements},
+        ),
+        "trivial_xmod": lambda: trivial_xmod(symmetric_group(3)),
+        "trivial_xmod-named": lambda: trivial_xmod(symmetric_group(3), name="named"),
+        "from_normal_subgroup": lambda: from_normal_subgroup(
+            alternating_group(4), symmetric_group(4)
+        ),
+        "automorphism_xmod": lambda: automorphism_xmod(cyclic_group(5)),
+        "document": lambda: load_document(DATA / "c4c2.xm").payload,
+        "crossed_module-reordered": reordered_interval_xmod,
+        **{
+            f"bundled-{name}": (lambda name=name: bundled_xmods()[name])
+            for name in bundled_xmods()
+        },
+    }
+
+
+CONSTRUCTORS = _constructors()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_each_constructor_reads_its_view_on_first_use_and_keeps_it(name):
+    xm = CONSTRUCTORS[name]()
+    # Nothing is read until a square needs it.
+    assert xm._view is None
+    v = xmod_view(xm)
+    assert xm._view is v
+    assert xmod_view(xm) is v
+    _assert_xmod_view_reads_the_tables(xm, v)
+
+
+@pytest.mark.parametrize("name", ["bundled-a3s3", "bundled-auts3", "bundled-c4c2"])
+def test_a_replaced_module_has_no_view_and_gives_the_same_answers(name):
+    xm = CONSTRUCTORS[name]()
+    kept = xmod_view(xm)
+    for copy, marked in (
+        (replace(xm), True), (replace(xm, p=replace(xm.p)), False), (replace(xm, name="copy"), True)
+    ):
+        assert copy._view is None
+        # A view read for the copy equals the original's; it is kept only
+        # when the base is still marked lawful.
+        assert xmod_view(copy) == kept
+        assert (copy._view is not None) == marked
+        d, d_copy = from_xmod(xm), from_xmod(copy)
+        assert d_copy.squares == d.squares
+        grid = sample_grid(d, random.Random(7), 3, 3)
+        for order in ("rows", "columns"):
+            assert compose_array(copy, grid, order) == compose_array(xm, grid, order)
+        s = grid[1][2]
+        fields = (s.label, s.top, s.left, s.right, s.bottom)
+        assert make_square(copy, *fields) == make_square(xm, *fields) == s
+
+
+def test_a_module_over_an_unmarked_base_keeps_no_view():
+    xm = reordered_interval_xmod()
+    unmarked = crossed_module(replace(xm.p), xm.m, xm.mu, xm.action)
+    assert unmarked._view is None
+    assert xmod_view(unmarked) == xmod_view(xm)
+    assert unmarked._view is None
+
+
+def _counting_views(monkeypatch):
+    """A list that grows by one entry for each XModView built."""
+    built = []
+    real = xmod.XModView
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xmod, "XModView", counting)
+    return built
+
+
+def test_a_recovered_module_reads_its_view_once(monkeypatch):
+    """``to_xmod`` returns a raw module over the carrier's base, and a
+    ``replace``d module starts without a view: each reads one on its first
+    pasting and keeps it for the rest."""
+    built = _counting_views(monkeypatch)
+    xm = replace(bundled_xmods()["auts3"])
+    d = from_xmod(xm)
+    assert len(built) == 1
+    recovered = to_xmod(d)
+    assert len(built) == 1
+    assert recovered._view is None
+    d2 = from_xmod(recovered)
+    assert len(built) == 2
+    to_xmod(d2)
+    eh_instance_from_squares(d2, "*")
+    rng = random.Random(5)
+    for _ in range(20):
+        row, column = sample_grid(d2, rng, 1, 2)[0], sample_grid(d2, rng, 2, 1)
+        hcompose(recovered, *row)
+        vcompose(recovered, column[0][0], column[1][0])
+    assert len(built) == 2
+
+
+def test_a_lawless_module_reads_none_where_its_tables_do_not_index():
+    xm = bundled_xmods()["c4c2"]
+    broken = replace(xm, action={**xm.action, (1, 1): "stray"}, mu={"*": {**xm.mu["*"], 3: "x"}})
+    v = xmod_view(broken)
+    assert v.act[1] == (0, None, 2, 3)
+    assert v.mu[0] == (0, 1, 0, None)
+    assert v.act[0] == xmod_view(xm).act[0]
+
+
+def test_the_trivial_module_and_its_view_are_built_once_per_group(monkeypatch):
+    built = _counting_views(monkeypatch)
+    g = cyclic_group(5)
+    rng = random.Random(11)
+    cubes = [random_commutative_cube(g, rng) for _ in range(100)]
+    assert all(commutative_cube_check(g, c).ok for c in cubes)
+    assert len(built) == 1
+    assert trivial_xmod(g) is g._trivial
+    assert trivial_xmod(g)._view is g._trivial._view
+    # A copy of the group keeps nothing, and a named module is not kept.
+    copy = replace(g)
+    assert copy._trivial is None
+    assert trivial_xmod(g, name="other") is not trivial_xmod(g, name="other")
+    assert g._trivial.name == "1<|c5"

@@ -1,19 +1,29 @@
-"""Crossed-module law checking against hand-computed small cases."""
+"""Crossed-module law checking against hand-computed small cases.
 
+``_old_check_xmod_morphism`` is the body ``check_xmod_morphism`` had while
+it tested each image for membership by scanning the target fibre's
+element tuple, kept verbatim as an oracle.
+"""
+
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from gpdkit.core import (
+    GroupoidMorphism,
     SizeGuardExceeded,
     ValidationError,
     alternating_group,
+    check_morphism,
     cyclic_group,
     finite_group,
     from_group,
     symmetric_group,
 )
+from gpdkit.dblgpd import from_xmod, round_trip_isomorphism, to_xmod
 from gpdkit.xmod import (
+    LawReport,
     automorphism_group,
     automorphism_xmod,
     bundled_xmods,
@@ -266,3 +276,82 @@ def test_induced_presentation_renders():
     assert "generators" in text and "(m, q)" in text.replace("pairs ", "pairs ")
     with pytest.raises(ValidationError):
         induced_xmod_presentation(xm, group_hom(c2, c2, {0: 0, 1: 1}))
+
+
+def _old_check_xmod_morphism(f):
+    """Law families: base (groupoid morphism), group-hom, boundary
+    compatibility, equivariance.  First witness per family."""
+    src, tgt = f.source, f.target
+    failures = []
+    base = check_morphism(GroupoidMorphism(obj_map=f.omap, arrow_map=f.amap), src.p, tgt.p)
+    if not base:
+        failures.append(("base", (base.law, base.witness)))
+        return LawReport(ok=False, failures=tuple(failures))
+    for x in src.p.objects:
+        gm, gn = src.m[x], tgt.m[f.omap[x]]
+        table = f.mmap.get(x, {})
+        for m in gm.elements:
+            if table.get(m) not in gn.elements:
+                failures.append(("group-map-type", (x, m)))
+                return LawReport(ok=False, failures=tuple(failures))
+        for m, n in product(gm.elements, repeat=2):
+            if table[gm.mul(m, n)] != gn.mul(table[m], table[n]):
+                failures.append(("group-hom", (x, m, n)))
+                break
+        for m in gm.elements:
+            if tgt.mu[f.omap[x]][table[m]] != f.amap[src.mu[x][m]]:
+                failures.append(("boundary-compat", (x, m)))
+                break
+    for a in src.p.arrows:
+        x, y = src.p.src[a], src.p.tgt[a]
+        for m in src.m[x].elements:
+            lhs = f.mmap[y][src.act(m, a)]
+            rhs = tgt.act(f.mmap[x][m], f.amap[a])
+            if lhs != rhs:
+                failures.append(("equivariance", (m, a)))
+                break
+        else:
+            continue
+        break
+    return LawReport(ok=not failures, failures=tuple(failures))
+
+
+def _morphisms_to_check():
+    out = {}
+    for name, xm in bundled_xmods().items():
+        out[f"id-{name}"] = identity_xmod_morphism(xm)
+        if name != "auts3":
+            out[f"roundtrip-{name}"] = round_trip_isomorphism(xm, to_xmod(from_xmod(xm)))
+    # A target fibre that was ``replace``d, so it keeps no view.
+    f = out["id-c4c2"]
+    unviewed = replace(f.target, m={"*": replace(f.target.m["*"])})
+    assert unviewed.m["*"]._view is None
+    out["unviewed-c4c2"] = replace(f, target=unviewed)
+    return out
+
+
+def _perturbed(f):
+    """``f`` with each single image of ``mmap`` changed: to every other
+    element of the target fibre, to a name outside it, and dropped."""
+    for x, table in f.mmap.items():
+        gn = f.target.m[f.omap[x]]
+        for m in table:
+            for image in (*gn.elements, "stray"):
+                if image != table[m]:
+                    yield replace(f, mmap={**f.mmap, x: {**table, m: image}})
+            yield replace(f, mmap={**f.mmap, x: {k: v for k, v in table.items() if k != m}})
+
+
+MORPHISMS = _morphisms_to_check()
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISMS))
+def test_xmod_morphism_reports_match_the_tuple_scan(name):
+    f = MORPHISMS[name]
+    assert check_xmod_morphism(f) == _old_check_xmod_morphism(f)
+    families = set()
+    for broken in _perturbed(f):
+        report = check_xmod_morphism(broken)
+        assert report == _old_check_xmod_morphism(broken)
+        families.update(family for family, _ in report.failures)
+    assert "group-map-type" in families
