@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import traceback
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     CompositionError,
@@ -137,6 +138,51 @@ def _command_name(args):
 _PRIVATE_ARGS = ("machine", "report", "command", "subcommand", "sources")
 
 
+_scalar = JSONEncoder().encode
+
+
+def _json(value):
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, from
+    pieces joined once: strings and keys are escaped by the C encoder, and
+    other scalars go through a compact encoder."""
+    pieces = []
+    put = pieces.append
+
+    def write(value, pad):
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif isinstance(value, (list, tuple)) and value:
+            inner = pad + "  "
+            sep = "[" + inner
+            for v in value:
+                put(sep)
+                write(v, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif isinstance(value, dict) and value:
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, v in sorted(value.items()):
+                put(sep + _json_key(k) + ": ")
+                write(v, inner)
+                sep = "," + inner
+            put(pad + "}")
+        else:  # other scalars, and empty lists and dicts
+            put(_scalar(value))
+
+    write(value, "\n")
+    return "".join(pieces)
+
+
+def _json_key(key):
+    """A dict key as ``json.dumps`` writes it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _report(args, verdict, exit_code, inputs=None, counts=None, witnesses=(),
             data=None, lines=None):
     """Build the machine report, digesting ``inputs`` (path -> bytes parsed);
@@ -157,7 +203,7 @@ def _report(args, verdict, exit_code, inputs=None, counts=None, witnesses=(),
         "witnesses": [str(w) for w in witnesses],
         "data": data or {},
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _json(report)
     if args.report:
         # Take the path off ``args`` before writing: if the write fails, the
         # io-error report that follows must not try the same write again.
@@ -207,8 +253,8 @@ def cmd_pi1(args):
         gp = vertex_group_presentation(pres, args.vertex)
         counts["vertex_generators"] = len(gp.generators)
         counts["vertex_relators"] = len(gp.relators)
-        data["vertex_group"] = gp.render()
-        lines.append(f"vertex group at {args.vertex}: {gp.render()}")
+        data["vertex_group"] = rendered = gp.render()
+        lines.append(f"vertex group at {args.vertex}: {rendered}")
         if not gp.relators:
             data["free_loop_counts"] = free_loop_counts(gp, 6)
             lines.append(

@@ -25,6 +25,10 @@ Every document starts with ``kind: <kind>``.  The kinds:
 
 Words use ``e`` for an edge and ``e^-1`` for its reverse.  Names may not
 contain whitespace, ``:``, ``#``, ``=``, or ``^``.
+
+A ``ParseError`` names the line of the entry at fault: a bad name or
+``degree`` at the line of its entry, a missing entry or section at the line
+of the section it belongs to, or line 1 at the top of a document.
 """
 
 from __future__ import annotations
@@ -63,51 +67,49 @@ KINDS = (
 _FORBIDDEN = frozenset(" \t:#=^")
 
 
-@dataclass(slots=True)
-class _Node:
-    line: int
-    key: object  # str for entries, None for raw lines
-    value: str
-    indent: int  # the column the line's text starts in
-    children: list = field(default_factory=list)
-
-
 def _tree(text):
-    """Indentation tree of entry and raw nodes.  Blank and comment-only
+    """Indentation tree of entry and raw nodes, each the tuple ``(line, key,
+    value, indent, children)``: ``key`` is None for a raw line and
+    ``indent`` the column its text starts in.  Blank and comment-only
     lines are skipped before the indentation is looked at."""
-    root = _Node(0, None, "", -1)
+    root = (0, None, "", -1, [])
     stack = [root]
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        content = rawline.split("#", 1)[0].rstrip()
+    for lineno, content in enumerate(text.splitlines(), start=1):
+        if "#" in content:
+            content = content.partition("#")[0]
+        content = content.rstrip()
         if not content:
             continue
         body = content.lstrip()
-        lead = content[: len(content) - len(body)]
-        if "\t" in lead:
-            raise ParseError("tabs are not allowed in indentation", lineno)
-        indent = len(lead) - len(lead.lstrip(" "))
-        if ":" in body:
-            key, _, value = body.partition(":")
+        indent = len(content) - len(body)
+        if indent:
+            rest = content[:indent].lstrip(" ")
+            if rest:  # whitespace other than spaces after the leading ones
+                if "\t" in rest:
+                    raise ParseError("tabs are not allowed in indentation", lineno)
+                indent -= len(rest)
+        key, colon, value = body.partition(":")
+        if colon:
             key = key.strip()
             if not key:
                 raise ParseError("empty key", lineno)
-            node = _Node(lineno, key, value.strip(), indent)
+            node = (lineno, key, value.strip(), indent, [])
         else:
-            node = _Node(lineno, None, body, indent)
-        while indent <= stack[-1].indent:
+            node = (lineno, None, body, indent, [])
+        while indent <= stack[-1][3]:
             stack.pop()
         parent = stack[-1]
-        siblings = parent.children
+        siblings = parent[4]
         if siblings:
-            if indent != siblings[0].indent:
+            if indent != siblings[0][3]:
                 raise ParseError("inconsistent indentation", lineno)
         elif parent is not root:
             # The first child checks its parent once for all its siblings.
-            if parent.key is None:
+            if parent[1] is None:
                 raise ParseError("raw lines cannot have nested lines", lineno)
-            if parent.value:
+            if parent[2]:
                 raise ParseError(
-                    f"entry {parent.key!r} has both a value and nested lines", lineno
+                    f"entry {parent[1]!r} has both a value and nested lines", lineno
                 )
         siblings.append(node)
         stack.append(node)
@@ -115,81 +117,88 @@ def _tree(text):
 
 
 def _entries(node):
-    return [c for c in node.children if c.key is not None]
+    return [c for c in node[4] if c[1] is not None]
 
 
 def _raws(node):
-    return [c for c in node.children if c.key is None]
+    return [c for c in node[4] if c[1] is None]
 
 
 def _find(node, key):
-    hits = [c for c in node.children if c.key == key]
+    hits = [c for c in node[4] if c[1] == key]
     if len(hits) > 1:
-        raise ParseError(f"duplicate section {key!r}", hits[1].line)
+        raise ParseError(f"duplicate section {key!r}", hits[1][0])
     return hits[0] if hits else None
 
 
-def _need(node, key, line):
+def _need(node, key):
+    """The section ``key`` of ``node``.  A missing one is reported at the
+    line of ``node``: line 1 at the top of a document."""
     hit = _find(node, key)
     if hit is None:
-        raise ParseError(f"missing section {key!r}", line)
+        raise ParseError(f"missing section {key!r}", node[0] or 1)
     return hit
 
 
-def _value_of(node, key, line, required=True):
+def _value_of(node, key, required=True):
+    """The value of the one-line entry ``key`` of ``node`` and the entry's
+    line, or ``(None, None)`` when it is absent and not required.  A
+    missing one is reported as ``_need`` reports a section."""
     hit = _find(node, key)
     if hit is None:
         if required:
-            raise ParseError(f"missing entry {key!r}", line)
-        return None
-    if hit.children:
-        raise ParseError(f"entry {key!r} must be a single line", hit.line)
-    return hit.value
+            raise ParseError(f"missing entry {key!r}", node[0] or 1)
+        return None, None
+    if hit[4]:
+        raise ParseError(f"entry {key!r} must be a single line", hit[0])
+    return hit[2], hit[0]
 
 
 def _names(text, line):
     names = text.split()
-    for n in names:
-        if not _FORBIDDEN.isdisjoint(n):
-            raise ParseError(f"bad name {n!r}", line)
+    # The split leaves no whitespace, so only these can make a name bad.
+    if ":" in text or "=" in text or "^" in text or "#" in text:
+        for n in names:
+            if not _FORBIDDEN.isdisjoint(n):
+                raise ParseError(f"bad name {n!r}", line)
     return names
 
 
 def _block(node):
-    if node.value:
-        raise ParseError(f"section {node.key!r} must not carry a value", node.line)
+    if node[2]:
+        raise ParseError(f"section {node[1]!r} must not carry a value", node[0])
     return node
 
 
 def _group_of(node):
-    name = _value_of(node, "name", node.line, required=False) or ""
+    name = _value_of(node, "name", required=False)[0] or ""
     perms = _find(node, "perms")
     if perms is not None:
         _block(perms)
-        degree_text = _value_of(node, "degree", node.line)
+        degree_text, degree_line = _value_of(node, "degree")
         try:
             degree = int(degree_text)
         except ValueError:
-            raise ParseError(f"degree must be an integer, got {degree_text!r}", node.line)
+            raise ParseError(
+                f"degree must be an integer, got {degree_text!r}", degree_line
+            )
         elements = []
         images = {}
-        for row in _entries(perms):
-            if row.children:
-                raise ParseError("permutation rows take no nested lines", row.line)
-            if row.key in images:
-                raise ParseError(f"duplicate element {row.key!r}", row.line)
+        for line, key, value, _, kids in _entries(perms):
+            if kids:
+                raise ParseError("permutation rows take no nested lines", line)
+            if key in images:
+                raise ParseError(f"duplicate element {key!r}", line)
             try:
-                perm = tuple(int(t) for t in row.value.split())
+                perm = tuple(int(t) for t in value.split())
             except ValueError:
-                raise ParseError("permutation images must be integers", row.line)
+                raise ParseError("permutation images must be integers", line)
             if sorted(perm) != list(range(degree)):
-                raise ParseError(
-                    f"row is not a permutation of 0..{degree - 1}", row.line
-                )
-            elements.append(row.key)
-            images[row.key] = perm
+                raise ParseError(f"row is not a permutation of 0..{degree - 1}", line)
+            elements.append(key)
+            images[key] = perm
         if not elements:
-            raise ParseError("perms section is empty", perms.line)
+            raise ParseError("perms section is empty", perms[0])
         lookup = {v: k for k, v in images.items()}
         table = {}
         for a in elements:
@@ -197,76 +206,69 @@ def _group_of(node):
                 prod = perm_mul(images[a], images[b])
                 if prod not in lookup:
                     raise ParseError(
-                        f"product of {a!r} and {b!r} is not listed", perms.line
+                        f"product of {a!r} and {b!r} is not listed", perms[0]
                     )
                 table[(a, b)] = lookup[prod]
         unit = lookup.get(tuple(range(degree)))
         if unit is None:
-            raise ParseError("identity permutation is not listed", perms.line)
+            raise ParseError("identity permutation is not listed", perms[0])
         return finite_group(tuple(elements), table, unit=unit, name=name)
-    elements = tuple(_names(_value_of(node, "elements", node.line), node.line))
-    unit = _value_of(node, "unit", node.line, required=False)
-    tbl = _need(node, "table", node.line)
-    _block(tbl)
+    elements = tuple(_names(*_value_of(node, "elements")))
+    unit = _value_of(node, "unit", required=False)[0]
+    tbl = _block(_need(node, "table"))
     table = {}
-    for row in _entries(tbl):
-        if row.children:
-            raise ParseError("table rows take no nested lines", row.line)
-        x = row.key
+    for line, x, value, _, kids in _entries(tbl):
+        if kids:
+            raise ParseError("table rows take no nested lines", line)
         if x not in elements:
-            raise ParseError(f"unknown element {x!r}", row.line)
-        products = _names(row.value, row.line)
+            raise ParseError(f"unknown element {x!r}", line)
+        products = _names(value, line)
         if len(products) != len(elements):
-            raise ParseError(
-                f"row for {x!r} needs {len(elements)} products", row.line
-            )
+            raise ParseError(f"row for {x!r} needs {len(elements)} products", line)
         for y, p in zip(elements, products):
             if (x, y) in table:
-                raise ParseError(f"duplicate row for {x!r}", row.line)
+                raise ParseError(f"duplicate row for {x!r}", line)
             table[(x, y)] = p
     return finite_group(elements, table, unit=unit, name=name)
 
 
 def _groupoid_of(node):
-    name = _value_of(node, "name", node.line, required=False) or ""
-    objects = tuple(_names(_value_of(node, "objects", node.line), node.line))
-    arrows_node = _block(_need(node, "arrows", node.line))
+    name = _value_of(node, "name", required=False)[0] or ""
+    objects = tuple(_names(*_value_of(node, "objects")))
     arrows, src, tgt = [], {}, {}
-    for row in _entries(arrows_node):
-        ends = _names(row.value, row.line)
+    for line, key, value, _, _ in _entries(_block(_need(node, "arrows"))):
+        ends = _names(value, line)
         if len(ends) != 2:
-            raise ParseError("arrow rows are 'id: src tgt'", row.line)
-        arrows.append(row.key)
-        src[row.key], tgt[row.key] = ends
-    comp_node = _block(_need(node, "comp", node.line))
+            raise ParseError("arrow rows are 'id: src tgt'", line)
+        arrows.append(key)
+        src[key], tgt[key] = ends
     comp = {}
-    for row in _entries(comp_node):
-        pair = _names(row.key, row.line)
+    for line, key, value, _, _ in _entries(_block(_need(node, "comp"))):
+        pair = _names(key, line)
         if len(pair) != 2:
-            raise ParseError("composition rows are 'a b: c'", row.line)
-        comp[(pair[0], pair[1])] = row.value.strip()
+            raise ParseError("composition rows are 'a b: c'", line)
+        comp[(pair[0], pair[1])] = value.strip()
     return build_groupoid(objects, tuple(arrows), src, tgt, comp, name=name)
 
 
 def _quiver_of(node):
-    vertices = tuple(_names(_value_of(node, "vertices", node.line), node.line))
-    edges_node = _block(_need(node, "edges", node.line))
+    vertices = tuple(_names(*_value_of(node, "vertices")))
     triples = []
-    for row in _entries(edges_node):
-        ends = _names(row.value, row.line)
+    for line, key, value, _, _ in _entries(_block(_need(node, "edges"))):
+        ends = _names(value, line)
         if len(ends) != 2:
-            raise ParseError("edge rows are 'id: src tgt'", row.line)
-        if row.key == "1":
-            raise ParseError("edge name '1' is reserved for the empty word", row.line)
-        triples.append((row.key, ends[0], ends[1]))
+            raise ParseError("edge rows are 'id: src tgt'", line)
+        if key == "1":
+            raise ParseError("edge name '1' is reserved for the empty word", line)
+        triples.append((key, ends[0], ends[1]))
     return quiver(vertices, triples)
 
 
 def _word_of(tokens, q, line, at=None):
     """The word ``tokens`` spell over ``q``, built and checked in one pass
-    over the tokens: each is split off its ``^-1`` and looked up, and its
-    ends are kept for the chain check at the end, so an unknown edge
-    anywhere in the word is reported before a letter that does not chain.
+    over the tokens: each is split off its ``^-1``, looked up, and chained
+    to the letter before it.  A break in the chain is reported only after
+    the last token, so an unknown edge anywhere in the word comes first.
     ``at`` places the empty word ``1``."""
     if tokens == ["1"]:
         if at is None:
@@ -275,26 +277,26 @@ def _word_of(tokens, q, line, at=None):
             )
         return empty_word(at)
     esrc, etgt = q.esrc, q.etgt
-    letters, starts, ends = [], [], []
+    letters = []
+    chained = True
     for t in tokens:
         if t.endswith("^-1"):
-            e = t[:-3]
-            if e not in esrc:
-                raise ParseError(f"unknown edge {e!r}", line)
-            letters.append((e, -1))
-            starts.append(etgt[e])
-            ends.append(esrc[e])
+            e, sign, head, tail = t[:-3], -1, etgt, esrc
         else:
-            if t not in esrc:
-                raise ParseError(f"unknown edge {t!r}", line)
-            letters.append((t, 1))
-            starts.append(esrc[t])
-            ends.append(etgt[t])
+            e, sign, head, tail = t, 1, esrc, etgt
+        if e not in esrc:
+            raise ParseError(f"unknown edge {e!r}", line)
+        if not letters:
+            src = head[e]
+        elif head[e] != tgt:
+            chained = False
+        tgt = tail[e]
+        letters.append((e, sign))
     if not letters:
         raise ParseError("word does not chain: empty word needs a vertex", line)
-    if starts[1:] != ends[:-1]:
+    if not chained:
         raise ParseError("word does not chain: letters do not chain", line)
-    return Word(src=starts[0], tgt=ends[-1], letters=tuple(letters))
+    return Word(src=src, tgt=tgt, letters=tuple(letters))
 
 
 def _presentation_of(node):
@@ -302,22 +304,21 @@ def _presentation_of(node):
     relations = []
     rel_node = _find(node, "relations")
     if rel_node is not None:
-        _block(rel_node)
-        for row in _raws(rel_node):
-            if "=" not in row.value:
-                raise ParseError("relations are 'word = word'", row.line)
-            lhs_text, rhs_text = row.value.split("=", 1)
+        for line, _, value, _, _ in _raws(_block(rel_node)):
+            if "=" not in value:
+                raise ParseError("relations are 'word = word'", line)
+            lhs_text, rhs_text = value.split("=", 1)
             lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
             if lhs_tokens == ["1"] and rhs_tokens == ["1"]:
-                raise ParseError("a relation needs a nonempty side", row.line)
+                raise ParseError("a relation needs a nonempty side", line)
             if lhs_tokens == ["1"]:
-                rhs = _word_of(rhs_tokens, q, row.line)
-                lhs = _word_of(lhs_tokens, q, row.line, at=rhs.src)
+                rhs = _word_of(rhs_tokens, q, line)
+                lhs = _word_of(lhs_tokens, q, line, at=rhs.src)
             else:
-                lhs = _word_of(lhs_tokens, q, row.line)
-                rhs = _word_of(rhs_tokens, q, row.line, at=lhs.src)
+                lhs = _word_of(lhs_tokens, q, line)
+                rhs = _word_of(rhs_tokens, q, line, at=lhs.src)
             if (lhs.src, lhs.tgt) != (rhs.src, rhs.tgt):
-                raise ParseError("relation sides are not coterminal", row.line)
+                raise ParseError("relation sides are not coterminal", line)
             relations.append((lhs, rhs))
     # Each side was checked over ``q`` as it was built, and the sides are
     # coterminal, so ``validate`` would only walk them again.
@@ -329,58 +330,55 @@ def _complex_of(node):
     faces = []
     faces_node = _find(node, "faces")
     if faces_node is not None:
-        _block(faces_node)
-        for row in _entries(faces_node):
-            tokens = row.value.split()
+        for line, key, value, _, _ in _entries(_block(faces_node)):
+            tokens = value.split()
             if len(tokens) == 2 and tokens[0] == "1":  # an empty boundary
                 if tokens[1] not in q.vertex_set:
-                    raise ParseError(f"unknown vertex {tokens[1]!r}", row.line)
+                    raise ParseError(f"unknown vertex {tokens[1]!r}", line)
                 w = empty_word(tokens[1])
             else:
-                w = _word_of(tokens, q, row.line)
-            faces.append((row.key, w))
+                w = _word_of(tokens, q, line)
+            faces.append((key, w))
     return _complex_on(q, faces)
 
 
 def _cover_of(node):
-    cx = _complex_of(_block(_need(node, "complex", node.line)))
-    u_cells = _names(_value_of(node, "u", node.line), node.line)
-    v_cells = _names(_value_of(node, "v", node.line), node.line)
-    return cover(cx, u_cells, v_cells)
+    cx = _complex_of(_block(_need(node, "complex")))
+    return cover(cx, _names(*_value_of(node, "u")), _names(*_value_of(node, "v")))
 
 
 def _xmod_of(node):
-    name = _value_of(node, "name", node.line, required=False) or ""
-    pg = _group_of(_block(_need(node, "p", node.line)))
-    mg = _group_of(_block(_need(node, "m", node.line)))
+    name = _value_of(node, "name", required=False)[0] or ""
+    pg = _group_of(_block(_need(node, "p")))
+    mg = _group_of(_block(_need(node, "m")))
     p = from_group(pg, name=pg.name)
-    mu_node = _block(_need(node, "mu", node.line))
+    mu_node = _block(_need(node, "mu"))
     mu = {}
-    for row in _entries(mu_node):
-        if row.key not in mg.elements:
-            raise ParseError(f"unknown fibre element {row.key!r}", row.line)
-        if row.value not in pg.elements:
-            raise ParseError(f"unknown base element {row.value!r}", row.line)
-        mu[row.key] = row.value
-    action_node = _block(_need(node, "action", node.line))
+    for line, key, value, _, _ in _entries(mu_node):
+        if key not in mg.elements:
+            raise ParseError(f"unknown fibre element {key!r}", line)
+        if value not in pg.elements:
+            raise ParseError(f"unknown base element {value!r}", line)
+        mu[key] = value
+    action_node = _block(_need(node, "action"))
     action = {}
-    for row in _entries(action_node):
-        pair = _names(row.key, row.line)
+    for line, key, value, _, _ in _entries(action_node):
+        pair = _names(key, line)
         if len(pair) != 2:
-            raise ParseError("action rows are 'm p: m2'", row.line)
+            raise ParseError("action rows are 'm p: m2'", line)
         m, q = pair
         if m not in mg.elements or q not in pg.elements:
-            raise ParseError(f"unknown pair {row.key!r}", row.line)
-        if row.value not in mg.elements:
-            raise ParseError(f"unknown fibre element {row.value!r}", row.line)
-        action[(m, q)] = row.value
+            raise ParseError(f"unknown pair {key!r}", line)
+        if value not in mg.elements:
+            raise ParseError(f"unknown fibre element {value!r}", line)
+        action[(m, q)] = value
     for m in mg.elements:
         if m not in mu:
-            raise ParseError(f"mu is missing a row for {m!r}", mu_node.line)
+            raise ParseError(f"mu is missing a row for {m!r}", mu_node[0])
         for q in pg.elements:
             if (m, q) not in action:
                 raise ParseError(
-                    f"action is missing a row for {m!r} {q!r}", action_node.line
+                    f"action is missing a row for {m!r} {q!r}", action_node[0]
                 )
     return crossed_module(p, {"*": mg}, {"*": mu}, action, name=name)
 
@@ -399,33 +397,29 @@ class SquaresDoc:
 
 
 def _squares_of(node):
-    xm = _xmod_of(_block(_need(node, "xmod", node.line)))
-    sq_node = _block(_need(node, "squares", node.line))
+    xm = _xmod_of(_block(_need(node, "xmod")))
     squares = {}
-    for row in _entries(sq_node):
-        parts = _names(row.value, row.line)
+    for line, key, value, _, _ in _entries(_block(_need(node, "squares"))):
+        parts = _names(value, line)
         if len(parts) != 5:
-            raise ParseError(
-                "square rows are 's: label top left right bottom'", row.line
-            )
-        if row.key in squares:
-            raise ParseError(f"duplicate square {row.key!r}", row.line)
+            raise ParseError("square rows are 's: label top left right bottom'", line)
+        if key in squares:
+            raise ParseError(f"duplicate square {key!r}", line)
         label, top, left, right, bottom = parts
         try:
-            squares[row.key] = make_square(
+            squares[key] = make_square(
                 xm, label, top=top, left=left, right=right, bottom=bottom
             )
         except ValidationError as exc:
-            raise ParseError(f"square {row.key!r}: {exc}", row.line)
+            raise ParseError(f"square {key!r}: {exc}", line)
     array = []
     array_node = _find(node, "array")
     if array_node is not None:
-        _block(array_node)
-        for row in _raws(array_node):
-            names = row.value.split()
+        for line, _, value, _, _ in _raws(_block(array_node)):
+            names = value.split()
             for n in names:
                 if n not in squares:
-                    raise ParseError(f"unknown square {n!r}", row.line)
+                    raise ParseError(f"unknown square {n!r}", line)
             array.append(tuple(names))
     return SquaresDoc(xm=xm, squares=squares, array=tuple(array))
 
@@ -437,19 +431,19 @@ class CubeDoc:
 
 
 def _cube_of(node):
-    group = _group_of(_block(_need(node, "group", node.line)))
-    edges_node = _block(_need(node, "edges", node.line))
+    group = _group_of(_block(_need(node, "group")))
+    edges_node = _block(_need(node, "edges"))
     edges = {}
-    for row in _entries(edges_node):
-        if row.key not in CUBE_EDGES:
-            raise ParseError(f"unknown cube edge {row.key!r}", row.line)
-        if row.key in edges:
-            raise ParseError(f"duplicate cube edge {row.key!r}", row.line)
-        edges[row.key] = row.value.strip()
+    for line, key, value, _, _ in _entries(edges_node):
+        if key not in CUBE_EDGES:
+            raise ParseError(f"unknown cube edge {key!r}", line)
+        if key in edges:
+            raise ParseError(f"duplicate cube edge {key!r}", line)
+        edges[key] = value.strip()
     try:
         return CubeDoc(group=group, cube=build_cube(group, **edges))
     except ValidationError as exc:
-        raise ParseError(str(exc), edges_node.line)
+        raise ParseError(str(exc), edges_node[0])
 
 
 @dataclass(frozen=True)
@@ -462,19 +456,18 @@ class EHDoc:
 
 
 def _eh_of(node):
-    elements = tuple(_names(_value_of(node, "elements", node.line), node.line))
-    unit1 = _value_of(node, "unit1", node.line)
-    unit2 = _value_of(node, "unit2", node.line)
+    elements = tuple(_names(*_value_of(node, "elements")))
+    unit1 = _value_of(node, "unit1")[0]
+    unit2 = _value_of(node, "unit2")[0]
     ops = {}
-    for key in ("op1", "op2"):
-        op_node = _block(_need(node, key, node.line))
+    for op in ("op1", "op2"):
         table = {}
-        for row in _entries(op_node):
-            pair = _names(row.key, row.line)
+        for line, key, value, _, _ in _entries(_block(_need(node, op))):
+            pair = _names(key, line)
             if len(pair) != 2:
-                raise ParseError(f"{key} rows are 'a b: c'", row.line)
-            table[(pair[0], pair[1])] = row.value.strip()
-        ops[key] = table
+                raise ParseError(f"{op} rows are 'a b: c'", line)
+            table[(pair[0], pair[1])] = value.strip()
+        ops[op] = table
     return EHDoc(
         elements=elements, op1=ops["op1"], op2=ops["op2"], unit1=unit1, unit2=unit2
     )
@@ -503,7 +496,7 @@ _INTERPRETERS = {
 
 def parse_document(text):
     root = _tree(text)
-    kind = _value_of(root, "kind", 1)
+    kind = _value_of(root, "kind")[0]
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}", 1)
     return Document(kind=kind, payload=_INTERPRETERS[kind](root))

@@ -747,16 +747,16 @@ def vertex_group_presentation(p, x):
     the least vertex, edges in input order); generators are the non-tree
     edges, relators the relation words rewritten through the tree.
     Relations living on other components are dropped and reported in
-    ``dropped_relations``.
+    ``dropped_relations``.  A walk from ``x`` finds the component; it is
+    walked again from its least vertex only when that is not ``x``.
     """
     q = p.quiver
     if x not in q.vertices:
         raise ValidationError("no such vertex", witness=x)
-    block = next(
-        b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
-    )
-    comp = set(block)
-    paths, _, tree_edges = spanning_tree(q, [block[0]])
+    comp, _, tree_edges = spanning_tree(q, [x])  # keyed by the component
+    root = next(v for v in q.vertices if v in comp)
+    if root != x:
+        comp, _, tree_edges = spanning_tree(q, [root])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )

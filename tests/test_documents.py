@@ -446,3 +446,56 @@ def test_document_is_frozen():
     assert isinstance(doc, Document)
     with pytest.raises(AttributeError):
         doc.kind = "other"
+
+
+# A bad one-line entry is reported at its own line, not at the line of the
+# section around it (line 0 at the top of a document, before).
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("kind: complex\nvertices: v w=x\n", "bad name 'w=x'", 2),
+        (C2_GROUP.replace("elements: 0 1", "elements: 0 a:b"), "bad name 'a:b'", 3),
+        (
+            S3_PERMS.replace("degree: 3", "degree: three"),
+            "degree must be an integer, got 'three'",
+            3,
+        ),
+        (GROUPOID.replace("objects: 0 1", "objects: 0 1=2"), "bad name '1=2'", 2),
+        (COVER.replace("u: p", "u: p x^y"), "bad name 'x^y'", 7),
+        (COVER.replace("v: q", "v: q:r"), "bad name 'q:r'", 8),
+        (EH_C2.replace("elements: 0 1", "elements: 0 1=1"), "bad name '1=1'", 2),
+        # Inside a section, the entry's line and not the section's (9).
+        (
+            XMOD_C4C2.replace("elements: 0 1 2 3", "elements: 0 1 2 3="),
+            "bad name '3='",
+            10,
+        ),
+    ],
+    ids=[
+        "complex-vertices", "group-elements", "group-degree", "groupoid-objects",
+        "cover-u", "cover-v", "eh-elements", "xmod-m-elements",
+    ],
+)
+def test_a_bad_entry_is_reported_at_its_own_line(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("kind: complex\nedges:\n", "missing entry 'vertices'", 1),
+        ("kind: complex\nvertices: v\n", "missing section 'edges'", 1),
+        ("# c2\n\nkind: group\ntable:\n", "missing entry 'elements'", 1),
+        ("kind: cover\n", "missing section 'complex'", 1),
+        ("name: x\n", "missing entry 'kind'", 1),
+        # Inside a section, the section's line, as before.
+        (XMOD_C4C2.replace("  elements: 0 1\n", "", 1), "missing entry 'elements'", 3),
+    ],
+    ids=["entry", "section", "after-comments", "cover", "kind", "nested"],
+)
+def test_a_missing_top_level_entry_is_reported_at_line_one(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)

@@ -2,21 +2,25 @@
 
 The parser used to turn a face or relation side into letters with
 ``_letters_of`` and then build the word through ``presentations.word``;
-``_word_of`` now looks up and chains the tokens in one pass.  A parsed
-complex used to walk every face word again in ``Complex2.validate``; the
-fundamental groupoid's relations used to be filtered, then freely reduced
-into a second ``Word``, then walked again by ``presentation``; and
-``vertex_group_presentation`` built ``lhs.concat(rhs.inverse())`` for each
-relation.  The originals are kept here verbatim as oracles.  On hypothesis
-token lists and complexes, and on the seeded torus-band complexes the
-benchmark runs, the new code must give equal words, complexes and
-presentations, or raise the same error with the same message and line or
-witness.
+``_word_of`` now looks up and chains the tokens in one pass.  Its list
+version, which kept each letter's ends and compared them after the last
+token, and ``_names`` as it scanned every name of a row, are kept too.
+A parsed complex used to walk every face word again in
+``Complex2.validate``; the fundamental groupoid's relations used to be
+filtered, then freely reduced into a second ``Word``, then walked again by
+``presentation``; and ``vertex_group_presentation`` built
+``lhs.concat(rhs.inverse())`` for each relation, and found the component
+of its vertex through ``skeleton_components`` before it walked it.  The
+originals are kept here verbatim as oracles.  On hypothesis token lists
+and complexes, and on the seeded torus-band complexes the benchmark runs,
+the new code must give equal words, complexes and presentations, or raise
+the same error with the same message and line or witness.
 """
 
 import random
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -25,7 +29,14 @@ from hypothesis import strategies as st
 
 from gpdkit import presentations, vankampen
 from gpdkit.core import ValidationError, skeleton_components
-from gpdkit.documents import ParseError, _word_of, parse_document, render_document
+from gpdkit.documents import (
+    _FORBIDDEN,
+    ParseError,
+    _names,
+    _word_of,
+    parse_document,
+    render_document,
+)
 from gpdkit.presentations import (
     GroupPresentation,
     Word,
@@ -69,6 +80,46 @@ def word_of_oracle(tokens, q, line, at=None):
         return word(q, _letters_of(tokens, q, line))
     except ValidationError as exc:
         raise ParseError(f"word does not chain: {exc}", line)
+
+
+def word_of_lists_oracle(tokens, q, line, at=None):
+    """``_word_of`` as it kept the ends of each letter in two lists."""
+    if tokens == ["1"]:
+        if at is None:
+            raise ParseError(
+                "an empty word is only allowed opposite a nonempty side", line
+            )
+        return empty_word(at)
+    esrc, etgt = q.esrc, q.etgt
+    letters, starts, ends = [], [], []
+    for t in tokens:
+        if t.endswith("^-1"):
+            e = t[:-3]
+            if e not in esrc:
+                raise ParseError(f"unknown edge {e!r}", line)
+            letters.append((e, -1))
+            starts.append(etgt[e])
+            ends.append(esrc[e])
+        else:
+            if t not in esrc:
+                raise ParseError(f"unknown edge {t!r}", line)
+            letters.append((t, 1))
+            starts.append(esrc[t])
+            ends.append(etgt[t])
+    if not letters:
+        raise ParseError("word does not chain: empty word needs a vertex", line)
+    if starts[1:] != ends[:-1]:
+        raise ParseError("word does not chain: letters do not chain", line)
+    return Word(src=starts[0], tgt=ends[-1], letters=tuple(letters))
+
+
+def names_oracle(text, line):
+    """``_names`` as it scanned every name of a row."""
+    names = text.split()
+    for n in names:
+        if not _FORBIDDEN.isdisjoint(n):
+            raise ParseError(f"bad name {n!r}", line)
+    return names
 
 
 def free_reduce_oracle(w):
@@ -142,6 +193,53 @@ def vertex_group_oracle(p, x):
     )
 
 
+def vertex_group_components_oracle(p, x):
+    """``vertex_group_presentation`` as it found the component of ``x``
+    through ``skeleton_components`` and then walked it from its least
+    vertex."""
+    q = p.quiver
+    if x not in q.vertices:
+        raise ValidationError("no such vertex", witness=x)
+    block = next(
+        b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
+    )
+    comp = set(block)
+    paths, _, tree_edges = presentations.spanning_tree(q, [block[0]])
+    generators = tuple(
+        e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
+    )
+
+    relators = []
+    dropped = []
+    for lhs, rhs in p.relations:
+        if lhs.src not in comp:
+            dropped.append((lhs, rhs))
+            continue
+        if lhs.tgt != rhs.tgt:
+            raise ValidationError(
+                "words do not concatenate", witness=(lhs.tgt, rhs.tgt)
+            )
+        # lhs . rhs^-1, read straight off the two letter tuples
+        inverse = ((e, -s) for e, s in reversed(rhs.letters))
+        rel = presentations._retracted(chain(lhs.letters, inverse), tree_edges)
+        if rel:
+            relators.append(rel)
+    return GroupPresentation(
+        generators=generators,
+        relators=tuple(relators),
+        dropped_relations=tuple(dropped),
+    )
+
+
+def _vertex_groups_agree(p, v):
+    """The vertex group at ``v`` equals both oracles' (a raised error
+    alike)."""
+    got = _outcome(vertex_group_presentation, p, v)
+    assert got == _outcome(vertex_group_components_oracle, p, v)
+    assert got == _outcome(vertex_group_oracle, p, v)
+    return got
+
+
 def _outcome(f, *args):
     """What a call did: its value, or the error's type, message, line and
     witness."""
@@ -189,7 +287,7 @@ def token_cases(draw):
         here = q.etgt[e] if s > 0 else q.esrc[e]
     junk = st.sampled_from(
         [*q.edges, *(f"{e}^-1" for e in q.edges),
-         "zz", "zz^-1", "1", "1^-1", "^-1", "e0^-1^-1", "v0"]
+         "zz", "zz^-1", "1", "1^-1", "^-1", "e0^-1^-1", "v0", "e0:e1", "e1=", "#"]
     )
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(tokens)))
@@ -207,9 +305,45 @@ def token_cases(draw):
 @given(case=token_cases(), line=st.integers(1, 40))
 def test_word_of_matches_the_two_pass_oracle(case, line):
     q, tokens, at = case
-    assert _outcome(_word_of, tokens, q, line, at) == _outcome(
-        word_of_oracle, tokens, q, line, at
-    )
+    got = _outcome(_word_of, tokens, q, line, at)
+    assert got == _outcome(word_of_oracle, tokens, q, line, at)
+    assert got == _outcome(word_of_lists_oracle, tokens, q, line, at)
+
+
+NAME_TOKENS = [
+    "a", "e0", "v1_2_3", "1", "e0^-1", "a:b", "a=b", "x#y", "^", ":", "=", "é", "名",
+]
+GAPS = [" ", "  ", "\t", " \t ", "\u00a0", "\u3000", "\x0c"]
+
+
+@st.composite
+def name_rows(draw):
+    """A row value: names, some with forbidden characters anywhere in the
+    row, joined by spaces, tabs or Unicode whitespace."""
+    tokens = draw(st.lists(st.sampled_from(NAME_TOKENS), max_size=6))
+    text = draw(st.sampled_from(["", " "]))
+    for t in tokens:
+        text += t + draw(st.sampled_from(GAPS))
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=name_rows(), line=st.integers(1, 40))
+def test_names_match_the_per_name_oracle(text, line):
+    assert _outcome(_names, text, line) == _outcome(names_oracle, text, line)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("a b c:d e=f", "c:d"), ("a\tb^-1", "b^-1"), ("x\u3000y=z", "y=z"), ("a b", None)],
+)
+def test_a_bad_name_is_the_first_one_in_the_row(text, bad):
+    want = _outcome(names_oracle, text, 3)
+    assert _outcome(_names, text, 3) == want
+    if bad is None:
+        assert want == ("returned", text.split())
+    else:
+        assert want[2:4] == (f"line 3: bad name {bad!r}", 3)
 
 
 CHAIN = quiver(VERTICES, [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v2", "v0")])
@@ -235,6 +369,7 @@ CHAIN = quiver(VERTICES, [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v2", "v0"
 def test_hand_picked_token_lists(tokens, at, expected):
     want = _outcome(word_of_oracle, tokens, CHAIN, 7, at)
     assert _outcome(_word_of, tokens, CHAIN, 7, at) == want
+    assert _outcome(word_of_lists_oracle, tokens, CHAIN, 7, at) == want
     if isinstance(expected, Word):
         assert want == ("returned", expected)
     else:
@@ -304,7 +439,7 @@ def _check_pipeline(x, base):
     assert pres == want
     assert pres.validate() is pres
     for v in pres.quiver.vertices:
-        assert vertex_group_presentation(pres, v) == vertex_group_oracle(pres, v)
+        _vertex_groups_agree(pres, v)
     return pres
 
 
@@ -424,7 +559,47 @@ def test_vertex_groups_of_two_sided_relations_match_the_oracle(cx, cuts):
         relations.append((lhs, rhs))
     p = presentation(q, relations)
     for v in vertices:
-        assert vertex_group_presentation(p, v) == vertex_group_oracle(p, v)
+        _vertex_groups_agree(p, v)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Record the roots of each ``spanning_tree`` walk, and fail on a call
+    to ``skeleton_components``, from ``presentations``."""
+    calls = []
+    real = presentations.spanning_tree
+
+    def spy(q, roots):
+        calls.append(tuple(roots))
+        return real(q, roots)
+
+    def unused(*args):
+        raise AssertionError("skeleton_components was called")
+
+    monkeypatch.setattr(presentations, "spanning_tree", spy)
+    monkeypatch.setattr(presentations, "skeleton_components", unused)
+    return calls
+
+
+def test_torus_bands_vertex_groups_take_one_walk_per_least_vertex(walks):
+    """Two bands, three base points: the vertex group at each base point
+    matches the oracles, and the component is walked again only from a
+    vertex that is not the least of it."""
+    x = parse_document(
+        (Path(__file__).parent / "data" / "torus-bands.cx").read_text(encoding="utf-8")
+    ).payload
+    pres = fundamental_groupoid(x, ("v1_2_3", "v0_1_1", "v1_0_0"))
+    q = pres.quiver
+    blocks = skeleton_components(q.vertices, q.edges, q.esrc, q.etgt)
+    assert len(blocks) == 2 and "v1_0_0" in q.vertices
+    for v in q.vertices:
+        del walks[:]
+        gp = vertex_group_presentation(pres, v)
+        least = next(b[0] for b in blocks if v in b)
+        assert walks == ([(v,)] if v == least else [(v,), (least,)])
+        assert gp == vertex_group_components_oracle(pres, v)
+        assert gp == vertex_group_oracle(pres, v)
+        assert gp.dropped_relations  # the other band's faces
 
 
 PRESENTATIONS = [
@@ -461,7 +636,7 @@ def test_a_raw_relation_that_does_not_close_keeps_its_error():
     )
     want = _outcome(vertex_group_oracle, raw, "v0")
     assert want[:3] == ("raised", ValidationError, "words do not concatenate")
-    assert _outcome(vertex_group_presentation, raw, "v0") == want
+    assert _vertex_groups_agree(raw, "v0") == want
 
 
 # ------------------------------------------------------ faces on the empty word

@@ -73,7 +73,13 @@ def tree_oracle(text):
 
 
 def _shape(node):
-    return (node.line, node.key, node.value, [_shape(c) for c in node.children])
+    """``(line, key, value, children)`` of an oracle node, or of a library
+    node, the tuple ``(line, key, value, indent, children)``."""
+    if isinstance(node, tuple):
+        line, key, value, _, children = node
+    else:
+        line, key, value, children = node.line, node.key, node.value, node.children
+    return (line, key, value, [_shape(c) for c in children])
 
 
 def _outcome(tree, text):
