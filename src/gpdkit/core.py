@@ -13,11 +13,12 @@ Conventions that hold across the whole package:
   any vertex and edge lists): blocks come ordered by their first vertex,
   each block in vertex order.  Groupoid components, complex skeleta and
   vertex-group presentations all use it.
-- Groups are validated once, when ``finite_group`` builds them; every
-  constructor goes through it, and ``validate`` on a validated group
-  returns at once.  Associativity is checked with Light's test over
-  ``generating_set``, at O(n^2 |S|) instead of O(n^3); a table that fails
-  still reports the first failing triple in product order.
+- Groups and groupoids share one validator, a group being the one-object
+  case: the table is read into integer rows once, and associativity is
+  checked with Light's test at O(n^2 |S|) instead of O(n^3); a table that
+  fails still reports the first failing triple in product order.  Groups
+  are validated once, when ``finite_group`` builds them; every constructor
+  goes through it, and ``validate`` on a validated group returns at once.
 - Groupoids that ``build_groupoid``, ``from_group`` or ``disjoint_union``
   return are marked lawful, which lets ``xmod.check_axioms`` check the
   laws over base arrows on generators.  ``from_group(g)`` with the
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from operator import itemgetter
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -96,6 +98,80 @@ class IndexView:
     tgt: tuple
 
 
+def _ends(objects, arrows, src, tgt):
+    """Each arrow's source and target as indexes into ``objects``; an end
+    that is not an object raises ValidationError with its arrow."""
+    at = dict(zip(objects, range(len(objects)))).get
+    s = tuple(map(at, map(src.get, arrows)))
+    t = tuple(map(at, map(tgt.get, arrows)))
+    if None in s or None in t:
+        bad = next(a for a, i, j in zip(arrows, s, t) if i is None or j is None)
+        raise ValidationError("arrow with bad endpoints", witness=bad)
+    return s, t
+
+
+def _read_rows(items, src, tgt, comp):
+    """Read the table ``comp`` on ``items``, whose ends are the object
+    indexes ``src``/``tgt``, into the item index, the rows, and ``gap``:
+    the first composable pair in row order whose composite is missing or
+    not an item (the rows stop there), or None."""
+    index = dict(zip(items, range(len(items))))
+    get, missing, columns = index.get, object(), tuple(zip(items, src))
+    rows = []
+    for a, y in zip(items, tgt):
+        row = tuple([get(comp.get((a, b), missing)) if x == y else -1 for b, x in columns])
+        if None in row:
+            return index, rows, (a, items[row.index(None)])
+        rows.append(row)
+    return index, tuple(rows), None
+
+
+def _first_failing_triple(items, rows):
+    """Raise ValidationError with the first composable ``(a, b, c)``, in
+    product order, where (a b) c differs from a (b c); return if none."""
+    for a, b, c in product(range(len(rows)), repeat=3):
+        ab, bc = rows[a][b], rows[b][c]
+        if ab >= 0 and bc >= 0 and rows[ab][c] != rows[a][bc]:
+            raise ValidationError("associativity fails", witness=(items[a], items[b], items[c]))
+
+
+def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
+    """The IndexView of a read table whose identities ``units`` (indexes,
+    one per object) obey the unit laws, once associativity and inverses
+    are checked; a failure raises ValidationError with its witness.
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961): (x s) y = x (s y) for every s in
+    ``gens`` and all x, y composable with it.  The arrows s passing it are
+    closed under composition, and identities pass by the unit laws.
+    ``gens`` comes from ``greedy_generators``, which spans by composing
+    identities with generators on the right, so every arrow is a composite
+    of passing arrows and passes, which is associativity.  Each (x, s)
+    pair compares two rows read at the columns after s, O(n^2 |S|) in all
+    instead of O(n^3).  When the test fails, ``_first_failing_triple``
+    finds the witness.
+
+    In an associative table an arrow a with a two-sided inverse b has no
+    other right inverse c, as c = (b a) c = b (a c) = b, so the first right
+    inverse is checked on the other side; an arrow failing raises
+    ``no_inverse``.
+    """
+    for k in map(index.__getitem__, gens):
+        sk, start = rows[k], src[k]
+        after = [y for y, z in enumerate(sk) if z >= 0]
+        left, right = itemgetter(*after), itemgetter(*map(sk.__getitem__, after))
+        if any(left(rows[row[k]]) != right(row) for row, y in zip(rows, tgt) if y == start):
+            _first_failing_triple(items, rows)
+    inverse = []
+    for i, row in enumerate(rows):
+        u = units[src[i]]
+        j = row.index(u) if u in row else None
+        if j is None or rows[j][i] != units[tgt[i]]:
+            raise ValidationError(no_inverse, witness=items[i])
+        inverse.append(j)
+    return IndexView(items, index, rows, tuple(inverse), tuple(units), src, tgt)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group: element tuple, full multiplication table, unit.
@@ -139,68 +215,34 @@ class FiniteGroup:
         """Check the group laws, raising ValidationError with the first
         witness; a successful check is remembered, so a second call is free.
 
-        Associativity uses Light's test (Clifford & Preston, *The Algebraic
-        Theory of Semigroups* I, 1961): (x s) y = x (s y) for all x, y and
-        every s in ``generating_set(self)``.  The elements s passing it are
-        closed under products, and the unit passes by the unit law.
-        ``generating_set`` spans by right-multiplying the unit by
-        generators, so every element is a product of generators and passes,
-        which is associativity.  The table is read once into rows of
-        element indices, so each (x, s) pair compares two rows: O(n^2 |S|)
-        in all, instead of O(n^3).  When the test fails, the triple loop
-        finds the first failing ``(a, b, c)`` in product order, the witness
-        it has always reported.  The rows are kept as the group's
-        ``IndexView``, and a group built without an inverse map gets the
-        table's.
+        The table is checked as a groupoid with one object, by the reader,
+        Light's test and inverse search ``build_groupoid`` uses.  The rows
+        are kept as the group's ``IndexView``, and a group built without an
+        inverse map gets the table's.
         """
         if self._validated:
             return self
-        elems = self.elements
-        index = {x: i for i, x in enumerate(elems)}
+        elems, table = self.elements, self.table
+        ends = (0,) * len(elems)
+        index, rows, gap = _read_rows(elems, ends, ends, table)
         if len(index) != len(elems):
             raise ValidationError("duplicate elements", witness=elems)
         if self.unit not in index:
             raise ValidationError("unit is not an element", witness=self.unit)
-        # rows[i][j]: the index of elems[i] times elems[j], None where the
-        # product is missing or not an element
-        table, get, missing = self.table, index.get, object()
-        rows = []
-        for a in elems:
-            row = [get(table.get((a, b), missing)) for b in elems]
-            if None in row:
-                b = elems[row.index(None)]
-                if (a, b) not in table:
-                    raise ValidationError("table is not total", witness=(a, b))
-                raise ValidationError(
-                    "table leaves the carrier", witness=(a, b, table[(a, b)])
-                )
-            rows.append(row)
+        if gap:
+            if gap not in table:
+                raise ValidationError("table is not total", witness=gap)
+            raise ValidationError("table leaves the carrier", witness=(*gap, table[gap]))
         u = index[self.unit]
         for i, a in enumerate(elems):
             if rows[u][i] != i or rows[i][u] != i:
                 raise ValidationError("unit law fails", witness=a)
-        ids = range(len(elems))
-        for s in generating_set(self):
-            k = index[s]
-            # (x s) y == x (s y) for every y: the row of x s against the row
-            # of x read through the row of s
-            if any(rows[row[k]] != [row[j] for j in rows[k]] for row in rows):
-                for a, b, c in product(ids, repeat=3):
-                    if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                        witness = (elems[a], elems[b], elems[c])
-                        raise ValidationError("associativity fails", witness=witness)
-        # The table is associative now, so a right inverse is the only
-        # two-sided inverse there can be.
-        inverse = []
-        for i, row in enumerate(rows):
-            j = row.index(u) if u in row else None
-            if j is None or rows[j][i] != u:
-                raise ValidationError("no two-sided inverse", witness=elems[i])
-            inverse.append(j)
-        ends = (0,) * len(elems)
-        view = IndexView(elems, index, tuple(map(tuple, rows)), tuple(inverse), (u,), ends, ends)
+        view = _checked_view(
+            elems, index, rows, (u,), ends, ends, generating_set(self), "no two-sided inverse"
+        )
         if self.inverse is None:
-            object.__setattr__(self, "inverse", dict(zip(elems, map(elems.__getitem__, inverse))))
+            inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
+            object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "_view", view)
         object.__setattr__(self, "_validated", True)
         return self
@@ -382,81 +424,50 @@ class FiniteGroupoid:
 def build_groupoid(objects, arrows, src, tgt, comp, name=""):
     """Validated FiniteGroupoid constructor; infers identities and inverses.
 
-    Checks totality of the composition table on composable pairs,
-    associativity on all composable triples, identity laws, and existence
-    of two-sided inverses, reporting a witness for the first failure.
+    Checks each listed composite, totality on composable pairs, identity
+    laws, associativity and two-sided inverses with the validator groups
+    use, reporting a witness for the first failure, and keeps the rows it
+    read as the groupoid's IndexView.
     """
-    objects = tuple(objects)
-    arrows = tuple(arrows)
-    src = dict(src)
-    tgt = dict(tgt)
-    comp = dict(comp)
+    objects, arrows = tuple(objects), tuple(arrows)
+    src, tgt, comp = dict(src), dict(tgt), dict(comp)
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate objects", witness=objects)
     if len(set(arrows)) != len(arrows):
         raise ValidationError("duplicate arrows", witness=arrows)
-    for a in arrows:
-        if src.get(a) not in objects or tgt.get(a) not in objects:
-            raise ValidationError("arrow with bad endpoints", witness=a)
+    s, t = _ends(objects, arrows, src, tgt)
+    index, rows, gap = _read_rows(arrows, s, t, comp)
+    get = index.get
     for (a, b), c in comp.items():
-        if tgt[a] != src[b]:
+        i, j, k = get(a), get(b), get(c)
+        if i is None or j is None:
+            raise ValidationError("composite of an unknown arrow", witness=(a, b))
+        if t[i] != s[j]:
             raise ValidationError("composite of non-composable pair", witness=(a, b))
-        if c not in set(arrows):
+        if k is None:
             raise ValidationError("composite leaves the carrier", witness=(a, b, c))
-        if src[c] != src[a] or tgt[c] != tgt[b]:
+        if s[k] != s[i] or t[k] != t[j]:
             raise ValidationError("composite has wrong endpoints", witness=(a, b, c))
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] == src[b] and (a, b) not in comp:
-                raise ValidationError(
-                    "composition table is not total", witness=(a, b)
-                )
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] != src[b]:
-                continue
-            ab = comp[(a, b)]
-            for c in arrows:
-                if tgt[b] != src[c]:
-                    continue
-                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    raise ValidationError("associativity fails", witness=(a, b, c))
-    id_of = {}
-    for x in objects:
-        for e in arrows:
-            if src[e] != x or tgt[e] != x:
-                continue
-            if all(
-                comp[(e, a)] == a for a in arrows if src[a] == x
-            ) and all(comp[(a, e)] == a for a in arrows if tgt[a] == x):
-                id_of[x] = e
-                break
-        else:
-            raise ValidationError("object with no identity arrow", witness=x)
-    inv = {}
-    for a in arrows:
-        for b in arrows:
-            if (
-                tgt[a] == src[b]
-                and tgt[b] == src[a]
-                and comp[(a, b)] == id_of[src[a]]
-                and comp[(b, a)] == id_of[src[b]]
-            ):
-                inv[a] = b
-                break
-        else:
-            raise ValidationError("arrow with no inverse", witness=a)
-    p = FiniteGroupoid(
-        objects=objects,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        comp=comp,
-        id_of=id_of,
-        inv=inv,
-        name=name,
-    )
-    return _lawful(p, index_view(p))
+    if gap:
+        raise ValidationError("composition table is not total", witness=gap)
+    units = []
+    for x in range(len(objects)):
+        # an identity's row reads every arrow from x, and -1 elsewhere
+        row = tuple([a if y == x else -1 for a, y in enumerate(s)])
+        into = [a for a, y in enumerate(t) if y == x]
+        ids = (e for e in into if s[e] == x and rows[e] == row)
+        units.append(next((e for e in ids if all(rows[a][e] == a for a in into)), None))
+    if None in units:
+        # Light's test spans from the identities, so without them the triple
+        # loop looks for a failing triple, reported before the missing one.
+        _first_failing_triple(arrows, rows)
+        raise ValidationError("object with no identity arrow", witness=objects[units.index(None)])
+    gens = greedy_generators(arrows, [arrows[e] for e in units], comp)
+    view = _checked_view(arrows, index, rows, units, s, t, gens, "arrow with no inverse")
+    id_of = dict(zip(objects, map(arrows.__getitem__, units)))
+    inv = dict(zip(arrows, map(arrows.__getitem__, view.inverse)))
+    p = FiniteGroupoid(objects, arrows, src, tgt, comp, id_of, inv, name=name)
+    return _lawful(p, view)
 
 
 def _lawful(p, view):
@@ -477,39 +488,22 @@ def index_view(p):
     running the other way raise ValidationError with a witness."""
     if p._view is not None:
         return p._view
-    arrows = p.arrows
-    index = {a: i for i, a in enumerate(arrows)}
-    objects = {x: i for i, x in enumerate(p.objects)}
-    src, tgt = [], []
-    for a in arrows:
-        x, y = objects.get(p.src.get(a)), objects.get(p.tgt.get(a))
-        if x is None or y is None:
-            raise ValidationError("arrow with bad endpoints", witness=a)
-        src.append(x)
-        tgt.append(y)
-    comp, get, missing = p.comp, index.get, object()
-    rows = []
-    for a, y in zip(arrows, tgt):
-        row = [
-            get(comp.get((a, b), missing)) if x == y else -1 for b, x in zip(arrows, src)
-        ]
-        if None in row:
-            b = arrows[row.index(None)]
-            if (a, b) not in comp:
-                raise ValidationError("composition table is not total", witness=(a, b))
-            raise ValidationError("composite leaves the carrier", witness=(a, b))
-        rows.append(tuple(row))
+    src, tgt = _ends(p.objects, p.arrows, p.src, p.tgt)
+    index, rows, gap = _read_rows(p.arrows, src, tgt, p.comp)
+    if gap:
+        leaves = gap in p.comp
+        message = "composite leaves the carrier" if leaves else "composition table is not total"
+        raise ValidationError(message, witness=gap)
+    get, missing = index.get, object()
     units = [get(p.id_of.get(x, missing)) for x in p.objects]
     if None in units:
         witness = p.objects[units.index(None)]
         raise ValidationError("object with no identity arrow", witness=witness)
-    inverse = [get(p.inv.get(a, missing)) for a in arrows]
+    inverse = [get(p.inv.get(a, missing)) for a in p.arrows]
     for i, j in enumerate(inverse):
         if j is None or src[j] != tgt[i] or tgt[j] != src[i]:
-            raise ValidationError("arrow with no inverse", witness=arrows[i])
-    return IndexView(
-        arrows, index, tuple(rows), tuple(inverse), tuple(units), tuple(src), tuple(tgt)
-    )
+            raise ValidationError("arrow with no inverse", witness=p.arrows[i])
+    return IndexView(p.arrows, index, rows, tuple(inverse), tuple(units), src, tgt)
 
 
 def interval_groupoid():

@@ -247,7 +247,9 @@ def _groupoid_of(node):
         pair = _names(key, line)
         if len(pair) != 2:
             raise ParseError("composition rows are 'a b: c'", line)
-        comp[(pair[0], pair[1])] = value.strip()
+        if tuple(pair) in comp:
+            raise ParseError(f"duplicate row for {' '.join(pair)!r}", line)
+        comp[tuple(pair)] = value.strip()
     return build_groupoid(objects, tuple(arrows), src, tgt, comp, name=name)
 
 

@@ -72,6 +72,9 @@ CORPUS = [
     ),
     (("eh", "check", _p("eh-c2.eh")), 0),
     (("eh", "check", _p("eh-s3.eh")), 1),
+    # No command takes a groupoid document, but loading one runs the
+    # groupoid reader and validator before the kind is checked.
+    (("xmod", "check", _p("interval.gpd")), 2),
 ]
 
 _IDS = [" ".join(Path(a).name if "/" in a else a for a in argv) for argv, _ in CORPUS]

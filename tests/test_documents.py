@@ -238,6 +238,19 @@ def test_groupoid_document():
     assert g.inverse("i") == "j"
 
 
+def test_a_repeated_groupoid_composition_row_is_rejected_at_its_line():
+    text = GROUPOID.replace("  id0 id0: id0\n", "  id0 id0: i\n  id0  id0: id0\n")
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (str(exc.value), exc.value.line) == ("line 10: duplicate row for 'id0 id0'", 10)
+
+
+def test_a_composition_row_naming_an_unknown_arrow_is_a_validation_error():
+    with pytest.raises(ValidationError) as exc:
+        parse_document(GROUPOID + "  k id0: id0\n")
+    assert (str(exc.value), exc.value.witness) == ("composite of an unknown arrow", ("k", "id0"))
+
+
 def test_quiver_document():
     text = "kind: quiver\nvertices: 0 1\nedges:\n  a: 0 1\n"
     q = parse_document(text).payload

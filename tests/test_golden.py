@@ -57,6 +57,9 @@ COMMANDS = [
     # that is not the first of its component.
     ("pi1", D + "torus-bands.cx", "--base", "v1_2_3,v0_1_1,v1_0_0",
      "--vertex", "v1_0_0"),
+    # A groupoid composition row naming an undeclared arrow is an input
+    # error (exit 2), not an internal one.
+    ("xmod", "check", D + "unknown-arrow.gpd"),
 ]
 
 
@@ -110,10 +113,13 @@ def test_error_goldens_differ_from_their_undigested_versions_only_in_inputs(name
 
 # Validation-error reports whose ``witnesses`` end in the exception's
 # witness (``"witness: <repr>"``), each with the SHA-256 of its golden as
-# it read before that entry was added.
+# it read before that entry was added, or, for a golden added later, of
+# its report without the entry.
 UNWITNESSED = {
     "xmod-check-c2.grp":
         "6cecb4ba2c4e0ed12628edf9b2de11e33e9e39ce6e47039561c0aa13c8abd390",
+    "xmod-check-unknown-arrow.gpd":
+        "bdc05a8d7dafe0bbfd1e010354973a0d4c31330da0374ffc1390d387249e2ef1",
 }
 
 

@@ -1,11 +1,14 @@
-"""Group and complex validation: Light's associativity test against the
-brute-force validator it replaced, and the mark that lets a validated
-value skip a second check.
+"""Group, groupoid and complex validation: Light's associativity test
+against the brute-force validators it replaced, and the mark that lets a
+validated value skip a second check.
 
-``_old_validate`` is the former body of ``FiniteGroup.validate``, kept
-verbatim as the oracle: it tests associativity on all n^3 triples.  Every
-table, broken or not, must get the same verdict, message and witness from
-both.
+``_old_validate`` and ``_old_build_groupoid`` are the former bodies of
+``FiniteGroup.validate`` and ``build_groupoid``, kept verbatim as oracles:
+they test associativity on all n^3 triples.  Every table, broken or not,
+must get the same verdict, message and witness from the oracle and the
+shared validator, and a groupoid that passes the same identities,
+inverses and IndexView.  The one expected difference: a composition row
+naming an unknown arrow makes the old groupoid body raise KeyError.
 """
 
 from dataclasses import replace
@@ -18,12 +21,19 @@ from hypothesis import given, settings, strategies as st
 from gpdkit import core, vankampen
 from gpdkit.core import (
     FiniteGroup,
+    FiniteGroupoid,
     ValidationError,
+    _lawful,
     alternating_group,
+    battery,
+    build_groupoid,
     cyclic_group,
+    disjoint_union,
     finite_group,
     from_group,
     generating_set,
+    index_view,
+    interval_groupoid,
     subgroup,
     symmetric_group,
     trivial_group,
@@ -202,6 +212,255 @@ def test_the_success_path_does_not_visit_every_triple(monkeypatch):
     with pytest.raises(ValidationError, match="associativity fails"):
         _raw(cyclic_group(3), _broken_c3()).validate()
     assert 3 in repeats
+
+
+# ----------------------------------------------------------------- groupoids
+
+
+def _old_build_groupoid(objects, arrows, src, tgt, comp, name=""):
+    objects = tuple(objects)
+    arrows = tuple(arrows)
+    src = dict(src)
+    tgt = dict(tgt)
+    comp = dict(comp)
+    if len(set(objects)) != len(objects):
+        raise ValidationError("duplicate objects", witness=objects)
+    if len(set(arrows)) != len(arrows):
+        raise ValidationError("duplicate arrows", witness=arrows)
+    for a in arrows:
+        if src.get(a) not in objects or tgt.get(a) not in objects:
+            raise ValidationError("arrow with bad endpoints", witness=a)
+    for (a, b), c in comp.items():
+        if tgt[a] != src[b]:
+            raise ValidationError("composite of non-composable pair", witness=(a, b))
+        if c not in set(arrows):
+            raise ValidationError("composite leaves the carrier", witness=(a, b, c))
+        if src[c] != src[a] or tgt[c] != tgt[b]:
+            raise ValidationError("composite has wrong endpoints", witness=(a, b, c))
+    for a in arrows:
+        for b in arrows:
+            if tgt[a] == src[b] and (a, b) not in comp:
+                raise ValidationError(
+                    "composition table is not total", witness=(a, b)
+                )
+    for a in arrows:
+        for b in arrows:
+            if tgt[a] != src[b]:
+                continue
+            ab = comp[(a, b)]
+            for c in arrows:
+                if tgt[b] != src[c]:
+                    continue
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                    raise ValidationError("associativity fails", witness=(a, b, c))
+    id_of = {}
+    for x in objects:
+        for e in arrows:
+            if src[e] != x or tgt[e] != x:
+                continue
+            if all(
+                comp[(e, a)] == a for a in arrows if src[a] == x
+            ) and all(comp[(a, e)] == a for a in arrows if tgt[a] == x):
+                id_of[x] = e
+                break
+        else:
+            raise ValidationError("object with no identity arrow", witness=x)
+    inv = {}
+    for a in arrows:
+        for b in arrows:
+            if (
+                tgt[a] == src[b]
+                and tgt[b] == src[a]
+                and comp[(a, b)] == id_of[src[a]]
+                and comp[(b, a)] == id_of[src[b]]
+            ):
+                inv[a] = b
+                break
+        else:
+            raise ValidationError("arrow with no inverse", witness=a)
+    p = FiniteGroupoid(
+        objects=objects,
+        arrows=arrows,
+        src=src,
+        tgt=tgt,
+        comp=comp,
+        id_of=id_of,
+        inv=inv,
+        name=name,
+    )
+    return _lawful(p, index_view(p))
+
+
+def _groupoid_outcome(build, table):
+    try:
+        p = build(*table)
+    except ValidationError as err:
+        return str(err), err.witness
+    assert p._validated
+    return "ok", (p.id_of, p.inv, p._view)
+
+
+def _table(p):
+    return p.objects, p.arrows, p.src, p.tgt, p.comp
+
+
+def _pair_table(k, elements, mul):
+    """The pair groupoid on k objects times a magma: arrows (i, j, g) from
+    i to j, composed as (i, j, g) then (j, l, h) = (i, l, g h).  It is a
+    groupoid exactly when the magma is a group."""
+    objects = tuple(range(k))
+    arrows = tuple((i, j, g) for i in objects for j in objects for g in elements)
+    comp = {
+        (a, b): (a[0], b[1], mul(a[2], b[2])) for a in arrows for b in arrows if a[1] == b[0]
+    }
+    return objects, arrows, {a: a[0] for a in arrows}, {a: a[1] for a in arrows}, comp
+
+
+def _group_pair_table(k, g):
+    return _pair_table(k, g.elements, g.mul)
+
+
+_GROUPS = {"c2": cyclic_group(2), "c3": cyclic_group(3), "s3": symmetric_group(3)}
+_BATTERY = battery()
+CLEAN = {
+    "interval": _table(interval_groupoid()),
+    "interval+c3": _table(disjoint_union(interval_groupoid(), _BATTERY["c3"])),
+    "c2+s3": _table(disjoint_union(_BATTERY["c2"], _BATTERY["s3"])),
+    "s3+c4": _table(disjoint_union(_BATTERY["s3"], _BATTERY["c4"])),
+    **{
+        f"pair{k}x{name}": _group_pair_table(k, g)
+        for k in (2, 3)
+        for name, g in _GROUPS.items()
+    },
+}
+# Associative tables that are not groupoids, with the law they fail: the
+# pair groupoid times the left-zero band (x y = x) and the null semigroup
+# (x y = 0), which have no identity, and times {0, 1} under
+# multiplication, where 0 has no inverse.
+NOT_GROUPOIDS = {
+    "pair2xleft-zero": (
+        _pair_table(2, (0, 1), lambda x, y: x), "object with no identity arrow"
+    ),
+    "pair2xnull": (_pair_table(2, (0, 1, 2), lambda x, y: 0), "object with no identity arrow"),
+    "pair2xmonoid": (_pair_table(2, (0, 1), lambda x, y: x * y), "arrow with no inverse"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLEAN) + sorted(NOT_GROUPOIDS))
+def test_groupoid_tables_get_the_oracle_verdict(name):
+    table, message = NOT_GROUPOIDS.get(name) or (CLEAN[name], "ok")
+    got = _groupoid_outcome(build_groupoid, table)
+    assert got == _groupoid_outcome(_old_build_groupoid, table)
+    assert got[0] == message
+
+
+def _off_identities(table):
+    """The composable pairs of ``table`` with no identity arrow in them."""
+    p = _old_build_groupoid(*table)
+    units = set(p.id_of.values())
+    return [(a, b) for a, b in table[4] if a not in units and b not in units]
+
+
+DAMAGE = ("drop", "wrong", "non-associative", "identity")
+
+
+@st.composite
+def damaged_groupoids(draw):
+    """A clean table with one to three entries damaged in one way: a
+    composable pair dropped, a composite replaced by any arrow or by a
+    stranger, an entry off the identity lines replaced by another arrow
+    with the same ends, or an entry on an identity line replaced so."""
+    objects, arrows, src, tgt, comp = CLEAN[draw(st.sampled_from(sorted(CLEAN)))]
+    comp = dict(comp)
+    damage = draw(st.sampled_from(DAMAGE))
+    keys = sorted(comp, key=repr)
+    if damage == "non-associative":
+        keys = sorted(_off_identities((objects, arrows, src, tgt, comp)), key=repr) or keys
+    elif damage == "identity":
+        keys = sorted(set(comp) - set(_off_identities((objects, arrows, src, tgt, comp))), key=repr)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = key = draw(st.sampled_from(keys))
+        if damage == "drop":
+            comp.pop(key, None)
+        elif damage == "wrong":
+            comp[key] = draw(st.sampled_from(arrows + ("stranger",)))
+        else:
+            same_ends = [c for c in arrows if src[c] == src[a] and tgt[c] == tgt[b]]
+            comp[key] = draw(st.sampled_from(same_ends))
+    return damage, (objects, arrows, src, tgt, comp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_groupoids())
+def test_damaged_groupoid_tables_get_the_oracle_verdict(case):
+    _, table = case
+    assert _groupoid_outcome(build_groupoid, table) == _groupoid_outcome(
+        _old_build_groupoid, table
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    ),
+)
+def test_magma_tables_get_the_oracle_verdict(k, entries):
+    # A random magma times the pair groupoid is mostly neither associative
+    # nor unital: associativity is still the failure reported first.
+    n = int(len(entries) ** 0.5)
+    table = _pair_table(k, tuple(range(n)), lambda x, y: entries[x * n + y])
+    got = _groupoid_outcome(build_groupoid, table)
+    assert got == _groupoid_outcome(_old_build_groupoid, table)
+
+
+def test_a_non_associative_table_without_identities_reports_associativity():
+    # x y = x + 1 (mod 3): (x y) z = x + 2 but x (y z) = x + 1, and no
+    # element is a left identity.
+    table = _pair_table(2, (0, 1, 2), lambda x, y: (x + 1) % 3)
+    expected = ("associativity fails", ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert _groupoid_outcome(_old_build_groupoid, table) == expected
+    assert _groupoid_outcome(build_groupoid, table) == expected
+
+
+def _split_idempotent():
+    """A category on A, B where r: A -> B and s: B -> A give "r then s" =
+    idA but "s then r" = e, an idempotent other than idB: s is a right
+    inverse of r that is not two-sided."""
+    arrows = ("idA", "idB", "r", "s", "e")
+    src = {"idA": "A", "idB": "B", "r": "A", "s": "B", "e": "B"}
+    tgt = {"idA": "A", "idB": "B", "r": "B", "s": "A", "e": "B"}
+    comp = {
+        ("idA", "idA"): "idA", ("idA", "r"): "r", ("s", "idA"): "s", ("s", "r"): "e",
+        ("idB", "idB"): "idB", ("idB", "s"): "s", ("idB", "e"): "e",
+        ("r", "idB"): "r", ("r", "s"): "idA", ("r", "e"): "r",
+        ("e", "idB"): "e", ("e", "s"): "s", ("e", "e"): "e",
+    }
+    return ("A", "B"), arrows, src, tgt, comp
+
+
+def test_a_right_inverse_that_is_not_two_sided_is_rejected():
+    table = _split_idempotent()
+    expected = ("arrow with no inverse", "r")
+    assert _groupoid_outcome(_old_build_groupoid, table) == expected
+    assert _groupoid_outcome(build_groupoid, table) == expected
+
+
+@pytest.mark.parametrize("row", [("h", "id1"), ("id1", "h")])
+def test_a_composite_of_an_unknown_arrow_is_a_validation_error(row):
+    objects, arrows, src, tgt, comp = _table(interval_groupoid())
+    table = (objects, arrows, src, tgt, {**comp, row: "id1"})
+    # The old body looked the pair's ends up unguarded.
+    with pytest.raises(KeyError):
+        _old_build_groupoid(*table)
+    assert _groupoid_outcome(build_groupoid, table) == ("composite of an unknown arrow", row)
+
+
+def test_a_three_object_s4_groupoid_validates():
+    p = build_groupoid(*_group_pair_table(3, symmetric_group(4)))
+    assert len(p.arrows) == 216 and p._validated
+    assert index_view(replace(p)) == p._view
 
 
 # ------------------------------------------------------- the validated mark
