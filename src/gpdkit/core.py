@@ -28,8 +28,8 @@ Conventions that hold across the whole package:
   group and every groupoid marked lawful carries one (``from_group(g)``
   shares ``g``'s), and the hot readers (``dblgpd.from_xmod``,
   ``xmod.automorphism_group``) compose through it instead of hashing
-  elements or arrows.  A crossed module keeps one more level on top of
-  these, ``xmod.XModView``, which the square algebra in ``dblgpd`` runs on.
+  elements or arrows.  A crossed module keeps ``xmod.XModView`` on top of
+  these; ``dblgpd``'s squares and ``xmod``'s laws and maps over a hom run on it.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are

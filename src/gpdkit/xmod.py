@@ -13,7 +13,8 @@ Laws, checked by ``check_axioms`` with one witness per violated family:
   boundary-equivariance  mu(m^a) = a^{-1} mu(m) a
   peiffer                m^{mu(n)} = n^{-1} m n
 
-The two type laws, ``boundary-hom``, ``action-identity`` and ``peiffer``
+The laws are read on the module's ``XModView``, the two type laws as its
+holes.  Those two, ``boundary-hom``, ``action-identity`` and ``peiffer``
 are checked on every element.  Over a base that a validating constructor
 built (``build_groupoid``, ``from_group``, ``disjoint_union``), the laws
 that quantify over base arrows are checked on a generating set S of the
@@ -183,6 +184,11 @@ def check_axioms(xm):
     whose witnesses are the ones reported.  An unmarked base (raw
     construction or a ``dataclasses.replace`` copy) gets the all-arrows
     pass alone.
+
+    The laws are read on ``xmod_view(xm)``, which raises ValidationError on
+    a base it cannot index or a fibre that is not a group.  A fibre's
+    inverses are its table's, not a raw ``inverse`` map, which
+    ``FiniteGroup.validate`` does not check; the base's are its ``inv``.
     """
     p = xm.p
     if p._validated:
@@ -194,78 +200,72 @@ def check_axioms(xm):
 
 
 def _check_laws(xm, over):
-    """The law check of ``check_axioms`` with the base-arrow laws checked
-    for b (``action-compose``) or a (``action-hom``,
-    ``boundary-equivariance``) in ``over``; every other law, and a in
-    ``action-compose``, ranges over everything."""
-    p = xm.p
-    action = xm.action
-    failures = []
-
-    def fail(family, witness):
-        if not any(f == family for f, _ in failures):
-            failures.append((family, witness))
-
-    arrows = set(p.arrows)
-    carriers = {x: set(xm.m[x].elements) for x in p.objects}
-    for x in p.objects:
-        table = xm.mu.get(x, {})
-        for m in xm.m[x].elements:
-            a = table.get(m)
-            if a is None or a not in arrows or p.src[a] != x or p.tgt[a] != x:
-                fail("boundary-type", (x, m, a))
-    for a in p.arrows:
-        x, y = p.src[a], p.tgt[a]
-        for m in xm.m[x].elements:
-            out = action.get((m, a))
-            if out is None or out not in carriers[y]:
-                fail("action-type", (m, a, out))
+    """The law check of ``check_axioms`` on the XModView, with the base-arrow
+    laws checked for b (``action-compose``) or a (``action-hom``,
+    ``boundary-equivariance``) in the arrows ``over``; every other law, and
+    a in ``action-compose``, ranges over everything."""
+    v = xmod_view(xm)
+    base, fibres, act, mu = v.base, v.fibres, v.act, v.mu
+    rows, src, tgt, arrows, objects = base.rows, base.src, base.tgt, base.items, xm.p.objects
+    failures = {}  # family -> its first witness, in the order they fail
+    fail = failures.setdefault
+    hole = next(((x, i) for x, mux in enumerate(mu) for i, a in enumerate(mux)
+                 if a is None or not src[a] == tgt[a] == x), None)
+    if hole:
+        x, m = objects[hole[0]], fibres[hole[0]].items[hole[1]]
+        fail("boundary-type", (x, m, xm.mu.get(x, {}).get(m)))
+    a = next((a for a, acta in enumerate(act) if None in acta), None)
+    if a is not None:
+        m = fibres[src[a]].items[act[a].index(None)]
+        fail("action-type", (m, arrows[a], xm.action.get((m, arrows[a]))))
     if failures:
-        return LawReport(ok=False, failures=tuple(failures))
-
-    for x in p.objects:
-        gm = xm.m[x]
-        for m, n in product(gm.elements, repeat=2):
-            if p.compose(xm.mu[x][m], xm.mu[x][n]) != xm.mu[x][gm.mul(m, n)]:
-                fail("boundary-hom", (x, m, n))
-                break
-        for m in gm.elements:
-            if action[(m, p.id_of[x])] != m:
-                fail("action-identity", (x, m))
-                break
+        return LawReport(ok=False, failures=tuple(failures.items()))
+    for x, (fibre, mux) in enumerate(zip(fibres, mu)):
+        items = fibre.items
+        at = _first((map(rows[mux[i]].__getitem__, mux), map(mux.__getitem__, row))
+                    for i, row in enumerate(fibre.rows))
+        if at:
+            fail("boundary-hom", (objects[x], items[at[0]], items[at[1]]))
+        at = _first([(act[base.units[x]], range(len(items)))])
+        if at:
+            fail("action-identity", (objects[x], items[at[1]]))
     # the b of action-compose and the a of the other two laws, in order
-    after = {x: [b for b in over if p.src[b] == x] for x in p.objects}
+    over = [base.index[b] for b in over]
+    after = [[b for b in over if src[b] == y] for y in range(len(objects))]
     chosen = set(over)
-    for a in p.arrows:
-        x, y = p.src[a], p.tgt[a]
-        gx, gy = xm.m[x], xm.m[y]
-        for b in after[y]:
-            ab = p.compose(a, b)
-            for m in gx.elements:
-                if action[(m, ab)] != action[(action[(m, a)], b)]:
-                    fail("action-compose", (m, a, b))
-                    break
+    for a, (x, y, acta) in enumerate(zip(src, tgt, act)):
+        items, fy = fibres[x].items, fibres[y]
+        at = _first((act[rows[a][b]], map(act[b].__getitem__, acta)) for b in after[y])
+        if at:
+            fail("action-compose", (items[at[1]], arrows[a], arrows[after[y][at[0]]]))
         if a not in chosen:
             continue
-        for m, n in product(gx.elements, repeat=2):
-            if action[(gx.mul(m, n), a)] != gy.mul(action[(m, a)], action[(n, a)]):
-                fail("action-hom", (m, n, a))
-                break
-        if action[(gx.unit, a)] != gy.unit:
-            fail("action-hom", (gx.unit, gx.unit, a))
-        for m in gx.elements:
-            lhs = xm.mu[y][action[(m, a)]]
-            rhs = p.compose(p.compose(p.inverse(a), xm.mu[x][m]), a)
-            if lhs != rhs:
-                fail("boundary-equivariance", (m, a))
-                break
-    for x in p.objects:
-        gm = xm.m[x]
-        for m, n in product(gm.elements, repeat=2):
-            if action[(m, xm.mu[x][n])] != gm.conj(m, n):
-                fail("peiffer", (x, m, n))
-                break
-    return LawReport(ok=not failures, failures=tuple(failures))
+        at = _first((map(acta.__getitem__, row), map(fy.rows[acta[i]].__getitem__, acta))
+                    for i, row in enumerate(fibres[x].rows))
+        if at:
+            fail("action-hom", (items[at[0]], items[at[1]], arrows[a]))
+        # 1^a = 1 follows, as 1^a = (1 1)^a = 1^a 1^a in the group M(y)
+        back = rows[base.inverse[a]]
+        at = _first([(map(mu[y].__getitem__, acta), [rows[back[k]][a] for k in mu[x]])])
+        if at:
+            fail("boundary-equivariance", (items[at[1]], arrows[a]))
+    for x, (fibre, mux) in enumerate(zip(fibres, mu)):
+        frows, inverse, by = fibre.rows, fibre.inverse, [act[k] for k in mux]
+        # m^{mu(n)} against n^-1 m n, over n
+        at = _first(([t[m] for t in by], [frows[frows[k][m]][n] for n, k in enumerate(inverse)])
+                    for m in range(len(frows)))
+        if at:
+            fail("peiffer", (objects[x], fibre.items[at[0]], fibre.items[at[1]]))
+    return LawReport(ok=not failures, failures=tuple(failures.items()))
+
+
+def _first(pairs):
+    """The first (i, j) where the i-th pair of int sequences differs at j, or None."""
+    for i, (lhs, rhs) in enumerate(pairs):
+        lhs, rhs = tuple(lhs), tuple(rhs)
+        if lhs != rhs:
+            return i, next(j for j, (u, w) in enumerate(zip(lhs, rhs)) if u != w)
+    return None
 
 
 @dataclass(frozen=True)
@@ -279,17 +279,18 @@ class CentralityReport:
 
 
 def kernel_central_check(xm):
-    """The kernel of the boundary must be central in each M(x)."""
-    sizes = []
-    witness = None
-    for x in xm.p.objects:
-        gm = xm.m[x]
-        kernel = [m for m in gm.elements if xm.mu[x][m] == xm.p.id_of[x]]
+    """The kernel of the boundary must be central in each M(x); read on the
+    XModView, where a boundary entry that is not an arrow is outside it."""
+    v = xmod_view(xm)
+    sizes, witness = [], None
+    for x, fibre, mux, unit in zip(xm.p.objects, v.fibres, v.mu, v.base.units):
+        kernel = [k for k, a in enumerate(mux) if a == unit]
         sizes.append((x, len(kernel)))
-        for k in kernel:
-            for m in gm.elements:
-                if gm.mul(k, m) != gm.mul(m, k) and witness is None:
-                    witness = (x, k, m)
+        rows = fibre.rows
+        # k m against m k, over m
+        at = witness is None and _first((rows[k], [row[k] for row in rows]) for k in kernel)
+        if at:
+            witness = (x, fibre.items[kernel[at[0]]], fibre.items[at[1]])
     return CentralityReport(ok=witness is None, kernel_sizes=tuple(sizes), witness=witness)
 
 
@@ -627,9 +628,9 @@ def induced_xmod_presentation(xm, hom):
 def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
     """All maps phi: M -> N over ``hom`` (group hom, boundary-compatible,
     equivariant) from a one-object crossed module to one over ``hom``'s
-    target group.  These classify morphisms out of the induced crossed
-    module, one each.  The group homs come from ``group_homs``, so
-    ``guard`` bounds |N|^|generators of M| candidates."""
+    target group, ``hom`` checked as ``induced_xmod_presentation`` checks
+    it.  They classify morphisms out of the induced crossed module, one
+    each.  ``guard`` bounds the |N|^|generators of M| ``group_homs`` candidates."""
     if tuple(xm.p.objects) != ("*",) or tuple(target.p.objects) != ("*",):
         raise ValidationError("one-object crossed modules required")
     if set(target.p.arrows) != set(hom.target.elements):
@@ -637,21 +638,19 @@ def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
             "target base must be the homomorphism's target group",
             witness=target.p.objects,
         )
-    gm, gn = xm.m["*"], target.m["*"]
+    InducedXModPresentation(xm, hom).validate()
+    v, w = xmod_view(xm), xmod_view(target)
+    # hom on base indexes, each m's boundary under it, each arrow's actions
+    h = [w.base.index[hom(p)] for p in v.base.items]
+    want = [h[a] for a in v.mu[0]]
+    acts = [(v.act[p], w.act[q]) for p, q in enumerate(h)]
     found = []
-    for images in group_homs(gm, gn, guard):
-        phi = dict(zip(gm.elements, images))
-        if any(
-            target.mu["*"][phi[m]] != hom(xm.mu["*"][m]) for m in gm.elements
+    for images in group_homs(xm.m["*"], target.m["*"], guard):
+        phi = list(map(w.fibres[0].index.__getitem__, images))
+        if list(map(w.mu[0].__getitem__, phi)) == want and all(
+            list(map(phi.__getitem__, am)) == list(map(an.__getitem__, phi)) for am, an in acts
         ):
-            continue
-        if any(
-            phi[xm.act(m, p)] != target.act(phi[m], hom(p))
-            for m in gm.elements
-            for p in xm.p.arrows
-        ):
-            continue
-        found.append(phi)
+            found.append(dict(zip(v.fibres[0].items, images)))
     return tuple(found)
 
 

@@ -8,6 +8,14 @@ pair of base arrows and ``action-hom`` and ``boundary-equivariance`` on
 every arrow.  Every crossed module, lawful or broken, over a marked or an
 unmarked base, must get the same ``LawReport`` from both: verdict,
 families and witnesses.
+
+``_old_check_laws`` and ``_old_kernel_central_check`` are the former
+bodies of ``xmod._check_laws`` and ``xmod.kernel_central_check``, kept
+verbatim as oracles: they read every fibre, action and boundary by name,
+where the library reads the module's XModView.  Each pass of the law
+check is compared on its own, for any ``over``, since ``check_axioms``
+alone would hide a generator pass that failed a lawful module behind its
+all-arrows fallback.
 """
 
 import random
@@ -21,6 +29,7 @@ from gpdkit import xmod
 from gpdkit.core import (
     FiniteGroup,
     FiniteGroupoid,
+    ValidationError,
     alternating_group,
     build_groupoid,
     cyclic_group,
@@ -39,6 +48,7 @@ from gpdkit.dblgpd import (
     random_cube_sharing,
 )
 from gpdkit.xmod import (
+    CentralityReport,
     CrossedModule,
     LawReport,
     automorphism_xmod,
@@ -46,9 +56,11 @@ from gpdkit.xmod import (
     check_axioms,
     crossed_module,
     from_normal_subgroup,
+    kernel_central_check,
     trivial_xmod,
 )
 from test_cubes import GROUPS, old_commutative_cube_check
+from test_xmod import bad_xmod
 
 
 def _old_check_axioms(xm):
@@ -112,6 +124,96 @@ def _old_check_axioms(xm):
                 fail("peiffer", (x, m, n))
                 break
     return LawReport(ok=not failures, failures=tuple(failures))
+
+
+def _old_check_laws(xm, over):
+    """The law check of ``check_axioms`` with the base-arrow laws checked
+    for b (``action-compose``) or a (``action-hom``,
+    ``boundary-equivariance``) in ``over``; every other law, and a in
+    ``action-compose``, ranges over everything."""
+    p = xm.p
+    action = xm.action
+    failures = []
+
+    def fail(family, witness):
+        if not any(f == family for f, _ in failures):
+            failures.append((family, witness))
+
+    arrows = set(p.arrows)
+    carriers = {x: set(xm.m[x].elements) for x in p.objects}
+    for x in p.objects:
+        table = xm.mu.get(x, {})
+        for m in xm.m[x].elements:
+            a = table.get(m)
+            if a is None or a not in arrows or p.src[a] != x or p.tgt[a] != x:
+                fail("boundary-type", (x, m, a))
+    for a in p.arrows:
+        x, y = p.src[a], p.tgt[a]
+        for m in xm.m[x].elements:
+            out = action.get((m, a))
+            if out is None or out not in carriers[y]:
+                fail("action-type", (m, a, out))
+    if failures:
+        return LawReport(ok=False, failures=tuple(failures))
+
+    for x in p.objects:
+        gm = xm.m[x]
+        for m, n in product(gm.elements, repeat=2):
+            if p.compose(xm.mu[x][m], xm.mu[x][n]) != xm.mu[x][gm.mul(m, n)]:
+                fail("boundary-hom", (x, m, n))
+                break
+        for m in gm.elements:
+            if action[(m, p.id_of[x])] != m:
+                fail("action-identity", (x, m))
+                break
+    # the b of action-compose and the a of the other two laws, in order
+    after = {x: [b for b in over if p.src[b] == x] for x in p.objects}
+    chosen = set(over)
+    for a in p.arrows:
+        x, y = p.src[a], p.tgt[a]
+        gx, gy = xm.m[x], xm.m[y]
+        for b in after[y]:
+            ab = p.compose(a, b)
+            for m in gx.elements:
+                if action[(m, ab)] != action[(action[(m, a)], b)]:
+                    fail("action-compose", (m, a, b))
+                    break
+        if a not in chosen:
+            continue
+        for m, n in product(gx.elements, repeat=2):
+            if action[(gx.mul(m, n), a)] != gy.mul(action[(m, a)], action[(n, a)]):
+                fail("action-hom", (m, n, a))
+                break
+        if action[(gx.unit, a)] != gy.unit:
+            fail("action-hom", (gx.unit, gx.unit, a))
+        for m in gx.elements:
+            lhs = xm.mu[y][action[(m, a)]]
+            rhs = p.compose(p.compose(p.inverse(a), xm.mu[x][m]), a)
+            if lhs != rhs:
+                fail("boundary-equivariance", (m, a))
+                break
+    for x in p.objects:
+        gm = xm.m[x]
+        for m, n in product(gm.elements, repeat=2):
+            if action[(m, xm.mu[x][n])] != gm.conj(m, n):
+                fail("peiffer", (x, m, n))
+                break
+    return LawReport(ok=not failures, failures=tuple(failures))
+
+
+def _old_kernel_central_check(xm):
+    """The kernel of the boundary must be central in each M(x)."""
+    sizes = []
+    witness = None
+    for x in xm.p.objects:
+        gm = xm.m[x]
+        kernel = [m for m in gm.elements if xm.mu[x][m] == xm.p.id_of[x]]
+        sizes.append((x, len(kernel)))
+        for k in kernel:
+            for m in gm.elements:
+                if gm.mul(k, m) != gm.mul(m, k) and witness is None:
+                    witness = (x, k, m)
+    return CentralityReport(ok=witness is None, kernel_sizes=tuple(sizes), witness=witness)
 
 
 def _two_object_xmod():
@@ -287,6 +389,145 @@ def test_a_raw_inverse_map_the_generators_miss_is_still_caught():
     report = check_axioms(xm)
     assert report == _old_check_axioms(xm)
     assert report.failures == (("boundary-equivariance", (0, 2)),)
+
+
+# ------------------------------------------------- each pass against its oracle
+
+
+def _raw_inverse_base_xmod():
+    """c3 over c3 with the identity boundary, over a base whose raw inverse
+    map is wrong at 2 only, so the base carries no mark."""
+    c3 = cyclic_group(3)
+    raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 2, 2: 2})
+    return CrossedModule(
+        p=from_group(raw),
+        m={"*": c3},
+        mu={"*": {m: m for m in c3.elements}},
+        action={(m, a): m for m in c3.elements for a in c3.elements},
+        name="c3-over-raw-inverse",
+    )
+
+
+def _central_then_not():
+    """c3 then s3 over two copies of c2, both boundaries trivial: the first
+    kernel is central, the second is not."""
+    p = disjoint_union(from_group(cyclic_group(2)), from_group(cyclic_group(2)))
+    m = {"l": cyclic_group(3), "r": symmetric_group(3)}
+    return CrossedModule(
+        p=p,
+        m={x: m[x[0]] for x in p.objects},
+        mu={x: {e: p.id_of[x] for e in m[x[0]].elements} for x in p.objects},
+        action={(e, a): e for a in p.arrows for e in m[p.src[a][0]].elements},
+    )
+
+
+ORACLE_MODULES = {
+    **MODULES,
+    "raw-inverse": _raw_inverse_base_xmod(),
+    "bad": bad_xmod(),
+    "central-then-not": _central_then_not(),
+}
+
+
+def _passes(xm):
+    """The ``over`` of each pass ``check_axioms`` may run: the greedy
+    generators of the base, then all its arrows."""
+    p = xm.p
+    units = tuple(p.id_of[x] for x in p.objects)
+    return [greedy_generators(p.arrows, units, p.comp), p.arrows]
+
+
+def _assert_passes_match(xm, overs):
+    for over in overs:
+        assert xmod._check_laws(xm, over) == _old_check_laws(xm, over), over
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_each_pass_gets_the_oracle_report(name):
+    _assert_passes_match(ORACLE_MODULES[name], _passes(ORACLE_MODULES[name]))
+
+
+@st.composite
+def any_over(draw, xm):
+    """Distinct arrows of the base of ``xm``, in a drawn order."""
+    return draw(st.lists(st.sampled_from(xm.p.arrows), unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_MODULES)), st.data())
+def test_any_over_gets_the_oracle_report(name, data):
+    xm = ORACLE_MODULES[name]
+    _assert_passes_match(xm, [data.draw(any_over(xm))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed(), st.data())
+def test_each_pass_on_a_perturbed_module_gets_the_oracle_report(xm, data):
+    _assert_passes_match(xm, [*_passes(xm), data.draw(any_over(xm))])
+
+
+@pytest.mark.parametrize("arrow", [("l", "i"), ("l", "i_inv"), ("r", (1, 0, 2))])
+def test_a_boundary_off_the_loops_at_its_object_is_a_type_hole(arrow):
+    # At the object ("l", 0): i starts there but ends at ("l", 1), i_inv
+    # ends there but starts at ("l", 1), and the s3 arrow is elsewhere.
+    xm = MODULES["two-object"]
+    mu = {x: dict(t) for x, t in xm.mu.items()}
+    mu[("l", 0)][1] = arrow
+    broken = _copy(xm, mu=mu)
+    _assert_passes_match(broken, _passes(broken))
+    assert check_axioms(broken).failures == (("boundary-type", (("l", 0), 1, arrow)),)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_kernel_centrality_gets_the_oracle_report(name):
+    xm = ORACLE_MODULES[name]
+    assert kernel_central_check(xm) == _old_kernel_central_check(xm)
+
+
+def test_the_kernel_witness_comes_from_the_first_failing_object():
+    report = kernel_central_check(ORACLE_MODULES["central-then-not"])
+    assert report.kernel_sizes == ((("l", "*"), 3), (("r", "*"), 6))
+    assert report.witness[0] == ("r", "*")
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed())
+def test_kernel_centrality_on_a_perturbed_module_gets_the_oracle_report(xm):
+    assert kernel_central_check(xm) == _old_kernel_central_check(xm)
+
+
+def test_a_fibre_is_read_through_its_table_not_a_raw_inverse_map():
+    # c3 with a raw inverse map that is the identity: FiniteGroup.validate
+    # does not check a given map, so the fibre validates.  The name code
+    # conjugated with the map and failed peiffer; the view conjugates
+    # with the table's inverses, which make this module lawful.
+    c3 = cyclic_group(3)
+    raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 1, 2: 2})
+    xm = CrossedModule(
+        p=from_group(c3),
+        m={"*": raw},
+        mu={"*": {m: m for m in c3.elements}},
+        action={(m, a): m for m in c3.elements for a in c3.elements},
+    )
+    assert check_axioms(xm) == LawReport(ok=True, failures=())
+    assert _old_check_laws(xm, xm.p.arrows).failures == (("peiffer", ("*", 0, 1)),)
+
+
+def test_a_base_it_cannot_index_or_a_fibre_that_is_no_group_raises():
+    xm = MODULES["c4c2"]
+    p = xm.p
+    no_inverse = FiniteGroupoid(
+        objects=p.objects, arrows=p.arrows, src=p.src, tgt=p.tgt,
+        comp=p.comp, id_of=p.id_of, inv={},
+    )
+    with pytest.raises(ValidationError, match="arrow with no inverse"):
+        check_axioms(_copy(xm, p=no_inverse))
+    c4 = xm.m["*"]
+    magma = FiniteGroup(c4.elements, {**c4.table, (1, 1): 1}, c4.unit)
+    broken = CrossedModule(p=p, m={"*": magma}, mu=xm.mu, action=xm.action)
+    for check in (check_axioms, kernel_central_check):
+        with pytest.raises(ValidationError):
+            check(broken)
 
 
 # ------------------------------------------------------------- which pass runs

@@ -60,6 +60,9 @@ COMMANDS = [
     # A groupoid composition row naming an undeclared arrow is an input
     # error (exit 2), not an internal one.
     ("xmod", "check", D + "unknown-arrow.gpd"),
+    # Aut(C2^3) = GL(3,2): the law check's generator pass over a base of
+    # 168 arrows.
+    ("xmod", "aut", D + "c2c2c2.grp"),
 ]
 
 

@@ -12,6 +12,7 @@ run.
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -236,6 +237,32 @@ OVER_CASES = _over_cases()
 @pytest.mark.parametrize("label,src,hom,tgt", OVER_CASES, ids=[c[0] for c in OVER_CASES])
 def test_morphisms_over_match_the_old_enumerator(label, src, hom, tgt):
     assert morphisms_over(src, hom, tgt) == _old_morphisms_over(src, hom, tgt)
+
+
+def _action_perturbations(xm):
+    """``xm`` with one action entry moved to another element of its fibre,
+    for each entry and element."""
+    elements = xm.m["*"].elements
+    for key, out in xm.action.items():
+        for v in elements:
+            if v != out:
+                yield replace(xm, action={**xm.action, key: v})
+
+
+SMALL_OVER_CASES = [
+    c for c in OVER_CASES if len(c[3].m["*"]) ** len(c[1].m["*"]) <= 256
+]
+
+
+@pytest.mark.parametrize(
+    "label,src,hom,tgt", SMALL_OVER_CASES, ids=[c[0] for c in SMALL_OVER_CASES]
+)
+def test_morphisms_over_a_perturbed_action_match_the_old_enumerator(label, src, hom, tgt):
+    # The old enumerator tries all |N|^|M| maps, so only the small cases.
+    cases = [(s, tgt) for s in _action_perturbations(src)]
+    cases += [(src, t) for t in _action_perturbations(tgt)]
+    for s, t in cases:
+        assert morphisms_over(s, hom, t) == _old_morphisms_over(s, hom, t)
 
 
 def test_the_over_cases_count_maps():

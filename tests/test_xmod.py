@@ -19,10 +19,13 @@ from gpdkit.core import (
     cyclic_group,
     finite_group,
     from_group,
+    perm_parity,
     symmetric_group,
 )
 from gpdkit.dblgpd import from_xmod, round_trip_isomorphism, to_xmod
 from gpdkit.xmod import (
+    CentralityReport,
+    GroupHom,
     LawReport,
     automorphism_group,
     automorphism_xmod,
@@ -265,6 +268,36 @@ def test_morphisms_over_a_quotient_hom():
     assert len(maps) == 2
     for phi in maps:
         assert target.mu["*"][phi[1]] == 1
+
+
+def test_morphisms_over_rejects_a_homomorphism_from_another_group():
+    # The sign map s3 -> c2 over c4c2, whose base is c2: the hom cannot be
+    # read on the base's arrows, so the call is refused with the hom's
+    # source, as the induced presentation refuses it.
+    c4c2 = bundled_xmods()["c4c2"]
+    s3 = symmetric_group(3)
+    sign = group_hom(s3, cyclic_group(2), {x: perm_parity(x) for x in s3.elements})
+    for call in (
+        lambda: morphisms_over(c4c2, sign, c4c2),
+        lambda: induced_xmod_presentation(c4c2, sign),
+    ):
+        with pytest.raises(ValidationError, match="source must be the base group") as exc:
+            call()
+        assert exc.value.witness == "s3"
+    # A map that is not a homomorphism is refused the same way.
+    swap = GroupHom(cyclic_group(2), cyclic_group(2), {0: 1, 1: 0})
+    with pytest.raises(ValidationError, match="not a homomorphism"):
+        morphisms_over(c4c2, swap, c4c2)
+
+
+def test_a_missing_boundary_entry_is_outside_the_kernel():
+    # c4 -> c2 with no boundary for 3: the law check reports the hole, and
+    # the kernel is {0, 2}, which c4 centralises.
+    broken = replace(bundled_xmods()["c4c2"], mu={"*": {0: 0, 1: 1, 2: 0}})
+    assert check_axioms(broken).failures == (("boundary-type", ("*", 3, None)),)
+    assert kernel_central_check(broken) == CentralityReport(
+        ok=True, kernel_sizes=(("*", 2),)
+    )
 
 
 def test_induced_presentation_renders():
