@@ -147,9 +147,10 @@ def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
     ``gens`` comes from ``greedy_generators``, which spans by composing
     identities with generators on the right, so every arrow is a composite
     of passing arrows and passes, which is associativity.  Each (x, s)
-    pair compares two rows read at the columns after s, O(n^2 |S|) in all
-    instead of O(n^3).  When the test fails, ``_first_failing_triple``
-    finds the witness.
+    pair compares the row of x s with the row of x read through the row of
+    s, O(n^2 |S|) in all instead of O(n^3); a -1 in the row of s reads the
+    -1 appended to the row of x, as the row of x s has -1 there too.  When
+    the test fails, ``_first_failing_triple`` finds the witness.
 
     In an associative table an arrow a with a two-sided inverse b has no
     other right inverse c, as c = (b a) c = b (a c) = b, so the first right
@@ -157,10 +158,8 @@ def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
     ``no_inverse``.
     """
     for k in map(index.__getitem__, gens):
-        sk, start = rows[k], src[k]
-        after = [y for y, z in enumerate(sk) if z >= 0]
-        left, right = itemgetter(*after), itemgetter(*map(sk.__getitem__, after))
-        if any(left(rows[row[k]]) != right(row) for row, y in zip(rows, tgt) if y == start):
+        start, through = src[k], itemgetter(*rows[k])
+        if any(rows[row[k]] != through(row + (-1,)) for row, y in zip(rows, tgt) if y == start):
             _first_failing_triple(items, rows)
     inverse = []
     for i, row in enumerate(rows):

@@ -34,19 +34,25 @@ the edges' arrow indexes, read through the crossed module's ``XModView``
 is marked lawful; over an unmarked base each call reads its own).  One
 kernel does
 ``make_square``'s checks, both pastings, the grid folds,
-``interchange_check``, ``commutative_cube_check`` and ``from_xmod``'s
-blocks on these tuples; a ``LabeledSquare`` is built only where a square
-leaves the library.  The public functions take and return
-``LabeledSquare``s and wrap the kernel, and every error keeps its text and
-its witness in names.  ``trivial_xmod(g)`` is kept on ``g`` and keeps its
-view, so a cube check reads ``g``'s table rows without rebuilding
-anything.
+``interchange_check``, ``commutative_cube_check``, ``from_xmod``'s
+blocks and ``to_xmod``'s fibre tables and action on these tuples; a
+``LabeledSquare`` is built only where a square leaves the library, and
+``to_xmod`` names each result by the carrier's own square.  The public
+functions take and return ``LabeledSquare``s and wrap the kernel, and
+every error keeps its text and its witness in names.  ``trivial_xmod(g)``
+is kept on ``g`` and keeps its view, so a cube check reads ``g``'s table
+rows without rebuilding anything.
+
+``LabeledSquare`` is a NamedTuple whose ``repr``, ``str`` and ``hash`` are
+the frozen dataclass's it replaced; it equals the 5-tuple of its fields,
+unpacks and orders like it, and is copied with ``s._replace(...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -59,8 +65,7 @@ from .core import (
 from .xmod import CrossedModule, XModMorphism, trivial_xmod, xmod_view
 
 
-@dataclass(frozen=True)
-class LabeledSquare:
+class LabeledSquare(NamedTuple):
     label: object
     top: object
     left: object
@@ -241,17 +246,13 @@ def hidentity(xm, a):
     """The square that is neutral for horizontal pasting along ``a``."""
     p = xm.p
     x, y = p.src[a], p.tgt[a]
-    return LabeledSquare(
-        label=xm.m[y].unit, top=p.id_of[x], left=a, right=a, bottom=p.id_of[y]
-    )
+    return LabeledSquare(label=xm.m[y].unit, top=p.id_of[x], left=a, right=a, bottom=p.id_of[y])
 
 
 def videntity(xm, a):
     p = xm.p
     x, y = p.src[a], p.tgt[a]
-    return LabeledSquare(
-        label=xm.m[y].unit, top=a, left=p.id_of[x], right=p.id_of[y], bottom=a
-    )
+    return LabeledSquare(label=xm.m[y].unit, top=a, left=p.id_of[x], right=p.id_of[y], bottom=a)
 
 
 def double_identity(xm, x):
@@ -263,44 +264,30 @@ def connection_neg(xm, a):
     """The thin square folding ``a`` across the top-left corner."""
     p = xm.p
     y = p.tgt[a]
-    return LabeledSquare(
-        label=xm.m[y].unit, top=a, left=a, right=p.id_of[y], bottom=p.id_of[y]
-    )
+    return LabeledSquare(label=xm.m[y].unit, top=a, left=a, right=p.id_of[y], bottom=p.id_of[y])
 
 
 def connection_pos(xm, a):
     """The thin square unfolding ``a`` across the bottom-right corner."""
     p = xm.p
     x, y = p.src[a], p.tgt[a]
-    return LabeledSquare(
-        label=xm.m[y].unit, top=p.id_of[x], left=p.id_of[x], right=a, bottom=a
-    )
+    return LabeledSquare(label=xm.m[y].unit, top=p.id_of[x], left=p.id_of[x], right=a, bottom=a)
 
 
 def hinverse(xm, s):
     p = xm.p
     base = xm.m[p.tgt[s.bottom]]
     kinv = p.inverse(s.bottom)
-    return LabeledSquare(
-        label=xm.act(base.inv(s.label), kinv),
-        top=p.inverse(s.top),
-        left=s.right,
-        right=s.left,
-        bottom=kinv,
-    )
+    return LabeledSquare(label=xm.act(base.inv(s.label), kinv), top=p.inverse(s.top),
+                         left=s.right, right=s.left, bottom=kinv)
 
 
 def vinverse(xm, s):
     p = xm.p
     base = xm.m[p.tgt[s.bottom]]
     ainv = p.inverse(s.right)
-    return LabeledSquare(
-        label=xm.act(base.inv(s.label), ainv),
-        top=s.bottom,
-        left=p.inverse(s.left),
-        right=ainv,
-        bottom=s.top,
-    )
+    return LabeledSquare(label=xm.act(base.inv(s.label), ainv), top=s.bottom,
+                         left=p.inverse(s.left), right=ainv, bottom=s.top)
 
 
 def is_thin(xm, s):
@@ -386,7 +373,7 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
                 raise SizeGuardExceeded(
                     f"carrier needs more than {guard} squares", total, guard
                 )
-    squares = []
+    squares, new = [], tuple.__new__
     by_left, by_top, by_left_top = {}, {}, {}
     for w, fibre in enumerate(xv.fibres):
         if not into[w]:  # no square has its corner here
@@ -404,14 +391,14 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
                     # last step keeps the endpoint check.
                     hga = rows[rows[inv[h]][g]][a]
                     row = rows[hga]
-                    block = []
-                    for n, k in zip(labels, mu_inv):
-                        if row[k] < 0:
-                            raise CompositionError(
-                                f"arrows do not compose: {arrows[hga]!r} then {arrows[k]!r}"
-                            )
-                        bottom = arrows[row[k]]
-                        block.append(LabeledSquare(n, top, left, right, bottom))
+                    bottoms = [row[k] for k in mu_inv]
+                    if -1 in bottoms:
+                        k = mu_inv[bottoms.index(-1)]
+                        raise CompositionError(
+                            f"arrows do not compose: {arrows[hga]!r} then {arrows[k]!r}"
+                        )
+                    block = [new(LabeledSquare, (n, top, left, right, arrows[k]))
+                             for n, k in zip(labels, bottoms)]
                     squares += block
                     by_left.setdefault(h, []).extend(block)
                     by_top.setdefault(g, []).extend(block)
@@ -462,24 +449,37 @@ def to_xmod(d, name=""):
     """Recover a crossed module from the carrier: the fibre at ``x`` is the
     squares whose top, left, and bottom edges are identities, multiplied by
     vertical pasting; the boundary reads off the right edge; arrows act by
-    sandwiching between horizontal identities."""
+    sandwiching between horizontal identities.  Pastings run on int squares,
+    each result named by the carrier's own square (or, off the carrier, by
+    ``_named``, for ``finite_group`` to reject)."""
     xm = d.xm
     p = xm.p
-    groups, mus, action = {}, {}, {}
+    xv = xmod_view(xm)
+    b = xv.base
+    groups, mus, action, fibres = {}, {}, {}, []
     for x in p.objects:
         i = p.id_of[x]
         elems = tuple(s for s in d.by_left_top.get((i, i), ()) if s.bottom == i)
-        table = {(s, t): vcompose(xm, s, t) for s in elems for t in elems}
+        ints = [_indexed(xv, s) for s in elems]
+        get = dict(zip(ints, elems)).get
+        table = {}
+        for s, u in zip(elems, ints):
+            for t, w in zip(elems, ints):
+                st = _v(xv, u, w)
+                table[(s, t)] = get(st) or _named(xv, st)
         groups[x] = finite_group(
             elems, table, unit=double_identity(xm, x), name=f"fibre@{x!r}"
         )
         mus[x] = {s: s.right for s in elems}
+        fibres.append((elems, ints, get))
     for a in p.arrows:
-        x = p.src[a]
-        before = hidentity(xm, p.inverse(a))
-        after = hidentity(xm, a)
-        for s in groups[x].elements:
-            action[(s, a)] = vcompose(xm, vcompose(xm, before, s), after)
+        before, after = (_indexed(xv, hidentity(xm, e)) for e in (p.inverse(a), a))
+        k = after[2]  # the index of a
+        elems, ints, _ = fibres[b.src[k]]
+        get = fibres[b.tgt[k]][2]
+        for s, u in zip(elems, ints):
+            st = _v(xv, _v(xv, before, u), after)
+            action[(s, a)] = get(st) or _named(xv, st)
     return CrossedModule(
         p=p, m=groups, mu=mus, action=action, name=name or f"recovered({xm.name})"
     )
@@ -549,20 +549,7 @@ class Cube:
     bottom_right: object
 
 
-CUBE_EDGES = (
-    "back_left",
-    "back_right",
-    "front_left",
-    "front_right",
-    "top_left",
-    "top_back",
-    "top_front",
-    "top_right",
-    "bottom_left",
-    "bottom_back",
-    "bottom_front",
-    "bottom_right",
-)
+CUBE_EDGES = tuple(f.name for f in fields(Cube))
 
 # face -> its (left, top, bottom, right) edges; the order is CUBE_FACES
 _FACES = {
@@ -702,15 +689,8 @@ def _solved_cube(group, edges):
 def random_commutative_cube(group, rng):
     """Pick seven edges freely and solve for the rest; every face of the
     result commutes."""
-    free = (
-        "bottom_left",
-        "bottom_back",
-        "bottom_front",
-        "back_left",
-        "back_right",
-        "front_left",
-        "front_right",
-    )
+    free = ("bottom_left", "bottom_back", "bottom_front", "back_left", "back_right",
+            "front_left", "front_right")
     return _solved_cube(group, {e: rng.choice(group.elements) for e in free})
 
 

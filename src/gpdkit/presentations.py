@@ -708,23 +708,28 @@ class GroupPresentation:
         return f"<{gens} | {rels}>"
 
 
+def _incident(q):
+    """(edge, sign, far end) per vertex of ``q`` in edge order; a loop once, at its source."""
+    incident, esrc, etgt = {v: [] for v in q.vertices}, q.esrc, q.etgt
+    for e in q.edges:
+        s, t = esrc[e], etgt[e]
+        incident[s].append((e, 1, t))
+        if t != s:
+            incident[t].append((e, -1, s))
+    return incident
+
+
 def spanning_tree(q, roots):
     """Breadth-first forest rooted at ``roots``: maps each reached vertex to
     the path of signed tree letters from its root, and lists tree edges.
 
     Roots are processed in vertex order, edges in input order, so the
-    forest (and everything built from it) is deterministic.
+    forest (and everything built from it) is deterministic.  ``q`` is a
+    quiver, or its ``(vertices, _incident(q))`` built once for many walks.
     """
-    vorder = {v: i for i, v in enumerate(q.vertices)}
+    vertices, incident = q if isinstance(q, tuple) else (q.vertices, _incident(q))
+    vorder = {v: i for i, v in enumerate(vertices)}
     roots = sorted(roots, key=lambda v: vorder[v])
-    # (edge, sign, far end) per vertex, in edge input order; a loop is
-    # listed once, at its source.
-    incident = {v: [] for v in q.vertices}
-    for e in q.edges:
-        s, t = q.esrc[e], q.etgt[e]
-        incident[s].append((e, 1, t))
-        if t != s:
-            incident[t].append((e, -1, s))
     paths = {r: () for r in roots}
     root_of = {r: r for r in roots}
     tree_edges = set()
@@ -753,10 +758,11 @@ def vertex_group_presentation(p, x):
     q = p.quiver
     if x not in q.vertices:
         raise ValidationError("no such vertex", witness=x)
-    comp, _, tree_edges = spanning_tree(q, [x])  # keyed by the component
+    walks = (q.vertices, _incident(q))
+    comp, _, tree_edges = spanning_tree(walks, [x])  # keyed by the component
     root = next(v for v in q.vertices if v in comp)
     if root != x:
-        comp, _, tree_edges = spanning_tree(q, [root])
+        comp, _, tree_edges = spanning_tree(walks, [root])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )

@@ -23,6 +23,10 @@ arrows: ``action-compose`` for b in S and every a, ``action-hom`` and
 them to every arrow (see ``check_axioms``); a failure reruns the check
 over all arrows, so the witnesses do not depend on S.
 
+``check_xmod_morphism`` reads the views of its source and target, and
+``GroupHom.validate`` those of its groups: maps are read once into index
+rows, and elements and arrows are named only for a witness.
+
 Conventions: the action is a right action written ``act(m, a)``, groupoid
 composition is diagrammatic, and conjugation is ``g^{-1} m g``.
 """
@@ -268,6 +272,13 @@ def _first(pairs):
     return None
 
 
+def _unhomomorphic(phi, source, target):
+    """The first (i, j) with phi(i j) != phi(i) phi(j) in the ``source`` and
+    ``target`` rows, or None."""
+    return _first((map(phi.__getitem__, row), map(target[phi[i]].__getitem__, phi))
+                  for i, row in enumerate(source))
+
+
 @dataclass(frozen=True)
 class CentralityReport:
     ok: bool
@@ -397,21 +408,24 @@ class GroupHom:
         return self.mapping[x]
 
     def validate(self):
+        """Raise ValidationError at the first stray key, missing or outside
+        image, or pair (a, b) in product order with phi(a b) != phi(a) phi(b),
+        read on the IndexViews of the groups, which are validated first."""
+        sv, tv = self.source.validate()._view, self.target.validate()._view
         for x in self.mapping:
-            if x not in self.source.elements:
+            if x not in sv.index:
                 raise ValidationError(
                     f"mapped name {x!r} is not an element of the source", witness=x
                 )
-        for x in self.source.elements:
-            if self.mapping.get(x) not in self.target.elements:
-                raise ValidationError("image missing or outside target", witness=x)
-        for a, b in product(self.source.elements, repeat=2):
-            lhs = self.mapping[self.source.mul(a, b)]
-            rhs = self.target.mul(self.mapping[a], self.mapping[b])
-            if lhs != rhs:
-                raise ValidationError(
-                    "mapping is not a homomorphism", witness=(a, b)
-                )
+        phi = list(map(tv.index.get, map(self.mapping.get, sv.items)))
+        if None in phi:
+            witness = sv.items[phi.index(None)]
+            raise ValidationError("image missing or outside target", witness=witness)
+        at = _unhomomorphic(phi, sv.rows, tv.rows)
+        if at:
+            raise ValidationError(
+                "mapping is not a homomorphism", witness=(sv.items[at[0]], sv.items[at[1]])
+            )
         return self
 
 
@@ -447,57 +461,58 @@ def identity_xmod_morphism(xm):
 
 def check_xmod_morphism(f):
     """Law families: base (groupoid morphism), group-hom, boundary
-    compatibility, equivariance.  First witness per family."""
+    compatibility, equivariance.  First witness per family; a missing or
+    outside image (``group-map-type``) ends the check.  Past the base check
+    the laws are read on the XModViews of the source and target, which
+    raise ValidationError on a fibre that is not a group or a base that
+    cannot be indexed; an entry a view leaves empty fails its law there."""
     src, tgt = f.source, f.target
-    failures = []
     base = check_morphism(GroupoidMorphism(obj_map=f.omap, arrow_map=f.amap), src.p, tgt.p)
     if not base:
-        failures.append(("base", (base.law, base.witness)))
-        return LawReport(ok=False, failures=tuple(failures))
-    for x in src.p.objects:
-        gm, gn = src.m[x], tgt.m[f.omap[x]]
-        table = f.mmap.get(x, {})
-        members = set(gn.elements)
-        for m in gm.elements:
-            if table.get(m) not in members:
-                failures.append(("group-map-type", (x, m)))
-                return LawReport(ok=False, failures=tuple(failures))
-        for m, n in product(gm.elements, repeat=2):
-            if table[gm.mul(m, n)] != gn.mul(table[m], table[n]):
-                failures.append(("group-hom", (x, m, n)))
-                break
-        for m in gm.elements:
-            if tgt.mu[f.omap[x]][table[m]] != f.amap[src.mu[x][m]]:
-                failures.append(("boundary-compat", (x, m)))
-                break
-    for a in src.p.arrows:
-        x, y = src.p.src[a], src.p.tgt[a]
-        for m in src.m[x].elements:
-            lhs = f.mmap[y][src.act(m, a)]
-            rhs = tgt.act(f.mmap[x][m], f.amap[a])
-            if lhs != rhs:
-                failures.append(("equivariance", (m, a)))
-                break
-        else:
-            continue
-        break
+        return LawReport(ok=False, failures=(("base", (base.law, base.witness)),))
+    failures = []
+    v, w = xmod_view(src), xmod_view(tgt)
+    h = [w.base.index[f.amap[a]] for a in v.base.items]
+    phis = []  # mmap[x] as target-fibre indexes, over the source objects
+    for x, fibre, mux, unit in zip(src.p.objects, v.fibres, v.mu, v.base.units):
+        y = w.base.src[h[unit]]  # the object omap[x]
+        table, items = f.mmap.get(x, {}), fibre.items
+        phi = list(map(w.fibres[y].index.get, map(table.get, items)))
+        if None in phi:
+            failures.append(("group-map-type", (x, items[phi.index(None)])))
+            return LawReport(ok=False, failures=tuple(failures))
+        phis.append(phi)
+        at = _unhomomorphic(phi, fibre.rows, w.fibres[y].rows)
+        if at:
+            failures.append(("group-hom", (x, items[at[0]], items[at[1]])))
+        at = _first([(map(w.mu[y].__getitem__, phi), [-1 if k is None else h[k] for k in mux])])
+        if at:
+            failures.append(("boundary-compat", (x, items[at[1]])))
+    for a, (x, y, acta) in enumerate(zip(v.base.src, v.base.tgt, v.act)):
+        phi = phis[y]
+        at = _first([([-1 if k is None else phi[k] for k in acta],
+                      map(w.act[h[a]].__getitem__, phis[x]))])
+        if at:
+            failures.append(("equivariance", (v.fibres[x].items[at[1]], v.base.items[a])))
+            break
     return LawReport(ok=not failures, failures=tuple(failures))
 
 
 def is_xmod_isomorphism(f):
-    report = check_xmod_morphism(f)
-    if not report:
+    """A morphism that is a bijection on objects, on arrows and on each
+    fibre, counted on the images of the source's own objects, arrows and
+    elements: a key outside the source is not read."""
+    if not check_xmod_morphism(f):
         return False
-    images = set(f.omap.values())
-    if images != set(f.target.p.objects) or len(images) != len(f.omap):
-        return False
-    if len(set(f.amap.values())) != len(f.target.p.arrows):
-        return False
-    for x in f.source.p.objects:
-        images = set(f.mmap[x].values())
-        if len(images) != len(f.target.m[f.omap[x]].elements):
-            return False
-    return True
+    src, tgt = f.source, f.target
+
+    def bijective(keys, image, onto):
+        return len(set(map(image.__getitem__, keys))) == len(keys) == len(onto)
+
+    return (bijective(src.p.objects, f.omap, tgt.p.objects)
+            and bijective(src.p.arrows, f.amap, tgt.p.arrows)
+            and all(bijective(src.m[x].elements, f.mmap[x], tgt.m[f.omap[x]].elements)
+                    for x in src.p.objects))
 
 
 @dataclass(frozen=True)

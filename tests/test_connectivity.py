@@ -4,13 +4,25 @@ forest against the edge-rescanning walkers they replaced.
 The oracles below rescan every edge for each vertex they visit, which is
 O(V·E) but obviously right; the library must agree with them exactly,
 block order, forest paths and generator order included.
+
+``old_spanning_tree`` is the body ``spanning_tree`` had while it built its
+incident lists inside the walk, kept verbatim as an oracle for the walk
+split from the list building, on a quiver and on lists built once.
 """
 
+import random
+import sys
+from collections import deque
+from itertools import combinations
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpdkit.core import skeleton_components
 from gpdkit.presentations import (
     GroupPresentation,
+    _incident,
     empty_word,
     presentation,
     quiver,
@@ -18,7 +30,12 @@ from gpdkit.presentations import (
     vertex_group_presentation,
     word,
 )
+from gpdkit.documents import parse_document
+from gpdkit.vankampen import fundamental_groupoid
 from gpdkit.vankampen import skeleton_components as vankampen_components
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Grid  # noqa: E402
 
 
 def oracle_components(vertices, edges, esrc, etgt):
@@ -189,3 +206,74 @@ def test_vertex_group_presentation_matches_oracle(data):
     p = data.draw(presentations())
     x = data.draw(st.sampled_from(p.quiver.vertices))
     assert vertex_group_presentation(p, x) == oracle_vertex_group_presentation(p, x)
+
+
+def old_spanning_tree(q, roots):
+    """Breadth-first forest rooted at ``roots``: maps each reached vertex to
+    the path of signed tree letters from its root, and lists tree edges.
+
+    Roots are processed in vertex order, edges in input order, so the
+    forest (and everything built from it) is deterministic.
+    """
+    vorder = {v: i for i, v in enumerate(q.vertices)}
+    roots = sorted(roots, key=lambda v: vorder[v])
+    # (edge, sign, far end) per vertex, in edge input order; a loop is
+    # listed once, at its source.
+    incident = {v: [] for v in q.vertices}
+    for e in q.edges:
+        s, t = q.esrc[e], q.etgt[e]
+        incident[s].append((e, 1, t))
+        if t != s:
+            incident[t].append((e, -1, s))
+    paths = {r: () for r in roots}
+    root_of = {r: r for r in roots}
+    tree_edges = set()
+    queue = deque(roots)
+    while queue:
+        v = queue.popleft()
+        for e, sign, w in incident[v]:
+            if w not in paths:
+                paths[w] = paths[v] + ((e, sign),)
+                root_of[w] = root_of[v]
+                tree_edges.add(e)
+                queue.append(w)
+    return paths, root_of, tree_edges
+
+
+def _complex_walks():
+    """(label, quiver, root sets): the edge quiver and the fundamental
+    groupoid's quiver of ``torus-bands.cx`` and of seeded torus grids, each
+    with no root, every root, and every pair of roots (on a grid's edge
+    quiver, seeded sets of two to five roots instead)."""
+    data = Path(__file__).parent / "data" / "torus-bands.cx"
+    complexes = [("torus-bands", parse_document(data.read_text(encoding="utf-8")).payload)]
+    rng = random.Random(61)
+    for n, components in ((8, 1), (10, 2), (12, 3)):
+        text = "\n".join(["kind: complex", *Grid(rng, n, components).complex_lines()]) + "\n"
+        complexes.append((f"grid-n{n}", parse_document(text).payload))
+    out = []
+    for label, x in complexes:
+        eq = x.edge_quiver()
+        blocks = skeleton_components(eq.vertices, eq.edges, eq.esrc, eq.etgt)
+        base = [v for block in blocks for v in block[:: max(1, len(block) // 2)]]
+        for kind, q in (("edges", eq), ("groupoid", fundamental_groupoid(x, base).quiver)):
+            roots = [(), *((v,) for v in q.vertices)]
+            if label == "torus-bands" or len(q.vertices) < 6:
+                roots += combinations(q.vertices, 2)
+            else:
+                roots += [rng.sample(q.vertices, rng.randint(2, 5)) for _ in range(40)]
+            out.append((f"{label}-{kind}", q, roots))
+    return out
+
+
+WALKS = _complex_walks()
+
+
+@pytest.mark.parametrize("label, q, roots", WALKS, ids=[w[0] for w in WALKS])
+def test_the_split_walk_matches_the_walk_that_built_its_lists(label, q, roots):
+    walks = (q.vertices, _incident(q))
+    for r in roots:
+        want = old_spanning_tree(q, r)
+        for got in (spanning_tree(q, r), spanning_tree(walks, r)):
+            assert list(got[0].items()) == list(want[0].items()), (label, r)
+            assert list(got[1].items()) == list(want[1].items()) and got[2] == want[2], (label, r)

@@ -63,6 +63,9 @@ COMMANDS = [
     # Aut(C2^3) = GL(3,2): the law check's generator pass over a base of
     # 168 arrows.
     ("xmod", "aut", D + "c2c2c2.grp"),
+    # The square carrier round trip over a 4-element fibre: 32 squares,
+    # recovered and checked as an isomorphism.
+    ("dgpd", "roundtrip", D + "c4c2.xm"),
 ]
 
 

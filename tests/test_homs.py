@@ -1,6 +1,11 @@
 """The generator-driven homomorphism search against the brute-force
 enumerators it replaced.
 
+``_old_validate`` is the body ``GroupHom.validate`` had while it tested
+membership by scanning element tuples and the homomorphism law by a
+name-keyed product loop, kept verbatim as an oracle for the index-row
+check.
+
 ``_old_automorphism_group`` and ``_old_morphisms_over`` are the former
 ``xmod`` implementations, kept verbatim as oracles: they try every
 permutation of the elements, and every map ``M -> N``.  ``_product_homs``
@@ -32,6 +37,7 @@ from gpdkit.core import (
     symmetric_group,
 )
 from gpdkit.xmod import (
+    GroupHom,
     automorphism_group,
     bundled_xmods,
     from_normal_subgroup,
@@ -333,3 +339,60 @@ def test_callers_pass_their_guard_through():
         morphisms_over(auts3, over, auts3, guard=35)
     with pytest.raises(SizeGuardExceeded, match="needs more than 11 candidates"):
         automorphism_group(cyclic_group(12), guard=11)
+
+
+def _old_validate(self):
+    for x in self.mapping:
+        if x not in self.source.elements:
+            raise ValidationError(
+                f"mapped name {x!r} is not an element of the source", witness=x
+            )
+    for x in self.source.elements:
+        if self.mapping.get(x) not in self.target.elements:
+            raise ValidationError("image missing or outside target", witness=x)
+    for a, b in product(self.source.elements, repeat=2):
+        lhs = self.mapping[self.source.mul(a, b)]
+        rhs = self.target.mul(self.mapping[a], self.mapping[b])
+        if lhs != rhs:
+            raise ValidationError(
+                "mapping is not a homomorphism", witness=(a, b)
+            )
+    return self
+
+
+def _verdict(validate, f):
+    try:
+        return validate(f)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+
+
+def _hom_perturbations(hom):
+    """``hom`` with a stranger key added, and each single image dropped or
+    changed to every other target element and to a name outside it."""
+    mapping = hom.mapping
+    yield replace(hom, mapping={**mapping, "stray": hom.target.unit})
+    for x in mapping:
+        yield replace(hom, mapping={k: v for k, v in mapping.items() if k != x})
+        for image in (*hom.target.elements, "stray"):
+            if image != mapping[x]:
+                yield replace(hom, mapping={**mapping, x: image})
+
+
+HOMS = {label: hom for label, _, hom, _ in OVER_CASES}
+HOMS["c4-onto-c2-reversed"] = GroupHom(
+    cyclic_group(4), cyclic_group(2), {i: i % 2 for i in reversed(range(4))}
+)
+
+
+@pytest.mark.parametrize("label", sorted(HOMS))
+def test_hom_validation_matches_the_name_loop(label):
+    hom = HOMS[label]
+    assert _verdict(GroupHom.validate, hom) is hom
+    assert _old_validate(hom) is hom
+    messages = set()
+    for broken in _hom_perturbations(hom):
+        got = _verdict(GroupHom.validate, broken)
+        assert got == _verdict(_old_validate, broken)
+        messages.add("valid" if got is broken else got[0].split(" ")[0])
+    assert {"mapped", "image", "mapping"} <= messages

@@ -8,10 +8,14 @@ before squares were composed as int tuples through the crossed module's
 on each name and on the calls between them.  The library must give the
 same squares, reports and cubes, and on bad input the same exception
 class, text and witness.
+
+``OldLabeledSquare`` is the frozen dataclass ``LabeledSquare`` was before
+it became a NamedTuple, and ``old_to_xmod`` the body ``to_xmod`` had while
+it pasted through the public ``vcompose``; both are kept as oracles.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -37,18 +41,57 @@ from gpdkit.dblgpd import (
     cube,
     cube_face,
     cube_glue,
+    double_identity,
     from_xmod,
     hcompose,
+    hidentity,
     interchange_check,
     make_square,
     perturb_cube,
     random_commutative_cube,
     random_cube_sharing,
     sample_grid,
+    to_xmod,
     vcompose,
 )
-from gpdkit.xmod import bundled_xmods, crossed_module, trivial_xmod
+from gpdkit.xmod import CrossedModule, bundled_xmods, crossed_module, trivial_xmod
 from test_cubes import CARRIER_MODULES
+
+
+@dataclass(frozen=True)
+class OldLabeledSquare:
+    label: object
+    top: object
+    left: object
+    right: object
+    bottom: object
+
+
+def old_to_xmod(d, name=""):
+    """Recover a crossed module from the carrier: the fibre at ``x`` is the
+    squares whose top, left, and bottom edges are identities, multiplied by
+    vertical pasting; the boundary reads off the right edge; arrows act by
+    sandwiching between horizontal identities."""
+    xm = d.xm
+    p = xm.p
+    groups, mus, action = {}, {}, {}
+    for x in p.objects:
+        i = p.id_of[x]
+        elems = tuple(s for s in d.by_left_top.get((i, i), ()) if s.bottom == i)
+        table = {(s, t): vcompose(xm, s, t) for s in elems for t in elems}
+        groups[x] = finite_group(
+            elems, table, unit=double_identity(xm, x), name=f"fibre@{x!r}"
+        )
+        mus[x] = {s: s.right for s in elems}
+    for a in p.arrows:
+        x = p.src[a]
+        before = hidentity(xm, p.inverse(a))
+        after = hidentity(xm, a)
+        for s in groups[x].elements:
+            action[(s, a)] = vcompose(xm, vcompose(xm, before, s), after)
+    return CrossedModule(
+        p=p, m=groups, mu=mus, action=action, name=name or f"recovered({xm.name})"
+    )
 
 
 def old_boundary_word(xm, s):
@@ -389,7 +432,7 @@ def test_hand_built_squares_that_do_not_frame_fail_the_same_way(name):
     for _ in range(600):
         s1, s2 = (LabeledSquare(rng.choice((0, 1)), *(rng.choice(p.arrows) for _ in range(4)))
                   for _ in range(2))
-        s2 = replace(s2, left=s1.right, top=s1.bottom)
+        s2 = s2._replace(left=s1.right, top=s1.bottom)
         for new, old in ((hcompose, old_hcompose), (vcompose, old_vcompose)):
             got = outcome(new, xm, s1, s2)
             assert got == outcome(old, xm, s1, s2)
@@ -470,3 +513,57 @@ def test_random_and_perturbed_cubes_get_the_old_report(name, seed, edge, directi
         old_cube_glue, group, broken, partner, direction
     )
 
+
+
+# ------------------------------------------------------------------ carriers
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_squares_print_and_hash_as_the_frozen_dataclass_did(name):
+    """Every carrier square has the old type's repr, str, hash and field
+    order, so witnesses, set and dict orders and reports do not move; it
+    also equals its plain tuple, which the old type did not."""
+    assert LabeledSquare._fields == tuple(f.name for f in fields(OldLabeledSquare))
+    for s in CARRIERS[name].squares:
+        old = OldLabeledSquare(*s)
+        assert "Old" + repr(s) == repr(old) and "Old" + str(s) == str(old)
+        assert hash(s) == hash(old)
+        assert tuple(s) == tuple(getattr(old, f) for f in s._fields)
+        assert s == tuple(s) and old != tuple(s)
+        assert s._replace(label=s.label) == s
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_to_xmod_recovers_what_the_vcompose_body_did(name):
+    """The recovered fibres list the same squares with the same tables, and
+    the boundaries and actions agree entry by entry and in order.  The
+    recovered squares are the carrier's own objects."""
+    d = CARRIERS[name]
+    new, old = to_xmod(d), old_to_xmod(d)
+    assert new == old and new.name == old.name
+    carrier = {id(s) for s in d.squares}
+    for x in d.xm.p.objects:
+        gn, go = new.m[x], old.m[x]
+        assert gn.elements == go.elements and gn.unit == go.unit and gn.name == go.name
+        assert list(gn.table.items()) == list(go.table.items())
+        assert {id(s) for s in gn.table.values()} <= carrier
+        assert list(new.mu[x].items()) == list(old.mu[x].items())
+    assert list(new.action.items()) == list(old.action.items())
+    assert {id(s) for s in new.action.values()} <= carrier
+
+
+def test_to_xmod_of_a_lawless_carrier_fails_as_the_vcompose_body_did():
+    """A boundary that is not a homomorphism pastes two fibre squares to
+    one off the carrier; the recovered table leaves the fibre, with the
+    same witness."""
+    c4 = cyclic_group(4)
+    xm = crossed_module(
+        MODULES["c4c2"].p,
+        {"*": c4},
+        {"*": {0: 0, 1: 1, 2: 1, 3: 1}},
+        {(m, a): m for m in c4.elements for a in (0, 1)},
+    )
+    d = from_xmod(xm)
+    want = outcome(old_to_xmod, d)
+    assert want[:2] == (ValidationError, "table leaves the carrier")
+    assert outcome(to_xmod, d) == want

@@ -2,7 +2,9 @@
 
 ``_old_check_xmod_morphism`` is the body ``check_xmod_morphism`` had while
 it tested each image for membership by scanning the target fibre's
-element tuple, kept verbatim as an oracle.
+element tuple, kept verbatim as an oracle.  The library reads the laws on
+the XModViews of the source and target and must report the same failures,
+on round-trip isomorphisms and on every single-image perturbation of them.
 """
 
 from dataclasses import replace
@@ -27,6 +29,7 @@ from gpdkit.xmod import (
     CentralityReport,
     GroupHom,
     LawReport,
+    XModMorphism,
     automorphism_group,
     automorphism_xmod,
     bundled_xmods,
@@ -45,6 +48,8 @@ from gpdkit.xmod import (
     morphisms_over,
     trivial_xmod,
 )
+from test_cubes import CARRIER_MODULES
+from test_int_squares import reordered_interval_xmod
 
 
 def bad_xmod():
@@ -353,8 +358,13 @@ def _morphisms_to_check():
     out = {}
     for name, xm in bundled_xmods().items():
         out[f"id-{name}"] = identity_xmod_morphism(xm)
-        if name != "auts3":
-            out[f"roundtrip-{name}"] = round_trip_isomorphism(xm, to_xmod(from_xmod(xm)))
+    # Round trips over one-, two- and three-object bases, one with fibres
+    # listing their elements in different orders.
+    for name in (*bundled_xmods(), "interval", "two-object", "three-object"):
+        xm = CARRIER_MODULES[name]
+        out[f"roundtrip-{name}"] = round_trip_isomorphism(xm, to_xmod(from_xmod(xm)))
+    xm = reordered_interval_xmod()
+    out["roundtrip-interval-reordered"] = round_trip_isomorphism(xm, to_xmod(from_xmod(xm)))
     # A target fibre that was ``replace``d, so it keeps no view.
     f = out["id-c4c2"]
     unviewed = replace(f.target, m={"*": replace(f.target.m["*"])})
@@ -388,3 +398,86 @@ def test_xmod_morphism_reports_match_the_tuple_scan(name):
         assert report == _old_check_xmod_morphism(broken)
         families.update(family for family, _ in report.failures)
     assert "group-map-type" in families
+
+
+def test_a_morphism_into_a_fibre_that_is_not_a_group_raises_validation_error():
+    """The target's view validates its fibres: a ``replace``d fibre whose
+    table is not associative raises ValidationError with the group's
+    witness, where the name body went on to check the broken table."""
+    f = MORPHISMS["id-c4c2"]
+    c4 = f.target.m["*"]
+    table = {**c4.table, (1, 1): 3, (1, 3): 1}
+    broken = replace(f.target, m={"*": replace(c4, table=table)})
+    with pytest.raises(ValidationError) as exc:
+        check_xmod_morphism(replace(f, target=broken))
+    assert str(exc.value) == "associativity fails"
+    assert not _old_check_xmod_morphism(replace(f, target=broken)).ok
+
+
+def test_a_hole_in_the_target_action_fails_equivariance_at_its_element():
+    """An action entry missing from the target is a hole of its view: the
+    check reports equivariance there, where the name body raised
+    KeyError."""
+    f = MORPHISMS["id-a3s3"]
+    (m, a), *_ = f.target.action
+    action = {k: v for k, v in f.target.action.items() if k != (m, a)}
+    g = replace(f, target=replace(f.target, action=action))
+    assert check_xmod_morphism(g).failures == (("equivariance", (m, a)),)
+    with pytest.raises(KeyError):
+        _old_check_xmod_morphism(g)
+
+
+def test_a_hole_in_the_source_boundary_fails_boundary_compat_at_its_element():
+    """A boundary entry missing from the source is a hole of its view: the
+    check reports boundary-compat there, where the name body raised
+    KeyError."""
+    f = MORPHISMS["id-c4c2"]
+    mu = {"*": {m: k for m, k in f.source.mu["*"].items() if m != 3}}
+    g = replace(f, source=replace(f.source, mu=mu))
+    assert check_xmod_morphism(g).failures == (("boundary-compat", ("*", 3)),)
+    with pytest.raises(KeyError):
+        _old_check_xmod_morphism(g)
+
+
+def _old_is_xmod_isomorphism(f):
+    report = check_xmod_morphism(f)
+    if not report:
+        return False
+    images = set(f.omap.values())
+    if images != set(f.target.p.objects) or len(images) != len(f.omap):
+        return False
+    if len(set(f.amap.values())) != len(f.target.p.arrows):
+        return False
+    for x in f.source.p.objects:
+        images = set(f.mmap[x].values())
+        if len(images) != len(f.target.m[f.omap[x]].elements):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISMS))
+def test_isomorphisms_and_their_perturbations_are_judged_as_before(name):
+    f = MORPHISMS[name]
+    assert is_xmod_isomorphism(f)
+    for broken in _perturbed(f):
+        assert is_xmod_isomorphism(broken) == _old_is_xmod_isomorphism(broken)
+
+
+def test_a_morphism_onto_a_smaller_fibre_is_not_an_isomorphism():
+    """c4 -> c2 over the identity of c2, onto the identity crossed module of
+    c2, is a morphism onto every fibre but not injective; neither is the
+    trivial self-map of c2-over-c2, whatever an extra key maps to.  The
+    old count took each fibre's image size against the target's alone, and
+    counted the values of keys outside the source."""
+    xm = bundled_xmods()["c4c2"]
+    p, c2 = xm.p, cyclic_group(2)
+    identity = crossed_module(
+        p, {"*": c2}, {"*": {0: 0, 1: 1}}, {(m, a): m for m in (0, 1) for a in p.arrows}
+    )
+    onto = XModMorphism(xm, identity, {"*": "*"}, {a: a for a in p.arrows},
+                        {"*": {m: m % 2 for m in range(4)}})
+    f = identity_xmod_morphism(bundled_xmods()["c2"])
+    collapsed = replace(f, mmap={"*": {0: 0, 1: 0, "stray": 1}})
+    for g in (onto, collapsed):
+        assert check_xmod_morphism(g).ok
+        assert _old_is_xmod_isomorphism(g) and not is_xmod_isomorphism(g)
