@@ -18,18 +18,20 @@ Conventions that hold across the whole package:
   checked with Light's test at O(n^2 |S|) instead of O(n^3); a table that
   fails still reports the first failing triple in product order.  Groups
   are validated once, when ``finite_group`` builds them; every constructor
-  goes through it, and ``validate`` on a validated group returns at once.
-- Groupoids that ``build_groupoid``, ``from_group`` or ``disjoint_union``
-  return are marked lawful, which lets ``xmod.check_axioms`` check the
-  laws over base arrows on generators.  ``from_group(g)`` with the
-  default object and name is built once and kept on ``g``.
-- Validation keeps an ``IndexView``, the table read into integer rows
-  with inverses, identities and endpoints as indexes.  Every validated
-  group and every groupoid marked lawful carries one (``from_group(g)``
-  shares ``g``'s), and the hot readers (``dblgpd.from_xmod``,
-  ``xmod.automorphism_group``) compose through it instead of hashing
-  elements or arrows.  A crossed module keeps ``xmod.XModView`` on top of
-  these; ``dblgpd``'s squares and ``xmod``'s laws and maps over a hom run on it.
+  goes through it.
+- Validation keeps an ``IndexView`` in ``_view``, the table read into
+  integer rows with inverses, identities and endpoints as indexes.  It is
+  the one lawfulness mark: a group or groupoid is lawful exactly when its
+  ``_view`` is set.  ``validate`` returns at once on such a group, and
+  ``build_groupoid``, ``from_group`` (which shares ``g``'s view and, with
+  the default object and name, is kept on ``g``) and ``disjoint_union``
+  set it; raw construction and ``dataclasses.replace`` start without it.
+  The hot readers (``dblgpd.from_xmod``, ``xmod.automorphism_group``)
+  compose through it, and ``xmod``'s laws, maps and ``dblgpd``'s squares
+  run on the ``xmod.XModView`` built on top of these.
+- A group's inverses are its table's: ``validate`` stores them, and
+  rejects a given ``inverse`` map that contradicts them with the first
+  element whose entry differs as witness.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 DEFAULT_SIZE_GUARD = 10**6
@@ -175,9 +177,10 @@ def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
 class FiniteGroup:
     """A finite group: element tuple, full multiplication table, unit.
 
-    ``table[(a, b)]`` is the product "a then b".  ``inverse`` is filled in
-    by ``validate`` when not given; raw dataclass construction is allowed
-    for deliberately broken tables in tests.
+    ``table[(a, b)]`` is the product "a then b".  ``validate`` sets
+    ``inverse`` to the table's inverse map, rejecting a given map that
+    contradicts it.  Raw dataclass construction is allowed for deliberately
+    broken tables in tests.
     """
 
     elements: tuple
@@ -185,11 +188,10 @@ class FiniteGroup:
     unit: object
     inverse: dict = field(default=None, compare=False)
     name: str = field(default="", compare=False)
-    # Set by a successful ``validate``; ``init=False`` keeps raw construction
-    # and ``dataclasses.replace`` from inheriting it.
-    _validated: bool = field(default=False, init=False, compare=False, repr=False)
-    # The IndexView that ``validate`` reads the table into; shared by
-    # ``from_group(self)`` and every later reader.
+    # The IndexView that a successful ``validate`` reads the table into, the
+    # group's lawfulness mark; shared by ``from_group(self)`` and every later
+    # reader.  ``init=False`` keeps raw construction and
+    # ``dataclasses.replace`` from inheriting it.
     _view: IndexView = field(default=None, init=False, compare=False, repr=False)
     # ``from_group(self)`` with the default object and name, built on first
     # use; ``init=False`` again keeps copies from sharing it.
@@ -212,14 +214,15 @@ class FiniteGroup:
 
     def validate(self):
         """Check the group laws, raising ValidationError with the first
-        witness; a successful check is remembered, so a second call is free.
+        witness; a successful check keeps the view, so a second call is free.
 
         The table is checked as a groupoid with one object, by the reader,
         Light's test and inverse search ``build_groupoid`` uses.  The rows
-        are kept as the group's ``IndexView``, and a group built without an
-        inverse map gets the table's.
+        are kept as the group's ``IndexView`` and the table's inverse map as
+        ``inverse``; a given map that differs fails at the first element
+        whose entry differs, or else at its first extra key.
         """
-        if self._validated:
+        if self._view is not None:
             return self
         elems, table = self.elements, self.table
         ends = (0,) * len(elems)
@@ -239,11 +242,14 @@ class FiniteGroup:
         view = _checked_view(
             elems, index, rows, (u,), ends, ends, generating_set(self), "no two-sided inverse"
         )
-        if self.inverse is None:
-            inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
-            object.__setattr__(self, "inverse", inverse)
+        inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
+        given, missing = self.inverse, object()
+        if given is not None and given != inverse:
+            keys = (*elems, *given)
+            bad = next(a for a in keys if given.get(a, missing) != inverse.get(a, missing))
+            raise ValidationError("inverse map contradicts the table", witness=bad)
+        object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "_view", view)
-        object.__setattr__(self, "_validated", True)
         return self
 
 
@@ -272,15 +278,17 @@ def cyclic_group(n, name=None):
 
 def perm_mul(p, q):
     # apply p, then q
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
+
+
+def _permutation_group(elements, n, name):
+    table = {(p, q): perm_mul(p, q) for p in elements for q in elements}
+    return finite_group(elements, table, unit=tuple(range(n)), name=name)
 
 
 def symmetric_group(n, name=None):
-    """All permutations of 0..n-1 as image tuples, composed left-then-right."""
-    elements = tuple(sorted(product(*(range(n) for _ in range(n)))))
-    elements = tuple(p for p in elements if len(set(p)) == n)
-    table = {(p, q): perm_mul(p, q) for p in elements for q in elements}
-    return finite_group(elements, table, unit=tuple(range(n)), name=name or f"s{n}")
+    """All permutations of 0..n-1 as sorted image tuples, composed left-then-right."""
+    return _permutation_group(tuple(permutations(range(n))), n, name or f"s{n}")
 
 
 def perm_parity(p):
@@ -298,9 +306,9 @@ def perm_parity(p):
 
 
 def alternating_group(n, name=None):
-    s = symmetric_group(n)
-    carrier = tuple(p for p in s.elements if perm_parity(p) == 0)
-    return subgroup(s, carrier, name=name or f"a{n}")
+    """The even permutations of 0..n-1, in the order of ``symmetric_group``."""
+    even = tuple(p for p in permutations(range(n)) if perm_parity(p) == 0)
+    return _permutation_group(even, n, name or f"a{n}")
 
 
 def trivial_group(name="1"):
@@ -317,12 +325,10 @@ def subgroup(g, carrier, name=""):
         )
     if g.unit not in cset:
         raise ValidationError("carrier misses the unit", witness=g.unit)
-    for a, b in product(carrier, repeat=2):
-        if g.mul(a, b) not in cset:
-            raise ValidationError(
-                "carrier is not closed under products", witness=(a, b, g.mul(a, b))
-            )
-    table = {(a, b): g.mul(a, b) for a in carrier for b in carrier}
+    table = {ab: g.table[ab] for ab in product(carrier, repeat=2)}
+    for ab, c in table.items():
+        if c not in cset:
+            raise ValidationError("carrier is not closed under products", witness=(*ab, c))
     return finite_group(carrier, table, unit=g.unit, name=name)
 
 
@@ -375,11 +381,10 @@ class FiniteGroupoid:
     id_of: dict
     inv: dict
     name: str = field(default="", compare=False)
-    # Set by ``build_groupoid``, ``from_group`` and ``disjoint_union`` when
-    # every groupoid law holds, together with the IndexView; raw
-    # construction and ``dataclasses.replace`` start unmarked and without
-    # a view, as with ``FiniteGroup._validated``.
-    _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    # The IndexView, set by ``build_groupoid``, ``from_group`` and
+    # ``disjoint_union`` when every groupoid law holds: the groupoid's
+    # lawfulness mark.  Raw construction and ``dataclasses.replace`` start
+    # without it, as with ``FiniteGroup._view``.
     _view: IndexView = field(default=None, init=False, compare=False, repr=False)
 
     def compose(self, a, b):
@@ -466,15 +471,7 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
     id_of = dict(zip(objects, map(arrows.__getitem__, units)))
     inv = dict(zip(arrows, map(arrows.__getitem__, view.inverse)))
     p = FiniteGroupoid(objects, arrows, src, tgt, comp, id_of, inv, name=name)
-    return _lawful(p, view)
-
-
-def _lawful(p, view):
-    """Mark ``p`` as a groupoid whose laws hold, keeping ``view`` as its
-    IndexView; a ``view`` of None leaves ``p`` unmarked."""
-    if view is not None:
-        object.__setattr__(p, "_view", view)
-        object.__setattr__(p, "_validated", True)
+    object.__setattr__(p, "_view", view)
     return p
 
 
@@ -527,34 +524,28 @@ def interval_groupoid():
 
 
 def from_group(g, obj="*", name=""):
-    """The one-object groupoid with arrow set ``g.elements``.
+    """The one-object groupoid with arrow set ``g.elements``, marked lawful.
 
-    It shares ``g``'s table and inverse map, and with the default object
-    and name it is built once per group and kept on ``g``.  It is marked
-    lawful, with ``g``'s IndexView, when ``g.inverse`` is the table's
-    inverse map, as it is for every group ``finite_group`` builds."""
+    ``g`` is validated first, so a given ``inverse`` map that contradicts
+    its table is rejected.  The groupoid shares ``g``'s table, inverse map
+    and IndexView, and with the default object and name it is built once
+    per group and kept on ``g``."""
     g.validate()
     default = obj == "*" and not name
     if default and g._groupoid is not None:
         return g._groupoid
-    objects = (obj,)
     arrows = g.elements
-    src = {a: obj for a in arrows}
-    tgt = {a: obj for a in arrows}
-    inv = g.inverse
-    p = _lawful(
-        FiniteGroupoid(
-            objects=objects,
-            arrows=arrows,
-            src=src,
-            tgt=tgt,
-            comp=g.table,
-            id_of={obj: g.unit},
-            inv=inv,
-            name=name or g.name,
-        ),
-        g._view if all(g.table.get((a, inv.get(a))) == g.unit for a in arrows) else None,
+    p = FiniteGroupoid(
+        objects=(obj,),
+        arrows=arrows,
+        src=dict.fromkeys(arrows, obj),
+        tgt=dict.fromkeys(arrows, obj),
+        comp=g.table,
+        id_of={obj: g.unit},
+        inv=g.inverse,
+        name=name or g.name,
     )
+    object.__setattr__(p, "_view", g._view)
     if default:
         object.__setattr__(g, "_groupoid", p)
     return p
@@ -565,11 +556,10 @@ def one_object_group(p):
     lawful ``p`` lends its table, inverses and IndexView, so nothing is
     rebuilt or revalidated; an unmarked one goes through ``finite_group``."""
     unit = p.id_of[p.objects[0]]
-    if not p._validated:
+    if p._view is None:
         return finite_group(p.arrows, p.comp, unit=unit, name=p.name)
     g = FiniteGroup(elements=p.arrows, table=p.comp, unit=unit, inverse=p.inv, name=p.name)
     object.__setattr__(g, "_view", p._view)
-    object.__setattr__(g, "_validated", True)
     return g
 
 
@@ -636,7 +626,9 @@ def disjoint_union(g, h, tags=("l", "r")):
         objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
         id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
     )
-    return _lawful(p, index_view(p) if g._validated and h._validated else None)
+    if g._view is not None and h._view is not None:
+        object.__setattr__(p, "_view", index_view(p))
+    return p
 
 
 @dataclass(frozen=True)

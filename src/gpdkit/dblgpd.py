@@ -31,8 +31,9 @@ Inside the module a square is the int tuple ``(label, top, left, right,
 bottom)``: the label's index in the fibre at the bottom-right corner and
 the edges' arrow indexes, read through the crossed module's ``XModView``
 (``CrossedModule._view``, read on the first square and kept when the base
-is marked lawful; over an unmarked base each call reads its own).  One
-kernel does
+carries its IndexView, the one lawfulness mark; over an unmarked base each
+call reads its own).  Their inverses are the tables', as validation
+rejects a contradicting ``inverse`` map.  One kernel does
 ``make_square``'s checks, both pastings, the grid folds,
 ``interchange_check``, ``commutative_cube_check``, ``from_xmod``'s
 blocks and ``to_xmod``'s fibre tables and action on these tuples; a

@@ -15,13 +15,15 @@ Laws, checked by ``check_axioms`` with one witness per violated family:
 
 The laws are read on the module's ``XModView``, the two type laws as its
 holes.  Those two, ``boundary-hom``, ``action-identity`` and ``peiffer``
-are checked on every element.  Over a base that a validating constructor
-built (``build_groupoid``, ``from_group``, ``disjoint_union``), the laws
-that quantify over base arrows are checked on a generating set S of the
-arrows: ``action-compose`` for b in S and every a, ``action-hom`` and
-``boundary-equivariance`` for a in S.  Induction on word length extends
-them to every arrow (see ``check_axioms``); a failure reruns the check
-over all arrows, so the witnesses do not depend on S.
+are checked on every element.  Over a lawful base, one carrying the
+IndexView that ``build_groupoid``, ``from_group`` and ``disjoint_union``
+keep as the one lawfulness mark, the laws that quantify over base arrows
+are checked on a generating set S of the arrows: ``action-compose`` for
+b in S and every a, ``action-hom`` and ``boundary-equivariance`` for a in
+S.  Induction on word length extends them to every arrow (see
+``check_axioms``); a failure reruns the check over all arrows, so the
+witnesses do not depend on S.  A fibre's inverses are its table's, as
+validation rejects a contradicting ``inverse`` map.
 
 ``check_xmod_morphism`` reads the views of its source and target, and
 ``GroupHom.validate`` those of its groups: maps are read once into index
@@ -90,7 +92,7 @@ class CrossedModule:
     action: dict
     name: str = field(default="", compare=False)
     # The XModView, read by ``xmod_view`` on first use and kept when the
-    # base is marked lawful; ``init=False`` keeps a ``dataclasses.replace``
+    # base is lawful; ``init=False`` keeps a ``dataclasses.replace``
     # copy from sharing it, as with ``FiniteGroup._groupoid``.
     _view: XModView = field(default=None, init=False, compare=False, repr=False)
 
@@ -122,7 +124,7 @@ def crossed_module(p, m, mu, action, name=""):
 
 def xmod_view(xm):
     """The XModView of ``xm``, read on first use and kept on ``xm`` when its
-    base is marked lawful; over an unmarked base it is read for the caller
+    base is lawful; over an unmarked base it is read for the caller
     and not kept, as ``index_view`` does.  The base is read by
     ``index_view``, which raises ValidationError on a table it cannot
     index, and each fibre is validated."""
@@ -141,7 +143,7 @@ def xmod_view(xm):
         for x, fibre in zip(p.objects, fibres)
     )
     v = XModView(base, fibres, act, mu)
-    if p._validated:
+    if p._view is not None:
         object.__setattr__(xm, "_view", v)
     return v
 
@@ -165,7 +167,7 @@ def check_axioms(xm):
     """Check every law of the module docstring, with the first witness of
     each violated family in the order of an all-arrows pass.
 
-    When ``xm.p`` is marked lawful, the three laws that quantify over base
+    When ``xm.p`` is lawful, the three laws that quantify over base
     arrows are first checked for b (``action-compose``) or a
     (``action-hom``, ``boundary-equivariance``) in S only, where S is
     ``greedy_generators`` of the arrows from the identities.  Every arrow
@@ -191,11 +193,11 @@ def check_axioms(xm):
 
     The laws are read on ``xmod_view(xm)``, which raises ValidationError on
     a base it cannot index or a fibre that is not a group.  A fibre's
-    inverses are its table's, not a raw ``inverse`` map, which
-    ``FiniteGroup.validate`` does not check; the base's are its ``inv``.
+    inverses are its table's, a contradicting ``inverse`` map failing its
+    validation; the base's are its ``inv``.
     """
     p = xm.p
-    if p._validated:
+    if p._view is not None:
         units = tuple(p.id_of[x] for x in p.objects)
         report = _check_laws(xm, greedy_generators(p.arrows, units, p.comp))
         if report:

@@ -361,7 +361,7 @@ def test_every_single_entry_perturbation_gets_the_oracle_report(name):
 
 def test_the_two_object_base_has_non_loop_generators():
     p = MODULES["two-object"].p
-    assert p._validated
+    assert p._view is not None
     gens = greedy_generators(p.arrows, tuple(p.id_of.values()), p.comp)
     assert {("l", "i"), ("l", "i_inv")} <= set(gens)
     # Negating along i but not along i_inv breaks action-compose only at
@@ -373,13 +373,22 @@ def test_the_two_object_base_has_non_loop_generators():
     assert report.family("action-compose") == (1, ("l", "i"), ("l", "i_inv"))
 
 
+def _raw_inverse_base(c3):
+    """The one-object groupoid of c3 built raw, with a wrong inverse of 2
+    only, so it carries no mark."""
+    p = from_group(c3)
+    return FiniteGroupoid(
+        objects=p.objects, arrows=p.arrows, src=p.src, tgt=p.tgt,
+        comp=p.comp, id_of=p.id_of, inv={0: 0, 1: 2, 2: 2},
+    )
+
+
 def test_a_raw_inverse_map_the_generators_miss_is_still_caught():
-    # c3 with a wrong inverse of 2 only: 1 generates c3, so a check of
-    # boundary-equivariance on generators alone would pass.
+    # 1 generates c3, so a check of boundary-equivariance on generators
+    # alone would pass.
     c3 = cyclic_group(3)
-    raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 2, 2: 2})
-    p = from_group(raw)
-    assert not p._validated
+    p = _raw_inverse_base(c3)
+    assert p._view is None
     xm = CrossedModule(
         p=p,
         m={"*": c3},
@@ -398,9 +407,8 @@ def _raw_inverse_base_xmod():
     """c3 over c3 with the identity boundary, over a base whose raw inverse
     map is wrong at 2 only, so the base carries no mark."""
     c3 = cyclic_group(3)
-    raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 2, 2: 2})
     return CrossedModule(
-        p=from_group(raw),
+        p=_raw_inverse_base(c3),
         m={"*": c3},
         mu={"*": {m: m for m in c3.elements}},
         action={(m, a): m for m in c3.elements for a in c3.elements},
@@ -496,11 +504,11 @@ def test_kernel_centrality_on_a_perturbed_module_gets_the_oracle_report(xm):
     assert kernel_central_check(xm) == _old_kernel_central_check(xm)
 
 
-def test_a_fibre_is_read_through_its_table_not_a_raw_inverse_map():
-    # c3 with a raw inverse map that is the identity: FiniteGroup.validate
-    # does not check a given map, so the fibre validates.  The name code
-    # conjugated with the map and failed peiffer; the view conjugates
-    # with the table's inverses, which make this module lawful.
+def test_a_fibre_with_a_contradicting_inverse_map_is_rejected():
+    # c3 with a raw inverse map that is the identity.  Once such a fibre
+    # validated, and the name code conjugated with the map and failed
+    # peiffer on a module that is lawful by its tables; now the fibre is
+    # rejected at the first element whose inverse the map gets wrong.
     c3 = cyclic_group(3)
     raw = FiniteGroup(c3.elements, c3.table, c3.unit, inverse={0: 0, 1: 1, 2: 2})
     xm = CrossedModule(
@@ -509,8 +517,12 @@ def test_a_fibre_is_read_through_its_table_not_a_raw_inverse_map():
         mu={"*": {m: m for m in c3.elements}},
         action={(m, a): m for m in c3.elements for a in c3.elements},
     )
-    assert check_axioms(xm) == LawReport(ok=True, failures=())
-    assert _old_check_laws(xm, xm.p.arrows).failures == (("peiffer", ("*", 0, 1)),)
+    for check in (check_axioms, kernel_central_check):
+        with pytest.raises(ValidationError) as info:
+            check(xm)
+        assert (str(info.value), info.value.witness) == ("inverse map contradicts the table", 1)
+    with pytest.raises(ValidationError, match="inverse map contradicts the table"):
+        crossed_module(xm.p, xm.m, xm.mu, xm.action)
 
 
 def test_a_base_it_cannot_index_or_a_fibre_that_is_no_group_raises():
@@ -580,15 +592,15 @@ def test_an_unmarked_base_takes_the_all_arrows_pass_alone(build, passes):
 def test_validating_constructors_mark_the_base():
     s3 = from_group(symmetric_group(3))
     interval = interval_groupoid()
-    assert s3._validated and interval._validated
-    assert build_groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.comp)._validated
-    assert disjoint_union(interval, s3)._validated
+    assert s3._view is not None and interval._view is not None
+    assert build_groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.comp)._view is not None
+    assert disjoint_union(interval, s3)._view is not None
     raw = FiniteGroupoid(
         objects=s3.objects, arrows=s3.arrows, src=s3.src, tgt=s3.tgt,
         comp=s3.comp, id_of=s3.id_of, inv=s3.inv,
     )
     for unmarked in (raw, replace(s3), disjoint_union(raw, interval), disjoint_union(s3, raw)):
-        assert not unmarked._validated
+        assert unmarked._view is None
 
 
 # ------------------------------------------------------- one groupoid per group
@@ -612,7 +624,7 @@ def test_copies_and_other_names_get_fresh_groupoids():
         from_group(FiniteGroup(g.elements, g.table, g.unit)),
     ):
         assert fresh is not p
-        assert fresh._validated
+        assert fresh._view is not None
     copy = replace(g)
     assert copy._groupoid is None
     assert from_group(copy) == p

@@ -4,12 +4,13 @@ import builtins
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from gpdkit import cli
+from gpdkit import cli, xmod
 from gpdkit.cli import build_parser, main
 from gpdkit.core import cyclic_group, finite_group
 from gpdkit.documents import Document, load_document, render_document
@@ -457,3 +458,51 @@ def test_the_digest_is_of_the_bytes_that_were_parsed(tmp_path, monkeypatch, caps
     assert main(["xmod", "check", str(path), "--machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["inputs"] == {str(path): hashlib.sha256(parsed).hexdigest()}
+
+
+def _damage_images(iso, kind):
+    """``iso`` with its arrow map broken at the first arrow (``arrow``), or
+    every fibre sent to the image of its unit (``collapse``)."""
+    if kind == "arrow":
+        first, last = list(iso.amap)[0], list(iso.amap)[-1]
+        return replace(iso, amap={**iso.amap, first: iso.amap[last]})
+    if kind == "collapse":
+        src = iso.source
+        mmap = {x: dict.fromkeys(t, t[src.m[x].unit]) for x, t in iso.mmap.items()}
+        return replace(iso, mmap=mmap)
+    return iso
+
+
+@pytest.mark.parametrize("kind", ["none", "arrow", "collapse"])
+@pytest.mark.parametrize("name", ["c2c2.xm", "c4c2.xm"])
+def test_dgpd_roundtrip_reads_the_morphism_laws_again_only_on_a_failure(
+    name, kind, monkeypatch, capsys
+):
+    real_iso, real_check = cli.round_trip_isomorphism, xmod.check_xmod_morphism
+    seen, calls = {}, []
+
+    def damaged_iso(xm, recovered):
+        seen["iso"], seen["recovered"] = _damage_images(real_iso(xm, recovered), kind), recovered
+        return seen["iso"]
+
+    def spy(f):
+        calls.append(f)
+        return real_check(f)
+
+    monkeypatch.setattr(cli, "round_trip_isomorphism", damaged_iso)
+    monkeypatch.setattr(cli, "check_xmod_morphism", spy)
+    monkeypatch.setattr(xmod, "check_xmod_morphism", spy)
+    code = main(["dgpd", "roundtrip", _p(name), "--machine"])
+    report = json.loads(capsys.readouterr().out)
+    checks = len(calls)
+    # The former body: the laws, then is_xmod_isomorphism, then the axioms.
+    iso = seen["iso"]
+    rep = real_check(iso)
+    iso_ok = xmod.is_xmod_isomorphism(iso)
+    ok = rep.ok and iso_ok and xmod.check_axioms(seen["recovered"]).ok
+    assert (code, report["verdict"]) == ((0, "pass") if ok else (1, "fail"))
+    assert report["witnesses"] == [f"{family}: {w!r}" for family, w in rep.failures]
+    assert checks == (1 if iso_ok else 2)
+    assert ok == (kind == "none")
+    # a lawful map that is not onto fails with no law witness
+    assert (not rep.ok) == (kind == "arrow" or (name == "c4c2.xm" and kind == "collapse"))

@@ -1,6 +1,7 @@
 """Group, groupoid and complex validation: Light's associativity test
 against the brute-force validators it replaced, and the mark that lets a
-validated value skip a second check.
+validated value skip a second check.  For groups and groupoids that mark
+is the kept IndexView alone, and a group's inverse map is its table's.
 
 ``_old_validate`` and ``_old_build_groupoid`` are the former bodies of
 ``FiniteGroup.validate`` and ``build_groupoid``, kept verbatim as oracles:
@@ -9,9 +10,14 @@ must get the same verdict, message and witness from the oracle and the
 shared validator, and a groupoid that passes the same identities,
 inverses and IndexView.  The one expected difference: a composition row
 naming an unknown arrow makes the old groupoid body raise KeyError.
+
+``_old_symmetric_group``, ``_old_alternating_group`` and ``_old_subgroup``
+are the former bodies of the permutation-group constructors, which
+filtered all n^n tuples and closed A_n inside a validated S_n, and of
+``subgroup``, which multiplied every pair twice by name.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +29,6 @@ from gpdkit.core import (
     FiniteGroup,
     FiniteGroupoid,
     ValidationError,
-    _lawful,
     alternating_group,
     battery,
     build_groupoid,
@@ -34,6 +39,7 @@ from gpdkit.core import (
     generating_set,
     index_view,
     interval_groupoid,
+    perm_parity,
     subgroup,
     symmetric_group,
     trivial_group,
@@ -288,7 +294,8 @@ def _old_build_groupoid(objects, arrows, src, tgt, comp, name=""):
         inv=inv,
         name=name,
     )
-    return _lawful(p, index_view(p))
+    object.__setattr__(p, "_view", index_view(p))
+    return p
 
 
 def _groupoid_outcome(build, table):
@@ -296,7 +303,7 @@ def _groupoid_outcome(build, table):
         p = build(*table)
     except ValidationError as err:
         return str(err), err.witness
-    assert p._validated
+    assert p._view is not None
     return "ok", (p.id_of, p.inv, p._view)
 
 
@@ -459,7 +466,7 @@ def test_a_composite_of_an_unknown_arrow_is_a_validation_error(row):
 
 def test_a_three_object_s4_groupoid_validates():
     p = build_groupoid(*_group_pair_table(3, symmetric_group(4)))
-    assert len(p.arrows) == 216 and p._validated
+    assert len(p.arrows) == 216 and p._view is not None
     assert index_view(replace(p)) == p._view
 
 
@@ -549,6 +556,117 @@ def test_groups_past_the_old_validation_cost():
     xm = automorphism_xmod(c2_3)
     assert len(xm.p.arrows) == 168  # |GL(3, 2)|
     assert len(xm.m["*"]) == 8
+
+
+def test_the_kept_view_is_the_only_mark():
+    def private(cls):
+        return [f.name for f in fields(cls) if not f.init]
+
+    assert private(FiniteGroup) == ["_view", "_groupoid", "_trivial"]
+    assert private(FiniteGroupoid) == ["_view"]
+
+
+@pytest.mark.parametrize(
+    "inverse, witness",
+    [
+        ({0: 0, 1: 1, 2: 2}, 1),
+        ({2: 2, 1: 1, 0: 0}, 1),  # the witness follows the element order
+        ({0: 0, 1: 2}, 2),  # an element the map misses
+        ({0: 0, 1: 2, 2: 1, 3: 3}, 3),  # no element differs: the extra key
+    ],
+)
+def test_an_inverse_map_that_contradicts_the_table_is_rejected(inverse, witness):
+    c3 = cyclic_group(3)
+    raw = FiniteGroup(c3.elements, c3.table, 0, inverse=inverse)
+    for _ in range(2):  # a failed check leaves no mark behind
+        with pytest.raises(ValidationError) as info:
+            raw.validate()
+        assert (str(info.value), info.value.witness) == ("inverse map contradicts the table", witness)
+        assert raw._view is None and raw.inverse is inverse
+    with pytest.raises(ValidationError, match="inverse map contradicts the table"):
+        from_group(raw)
+
+
+def test_an_agreeing_inverse_map_gives_way_to_the_tables():
+    c3 = cyclic_group(3)
+    g = FiniteGroup(c3.elements, c3.table, 0, inverse={2: 1, 1: 2, 0: 0}).validate()
+    assert list(g.inverse.items()) == [(0, 0), (1, 2), (2, 1)]
+    assert from_group(g)._view is g._view
+
+
+# ------------------------------------------------------- group constructors
+
+
+def _old_perm_mul(p, q):
+    return tuple(q[i] for i in p)
+
+
+def _old_symmetric_group(n, name=None):
+    elements = tuple(sorted(product(*(range(n) for _ in range(n)))))
+    elements = tuple(p for p in elements if len(set(p)) == n)
+    table = {(p, q): _old_perm_mul(p, q) for p in elements for q in elements}
+    return finite_group(elements, table, unit=tuple(range(n)), name=name or f"s{n}")
+
+
+def _old_alternating_group(n, name=None):
+    s = _old_symmetric_group(n)
+    carrier = tuple(p for p in s.elements if perm_parity(p) == 0)
+    return _old_subgroup(s, carrier, name=name or f"a{n}")
+
+
+def _old_subgroup(g, carrier, name=""):
+    carrier = tuple(carrier)
+    cset = set(carrier)
+    if not cset <= set(g.elements):
+        raise ValidationError(
+            "carrier is not a subset", witness=tuple(sorted(cset - set(g.elements), key=str))
+        )
+    if g.unit not in cset:
+        raise ValidationError("carrier misses the unit", witness=g.unit)
+    for a, b in product(carrier, repeat=2):
+        if g.mul(a, b) not in cset:
+            raise ValidationError(
+                "carrier is not closed under products", witness=(a, b, g.mul(a, b))
+            )
+    table = {(a, b): g.mul(a, b) for a in carrier for b in carrier}
+    return finite_group(carrier, table, unit=g.unit, name=name)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize(
+    "new, old",
+    [(symmetric_group, _old_symmetric_group), (alternating_group, _old_alternating_group)],
+    ids=["symmetric", "alternating"],
+)
+def test_permutation_groups_equal_the_old_builds(new, old, n):
+    g, h = new(n), old(n)
+    assert g == h
+    assert (g.elements, g.inverse, g.name) == (h.elements, h.inverse, h.name)
+    assert list(g.inverse) == list(h.inverse)
+    assert new(n, name="x").name == "x"
+
+
+def _subgroup_outcome(build, g, carrier):
+    try:
+        h = build(g, carrier, name="h")
+    except ValidationError as err:
+        return str(err), err.witness
+    return "ok", (h, h.elements, h.inverse, h.name)
+
+
+@pytest.mark.parametrize("g", [symmetric_group(3), cyclic_group(6)], ids=["s3", "c6"])
+def test_every_carrier_gets_the_old_subgroup_outcome(g):
+    outcomes = set()
+    for picks in product((False, True), repeat=len(g)):
+        carrier = [x for x, keep in zip(g.elements, picks) if keep]
+        for order in (carrier, carrier[::-1], carrier + ["stray"]):
+            expected = _subgroup_outcome(_old_subgroup, g, order)
+            assert _subgroup_outcome(subgroup, g, order) == expected
+            outcomes.add(expected[0])
+    assert outcomes == {
+        "ok", "carrier is not a subset", "carrier misses the unit",
+        "carrier is not closed under products",
+    }
 
 
 # ----------------------------------------------------------------- complexes

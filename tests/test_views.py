@@ -200,7 +200,7 @@ def test_groupoid_views_read_their_tables():
     interval = interval_groupoid()
     s3 = from_group(symmetric_group(3))
     for p in (interval, disjoint_union(interval, s3), disjoint_union(s3, interval)):
-        assert p._validated
+        assert p._view is not None
         _assert_view_reads_the_table(p)
 
 
@@ -221,13 +221,13 @@ def test_replaced_and_raw_values_carry_no_view():
     g = symmetric_group(3)
     p = from_group(g)
     for copy in (replace(g), replace(g, name="copy")):
-        assert copy._view is None and not copy._validated
+        assert copy._view is None
     raw = FiniteGroupoid(
         objects=p.objects, arrows=p.arrows, src=p.src, tgt=p.tgt,
         comp=p.comp, id_of=p.id_of, inv=p.inv,
     )
     for copy in (replace(p), raw, disjoint_union(raw, p), disjoint_union(p, raw)):
-        assert copy._view is None and not copy._validated
+        assert copy._view is None
     # A view built for an unmarked groupoid equals the kept one but is not kept.
     assert index_view(raw) == p._view
     assert raw._view is None
@@ -286,7 +286,7 @@ def test_base_group_of_a_parsed_xmod_equals_the_old_rebuild(name):
     assert new == old
     assert (new.name, new.inverse) == (old.name, old.inverse)
     # A lawful base lends its view: nothing is rebuilt.
-    assert xm.p._validated and new._validated
+    assert xm.p._view is not None and new._view is not None
     assert new._view is xm.p._view and new.table is xm.p.comp
     # An unmarked base goes through finite_group.
     unmarked = replace(xm, p=replace(xm.p))
