@@ -63,7 +63,7 @@ from .core import (
     ValidationError,
     finite_group,
 )
-from .xmod import CrossedModule, XModMorphism, trivial_xmod, xmod_view
+from .xmod import CrossedModule, XModMorphism, XModView, trivial_xmod, xmod_view
 
 
 class LabeledSquare(NamedTuple):
@@ -452,7 +452,10 @@ def to_xmod(d, name=""):
     vertical pasting; the boundary reads off the right edge; arrows act by
     sandwiching between horizontal identities.  Pastings run on int squares,
     each result named by the carrier's own square (or, off the carrier, by
-    ``_named``, for ``finite_group`` to reject)."""
+    ``_named``, for ``finite_group`` to reject).  Over a lawful base the
+    module keeps the XModView these steps compute, the action as fibre
+    positions and the boundary as the right edges' arrow indexes, so the
+    checks that follow do not read it again."""
     xm = d.xm
     p = xm.p
     xv = xmod_view(xm)
@@ -472,18 +475,27 @@ def to_xmod(d, name=""):
             elems, table, unit=double_identity(xm, x), name=f"fibre@{x!r}"
         )
         mus[x] = {s: s.right for s in elems}
-        fibres.append((elems, ints, get))
+        fibres.append((elems, ints, get, dict(zip(ints, range(len(ints)))).get))
+    acts = []
     for a in p.arrows:
         before, after = (_indexed(xv, hidentity(xm, e)) for e in (p.inverse(a), a))
         k = after[2]  # the index of a
-        elems, ints, _ = fibres[b.src[k]]
-        get = fibres[b.tgt[k]][2]
+        elems, ints, _, _ = fibres[b.src[k]]
+        _, _, get, position = fibres[b.tgt[k]]
+        row = []
         for s, u in zip(elems, ints):
             st = _v(xv, _v(xv, before, u), after)
             action[(s, a)] = get(st) or _named(xv, st)
-    return CrossedModule(
+            row.append(position(st))
+        acts.append(tuple(row))
+    out = CrossedModule(
         p=p, m=groups, mu=mus, action=action, name=name or f"recovered({xm.name})"
     )
+    if p._view is not None:
+        views = tuple(groups[x]._view for x in p.objects)
+        mu = tuple(tuple(u[3] for u in ints) for _, ints, _, _ in fibres)
+        object.__setattr__(out, "_view", XModView(b, views, tuple(acts), mu))
+    return out
 
 
 def round_trip_isomorphism(xm, recovered):

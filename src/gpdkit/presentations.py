@@ -14,14 +14,19 @@ relation ``f(e) = g(e)`` per generator of the common source.
 Morphisms into a finite groupoid are enumerated in blocks ``(vertex
 images, [edge images, ...])``, one per vertex assignment, each relation
 checked as soon as its last edge is assigned; a presentation morphism
-compiles into a map restricting such blocks along it.  The package's one
-morphism search, ``enumerate_pres_morphisms``, reads them out as keys
-``(vertex images, edge images)``.  Functors (``enumerate_morphisms``) and
-group homomorphisms (``group_homs``) are read off it, through a
-presentation on k greedily chosen generating arrows, so a search into a
-group H examines |H|^k candidates.  Past the guard it raises
-``SizeGuardExceeded`` with "presentation morphism search needs more than
-{guard} candidates".
+compiles into a map restricting such blocks along it.
+``enumerate_pres_morphisms`` reads them out as keys ``(vertex images, edge
+images)``.
+
+Functors (``enumerate_morphisms``) and group homomorphisms
+(``group_homs``) have their own search on integers, on the IndexViews of
+the source and target: k greedily chosen generating arrows get candidate
+images, and a breadth-first tree from the identities and its off-tree
+pairs, each staged at the last generator its words use, extend and check
+each assignment by one row lookup per arrow or pair.  A search into a
+group H examines |H|^k candidates.  Both searches refuse past the guard
+with ``SizeGuardExceeded`` and "presentation morphism search needs more
+than {guard} candidates".
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .core import (
     ValidationError,
     from_group,
     greedy_generators,
+    index_view,
     skeleton_components,
 )
 
@@ -345,6 +351,12 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     last edge is assigned; each segment extends the prefixes by one
     ``product`` over its edges' candidate arrows, and the relations ending
     there are checked at once.
+
+    This is the reader for presentations (the pushout and ``vkt`` paths),
+    and it shares no code with the functor search ``_functor_rows``.  A
+    prototype that sent presentations through integer keys as well was
+    slower on the pushout benchmark, bouquets of 2 to 4 loops by 10-30% and
+    the wedges by about 30%, because their keys must come back as names.
     """
     q = p.quiver
     vpos, epos = _positions(q)
@@ -400,79 +412,175 @@ def _grow(prefixes, cands, rels, vimg, t):
     return filter(holds, grown)
 
 
-def _arrow_presentation(g):
-    """Present finite groupoid ``g`` on its greedy generating arrows.
+def _arrow_tree(v, comp):
+    """``(generators, steps, pairs)``: the breadth-first tree on the
+    IndexView ``v`` of a finite groupoid whose table is ``comp``, as indexes.
 
-    The vertices are ``g.objects`` and the edges ``greedy_generators``
-    chosen in ``g.arrows`` order.  A breadth-first tree from the identities,
-    generators in order, gives every other arrow a positive word; it is
-    returned as ``(arrow, parent, generator position)`` triples in the order
-    they are reached.  Each composable pair (y, s) off the tree, y an arrow
-    and s a generator, adds the relation ``w_y s = w_{y s}``.  By induction
-    on word length, an assignment of the generators satisfying these
-    relations extends along the tree to exactly one functor.
+    The generators are ``greedy_generators`` of ``v.items`` from the
+    identities.  From the identities, each reached arrow y is composed with
+    every generator s_k in order; an arrow z = y s_k reached first joins
+    the tree with the word w_z = w_y s_k as the step ``(stage, z, y, k)``,
+    and any other composable pair is the relation w_y s_k = w_z, the pair
+    ``(stage, y, k, z)``.  Both come in the order reached, each staged at
+    the last generator position its words use.
     """
-    units = [g.id_of[x] for x in g.objects]
-    gens = greedy_generators(g.arrows, units, g.comp)
-    q = Quiver(
-        vertices=g.objects,
-        edges=gens,
-        esrc={s: g.src[s] for s in gens},
-        etgt={s: g.tgt[s] for s in gens},
-    )
-    words = {a: empty_word(g.src[a]) for a in units}
-    tree = []
-    relations = []
-    frontier = deque(units)
+    rows = v.rows
+    gens = greedy_generators(v.items, [v.items[u] for u in v.units], comp)
+    gens = [v.index[s] for s in gens]
+    stage = dict.fromkeys(v.units, -1)  # the identities' words are empty
+    steps, pairs = [], []
+    frontier = deque(v.units)
     while frontier:
         y = frontier.popleft()
+        row, at = rows[y], stage[y]
         for k, s in enumerate(gens):
-            if (y, s) not in g.comp:
+            z = row[s]
+            if z < 0:
                 continue
-            z = g.comp[y, s]
-            wy = words[y]
-            w = Word(src=wy.src, tgt=g.tgt[s], letters=wy.letters + ((s, 1),))
-            if z in words:
-                relations.append((w, words[z]))
+            if z in stage:
+                pairs.append((max(at, k, stage[z]), y, k, z))
             else:
-                words[z] = w
-                tree.append((z, y, k))
+                stage[z] = max(at, k)
+                steps.append((stage[z], z, y, k))
                 frontier.append(z)
-    return GroupoidPresentation(quiver=q, relations=tuple(relations)), tree
+    return gens, steps, pairs
+
+
+def _arrow_presentation(g):
+    """Present finite groupoid ``g`` on its greedy generating arrows: the
+    tree of ``_arrow_tree`` with its words named.
+
+    The vertices are ``g.objects`` and the edges the generators.  The tree
+    is returned as ``(arrow, parent, generator position)`` triples in the
+    order reached, and each off-tree pair (y, s) adds the relation
+    ``w_y s = w_{y s}``: an assignment of the generators satisfying these
+    relations extends along the tree to exactly one functor.  The functor
+    search walks the tree on indexes; this named form drives the
+    presentation-morphism search where the tests use it as an oracle.
+    """
+    v = index_view(g)
+    items = v.items
+    gens, steps, pairs = _arrow_tree(v, g.comp)
+    edges = tuple(items[s] for s in gens)
+    q = Quiver(
+        vertices=g.objects,
+        edges=edges,
+        esrc={s: g.src[s] for s in edges},
+        etgt={s: g.tgt[s] for s in edges},
+    )
+    words = {u: empty_word(g.src[items[u]]) for u in v.units}
+
+    def then(y, k):
+        wy = words[y]
+        return Word(src=wy.src, tgt=g.tgt[edges[k]], letters=wy.letters + ((edges[k], 1),))
+
+    for _, z, y, k in steps:
+        words[z] = then(y, k)
+    relations = tuple((then(y, k), words[z]) for _, y, k, z in pairs)
+    tree = [(items[z], items[y], k) for _, z, y, k in steps]
+    return GroupoidPresentation(quiver=q, relations=relations), tree
+
+
+def _functor_rows(gv, tree, hv, guard):
+    """Every functor between the groupoids read into IndexViews ``gv`` and
+    ``hv``, as ``(object images, arrow images)`` of ``hv`` indexes aligned
+    with ``gv.units`` and ``gv.items``, object maps in ``product`` order and
+    arrow images in lexicographic order; ``tree`` is ``_arrow_tree(gv, ...)``.
+
+    The guard first counts each generator's candidates (the arrows between
+    the images of its ends) as ``_morphism_blocks`` counts edges.  Then
+    generator k takes each candidate in turn, the tree arrows of stage k
+    get their images by one row lookup each and the pairs of stage k are
+    checked by one lookup each, the first failure pruning.  By induction on
+    word length each assignment passing every stage is one functor.  This
+    search shares no code with ``_morphism_blocks`` (see there).
+    """
+    gens, steps, pairs = tree
+    staged = [([], []) for _ in gens]
+    for k, *step in steps:
+        staged[k][0].append(step)
+    for k, *pair in pairs:
+        staged[k][1].append(pair)
+    between = {}
+    for a, ends in enumerate(zip(hv.src, hv.tgt)):
+        between.setdefault(ends, []).append(a)
+    ends = [(gv.src[s], gv.tgt[s]) for s in gens]
+    plans, total = [], 0
+    for vimg in product(range(len(hv.units)), repeat=len(gv.units)):
+        cands = [between.get((vimg[x], vimg[y]), ()) for x, y in ends]
+        total += prod(map(len, cands))
+        if total > guard:
+            message = f"presentation morphism search needs more than {guard} candidates"
+            raise SizeGuardExceeded(message, total, guard)
+        plans.append((vimg, tuple(zip(cands, staged))))
+    rows, depth, found = hv.rows, len(gens), []
+    img, e = [0] * len(gv.items), [0] * depth
+
+    def grow(levels, k, vimg):
+        if k == depth:
+            found.append((vimg, tuple(img)))
+            return
+        cands, (tree_steps, checks) = levels[k]
+        for c in cands:
+            e[k] = c
+            for z, y, j in tree_steps:
+                img[z] = rows[img[y]][e[j]]
+            for y, j, z in checks:
+                if rows[img[y]][e[j]] != img[z]:
+                    break
+            else:
+                grow(levels, k + 1, vimg)
+
+    for vimg, levels in plans:
+        for u, x in zip(gv.units, vimg):
+            img[u] = hv.units[x]
+        grow(levels, 0, vimg)
+    return found
 
 
 def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
     """All functors ``g -> h`` in canonical (object map, arrow images) order.
 
-    ``enumerate_pres_morphisms`` assigns images to the generators of
-    ``_arrow_presentation(g)``, so the guard counts those assignments, and
-    every other image is read off the tree once per functor found.  The
-    generators are chosen greedily in arrow order, so every arrow listed
-    before the k-th generator is a word in the earlier ones: assigning
-    generator images in order lists the functors in the order of their
-    arrow images.
+    ``_functor_rows`` assigns images to the greedy generators of ``g`` on
+    the IndexViews of ``g`` and ``h`` (``index_view`` raises
+    ValidationError on a table it cannot index), so the guard counts those
+    assignments.  The generators are chosen greedily in arrow order, so
+    every arrow listed before the k-th generator is a word in the earlier
+    ones: assigning generator images in order lists the functors in the
+    order of their arrow images.  Each functor is named once, its arrow map
+    keyed by the identities, then the tree arrows as reached.
     """
-    p, tree = _arrow_presentation(g)
-    found = []
-    for vimg, eimg in enumerate_pres_morphisms(p, h, guard):
-        obj_map = dict(zip(g.objects, vimg))
-        arrow_map = {g.id_of[x]: h.id_of[y] for x, y in obj_map.items()}
-        for z, y, k in tree:
-            arrow_map[z] = h.comp[arrow_map[y], eimg[k]]
-        found.append(GroupoidMorphism(obj_map=obj_map, arrow_map=arrow_map))
-    return found
+    gv, hv = index_view(g), index_view(h)
+    _, steps, _ = tree = _arrow_tree(gv, g.comp)
+    order = [*gv.units, *(z for _, z, _, _ in steps)]
+    keys = [gv.items[a] for a in order]
+    at, objects, arrows = _gather(order), h.objects, h.arrows
+    return [
+        GroupoidMorphism(
+            obj_map=dict(zip(g.objects, map(objects.__getitem__, vimg))),
+            arrow_map=dict(zip(keys, map(arrows.__getitem__, at(img)))),
+        )
+        for vimg, img in _functor_rows(gv, tree, hv, guard)
+    ]
+
+
+def _hom_rows(g, h, guard=DEFAULT_SIZE_GUARD):
+    """``group_homs`` as rows of ``h`` indexes, for the callers that read
+    the images on ``h``'s IndexView."""
+    gv, hv = g.validate()._view, h.validate()._view
+    return [img for _, img in _functor_rows(gv, _arrow_tree(gv, g.table), hv, guard)]
 
 
 def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
     """Every homomorphism ``g -> h`` as an image tuple aligned with
     ``g.elements``, in lexicographic order of the tuples (an image ranks by
     its position in ``h.elements``): the functors between the one-object
-    groupoids.  The generators of ``g`` are ``generating_set(g)``, so the
-    guard counts |h|^|generators| candidates."""
-    return tuple(
-        tuple(map(f.arrow_map.__getitem__, g.elements))
-        for f in enumerate_morphisms(from_group(g), from_group(h), guard)
-    )
+    groupoids, found by ``_functor_rows`` on the groups' IndexViews, each
+    row named once.  The generators of ``g`` are ``generating_set(g)``, so
+    the guard counts |h|^|generators| candidates.  Both groups are
+    validated first."""
+    names = h.elements
+    return tuple(tuple(map(names.__getitem__, img)) for img in _hom_rows(g, h, guard))
 
 
 def _gather(positions):

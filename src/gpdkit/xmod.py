@@ -58,7 +58,7 @@ from .core import (
     symmetric_group,
     trivial_group,
 )
-from .presentations import _gather, group_homs
+from .presentations import _gather, _hom_rows
 
 
 @dataclass(frozen=True)
@@ -362,15 +362,16 @@ def trivial_xmod(g, name=""):
 def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
     """All automorphisms of a finite group, encoded as image tuples aligned
     with ``g.elements``; composition is "apply left, then right".  They are
-    the bijective ``group_homs(g, g, guard)``.  An automorphism is fixed by
-    its images of ``generating_set(g)``, so each product is composed there,
-    on indexes of ``g``'s IndexView, and looked up among the automorphisms
-    instead of being rebuilt element by element."""
-    index = g.validate()._view.index
-    n = len(g.elements)
-    autos = [images for images in group_homs(g, g, guard) if len(set(images)) == n]
-    images = [tuple(map(index.__getitem__, x)) for x in autos]
-    at_gens = _gather([index[s] for s in generating_set(g)])
+    the bijective ``group_homs(g, g, guard)``, read as rows of indexes of
+    ``g``'s IndexView.  An automorphism is fixed by its images of
+    ``generating_set(g)``, so each product is composed there, on those
+    indexes, and looked up among the automorphisms instead of being rebuilt
+    element by element."""
+    v = g.validate()._view
+    n = len(v.items)
+    images = [a for a in _hom_rows(g, g, guard) if len(set(a)) == n]
+    autos = [tuple(map(v.items.__getitem__, a)) for a in images]
+    at_gens = _gather([v.index[s] for s in generating_set(g)])
     by_gens = {at_gens(a): x for a, x in zip(images, autos)}
     table = {}
     for x, a in zip(autos, images):
@@ -384,11 +385,17 @@ def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
 
 
 def automorphism_xmod(g, name=""):
-    """A group over its automorphism group: the boundary sends an element to
-    conjugation by it, and automorphisms act by application."""
+    """A group over its automorphism group: the boundary sends an element m
+    to conjugation by it, x -> m^-1 x m, read off ``g``'s IndexView rows,
+    and automorphisms act by application."""
     aut = automorphism_group(g)
     p = from_group(aut, name=aut.name)
-    inner = {m: tuple(g.conj(x, m) for x in g.elements) for m in g.elements}
+    v = g._view
+    items, rows = v.items, v.rows
+    inner = {
+        m: tuple([items[rows[k][i]] for k in rows[v.inverse[i]]])
+        for i, m in enumerate(items)
+    }
     return CrossedModule(
         p=p,
         m={"*": g},
@@ -647,7 +654,8 @@ def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
     equivariant) from a one-object crossed module to one over ``hom``'s
     target group, ``hom`` checked as ``induced_xmod_presentation`` checks
     it.  They classify morphisms out of the induced crossed module, one
-    each.  ``guard`` bounds the |N|^|generators of M| ``group_homs`` candidates."""
+    each.  ``guard`` bounds the |N|^|generators of M| ``group_homs``
+    candidates, whose images are read as rows of N's indexes."""
     if tuple(xm.p.objects) != ("*",) or tuple(target.p.objects) != ("*",):
         raise ValidationError("one-object crossed modules required")
     if set(target.p.arrows) != set(hom.target.elements):
@@ -661,13 +669,12 @@ def morphisms_over(xm, hom, target, guard=DEFAULT_SIZE_GUARD):
     h = [w.base.index[hom(p)] for p in v.base.items]
     want = [h[a] for a in v.mu[0]]
     acts = [(v.act[p], w.act[q]) for p, q in enumerate(h)]
-    found = []
-    for images in group_homs(xm.m["*"], target.m["*"], guard):
-        phi = list(map(w.fibres[0].index.__getitem__, images))
+    found, names = [], w.fibres[0].items
+    for phi in _hom_rows(xm.m["*"], target.m["*"], guard):
         if list(map(w.mu[0].__getitem__, phi)) == want and all(
             list(map(phi.__getitem__, am)) == list(map(an.__getitem__, phi)) for am, an in acts
         ):
-            found.append(dict(zip(v.fibres[0].items, images)))
+            found.append(dict(zip(v.fibres[0].items, map(names.__getitem__, phi))))
     return tuple(found)
 
 

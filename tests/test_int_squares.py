@@ -15,7 +15,7 @@ it pasted through the public ``vcompose``; both are kept as oracles.
 """
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +54,7 @@ from gpdkit.dblgpd import (
     to_xmod,
     vcompose,
 )
-from gpdkit.xmod import CrossedModule, bundled_xmods, crossed_module, trivial_xmod
+from gpdkit.xmod import CrossedModule, bundled_xmods, crossed_module, trivial_xmod, xmod_view
 from test_cubes import CARRIER_MODULES
 
 
@@ -550,6 +550,19 @@ def test_to_xmod_recovers_what_the_vcompose_body_did(name):
         assert list(new.mu[x].items()) == list(old.mu[x].items())
     assert list(new.action.items()) == list(old.action.items())
     assert {id(s) for s in new.action.values()} <= carrier
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_to_xmod_keeps_the_view_it_computed(name):
+    """Over a lawful base the recovered module keeps the view its fibre
+    tables and action were computed on, equal to the view read afresh from
+    a ``replace``d copy; over an unmarked base it keeps none."""
+    recovered = to_xmod(CARRIERS[name])
+    fresh = xmod_view(replace(recovered))
+    if name == "unmarked-auts3":
+        assert recovered.p._view is None and recovered._view is None
+    else:
+        assert recovered._view is not None and recovered._view == fresh
 
 
 def test_to_xmod_of_a_lawless_carrier_fails_as_the_vcompose_body_did():

@@ -1,9 +1,13 @@
-"""Differential tests: functors and group homomorphisms read off the one
-presentation-morphism search, against the enumerators it replaced.
+"""Differential tests: functors and group homomorphisms found by the
+integer search on the source's table, against the enumerators it replaced.
 
 ``old_enumerate_morphisms`` tries an image for every non-identity arrow,
 and ``old_group_homs`` runs its own product loop over the images of
 ``generating_set``; both are the former ``core`` bodies, kept verbatim.
+``pres_enumerate_morphisms`` and ``pres_group_homs`` are the bodies that
+read functors off the presentation-morphism search through
+``_arrow_presentation``, also verbatim, and ``old_arrow_presentation`` is
+the walk that built that presentation on names.
 ``old_generating_set``, ``old_pushout`` and ``old_bounded_rewrite_search``
 are the former bodies of the code that now shares one greedy loop, the
 union-find of ``skeleton_components`` and one rewrite step.  The library
@@ -11,7 +15,9 @@ must return what they return, in the same order.
 """
 
 from collections import deque
+from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,18 +36,24 @@ from gpdkit.core import (
     finite_group,
     from_group,
     generating_set,
+    greedy_generators,
+    index_view,
     interval_groupoid,
     symmetric_group,
 )
 from gpdkit.presentations import (
+    GroupoidPresentation,
     PresentationMorphism,
     PushoutSquare,
+    Quiver,
     Word,
     _arrow_presentation,
     _bounded_rewrite_search,
+    _morphism_blocks,
     _rename_word,
     _vertex_at,
     empty_word,
+    enumerate_pres_morphisms,
     free_reduce,
     presentation,
     pushout,
@@ -132,6 +144,81 @@ def old_group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
         ):
             found.append(tuple(h.elements[p] for p in phi))
     return tuple(found)
+
+
+def pres_enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
+    """All functors ``g -> h`` in canonical (object map, arrow images) order.
+
+    ``enumerate_pres_morphisms`` assigns images to the generators of
+    ``_arrow_presentation(g)``, so the guard counts those assignments, and
+    every other image is read off the tree once per functor found.  The
+    generators are chosen greedily in arrow order, so every arrow listed
+    before the k-th generator is a word in the earlier ones: assigning
+    generator images in order lists the functors in the order of their
+    arrow images.
+    """
+    p, tree = _arrow_presentation(g)
+    found = []
+    for vimg, eimg in enumerate_pres_morphisms(p, h, guard):
+        obj_map = dict(zip(g.objects, vimg))
+        arrow_map = {g.id_of[x]: h.id_of[y] for x, y in obj_map.items()}
+        for z, y, k in tree:
+            arrow_map[z] = h.comp[arrow_map[y], eimg[k]]
+        found.append(GroupoidMorphism(obj_map=obj_map, arrow_map=arrow_map))
+    return found
+
+
+def pres_group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
+    """Every homomorphism ``g -> h`` as an image tuple aligned with
+    ``g.elements``, in lexicographic order of the tuples (an image ranks by
+    its position in ``h.elements``): the functors between the one-object
+    groupoids.  The generators of ``g`` are ``generating_set(g)``, so the
+    guard counts |h|^|generators| candidates."""
+    return tuple(
+        tuple(map(f.arrow_map.__getitem__, g.elements))
+        for f in pres_enumerate_morphisms(from_group(g), from_group(h), guard)
+    )
+
+
+def old_arrow_presentation(g):
+    """Present finite groupoid ``g`` on its greedy generating arrows.
+
+    The vertices are ``g.objects`` and the edges ``greedy_generators``
+    chosen in ``g.arrows`` order.  A breadth-first tree from the identities,
+    generators in order, gives every other arrow a positive word; it is
+    returned as ``(arrow, parent, generator position)`` triples in the order
+    they are reached.  Each composable pair (y, s) off the tree, y an arrow
+    and s a generator, adds the relation ``w_y s = w_{y s}``.  By induction
+    on word length, an assignment of the generators satisfying these
+    relations extends along the tree to exactly one functor.
+    """
+    units = [g.id_of[x] for x in g.objects]
+    gens = greedy_generators(g.arrows, units, g.comp)
+    q = Quiver(
+        vertices=g.objects,
+        edges=gens,
+        esrc={s: g.src[s] for s in gens},
+        etgt={s: g.tgt[s] for s in gens},
+    )
+    words = {a: empty_word(g.src[a]) for a in units}
+    tree = []
+    relations = []
+    frontier = deque(units)
+    while frontier:
+        y = frontier.popleft()
+        for k, s in enumerate(gens):
+            if (y, s) not in g.comp:
+                continue
+            z = g.comp[y, s]
+            wy = words[y]
+            w = Word(src=wy.src, tgt=g.tgt[s], letters=wy.letters + ((s, 1),))
+            if z in words:
+                relations.append((w, words[z]))
+            else:
+                words[z] = w
+                tree.append((z, y, k))
+                frontier.append(z)
+    return GroupoidPresentation(quiver=q, relations=tuple(relations)), tree
 
 
 def old_generating_set(g):
@@ -295,6 +382,14 @@ def _outcome(search, *args, **kwargs):
         return SizeGuardExceeded
 
 
+def _refusal(search, *args):
+    """The search's result, or its guard's message, ``needed`` and ``allowed``."""
+    try:
+        return search(*args)
+    except SizeGuardExceeded as e:
+        return str(e), e.needed, e.allowed
+
+
 # ----------------------------------------------------------------- functors
 
 
@@ -331,7 +426,10 @@ GROUPOIDS = {
 @pytest.mark.parametrize("hname", GROUPOIDS)
 def test_functors_match_the_old_enumerator(gname, hname):
     g, h = GROUPOIDS[gname], GROUPOIDS[hname]
-    assert enumerate_morphisms(g, h) == old_enumerate_morphisms(g, h)
+    found = enumerate_morphisms(g, h)
+    assert found == old_enumerate_morphisms(g, h)
+    # whole outputs, the arrow maps' key order included
+    assert repr(found) == repr(pres_enumerate_morphisms(g, h))
 
 
 PIECES = {
@@ -350,6 +448,7 @@ def test_functors_between_disjoint_unions_match_the_old_enumerator(gparts, hpart
     h = _union(*(PIECES[n] for n in hparts))
     found = enumerate_morphisms(g, h)
     assert found == old_enumerate_morphisms(g, h)
+    assert repr(found) == repr(pres_enumerate_morphisms(g, h))
     assert all(check_morphism(f, g, h).ok for f in found)
 
 
@@ -391,6 +490,12 @@ GROUPS = {
     "a4": alternating_group(4),
     "s4": symmetric_group(4),
     "c2^3": _c2_cubed(),
+    # 6 = 3 + 3 is reached before 4 + 2, so the pair (4, 2) is checked only
+    # once the second generator 3 has an image
+    "c8-reordered": finite_group(
+        (0, 2, 3, 1, 5, 6, 4, 7), {(a, b): (a + b) % 8 for a in range(8) for b in range(8)},
+        unit=0, name="c8-reordered",
+    ),
 }
 
 
@@ -400,6 +505,7 @@ GROUPS = {
 def test_group_homs_match_the_old_product_loop(gname, hname, guard):
     g, h = GROUPS[gname], GROUPS[hname]
     assert _outcome(group_homs, g, h, guard) == _outcome(old_group_homs, g, h, guard)
+    assert _refusal(group_homs, g, h, guard) == _refusal(pres_group_homs, g, h, guard)
 
 
 # every battery group is here but c3
@@ -424,6 +530,110 @@ def test_the_chooser_on_a_group_gives_its_generating_set(name):
     # the tree reaches every element but the unit, each exactly once
     reached = sorted(z for z, _, _ in tree)
     assert reached == sorted(x for x in group.elements if x != group.unit)
+
+
+# ------------------------------------------ the presentation-routed oracle
+
+
+TREES = {**GROUPOIDS, **{f"group-{name}": from_group(g) for name, g in GROUPS.items()}}
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_the_index_tree_names_the_old_breadth_first_walk(name):
+    g = TREES[name]
+    new, old = _arrow_presentation(g), old_arrow_presentation(g)
+    assert new == old
+    assert new[0].quiver.esrc == old[0].quiver.esrc and new[0].quiver.etgt == old[0].quiver.etgt
+
+
+def _candidates(g, h):
+    """The candidates the functor search counts: per object map, the
+    product of each generator's arrows between the images of its ends."""
+    q = _arrow_presentation(g)[0].quiver
+    total = 0
+    for images in product(h.objects, repeat=len(q.vertices)):
+        at = dict(zip(q.vertices, images))
+        total += prod(len(h.arrows_between(at[q.esrc[e]], at[q.etgt[e]])) for e in q.edges)
+    return total
+
+
+@pytest.mark.parametrize("gname", GROUPOIDS)
+@pytest.mark.parametrize("hname", GROUPOIDS)
+def test_the_functor_guard_refuses_as_the_presentation_routed_search(gname, hname):
+    g, h = GROUPOIDS[gname], GROUPOIDS[hname]
+    need = _candidates(g, h)
+    for guard in (0, need - 1, need):
+        new = _refusal(enumerate_morphisms, g, h, guard)
+        assert repr(new) == repr(_refusal(pres_enumerate_morphisms, g, h, guard))
+        assert isinstance(new, tuple) == (guard < need)
+
+
+@pytest.mark.parametrize("gname", GROUPS)
+@pytest.mark.parametrize("hname", ["c2", "c7", "s3", "s4"])
+def test_the_group_hom_guard_refuses_as_the_presentation_routed_search(gname, hname):
+    g, h = GROUPS[gname], GROUPS[hname]
+    need = len(h) ** len(generating_set(g))
+    new = _refusal(group_homs, g, h, need - 1)
+    assert new == _refusal(pres_group_homs, g, h, need - 1)
+    assert new == (f"presentation morphism search needs more than {need - 1} candidates",
+                   need, need - 1)
+    assert _refusal(group_homs, g, h, need) == _refusal(pres_group_homs, g, h, need)
+
+
+@pytest.mark.parametrize("gname", GROUPOIDS)
+@pytest.mark.parametrize("hname", GROUPOIDS)
+def test_generator_images_are_the_presentation_blocks(gname, hname):
+    g, h = GROUPOIDS[gname], GROUPOIDS[hname]
+    p, _ = _arrow_presentation(g)
+    blocks = {}
+    for f in enumerate_morphisms(g, h):
+        vimg = tuple(f.obj_map[x] for x in g.objects)
+        blocks.setdefault(vimg, []).append(tuple(f.arrow_map[s] for s in p.quiver.edges))
+    assert _morphism_blocks(p, h) == list(blocks.items())
+
+
+UNREADABLE = {
+    "not total": {"comp": {k: v for k, v in INTERVAL.comp.items() if k != ("i", "i_inv")}},
+    "leaves the carrier": {"comp": {**INTERVAL.comp, ("i", "i_inv"): "x"}},
+    "bad endpoints": {"src": {**INTERVAL.src, "i": 7}},
+    "no identity": {"id_of": {0: "id0"}},
+    "no inverse": {"inv": {**INTERVAL.inv, "i": "i"}},
+}
+
+
+@pytest.mark.parametrize("damage", UNREADABLE)
+def test_a_groupoid_index_view_cannot_read_raises_its_error(damage):
+    broken = replace(INTERVAL, **UNREADABLE[damage])
+    with pytest.raises(ValidationError) as info:
+        index_view(broken)
+    want = (str(info.value), info.value.witness)
+    for args in ((broken, BATTERY["c2"]), (BATTERY["c2"], broken)):
+        with pytest.raises(ValidationError) as info:
+            enumerate_morphisms(*args)
+        assert (str(info.value), info.value.witness) == want
+    with pytest.raises(ValidationError) as info:
+        _arrow_presentation(broken)
+    assert (str(info.value), info.value.witness) == want
+
+
+def test_a_lawless_group_is_rejected_by_its_validation():
+    c2 = GROUPS["c2"]
+    broken = replace(c2, table={**c2.table, (1, 1): 1})
+    with pytest.raises(ValidationError) as info:
+        replace(broken).validate()
+    want = (str(info.value), info.value.witness)
+    for args in ((broken, c2), (c2, broken)):
+        with pytest.raises(ValidationError) as info:
+            group_homs(*args)
+        assert (str(info.value), info.value.witness) == want
+
+
+@pytest.mark.parametrize("gname", GROUPOIDS)
+@pytest.mark.parametrize("hname", GROUPOIDS)
+def test_a_union_of_lawful_parts_joins_their_views(gname, hname):
+    union = disjoint_union(GROUPOIDS[gname], GROUPOIDS[hname])
+    assert union._view == index_view(replace(union))
+    assert disjoint_union(replace(GROUPOIDS[gname]), GROUPOIDS[hname])._view is None
 
 
 # ----------------------------------------------- pushouts and rewriting

@@ -154,6 +154,27 @@ def test_automorphism_group_matches_the_table_it_built_by_elements(name):
     assert len(new) == {"c7": 6, "c8": 4, "s3": 6, "d4": 8, "q8": 24, "c2^3": 168}[name]
 
 
+INNER_GROUPS = {
+    "c2": cyclic_group(2),
+    "c3": cyclic_group(3),
+    "c4": cyclic_group(4),
+    "s3": symmetric_group(3),
+    "c8": AUT_GROUPS["c8"],
+    "c2^3": AUT_GROUPS["c2^3"],
+    "s4": symmetric_group(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INNER_GROUPS))
+def test_the_automorphism_module_boundary_is_conjugation_by_name(name):
+    """The boundary read off the group's rows is the dict that conjugating
+    by name builds, in the same key order."""
+    g = INNER_GROUPS[name]
+    inner = automorphism_xmod(g).mu["*"]
+    by_name = {m: tuple(g.conj(x, m) for x in g.elements) for m in g.elements}
+    assert list(inner.items()) == list(by_name.items())
+
+
 def _groups():
     out = {name: p for name, p in battery().items()}
     out.update(AUT_GROUPS)
@@ -400,25 +421,27 @@ def _counting_views(monkeypatch):
 
 
 def test_a_recovered_module_reads_its_view_once(monkeypatch):
-    """``to_xmod`` returns a raw module over the carrier's base, and a
-    ``replace``d module starts without a view: each reads one on its first
-    pasting and keeps it for the rest."""
+    """``to_xmod`` returns its module with the view it computed, so nothing
+    reads it again; a ``replace``d copy starts without one, reads it on its
+    first pasting and keeps it for the rest."""
     built = _counting_views(monkeypatch)
     xm = replace(bundled_xmods()["auts3"])
     d = from_xmod(xm)
     assert len(built) == 1
     recovered = to_xmod(d)
     assert len(built) == 1
-    assert recovered._view is None
-    d2 = from_xmod(recovered)
+    assert recovered._view is not None
+    copy = replace(recovered)
+    assert copy._view is None
+    d2 = from_xmod(copy)
     assert len(built) == 2
     to_xmod(d2)
     eh_instance_from_squares(d2, "*")
     rng = random.Random(5)
     for _ in range(20):
         row, column = sample_grid(d2, rng, 1, 2)[0], sample_grid(d2, rng, 2, 1)
-        hcompose(recovered, *row)
-        vcompose(recovered, column[0][0], column[1][0])
+        hcompose(copy, *row)
+        vcompose(copy, column[0][0], column[1][0])
     assert len(built) == 2
 
 
