@@ -606,8 +606,7 @@ def components(g):
 
 
 def disjoint_union(g, h, tags=("l", "r")):
-    """Disjoint union of two groupoids, objects and arrows tagged apart; of
-    two lawful ones, marked lawful with the view ``_joined`` builds."""
+    """Disjoint union of two groupoids, objects and arrows tagged apart."""
     lt, rt = tags
 
     def tag(t, v):
@@ -629,26 +628,9 @@ def disjoint_union(g, h, tags=("l", "r")):
         objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
         id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
     )
-    gv, hv = g._view, h._view
-    if gv is not None and hv is not None:
-        object.__setattr__(p, "_view", _joined(gv, hv, arrows, len(g.objects)))
+    if g._view is not None and h._view is not None:
+        object.__setattr__(p, "_view", index_view(p))
     return p
-
-
-def _joined(gv, hv, arrows, objects):
-    """The IndexView of the disjoint union, on ``arrows``, of groupoids read
-    into ``gv`` and ``hv``, the left one having ``objects`` objects: the
-    two views' rows side by side, the right's indexes shifted past the left's."""
-    n, m = len(gv.items), len(hv.items)
-    rows = [row + (-1,) * m for row in gv.rows]
-    rows += [(-1,) * n + tuple(j + n if j >= 0 else -1 for j in row) for row in hv.rows]
-    return IndexView(
-        arrows, dict(zip(arrows, range(n + m))), tuple(rows),
-        gv.inverse + tuple(i + n for i in hv.inverse),
-        gv.units + tuple(u + n for u in hv.units),
-        gv.src + tuple(x + objects for x in hv.src),
-        gv.tgt + tuple(x + objects for x in hv.tgt),
-    )
 
 
 @dataclass(frozen=True)

@@ -352,30 +352,17 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     ``product`` over its edges' candidate arrows, and the relations ending
     there are checked at once.
 
-    This is the reader for presentations (the pushout and ``vkt`` paths),
-    and it shares no code with the functor search ``_functor_rows``.  A
-    prototype that sent presentations through integer keys as well was
+    This is the reader for presentations (the pushout and ``vkt`` paths).
+    It shares only the vertex maps and the guard count, ``_vertex_plans``,
+    with the functor search ``_functor_rows``; the candidate walks stay
+    apart.  A prototype that sent presentations through integer keys as well was
     slower on the pushout benchmark, bouquets of 2 to 4 loops by 10-30% and
     the wedges by about 30%, because their keys must come back as names.
     """
     q = p.quiver
     vpos, epos = _positions(q)
     ends = [(vpos[q.esrc[e]], vpos[q.etgt[e]]) for e in q.edges]
-    between = {(x, y): [] for x in t.objects for y in t.objects}
-    for a in t.arrows:
-        between[t.src[a], t.tgt[a]].append(a)
-    plans = []
-    total = 0
-    for vimg in product(t.objects, repeat=len(q.vertices)):
-        cands = [between[vimg[s], vimg[r]] for s, r in ends]
-        total += prod(map(len, cands))
-        if total > guard:
-            raise SizeGuardExceeded(
-                f"presentation morphism search needs more than {guard} candidates",
-                total,
-                guard,
-            )
-        plans.append((vimg, cands))
+    plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
     checks = {}
     for lhs, rhs in p.relations:
         last = max((epos[e] for e, _ in lhs.letters + rhs.letters), default=0)
@@ -393,6 +380,31 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
         if eimgs:
             blocks.append((vimg, eimgs))
     return blocks
+
+
+def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
+    """``(vertex images, candidates)`` for each map of ``count`` vertices
+    into ``objects``, in ``product`` order: for each edge, whose vertex
+    positions are the pair in ``ends``, the ``arrows`` (in order) from the
+    image of its source to the image of its target.  The guard counts the
+    candidate assignments summed over the vertex maps and refuses past
+    ``guard``."""
+    between = {(x, y): [] for x in objects for y in objects}
+    for a in arrows:
+        between[src[a], tgt[a]].append(a)
+    plans = []
+    total = 0
+    for vimg in product(objects, repeat=count):
+        cands = [between[vimg[s], vimg[r]] for s, r in ends]
+        total += prod(map(len, cands))
+        if total > guard:
+            raise SizeGuardExceeded(
+                f"presentation morphism search needs more than {guard} candidates",
+                total,
+                guard,
+            )
+        plans.append((vimg, cands))
+    return plans
 
 
 def _grow(prefixes, cands, rels, vimg, t):
@@ -446,54 +458,20 @@ def _arrow_tree(v, comp):
     return gens, steps, pairs
 
 
-def _arrow_presentation(g):
-    """Present finite groupoid ``g`` on its greedy generating arrows: the
-    tree of ``_arrow_tree`` with its words named.
-
-    The vertices are ``g.objects`` and the edges the generators.  The tree
-    is returned as ``(arrow, parent, generator position)`` triples in the
-    order reached, and each off-tree pair (y, s) adds the relation
-    ``w_y s = w_{y s}``: an assignment of the generators satisfying these
-    relations extends along the tree to exactly one functor.  The functor
-    search walks the tree on indexes; this named form drives the
-    presentation-morphism search where the tests use it as an oracle.
-    """
-    v = index_view(g)
-    items = v.items
-    gens, steps, pairs = _arrow_tree(v, g.comp)
-    edges = tuple(items[s] for s in gens)
-    q = Quiver(
-        vertices=g.objects,
-        edges=edges,
-        esrc={s: g.src[s] for s in edges},
-        etgt={s: g.tgt[s] for s in edges},
-    )
-    words = {u: empty_word(g.src[items[u]]) for u in v.units}
-
-    def then(y, k):
-        wy = words[y]
-        return Word(src=wy.src, tgt=g.tgt[edges[k]], letters=wy.letters + ((edges[k], 1),))
-
-    for _, z, y, k in steps:
-        words[z] = then(y, k)
-    relations = tuple((then(y, k), words[z]) for _, y, k, z in pairs)
-    tree = [(items[z], items[y], k) for _, z, y, k in steps]
-    return GroupoidPresentation(quiver=q, relations=relations), tree
-
-
 def _functor_rows(gv, tree, hv, guard):
     """Every functor between the groupoids read into IndexViews ``gv`` and
     ``hv``, as ``(object images, arrow images)`` of ``hv`` indexes aligned
     with ``gv.units`` and ``gv.items``, object maps in ``product`` order and
     arrow images in lexicographic order; ``tree`` is ``_arrow_tree(gv, ...)``.
 
-    The guard first counts each generator's candidates (the arrows between
-    the images of its ends) as ``_morphism_blocks`` counts edges.  Then
-    generator k takes each candidate in turn, the tree arrows of stage k
-    get their images by one row lookup each and the pairs of stage k are
-    checked by one lookup each, the first failure pruning.  By induction on
-    word length each assignment passing every stage is one functor.  This
-    search shares no code with ``_morphism_blocks`` (see there).
+    ``_vertex_plans`` gives each generator its candidates (the arrows
+    between the images of its ends) and counts the guard, as for
+    ``_morphism_blocks``.  Then generator k takes each candidate in turn,
+    the tree arrows of stage k get their images by one row lookup each and
+    the pairs of stage k are checked by one lookup each, the first failure
+    pruning.  By induction on word length each assignment passing every
+    stage is one functor.  This walk shares no code with
+    ``_morphism_blocks`` (see there).
     """
     gens, steps, pairs = tree
     staged = [([], []) for _ in gens]
@@ -501,18 +479,14 @@ def _functor_rows(gv, tree, hv, guard):
         staged[k][0].append(step)
     for k, *pair in pairs:
         staged[k][1].append(pair)
-    between = {}
-    for a, ends in enumerate(zip(hv.src, hv.tgt)):
-        between.setdefault(ends, []).append(a)
     ends = [(gv.src[s], gv.tgt[s]) for s in gens]
-    plans, total = [], 0
-    for vimg in product(range(len(hv.units)), repeat=len(gv.units)):
-        cands = [between.get((vimg[x], vimg[y]), ()) for x, y in ends]
-        total += prod(map(len, cands))
-        if total > guard:
-            message = f"presentation morphism search needs more than {guard} candidates"
-            raise SizeGuardExceeded(message, total, guard)
-        plans.append((vimg, tuple(zip(cands, staged))))
+    plans = [
+        (vimg, tuple(zip(cands, staged)))
+        for vimg, cands in _vertex_plans(
+            range(len(hv.units)), range(len(hv.items)), hv.src, hv.tgt,
+            len(gv.units), ends, guard,
+        )
+    ]
     rows, depth, found = hv.rows, len(gens), []
     img, e = [0] * len(gv.items), [0] * depth
 

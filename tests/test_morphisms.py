@@ -5,9 +5,8 @@ integer search on the source's table, against the enumerators it replaced.
 and ``old_group_homs`` runs its own product loop over the images of
 ``generating_set``; both are the former ``core`` bodies, kept verbatim.
 ``pres_enumerate_morphisms`` and ``pres_group_homs`` are the bodies that
-read functors off the presentation-morphism search through
-``_arrow_presentation``, also verbatim, and ``old_arrow_presentation`` is
-the walk that built that presentation on names.
+read functors off the presentation-morphism search, also verbatim, through
+``old_arrow_presentation``, the walk that built that presentation on names.
 ``old_generating_set``, ``old_pushout`` and ``old_bounded_rewrite_search``
 are the former bodies of the code that now shares one greedy loop, the
 union-find of ``skeleton_components`` and one rewrite step.  The library
@@ -47,7 +46,7 @@ from gpdkit.presentations import (
     PushoutSquare,
     Quiver,
     Word,
-    _arrow_presentation,
+    _arrow_tree,
     _bounded_rewrite_search,
     _morphism_blocks,
     _rename_word,
@@ -150,14 +149,14 @@ def pres_enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
     """All functors ``g -> h`` in canonical (object map, arrow images) order.
 
     ``enumerate_pres_morphisms`` assigns images to the generators of
-    ``_arrow_presentation(g)``, so the guard counts those assignments, and
+    ``old_arrow_presentation(g)``, so the guard counts those assignments, and
     every other image is read off the tree once per functor found.  The
     generators are chosen greedily in arrow order, so every arrow listed
     before the k-th generator is a word in the earlier ones: assigning
     generator images in order lists the functors in the order of their
     arrow images.
     """
-    p, tree = _arrow_presentation(g)
+    p, tree = old_arrow_presentation(g)
     found = []
     for vimg, eimg in enumerate_pres_morphisms(p, h, guard):
         obj_map = dict(zip(g.objects, vimg))
@@ -468,7 +467,7 @@ def test_s4_to_c4_needs_only_the_generator_assignments():
 @pytest.mark.parametrize("hname", sorted(BATTERY))
 def test_the_guard_counts_generator_assignments(gname, hname):
     g, h = GROUPOIDS[gname], BATTERY[hname]
-    p, _ = _arrow_presentation(g)
+    p, _ = old_arrow_presentation(g)
     need = len(h.arrows) ** len(p.quiver.edges)
     assert enumerate_morphisms(g, h, guard=need) == enumerate_morphisms(g, h)
     with pytest.raises(SizeGuardExceeded) as info:
@@ -512,24 +511,30 @@ def test_group_homs_match_the_old_product_loop(gname, hname, guard):
 CHOOSER_GROUPS = {**GROUPS, "c3": cyclic_group(3)}
 
 
+def _tree(g):
+    """``_arrow_tree`` of ``g`` named: its generators and, in the order
+    reached, its tree arrows."""
+    v = index_view(g)
+    gens, steps, _ = _arrow_tree(v, g.comp)
+    return tuple(v.items[s] for s in gens), [v.items[z] for _, z, _, _ in steps]
+
+
 def test_the_chooser_on_a_disjoint_union_joins_its_parts():
-    assert _arrow_presentation(INTERVAL)[0].quiver.edges == ("i", "i_inv")
+    assert _tree(INTERVAL)[0] == ("i", "i_inv")
     for a, b in product(GROUPOIDS.values(), repeat=2):
-        (pa, _), (pb, _) = _arrow_presentation(a), _arrow_presentation(b)
-        edges = _arrow_presentation(disjoint_union(a, b))[0].quiver.edges
-        assert edges == tuple(("l", e) for e in pa.quiver.edges) + tuple(
-            ("r", e) for e in pb.quiver.edges
+        edges = _tree(disjoint_union(a, b))[0]
+        assert edges == tuple(("l", e) for e in _tree(a)[0]) + tuple(
+            ("r", e) for e in _tree(b)[0]
         )
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_GROUPS))
 def test_the_chooser_on_a_group_gives_its_generating_set(name):
     group = CHOOSER_GROUPS[name]
-    p, tree = _arrow_presentation(from_group(group))
-    assert p.quiver.edges == generating_set(group) == old_generating_set(group)
+    edges, reached = _tree(from_group(group))
+    assert edges == generating_set(group) == old_generating_set(group)
     # the tree reaches every element but the unit, each exactly once
-    reached = sorted(z for z, _, _ in tree)
-    assert reached == sorted(x for x in group.elements if x != group.unit)
+    assert sorted(reached) == sorted(x for x in group.elements if x != group.unit)
 
 
 # ------------------------------------------ the presentation-routed oracle
@@ -539,17 +544,42 @@ TREES = {**GROUPOIDS, **{f"group-{name}": from_group(g) for name, g in GROUPS.it
 
 
 @pytest.mark.parametrize("name", TREES)
-def test_the_index_tree_names_the_old_breadth_first_walk(name):
+def test_the_index_tree_is_the_old_breadth_first_walk(name):
+    """The generators, tree steps and off-tree pairs of ``_arrow_tree`` are
+    those of the name walk, in its order, each staged at the last generator
+    position its words use."""
     g = TREES[name]
-    new, old = _arrow_presentation(g), old_arrow_presentation(g)
-    assert new == old
-    assert new[0].quiver.esrc == old[0].quiver.esrc and new[0].quiver.etgt == old[0].quiver.etgt
+    v = index_view(g)
+    gens, steps, pairs = _arrow_tree(v, g.comp)
+    p, tree = old_arrow_presentation(g)
+    edges = p.quiver.edges
+    assert tuple(v.items[s] for s in gens) == edges
+
+    def letters(w):
+        return tuple(edges.index(e) for e, _ in w.letters)
+
+    words = {g.id_of[x]: () for x in g.objects}
+    for z, y, k in tree:
+        words[z] = words[y] + (k,)
+    assert [(at, v.items[z], v.items[y], k) for at, z, y, k in steps] == [
+        (max(words[z], default=-1), z, y, k) for z, y, k in tree
+    ]
+    arrow_of = {(g.src[a], w): a for a, w in words.items()}
+    assert [(at, v.items[y], k, v.items[z]) for at, y, k, z in pairs] == [
+        (
+            max(letters(lhs) + letters(rhs)),
+            arrow_of[lhs.src, letters(lhs)[:-1]],
+            letters(lhs)[-1],
+            arrow_of[rhs.src, letters(rhs)],
+        )
+        for lhs, rhs in p.relations
+    ]
 
 
 def _candidates(g, h):
     """The candidates the functor search counts: per object map, the
     product of each generator's arrows between the images of its ends."""
-    q = _arrow_presentation(g)[0].quiver
+    q = old_arrow_presentation(g)[0].quiver
     total = 0
     for images in product(h.objects, repeat=len(q.vertices)):
         at = dict(zip(q.vertices, images))
@@ -584,7 +614,7 @@ def test_the_group_hom_guard_refuses_as_the_presentation_routed_search(gname, hn
 @pytest.mark.parametrize("hname", GROUPOIDS)
 def test_generator_images_are_the_presentation_blocks(gname, hname):
     g, h = GROUPOIDS[gname], GROUPOIDS[hname]
-    p, _ = _arrow_presentation(g)
+    p, _ = old_arrow_presentation(g)
     blocks = {}
     for f in enumerate_morphisms(g, h):
         vimg = tuple(f.obj_map[x] for x in g.objects)
@@ -611,9 +641,6 @@ def test_a_groupoid_index_view_cannot_read_raises_its_error(damage):
         with pytest.raises(ValidationError) as info:
             enumerate_morphisms(*args)
         assert (str(info.value), info.value.witness) == want
-    with pytest.raises(ValidationError) as info:
-        _arrow_presentation(broken)
-    assert (str(info.value), info.value.witness) == want
 
 
 def test_a_lawless_group_is_rejected_by_its_validation():
@@ -626,14 +653,6 @@ def test_a_lawless_group_is_rejected_by_its_validation():
         with pytest.raises(ValidationError) as info:
             group_homs(*args)
         assert (str(info.value), info.value.witness) == want
-
-
-@pytest.mark.parametrize("gname", GROUPOIDS)
-@pytest.mark.parametrize("hname", GROUPOIDS)
-def test_a_union_of_lawful_parts_joins_their_views(gname, hname):
-    union = disjoint_union(GROUPOIDS[gname], GROUPOIDS[hname])
-    assert union._view == index_view(replace(union))
-    assert disjoint_union(replace(GROUPOIDS[gname]), GROUPOIDS[hname])._view is None
 
 
 # ----------------------------------------------- pushouts and rewriting
