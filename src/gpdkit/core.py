@@ -20,15 +20,17 @@ Conventions that hold across the whole package:
   are validated once, when ``finite_group`` builds them; every constructor
   goes through it.
 - Validation keeps an ``IndexView`` in ``_view``, the table read into
-  integer rows with inverses, identities and endpoints as indexes.  It is
-  the one lawfulness mark: a group or groupoid is lawful exactly when its
-  ``_view`` is set.  ``validate`` returns at once on such a group, and
-  ``build_groupoid``, ``from_group`` (which shares ``g``'s view and, with
-  the default object and name, is kept on ``g``) and ``disjoint_union``
-  set it; raw construction and ``dataclasses.replace`` start without it.
-  The hot readers (``dblgpd.from_xmod``, ``xmod.automorphism_group``)
-  compose through it, and ``xmod``'s laws, maps and ``dblgpd``'s squares
-  run on the ``xmod.XModView`` built on top of these.
+  integer rows with inverses, identities, endpoints and the generators
+  that ``_generators`` chose (for Light's test, ``xmod.check_axioms`` and
+  the functor search) as indexes.  It is the one lawfulness mark: a group
+  or groupoid is lawful exactly when its ``_view`` is set.  ``validate``
+  returns at once on such a group, and ``build_groupoid``, ``from_group``
+  (which shares ``g``'s view and, with the default object and name, is
+  kept on ``g``) and ``disjoint_union`` set it; raw construction and
+  ``dataclasses.replace`` start without it.  The hot readers
+  (``dblgpd.from_xmod``, ``xmod.automorphism_group``) compose through it,
+  and ``xmod``'s laws, maps and ``dblgpd``'s squares run on the
+  ``xmod.XModView`` built on top of these.
 - A group's inverses are its table's: ``validate`` stores them, and
   rejects a given ``inverse`` map that contradicts them with the first
   element whose entry differs as witness.
@@ -36,10 +38,9 @@ Conventions that hold across the whole package:
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
   found by the integer search in ``presentations``, which assigns images
-  to the arrows ``greedy_generators`` picks and extends them along a tree
-  on the source's ``IndexView`` rows, one row lookup per arrow and per
-  relation, so the guard counts the |h|^|generators| assignments the
-  search examines.
+  to the source's kept generators and extends them along a tree on its
+  ``IndexView`` rows, one row lookup per arrow and per relation, so the
+  guard counts the |h|^|generators| assignments the search examines.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class IndexView:
     ``items`` are the elements or arrows and ``index`` maps each to its
     position.  ``rows[i][j]`` is the index of "items[i] then items[j]", or
     -1 where the two do not compose, and ``inverse[i]`` the index of the
-    inverse.  ``units[x]`` is the identity index at the x-th object, and
-    ``src``/``tgt`` give each arrow's object indexes.  A group is one
-    object: ``units`` is ``(unit index,)`` and every endpoint is 0.
+    inverse.  ``units[x]`` is the identity index at the x-th object,
+    ``src``/``tgt`` give each arrow's object indexes and ``gens`` holds the
+    generators ``_generators`` chose.  A group is one object: ``units`` is
+    ``(unit index,)`` and every endpoint is 0.
     """
 
     items: tuple
@@ -100,6 +102,7 @@ class IndexView:
     units: tuple
     src: tuple
     tgt: tuple
+    gens: tuple
 
 
 def _ends(objects, arrows, src, tgt):
@@ -130,6 +133,26 @@ def _read_rows(items, src, tgt, comp):
     return index, tuple(rows), None
 
 
+def _generators(rows, units):
+    """Generators chosen greedily in row order: an index is taken when no
+    positive word in the indexes taken before it reaches it from the
+    identities ``units``; a pair that does not compose (-1) adds nothing."""
+    gens, span = [], set(units)
+    for x in range(len(rows)):
+        if x not in span:
+            gens.append(x)
+            # the span is closed under the earlier generators; close it under x
+            frontier = list(span)
+            while frontier:
+                row = rows[frontier.pop()]
+                for s in gens:
+                    z = row[s]
+                    if z >= 0 and z not in span:
+                        span.add(z)
+                        frontier.append(z)
+    return tuple(gens)
+
+
 def _first_failing_triple(items, rows):
     """Raise ValidationError with the first composable ``(a, b, c)``, in
     product order, where (a b) c differs from a (b c); return if none."""
@@ -139,29 +162,31 @@ def _first_failing_triple(items, rows):
             raise ValidationError("associativity fails", witness=(items[a], items[b], items[c]))
 
 
-def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
+def _checked_view(items, index, rows, units, src, tgt, no_inverse):
     """The IndexView of a read table whose identities ``units`` (indexes,
     one per object) obey the unit laws, once associativity and inverses
     are checked; a failure raises ValidationError with its witness.
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
-    Theory of Semigroups* I, 1961): (x s) y = x (s y) for every s in
-    ``gens`` and all x, y composable with it.  The arrows s passing it are
-    closed under composition, and identities pass by the unit laws.
-    ``gens`` comes from ``greedy_generators``, which spans by composing
-    identities with generators on the right, so every arrow is a composite
-    of passing arrows and passes, which is associativity.  Each (x, s)
-    pair compares the row of x s with the row of x read through the row of
-    s, O(n^2 |S|) in all instead of O(n^3); a -1 in the row of s reads the
-    -1 appended to the row of x, as the row of x s has -1 there too.  When
-    the test fails, ``_first_failing_triple`` finds the witness.
+    Theory of Semigroups* I, 1961): (x s) y = x (s y) for every s in the
+    generators and all x, y composable with it.  The arrows s passing it
+    are closed under composition, and identities pass by the unit laws.
+    The generators, ``_generators`` of the rows and kept as the view's
+    ``gens``, span by composing identities with generators on the right,
+    so every arrow is a composite of passing arrows and passes, which is
+    associativity.  Each (x, s) pair compares the row of x s with the row
+    of x read through the row of s, O(n^2 |S|) in all instead of O(n^3); a
+    -1 in the row of s reads the -1 appended to the row of x, as the row of
+    x s has -1 there too.  When the test fails, ``_first_failing_triple``
+    finds the witness.
 
     In an associative table an arrow a with a two-sided inverse b has no
     other right inverse c, as c = (b a) c = b (a c) = b, so the first right
     inverse is checked on the other side; an arrow failing raises
     ``no_inverse``.
     """
-    for k in map(index.__getitem__, gens):
+    gens = _generators(rows, units)
+    for k in gens:
         start, through = src[k], itemgetter(*rows[k])
         if any(rows[row[k]] != through(row + (-1,)) for row, y in zip(rows, tgt) if y == start):
             _first_failing_triple(items, rows)
@@ -172,7 +197,7 @@ def _checked_view(items, index, rows, units, src, tgt, gens, no_inverse):
         if j is None or rows[j][i] != units[tgt[i]]:
             raise ValidationError(no_inverse, witness=items[i])
         inverse.append(j)
-    return IndexView(items, index, rows, tuple(inverse), tuple(units), src, tgt)
+    return IndexView(items, index, rows, tuple(inverse), tuple(units), src, tgt, gens)
 
 
 @dataclass(frozen=True)
@@ -241,9 +266,7 @@ class FiniteGroup:
         for i, a in enumerate(elems):
             if rows[u][i] != i or rows[i][u] != i:
                 raise ValidationError("unit law fails", witness=a)
-        view = _checked_view(
-            elems, index, rows, (u,), ends, ends, generating_set(self), "no two-sided inverse"
-        )
+        view = _checked_view(elems, index, rows, (u,), ends, ends, "no two-sided inverse")
         inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
         given, missing = self.inverse, object()
         if given is not None and given != inverse:
@@ -335,34 +358,9 @@ def subgroup(g, carrier, name=""):
 
 
 def generating_set(g):
-    """A small generating set, chosen greedily in element order."""
-    return greedy_generators(g.elements, (g.unit,), g.table)
-
-
-def greedy_generators(arrows, units, comp):
-    """Generators chosen greedily in ``arrows`` order: an arrow is taken when
-    no positive word in the arrows taken before it reaches it from
-    ``units``.  ``comp[(y, s)]`` is "y then s" for each composable pair, so
-    a group passes its table and a groupoid its composition."""
-    gens = []
-    span = set(units)
-    for x in arrows:
-        if x in span:
-            continue
-        gens.append(x)
-        frontier = list(units)
-        span = set(units)
-        while frontier:
-            y = frontier.pop()
-            for s in gens:
-                # a pair that does not compose stays at y, already spanned
-                z = comp.get((y, s), y)
-                if z not in span:
-                    span.add(z)
-                    frontier.append(z)
-        if len(span) == len(arrows):
-            break
-    return tuple(gens)
+    """The generators kept on the validated group's IndexView, named."""
+    v = g.validate()._view
+    return tuple(map(v.items.__getitem__, v.gens))
 
 
 @dataclass(frozen=True)
@@ -468,8 +466,7 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
         # loop looks for a failing triple, reported before the missing one.
         _first_failing_triple(arrows, rows)
         raise ValidationError("object with no identity arrow", witness=objects[units.index(None)])
-    gens = greedy_generators(arrows, [arrows[e] for e in units], comp)
-    view = _checked_view(arrows, index, rows, units, s, t, gens, "arrow with no inverse")
+    view = _checked_view(arrows, index, rows, units, s, t, "arrow with no inverse")
     id_of = dict(zip(objects, map(arrows.__getitem__, units)))
     inv = dict(zip(arrows, map(arrows.__getitem__, view.inverse)))
     p = FiniteGroupoid(objects, arrows, src, tgt, comp, id_of, inv, name=name)
@@ -501,7 +498,8 @@ def index_view(p):
     for i, j in enumerate(inverse):
         if j is None or src[j] != tgt[i] or tgt[j] != src[i]:
             raise ValidationError("arrow with no inverse", witness=p.arrows[i])
-    return IndexView(p.arrows, index, rows, tuple(inverse), tuple(units), src, tgt)
+    gens = _generators(rows, units)
+    return IndexView(p.arrows, index, rows, tuple(inverse), tuple(units), src, tgt, gens)
 
 
 def interval_groupoid():

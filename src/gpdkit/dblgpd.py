@@ -103,25 +103,33 @@ def make_square(xm, label, top, left, right, bottom):
 def hcompose(xm, s1, s2):
     """Paste ``s2`` onto the right edge of ``s1``."""
     xv = xmod_view(xm)
-    return _named(xv, _h(xv, _indexed(xv, s1), _indexed(xv, s2)))
+    return _named(xv, _h(xv, _indexed(xm, xv, s1), _indexed(xm, xv, s2)))
 
 
 def vcompose(xm, s1, s2):
     """Paste ``s2`` onto the bottom edge of ``s1``."""
     xv = xmod_view(xm)
-    return _named(xv, _v(xv, _indexed(xv, s1), _indexed(xv, s2)))
+    return _named(xv, _v(xv, _indexed(xm, xv, s1), _indexed(xm, xv, s2)))
 
 
 # The integer kernel, on int squares (see the module docstring).
 
 
-def _indexed(xv, s):
-    """The int square of LabeledSquare ``s``."""
+def _indexed(xm, xv, s):
+    """The int square of LabeledSquare ``s``; an edge or a label the module
+    does not hold raises ``make_square``'s ValidationError."""
     b = xv.base
     index = b.index
-    bottom = index[s.bottom]
-    label = xv.fibres[b.tgt[bottom]].index[s.label]
-    return (label, index[s.top], index[s.left], index[s.right], bottom)
+    try:
+        bottom = index[s.bottom]
+        label = xv.fibres[b.tgt[bottom]].index[s.label]
+        return (label, index[s.top], index[s.left], index[s.right], bottom)
+    except KeyError:
+        unknown = [e for e in (s.top, s.left, s.right, s.bottom) if e not in index]
+    if unknown:
+        raise ValidationError("unknown edge", witness=unknown[0])
+    w = xm.p.objects[b.tgt[bottom]]
+    raise ValidationError("label outside the fibre group", witness=(s.label, w))
 
 
 def _named(xv, s):
@@ -314,7 +322,7 @@ def interchange_check(xm, s11, s12, s21, s22):
         s21 s22
     """
     xv = xmod_view(xm)
-    a, b, c, d = (_indexed(xv, s) for s in (s11, s12, s21, s22))
+    a, b, c, d = (_indexed(xm, xv, s) for s in (s11, s12, s21, s22))
     rows = _v(xv, _h(xv, a, b), _h(xv, c, d))
     cols = _h(xv, _v(xv, a, c), _v(xv, b, d))
     return InterchangeReport(
@@ -329,7 +337,7 @@ def compose_array(xm, grid, order="rows"):
     if order not in ("rows", "columns"):
         raise ValidationError("order must be 'rows' or 'columns'", witness=order)
     xv = xmod_view(xm)
-    return _named(xv, _fold(xv, [[_indexed(xv, s) for s in row] for row in grid], order))
+    return _named(xv, _fold(xv, [[_indexed(xm, xv, s) for s in row] for row in grid], order))
 
 
 @dataclass(frozen=True)
@@ -464,7 +472,7 @@ def to_xmod(d, name=""):
     for x in p.objects:
         i = p.id_of[x]
         elems = tuple(s for s in d.by_left_top.get((i, i), ()) if s.bottom == i)
-        ints = [_indexed(xv, s) for s in elems]
+        ints = [_indexed(xm, xv, s) for s in elems]
         get = dict(zip(ints, elems)).get
         table = {}
         for s, u in zip(elems, ints):
@@ -478,7 +486,7 @@ def to_xmod(d, name=""):
         fibres.append((elems, ints, get, dict(zip(ints, range(len(ints)))).get))
     acts = []
     for a in p.arrows:
-        before, after = (_indexed(xv, hidentity(xm, e)) for e in (p.inverse(a), a))
+        before, after = (_indexed(xm, xv, hidentity(xm, e)) for e in (p.inverse(a), a))
         k = after[2]  # the index of a
         elems, ints, _, _ = fibres[b.src[k]]
         _, _, get, position = fibres[b.tgt[k]]
@@ -627,7 +635,10 @@ def commutative_cube_check(group, c):
     xv = xmod_view(xm)
     b = xv.base
     rows, inv = b.rows, b.inverse
-    e = [b.index[getattr(c, name)] for name in CUBE_EDGES]
+    e = [b.index.get(getattr(c, name)) for name in CUBE_EDGES]
+    if None in e:
+        name = CUBE_EDGES[e.index(None)]
+        raise ValidationError("edge value outside the group", witness=(name, getattr(c, name)))
     bad = tuple(
         name
         for name, (left, top, bottom, right) in _LOWER_FACES

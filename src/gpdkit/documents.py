@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import ValidationError, build_groupoid, finite_group, from_group, perm_mul
+from .core import ValidationError, build_groupoid, finite_group, from_group, one_object_group
+from .core import perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
 from .presentations import GroupoidPresentation, Quiver, Word, empty_word, quiver
@@ -566,14 +567,7 @@ def _render_complex(x, indent=""):
 
 def _render_xmod(xm, indent=""):
     pad = indent
-    pg = xm.p
-    mg = xm.m["*"]
-    group = finite_group(
-        pg.arrows,
-        {k: v for k, v in pg.comp.items()},
-        unit=pg.id_of["*"],
-        name=pg.name,
-    )
+    group, mg = one_object_group(xm.p), xm.m["*"]
     lines = []
     if xm.name:
         lines.append(f"{pad}name: {xm.name}")

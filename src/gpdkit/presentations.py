@@ -20,10 +20,11 @@ images)``.
 
 Functors (``enumerate_morphisms``) and group homomorphisms
 (``group_homs``) have their own search on integers, on the IndexViews of
-the source and target: k greedily chosen generating arrows get candidate
-images, and a breadth-first tree from the identities and its off-tree
-pairs, each staged at the last generator its words use, extend and check
-each assignment by one row lookup per arrow or pair.  A search into a
+the source and target: the k generating arrows the source's view keeps,
+chosen greedily when its table was read, get candidate images, and a
+breadth-first tree from the identities and its off-tree pairs, each
+staged at the last generator its words use, extend and check each
+assignment by one row lookup per arrow or pair.  A search into a
 group H examines |H|^k candidates.  Both searches refuse past the guard
 with ``SizeGuardExceeded`` and "presentation morphism search needs more
 than {guard} candidates".
@@ -44,7 +45,6 @@ from .core import (
     SizeGuardExceeded,
     ValidationError,
     from_group,
-    greedy_generators,
     index_view,
     skeleton_components,
 )
@@ -424,21 +424,19 @@ def _grow(prefixes, cands, rels, vimg, t):
     return filter(holds, grown)
 
 
-def _arrow_tree(v, comp):
+def _arrow_tree(v):
     """``(generators, steps, pairs)``: the breadth-first tree on the
-    IndexView ``v`` of a finite groupoid whose table is ``comp``, as indexes.
+    IndexView ``v`` of a finite groupoid, as indexes.
 
-    The generators are ``greedy_generators`` of ``v.items`` from the
-    identities.  From the identities, each reached arrow y is composed with
-    every generator s_k in order; an arrow z = y s_k reached first joins
-    the tree with the word w_z = w_y s_k as the step ``(stage, z, y, k)``,
-    and any other composable pair is the relation w_y s_k = w_z, the pair
-    ``(stage, y, k, z)``.  Both come in the order reached, each staged at
-    the last generator position its words use.
+    The generators are the view's ``gens``, chosen greedily in arrow order
+    when the table was read.  From the identities, each reached arrow y is
+    composed with every generator s_k in order; an arrow z = y s_k reached
+    first joins the tree with the word w_z = w_y s_k as the step
+    ``(stage, z, y, k)``, and any other composable pair is the relation
+    w_y s_k = w_z, the pair ``(stage, y, k, z)``.  Both come in the order
+    reached, each staged at the last generator position its words use.
     """
-    rows = v.rows
-    gens = greedy_generators(v.items, [v.items[u] for u in v.units], comp)
-    gens = [v.index[s] for s in gens]
+    rows, gens = v.rows, v.gens
     stage = dict.fromkeys(v.units, -1)  # the identities' words are empty
     steps, pairs = [], []
     frontier = deque(v.units)
@@ -462,7 +460,7 @@ def _functor_rows(gv, tree, hv, guard):
     """Every functor between the groupoids read into IndexViews ``gv`` and
     ``hv``, as ``(object images, arrow images)`` of ``hv`` indexes aligned
     with ``gv.units`` and ``gv.items``, object maps in ``product`` order and
-    arrow images in lexicographic order; ``tree`` is ``_arrow_tree(gv, ...)``.
+    arrow images in lexicographic order; ``tree`` is ``_arrow_tree(gv)``.
 
     ``_vertex_plans`` gives each generator its candidates (the arrows
     between the images of its ends) and counts the guard, as for
@@ -515,8 +513,8 @@ def _functor_rows(gv, tree, hv, guard):
 def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
     """All functors ``g -> h`` in canonical (object map, arrow images) order.
 
-    ``_functor_rows`` assigns images to the greedy generators of ``g`` on
-    the IndexViews of ``g`` and ``h`` (``index_view`` raises
+    ``_functor_rows`` assigns images to the generators kept on ``g``'s
+    IndexView, read with ``h``'s by ``index_view`` (which raises
     ValidationError on a table it cannot index), so the guard counts those
     assignments.  The generators are chosen greedily in arrow order, so
     every arrow listed before the k-th generator is a word in the earlier
@@ -525,7 +523,7 @@ def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
     keyed by the identities, then the tree arrows as reached.
     """
     gv, hv = index_view(g), index_view(h)
-    _, steps, _ = tree = _arrow_tree(gv, g.comp)
+    _, steps, _ = tree = _arrow_tree(gv)
     order = [*gv.units, *(z for _, z, _, _ in steps)]
     keys = [gv.items[a] for a in order]
     at, objects, arrows = _gather(order), h.objects, h.arrows
@@ -542,7 +540,7 @@ def _hom_rows(g, h, guard=DEFAULT_SIZE_GUARD):
     """``group_homs`` as rows of ``h`` indexes, for the callers that read
     the images on ``h``'s IndexView."""
     gv, hv = g.validate()._view, h.validate()._view
-    return [img for _, img in _functor_rows(gv, _arrow_tree(gv, g.table), hv, guard)]
+    return [img for _, img in _functor_rows(gv, _arrow_tree(gv), hv, guard)]
 
 
 def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
@@ -550,9 +548,9 @@ def group_homs(g, h, guard=DEFAULT_SIZE_GUARD):
     ``g.elements``, in lexicographic order of the tuples (an image ranks by
     its position in ``h.elements``): the functors between the one-object
     groupoids, found by ``_functor_rows`` on the groups' IndexViews, each
-    row named once.  The generators of ``g`` are ``generating_set(g)``, so
-    the guard counts |h|^|generators| candidates.  Both groups are
-    validated first."""
+    row named once.  The generators of ``g`` are its view's ``gens``
+    (``generating_set(g)`` names them), so the guard counts
+    |h|^|generators| candidates.  Both groups are validated first."""
     names = h.elements
     return tuple(tuple(map(names.__getitem__, img)) for img in _hom_rows(g, h, guard))
 

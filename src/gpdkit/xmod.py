@@ -50,8 +50,6 @@ from .core import (
     cyclic_group,
     finite_group,
     from_group,
-    generating_set,
-    greedy_generators,
     index_view,
     perm_parity,
     subgroup,
@@ -169,8 +167,9 @@ def check_axioms(xm):
 
     When ``xm.p`` is lawful, the three laws that quantify over base
     arrows are first checked for b (``action-compose``) or a
-    (``action-hom``, ``boundary-equivariance``) in S only, where S is
-    ``greedy_generators`` of the arrows from the identities.  Every arrow
+    (``action-hom``, ``boundary-equivariance``) in S only, where S is the
+    generating set kept on the base's IndexView, chosen greedily in arrow
+    order from the identities when its table was read.  Every arrow
     is then a positive word ``id_x s1 ... sk`` in S, and each law extends
     to all arrows by induction on the last letter s, using associativity,
     the unit laws and inverses in P, which the mark guarantees, and the
@@ -198,8 +197,7 @@ def check_axioms(xm):
     """
     p = xm.p
     if p._view is not None:
-        units = tuple(p.id_of[x] for x in p.objects)
-        report = _check_laws(xm, greedy_generators(p.arrows, units, p.comp))
+        report = _check_laws(xm, [p.arrows[k] for k in p._view.gens])
         if report:
             return report
     return _check_laws(xm, p.arrows)
@@ -363,15 +361,15 @@ def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
     """All automorphisms of a finite group, encoded as image tuples aligned
     with ``g.elements``; composition is "apply left, then right".  They are
     the bijective ``group_homs(g, g, guard)``, read as rows of indexes of
-    ``g``'s IndexView.  An automorphism is fixed by its images of
-    ``generating_set(g)``, so each product is composed there, on those
-    indexes, and looked up among the automorphisms instead of being rebuilt
-    element by element."""
+    ``g``'s IndexView.  An automorphism is fixed by its images of the
+    generators that view keeps, so each product is composed there and
+    looked up among the automorphisms instead of being rebuilt element by
+    element."""
     v = g.validate()._view
     n = len(v.items)
     images = [a for a in _hom_rows(g, g, guard) if len(set(a)) == n]
     autos = [tuple(map(v.items.__getitem__, a)) for a in images]
-    at_gens = _gather([v.index[s] for s in generating_set(g)])
+    at_gens = _gather(v.gens)
     by_gens = {at_gens(a): x for a, x in zip(images, autos)}
     table = {}
     for x, a in zip(autos, images):

@@ -16,6 +16,8 @@ from gpdkit.core import (
     symmetric_group,
 )
 from gpdkit.dblgpd import (
+    CUBE_EDGES,
+    Cube,
     commutative_cube_check,
     compose_array,
     connection_neg,
@@ -254,6 +256,29 @@ def test_mismatched_squares_raise():
         vcompose(xm, s1, videntity(xm, 1))
 
 
+FOREIGN_SQUARES = {"unknown edge": {"top": 9}, "unknown label": {"label": 7}}
+PASTINGS = {
+    "hcompose": lambda xm, s, bad: hcompose(xm, bad, s),
+    "vcompose": lambda xm, s, bad: vcompose(xm, s, bad),
+    "interchange_check": lambda xm, s, bad: interchange_check(xm, s, s, s, bad),
+    "compose_array": lambda xm, s, bad: compose_array(xm, [[s, bad]]),
+}
+
+
+@pytest.mark.parametrize("paste", PASTINGS)
+@pytest.mark.parametrize("foreign", FOREIGN_SQUARES)
+def test_a_square_the_module_does_not_hold_is_named_as_make_square_names_it(paste, foreign):
+    xm = bundled_xmods()["c2"]
+    s = from_xmod(xm).squares[0]
+    bad = s._replace(**FOREIGN_SQUARES[foreign])
+    with pytest.raises(ValidationError) as want:
+        make_square(xm, *bad)
+    with pytest.raises(ValidationError) as got:
+        PASTINGS[paste](xm, s, bad)
+    assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+    assert str(got.value) in ("unknown edge", "label outside the fibre group")
+
+
 def test_round_trip_recovers_the_crossed_module():
     for name in ("c2", "a3s3", "c4c2", "ts3"):
         xm = bundled_xmods()[name]
@@ -414,6 +439,28 @@ def test_cube_constructor_checks_edges():
     kwargs["top_back"] = 99
     with pytest.raises(ValidationError):
         cube(group, **kwargs)
+
+
+CUBE_CHECKS = {
+    "commutative_cube_check": lambda group, c, bad: commutative_cube_check(group, bad),
+    "cube_compose_check first": lambda group, c, bad: cube_compose_check(group, bad, c, "v"),
+    "cube_compose_check second": lambda group, c, bad: cube_compose_check(group, c, bad, "v"),
+}
+
+
+@pytest.mark.parametrize("check", CUBE_CHECKS)
+@pytest.mark.parametrize("raw", [False, True], ids=["perturbed", "raw"])
+def test_a_cube_edge_outside_the_group_is_named_as_cube_names_it(check, raw):
+    group = cyclic_group(5)
+    c = random_commutative_cube(group, random.Random(11))
+    if raw:
+        bad = Cube(**{**{e: getattr(c, e) for e in CUBE_EDGES}, "top_back": "zz"})
+    else:
+        bad = perturb_cube(c, "top_back", "zz")
+    with pytest.raises(ValidationError) as got:
+        CUBE_CHECKS[check](group, c, bad)
+    assert str(got.value) == "edge value outside the group"
+    assert got.value.witness == ("top_back", "zz")
 
 
 def test_unit_collapse_on_identity_edge_squares():

@@ -35,7 +35,6 @@ from gpdkit.core import (
     finite_group,
     from_group,
     generating_set,
-    greedy_generators,
     index_view,
     interval_groupoid,
     symmetric_group,
@@ -66,6 +65,7 @@ from test_presentations import (
     two_arc_circle_span,
     wedge_span,
 )
+from test_validate import greedy_generators
 
 # ----------------------------------------------------------------- oracles
 
@@ -515,7 +515,7 @@ def _tree(g):
     """``_arrow_tree`` of ``g`` named: its generators and, in the order
     reached, its tree arrows."""
     v = index_view(g)
-    gens, steps, _ = _arrow_tree(v, g.comp)
+    gens, steps, _ = _arrow_tree(v)
     return tuple(v.items[s] for s in gens), [v.items[z] for _, z, _, _ in steps]
 
 
@@ -550,7 +550,7 @@ def test_the_index_tree_is_the_old_breadth_first_walk(name):
     position its words use."""
     g = TREES[name]
     v = index_view(g)
-    gens, steps, pairs = _arrow_tree(v, g.comp)
+    gens, steps, pairs = _arrow_tree(v)
     p, tree = old_arrow_presentation(g)
     edges = p.quiver.edges
     assert tuple(v.items[s] for s in gens) == edges

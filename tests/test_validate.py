@@ -15,6 +15,10 @@ naming an unknown arrow makes the old groupoid body raise KeyError.
 are the former bodies of the permutation-group constructors, which
 filtered all n^n tuples and closed A_n inside a validated S_n, and of
 ``subgroup``, which multiplied every pair twice by name.
+
+``greedy_generators`` is the former ``core`` chooser of generators, kept
+verbatim: it reads the table by name, where the library chooses on the
+integer rows as it reads them and keeps the choice as ``IndexView.gens``.
 """
 
 from dataclasses import fields, replace
@@ -36,7 +40,6 @@ from gpdkit.core import (
     disjoint_union,
     finite_group,
     from_group,
-    generating_set,
     index_view,
     interval_groupoid,
     perm_parity,
@@ -82,6 +85,32 @@ def _old_validate(self):
         ):
             raise ValidationError("no two-sided inverse", witness=a)
     return self
+
+
+def greedy_generators(arrows, units, comp):
+    """Generators chosen greedily in ``arrows`` order: an arrow is taken when
+    no positive word in the arrows taken before it reaches it from
+    ``units``.  ``comp[(y, s)]`` is "y then s" for each composable pair, so
+    a group passes its table and a groupoid its composition."""
+    gens = []
+    span = set(units)
+    for x in arrows:
+        if x in span:
+            continue
+        gens.append(x)
+        frontier = list(units)
+        span = set(units)
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                # a pair that does not compose stays at y, already spanned
+                z = comp.get((y, s), y)
+                if z not in span:
+                    span.add(z)
+                    frontier.append(z)
+        if len(span) == len(arrows):
+            break
+    return tuple(gens)
 
 
 def _outcome(check, g):
@@ -195,7 +224,7 @@ def test_a_failure_only_the_second_generator_sees_is_found():
     s3 = BASES["s3"]
     r, rr, b = (1, 2, 0), (2, 0, 1), (2, 1, 0)
     broken = _raw(s3, {**s3.table, (r, b): r, (b, rr): r})
-    first, second = generating_set(broken)
+    first, second = greedy_generators(broken.elements, (broken.unit,), broken.table)
     for x, y in product(s3.elements, repeat=2):
         assert broken.mul(broken.mul(x, first), y) == broken.mul(x, broken.mul(first, y))
     expected = ("associativity fails", (first, second, b))
@@ -487,28 +516,28 @@ CONSTRUCTORS = {
 
 
 @pytest.fixture
-def generating_set_calls(monkeypatch):
-    """Record each group whose associativity ``validate`` checks."""
+def chooser_calls(monkeypatch):
+    """Record the rows of each table whose associativity ``validate`` checks."""
     calls = []
-    real = core.generating_set
+    real = core._generators
 
-    def spy(g):
-        calls.append(g)
-        return real(g)
+    def spy(rows, units):
+        calls.append(rows)
+        return real(rows, units)
 
-    monkeypatch.setattr(core, "generating_set", spy)
+    monkeypatch.setattr(core, "_generators", spy)
     return calls
 
 
 @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
-def test_every_constructor_returns_a_validated_group(make, generating_set_calls):
+def test_every_constructor_returns_a_validated_group(make, chooser_calls):
     g = make()
-    generating_set_calls.clear()
+    chooser_calls.clear()
     assert g.validate() is g
-    assert generating_set_calls == []
+    assert chooser_calls == []
     # A raw copy of the same table carries no mark and is checked.
     _raw(g).validate()
-    assert len(generating_set_calls) == 1
+    assert len(chooser_calls) == 1
 
 
 def _broken_c3():
