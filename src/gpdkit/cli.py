@@ -230,7 +230,7 @@ def _finish(args, ok, counts=None, witnesses=(), data=None, lines=()):
 
 def cmd_pi1(args):
     x = _load(args, args.complex_file, "complex")
-    base = _csv(args.base)
+    base = tuple(dict.fromkeys(_csv(args.base)))  # a repeated point counts once
     pres = fundamental_groupoid(x, base)
     counts = {
         "base_points": len(pres.quiver.vertices),
@@ -250,6 +250,8 @@ def cmd_pi1(args):
         }
     }
     if args.vertex is not None:
+        if args.vertex in x.vertices and args.vertex not in base:
+            raise ValidationError("vertex is not a base point", witness=args.vertex)
         gp = vertex_group_presentation(pres, args.vertex)
         counts["vertex_generators"] = len(gp.generators)
         counts["vertex_relators"] = len(gp.relators)

@@ -299,7 +299,7 @@ def _word_of(tokens, q, line, at=None):
         raise ParseError("word does not chain: empty word needs a vertex", line)
     if not chained:
         raise ParseError("word does not chain: letters do not chain", line)
-    return Word(src=src, tgt=tgt, letters=tuple(letters))
+    return Word(src, tgt, tuple(letters))
 
 
 def _presentation_of(node):

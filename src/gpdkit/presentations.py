@@ -1,9 +1,13 @@
 """Groupoid presentations: quivers, words, relations, and pushouts.
 
 A word is a composable chain of signed edges of a quiver, read left to
-right.  Relations are coterminal pairs of words.  Free reduction (cancel
-adjacent ``e e^-1`` pairs) computes the unique normal form in the free
-groupoid on a quiver.
+right.  A ``Word`` is the slotted tuple ``(src, tgt, letters)``, built
+positionally on the hot paths; its ``repr``, ``str`` and ``hash`` are
+those of the frozen dataclass it once was, but it equals the plain
+3-tuple of its fields and unpacks and orders like a tuple.  Relations
+are coterminal pairs of words.  Free reduction (cancel adjacent
+``e e^-1`` pairs) computes the unique normal form in the free groupoid
+on a quiver.
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
@@ -32,7 +36,7 @@ than {guard} candidates".
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, _tuplegetter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby, product, repeat
@@ -95,14 +99,33 @@ def quiver(vertices, edges):
     return Quiver(vertices=vertices, edges=ids, esrc=esrc, etgt=etgt).validate()
 
 
-@dataclass(frozen=True)
-class Word:
-    """A composable chain of signed edges; ``letters`` is a tuple of
-    ``(edge, +1|-1)`` pairs.  The empty word carries its base vertex."""
+class Word(tuple):
+    """A composable chain of signed edges, the tuple ``(src, tgt,
+    letters)``; ``letters`` is a tuple of ``(edge, +1|-1)`` pairs.  The
+    empty word carries its base vertex.
 
-    src: object
-    tgt: object
-    letters: tuple
+    A Word is an immutable, slotted tuple.  Its ``repr``, ``str`` and
+    ``hash`` are those of the frozen dataclass it once was, and ``len``
+    counts its letters.  As a tuple it unpacks, indexes and orders as
+    ``(src, tgt, letters)``, and it equals the plain 3-tuple, and any
+    instance of a subclass, with the same fields."""
+
+    __slots__ = ()
+
+    # The C field readers ``collections.namedtuple`` uses.
+    src = _tuplegetter(0, "The vertex the word starts at.")
+    tgt = _tuplegetter(1, "The vertex the word ends at.")
+    letters = _tuplegetter(2, "The ``(edge, sign)`` letters, in order.")
+
+    def __new__(cls, src, tgt, letters):
+        return tuple.__new__(cls, (src, tgt, letters))
+
+    def __getnewargs__(self):  # for ``copy`` and ``pickle``
+        return tuple(self)
+
+    def __repr__(self):
+        src, tgt, letters = self
+        return f"{type(self).__qualname__}(src={src!r}, tgt={tgt!r}, letters={letters!r})"
 
     def __len__(self):
         return len(self.letters)
@@ -111,22 +134,18 @@ class Word:
         return not self.letters
 
     def inverse(self):
-        return Word(
-            src=self.tgt,
-            tgt=self.src,
-            letters=tuple((e, -s) for e, s in reversed(self.letters)),
-        )
+        return Word(self.tgt, self.src, tuple((e, -s) for e, s in reversed(self.letters)))
 
     def concat(self, other):
         if self.tgt != other.src:
             raise ValidationError(
                 "words do not concatenate", witness=(self.tgt, other.src)
             )
-        return Word(src=self.src, tgt=other.tgt, letters=self.letters + other.letters)
+        return Word(self.src, other.tgt, self.letters + other.letters)
 
 
 def empty_word(v):
-    return Word(src=v, tgt=v, letters=())
+    return Word(v, v, ())
 
 
 _ANY = object()  # ``_chain`` start: wherever the first letter starts
@@ -184,7 +203,7 @@ def word(q, letters, at=None):
         if not _is_vertex(q, at):
             raise ValidationError("empty word needs a vertex", witness=at)
         return empty_word(at)
-    return Word(src=src, tgt=tgt, letters=tuple(normal))
+    return Word(src, tgt, tuple(normal))
 
 
 def _check_word(q, w, message, witness):
@@ -208,7 +227,7 @@ def _check_word(q, w, message, witness):
 
 def free_reduce(w):
     """Unique normal form: cancel adjacent ``(e,s)(e,-s)`` pairs."""
-    return Word(src=w.src, tgt=w.tgt, letters=_retracted(w.letters, ()))
+    return Word(w.src, w.tgt, _retracted(w.letters, ()))
 
 
 def _retracted(letters, dropped):
@@ -349,8 +368,9 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     The guard counts the whole product space of edge candidates.  The
     edges, in order, are cut into segments that end where some relation's
     last edge is assigned; each segment extends the prefixes by one
-    ``product`` over its edges' candidate arrows, and the relations ending
-    there are checked at once.
+    ``product`` over its edges' candidate arrows (the first segment's
+    tuples are kept as they come), and the relations ending there are
+    checked at once.
 
     This is the reader for presentations (the pushout and ``vkt`` paths).
     It shares only the vertex maps and the guard count, ``_vertex_plans``,
@@ -373,7 +393,7 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
     blocks = []
     for vimg, cands in plans:
-        eimgs = [()]
+        eimgs = None
         for lo, hi, rels in segments:
             eimgs = _grow(eimgs, cands[lo:hi], rels, vimg, t)
         eimgs = list(eimgs)
@@ -410,8 +430,14 @@ def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
 def _grow(prefixes, cands, rels, vimg, t):
     """Extend each edge-image prefix by every choice from ``cands``, lazily
     and in order, keeping the extensions on which the relations ``rels``
-    hold."""
-    grown = chain.from_iterable(map(add, repeat(pre), product(*cands)) for pre in prefixes)
+    hold.  ``prefixes`` None is the first segment: ``product``'s tuples
+    are the extensions of the empty prefix as they come."""
+    if prefixes is None:
+        grown = product(*cands)
+    else:
+        grown = chain.from_iterable(
+            map(add, repeat(pre), product(*cands)) for pre in prefixes
+        )
     if not rels:
         return grown
 
@@ -618,11 +644,7 @@ class PushoutSquare:
 
 
 def _rename_word(w, vname, ename):
-    return Word(
-        src=vname[w.src],
-        tgt=vname[w.tgt],
-        letters=tuple((ename[e], s) for e, s in w.letters),
-    )
+    return Word(vname[w.src], vname[w.tgt], tuple((ename[e], s) for e, s in w.letters))
 
 
 def pushout(f, g):
@@ -958,7 +980,7 @@ def _bounded_rewrite_search(p, start, goal, max_steps, max_length):
         w, depth = queue.popleft()
         steps += 1
         for letters in _rewrites(q, w, sides):
-            nw = free_reduce(Word(src=w.src, tgt=w.tgt, letters=letters))
+            nw = free_reduce(Word(w.src, w.tgt, letters))
             if nw == goal:
                 return depth + 1
             if len(nw.letters) <= max_length and nw not in seen:

@@ -255,23 +255,17 @@ class ForestRetraction:
     def apply(self, w):
         """The free reduction of ``w`` with its tree letters dropped, on the
         roots of its ends."""
-        return Word(
-            src=self.root_of[w.src],
-            tgt=self.root_of[w.tgt],
-            letters=_retracted(w.letters, self.tree_edges),
-        )
+        root_of = self.root_of
+        return Word(root_of[w.src], root_of[w.tgt], _retracted(w.letters, self.tree_edges))
 
     def carrier_word(self, e):
         """The loop-free word over the complex's edges that a generator
         stands for: tree path in, the edge, tree path back."""
         q = self.source_quiver
-        into = Word(
-            src=self.root_of[q.esrc[e]], tgt=q.esrc[e], letters=self.paths[q.esrc[e]]
-        )
-        back = Word(
-            src=self.root_of[q.etgt[e]], tgt=q.etgt[e], letters=self.paths[q.etgt[e]]
-        )
-        middle = Word(src=q.esrc[e], tgt=q.etgt[e], letters=((e, 1),))
+        s, t = q.esrc[e], q.etgt[e]
+        into = Word(self.root_of[s], s, self.paths[s])
+        back = Word(self.root_of[t], t, self.paths[t])
+        middle = Word(s, t, ((e, 1),))
         return into.concat(middle).concat(back.inverse())
 
 
@@ -287,7 +281,7 @@ def _fundamental(x, base):
     of its ends in ``pq``.  Free reduction cancels adjacent inverse letters
     and keeps that chaining.  The retracted word therefore runs from the
     root of the boundary's base point back to it, and the empty word there
-    is the coterminal other side.
+    is the coterminal other side, one shared word per base point.
     """
     x.validate()
     base = tuple(dict.fromkeys(base))
@@ -316,10 +310,11 @@ def _fundamental(x, base):
         root_of=root_of,
         tree_edges=frozenset(tree_edges),
     )
+    empty = {r: empty_word(r) for r in retraction.roots}
     relations = []
     for f in x.faces:
         w = retraction.apply(x.fboundary[f])
-        relations.append((w, empty_word(w.src)))
+        relations.append((w, empty[w.src]))
     return GroupoidPresentation(quiver=pq, relations=tuple(relations)), retraction
 
 

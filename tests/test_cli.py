@@ -113,6 +113,31 @@ def test_pi1_reports_free_loop_counts(capsys):
     assert "generators: 2" in out
 
 
+def test_pi1_prints_a_repeated_base_point_once(capsys):
+    assert main(["pi1", _p("circle.cx"), "--base", "0,0,1,0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["fundamental groupoid on base {0, 1}:", "  base points: 2"]
+    report = json.loads(_report(["pi1", _p("circle.cx"), "--base", "0,0"]))
+    assert report["counts"]["base_points"] == 1
+    assert report["arguments"]["base"] == "0,0"
+
+
+@pytest.mark.parametrize(
+    "vertex, message",
+    [("1", "vertex is not a base point"), ("zz", "no such vertex")],
+)
+def test_pi1_vertex_outside_the_base_is_named_apart_from_an_unknown_one(
+    vertex, message, capsys
+):
+    argv = ["pi1", _p("circle.cx"), "--base", "0", "--vertex", vertex]
+    report, err = _machine_error(capsys, argv, 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert report["witnesses"] == [message, f"witness: {vertex!r}"]
+    assert err == [f"error: {message}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_vkt_single_base_point_names_missed_component(capsys):
     code = main(["vkt", _p("circle.cov"), "--base", "0"])
     err = capsys.readouterr().err

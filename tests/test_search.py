@@ -6,7 +6,10 @@ verbatim as ``enumerate_pres_morphisms_oracle``, with the helpers it and
 its callers used: ``PresMap``, ``eval_word``, ``presmap_key``,
 ``compose_presmap`` and ``_restriction_key``.  The original
 ``enumerate_group_morphisms`` body is kept as
-``enumerate_group_morphisms_oracle``.
+``enumerate_group_morphisms_oracle``.  The segment step ``_grow`` as it
+was, when every segment, the first too, added each of ``product``'s tuples
+to a prefix (the first segment's prefix being ``()``), is kept as
+``grow_oracle``.
 
 The library's search yields blocks ``(vertex images, [edge images])``.
 Read out key by key they must be the oracle's ``presmap_key`` list in the
@@ -19,14 +22,16 @@ gives.
 """
 
 from dataclasses import dataclass, replace
-from itertools import groupby, product
+from itertools import chain, groupby, product, repeat
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpdkit.presentations as presentations_module
 from gpdkit.cli import _name_inclusion
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
@@ -41,6 +46,7 @@ from gpdkit.documents import load_document
 from gpdkit.presentations import (
     GroupPresentation,
     PresentationMorphism,
+    _evaluate,
     _morphism_blocks,
     _restriction,
     empty_word,
@@ -169,6 +175,33 @@ def enumerate_group_morphisms_oracle(gp, group, guard=DEFAULT_SIZE_GUARD):
         if good:
             found.append(amap)
     return found
+
+
+def grow_oracle(prefixes, cands, rels, vimg, t):
+    """Extend each edge-image prefix by every choice from ``cands``, lazily
+    and in order, keeping the extensions on which the relations ``rels``
+    hold."""
+    grown = chain.from_iterable(map(add, repeat(pre), product(*cands)) for pre in prefixes)
+    if not rels:
+        return grown
+
+    def holds(eimg):
+        for lhs, rhs in rels:
+            if _evaluate(lhs, vimg, eimg, t) != _evaluate(rhs, vimg, eimg, t):
+                return False
+        return True
+
+    return filter(holds, grown)
+
+
+def _blocks_with_grow_oracle(p, t):
+    """``_morphism_blocks`` with every segment, the first from the prefix
+    ``()``, grown by ``grow_oracle``: the block lists as they were."""
+    def grow(prefixes, *rest):
+        return grow_oracle([()] if prefixes is None else prefixes, *rest)
+
+    with mock.patch.object(presentations_module, "_grow", grow):
+        return _morphism_blocks(p, t)
 
 
 # ----------------------------------------------------------------- helpers
@@ -408,6 +441,56 @@ def test_blocks_are_the_runs_of_equal_vertex_images(p, tname):
         for vimg, run in groupby(_oracle_keys(p, t), itemgetter(0))
     ]
     assert _morphism_blocks(p, t) == runs
+
+
+# ------------------------------------------------------ the first segment
+
+
+def _bouquet_and_wedge_squares():
+    """The vkt squares of the ``pushout-search`` shapes: bouquets of 2 to 5
+    loops at one vertex, covered by a first run of loops and the rest, and
+    wedges of two circles, each an arc pair, glued at one vertex."""
+    squares = []
+    for a, b in [(1, 1), (1, 2), (2, 2), (2, 3), (1, 4)]:
+        loops = [f"e{i}" for i in range(a + b)]
+        x = complex2(("*",), [(e, "*", "*") for e in loops])
+        squares.append(vkt_square(cover(x, loops[:a], loops[a:]), ("*",), targets={}))
+    wedge = complex2(
+        (0, 1, 2), [("a", 0, 1), ("b", 1, 0), ("c", 0, 2), ("d", 2, 0)]
+    )
+    squares.append(vkt_square(cover(wedge, ["a", "b"], ["c", "d"]), (0,), targets={}))
+    return squares
+
+
+def test_bouquet_and_wedge_blocks_are_the_old_blocks():
+    for res in _bouquet_and_wedge_squares():
+        for p in _square_presentations(res.square) + (res.direct,):
+            for t in battery().values():
+                got = _morphism_blocks(p, t)
+                assert got == _blocks_with_grow_oracle(p, t)
+                assert all(type(e) is tuple for _, eimgs in got for e in eimgs)
+
+
+def test_data_and_bundled_blocks_are_the_old_blocks():
+    presented = [
+        load_document(DATA / f"wedge-{x}.pres").payload for x in ("u", "v", "w")
+    ]
+    presented += _square_presentations(_data_pushout())
+    for square in _bundled_squares():
+        presented += _square_presentations(square)
+    for res in _vkt_results():
+        presented += (*_square_presentations(res.square), res.direct)
+    assert any(p.relations for p in presented)
+    for p in presented:
+        for t in battery().values():
+            assert _morphism_blocks(p, t) == _blocks_with_grow_oracle(p, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.sampled_from(sorted(TARGETS)))
+def test_random_blocks_are_the_old_blocks(p, tname):
+    t = TARGETS[tname]
+    assert _morphism_blocks(p, t) == _blocks_with_grow_oracle(p, t)
 
 
 # ------------------------------------------------------------------- guard
