@@ -16,24 +16,25 @@ Conventions that hold across the whole package:
 - Groups and groupoids share one validator, a group being the one-object
   case: the table is read into integer rows once, and associativity is
   checked with Light's test at O(n^2 |S|) instead of O(n^3); a table that
-  fails still reports the first failing triple in product order.  Groups
-  are validated once, when ``finite_group`` builds them; every constructor
-  goes through it.
-- Validation keeps an ``IndexView`` in ``_view``, the table read into
-  integer rows with inverses, identities, endpoints and the generators
-  that ``_generators`` chose (for Light's test, ``xmod.check_axioms`` and
-  the functor search) as indexes.  It is the one lawfulness mark: a group
-  or groupoid is lawful exactly when its ``_view`` is set.  ``validate``
-  returns at once on such a group, and ``build_groupoid``, ``from_group``
-  (which shares ``g``'s view and, with the default object and name, is
-  kept on ``g``) and ``disjoint_union`` set it; raw construction and
-  ``dataclasses.replace`` start without it.  The hot readers
+  fails still reports the first failing triple in product order.
+- Validated on first read, then kept: the table of a group or groupoid is
+  read once into an ``IndexView``, integer rows with inverses, identities,
+  endpoints and the generators that ``_generators`` chose (for Light's
+  test, ``xmod.check_axioms`` and the functor search) as indexes, kept in
+  ``_view``.  ``FiniteGroup.validate`` (which ``finite_group`` and
+  every group constructor call) and ``index_view`` (for groupoids) check
+  every law on the first read and keep the view; ``build_groupoid`` and
+  ``from_group`` (which shares ``g``'s view) keep it at once.  So every
+  kept view is lawful, and a value built raw or by ``dataclasses.replace``
+  is checked when it is first read.  The hot readers
   (``dblgpd.from_xmod``, ``xmod.automorphism_group``) compose through it,
   and ``xmod``'s laws, maps and ``dblgpd``'s squares run on the
   ``xmod.XModView`` built on top of these.
-- A group's inverses are its table's: ``validate`` stores them, and
-  rejects a given ``inverse`` map that contradicts them with the first
-  element whose entry differs as witness.
+- Inverses and identities are the table's: ``validate`` stores a group's,
+  and rejects a given ``inverse`` map that contradicts them, and
+  ``index_view`` rejects a groupoid's ``id_of`` or ``inv`` that does,
+  each with the first element, object or arrow whose entry differs as
+  witness.
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
@@ -220,10 +221,8 @@ class FiniteGroup:
     # reader.  ``init=False`` keeps raw construction and
     # ``dataclasses.replace`` from inheriting it.
     _view: IndexView = field(default=None, init=False, compare=False, repr=False)
-    # ``from_group(self)`` with the default object and name, built on first
-    # use; ``init=False`` again keeps copies from sharing it.
-    _groupoid: object = field(default=None, init=False, compare=False, repr=False)
-    # ``xmod.trivial_xmod(self)`` with the default name, kept the same way.
+    # ``xmod.trivial_xmod(self)`` with the default name, built on first use;
+    # ``init=False`` again keeps copies from sharing it.
     _trivial: object = field(default=None, init=False, compare=False, repr=False)
 
     def mul(self, a, b):
@@ -268,11 +267,8 @@ class FiniteGroup:
                 raise ValidationError("unit law fails", witness=a)
         view = _checked_view(elems, index, rows, (u,), ends, ends, "no two-sided inverse")
         inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
-        given, missing = self.inverse, object()
-        if given is not None and given != inverse:
-            keys = (*elems, *given)
-            bad = next(a for a in keys if given.get(a, missing) != inverse.get(a, missing))
-            raise ValidationError("inverse map contradicts the table", witness=bad)
+        if self.inverse is not None:
+            _agree(self.inverse, inverse, "inverse map contradicts the table")
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "_view", view)
         return self
@@ -369,8 +365,9 @@ class FiniteGroupoid:
 
     ``comp[(a, b)]`` is "a then b", defined exactly when ``tgt[a] == src[b]``.
     ``id_of`` maps each object to its identity arrow, ``inv`` each arrow to
-    its two-sided inverse.  Raw construction skips every check; the
-    validating constructors mark what they return as lawful.
+    its two-sided inverse.  A groupoid is validated on first read, then
+    kept: raw construction skips every check, so that broken tables stay
+    constructible, and ``index_view`` checks them on the first read.
     """
 
     objects: tuple
@@ -381,10 +378,10 @@ class FiniteGroupoid:
     id_of: dict
     inv: dict
     name: str = field(default="", compare=False)
-    # The IndexView, set by ``build_groupoid``, ``from_group`` and
-    # ``disjoint_union`` when every groupoid law holds: the groupoid's
-    # lawfulness mark.  Raw construction and ``dataclasses.replace`` start
-    # without it, as with ``FiniteGroup._view``.
+    # The IndexView, set by ``build_groupoid`` and ``from_group``, or by
+    # ``index_view`` on the first read, once every groupoid law holds.
+    # ``init=False`` keeps ``dataclasses.replace`` from inheriting it, as
+    # with ``FiniteGroup._view``.
     _view: IndexView = field(default=None, init=False, compare=False, repr=False)
 
     def compose(self, a, b):
@@ -425,16 +422,15 @@ class FiniteGroupoid:
         return len(self.arrows)
 
 
-def build_groupoid(objects, arrows, src, tgt, comp, name=""):
-    """Validated FiniteGroupoid constructor; infers identities and inverses.
+def _groupoid_view(objects, arrows, src, tgt, comp):
+    """The IndexView of the table ``comp`` on ``objects`` and ``arrows``
+    once every groupoid law holds; the first failure raises ValidationError
+    with its witness.
 
     Checks each listed composite, totality on composable pairs, identity
     laws, associativity and two-sided inverses with the validator groups
-    use, reporting a witness for the first failure, and keeps the rows it
-    read as the groupoid's IndexView.
+    use.  ``build_groupoid`` and ``index_view`` share it.
     """
-    objects, arrows = tuple(objects), tuple(arrows)
-    src, tgt, comp = dict(src), dict(tgt), dict(comp)
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate objects", witness=objects)
     if len(set(arrows)) != len(arrows):
@@ -466,40 +462,59 @@ def build_groupoid(objects, arrows, src, tgt, comp, name=""):
         # loop looks for a failing triple, reported before the missing one.
         _first_failing_triple(arrows, rows)
         raise ValidationError("object with no identity arrow", witness=objects[units.index(None)])
-    view = _checked_view(arrows, index, rows, units, s, t, "arrow with no inverse")
-    id_of = dict(zip(objects, map(arrows.__getitem__, units)))
-    inv = dict(zip(arrows, map(arrows.__getitem__, view.inverse)))
+    return _checked_view(arrows, index, rows, units, s, t, "arrow with no inverse")
+
+
+def _named_maps(objects, arrows, view):
+    """The identity map on ``objects`` and inverse map on ``arrows`` that
+    ``view`` holds as indexes."""
+    name = arrows.__getitem__
+    return dict(zip(objects, map(name, view.units))), dict(zip(arrows, map(name, view.inverse)))
+
+
+def _agree(given, want, message):
+    """Raise ValidationError(message) if the map ``given`` differs from
+    ``want``, with the first key of ``want``, else of ``given``, whose entry
+    differs or is missing as witness."""
+    if given != want:
+        missing = object()
+        bad = next(k for k in (*want, *given) if given.get(k, missing) != want.get(k, missing))
+        raise ValidationError(message, witness=bad)
+
+
+def build_groupoid(objects, arrows, src, tgt, comp, name=""):
+    """Validated FiniteGroupoid constructor; infers identities and inverses.
+
+    The table is checked by the validator ``index_view`` uses, reporting a
+    witness for the first failure, and the rows it read are kept as the
+    groupoid's IndexView.
+    """
+    objects, arrows = tuple(objects), tuple(arrows)
+    src, tgt, comp = dict(src), dict(tgt), dict(comp)
+    view = _groupoid_view(objects, arrows, src, tgt, comp)
+    id_of, inv = _named_maps(objects, arrows, view)
     p = FiniteGroupoid(objects, arrows, src, tgt, comp, id_of, inv, name=name)
     object.__setattr__(p, "_view", view)
     return p
 
 
 def index_view(p):
-    """The IndexView of groupoid ``p``: the one kept on ``p`` when it is
-    marked lawful, else one built for the caller and not kept.  Nothing
-    but indexing is checked: an arrow whose ends are not objects, a
-    composable pair whose composite is missing or not an arrow, an object
-    without an identity arrow, and an arrow without an inverse arrow
-    running the other way raise ValidationError with a witness."""
-    if p._view is not None:
-        return p._view
-    src, tgt = _ends(p.objects, p.arrows, p.src, p.tgt)
-    index, rows, gap = _read_rows(p.arrows, src, tgt, p.comp)
-    if gap:
-        leaves = gap in p.comp
-        message = "composite leaves the carrier" if leaves else "composition table is not total"
-        raise ValidationError(message, witness=gap)
-    get, missing = index.get, object()
-    units = [get(p.id_of.get(x, missing)) for x in p.objects]
-    if None in units:
-        witness = p.objects[units.index(None)]
-        raise ValidationError("object with no identity arrow", witness=witness)
-    inverse = [get(p.inv.get(a, missing)) for a in p.arrows]
-    for i, j in enumerate(inverse):
-        if j is None or src[j] != tgt[i] or tgt[j] != src[i]:
-            raise ValidationError("arrow with no inverse", witness=p.arrows[i])
-    gens = _generators(rows, units)
-    return IndexView(p.arrows, index, rows, tuple(inverse), tuple(units), src, tgt, gens)
+    """The IndexView of groupoid ``p``, validated on first read, then kept.
+
+    A groupoid without a view yet (raw construction, ``dataclasses.replace``,
+    ``disjoint_union``) is checked on its first read as ``build_groupoid``
+    checks a table, with the same message and witness on a failure; its
+    ``id_of`` and ``inv`` must then be the table's, or ValidationError
+    names "identity map contradicts the table" or "inverse map contradicts
+    the table" with the first object or arrow whose entry differs or is
+    missing.  The view is kept on ``p``, so every later read is free."""
+    if p._view is None:
+        view = _groupoid_view(p.objects, p.arrows, p.src, p.tgt, p.comp)
+        id_of, inv = _named_maps(p.objects, p.arrows, view)
+        _agree(p.id_of, id_of, "identity map contradicts the table")
+        _agree(p.inv, inv, "inverse map contradicts the table")
+        object.__setattr__(p, "_view", view)
+    return p._view
 
 
 def interval_groupoid():
@@ -524,16 +539,13 @@ def interval_groupoid():
 
 
 def from_group(g, obj="*", name=""):
-    """The one-object groupoid with arrow set ``g.elements``, marked lawful.
+    """The one-object groupoid with arrow set ``g.elements``.
 
     ``g`` is validated first, so a given ``inverse`` map that contradicts
-    its table is rejected.  The groupoid shares ``g``'s table, inverse map
-    and IndexView, and with the default object and name it is built once
-    per group and kept on ``g``."""
+    its table is rejected.  Each call builds a fresh groupoid that shares
+    ``g``'s table and inverse map and keeps ``g``'s IndexView: validated
+    on ``g``'s first read, then kept, it needs no read of its own."""
     g.validate()
-    default = obj == "*" and not name
-    if default and g._groupoid is not None:
-        return g._groupoid
     arrows = g.elements
     p = FiniteGroupoid(
         objects=(obj,),
@@ -546,21 +558,15 @@ def from_group(g, obj="*", name=""):
         name=name or g.name,
     )
     object.__setattr__(p, "_view", g._view)
-    if default:
-        object.__setattr__(g, "_groupoid", p)
     return p
 
 
 def one_object_group(p):
-    """The group of a one-object groupoid's arrows, named as ``p``.  A
-    lawful ``p`` lends its table, inverses and IndexView, so nothing is
-    rebuilt or revalidated; an unmarked one goes through ``finite_group``."""
+    """The group of a one-object groupoid's arrows, named as ``p``.  Like
+    every group it is validated on first read, then kept: ``validate``
+    checks ``p``'s table as a group's and keeps the group's own view."""
     unit = p.id_of[p.objects[0]]
-    if p._view is None:
-        return finite_group(p.arrows, p.comp, unit=unit, name=p.name)
-    g = FiniteGroup(elements=p.arrows, table=p.comp, unit=unit, inverse=p.inv, name=p.name)
-    object.__setattr__(g, "_view", p._view)
-    return g
+    return FiniteGroup(elements=p.arrows, table=p.comp, unit=unit, name=p.name).validate()
 
 
 def vertex_group(g, x):
@@ -622,13 +628,10 @@ def disjoint_union(g, h, tags=("l", "r")):
     id_of.update({tag(rt, x): tag(rt, h.id_of[x]) for x in h.objects})
     inv = {tag(lt, a): tag(lt, g.inv[a]) for a in g.arrows}
     inv.update({tag(rt, a): tag(rt, h.inv[a]) for a in h.arrows})
-    p = FiniteGroupoid(
+    return FiniteGroupoid(
         objects=objects, arrows=arrows, src=src, tgt=tgt, comp=comp,
         id_of=id_of, inv=inv, name=f"{g.name}+{h.name}",
     )
-    if g._view is not None and h._view is not None:
-        object.__setattr__(p, "_view", index_view(p))
-    return p
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ with the same code as every other square.
 Inside the module a square is the int tuple ``(label, top, left, right,
 bottom)``: the label's index in the fibre at the bottom-right corner and
 the edges' arrow indexes, read through the crossed module's ``XModView``
-(``CrossedModule._view``, read on the first square and kept when the base
-carries its IndexView, the one lawfulness mark; over an unmarked base each
-call reads its own).  Their inverses are the tables', as validation
-rejects a contradicting ``inverse`` map.  One kernel does
+(``CrossedModule._view``, read on the first square and kept; the base is
+validated on first read, then kept, as every group and groupoid is).
+Their inverses are the tables', as validation rejects a contradicting
+``inverse`` or ``inv`` map.  One kernel does
 ``make_square``'s checks, both pastings, the grid folds,
 ``interchange_check``, ``commutative_cube_check``, ``from_xmod``'s
 blocks and ``to_xmod``'s fibre tables and action on these tuples; a
@@ -460,10 +460,10 @@ def to_xmod(d, name=""):
     vertical pasting; the boundary reads off the right edge; arrows act by
     sandwiching between horizontal identities.  Pastings run on int squares,
     each result named by the carrier's own square (or, off the carrier, by
-    ``_named``, for ``finite_group`` to reject).  Over a lawful base the
-    module keeps the XModView these steps compute, the action as fibre
-    positions and the boundary as the right edges' arrow indexes, so the
-    checks that follow do not read it again."""
+    ``_named``, for ``finite_group`` to reject).  The module keeps the
+    XModView these steps compute, the action as fibre positions and the
+    boundary as the right edges' arrow indexes, so the checks that follow
+    do not read it again."""
     xm = d.xm
     p = xm.p
     xv = xmod_view(xm)
@@ -499,10 +499,9 @@ def to_xmod(d, name=""):
     out = CrossedModule(
         p=p, m=groups, mu=mus, action=action, name=name or f"recovered({xm.name})"
     )
-    if p._view is not None:
-        views = tuple(groups[x]._view for x in p.objects)
-        mu = tuple(tuple(u[3] for u in ints) for _, ints, _, _ in fibres)
-        object.__setattr__(out, "_view", XModView(b, views, tuple(acts), mu))
+    views = tuple(groups[x]._view for x in p.objects)
+    mu = tuple(tuple(u[3] for u in ints) for _, ints, _, _ in fibres)
+    object.__setattr__(out, "_view", XModView(b, views, tuple(acts), mu))
     return out
 
 

@@ -541,7 +541,7 @@ def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
 
     ``_functor_rows`` assigns images to the generators kept on ``g``'s
     IndexView, read with ``h``'s by ``index_view`` (which raises
-    ValidationError on a table it cannot index), so the guard counts those
+    ValidationError on a groupoid that breaks a law), so the guard counts those
     assignments.  The generators are chosen greedily in arrow order, so
     every arrow listed before the k-th generator is a word in the earlier
     ones: assigning generator images in order lists the functors in the

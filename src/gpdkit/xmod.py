@@ -15,15 +15,14 @@ Laws, checked by ``check_axioms`` with one witness per violated family:
 
 The laws are read on the module's ``XModView``, the two type laws as its
 holes.  Those two, ``boundary-hom``, ``action-identity`` and ``peiffer``
-are checked on every element.  Over a lawful base, one carrying the
-IndexView that ``build_groupoid``, ``from_group`` and ``disjoint_union``
-keep as the one lawfulness mark, the laws that quantify over base arrows
-are checked on a generating set S of the arrows: ``action-compose`` for
-b in S and every a, ``action-hom`` and ``boundary-equivariance`` for a in
-S.  Induction on word length extends them to every arrow (see
-``check_axioms``); a failure reruns the check over all arrows, so the
-witnesses do not depend on S.  A fibre's inverses are its table's, as
-validation rejects a contradicting ``inverse`` map.
+are checked on every element.  The base is validated on first read, then
+kept (``core.index_view``), so it is always lawful, and the laws that
+quantify over base arrows are checked on a generating set S of the arrows:
+``action-compose`` for b in S and every a, ``action-hom`` and
+``boundary-equivariance`` for a in S.  Induction on word length extends
+them to every arrow (see ``check_axioms``); a failure reruns the check
+over all arrows, so the witnesses do not depend on S.  Inverses are the
+tables', as validation rejects a contradicting ``inverse`` or ``inv`` map.
 
 ``check_xmod_morphism`` reads the views of its source and target, and
 ``GroupHom.validate`` those of its groups: maps are read once into index
@@ -89,9 +88,9 @@ class CrossedModule:
     mu: dict
     action: dict
     name: str = field(default="", compare=False)
-    # The XModView, read by ``xmod_view`` on first use and kept when the
-    # base is lawful; ``init=False`` keeps a ``dataclasses.replace``
-    # copy from sharing it, as with ``FiniteGroup._groupoid``.
+    # The XModView, read by ``xmod_view`` on first use and kept;
+    # ``init=False`` keeps a ``dataclasses.replace`` copy from sharing it,
+    # as with ``FiniteGroup._view``.
     _view: XModView = field(default=None, init=False, compare=False, repr=False)
 
     def group_at(self, x):
@@ -121,11 +120,10 @@ def crossed_module(p, m, mu, action, name=""):
 
 
 def xmod_view(xm):
-    """The XModView of ``xm``, read on first use and kept on ``xm`` when its
-    base is lawful; over an unmarked base it is read for the caller
-    and not kept, as ``index_view`` does.  The base is read by
-    ``index_view``, which raises ValidationError on a table it cannot
-    index, and each fibre is validated."""
+    """The XModView of ``xm``, read on first use, then kept on ``xm``.  The
+    base is validated on first read by ``index_view`` and each fibre by
+    ``validate``, so a base or fibre that breaks a law raises
+    ValidationError with its witness."""
     if xm._view is not None:
         return xm._view
     p = xm.p
@@ -141,8 +139,7 @@ def xmod_view(xm):
         for x, fibre in zip(p.objects, fibres)
     )
     v = XModView(base, fibres, act, mu)
-    if p._view is not None:
-        object.__setattr__(xm, "_view", v)
+    object.__setattr__(xm, "_view", v)
     return v
 
 
@@ -165,15 +162,15 @@ def check_axioms(xm):
     """Check every law of the module docstring, with the first witness of
     each violated family in the order of an all-arrows pass.
 
-    When ``xm.p`` is lawful, the three laws that quantify over base
-    arrows are first checked for b (``action-compose``) or a
-    (``action-hom``, ``boundary-equivariance``) in S only, where S is the
-    generating set kept on the base's IndexView, chosen greedily in arrow
-    order from the identities when its table was read.  Every arrow
-    is then a positive word ``id_x s1 ... sk`` in S, and each law extends
-    to all arrows by induction on the last letter s, using associativity,
-    the unit laws and inverses in P, which the mark guarantees, and the
-    ``action-identity`` and type laws, which are checked exhaustively:
+    The three laws that quantify over base arrows are first checked for b
+    (``action-compose``) or a (``action-hom``, ``boundary-equivariance``)
+    in S only, where S is the generating set kept on the base's IndexView,
+    chosen greedily in arrow order from the identities when its table was
+    read.  Every arrow is then a positive word ``id_x s1 ... sk`` in S, and
+    each law extends to all arrows by induction on the last letter s, using
+    associativity, the unit laws and inverses in P, which hold as the base
+    is validated on first read, then kept, and the ``action-identity`` and
+    type laws, which are checked exhaustively:
 
     - ``action-compose``: m^{a (b s)} = m^{(a b) s} = (m^{a b})^s
       = ((m^a)^b)^s = (m^a)^{b s}, the last step being the law for s at
@@ -186,21 +183,16 @@ def check_axioms(xm):
     The empty word is an identity, where each law follows from
     ``action-identity``.  So the check on S passes exactly when the check
     on all arrows does.  A failure anywhere reruns the all-arrows pass,
-    whose witnesses are the ones reported.  An unmarked base (raw
-    construction or a ``dataclasses.replace`` copy) gets the all-arrows
-    pass alone.
+    whose witnesses are the ones reported.
 
     The laws are read on ``xmod_view(xm)``, which raises ValidationError on
-    a base it cannot index or a fibre that is not a group.  A fibre's
-    inverses are its table's, a contradicting ``inverse`` map failing its
-    validation; the base's are its ``inv``.
+    a base that is not a groupoid or a fibre that is not a group.  Inverses
+    are the tables', as validation rejects a contradicting ``inverse`` or
+    ``inv`` map.
     """
-    p = xm.p
-    if p._view is not None:
-        report = _check_laws(xm, [p.arrows[k] for k in p._view.gens])
-        if report:
-            return report
-    return _check_laws(xm, p.arrows)
+    arrows = xm.p.arrows
+    gens = [arrows[k] for k in xmod_view(xm).base.gens]
+    return _check_laws(xm, gens) or _check_laws(xm, arrows)
 
 
 def _check_laws(xm, over):

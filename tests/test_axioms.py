@@ -5,9 +5,11 @@ keeps on each group.
 ``_old_check_axioms`` is the former body of ``xmod.check_axioms``, kept
 verbatim as the oracle: it checks ``action-compose`` on every composable
 pair of base arrows and ``action-hom`` and ``boundary-equivariance`` on
-every arrow.  Every crossed module, lawful or broken, over a marked or an
-unmarked base, must get the same ``LawReport`` from both: verdict,
-families and witnesses.
+every arrow.  Every crossed module, lawful or broken, over a base built
+validated or a copy validated on its first read, must get the same
+``LawReport`` from both: verdict, families and witnesses.  A module over
+a base that breaks a groupoid law is rejected by every reader with the
+``ValidationError`` that ``build_groupoid`` raises on its table.
 
 ``_old_check_laws`` and ``_old_kernel_central_check`` are the former
 bodies of ``xmod._check_laws`` and ``xmod.kernel_central_check``, kept
@@ -35,6 +37,7 @@ from gpdkit.core import (
     cyclic_group,
     disjoint_union,
     from_group,
+    index_view,
     interval_groupoid,
     perm_parity,
     symmetric_group,
@@ -57,6 +60,7 @@ from gpdkit.xmod import (
     from_normal_subgroup,
     kernel_central_check,
     trivial_xmod,
+    xmod_view,
 )
 from test_cubes import GROUPS, old_commutative_cube_check
 from test_xmod import bad_xmod
@@ -252,7 +256,7 @@ LOOP5 = (
 def _loop_base_xmod():
     """c2 over a raw one-object "groupoid" whose composition is LOOP5, with
     trivial boundary and trivial action: no validating constructor accepts
-    this base, so it carries no mark."""
+    this base, and every reader rejects it."""
     arrows = tuple(range(5))
     p = FiniteGroupoid(
         objects=("*",),
@@ -279,7 +283,6 @@ MODULES["a4s4"] = from_normal_subgroup(alternating_group(4), symmetric_group(4))
 for _n, _g in (("s3", symmetric_group(3)), ("c7", cyclic_group(7)), ("c8", cyclic_group(8))):
     MODULES[f"aut-{_n}"] = automorphism_xmod(_g)
 MODULES["two-object"] = _two_object_xmod()
-MODULES["loop-base"] = _loop_base_xmod()
 
 
 def _copy(xm, p=None, mu=None, action=None):
@@ -334,7 +337,7 @@ def test_perturbed_modules_get_the_oracle_report(xm):
     assert check_axioms(xm) == _old_check_axioms(xm)
 
 
-@pytest.mark.parametrize("name", ["c4c2", "auts3", "two-object", "loop-base"])
+@pytest.mark.parametrize("name", ["c4c2", "auts3", "two-object"])
 def test_every_single_entry_perturbation_gets_the_oracle_report(name):
     xm = MODULES[name]
     p = xm.p
@@ -361,7 +364,7 @@ def test_every_single_entry_perturbation_gets_the_oracle_report(name):
 
 def test_the_two_object_base_has_non_loop_generators():
     p = MODULES["two-object"].p
-    assert p._view is not None
+    assert index_view(p) is p._view
     gens = greedy_generators(p.arrows, tuple(p.id_of.values()), p.comp)
     assert {("l", "i"), ("l", "i_inv")} <= set(gens)
     # Negating along i but not along i_inv breaks action-compose only at
@@ -375,7 +378,7 @@ def test_the_two_object_base_has_non_loop_generators():
 
 def _raw_inverse_base(c3):
     """The one-object groupoid of c3 built raw, with a wrong inverse of 2
-    only, so it carries no mark."""
+    only, which its first read rejects."""
     p = from_group(c3)
     return FiniteGroupoid(
         objects=p.objects, arrows=p.arrows, src=p.src, tgt=p.tgt,
@@ -385,19 +388,13 @@ def _raw_inverse_base(c3):
 
 def test_a_raw_inverse_map_the_generators_miss_is_still_caught():
     # 1 generates c3, so a check of boundary-equivariance on generators
-    # alone would pass.
-    c3 = cyclic_group(3)
-    p = _raw_inverse_base(c3)
-    assert p._view is None
-    xm = CrossedModule(
-        p=p,
-        m={"*": c3},
-        mu={"*": {m: m for m in c3.elements}},
-        action={(m, a): m for m in c3.elements for a in c3.elements},
-    )
-    report = check_axioms(xm)
-    assert report == _old_check_axioms(xm)
-    assert report.failures == (("boundary-equivariance", (0, 2)),)
+    # alone would pass; the name oracle fails it at 2 by reading the map.
+    # The base's first read rejects the map at 2 instead.
+    xm = _raw_inverse_base_xmod()
+    assert _old_check_axioms(xm).failures == (("boundary-equivariance", (0, 2)),)
+    with pytest.raises(ValidationError) as info:
+        check_axioms(xm)
+    assert (str(info.value), info.value.witness) == ("inverse map contradicts the table", 2)
 
 
 # ------------------------------------------------- each pass against its oracle
@@ -405,7 +402,7 @@ def test_a_raw_inverse_map_the_generators_miss_is_still_caught():
 
 def _raw_inverse_base_xmod():
     """c3 over c3 with the identity boundary, over a base whose raw inverse
-    map is wrong at 2 only, so the base carries no mark."""
+    map is wrong at 2 only, which the base's first read rejects."""
     c3 = cyclic_group(3)
     return CrossedModule(
         p=_raw_inverse_base(c3),
@@ -431,7 +428,6 @@ def _central_then_not():
 
 ORACLE_MODULES = {
     **MODULES,
-    "raw-inverse": _raw_inverse_base_xmod(),
     "bad": bad_xmod(),
     "central-then-not": _central_then_not(),
 }
@@ -532,8 +528,9 @@ def test_a_base_it_cannot_index_or_a_fibre_that_is_no_group_raises():
         objects=p.objects, arrows=p.arrows, src=p.src, tgt=p.tgt,
         comp=p.comp, id_of=p.id_of, inv={},
     )
-    with pytest.raises(ValidationError, match="arrow with no inverse"):
+    with pytest.raises(ValidationError) as info:
         check_axioms(_copy(xm, p=no_inverse))
+    assert (str(info.value), info.value.witness) == ("inverse map contradicts the table", 0)
     c4 = xm.m["*"]
     magma = FiniteGroup(c4.elements, {**c4.table, (1, 1): 1}, c4.unit)
     broken = CrossedModule(p=p, m={"*": magma}, mu=xm.mu, action=xm.action)
@@ -560,7 +557,7 @@ def passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", sorted(set(MODULES) - {"loop-base"}))
+@pytest.mark.parametrize("name", sorted(MODULES))
 def test_a_lawful_module_never_takes_the_all_arrows_pass(name, passes):
     assert check_axioms(MODULES[name]).ok
     assert passes == [False]
@@ -573,17 +570,37 @@ def test_a_failing_module_falls_back_to_the_all_arrows_pass(passes):
     assert passes == [False, True]
 
 
+def _raw_copy(p):
+    return FiniteGroupoid(p.objects, p.arrows, p.src, p.tgt, p.comp, p.id_of, p.inv)
+
+
+@pytest.mark.parametrize("copy", [_raw_copy, replace], ids=["raw", "replace"])
+def test_a_copied_base_is_validated_and_takes_the_generator_pass(copy, passes):
+    xm = MODULES["a3s3"]
+    p = copy(xm.p)
+    assert p._view is None
+    assert check_axioms(_copy(xm, p=p)) == check_axioms(xm)
+    assert passes == [False, False]
+    assert p._view == xm.p._view
+
+
 @pytest.mark.parametrize(
-    "build",
+    "lawless, message, witness",
     [
-        lambda: MODULES["loop-base"],
-        lambda: _copy(MODULES["a3s3"], p=replace(MODULES["a3s3"].p)),
+        (_loop_base_xmod, "associativity fails", (1, 1, 2)),
+        (_raw_inverse_base_xmod, "inverse map contradicts the table", 2),
     ],
-    ids=["raw", "replace"],
+    ids=["loop-base", "raw-inverse"],
 )
-def test_an_unmarked_base_takes_the_all_arrows_pass_alone(build, passes):
-    assert check_axioms(build()).ok
-    assert passes == [True]
+def test_a_module_over_a_lawless_base_is_rejected_by_every_reader(
+    lawless, message, witness, passes
+):
+    xm = lawless()
+    for read in (check_axioms, kernel_central_check, xmod_view):
+        with pytest.raises(ValidationError) as info:
+            read(xm)
+        assert (str(info.value), info.value.witness) == (message, witness)
+    assert passes == [] and xm.p._view is None and xm._view is None
 
 
 # ------------------------------------------------------------ lawful bases
@@ -593,25 +610,28 @@ def test_validating_constructors_mark_the_base():
     s3 = from_group(symmetric_group(3))
     interval = interval_groupoid()
     assert s3._view is not None and interval._view is not None
-    assert build_groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.comp)._view is not None
-    assert disjoint_union(interval, s3)._view is not None
-    raw = FiniteGroupoid(
-        objects=s3.objects, arrows=s3.arrows, src=s3.src, tgt=s3.tgt,
-        comp=s3.comp, id_of=s3.id_of, inv=s3.inv,
-    )
-    for unmarked in (raw, replace(s3), disjoint_union(raw, interval), disjoint_union(s3, raw)):
-        assert unmarked._view is None
+    built = build_groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.comp)
+    assert built._view == s3._view
+    union = disjoint_union(interval, s3)
+    want = build_groupoid(union.objects, union.arrows, union.src, union.tgt, union.comp)
+    # a union, a raw copy and a replaced one are validated on their first read
+    for later, view in ((union, want._view), (_raw_copy(s3), s3._view), (replace(s3), s3._view)):
+        assert later._view is None
+        assert index_view(later) == view and later._view is index_view(later)
+    with pytest.raises(ValidationError, match="associativity fails"):
+        index_view(disjoint_union(_loop_base_xmod().p, interval))
 
 
 # ------------------------------------------------------- one groupoid per group
 
 
-def test_from_group_is_built_once_per_group():
+def test_from_group_builds_equal_groupoids_per_group():
     g = symmetric_group(3)
     p = from_group(g)
-    assert from_group(g) is p
-    assert trivial_xmod(g).p is p
-    assert from_normal_subgroup(alternating_group(3), g).p is p
+    assert from_group(g) == p and from_group(g) is not p
+    assert trivial_xmod(g).p == p
+    assert from_normal_subgroup(alternating_group(3), g).p == p
+    assert from_group(g)._view is p._view is g._view
 
 
 def test_copies_and_other_names_get_fresh_groupoids():
@@ -626,9 +646,8 @@ def test_copies_and_other_names_get_fresh_groupoids():
         assert fresh is not p
         assert fresh._view is not None
     copy = replace(g)
-    assert copy._groupoid is None
     assert from_group(copy) == p
-    assert from_group(copy) is from_group(copy)
+    assert from_group(copy) == from_group(copy)
     assert from_group(g, name="c4") is not from_group(g, name="c4")
     assert from_group(g, obj="o").objects == ("o",)
 
@@ -645,4 +664,4 @@ def test_cube_reports_match_the_oracle_with_the_shared_groupoid(group):
                 assert commutative_cube_check(group, d) == old_commutative_cube_check(
                     group, d
                 )
-    assert from_group(group) is p
+    assert from_group(group) == p

@@ -8,7 +8,8 @@ an ``old_`` prefix where the library still has the name: the library's
 thin-square pasting, face-table cube solver and ``from_xmod`` must
 reproduce them exactly, including every random draw.  ``from_xmod`` is
 compared square by square and index by index on one-, two- and
-three-object modules, lawful and unmarked bases, and bases that break;
+three-object modules, bases built validated and ``replace``d copies
+validated on their first read, and bases that break;
 ``_old_fibre``, further down, is the scan ``to_xmod`` made for each fibre.
 """
 
@@ -45,7 +46,7 @@ from gpdkit.dblgpd import (
     row_uniqueness,
     to_xmod,
 )
-from gpdkit.xmod import CrossedModule, automorphism_xmod, bundled_xmods, trivial_xmod
+from gpdkit.xmod import CrossedModule, automorphism_xmod, bundled_xmods, trivial_xmod, xmod_view
 
 
 @dataclass(frozen=True)
@@ -456,8 +457,8 @@ CARRIER_MODULES["two-object"] = _union_xmod(CARRIER_MODULES["c4c2"], CARRIER_MOD
 CARRIER_MODULES["three-object"] = _union_xmod(
     CARRIER_MODULES["interval"], CARRIER_MODULES["auts3"]
 )
-# An unmarked base: ``replace`` drops the mark and the view.
-CARRIER_MODULES["unmarked-auts3"] = replace(
+# A ``replace``d base starts without a view and is validated on its first read.
+CARRIER_MODULES["replaced-auts3"] = replace(
     CARRIER_MODULES["auts3"], p=replace(CARRIER_MODULES["auts3"].p)
 )
 
@@ -498,18 +499,21 @@ def test_a_base_with_a_missing_pair_is_a_validation_error():
         from_xmod(broken)
     assert str(info.value) == "composition table is not total"
     assert info.value.witness == pair
-    # A composite outside the arrows is reported on its pair as well.
+    # A composite outside the arrows is reported with its pair, as
+    # ``build_groupoid`` reports it.
     comp[pair] = "stray"
     with pytest.raises(ValidationError) as info:
         from_xmod(replace(xm, p=replace(xm.p, comp=comp)))
-    assert (str(info.value), info.value.witness) == ("composite leaves the carrier", pair)
+    want = ("composite leaves the carrier", (*pair, "stray"))
+    assert (str(info.value), info.value.witness) == want
 
 
-def test_an_unmarked_base_gets_a_view_for_the_call_only():
-    xm = CARRIER_MODULES["unmarked-auts3"]
-    assert xm.p._view is None
+def test_a_replaced_base_is_validated_on_its_first_read_and_keeps_its_view():
+    auts3 = CARRIER_MODULES["auts3"]
+    xm = replace(auts3, p=replace(auts3.p))
+    assert xm.p._view is None and xm._view is None
     assert from_xmod(xm).squares == old_from_xmod(xm).squares
-    assert xm.p._view is None
+    assert xm.p._view == auts3.p._view and xm._view == xmod_view(auts3)
 
 
 def _old_fibre(d, x):

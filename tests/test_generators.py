@@ -4,10 +4,11 @@ name-keyed chooser it replaced.
 ``greedy_generators`` (kept verbatim in ``tests/test_validate.py``) chose
 generators by name, and Light's test, ``check_axioms``, the functor search
 and ``automorphism_group`` each called it again.  The library now chooses
-once, on the integer rows, where a table is read (validation and the
-unchecked read of ``index_view``), and keeps the indexes as
-``IndexView.gens``.  Named, they must be the oracle's, in its order, on
-lawful tables and on lawless ones read without validation.
+once, on the integer rows, where a table is validated (by
+``FiniteGroup.validate``, ``build_groupoid`` or the first read of
+``index_view``), and keeps the indexes as ``IndexView.gens``.  Named, they
+must be the oracle's, in its order, on every lawful table; a lawless one
+is rejected on its first read and keeps no generators.
 """
 
 from dataclasses import replace
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpdkit.core import (
     FiniteGroupoid,
+    ValidationError,
     battery,
     build_groupoid,
     cyclic_group,
@@ -40,7 +42,7 @@ def _named(v):
 def _assert_groupoid_keeps_the_oracle(p):
     want = greedy_generators(p.arrows, [p.id_of[x] for x in p.objects], p.comp)
     assert _named(index_view(p)) == want
-    # a copy without the mark is read again, and chooses the same
+    # a replaced copy is validated on its first read, and chooses the same
     assert _named(index_view(replace(p))) == want
 
 
@@ -90,8 +92,8 @@ def test_disjoint_unions_keep_the_oracle_generators(parts):
 
 
 def _one_object(elements, table, unit):
-    """A raw one-object groupoid on ``table``: no law is checked, every
-    arrow is its own inverse, so ``index_view`` reads it."""
+    """A raw one-object groupoid on ``table``: no law is checked, and every
+    arrow is its own inverse."""
     return FiniteGroupoid(
         objects=("*",),
         arrows=elements,
@@ -121,8 +123,18 @@ LAWLESS = {
 }
 
 
-@pytest.mark.parametrize("name", LAWLESS)
-def test_a_lawless_table_read_unchecked_keeps_the_oracle_generators(name):
+@pytest.mark.parametrize(
+    "name, message, witness",
+    [
+        ("loop5", "associativity fails", (1, 1, 2)),
+        ("loop5-as-table", "associativity fails", (1, 1, 2)),
+        ("broken-s3", "associativity fails", ((0, 2, 1), (1, 0, 2), (2, 1, 0))),
+        ("raw-inverse-c3", "inverse map contradicts the table", 2),
+    ],
+)
+def test_a_lawless_table_is_rejected_on_its_first_read(name, message, witness):
     p = LAWLESS[name]
+    with pytest.raises(ValidationError) as info:
+        index_view(p)
+    assert (str(info.value), info.value.witness) == (message, witness)
     assert p._view is None
-    _assert_groupoid_keeps_the_oracle(p)

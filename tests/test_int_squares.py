@@ -315,7 +315,7 @@ def reordered_interval_xmod():
 # base was ``replace``d, so it keeps no view.
 MODULES = {
     name: CARRIER_MODULES[name]
-    for name in (*bundled_xmods(), "interval", "two-object", "three-object", "unmarked-auts3")
+    for name in (*bundled_xmods(), "interval", "two-object", "three-object", "replaced-auts3")
 }
 MODULES["interval-reordered"] = reordered_interval_xmod()
 CARRIERS = {name: from_xmod(xm) for name, xm in MODULES.items()}
@@ -554,15 +554,11 @@ def test_to_xmod_recovers_what_the_vcompose_body_did(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_to_xmod_keeps_the_view_it_computed(name):
-    """Over a lawful base the recovered module keeps the view its fibre
-    tables and action were computed on, equal to the view read afresh from
-    a ``replace``d copy; over an unmarked base it keeps none."""
+    """The recovered module keeps the view its fibre tables and action were
+    computed on, equal to the view read afresh from a ``replace``d copy."""
     recovered = to_xmod(CARRIERS[name])
     fresh = xmod_view(replace(recovered))
-    if name == "unmarked-auts3":
-        assert recovered.p._view is None and recovered._view is None
-    else:
-        assert recovered._view is not None and recovered._view == fresh
+    assert recovered._view is not None and recovered._view == fresh
 
 
 def test_to_xmod_of_a_lawless_carrier_fails_as_the_vcompose_body_did():

@@ -36,6 +36,7 @@ from gpdkit.core import (
     alternating_group,
     battery,
     build_groupoid,
+    check_morphism,
     cyclic_group,
     disjoint_union,
     finite_group,
@@ -49,7 +50,7 @@ from gpdkit.core import (
     vertex_group,
 )
 from gpdkit.documents import load_document
-from gpdkit.presentations import Quiver, Word, presentation, quiver
+from gpdkit.presentations import Quiver, Word, enumerate_morphisms, presentation, quiver
 from gpdkit.vankampen import Complex2, Subcomplex, complex2, fundamental_groupoid, restrict
 from gpdkit.xmod import automorphism_group, automorphism_xmod, crossed_module
 
@@ -591,7 +592,7 @@ def test_the_kept_view_is_the_only_mark():
     def private(cls):
         return [f.name for f in fields(cls) if not f.init]
 
-    assert private(FiniteGroup) == ["_view", "_groupoid", "_trivial"]
+    assert private(FiniteGroup) == ["_view", "_trivial"]
     assert private(FiniteGroupoid) == ["_view"]
 
 
@@ -621,6 +622,42 @@ def test_an_agreeing_inverse_map_gives_way_to_the_tables():
     g = FiniteGroup(c3.elements, c3.table, 0, inverse={2: 1, 1: 2, 0: 0}).validate()
     assert list(g.inverse.items()) == [(0, 0), (1, 2), (2, 1)]
     assert from_group(g)._view is g._view
+
+
+def _fields(p):
+    return {f.name: getattr(p, f.name) for f in fields(p) if f.init}
+
+
+@pytest.mark.parametrize(
+    "damage, message, witness",
+    [
+        ({"id_of": {"*": 1}}, "identity map contradicts the table", "*"),
+        ({"id_of": {}}, "identity map contradicts the table", "*"),  # missed
+        ({"id_of": {"*": 0, "o": 0}}, "identity map contradicts the table", "o"),  # extra
+        ({"inv": {0: 0, 1: 2, 2: 0}}, "inverse map contradicts the table", 2),
+        ({"inv": {2: 0, 1: 2, 0: 0}}, "inverse map contradicts the table", 2),  # arrow order
+        ({"inv": {0: 0, 1: 2}}, "inverse map contradicts the table", 2),  # missed
+        ({"inv": {0: 0, 1: 2, 2: 1, 3: 3}}, "inverse map contradicts the table", 3),  # extra
+    ],
+)
+def test_a_groupoid_map_that_contradicts_the_table_is_rejected(damage, message, witness):
+    c3 = from_group(cyclic_group(3))
+    for raw in (replace(c3, **damage), FiniteGroupoid(**{**_fields(c3), **damage})):
+        for _ in range(2):  # a failed read leaves no view behind
+            with pytest.raises(ValidationError) as info:
+                index_view(raw)
+            assert (str(info.value), info.value.witness) == (message, witness)
+            assert raw._view is None
+
+
+def test_a_wrong_identity_map_no_longer_yields_false_functors():
+    # Read unchecked, the identity map sent the search's identity slot to
+    # 1, and two of its three "functors" failed check_morphism.
+    c3 = from_group(cyclic_group(3))
+    with pytest.raises(ValidationError) as info:
+        enumerate_morphisms(replace(c3, id_of={"*": 1}), c3)
+    assert (str(info.value), info.value.witness) == ("identity map contradicts the table", "*")
+    assert all(check_morphism(f, c3, c3) for f in enumerate_morphisms(replace(c3), c3))
 
 
 # ------------------------------------------------------- group constructors

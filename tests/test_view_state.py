@@ -1,0 +1,127 @@
+"""Where the library may keep or test an IndexView or XModView, read off
+the source's syntax tree.
+
+Groups and groupoids are validated on first read, then kept: the view in
+``_view`` is set only by the code that validated the value or built it
+from a validated one, and only the readers that validate on first read
+ask whether it is set yet.  Any other writer would lend a view to a value
+nobody checked, and any other test of ``_view`` would bring back a second
+path for values without one.
+"""
+
+import ast
+from pathlib import Path
+
+import gpdkit
+
+SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
+
+WRITERS = {
+    "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
+}
+TESTERS = {"FiniteGroup.validate", "index_view", "xmod_view"}
+
+
+def _is_view(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_view"
+
+
+class _Scan(ast.NodeVisitor):
+    """Collect the qualified name of the function around each ``_view``
+    write (``object.__setattr__(x, "_view", v)``) and each test of whether
+    ``_view`` is set (``x._view is None``, ``if x._view``, ...)."""
+
+    def __init__(self):
+        self.scope, self.writes, self.tests = [], [], []
+
+    def _nested(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _nested
+
+    def _where(self):
+        return ".".join(self.scope) or "<module>"
+
+    def visit_Call(self, node):
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+            and isinstance(f.value, ast.Name) and f.value.id == "object"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_view"
+        ):
+            self.writes.append(self._where())
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        if any(map(_is_view, (node.left, *node.comparators))):
+            self.tests.append(self._where())
+        self.generic_visit(node)
+
+    def _truth(self, test):
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            test = test.operand
+        if _is_view(test):
+            self.tests.append(self._where())
+
+    def visit_If(self, node):
+        self._truth(node.test)
+        self.generic_visit(node)
+
+    visit_IfExp = visit_While = visit_If
+
+    def visit_BoolOp(self, node):
+        for value in node.values:
+            self._truth(value)
+        self.generic_visit(node)
+
+
+def scan(source):
+    found = _Scan()
+    found.visit(ast.parse(source))
+    return found
+
+
+def _library():
+    writes, tests = {}, {}
+    for path in SOURCES:
+        found = scan(path.read_text())
+        for where in found.writes:
+            writes.setdefault(where, []).append(path.name)
+        for where in found.tests:
+            tests.setdefault(where, []).append(path.name)
+    return writes, tests
+
+
+def test_only_the_validating_code_keeps_a_view():
+    writes, _ = _library()
+    assert set(writes) <= WRITERS, writes
+    # each writer still writes, so the allowed set does not go stale
+    assert set(writes) == WRITERS
+
+
+def test_only_the_first_read_asks_whether_a_view_is_set():
+    _, tests = _library()
+    assert set(tests) <= TESTERS, tests
+    assert set(tests) == TESTERS
+
+
+def test_the_scan_sees_a_lent_view_and_each_kind_of_fork():
+    source = '''
+def lend(p, g):
+    object.__setattr__(g, "_view", p._view)
+
+class Box:
+    def fork(self, p):
+        if p._view is not None:
+            return 1
+        return 2 if not p._view else 3
+
+def either(p, q):
+    return p._view or q
+'''
+    found = scan(source)
+    assert found.writes == ["lend"]
+    assert found.tests == ["Box.fork", "Box.fork", "either"]

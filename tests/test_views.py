@@ -6,6 +6,12 @@ read on first use, and their readers.
 view, kept verbatim as oracles; ``_old_base_group`` is the rebuild
 ``cli._base_group`` made.  Aut(G) must come out with the same elements,
 table, unit and name, and every group with the same inverse map.
+
+Every view is validated on first read, then kept: ``index_view`` of a
+groupoid built raw or by ``dataclasses.replace`` raises exactly what
+``build_groupoid`` raises on its table, or rejects an ``id_of`` or ``inv``
+that contradicts a lawful table, and otherwise keeps the view
+``build_groupoid`` would have built.
 """
 
 import random
@@ -58,7 +64,10 @@ from gpdkit.xmod import (
     trivial_xmod,
     xmod_view,
 )
+from test_axioms import MODULES, _loop_base_xmod, _raw_inverse_base
+from test_cubes import CARRIER_MODULES
 from test_int_squares import reordered_interval_xmod
+from test_morphisms import GROUPOIDS
 from test_validate import _old_validate, _outcome
 
 DATA = Path(__file__).parent / "data"
@@ -221,7 +230,7 @@ def test_groupoid_views_read_their_tables():
     interval = interval_groupoid()
     s3 = from_group(symmetric_group(3))
     for p in (interval, disjoint_union(interval, s3), disjoint_union(s3, interval)):
-        assert p._view is not None
+        assert index_view(p) is p._view
         _assert_view_reads_the_table(p)
 
 
@@ -249,9 +258,9 @@ def test_replaced_and_raw_values_carry_no_view():
     )
     for copy in (replace(p), raw, disjoint_union(raw, p), disjoint_union(p, raw)):
         assert copy._view is None
-    # A view built for an unmarked groupoid equals the kept one but is not kept.
+    # The first read validates the copy and keeps its view.
     assert index_view(raw) == p._view
-    assert raw._view is None
+    assert raw._view is index_view(raw)
     assert replace(g).validate()._view == g._view
 
 
@@ -281,23 +290,98 @@ def test_a_broken_replaced_or_raw_table_is_still_rejected_with_the_old_witness()
     assert str(info.value) == "associativity fails"
 
 
-@pytest.mark.parametrize(
-    "damage, message, witness",
-    [
-        (lambda p: {"comp": {k: v for k, v in p.comp.items() if k != ("i", "i_inv")}},
-         "composition table is not total", ("i", "i_inv")),
-        (lambda p: {"comp": {**p.comp, ("i", "i_inv"): "x"}},
-         "composite leaves the carrier", ("i", "i_inv")),
-        (lambda p: {"src": {**p.src, "i": 7}}, "arrow with bad endpoints", "i"),
-        (lambda p: {"id_of": {0: "id0"}}, "object with no identity arrow", 1),
-        (lambda p: {"inv": {**p.inv, "i": "i"}}, "arrow with no inverse", "i"),
-    ],
-)
-def test_an_unindexable_groupoid_is_rejected_with_a_witness(damage, message, witness):
+DAMAGES = {
+    "missing-pair": (
+        lambda p: {"comp": {k: v for k, v in p.comp.items() if k != ("i", "i_inv")}},
+        "composition table is not total", ("i", "i_inv"),
+    ),
+    "stray-composite": (
+        lambda p: {"comp": {**p.comp, ("i", "i_inv"): "x"}},
+        "composite leaves the carrier", ("i", "i_inv", "x"),
+    ),
+    "bad-endpoint": (lambda p: {"src": {**p.src, "i": 7}}, "arrow with bad endpoints", "i"),
+    "missing-identity": (
+        lambda p: {"id_of": {0: "id0"}}, "identity map contradicts the table", 1,
+    ),
+    "wrong-inverse": (
+        lambda p: {"inv": {**p.inv, "i": "i"}}, "inverse map contradicts the table", "i",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DAMAGES)
+def test_an_unindexable_groupoid_is_rejected_with_a_witness(name):
+    damage, message, witness = DAMAGES[name]
     broken = replace(interval_groupoid(), **damage(interval_groupoid()))
     with pytest.raises(ValidationError) as info:
         index_view(broken)
     assert (str(info.value), info.value.witness) == (message, witness)
+
+
+def _lawless():
+    interval = interval_groupoid()
+    out = {name: replace(interval, **damage(interval)) for name, (damage, _, _) in DAMAGES.items()}
+    out["loop5"] = _loop_base_xmod().p
+    out["raw-inverse"] = _raw_inverse_base(cyclic_group(3))
+    return out
+
+
+LAWLESS = _lawless()
+
+
+def _failure(read, *args):
+    try:
+        read(*args)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+@pytest.mark.parametrize("name", LAWLESS)
+def test_the_first_read_rejects_what_build_groupoid_rejects(name):
+    raw = LAWLESS[name]
+    got = _failure(index_view, raw)
+    built = _failure(build_groupoid, raw.objects, raw.arrows, raw.src, raw.tgt, raw.comp)
+    if built is None:
+        # a lawful table: the identity or inverse map is damaged, and the
+        # witness is its first key whose entry differs from the table's
+        p = build_groupoid(raw.objects, raw.arrows, raw.src, raw.tgt, raw.comp)
+        pairs = (("identity", raw.id_of, p.id_of), ("inverse", raw.inv, p.inv))
+        message, given, want = next(
+            (f"{kind} map contradicts the table", given, want)
+            for kind, given, want in pairs
+            if given != want
+        )
+        missing = object()
+        bad = [k for k in (*want, *given) if given.get(k, missing) != want.get(k, missing)]
+        built = message, bad[0]
+    assert got == built
+    assert raw._view is None
+
+
+def _lawful():
+    """Every lawful groupoid of the test batteries, by name."""
+    out = {f"groupoid-{n}": p for n, p in GROUPOIDS.items()}
+    out.update((f"battery-{n}", p) for n, p in battery().items())
+    groups = ((n, g) for n, g in GROUPS.items() if isinstance(g, FiniteGroup))
+    out.update((f"group-{n}", from_group(g)) for n, g in groups)
+    for modules, tag in ((MODULES, "module"), (CARRIER_MODULES, "carrier")):
+        out.update((f"{tag}-{n}", xm.p) for n, xm in modules.items())
+    return out
+
+
+LAWFUL = _lawful()
+
+
+@pytest.mark.parametrize("name", LAWFUL)
+def test_a_copy_of_a_lawful_groupoid_keeps_the_view_build_groupoid_builds(name):
+    p = LAWFUL[name]
+    want = build_groupoid(p.objects, p.arrows, p.src, p.tgt, p.comp)
+    assert (want.id_of, want.inv) == (p.id_of, p.inv)
+    copy = replace(p)
+    assert copy._view is None
+    assert index_view(copy) == index_view(p) == want._view
+    assert copy._view is index_view(copy)
 
 
 @pytest.mark.parametrize("name", ["c2c2.xm", "c4c2.xm", "bad.xm"])
@@ -306,14 +390,11 @@ def test_base_group_of_a_parsed_xmod_equals_the_old_rebuild(name):
     new, old = _base_group(xm), _old_base_group(xm)
     assert new == old
     assert (new.name, new.inverse) == (old.name, old.inverse)
-    # A lawful base lends its view: nothing is rebuilt.
-    assert xm.p._view is not None and new._view is not None
-    assert new._view is xm.p._view and new.table is xm.p.comp
-    # An unmarked base goes through finite_group.
-    unmarked = replace(xm, p=replace(xm.p))
-    rebuilt = _base_group(unmarked)
-    assert rebuilt == old and rebuilt._view is not None
-    assert rebuilt._view is not xm.p._view and rebuilt.table is not xm.p.comp
+    # The group is validated on the base's own table, and reads as the base.
+    assert new._view == index_view(xm.p) and new.table is xm.p.comp
+    # A replaced base gives the same group.
+    rebuilt = _base_group(replace(xm, p=replace(xm.p)))
+    assert rebuilt == old and rebuilt.inverse == old.inverse and rebuilt._view == new._view
 
 
 def test_one_object_group_of_a_raw_broken_groupoid_is_validated():
@@ -381,14 +462,11 @@ def test_each_constructor_reads_its_view_on_first_use_and_keeps_it(name):
 def test_a_replaced_module_has_no_view_and_gives_the_same_answers(name):
     xm = CONSTRUCTORS[name]()
     kept = xmod_view(xm)
-    for copy, marked in (
-        (replace(xm), True), (replace(xm, p=replace(xm.p)), False), (replace(xm, name="copy"), True)
-    ):
+    for copy in (replace(xm), replace(xm, p=replace(xm.p)), replace(xm, name="copy")):
         assert copy._view is None
-        # A view read for the copy equals the original's; it is kept only
-        # when the base is still marked lawful.
+        # The view read for the copy equals the original's, and is kept.
         assert xmod_view(copy) == kept
-        assert (copy._view is not None) == marked
+        assert copy._view is not None
         d, d_copy = from_xmod(xm), from_xmod(copy)
         assert d_copy.squares == d.squares
         grid = sample_grid(d, random.Random(7), 3, 3)
@@ -399,12 +477,12 @@ def test_a_replaced_module_has_no_view_and_gives_the_same_answers(name):
         assert make_square(copy, *fields) == make_square(xm, *fields) == s
 
 
-def test_a_module_over_an_unmarked_base_keeps_no_view():
+def test_a_module_over_a_replaced_base_keeps_its_view():
     xm = reordered_interval_xmod()
-    unmarked = crossed_module(replace(xm.p), xm.m, xm.mu, xm.action)
-    assert unmarked._view is None
-    assert xmod_view(unmarked) == xmod_view(xm)
-    assert unmarked._view is None
+    copy = crossed_module(replace(xm.p), xm.m, xm.mu, xm.action)
+    assert copy._view is None and copy.p._view is None
+    assert xmod_view(copy) == xmod_view(xm)
+    assert copy._view is xmod_view(copy) and copy.p._view == xm.p._view
 
 
 def _counting_views(monkeypatch):
