@@ -9,10 +9,11 @@ Conventions that hold across the whole package:
   function, so concurrent use needs no locking.
 - Enumerations run in a canonical order derived from the declared order of
   objects and arrows, so repeated runs produce identical output.
-- Connectivity has one routine, ``skeleton_components`` (union-find over
-  any vertex and edge lists): blocks come ordered by their first vertex,
-  each block in vertex order.  Groupoid components, complex skeleta and
-  vertex-group presentations all use it.
+- Connectivity has two routines: ``skeleton_components`` (union-find over
+  any vertex and edge lists) partitions vertices into components, blocks
+  ordered by their first vertex, each in vertex order; and
+  ``presentations.spanning_tree`` builds a rooted breadth-first forest with
+  each vertex's path from its root, for presentations and vertex groups.
 - Groups and groupoids share one validator, a group being the one-object
   case: the table is read into integer rows once, and associativity is
   checked with Light's test at O(n^2 |S|) instead of O(n^3); a table that

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import ValidationError, build_groupoid, finite_group, from_group, one_object_group
+from .core import ValidationError, build_groupoid, finite_group, from_group
 from .core import perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
@@ -336,13 +336,13 @@ def _complex_of(node):
         for line, key, value, _, _ in _entries(_block(faces_node)):
             tokens = value.split()
             if len(tokens) == 2 and tokens[0] == "1":  # an empty boundary
-                if tokens[1] not in q.vertex_set:
+                if tokens[1] not in q._view.keys():
                     raise ParseError(f"unknown vertex {tokens[1]!r}", line)
                 w = empty_word(tokens[1])
             else:
                 w = _word_of(tokens, q, line)
             faces.append((key, w))
-    return _complex_on(q, faces)
+    return _complex_on(q, faces, words_checked=True)
 
 
 def _cover_of(node):
@@ -531,15 +531,18 @@ def _decoded(data):
 
 
 def _render_group(g, indent=""):
-    pad = indent
+    return _render_table(g.name, g.elements, g.unit, g.table, indent)
+
+
+def _render_table(name, elements, unit, table, pad):
     lines = []
-    if g.name:
-        lines.append(f"{pad}name: {g.name}")
-    lines.append(f"{pad}elements: {' '.join(str(e) for e in g.elements)}")
-    lines.append(f"{pad}unit: {g.unit}")
+    if name:
+        lines.append(f"{pad}name: {name}")
+    lines.append(f"{pad}elements: {' '.join(str(e) for e in elements)}")
+    lines.append(f"{pad}unit: {unit}")
     lines.append(f"{pad}table:")
-    for x in g.elements:
-        row = " ".join(str(g.table[(x, y)]) for y in g.elements)
+    for x in elements:
+        row = " ".join(str(table[(x, y)]) for y in elements)
         lines.append(f"{pad}  {x}: {row}")
     return lines
 
@@ -567,12 +570,12 @@ def _render_complex(x, indent=""):
 
 def _render_xmod(xm, indent=""):
     pad = indent
-    group, mg = one_object_group(xm.p), xm.m["*"]
+    p, mg = xm.p, xm.m["*"]
     lines = []
     if xm.name:
         lines.append(f"{pad}name: {xm.name}")
     lines.append(f"{pad}p:")
-    lines.extend(_render_group(group, pad + "  "))
+    lines.extend(_render_table(p.name, p.arrows, p.id_of["*"], p.comp, pad + "  "))
     lines.append(f"{pad}m:")
     lines.extend(_render_group(mg, pad + "  "))
     lines.append(f"{pad}mu:")
@@ -580,7 +583,7 @@ def _render_xmod(xm, indent=""):
         lines.append(f"{pad}  {m}: {xm.mu['*'][m]}")
     lines.append(f"{pad}action:")
     for m in mg.elements:
-        for q in group.elements:
+        for q in p.arrows:
             lines.append(f"{pad}  {m} {q}: {xm.action[(m, q)]}")
     return lines
 

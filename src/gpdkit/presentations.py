@@ -9,6 +9,10 @@ are coterminal pairs of words.  Free reduction (cancel adjacent
 ``e e^-1`` pairs) computes the unique normal form in the free groupoid
 on a quiver.
 
+A quiver is validated on first read, then kept: ``Quiver.validate`` lists
+each vertex's ``(edge, sign, far end)`` triples in the pass that checks
+the endpoints, and keeps them as ``_view`` for ``spanning_tree`` to walk.
+
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
 maps between fundamental groupoids need.  Pushouts are computed at the
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 from collections import Counter, _tuplegetter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, groupby, product, repeat
 from math import prod
 from operator import add, itemgetter
@@ -60,26 +63,29 @@ class Quiver:
     edges: tuple
     esrc: dict
     etgt: dict
-    # Set by a successful ``validate``, as on ``FiniteGroup``.
-    _validated: bool = field(default=False, init=False, compare=False, repr=False)
+    # Each vertex's ``(edge, sign, far end)`` triples, a loop once, at its
+    # source; raw and ``replace``d quivers start without it.
+    _view: dict = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
-        if self._validated:
+        if self._view is not None:
             return self
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        incident = {v: [] for v in self.vertices}
+        if len(incident) != len(self.vertices):
             raise ValidationError("duplicate vertices", witness=self.vertices)
         if len(set(self.edges)) != len(self.edges):
             raise ValidationError("duplicate edges", witness=self.edges)
+        esrc, etgt = self.esrc, self.etgt
         for e in self.edges:
-            if self.esrc.get(e) not in vset or self.etgt.get(e) not in vset:
-                raise ValidationError("edge with bad endpoints", witness=e)
-        object.__setattr__(self, "_validated", True)
+            s, t = esrc.get(e), etgt.get(e)
+            try:
+                incident[s].append((e, 1, t))
+                if t != s:
+                    incident[t].append((e, -1, s))
+            except KeyError:
+                raise ValidationError("edge with bad endpoints", witness=e) from None
+        object.__setattr__(self, "_view", incident)
         return self
-
-    @cached_property
-    def vertex_set(self):
-        return frozenset(self.vertices)
 
     def letter_src(self, letter):
         e, s = letter
@@ -178,7 +184,7 @@ def _is_vertex(q, v):
     """Whether ``v`` is a vertex of ``q`` that can place an empty word
     (``None`` never can)."""
     try:
-        return v is not None and v in q.vertex_set
+        return v is not None and v in q.validate()._view.keys()
     except TypeError:  # v, or a vertex of q, is unhashable
         return v in q.vertices
 
@@ -810,28 +816,22 @@ class GroupPresentation:
         return f"<{gens} | {rels}>"
 
 
-def _incident(q):
-    """(edge, sign, far end) per vertex of ``q`` in edge order; a loop once, at its source."""
-    incident, esrc, etgt = {v: [] for v in q.vertices}, q.esrc, q.etgt
-    for e in q.edges:
-        s, t = esrc[e], etgt[e]
-        incident[s].append((e, 1, t))
-        if t != s:
-            incident[t].append((e, -1, s))
-    return incident
-
-
 def spanning_tree(q, roots):
     """Breadth-first forest rooted at ``roots``: maps each reached vertex to
     the path of signed tree letters from its root, and lists tree edges.
 
     Roots are processed in vertex order, edges in input order, so the
-    forest (and everything built from it) is deterministic.  ``q`` is a
-    quiver, or its ``(vertices, _incident(q))`` built once for many walks.
+    forest (and everything built from it) is deterministic.  The walk reads
+    the incidence that ``Quiver.validate`` keeps; a root that is not a
+    vertex raises "no such vertex".
     """
-    vertices, incident = q if isinstance(q, tuple) else (q.vertices, _incident(q))
-    vorder = {v: i for i, v in enumerate(vertices)}
-    roots = sorted(roots, key=lambda v: vorder[v])
+    incident = q.validate()._view
+    vorder = {v: i for i, v in enumerate(incident)}
+    try:
+        roots = sorted(roots, key=vorder.__getitem__)
+    except (KeyError, TypeError):  # a root that is no vertex, or unhashable
+        stray = next(r for r in roots if r not in q.vertices)
+        raise ValidationError("no such vertex", witness=stray) from None
     paths = {r: () for r in roots}
     root_of = {r: r for r in roots}
     tree_edges = set()
@@ -858,13 +858,10 @@ def vertex_group_presentation(p, x):
     walked again from its least vertex only when that is not ``x``.
     """
     q = p.quiver
-    if x not in q.vertices:
-        raise ValidationError("no such vertex", witness=x)
-    walks = (q.vertices, _incident(q))
-    comp, _, tree_edges = spanning_tree(walks, [x])  # keyed by the component
+    comp, _, tree_edges = spanning_tree(q, [x])  # keyed by the component
     root = next(v for v in q.vertices if v in comp)
     if root != x:
-        comp, _, tree_edges = spanning_tree(walks, [root])
+        comp, _, tree_edges = spanning_tree(q, [root])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )

@@ -2,10 +2,12 @@
 the pushout square induced by a two-piece cover.
 
 A 2-complex is a quiver plus faces, each face a closed word over the edge
-quiver.  The fundamental groupoid on a base-point set S is presented by
-contracting a breadth-first spanning forest rooted at S: edges outside the
-forest become generators, face boundaries (rewritten through the forest)
-become relations.
+quiver.  A complex is validated on first read, then kept: its view is its
+edge quiver, kept once the faces pass the one check that ``validate``,
+``complex2`` and the parser share.  The fundamental groupoid on a
+base-point set S is presented by contracting a breadth-first spanning
+forest rooted at S: edges outside the forest become generators, face
+boundaries (rewritten through the forest) become relations.
 
 For a cover X = U ∪ V with W = U ∩ V and S meeting every component of U,
 V, and W, the square of inclusion-induced morphisms is pushed out at the
@@ -53,65 +55,35 @@ class Complex2:
     etgt: dict
     faces: tuple
     fboundary: dict
-    # Set by a successful ``validate``; ``init=False`` keeps raw construction,
-    # ``restrict`` and ``dataclasses.replace`` from inheriting it.
-    _validated: bool = field(default=False, init=False, compare=False, repr=False)
-    # The edge quiver, built on first use or handed over by ``_on_quiver``.
-    _quiver: Quiver = field(default=None, init=False, compare=False, repr=False)
+    # The checked edge quiver, kept once every face is checked; raw,
+    # ``restrict``ed and ``replace``d complexes start without it.
+    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
 
     def edge_quiver(self):
-        if self._quiver is None:
-            object.__setattr__(self, "_quiver", Quiver(
-                vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt
-            ))
-        return self._quiver
+        return self.validate()._view
 
     def validate(self):
-        """Check the edge quiver and every face boundary; a successful check
-        is remembered, so a second call is free."""
-        if self._validated:
+        """Check the edge quiver and every face boundary, and keep the
+        checked quiver, so a second call is free."""
+        if self._view is not None:
             return self
-        q = self.edge_quiver().validate()
-        if len(set(self.faces)) != len(self.faces):
-            raise ValidationError("duplicate faces", witness=self.faces)
-        for f in self.faces:
-            w = self.fboundary.get(f)
-            if w is None:
-                raise ValidationError("face without boundary", witness=f)
-            _check_word(q, w, "malformed boundary word", (f, w))
-            if w.src != w.tgt:
-                raise ValidationError("boundary word is not closed", witness=(f, w))
-        object.__setattr__(self, "_validated", True)
-        return self
+        q = Quiver(vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt)
+        return _checked_faces(self, q.validate(), words_checked=False)
 
 
 def complex2(vertices, edges, faces=()):
     """Build a complex from edge triples and ``(face, boundary)`` pairs,
     where a boundary is a ``Word`` or a letter list and letters are
-    ``(edge, sign)``.  Every boundary is checked by ``validate``."""
+    ``(edge, sign)``.  Every boundary is checked."""
     q = quiver(vertices, edges)
-    return _on_quiver(
-        q, [(f, w if isinstance(w, Word) else word(q, list(w))) for f, w in faces]
-    ).validate()
+    faces = [(f, w if isinstance(w, Word) else word(q, list(w))) for f, w in faces]
+    return _complex_on(q, faces, words_checked=False)
 
 
-def _complex_on(q, faces):
-    """The complex on a checked edge quiver ``q`` whose ``(face, boundary)``
-    pairs carry words over ``q`` that were checked as they were built, as
-    the document parser builds them: only the face names and closed
-    boundaries are left to check, and the complex is marked validated."""
-    x = _on_quiver(q, faces)
-    if len(set(x.faces)) != len(x.faces):
-        raise ValidationError("duplicate faces", witness=x.faces)
-    for f, w in faces:
-        if w.src != w.tgt:
-            raise ValidationError("boundary word is not closed", witness=(f, w))
-    object.__setattr__(x, "_validated", True)
-    return x
-
-
-def _on_quiver(q, faces):
-    """The unchecked complex on edge quiver ``q``, kept as its own."""
+def _complex_on(q, faces, words_checked):
+    """The checked complex on edge quiver ``q`` with ``(face, boundary)``
+    pairs ``faces``; the parser, having checked each word as it built it,
+    passes ``words_checked``."""
     x = Complex2(
         vertices=q.vertices,
         edges=q.edges,
@@ -120,7 +92,23 @@ def _on_quiver(q, faces):
         faces=tuple(f for f, _ in faces),
         fboundary=dict(faces),
     )
-    object.__setattr__(x, "_quiver", q)
+    return _checked_faces(x, q, words_checked)
+
+
+def _checked_faces(x, q, words_checked):
+    """Check that the faces of ``x`` are distinct, each with a closed
+    boundary word over ``q``, and keep ``q`` as the view of ``x``."""
+    if len(set(x.faces)) != len(x.faces):
+        raise ValidationError("duplicate faces", witness=x.faces)
+    for f in x.faces:
+        w = x.fboundary.get(f)
+        if w is None:
+            raise ValidationError("face without boundary", witness=f)
+        if not words_checked:
+            _check_word(q, w, "malformed boundary word", (f, w))
+        if w.src != w.tgt:
+            raise ValidationError("boundary word is not closed", witness=(f, w))
+    object.__setattr__(x, "_view", q)
     return x
 
 
@@ -149,11 +137,7 @@ def close_cells(x, cells):
     for f in x.faces:
         if f in cells and not x.fboundary[f].letters:
             vertices.add(x.fboundary[f].src)
-    unknown = cells - set(x.vertices) - set(x.edges) - set(x.faces)
-    if unknown:
-        raise ValidationError(
-            "cells not in the complex", witness=tuple(sorted(unknown, key=str))
-        )
+    _refuse_unknown(cells - set(x.vertices) - set(x.edges) - set(x.faces))
     return Subcomplex(
         vertices=tuple(v for v in x.vertices if v in vertices),
         edges=tuple(e for e in x.edges if e in edges),
@@ -161,7 +145,20 @@ def close_cells(x, cells):
     )
 
 
+def _refuse_unknown(cells):
+    if cells:
+        raise ValidationError(
+            "cells not in the complex", witness=tuple(sorted(cells, key=str))
+        )
+
+
 def restrict(x, sub):
+    """The complex on the cells of ``sub``, each a cell of ``x`` of its kind."""
+    _refuse_unknown(
+        (set(sub.vertices) - set(x.vertices))
+        | (set(sub.edges) - set(x.edges))
+        | (set(sub.faces) - set(x.faces))
+    )
     return Complex2(
         vertices=sub.vertices,
         edges=sub.edges,
@@ -228,11 +225,7 @@ def check_cover(c, base):
     missed = []
     pieces = []
     for name, sub in (("U", c.u), ("V", c.v), ("W", c.w)):
-        blocks = skeleton_components(
-            sub.vertices, sub.edges,
-            {e: c.x.esrc[e] for e in sub.edges},
-            {e: c.x.etgt[e] for e in sub.edges},
-        )
+        blocks = skeleton_components(sub.vertices, sub.edges, c.x.esrc, c.x.etgt)
         pieces.append((name, len(blocks)))
         for block in blocks:
             if not bset & set(block):
@@ -283,12 +276,11 @@ def _fundamental(x, base):
     root of the boundary's base point back to it, and the empty word there
     is the coterminal other side, one shared word per base point.
     """
-    x.validate()
+    q = x.edge_quiver()
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    q = x.edge_quiver()
     paths, root_of, tree_edges = spanning_tree(q, base)
     bset = set(base)
     if len(paths) < len(x.vertices):  # name the first component missed
@@ -332,6 +324,8 @@ def fundamental_groupoid(x, base):
 def pi1(x, base, v):
     """Vertex group presentation of the fundamental groupoid at ``v``."""
     base = tuple(dict.fromkeys(base))
+    if v not in x.vertices:
+        raise ValidationError("no such vertex", witness=v)
     if v not in base:
         raise ValidationError("vertex is not a base point", witness=v)
     return vertex_group_presentation(fundamental_groupoid(x, base), v)

@@ -6,8 +6,8 @@ O(V·E) but obviously right; the library must agree with them exactly,
 block order, forest paths and generator order included.
 
 ``old_spanning_tree`` is the body ``spanning_tree`` had while it built its
-incident lists inside the walk, kept verbatim as an oracle for the walk
-split from the list building, on a quiver and on lists built once.
+incident lists inside the walk, kept verbatim as an oracle for the walk on
+the incidence that ``Quiver.validate`` builds and keeps.
 """
 
 import random
@@ -19,10 +19,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpdkit.core import skeleton_components
+from gpdkit.core import ValidationError, skeleton_components
 from gpdkit.presentations import (
     GroupPresentation,
-    _incident,
     empty_word,
     presentation,
     quiver,
@@ -208,6 +207,25 @@ def test_vertex_group_presentation_matches_oracle(data):
     assert vertex_group_presentation(p, x) == oracle_vertex_group_presentation(p, x)
 
 
+@pytest.mark.parametrize(
+    "roots, witness",
+    [(["zz"], "zz"), ([0, "zz"], "zz"), (["zz", 0, "yy"], "zz"), ([1, [0]], [0])],
+)
+def test_a_root_that_is_not_a_vertex_is_named(roots, witness):
+    q = quiver((0, 1), [("a", 0, 1)])
+    with pytest.raises(ValidationError) as info:
+        spanning_tree(q, roots)
+    assert (str(info.value), info.value.witness) == ("no such vertex", witness)
+
+
+@pytest.mark.parametrize("x", ["zz", [0]])
+def test_a_vertex_group_at_a_vertex_the_quiver_lacks_is_refused(x):
+    p = presentation(quiver((0, 1), [("a", 0, 1)]))
+    with pytest.raises(ValidationError) as info:
+        vertex_group_presentation(p, x)
+    assert (str(info.value), info.value.witness) == ("no such vertex", x)
+
+
 def old_spanning_tree(q, roots):
     """Breadth-first forest rooted at ``roots``: maps each reached vertex to
     the path of signed tree letters from its root, and lists tree edges.
@@ -271,9 +289,8 @@ WALKS = _complex_walks()
 
 @pytest.mark.parametrize("label, q, roots", WALKS, ids=[w[0] for w in WALKS])
 def test_the_split_walk_matches_the_walk_that_built_its_lists(label, q, roots):
-    walks = (q.vertices, _incident(q))
     for r in roots:
         want = old_spanning_tree(q, r)
-        for got in (spanning_tree(q, r), spanning_tree(walks, r)):
-            assert list(got[0].items()) == list(want[0].items()), (label, r)
-            assert list(got[1].items()) == list(want[1].items()) and got[2] == want[2], (label, r)
+        got = spanning_tree(q, r)
+        assert list(got[0].items()) == list(want[0].items()), (label, r)
+        assert list(got[1].items()) == list(want[1].items()) and got[2] == want[2], (label, r)

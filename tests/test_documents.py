@@ -2,16 +2,18 @@
 
 import pytest
 
-from gpdkit.core import ValidationError
+from gpdkit.core import FiniteGroup, ValidationError, one_object_group, symmetric_group
 from gpdkit.dblgpd import commutative_cube_check, eckmann_hilton_check, hcompose
 from gpdkit.documents import (
     Document,
     ParseError,
+    _render_group,
+    _render_xmod,
     load_document,
     parse_document,
     render_document,
 )
-from gpdkit.xmod import check_axioms
+from gpdkit.xmod import automorphism_xmod, bundled_xmods, check_axioms
 
 C2_GROUP = """\
 kind: group
@@ -305,6 +307,48 @@ def test_xmod_document_satisfies_axioms():
     assert xm.name == "c4-over-c2"
     assert xm.m["*"].elements == ("0", "1", "2", "3")
     assert check_axioms(xm).ok
+
+
+def old_render_xmod(xm, indent=""):
+    """The body ``_render_xmod`` had while it validated the base again as a
+    group, kept as its oracle."""
+    pad = indent
+    group, mg = one_object_group(xm.p), xm.m["*"]
+    lines = []
+    if xm.name:
+        lines.append(f"{pad}name: {xm.name}")
+    lines.append(f"{pad}p:")
+    lines.extend(_render_group(group, pad + "  "))
+    lines.append(f"{pad}m:")
+    lines.extend(_render_group(mg, pad + "  "))
+    lines.append(f"{pad}mu:")
+    for m in mg.elements:
+        lines.append(f"{pad}  {m}: {xm.mu['*'][m]}")
+    lines.append(f"{pad}action:")
+    for m in mg.elements:
+        for q in group.elements:
+            lines.append(f"{pad}  {m} {q}: {xm.action[(m, q)]}")
+    return lines
+
+
+XMODS = {**bundled_xmods(), "aut-s4": automorphism_xmod(symmetric_group(4))}
+
+
+@pytest.mark.parametrize("name", XMODS)
+def test_an_xmod_renders_its_base_without_validating_it_again(name, monkeypatch):
+    xm = XMODS[name]
+    want = ["\n".join(old_render_xmod(xm, pad)).encode() for pad in ("", "  ")]
+    calls = []
+    real = FiniteGroup.validate
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FiniteGroup, "validate", spy)
+    got = ["\n".join(_render_xmod(xm, pad)).encode() for pad in ("", "  ")]
+    assert got == want
+    assert calls == []
 
 
 def test_xmod_missing_action_row_rejected():

@@ -451,7 +451,7 @@ def test_parsed_complexes_equal_built_ones_and_present_the_same_groupoid(cx, ext
     parsed = parse_document(text).payload
     built = complex2(vertices, edges, faces)
     assert parsed == built
-    assert parsed._validated and built._validated
+    assert parsed._view is not None and built._view is not None
     assert render_document(parse_document(text)) == text
     base = _bases(parsed, [v for v in extra if v in vertices])
     assert _check_pipeline(parsed, base) == _check_pipeline(built, base)

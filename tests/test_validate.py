@@ -594,6 +594,8 @@ def test_the_kept_view_is_the_only_mark():
 
     assert private(FiniteGroup) == ["_view", "_trivial"]
     assert private(FiniteGroupoid) == ["_view"]
+    assert private(Quiver) == ["_view"]
+    assert private(Complex2) == ["_view"]
 
 
 @pytest.mark.parametrize(
@@ -814,7 +816,7 @@ def quiver_walks(monkeypatch):
     real = Quiver.validate
 
     def spy(self):
-        if not self._validated:
+        if self._view is None:
             walks.append(self.vertices)
         return real(self)
 
@@ -867,8 +869,12 @@ def test_a_broken_unmarked_quiver_is_rejected(build):
 
 def test_a_replaced_complex_rebuilds_and_checks_its_quiver():
     x = _disc()
+    copy = replace(x)
+    assert copy.edge_quiver() is not x.edge_quiver()
+    assert copy.edge_quiver() == x.edge_quiver()
     broken = replace(x, etgt={"a": 1, "b": 2})
-    assert broken.edge_quiver() is not x.edge_quiver()
-    with pytest.raises(ValidationError) as info:
-        fundamental_groupoid(broken, (0,))
-    assert (str(info.value), info.value.witness) == ("edge with bad endpoints", "b")
+    for read in (broken.edge_quiver, lambda: fundamental_groupoid(broken, (0,))):
+        with pytest.raises(ValidationError) as info:
+            read()
+        assert (str(info.value), info.value.witness) == ("edge with bad endpoints", "b")
+        assert broken._view is None

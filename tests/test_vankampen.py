@@ -24,12 +24,14 @@ from gpdkit.presentations import (
     words_equal,
 )
 from gpdkit.vankampen import (
+    Subcomplex,
     check_cover,
     close_cells,
     complex2,
     cover,
     fundamental_groupoid,
     pi1,
+    restrict,
     vkt_square,
 )
 
@@ -215,8 +217,39 @@ def test_vkt_explicit_targets_and_determinism():
 
 
 def test_pi1_requires_a_base_vertex():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         pi1(circle(), (0,), 1)
+    assert (str(info.value), info.value.witness) == ("vertex is not a base point", 1)
+
+
+@pytest.mark.parametrize("base", [(0,), (0, 1)])
+def test_pi1_names_a_vertex_the_complex_lacks_as_no_such_vertex(base):
+    # as README and ``gpdkit pi1 --vertex`` word it
+    with pytest.raises(ValidationError) as info:
+        pi1(circle(), base, "zz")
+    assert (str(info.value), info.value.witness) == ("no such vertex", "zz")
+
+
+@pytest.mark.parametrize(
+    "sub, witness",
+    [
+        (Subcomplex(vertices=(0, 1), edges=("a", "zz"), faces=()), ("zz",)),
+        (Subcomplex(vertices=(0, 7), edges=(), faces=()), (7,)),
+        (Subcomplex(vertices=(0, 1), edges=("a", "b"), faces=("g",)), ("g",)),
+        # a name of the complex, but not of a cell of that kind
+        (Subcomplex(vertices=(0,), edges=(0,), faces=("a",)), (0, "a")),
+    ],
+)
+def test_restricting_to_cells_the_complex_lacks_is_close_cells_error(sub, witness):
+    x = complex2((0, 1), [("a", 0, 1), ("b", 0, 1)], [("f", [("a", 1), ("b", -1)])])
+    with pytest.raises(ValidationError) as info:
+        restrict(x, sub)
+    assert (str(info.value), info.value.witness) == ("cells not in the complex", witness)
+    names = [c for c in witness if c not in (*x.vertices, *x.edges, *x.faces)]
+    if names:  # the error ``close_cells`` gives for the same names
+        with pytest.raises(ValidationError) as want:
+            close_cells(x, names)
+        assert (str(want.value), want.value.witness) == (str(info.value), info.value.witness)
 
 
 # A filled circle on a0, a1, a circle of two arcs on b0, b1, and an

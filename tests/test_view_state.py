@@ -1,10 +1,11 @@
-"""Where the library may keep or test an IndexView or XModView, read off
-the source's syntax tree.
+"""Where the library may keep or test a view (an IndexView, an XModView, a
+quiver's incidence or a complex's edge quiver), read off the source's
+syntax tree.
 
-Groups and groupoids are validated on first read, then kept: the view in
-``_view`` is set only by the code that validated the value or built it
-from a validated one, and only the readers that validate on first read
-ask whether it is set yet.  Any other writer would lend a view to a value
+Groups, groupoids, quivers and complexes are validated on first read, then
+kept: the view in ``_view`` is set only by the code that validated the
+value or built it from a validated one, and only the readers that validate
+on first read ask whether it is set yet.  Any other writer would lend a view to a value
 nobody checked, and any other test of ``_view`` would bring back a second
 path for values without one.
 """
@@ -18,8 +19,11 @@ SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
 
 WRITERS = {
     "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
+    "Quiver.validate", "_checked_faces",
 }
-TESTERS = {"FiniteGroup.validate", "index_view", "xmod_view"}
+TESTERS = {
+    "FiniteGroup.validate", "index_view", "xmod_view", "Quiver.validate", "Complex2.validate",
+}
 
 
 def _is_view(node):
