@@ -144,7 +144,9 @@ _scalar = JSONEncoder().encode
 def _json(value):
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, from
     pieces joined once: strings and keys are escaped by the C encoder, and
-    other scalars go through a compact encoder."""
+    other scalars go through a compact encoder.  One value differs: an empty
+    ``Word`` is empty by ``len`` (it counts letters) but not by iteration,
+    so it is written ``["v", "v", []]`` where ``json.dumps`` writes ``[]``."""
     pieces = []
     put = pieces.append
 

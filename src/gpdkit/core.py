@@ -222,9 +222,6 @@ class FiniteGroup:
     # reader.  ``init=False`` keeps raw construction and
     # ``dataclasses.replace`` from inheriting it.
     _view: IndexView = field(default=None, init=False, compare=False, repr=False)
-    # ``xmod.trivial_xmod(self)`` with the default name, built on first use;
-    # ``init=False`` again keeps copies from sharing it.
-    _trivial: object = field(default=None, init=False, compare=False, repr=False)
 
     def mul(self, a, b):
         return self.table[(a, b)]

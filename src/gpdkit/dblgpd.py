@@ -40,9 +40,9 @@ blocks and ``to_xmod``'s fibre tables and action on these tuples; a
 ``LabeledSquare`` is built only where a square leaves the library, and
 ``to_xmod`` names each result by the carrier's own square.  The public
 functions take and return ``LabeledSquare``s and wrap the kernel, and
-every error keeps its text and its witness in names.  ``trivial_xmod(g)``
-is kept on ``g`` and keeps its view, so a cube check reads ``g``'s table
-rows without rebuilding anything.
+every error keeps its text and its witness in names.  A cube check reads
+the group's own view and folds its thin squares on the trivial module's
+view built from it.
 
 ``LabeledSquare`` is a NamedTuple whose ``repr``, ``str`` and ``hash`` are
 the frozen dataclass's it replaced; it equals the 5-tuple of its fields,
@@ -63,7 +63,7 @@ from .core import (
     ValidationError,
     finite_group,
 )
-from .xmod import CrossedModule, XModMorphism, XModView, trivial_xmod, xmod_view
+from .xmod import _ONE, CrossedModule, XModMorphism, XModView, xmod_view
 
 
 class LabeledSquare(NamedTuple):
@@ -362,9 +362,9 @@ def from_xmod(xm, guard=DEFAULT_SIZE_GUARD):
     """Enumerate every boundary-valid square: choose the right, top, and
     left edges and the label; the bottom edge is then forced.
 
-    Arrows are composed as indexes through the module's XModView (read for
-    this call when the module keeps none), and the squares are filed under
-    their left and top edges by index, one block per choice of edges."""
+    Arrows are composed as indexes through the module's XModView (read on
+    the module's first use and kept), and the squares are filed under their
+    left and top edges by index, one block per choice of edges."""
     p = xm.p
     xv = xmod_view(xm)
     v = xv.base
@@ -624,15 +624,14 @@ class CubeReport:
 def commutative_cube_check(group, c):
     """Check that five commuting faces force the sixth.
 
-    The five non-top faces are checked first; any failure is reported by
-    face name.  The cube is then flattened into a 3x3 grid of commutative
-    squares whose composite is compared against the top face.  Faces and
-    squares are read on integers, through the view of ``trivial_xmod(group)``
-    that the group keeps.
+    The five non-top faces are checked first, on the group's own view; any
+    failure is reported by face name.  The cube is then flattened into a
+    3x3 grid of int thin squares ``(0, top, left, right, bottom)`` over
+    ``trivial_xmod(group)``, folded on that module's view built from the
+    group's, and the composite is compared against the top face.  With the
+    lower faces commuting every square is valid, so none is checked again.
     """
-    xm = trivial_xmod(group)
-    xv = xmod_view(xm)
-    b = xv.base
+    b = group.validate()._view
     rows, inv = b.rows, b.inverse
     e = [b.index.get(getattr(c, name)) for name in CUBE_EDGES]
     if None in e:
@@ -646,29 +645,25 @@ def commutative_cube_check(group, c):
     top = cube_face(c, "top")
     if bad:
         return CubeReport(ok=False, failing_faces=bad, composite=None, top_face=top)
-    one = xm.m["*"].unit
     u = b.units[0]
+    xv = XModView(b, (_ONE._view,), ((0,),) * len(b.items), ((u,),))
     (back_left, back_right, front_left, front_right, top_left, top_back, top_front,
      top_right, bottom_left, bottom_back, bottom_front, bottom_right) = e
-
-    def cs(left, top_, bottom, right):
-        return _square(xm, xv, one, top_, left, right, bottom)
-
     grid = [
         [
-            cs(u, u, back_left, back_left),
-            cs(back_left, top_back, bottom_back, back_right),
-            cs(back_right, u, inv[back_right], u),
+            (0, u, u, back_left, back_left),
+            (0, top_back, back_left, back_right, bottom_back),
+            (0, u, back_right, u, inv[back_right]),
         ],
         [
-            cs(top_left, back_left, front_left, bottom_left),
-            cs(bottom_left, bottom_back, bottom_front, bottom_right),
-            cs(bottom_right, inv[back_right], inv[front_right], top_right),
+            (0, back_left, top_left, bottom_left, front_left),
+            (0, bottom_back, bottom_left, bottom_right, bottom_front),
+            (0, inv[back_right], bottom_right, top_right, inv[front_right]),
         ],
         [
-            cs(u, front_left, u, inv[front_left]),
-            cs(inv[front_left], bottom_front, top_front, inv[front_right]),
-            cs(inv[front_right], inv[front_right], u, u),
+            (0, front_left, u, inv[front_left], u),
+            (0, bottom_front, inv[front_left], inv[front_right], top_front),
+            (0, inv[front_right], inv[front_right], u, u),
         ],
     ]
     _, f_top, f_left, f_right, f_bottom = _fold(xv, grid, "rows")

@@ -184,7 +184,7 @@ def _group_of(node):
                 f"degree must be an integer, got {degree_text!r}", degree_line
             )
         elements = []
-        images = {}
+        images, lookup = {}, {}
         for line, key, value, _, kids in _entries(perms):
             if kids:
                 raise ParseError("permutation rows take no nested lines", line)
@@ -196,11 +196,15 @@ def _group_of(node):
                 raise ParseError("permutation images must be integers", line)
             if sorted(perm) != list(range(degree)):
                 raise ParseError(f"row is not a permutation of 0..{degree - 1}", line)
+            if perm in lookup:
+                raise ParseError(
+                    f"rows {lookup[perm]!r} and {key!r} list the same permutation", line
+                )
             elements.append(key)
             images[key] = perm
+            lookup[perm] = key
         if not elements:
             raise ParseError("perms section is empty", perms[0])
-        lookup = {v: k for k, v in images.items()}
         table = {}
         for a in elements:
             for b in elements:
@@ -360,6 +364,8 @@ def _xmod_of(node):
     for line, key, value, _, _ in _entries(mu_node):
         if key not in mg.elements:
             raise ParseError(f"unknown fibre element {key!r}", line)
+        if key in mu:
+            raise ParseError(f"duplicate row for {key!r}", line)
         if value not in pg.elements:
             raise ParseError(f"unknown base element {value!r}", line)
         mu[key] = value
@@ -372,6 +378,8 @@ def _xmod_of(node):
         m, q = pair
         if m not in mg.elements or q not in pg.elements:
             raise ParseError(f"unknown pair {key!r}", line)
+        if (m, q) in action:
+            raise ParseError(f"duplicate row for {' '.join(pair)!r}", line)
         if value not in mg.elements:
             raise ParseError(f"unknown fibre element {value!r}", line)
         action[(m, q)] = value
@@ -469,7 +477,9 @@ def _eh_of(node):
             pair = _names(key, line)
             if len(pair) != 2:
                 raise ParseError(f"{op} rows are 'a b: c'", line)
-            table[(pair[0], pair[1])] = value.strip()
+            if tuple(pair) in table:
+                raise ParseError(f"duplicate row for {' '.join(pair)!r}", line)
+            table[tuple(pair)] = value.strip()
         ops[op] = table
     return EHDoc(
         elements=elements, op1=ops["op1"], op2=ops["op2"], unit1=unit1, unit2=unit2

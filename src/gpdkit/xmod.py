@@ -328,25 +328,15 @@ _ONE = trivial_group()
 
 
 def trivial_xmod(g, name=""):
-    """The trivial crossed module over a group: M is the one-element group.
-
-    With the default name it is built once per group and kept on ``g`` as
-    ``from_group(g)`` is, so its view is read once too:
-    ``commutative_cube_check`` asks for it on every cube."""
-    if not name and g._trivial is not None:
-        return g._trivial
+    """The trivial crossed module over a group: M is the one-element group."""
     one = _ONE
-    p = from_group(g)
-    xm = CrossedModule(
-        p=p,
+    return CrossedModule(
+        p=from_group(g),
         m={"*": one},
         mu={"*": {one.unit: g.unit}},
         action={(one.unit, x): one.unit for x in g.elements},
         name=name or f"1<|{g.name or 'group'}",
     )
-    if not name:
-        object.__setattr__(g, "_trivial", xm)
-    return xm
 
 
 def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):

@@ -11,24 +11,31 @@ compared square by square and index by index on one-, two- and
 three-object modules, bases built validated and ``replace``d copies
 validated on their first read, and bases that break;
 ``_old_fibre``, further down, is the scan ``to_xmod`` made for each fibre.
+At the end, each square of the grid ``commutative_cube_check`` folds,
+unchecked, is checked with ``make_square`` over ``trivial_xmod``.
 """
 
 import random
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpdkit import dblgpd
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
     CompositionError,
     HypothesisError,
     SizeGuardExceeded,
     ValidationError,
+    battery,
     cyclic_group,
     disjoint_union,
     from_group,
     interval_groupoid,
+    one_object_group,
     symmetric_group,
 )
 from gpdkit.dblgpd import (
@@ -629,3 +636,61 @@ def test_thin_squares_accept_exactly_the_commuting_frames():
                 old.left, old.top, old.bottom, old.right
             )
     assert accepted == 216
+
+
+# The grid ``commutative_cube_check`` folds, against ``make_square``: the
+# check writes its nine thin squares as int tuples, unchecked, on a view it
+# builds from the group's, so the squares' validity and the view are
+# checked here.
+
+ORACLE_GROUPS = {
+    **{name: one_object_group(p) for name, p in battery().items()},
+    "s4": symmetric_group(4),
+}
+
+
+def folded_grid(group, c):
+    """The report of ``commutative_cube_check(group, c)`` and the
+    ``(view, grid)`` it folded, or None when it folded nothing."""
+    seen = []
+    real = dblgpd._fold
+
+    def spy(xv, grid, order):
+        seen.append((xv, grid))
+        return real(xv, grid, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dblgpd, "_fold", spy)
+        report = commutative_cube_check(group, c)
+    return report, (seen[0] if seen else None)
+
+
+def lower_faces_commute(group, c):
+    faces = ("bottom", "back", "front", "left", "right")
+    return all(_face_commutes(group, old_cube_face(c, name)) for name in faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_GROUPS)), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_folded_grid_is_nine_squares_make_square_accepts(name, seed, data):
+    group = ORACLE_GROUPS[name]
+    xm = trivial_xmod(group)
+    drawn = cube(group, **{e: data.draw(st.sampled_from(group.elements)) for e in CUBE_EDGES})
+    for c in (random_commutative_cube(group, random.Random(seed)), drawn):
+        report, folded = folded_grid(group, c)
+        assert (folded is not None) == lower_faces_commute(group, c) == (not report.failing_faces)
+        if folded is None:
+            continue
+        xv, grid = folded
+        assert [len(row) for row in grid] == [3, 3, 3]
+        for s in chain.from_iterable(grid):
+            square = dblgpd._named(xv, s)
+            assert make_square(xm, *square) == square
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_the_cube_check_folds_on_the_trivial_modules_view(name):
+    group = ORACLE_GROUPS[name]
+    _, (xv, _) = folded_grid(group, random_commutative_cube(group, random.Random(7)))
+    assert xv == xmod_view(trivial_xmod(group))
+    assert xv.base is group._view

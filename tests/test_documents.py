@@ -247,6 +247,39 @@ def test_a_repeated_groupoid_composition_row_is_rejected_at_its_line():
     assert (str(exc.value), exc.value.line) == ("line 10: duplicate row for 'id0 id0'", 10)
 
 
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        (XMOD_C4C2.replace("mu:\n  0: 0\n", "mu:\n  0: 0\n  0: 1\n"), 19, "0"),
+        (XMOD_C4C2.replace("action:\n  0 0: 0\n", "action:\n  0 0: 0\n  0  0: 1\n"), 24, "0 0"),
+        (EH_C2.replace("  1 1: 0\nop2:", "  1 1: 0\n  1 1: 1\nop2:"), 10, "1 1"),
+        (EH_C2 + "  0 1: 0\n", 15, "0 1"),
+    ],
+    ids=["mu", "action", "op1", "op2"],
+)
+def test_a_repeated_table_row_is_rejected_at_its_line(text, line, key):
+    # A second row for a key is never read over the first.
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: duplicate row for {key!r}", line)
+
+
+@pytest.mark.parametrize(
+    "row, first",
+    [("  f: 0 1 2\n", "e"), ("  d: 1 2 0\n", "r")],
+    ids=["identity", "rotation"],
+)
+def test_a_permutation_listed_under_two_names_is_rejected_at_the_second(row, first):
+    # Two names for one permutation would leave the product table one name
+    # short, so the repeat is named where it is written.
+    with pytest.raises(ParseError) as exc:
+        parse_document(S3_PERMS + row)
+    name = row.split(":")[0].strip()
+    assert (str(exc.value), exc.value.line) == (
+        f"line 11: rows {first!r} and {name!r} list the same permutation", 11
+    )
+
+
 def test_a_composition_row_naming_an_unknown_arrow_is_a_validation_error():
     with pytest.raises(ValidationError) as exc:
         parse_document(GROUPOID + "  k id0: id0\n")

@@ -6,7 +6,9 @@ nested dicts, lists and tuples, empty containers, non-ASCII and control
 characters, ints, bools, None, floats and the non-``str`` keys the
 standard library accepts, both must give the same text or raise the same
 error.  Every golden report, read back, must be written as the same
-bytes.
+bytes.  One value is written otherwise, and both texts are pinned: an
+empty ``Word``, whose ``len`` counts its letters, is ``[]`` to
+``json.dumps`` and its three fields to ``cli._json``.
 """
 
 import json
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdkit.cli import _json
+from gpdkit.presentations import Word, empty_word
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
@@ -103,6 +106,13 @@ Pair = namedtuple("Pair", "a b")
 )
 def test_hand_picked_values_match_json_dumps(value):
     assert _outcome(_json, value) == _outcome(_stdlib, value)
+
+
+def test_an_empty_word_is_the_one_value_written_otherwise():
+    w = empty_word("v")
+    assert (_json(w), _stdlib(w)) == ('["v", "v", []]', "[]")
+    nested = {"w": [w, Word("v", "u", (("a", 1),))]}
+    assert _json(nested) == _stdlib(nested).replace("[]", '["v", "v", []]', 1)
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])

@@ -592,7 +592,7 @@ def test_the_kept_view_is_the_only_mark():
     def private(cls):
         return [f.name for f in fields(cls) if not f.init]
 
-    assert private(FiniteGroup) == ["_view", "_trivial"]
+    assert private(FiniteGroup) == ["_view"]
     assert private(FiniteGroupoid) == ["_view"]
     assert private(Quiver) == ["_view"]
     assert private(Complex2) == ["_view"]

@@ -7,7 +7,9 @@ kept: the view in ``_view`` is set only by the code that validated the
 value or built it from a validated one, and only the readers that validate
 on first read ask whether it is set yet.  Any other writer would lend a view to a value
 nobody checked, and any other test of ``_view`` would bring back a second
-path for values without one.
+path for values without one.  Nothing else is written onto a frozen value
+but the inverse map a group's validation reads off its table, so no side
+cache rides along with the view.
 """
 
 import ast
@@ -24,6 +26,8 @@ WRITERS = {
 TESTERS = {
     "FiniteGroup.validate", "index_view", "xmod_view", "Quiver.validate", "Complex2.validate",
 }
+# every ``object.__setattr__`` of a field other than ``_view``
+OTHER_SETS = {("FiniteGroup.validate", "inverse")}
 
 
 def _is_view(node):
@@ -33,10 +37,12 @@ def _is_view(node):
 class _Scan(ast.NodeVisitor):
     """Collect the qualified name of the function around each ``_view``
     write (``object.__setattr__(x, "_view", v)``) and each test of whether
-    ``_view`` is set (``x._view is None``, ``if x._view``, ...)."""
+    ``_view`` is set (``x._view is None``, ``if x._view``, ...), and each
+    ``object.__setattr__`` with the field it writes (None when the name is
+    not a literal)."""
 
     def __init__(self):
-        self.scope, self.writes, self.tests = [], [], []
+        self.scope, self.writes, self.tests, self.sets = [], [], [], []
 
     def _nested(self, node):
         self.scope.append(node.name)
@@ -54,9 +60,12 @@ class _Scan(ast.NodeVisitor):
             isinstance(f, ast.Attribute) and f.attr == "__setattr__"
             and isinstance(f.value, ast.Name) and f.value.id == "object"
             and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_view"
         ):
-            self.writes.append(self._where())
+            name = node.args[1]
+            name = name.value if isinstance(name, ast.Constant) else None
+            self.sets.append((self._where(), name))
+            if name == "_view":
+                self.writes.append(self._where())
         self.generic_visit(node)
 
     def visit_Compare(self, node):
@@ -106,6 +115,11 @@ def test_only_the_validating_code_keeps_a_view():
     assert set(writes) == WRITERS
 
 
+def test_a_frozen_value_keeps_nothing_beside_its_view():
+    sets = {hit for path in SOURCES for hit in scan(path.read_text()).sets}
+    assert {hit for hit in sets if hit[1] != "_view"} == OTHER_SETS
+
+
 def test_only_the_first_read_asks_whether_a_view_is_set():
     _, tests = _library()
     assert set(tests) <= TESTERS, tests
@@ -116,6 +130,8 @@ def test_the_scan_sees_a_lent_view_and_each_kind_of_fork():
     source = '''
 def lend(p, g):
     object.__setattr__(g, "_view", p._view)
+    object.__setattr__(g, "_cache", p)
+    object.__setattr__(g, p.name, p)
 
 class Box:
     def fork(self, p):
@@ -128,4 +144,5 @@ def either(p, q):
 '''
     found = scan(source)
     assert found.writes == ["lend"]
+    assert found.sets == [("lend", "_view"), ("lend", "_cache"), ("lend", None)]
     assert found.tests == ["Box.fork", "Box.fork", "either"]

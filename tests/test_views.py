@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from gpdkit import xmod
+from gpdkit import dblgpd, xmod
 from gpdkit.cli import _base_group
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
@@ -532,17 +532,27 @@ def test_a_lawless_module_reads_none_where_its_tables_do_not_index():
     assert v.act[0] == xmod_view(xm).act[0]
 
 
-def test_the_trivial_module_and_its_view_are_built_once_per_group(monkeypatch):
-    built = _counting_views(monkeypatch)
+def test_a_cube_check_builds_no_module_and_checks_no_square(monkeypatch):
+    """``commutative_cube_check`` folds thin squares written on the group's
+    own view: it builds no trivial module, reads no module's view and runs
+    none of ``make_square``'s checks, on commuting and broken cubes alike."""
     g = cyclic_group(5)
     rng = random.Random(11)
-    cubes = [random_commutative_cube(g, rng) for _ in range(100)]
-    assert all(commutative_cube_check(g, c).ok for c in cubes)
-    assert len(built) == 1
-    assert trivial_xmod(g) is g._trivial
-    assert trivial_xmod(g)._view is g._trivial._view
-    # A copy of the group keeps nothing, and a named module is not kept.
-    copy = replace(g)
-    assert copy._trivial is None
-    assert trivial_xmod(g, name="other") is not trivial_xmod(g, name="other")
-    assert g._trivial.name == "1<|c5"
+    cubes = [random_commutative_cube(g, rng) for _ in range(50)]
+    cubes += [replace(c, top_left=(c.top_left + 1) % 5) for c in cubes]
+    calls = []
+    for module, name in (
+        (xmod, "trivial_xmod"), (xmod, "xmod_view"), (dblgpd, "xmod_view"), (dblgpd, "_square")
+    ):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    reports = [commutative_cube_check(g, c) for c in cubes]
+    assert [r.ok for r in reports] == [True] * 50 + [False] * 50
+    assert calls == []
+    assert not hasattr(dblgpd, "trivial_xmod")
+    # the spies are live: a square over the trivial module trips them
+    make_square(xmod.trivial_xmod(g), "1", 0, 0, 0, 0)
+    assert calls == ["trivial_xmod", "xmod_view", "_square"]
