@@ -83,19 +83,26 @@ def _pairs(text):
                 "expected comma separated key=value pairs", witness=item
             )
         k, _, v = item.partition("=")
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k in out:
+            raise ValidationError("repeated key", witness=k)
+        out[k] = v.strip()
     return out
 
 
 def _battery_subset(names):
+    """The battery targets ``--targets`` names, all of them when the flag
+    is absent; a value that names none is an input error."""
     full = battery()
-    if not names:
+    if names is None:
         return full
     out = {}
     for n in _csv(names):
         if n not in full:
             raise ValidationError(f"unknown battery target {n!r}", witness=n)
         out[n] = full[n]
+    if not out:
+        raise ValidationError("--targets names no battery target", witness=names)
     return out
 
 

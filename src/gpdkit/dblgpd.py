@@ -44,6 +44,21 @@ every error keeps its text and its witness in names.  A cube check reads
 the group's own view and folds its thin squares on the trivial module's
 view built from it.
 
+A square enters the kernel one way, through ``_indexed``, which checks it
+as ``make_square`` does; a 5-tuple that is not a square is rejected there
+with ``make_square``'s error.  So every square the pastings see frames:
+its top and left edges share their source, right starts where top ends,
+bottom starts where left ends, and right and bottom end at the corner
+whose fibre holds the label.  When ``s1.right == s2.left`` the tops
+compose (top1 ends where right1 starts, which is where top2 starts), the
+bottoms compose (bottom1 ends where right1 ends, which is where bottom2
+starts), ``s1``'s label lies in the fibre ``s2.bottom`` acts on, and the
+composite frames again; the vertical case is the mirror image.  So the
+pastings need no "arrows do not compose" branch, and labels never move
+between fibres by name.  The nine thin squares ``commutative_cube_check``
+writes as int tuples frame by construction, and ``to_xmod`` reads the
+carrier's squares through ``_indexed``.
+
 ``LabeledSquare`` is a NamedTuple whose ``repr``, ``str`` and ``hash`` are
 the frozen dataclass's it replaced; it equals the 5-tuple of its fields,
 unpacks and orders like it, and is copied with ``s._replace(...)``.
@@ -90,14 +105,7 @@ def make_square(xm, label, top, left, right, bottom):
     """Validated square: edges must frame a square, and the label's boundary
     must equal the boundary loop."""
     xv = xmod_view(xm)
-    index = xv.base.index
-    edges = []
-    for e in (top, left, right, bottom):
-        i = index.get(e)
-        if i is None:
-            raise ValidationError("unknown edge", witness=e)
-        edges.append(i)
-    return _named(xv, _square(xm, xv, label, *edges))
+    return _named(xv, _indexed(xm, xv, LabeledSquare(label, top, left, right, bottom)))
 
 
 def hcompose(xm, s1, s2):
@@ -116,20 +124,42 @@ def vcompose(xm, s1, s2):
 
 
 def _indexed(xm, xv, s):
-    """The int square of LabeledSquare ``s``; an edge or a label the module
-    does not hold raises ``make_square``'s ValidationError."""
+    """The int square of LabeledSquare ``s``, the one way a square enters
+    the kernel: ``make_square``'s checks in its order (an unknown edge, the
+    four framing checks, a label outside the corner's fibre, the label's
+    boundary), each failure with its text and named witness."""
     b = xv.base
     index = b.index
     try:
-        bottom = index[s.bottom]
-        label = xv.fibres[b.tgt[bottom]].index[s.label]
-        return (label, index[s.top], index[s.left], index[s.right], bottom)
+        top, left, right, bottom = index[s.top], index[s.left], index[s.right], index[s.bottom]
     except KeyError:
-        unknown = [e for e in (s.top, s.left, s.right, s.bottom) if e not in index]
-    if unknown:
-        raise ValidationError("unknown edge", witness=unknown[0])
-    w = xm.p.objects[b.tgt[bottom]]
-    raise ValidationError("label outside the fibre group", witness=(s.label, w))
+        unknown = next(e for e in s[1:] if e not in index)
+        raise ValidationError("unknown edge", witness=unknown) from None
+    src, tgt = b.src, b.tgt
+    if src[top] != src[left]:
+        raise ValidationError("top and left must share their source", witness=(s.top, s.left))
+    if tgt[top] != src[right]:
+        raise ValidationError("right must start where top ends", witness=(s.top, s.right))
+    if tgt[left] != src[bottom]:
+        raise ValidationError("bottom must start where left ends", witness=(s.left, s.bottom))
+    w = tgt[bottom]
+    if tgt[right] != w:
+        raise ValidationError(
+            "right and bottom must share their target", witness=(s.right, s.bottom)
+        )
+    n = xv.fibres[w].index.get(s.label)
+    if n is None:
+        raise ValidationError("label outside the fibre group", witness=(s.label, xm.p.objects[w]))
+    rows, inv = b.rows, b.inverse
+    # the clockwise boundary loop at the corner, as boundary_word reads it
+    want = rows[rows[inv[bottom]][inv[left]]][rows[top][right]]
+    if xv.mu[w][n] != want:
+        base = xm.p.objects[w]
+        raise ValidationError(
+            "label boundary does not match the square boundary",
+            witness=(s.label, xm.mu[base][s.label], b.items[want]),
+        )
+    return (n, top, left, right, bottom)
 
 
 def _named(xv, s):
@@ -143,49 +173,6 @@ def _named(xv, s):
     )
 
 
-def _square(xm, xv, label, top, left, right, bottom):
-    """``make_square`` on arrow indexes, for a label given by name: the same
-    checks in the same order, each failure with the same text and named
-    witness."""
-    b = xv.base
-    src, tgt, items = b.src, b.tgt, b.items
-    if src[top] != src[left]:
-        raise ValidationError(
-            "top and left must share their source", witness=(items[top], items[left])
-        )
-    if tgt[top] != src[right]:
-        raise ValidationError(
-            "right must start where top ends", witness=(items[top], items[right])
-        )
-    if tgt[left] != src[bottom]:
-        raise ValidationError(
-            "bottom must start where left ends", witness=(items[left], items[bottom])
-        )
-    if tgt[right] != tgt[bottom]:
-        raise ValidationError(
-            "right and bottom must share their target", witness=(items[right], items[bottom])
-        )
-    w = tgt[bottom]
-    n = xv.fibres[w].index.get(label)
-    if n is None:
-        raise ValidationError("label outside the fibre group", witness=(label, xm.p.objects[w]))
-    rows, inv = b.rows, b.inverse
-    # the clockwise boundary loop at the corner, as boundary_word reads it
-    want = rows[rows[inv[bottom]][inv[left]]][rows[top][right]]
-    if xv.mu[w][n] != want:
-        base = xm.p.objects[w]
-        raise ValidationError(
-            "label boundary does not match the square boundary",
-            witness=(label, xm.mu[base][label], items[want]),
-        )
-    return (n, top, left, right, bottom)
-
-
-def _uncomposed(b, x, y):
-    """The error ``FiniteGroupoid.compose`` raises on arrow indexes x, y."""
-    return CompositionError(f"arrows do not compose: {b.items[x]!r} then {b.items[y]!r}")
-
-
 def _h(xv, s1, s2):
     """``hcompose`` on int squares: label = n^(second.bottom) * m."""
     n, top1, left, right1, bottom1 = s1
@@ -196,13 +183,8 @@ def _h(xv, s1, s2):
             f"squares do not compose horizontally: {b.items[right1]!r} vs {b.items[left2]!r}"
         )
     rows = b.rows
-    top, bottom = rows[top1][top2], rows[bottom1][bottom2]
-    if top < 0:
-        raise _uncomposed(b, top1, top2)
-    if bottom < 0:
-        raise _uncomposed(b, bottom1, bottom2)
     label = xv.fibres[b.tgt[bottom2]].rows[xv.act[bottom2][n]][m]
-    return (label, top, left, right, bottom)
+    return (label, rows[top1][top2], left, right, rows[bottom1][bottom2])
 
 
 def _v(xv, s1, s2):
@@ -215,21 +197,8 @@ def _v(xv, s1, s2):
             f"squares do not compose vertically: {b.items[bottom1]!r} vs {b.items[top2]!r}"
         )
     rows = b.rows
-    left, right = rows[left1][left2], rows[right1][right2]
-    if left < 0:
-        raise _uncomposed(b, left1, left2)
-    if right < 0:
-        raise _uncomposed(b, right1, right2)
-    tgt, fibres = b.tgt, xv.fibres
-    w, r = tgt[bottom], tgt[right2]
-    if tgt[right1] != tgt[bottom1] or r != w:
-        # A hand-built square whose right and bottom edges end apart: move
-        # the labels between the fibres by name, as the action table does.
-        n = fibres[tgt[right1]].index[fibres[tgt[bottom1]].items[n]]
-        x = fibres[w].index[fibres[r].items[xv.act[right2][n]]]
-    else:
-        x = xv.act[right2][n]
-    return (fibres[w].rows[m][x], top, left, right, bottom)
+    label = xv.fibres[b.tgt[bottom]].rows[m][xv.act[right2][n]]
+    return (label, top, rows[left1][left2], rows[right1][right2], bottom)
 
 
 def _fold(xv, grid, order):
@@ -729,6 +698,8 @@ def random_cube_sharing(group, rng, c1, direction):
     return _solved_cube(group, edges)
 
 
+# direction -> the (edge of c1, edge of c2) pairs of the shared face, and
+# the edges ``random_cube_sharing`` samples
 _GLUE = {
     "v": {
         "shared": (
@@ -737,9 +708,6 @@ _GLUE = {
             ("bottom_front", "top_front"),
             ("bottom_right", "top_right"),
         ),
-        "first": ("top_left", "top_back", "top_front", "top_right"),
-        "second": ("bottom_left", "bottom_back", "bottom_front", "bottom_right"),
-        "composed": ("back_left", "back_right", "front_left", "front_right"),
         "free": ("back_left", "back_right", "front_left", "front_right"),
     },
     "h": {
@@ -749,9 +717,6 @@ _GLUE = {
             ("top_right", "top_left"),
             ("bottom_right", "bottom_left"),
         ),
-        "first": ("back_left", "front_left", "top_left", "bottom_left"),
-        "second": ("back_right", "front_right", "top_right", "bottom_right"),
-        "composed": ("top_back", "top_front", "bottom_back", "bottom_front"),
         "free": ("back_right", "front_right", "top_back", "top_front"),
     },
     "d": {
@@ -761,9 +726,6 @@ _GLUE = {
             ("top_front", "top_back"),
             ("bottom_front", "bottom_back"),
         ),
-        "first": ("back_left", "back_right", "top_back", "bottom_back"),
-        "second": ("front_left", "front_right", "top_front", "bottom_front"),
-        "composed": ("top_left", "top_right", "bottom_left", "bottom_right"),
         "free": ("front_left", "front_right", "top_left", "top_front"),
     },
 }
@@ -771,22 +733,22 @@ _GLUE = {
 
 def cube_glue(group, c1, c2, direction):
     """Glue two cubes along a shared face: ``v`` stacks ``c2`` below,
-    ``h`` puts it to the right, ``d`` puts it in front."""
+    ``h`` puts it to the right, ``d`` puts it in front.  The glued cube
+    has each cube's face away from the glue, and the four edges that run
+    across the glue multiplied, ``c1``'s then ``c2``'s."""
     if direction not in _GLUE:
         raise ValidationError("direction must be 'v', 'h', or 'd'", witness=direction)
-    rule = _GLUE[direction]
-    for e1, e2 in rule["shared"]:
+    shared = _GLUE[direction]["shared"]
+    for e1, e2 in shared:
         if getattr(c1, e1) != getattr(c2, e2):
             raise CompositionError(
                 f"cubes do not glue: {e1}={getattr(c1, e1)!r} vs {e2}={getattr(c2, e2)!r}"
             )
-    edges = {}
-    for e in rule["first"]:
-        edges[e] = getattr(c1, e)
-    for e in rule["second"]:
-        edges[e] = getattr(c2, e)
-    for e in rule["composed"]:
-        edges[e] = group.mul(getattr(c1, e), getattr(c2, e))
+    edges = {e2: getattr(c1, e2) for _, e2 in shared}
+    edges.update((e1, getattr(c2, e1)) for e1, _ in shared)
+    for e in CUBE_EDGES:
+        if e not in edges:
+            edges[e] = group.mul(getattr(c1, e), getattr(c2, e))
     return cube(group, **edges)
 
 

@@ -447,6 +447,40 @@ def test_a_map_from_outside_the_source_group_is_rejected(capsys):
     assert "'5'" in report["witnesses"][0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vkt", _p("circle.cov"), "--base", "0,1", "--targets", ","],
+        ["vkt", _p("circle.cov"), "--base", "0,1", "--targets", ""],
+        ["pushout", _p("wedge-u.pres"), _p("wedge-v.pres"), _p("wedge-w.pres"), "--targets", " , "],
+    ],
+)
+def test_a_targets_value_that_names_no_target_is_an_input_error(argv, capsys):
+    """Only an absent ``--targets`` means the whole battery; a value that
+    names no target would check nothing and pass."""
+    report, err = _machine_error(capsys, argv, 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert report["witnesses"][0] == "--targets names no battery target"
+    assert err == ["error: --targets names no battery target"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["xmod", "induced", _p("c4c2.xm"), "--to", _p("c2.grp"), "--map", "0=0,1=0,1=1"], "1"),
+        (["xmod", "free", _p("c2.grp"), "--gens", "r", "--boundary", "r=0,r=1"], "r"),
+        (["xmod", "free", _p("c2.grp"), "--gens", "r", "--boundary", "r=0, r =0"], "r"),
+    ],
+)
+def test_a_repeated_key_is_an_input_error(argv, key, capsys):
+    """A key given twice is rejected, even with the same value, where the
+    last value used to win."""
+    report, err = _machine_error(capsys, argv, 2)
+    assert report["data"] == {"error_kind": "validation-error"}
+    assert report["witnesses"] == ["repeated key", f"witness: {key!r}"]
+    assert err == ["error: repeated key"]
+
+
 def test_each_input_is_opened_once_per_call(tmp_path, monkeypatch, capsys):
     names = ("wedge-u.pres", "wedge-v.pres", "wedge-w.pres")
     paths = [str(tmp_path / n) for n in names]

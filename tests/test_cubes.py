@@ -599,20 +599,27 @@ def test_row_uniqueness_matches_the_commutative_square_row():
             assert outcome(row_uniqueness, xm, new_row) == want
             raised.add(want[0])
         assert raised == {"value", HypothesisError}
-        # rows no validated square can form: empty, not composable, and
-        # with top and bottom apart
+        # rows of validated squares that do not fold: empty and not
+        # composable
         e, a, b = g.elements[0], g.elements[1], g.elements[2]
         assert e == g.unit
         for frames, error in (
             ([], ValidationError),
             ([(e, a, a, e), (a, a, a, a)], CompositionError),
-            ([(e, a, b, e)], ValidationError),
         ):
             old_row = [CommSquare(l, t, bt, r) for l, t, bt, r in frames]
             new_row = [LabeledSquare(one, t, l, r, bt) for l, t, bt, r in frames]
             want = outcome(old_row_uniqueness, g0, old_row)
             assert want[0] is error
             assert outcome(row_uniqueness, xm, new_row) == want
+        # a raw frame with top and bottom apart is no square: the old fold
+        # reported the row, the fold now rejects the square as make_square
+        # does
+        old = outcome(old_row_uniqueness, g0, [CommSquare(e, a, b, e)])
+        assert old == (ValidationError, "commutativity was violated along the row")
+        want = outcome(make_square, xm, one, a, e, e, b)
+        assert want == (ValidationError, "label boundary does not match the square boundary")
+        assert outcome(row_uniqueness, xm, [LabeledSquare(one, a, e, e, b)]) == want
 
 
 def test_thin_squares_accept_exactly_the_commuting_frames():

@@ -12,6 +12,14 @@ class, text and witness.
 ``OldLabeledSquare`` is the frozen dataclass ``LabeledSquare`` was before
 it became a NamedTuple, and ``old_to_xmod`` the body ``to_xmod`` had while
 it pasted through the public ``vcompose``; both are kept as oracles.
+``OLD_GLUE`` is the table ``old_cube_glue`` read, before the library's
+table kept only the shared and free edges and ``cube_glue`` derived the
+rest from them.
+
+The old pastings took any 5-tuple; the library's read each square as
+``make_square`` checks it.  So on squares ``make_square`` accepts the
+library must agree with the old bodies, and on a square it rejects it
+must fail with ``make_square``'s error for the first such square.
 """
 
 import random
@@ -31,7 +39,6 @@ from gpdkit.core import (
     symmetric_group,
 )
 from gpdkit.dblgpd import (
-    _GLUE,
     CUBE_EDGES,
     CubeReport,
     InterchangeReport,
@@ -256,12 +263,52 @@ def old_commutative_cube_check(group, c):
     return CubeReport(ok=ok, failing_faces=(), composite=composite, top_face=top)
 
 
+OLD_GLUE = {
+    "v": {
+        "shared": (
+            ("bottom_left", "top_left"),
+            ("bottom_back", "top_back"),
+            ("bottom_front", "top_front"),
+            ("bottom_right", "top_right"),
+        ),
+        "first": ("top_left", "top_back", "top_front", "top_right"),
+        "second": ("bottom_left", "bottom_back", "bottom_front", "bottom_right"),
+        "composed": ("back_left", "back_right", "front_left", "front_right"),
+        "free": ("back_left", "back_right", "front_left", "front_right"),
+    },
+    "h": {
+        "shared": (
+            ("back_right", "back_left"),
+            ("front_right", "front_left"),
+            ("top_right", "top_left"),
+            ("bottom_right", "bottom_left"),
+        ),
+        "first": ("back_left", "front_left", "top_left", "bottom_left"),
+        "second": ("back_right", "front_right", "top_right", "bottom_right"),
+        "composed": ("top_back", "top_front", "bottom_back", "bottom_front"),
+        "free": ("back_right", "front_right", "top_back", "top_front"),
+    },
+    "d": {
+        "shared": (
+            ("front_left", "back_left"),
+            ("front_right", "back_right"),
+            ("top_front", "top_back"),
+            ("bottom_front", "bottom_back"),
+        ),
+        "first": ("back_left", "back_right", "top_back", "bottom_back"),
+        "second": ("front_left", "front_right", "top_front", "bottom_front"),
+        "composed": ("top_left", "top_right", "bottom_left", "bottom_right"),
+        "free": ("front_left", "front_right", "top_left", "top_front"),
+    },
+}
+
+
 def old_cube_glue(group, c1, c2, direction):
     """Glue two cubes along a shared face: ``v`` stacks ``c2`` below,
     ``h`` puts it to the right, ``d`` puts it in front."""
-    if direction not in _GLUE:
+    if direction not in OLD_GLUE:
         raise ValidationError("direction must be 'v', 'h', or 'd'", witness=direction)
-    rule = _GLUE[direction]
+    rule = OLD_GLUE[direction]
     for e1, e2 in rule["shared"]:
         if getattr(c1, e1) != getattr(c2, e2):
             raise CompositionError(
@@ -417,14 +464,57 @@ def test_pastings_that_do_not_line_up_fail_the_same_way(name, seed):
         )
 
 
+def make_square_first(xm, squares, old, *args):
+    """``make_square``'s outcome on the first of ``squares`` it rejects,
+    else the outcome of ``old`` on ``args``."""
+    for s in squares:
+        got = outcome(make_square, xm, *s)
+        if got[0] != "value":
+            return got
+    return outcome(old, xm, *args)
+
+
+@SETTINGS
+@given(name=st.sampled_from(NAMES), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_square_make_square_rejects_fails_every_pasting_as_make_square_does(
+    name, seed, data
+):
+    """A composable 2x2 grid from the carrier with some cells replaced by
+    5-tuples: a label from any fibre, or from none, and four base arrows,
+    drawn freely or lined up with the cells to the left and above."""
+    xm, d = MODULES[name], CARRIERS[name]
+    grid = sample_grid(d, random.Random(seed), 2, 2)
+    cells = data.draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]), unique=True))
+    labels, arrows = st.sampled_from(_labels(xm)), st.sampled_from(xm.p.arrows)
+    for i, j in sorted(cells):
+        s = LabeledSquare(data.draw(labels), *(data.draw(arrows) for _ in range(4)))
+        if data.draw(st.booleans()):
+            s = s._replace(left=grid[i][j - 1].right) if j else s
+            s = s._replace(top=grid[i - 1][j].bottom) if i else s
+        grid[i][j] = s
+    (a, b), (c, e) = grid
+    for new, old, pair in (
+        (hcompose, old_hcompose, (a, b)), (hcompose, old_hcompose, (c, e)),
+        (vcompose, old_vcompose, (a, c)), (vcompose, old_vcompose, (b, e)),
+    ):
+        assert outcome(new, xm, *pair) == make_square_first(xm, pair, old, *pair)
+    for order in ("rows", "columns"):
+        assert outcome(compose_array, xm, grid, order) == make_square_first(
+            xm, (a, b, c, e), old_compose_array, grid, order
+        )
+    assert outcome(interchange_check, xm, a, b, c, e) == make_square_first(
+        xm, (a, b, c, e), old_interchange_check, a, b, c, e
+    )
+
+
 @pytest.mark.parametrize("name", ["interval", "interval-reordered"])
-def test_hand_built_squares_that_do_not_frame_fail_the_same_way(name):
+def test_hand_built_squares_that_do_not_frame_fail_as_make_square_does(name):
     """Squares built without ``make_square``, with labels from either fibre,
-    whose shared edges agree: where the outer edges do not compose the
-    pasting fails in the base's composition, and where they do the label
-    is the one the name path computes, also when the squares' right and
-    bottom edges end at different objects and the fibres there list their
-    elements in different orders."""
+    whose shared edges agree.  The old pastings gave a value or failed in
+    the base's composition; now each pasting fails as ``make_square`` fails
+    on its first bad square, and pastes as before when both are squares.
+    Each framing check is met; in the interval every loop is an identity,
+    so every framed square's label has the right boundary."""
     xm = MODULES[name]
     p = xm.p
     seen = set()
@@ -435,12 +525,14 @@ def test_hand_built_squares_that_do_not_frame_fail_the_same_way(name):
         s2 = s2._replace(left=s1.right, top=s1.bottom)
         for new, old in ((hcompose, old_hcompose), (vcompose, old_vcompose)):
             got = outcome(new, xm, s1, s2)
-            assert got == outcome(old, xm, s1, s2)
-            framed = all(p.tgt[s.right] == p.tgt[s.bottom] for s in (s1, s2))
-            seen.add((message(got), framed))
+            assert got == make_square_first(xm, (s1, s2), old, s1, s2)
+            seen.add(message(got))
     assert seen == {
-        ("value", True), ("value", False),
-        ("arrows do not compose", True), ("arrows do not compose", False),
+        "value",
+        "top and left must share their source",
+        "right must start where top ends",
+        "bottom must start where left ends",
+        "right and bottom must share their target",
     }
 
 

@@ -542,7 +542,7 @@ def test_a_cube_check_builds_no_module_and_checks_no_square(monkeypatch):
     cubes += [replace(c, top_left=(c.top_left + 1) % 5) for c in cubes]
     calls = []
     for module, name in (
-        (xmod, "trivial_xmod"), (xmod, "xmod_view"), (dblgpd, "xmod_view"), (dblgpd, "_square")
+        (xmod, "trivial_xmod"), (xmod, "xmod_view"), (dblgpd, "xmod_view"), (dblgpd, "_indexed")
     ):
         def spy(*args, real=getattr(module, name), name=name):
             calls.append(name)
@@ -555,4 +555,4 @@ def test_a_cube_check_builds_no_module_and_checks_no_square(monkeypatch):
     assert not hasattr(dblgpd, "trivial_xmod")
     # the spies are live: a square over the trivial module trips them
     make_square(xmod.trivial_xmod(g), "1", 0, 0, 0, 0)
-    assert calls == ["trivial_xmod", "xmod_view", "_square"]
+    assert calls == ["trivial_xmod", "xmod_view", "_indexed"]
