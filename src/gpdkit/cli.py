@@ -41,10 +41,8 @@ from .dblgpd import (
     cube_compose_check,
     eckmann_hilton_check,
     from_xmod,
-    hcompose,
     round_trip_isomorphism,
     to_xmod,
-    vcompose,
 )
 from .documents import ParseError, load_document
 from .presentations import (
@@ -513,10 +511,8 @@ def cmd_dgpd_compose(args):
     seq = d.listed()
     if not seq:
         raise ValidationError("document lists no squares")
-    op = hcompose if args.dir == "h" else vcompose
-    out = seq[0]
-    for s in seq[1:]:
-        out = op(d.xm, out, s)
+    grid = [seq] if args.dir == "h" else [[s] for s in seq]
+    out = compose_array(d.xm, grid)
     way = "horizontally" if args.dir == "h" else "vertically"
     lines = [
         f"pasted {len(seq)} squares {way}",

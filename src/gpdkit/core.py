@@ -651,7 +651,10 @@ class MorphismReport:
 
 
 def check_morphism(f, g, h):
-    """Check that ``f`` is a functor ``g -> h``; stop at the first violated law."""
+    """Check that ``f`` is a functor ``g -> h``, on groupoids validated on
+    first read; stop at the first violated law."""
+    index_view(g)
+    index_view(h)
     for x in g.objects:
         if x not in f.obj_map:
             return MorphismReport(False, "object-totality", (x,))

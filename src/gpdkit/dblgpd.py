@@ -253,25 +253,27 @@ def connection_pos(xm, a):
 
 
 def hinverse(xm, s):
-    p = xm.p
-    base = xm.m[p.tgt[s.bottom]]
-    kinv = p.inverse(s.bottom)
-    return LabeledSquare(label=xm.act(base.inv(s.label), kinv), top=p.inverse(s.top),
-                         left=s.right, right=s.left, bottom=kinv)
+    xv = xmod_view(xm)
+    n, top, left, right, bottom = _indexed(xm, xv, s)
+    inv = xv.base.inverse
+    label = xv.act[inv[bottom]][xv.fibres[xv.base.tgt[bottom]].inverse[n]]
+    return _named(xv, (label, inv[top], right, left, inv[bottom]))
 
 
 def vinverse(xm, s):
-    p = xm.p
-    base = xm.m[p.tgt[s.bottom]]
-    ainv = p.inverse(s.right)
-    return LabeledSquare(label=xm.act(base.inv(s.label), ainv), top=s.bottom,
-                         left=p.inverse(s.left), right=ainv, bottom=s.top)
+    xv = xmod_view(xm)
+    n, top, left, right, bottom = _indexed(xm, xv, s)
+    inv = xv.base.inverse
+    label = xv.act[inv[right]][xv.fibres[xv.base.tgt[bottom]].inverse[n]]
+    return _named(xv, (label, bottom, inv[left], inv[right], top))
 
 
 def is_thin(xm, s):
     """Thin squares carry the unit label; they are exactly the composites
     of identities and connections."""
-    return s.label == xm.m[square_base(xm, s)].unit
+    xv = xmod_view(xm)
+    n, _, _, _, bottom = _indexed(xm, xv, s)
+    return n == xv.fibres[xv.base.tgt[bottom]].units[0]
 
 
 @dataclass(frozen=True)
@@ -291,9 +293,8 @@ def interchange_check(xm, s11, s12, s21, s22):
         s21 s22
     """
     xv = xmod_view(xm)
-    a, b, c, d = (_indexed(xm, xv, s) for s in (s11, s12, s21, s22))
-    rows = _v(xv, _h(xv, a, b), _h(xv, c, d))
-    cols = _h(xv, _v(xv, a, c), _v(xv, b, d))
+    grid = [[_indexed(xm, xv, s) for s in row] for row in ((s11, s12), (s21, s22))]
+    rows, cols = _fold(xv, grid, "rows"), _fold(xv, grid, "columns")
     return InterchangeReport(
         ok=rows == cols, row_first=_named(xv, rows), column_first=_named(xv, cols)
     )

@@ -328,8 +328,10 @@ def _presentation_of(node):
                 raise ParseError("relation sides are not coterminal", line)
             relations.append((lhs, rhs))
     # Each side was checked over ``q`` as it was built, and the sides are
-    # coterminal, so ``validate`` would only walk them again.
-    return GroupoidPresentation(quiver=q, relations=tuple(relations))
+    # coterminal, so the presentation keeps ``q`` as its view at once.
+    p = GroupoidPresentation(quiver=q, relations=tuple(relations))
+    object.__setattr__(p, "_view", q)
+    return p
 
 
 def _complex_of(node):

@@ -12,6 +12,12 @@ on a quiver.
 A quiver is validated on first read, then kept: ``Quiver.validate`` lists
 each vertex's ``(edge, sign, far end)`` triples in the pass that checks
 the endpoints, and keeps them as ``_view`` for ``spanning_tree`` to walk.
+So are presentations, keeping their checked quiver, and their morphisms,
+keeping their target's once source, target and images pass.  Every reader
+validates first, so a lawless value is refused with ``validate``'s error
+and a checked one is not walked again; the parser and
+``vankampen._fundamental``, which check each word as they build it, keep
+the view at once.
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
@@ -41,7 +47,7 @@ than {guard} candidates".
 from __future__ import annotations
 
 from collections import Counter, _tuplegetter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, groupby, product, repeat
 from math import prod
 from operator import add, itemgetter
@@ -278,16 +284,22 @@ class GroupoidPresentation:
 
     quiver: Quiver
     relations: tuple
+    # The checked quiver, kept once every relation is checked; raw and
+    # ``replace``d presentations start without it.
+    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
-        self.quiver.validate()
+        if self._view is not None:
+            return self
+        q = self.quiver.validate()
         for lhs, rhs in self.relations:
             for w in (lhs, rhs):
-                _check_word(self.quiver, w, "malformed relation word", w)
+                _check_word(q, w, "malformed relation word", w)
             if lhs.src != rhs.src or lhs.tgt != rhs.tgt:
                 raise ValidationError(
                     "relation sides are not coterminal", witness=(lhs, rhs)
                 )
+        object.__setattr__(self, "_view", q)
         return self
 
 
@@ -303,9 +315,14 @@ class PresentationMorphism:
     target: GroupoidPresentation
     vmap: dict
     emap: dict
+    # The target's checked quiver, kept once source, target and images
+    # pass; raw and ``replace``d morphisms start without it.
+    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
-        sq, tq = self.source.quiver, self.target.quiver
+        if self._view is not None:
+            return self
+        sq, tq = self.source.validate()._view, self.target.validate()._view
         for v in sq.vertices:
             if self.vmap.get(v) not in tq.vertices:
                 raise ValidationError("vertex image missing", witness=v)
@@ -318,11 +335,12 @@ class PresentationMorphism:
                 raise ValidationError(
                     "edge image has wrong endpoints", witness=(e, w)
                 )
+        object.__setattr__(self, "_view", tq)
         return self
 
 
 def identity_morphism(p):
-    q = p.quiver
+    q = p.validate()._view
     return PresentationMorphism(
         source=p,
         target=p,
@@ -385,7 +403,7 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     slower on the pushout benchmark, bouquets of 2 to 4 loops by 10-30% and
     the wedges by about 30%, because their keys must come back as names.
     """
-    q = p.quiver
+    q = p.validate()._view
     vpos, epos = _positions(q)
     ends = [(vpos[q.esrc[e]], vpos[q.etgt[e]]) for e in q.edges]
     plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
@@ -603,9 +621,10 @@ def _restriction(f, t):
     single positive edge, else each image word is evaluated per morphism.
     When the gather is the identity (the i-th edge to the i-th edge, every
     target edge covered), the block's own edge-image list is returned."""
-    vpos, epos = _positions(f.target.quiver)
-    vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
-    words = [f.emap[e] for e in f.source.quiver.edges]
+    vpos, epos = _positions(f.validate()._view)
+    sq = f.source._view
+    vgather = _gather([vpos[f.vmap[v]] for v in sq.vertices])
+    words = [f.emap[e] for e in sq.edges]
     if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
         positions = [epos[w.letters[0][0]] for w in words]
         if positions == list(range(len(epos))):
@@ -662,32 +681,28 @@ def pushout(f, g):
     """
     if f.source != g.source:
         raise ValidationError("span legs have different sources")
-    f.validate()
-    g.validate()
+    uq, vq = f.validate()._view, g.validate()._view
     w, u, v = f.source, f.target, g.target
+    wvs = w._view.vertices
 
-    tagged = [("u", x) for x in u.quiver.vertices] + [
-        ("v", x) for x in v.quiver.vertices
-    ]
+    tagged = [("u", x) for x in uq.vertices] + [("v", x) for x in vq.vertices]
     blocks = skeleton_components(
         tagged,
-        w.quiver.vertices,
-        {x: ("u", f.vmap[x]) for x in w.quiver.vertices},
-        {x: ("v", g.vmap[x]) for x in w.quiver.vertices},
+        wvs,
+        {x: ("u", f.vmap[x]) for x in wvs},
+        {x: ("v", g.vmap[x]) for x in wvs},
     )
     # each block is named after its first tagged vertex
     vertices = [f"{tag}:{x}" for tag, x in (block[0] for block in blocks)]
     vname = {t: n for n, block in zip(vertices, blocks) for t in block}
-    uvname = {x: vname["u", x] for x in u.quiver.vertices}
-    vvname = {x: vname["v", x] for x in v.quiver.vertices}
-    uename = {e: f"u:{e}" for e in u.quiver.edges}
-    vename = {e: f"v:{e}" for e in v.quiver.edges}
+    uvname = {x: vname["u", x] for x in uq.vertices}
+    vvname = {x: vname["v", x] for x in vq.vertices}
+    uename = {e: f"u:{e}" for e in uq.edges}
+    vename = {e: f"v:{e}" for e in vq.edges}
     edges = [
-        (uename[e], uvname[u.quiver.esrc[e]], uvname[u.quiver.etgt[e]])
-        for e in u.quiver.edges
+        (uename[e], uvname[uq.esrc[e]], uvname[uq.etgt[e]]) for e in uq.edges
     ] + [
-        (vename[e], vvname[v.quiver.esrc[e]], vvname[v.quiver.etgt[e]])
-        for e in v.quiver.edges
+        (vename[e], vvname[vq.esrc[e]], vvname[vq.etgt[e]]) for e in vq.edges
     ]
     q = quiver(vertices, edges)
 
@@ -697,28 +712,18 @@ def pushout(f, g):
     ] + [
         (_rename_word(lhs, vvname, vename), _rename_word(rhs, vvname, vename))
         for lhs, rhs in v.relations
+    ] + [
+        (_rename_word(f.emap[e], uvname, uename), _rename_word(g.emap[e], vvname, vename))
+        for e in w._view.edges
     ]
-    for e in w.quiver.edges:
-        relations.append(
-            (
-                _rename_word(f.emap[e], uvname, uename),
-                _rename_word(g.emap[e], vvname, vename),
-            )
-        )
     apex = presentation(q, relations)
 
-    inj_u = PresentationMorphism(
-        source=u,
-        target=apex,
-        vmap=dict(uvname),
-        emap={e: word(q, [(uename[e], 1)]) for e in u.quiver.edges},
-    ).validate()
-    inj_v = PresentationMorphism(
-        source=v,
-        target=apex,
-        vmap=dict(vvname),
-        emap={e: word(q, [(vename[e], 1)]) for e in v.quiver.edges},
-    ).validate()
+    inj_u, inj_v = (
+        PresentationMorphism(
+            source=p, target=apex, vmap=dict(vn), emap={e: word(q, [(en[e], 1)]) for e in pq.edges}
+        ).validate()
+        for p, pq, vn, en in ((u, uq, uvname, uename), (v, vq, vvname, vename))
+    )
     return PushoutSquare(
         w=w, u=u, v=v, f=f, g=g, apex=apex, inj_u=inj_u, inj_v=inj_v
     )
@@ -759,6 +764,8 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     """
     from .core import battery
 
+    for part in fields(square):
+        getattr(square, part.name).validate()
     if targets is None:
         targets = battery()
     results = []
@@ -856,8 +863,9 @@ def vertex_group_presentation(p, x):
     Relations living on other components are dropped and reported in
     ``dropped_relations``.  A walk from ``x`` finds the component; it is
     walked again from its least vertex only when that is not ``x``.
+    ``p`` is validated first, so every relation is coterminal.
     """
-    q = p.quiver
+    q = p.validate()._view
     comp, _, tree_edges = spanning_tree(q, [x])  # keyed by the component
     root = next(v for v in q.vertices if v in comp)
     if root != x:
@@ -872,10 +880,6 @@ def vertex_group_presentation(p, x):
         if lhs.src not in comp:
             dropped.append((lhs, rhs))
             continue
-        if lhs.tgt != rhs.tgt:
-            raise ValidationError(
-                "words do not concatenate", witness=(lhs.tgt, rhs.tgt)
-            )
         # lhs . rhs^-1, read straight off the two letter tuples
         inverse = ((e, -s) for e, s in reversed(rhs.letters))
         rel = _retracted(chain(lhs.letters, inverse), tree_edges)
@@ -935,7 +939,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
     """
     from .core import battery
 
-    q = p.quiver
+    q = p.validate()._view
     u = word(q, u.letters, at=u.src)
     v = word(q, v.letters, at=v.src)
     if u.src != v.src or u.tgt != v.tgt:
@@ -965,7 +969,7 @@ def _vertex_at(q, w, i):
 
 
 def _bounded_rewrite_search(p, start, goal, max_steps, max_length):
-    q = p.quiver
+    q = p._view
     sides = []
     for lhs, rhs in p.relations:
         sides.append((free_reduce(lhs), free_reduce(rhs)))

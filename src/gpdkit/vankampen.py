@@ -4,7 +4,8 @@ the pushout square induced by a two-piece cover.
 A 2-complex is a quiver plus faces, each face a closed word over the edge
 quiver.  A complex is validated on first read, then kept: its view is its
 edge quiver, kept once the faces pass the one check that ``validate``,
-``complex2`` and the parser share.  The fundamental groupoid on a
+``complex2`` and the parser share.  So is a cover, keeping W = U ∩ V once
+U and V cover every cell.  The fundamental groupoid on a
 base-point set S is presented by contracting a breadth-first spanning
 forest rooted at S: edges outside the forest become generators, face
 boundaries (rewritten through the forest) become relations.
@@ -176,30 +177,29 @@ class SubcomplexCover:
     x: Complex2
     u: Subcomplex
     v: Subcomplex
+    # W, kept once the cover is checked; raw and ``replace``d covers start
+    # without it.
+    _view: Subcomplex = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def w(self):
-        ue, ve = set(self.u.edges), set(self.v.edges)
-        uv, vv = set(self.u.vertices), set(self.v.vertices)
-        uf, vf = set(self.u.faces), set(self.v.faces)
-        return Subcomplex(
-            vertices=tuple(a for a in self.x.vertices if a in uv and a in vv),
-            edges=tuple(e for e in self.x.edges if e in ue and e in ve),
-            faces=tuple(f for f in self.x.faces if f in uf and f in vf),
-        )
+        return self.validate()._view
 
     def validate(self):
+        if self._view is not None:
+            return self
         self.x.validate()
-        for kind, have in (
-            ("vertices", set(self.u.vertices) | set(self.v.vertices)),
-            ("edges", set(self.u.edges) | set(self.v.edges)),
-            ("faces", set(self.u.faces) | set(self.v.faces)),
-        ):
-            want = set(getattr(self.x, kind))
-            if have != want:
+        w = {}
+        for kind in ("vertices", "edges", "faces"):
+            in_u, in_v = set(getattr(self.u, kind)), set(getattr(self.v, kind))
+            cells = getattr(self.x, kind)
+            if in_u | in_v != set(cells):
                 raise ValidationError(
-                    f"cover misses {kind}", witness=tuple(sorted(want - have, key=str))
+                    f"cover misses {kind}",
+                    witness=tuple(sorted(set(cells) - in_u - in_v, key=str)),
                 )
+            w[kind] = tuple(a for a in cells if a in in_u and a in in_v)
+        object.__setattr__(self, "_view", Subcomplex(**w))
         return self
 
 
@@ -217,6 +217,7 @@ class CoverReport:
 def check_cover(c, base):
     """Check the theorem's hypothesis: the base-point set meets every
     component of U, V, and W."""
+    c.validate()
     base = tuple(base)
     bad = [b for b in base if b not in c.x.vertices]
     if bad:
@@ -266,8 +267,9 @@ def _fundamental(x, base):
     """The presentation of the fundamental groupoid of ``x`` on ``base``,
     and the forest retraction that built it.
 
-    The relations are not walked again by ``presentation``: they are valid
-    over ``pq`` by construction.  A boundary word of ``x`` chains over its
+    The presentation keeps ``pq`` as its view at once, and its relations
+    are not walked by ``validate``: they are valid over ``pq`` by
+    construction.  A boundary word of ``x`` chains over its
     edge quiver and is closed.  A tree edge joins two vertices of one tree,
     so dropping its letters leaves each surviving letter ``(e, s)`` starting
     on the root the previous one ends on, and ``e`` runs between the roots
@@ -307,7 +309,9 @@ def _fundamental(x, base):
     for f in x.faces:
         w = retraction.apply(x.fboundary[f])
         relations.append((w, empty[w.src]))
-    return GroupoidPresentation(quiver=pq, relations=tuple(relations)), retraction
+    p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
+    object.__setattr__(p, "_view", pq)
+    return p, retraction
 
 
 def fundamental_groupoid(x, base):
@@ -367,14 +371,11 @@ class VktResult:
 
 
 def _inclusion_morphism(source_pres, source_ret, target_pres, target_ret):
-    emap = {}
-    for e in source_pres.quiver.edges:
-        emap[e] = target_ret.apply(source_ret.carrier_word(e))
     return PresentationMorphism(
         source=source_pres,
         target=target_pres,
         vmap={v: v for v in source_pres.quiver.vertices},
-        emap=emap,
+        emap={e: target_ret.apply(source_ret.carrier_word(e)) for e in source_pres.quiver.edges},
     ).validate()
 
 
@@ -427,7 +428,6 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
     if targets is None:
         targets = battery()
     base = tuple(dict.fromkeys(base))
-    c.validate()
     report = check_cover(c, base)
     if not report.ok:
         piece, block = report.missed[0]
@@ -448,16 +448,11 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
 
     direct, rx = _fundamental(c.x, base)
 
-    hvmap = {}
-    for s in pu.quiver.vertices:
-        hvmap[square.inj_u.vmap[s]] = s
-    for s in pv.quiver.vertices:
-        hvmap[square.inj_v.vmap[s]] = s
-    hemap = {}
-    for e in pu.quiver.edges:
-        hemap[square.inj_u.emap[e].letters[0][0]] = rx.apply(ru.carrier_word(e))
-    for e in pv.quiver.edges:
-        hemap[square.inj_v.emap[e].letters[0][0]] = rx.apply(rv.carrier_word(e))
+    hvmap, hemap = {}, {}
+    for p, r, inj in ((pu, ru, square.inj_u), (pv, rv, square.inj_v)):
+        hvmap.update((inj.vmap[s], s) for s in p.quiver.vertices)
+        for e in p.quiver.edges:
+            hemap[inj.emap[e].letters[0][0]] = rx.apply(r.carrier_word(e))
     bridge = PresentationMorphism(
         source=square.apex, target=direct, vmap=hvmap, emap=hemap
     ).validate()

@@ -307,19 +307,15 @@ def from_normal_subgroup(carrier, g, name=""):
         carrier = carrier.elements
     sub = subgroup(g, tuple(carrier), name=name or "sub")
     cset = set(sub.elements)
-    for m in sub.elements:
-        for x in g.elements:
-            c = g.conj(m, x)
-            if c not in cset:
-                raise ValidationError(
-                    "subgroup is not normal", witness=(m, x, c)
-                )
-    p = from_group(g)
+    action = {(m, x): g.conj(m, x) for m in sub.elements for x in g.elements}
+    for (m, x), c in action.items():
+        if c not in cset:
+            raise ValidationError("subgroup is not normal", witness=(m, x, c))
     return CrossedModule(
-        p=p,
+        p=from_group(g),
         m={"*": sub},
         mu={"*": {m: m for m in sub.elements}},
-        action={(m, x): g.conj(m, x) for m in sub.elements for x in g.elements},
+        action=action,
         name=name or f"{sub.name}<|{g.name or 'group'}",
     )
 

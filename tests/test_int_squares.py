@@ -14,10 +14,12 @@ it became a NamedTuple, and ``old_to_xmod`` the body ``to_xmod`` had while
 it pasted through the public ``vcompose``; both are kept as oracles.
 ``OLD_GLUE`` is the table ``old_cube_glue`` read, before the library's
 table kept only the shared and free edges and ``cube_glue`` derived the
-rest from them.
+rest from them.  ``old_hinverse``, ``old_vinverse`` and ``old_is_thin``
+are the name-based bodies those three had before they read their square
+through the kernel as the pastings do.
 
-The old pastings took any 5-tuple; the library's read each square as
-``make_square`` checks it.  So on squares ``make_square`` accepts the
+The old pastings, inverses and ``is_thin`` took any 5-tuple; the
+library's read each square as ``make_square`` checks it.  So on squares ``make_square`` accepts the
 library must agree with the old bodies, and on a square it rejects it
 must fail with ``make_square``'s error for the first such square.
 """
@@ -52,14 +54,18 @@ from gpdkit.dblgpd import (
     from_xmod,
     hcompose,
     hidentity,
+    hinverse,
     interchange_check,
+    is_thin,
     make_square,
     perturb_cube,
     random_commutative_cube,
     random_cube_sharing,
     sample_grid,
+    square_base,
     to_xmod,
     vcompose,
+    vinverse,
 )
 from gpdkit.xmod import CrossedModule, bundled_xmods, crossed_module, trivial_xmod, xmod_view
 from test_cubes import CARRIER_MODULES
@@ -210,6 +216,28 @@ def old_compose_array(xm, grid, order="rows"):
             out = old_hcompose(xm, out, strip)
         return out
     raise ValidationError("order must be 'rows' or 'columns'", witness=order)
+
+
+def old_hinverse(xm, s):
+    p = xm.p
+    base = xm.m[p.tgt[s.bottom]]
+    kinv = p.inverse(s.bottom)
+    return LabeledSquare(label=xm.act(base.inv(s.label), kinv), top=p.inverse(s.top),
+                         left=s.right, right=s.left, bottom=kinv)
+
+
+def old_vinverse(xm, s):
+    p = xm.p
+    base = xm.m[p.tgt[s.bottom]]
+    ainv = p.inverse(s.right)
+    return LabeledSquare(label=xm.act(base.inv(s.label), ainv), top=s.bottom,
+                         left=p.inverse(s.left), right=ainv, bottom=s.top)
+
+
+def old_is_thin(xm, s):
+    """Thin squares carry the unit label; they are exactly the composites
+    of identities and connections."""
+    return s.label == xm.m[square_base(xm, s)].unit
 
 
 def old_face_commutes(group, quad):
@@ -574,6 +602,61 @@ def test_a_mismatched_pasting_keeps_its_message():
         CompositionError, "squares do not compose horizontally: 0 vs 1", None
     )
     assert outcome(compose_array, xm, [[s], []]) == outcome(old_compose_array, xm, [[s], []])
+
+
+ONE_SQUARE = {
+    "hinverse": (hinverse, old_hinverse),
+    "vinverse": (vinverse, old_vinverse),
+    "is_thin": (is_thin, old_is_thin),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_inverses_and_thinness_of_squares_are_the_old_ones(name):
+    xm, d = MODULES[name], CARRIERS[name]
+    rng = random.Random(31)
+    squares = d.squares if len(d.squares) <= 300 else rng.sample(d.squares, 300)
+    for s in squares:
+        for new, old in ONE_SQUARE.values():
+            assert new(xm, s) == old(xm, s)
+        for inverse in (hinverse, vinverse):
+            assert make_square(xm, *inverse(xm, s)) == inverse(xm, s)
+
+
+@SETTINGS
+@given(name=st.sampled_from(NAMES), data=st.data())
+def test_inverses_and_thinness_refuse_a_square_make_square_refuses(name, data):
+    xm = MODULES[name]
+    arrows = st.sampled_from((*xm.p.arrows, "nope"))
+    s = LabeledSquare(
+        data.draw(st.sampled_from(_labels(xm))),
+        data.draw(arrows), data.draw(arrows), data.draw(arrows), data.draw(arrows),
+    )
+    for new, old in ONE_SQUARE.values():
+        assert outcome(new, xm, s) == make_square_first(xm, (s,), old, s)
+
+
+@pytest.mark.parametrize("read", ONE_SQUARE)
+def test_a_square_with_a_wrong_label_or_an_unknown_edge_is_refused(read):
+    """The old bodies called a framed a3s3 square with a wrong label thin,
+    inverted it to another non-square, and met an unknown edge with a bare
+    KeyError."""
+    xm = MODULES["a3s3"]
+    good = next(s for s in CARRIERS["a3s3"].squares if not old_is_thin(xm, s))
+    wrong = good._replace(label=xm.m[square_base(xm, good)].unit)
+    new, old = ONE_SQUARE[read]
+    if read == "is_thin":
+        assert old(xm, wrong) is True
+    else:
+        assert outcome(make_square, xm, *old(xm, wrong))[1] == (
+            "label boundary does not match the square boundary"
+        )
+    assert outcome(new, xm, wrong) == outcome(make_square, xm, *wrong)
+    assert outcome(new, xm, wrong)[1] == "label boundary does not match the square boundary"
+    stray = good._replace(bottom="nope")
+    with pytest.raises(KeyError):
+        old(xm, stray)
+    assert outcome(new, xm, stray) == (ValidationError, "unknown edge", "nope")
 
 
 # -------------------------------------------------------------------- cubes

@@ -630,13 +630,19 @@ def test_duplicate_faces_are_rejected_parsed_or_built():
 
 
 def test_a_raw_relation_that_does_not_close_keeps_its_error():
-    q = CHAIN
-    raw = presentations.GroupoidPresentation(
-        quiver=q, relations=((Word("v0", "v1", (("a", 1),)), empty_word("v0")),)
-    )
-    want = _outcome(vertex_group_oracle, raw, "v0")
-    assert want[:3] == ("raised", ValidationError, "words do not concatenate")
-    assert _vertex_groups_agree(raw, "v0") == want
+    """The oracles read the raw relation as given and fail in the rewrite;
+    the library validates the presentation first, so the error is
+    ``validate``'s, on every call."""
+    lhs, rhs = Word("v0", "v1", (("a", 1),)), empty_word("v0")
+    raw = presentations.GroupoidPresentation(quiver=CHAIN, relations=((lhs, rhs),))
+    for oracle in (vertex_group_oracle, vertex_group_components_oracle):
+        got = _outcome(oracle, raw, "v0")
+        assert got[:3] == ("raised", ValidationError, "words do not concatenate")
+    want = ("raised", ValidationError, "relation sides are not coterminal", None, (lhs, rhs))
+    for _ in range(2):
+        assert _outcome(vertex_group_presentation, raw, "v0") == want
+        assert _outcome(lambda: raw.validate()) == want
+        assert raw._view is None
 
 
 # ------------------------------------------------------ faces on the empty word

@@ -36,6 +36,7 @@ from gpdkit.cli import _name_inclusion
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
     SizeGuardExceeded,
+    ValidationError,
     battery,
     cyclic_group,
     disjoint_union,
@@ -585,7 +586,8 @@ def test_vkt_evidence_matches_the_oracle():
 def _tampered_bridges(res):
     """The bridge of ``res`` with two generators collapsed to one, with a
     generator sent to its inverse word, and with its vertex map reversed;
-    none is validated."""
+    none is validated.  The collapsed bridge is a lawful morphism; the
+    other two send an edge to a word with the wrong ends."""
     b = res.bridge
     x, y = res.square.apex.quiver.edges[:2]
     vs = res.square.apex.quiver.vertices
@@ -597,20 +599,33 @@ def _tampered_bridges(res):
 
 
 def test_tampered_bridges_match_the_oracle():
+    """The lawful tampered bridge reaches the evidence, which agrees with
+    the oracle.  The evidence validates a bridge before it restricts along
+    it, so the two lawless ones are refused with ``validate``'s error; the
+    oracle, which reads them as given, is kept to show what they hid."""
     res = vkt_square(load_document(DATA / "circle.cov").payload, ("0", "1"))
-    verdicts = {}
-    for name, bridge in _tampered_bridges(res).items():
-        got = _same_evidence(res.square.apex, res.direct, bridge)
-        verdicts[name] = {e.target: e.ok for e in got}
+    apex, direct = res.square.apex, res.direct
+    tampered = _tampered_bridges(res)
     # Collapsing p and q misses every apex morphism with p != q, which only
-    # the interval groupoid (one arrow 0 -> 1) lacks.  Inverting p is an
-    # automorphism over one object, but p^-1 runs 1 -> 0, which the
-    # interval groupoid sees, as it sees a swapped vertex map.
-    broken = {t: not ok for t, ok in verdicts["collapsed"].items()}
+    # the interval groupoid (one arrow 0 -> 1) lacks.
+    got = _same_evidence(apex, direct, tampered["collapsed"])
+    broken = {e.target: not e.ok for e in got}
     assert broken == {**dict.fromkeys(TARGETS, True), "interval": False}
+    # Inverting p is an automorphism over one object, but p^-1 runs
+    # 1 -> 0, which only the interval groupoid sees, as it sees a swapped
+    # vertex map.
     for name in ("inverse", "swapped"):
-        broken = {t: not ok for t, ok in verdicts[name].items()}
+        bridge = tampered[name]
+        seen = _evidence_oracle(apex, direct, bridge, TARGETS)
+        broken = {e.target: not e.ok for e in seen}
         assert broken == {**dict.fromkeys(TARGETS, False), "interval": True}
+        with pytest.raises(ValidationError) as want:
+            replace(bridge).validate()
+        assert str(want.value) == "edge image has wrong endpoints"
+        with pytest.raises(ValidationError) as info:
+            _evidence(apex, direct, bridge, TARGETS, DEFAULT_SIZE_GUARD)
+        assert (str(info.value), info.value.witness) == (str(want.value), want.value.witness)
+        assert bridge._view is None
 
 
 @settings(max_examples=100, deadline=None)

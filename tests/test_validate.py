@@ -1,7 +1,9 @@
-"""Group, groupoid and complex validation: Light's associativity test
-against the brute-force validators it replaced, and the mark that lets a
-validated value skip a second check.  For groups and groupoids that mark
-is the kept IndexView alone, and a group's inverse map is its table's.
+"""Group, groupoid, complex, presentation and cover validation: Light's
+associativity test against the brute-force validators it replaced, and the
+mark that lets a validated value skip a second check.  For groups and
+groupoids that mark is the kept IndexView alone, and a group's inverse map
+is its table's.  Presentations, their morphisms and covers keep the checked
+quiver or W their check read, and every reader validates before it reads.
 
 ``_old_validate`` and ``_old_build_groupoid`` are the former bodies of
 ``FiniteGroup.validate`` and ``build_groupoid``, kept verbatim as oracles:
@@ -19,8 +21,11 @@ filtered all n^n tuples and closed A_n inside a validated S_n, and of
 ``greedy_generators`` is the former ``core`` chooser of generators, kept
 verbatim: it reads the table by name, where the library chooses on the
 integer rows as it reads them and keeps the choice as ``IndexView.gens``.
+``_old_check_morphism`` is the former body of ``check_morphism``, which
+read both groupoids unchecked.
 """
 
+from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -28,10 +33,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpdkit import core, vankampen
+from gpdkit import core, presentations, vankampen
+from gpdkit.cli import _name_inclusion
 from gpdkit.core import (
     FiniteGroup,
     FiniteGroupoid,
+    GroupoidMorphism,
+    MorphismReport,
     ValidationError,
     alternating_group,
     battery,
@@ -49,9 +57,36 @@ from gpdkit.core import (
     trivial_group,
     vertex_group,
 )
-from gpdkit.documents import load_document
-from gpdkit.presentations import Quiver, Word, enumerate_morphisms, presentation, quiver
-from gpdkit.vankampen import Complex2, Subcomplex, complex2, fundamental_groupoid, restrict
+from gpdkit.documents import load_document, parse_document
+from gpdkit.presentations import (
+    GroupoidPresentation,
+    PresentationMorphism,
+    Quiver,
+    Word,
+    _restricted,
+    empty_word,
+    enumerate_morphisms,
+    enumerate_pres_morphisms,
+    identity_morphism,
+    presentation,
+    pushout,
+    quiver,
+    verify_pushout_universal,
+    vertex_group_presentation,
+    word,
+    words_equal,
+)
+from gpdkit.vankampen import (
+    Complex2,
+    Subcomplex,
+    SubcomplexCover,
+    check_cover,
+    complex2,
+    cover,
+    fundamental_groupoid,
+    restrict,
+    vkt_square,
+)
 from gpdkit.xmod import automorphism_group, automorphism_xmod, crossed_module
 
 DATA = Path(__file__).parent / "data"
@@ -596,6 +631,9 @@ def test_the_kept_view_is_the_only_mark():
     assert private(FiniteGroupoid) == ["_view"]
     assert private(Quiver) == ["_view"]
     assert private(Complex2) == ["_view"]
+    assert private(GroupoidPresentation) == ["_view"]
+    assert private(PresentationMorphism) == ["_view"]
+    assert private(SubcomplexCover) == ["_view"]
 
 
 @pytest.mark.parametrize(
@@ -660,6 +698,69 @@ def test_a_wrong_identity_map_no_longer_yields_false_functors():
         enumerate_morphisms(replace(c3, id_of={"*": 1}), c3)
     assert (str(info.value), info.value.witness) == ("identity map contradicts the table", "*")
     assert all(check_morphism(f, c3, c3) for f in enumerate_morphisms(replace(c3), c3))
+
+
+def _old_check_morphism(f, g, h):
+    """Check that ``f`` is a functor ``g -> h``; stop at the first violated law."""
+    for x in g.objects:
+        if x not in f.obj_map:
+            return MorphismReport(False, "object-totality", (x,))
+        if f.obj_map[x] not in h.objects:
+            return MorphismReport(False, "object-image", (x, f.obj_map[x]))
+    for a in g.arrows:
+        if a not in f.arrow_map:
+            return MorphismReport(False, "arrow-totality", (a,))
+        fa = f.arrow_map[a]
+        if fa not in h.arrows:
+            return MorphismReport(False, "arrow-image", (a, fa))
+        if h.src[fa] != f.obj_map[g.src[a]] or h.tgt[fa] != f.obj_map[g.tgt[a]]:
+            return MorphismReport(False, "endpoint-preservation", (a, fa))
+    for x in g.objects:
+        if f.arrow_map[g.id_of[x]] != h.id_of[f.obj_map[x]]:
+            return MorphismReport(False, "identity-preservation", (x, f.arrow_map[g.id_of[x]]))
+    for (a, b), c in g.comp.items():
+        if h.comp[(f.arrow_map[a], f.arrow_map[b])] != f.arrow_map[c]:
+            return MorphismReport(False, "composite-preservation", (a, b))
+    for a in g.arrows:
+        if f.arrow_map[g.inv[a]] != h.inv[f.arrow_map[a]]:
+            return MorphismReport(False, "inverse-preservation", (a, f.arrow_map[a]))
+    return MorphismReport(True)
+
+
+def test_check_morphism_keeps_its_reports_on_lawful_groupoids():
+    """Every arrow map from the interval groupoid to c2 and to itself, and
+    each with an arrow left out or sent off the target: the same law, in
+    the same order, with the same witness."""
+    g = interval_groupoid()
+    laws = set()
+    for h, obj_map in ((from_group(cyclic_group(2)), dict.fromkeys(g.objects, "*")),
+                       (g, {0: 1, 1: 0})):
+        for images in product((*h.arrows, "stray"), repeat=len(g.arrows)):
+            arrow_map = dict(zip(g.arrows, images))
+            for amap in (arrow_map, dict(list(arrow_map.items())[1:])):
+                f = GroupoidMorphism(obj_map=obj_map, arrow_map=amap)
+                got = check_morphism(f, g, h)
+                assert got == _old_check_morphism(f, g, h)
+                laws.add(got.law)
+    assert laws == {
+        None, "arrow-totality", "arrow-image", "endpoint-preservation",
+        "identity-preservation", "composite-preservation",
+    }
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_check_morphism_names_a_lawless_groupoid(side):
+    """A table with one composite dropped raised a bare KeyError when it was
+    the target, and passed unnoticed as the source."""
+    c2 = from_group(cyclic_group(2))
+    broken = replace(c2, comp={k: v for k, v in c2.comp.items() if k != (0, 0)})
+    with pytest.raises(ValidationError) as want:
+        index_view(replace(broken))
+    f = GroupoidMorphism(obj_map={"*": "*"}, arrow_map={0: 0, 1: 1})
+    g, h = (broken, c2) if side == "source" else (c2, broken)
+    with pytest.raises(ValidationError) as info:
+        check_morphism(f, g, h)
+    assert (str(info.value), info.value.witness) == (str(want.value), want.value.witness)
 
 
 # ------------------------------------------------------- group constructors
@@ -878,3 +979,227 @@ def test_a_replaced_complex_rebuilds_and_checks_its_quiver():
             read()
         assert (str(info.value), info.value.witness) == ("edge with bad endpoints", "b")
         assert broken._view is None
+
+
+# ------------------------------------ presentations, their morphisms, covers
+
+
+def _ab():
+    """Two edges a, b: x -> y."""
+    return quiver(("x", "y"), [("a", "x", "y"), ("b", "x", "y")])
+
+
+def _non_chaining():
+    """The relation ``a b = 1``, whose letters do not chain: read unchecked,
+    it let two "morphisms" into c2 through."""
+    lhs = Word("x", "y", (("a", 1), ("b", 1)))
+    return GroupoidPresentation(quiver=_ab(), relations=((lhs, empty_word("x")),))
+
+
+def _foreign_image():
+    """A morphism sending ``a`` to a word on an edge its target lacks."""
+    p = presentation(_ab())
+    emap = {"a": Word("x", "y", (("zz", 1),)), "b": word(p.quiver, [("b", 1)])}
+    return PresentationMorphism(source=p, target=p, vmap={"x": "x", "y": "y"}, emap=emap)
+
+
+def _torn_cover():
+    """A disc whose U and V hold its two edges but not its face."""
+    x = _disc()
+    return SubcomplexCover(
+        x=x, u=Subcomplex((0, 1), ("a",), ()), v=Subcomplex((0, 1), ("b",), ())
+    )
+
+
+def _span_onto(p):
+    """The span from the vertex x to ``p`` and to itself."""
+    w = presentation(quiver(("x",), []))
+    f = PresentationMorphism(source=w, target=p, vmap={"x": "x"}, emap={})
+    return f, identity_morphism(w)
+
+
+def _square(**parts):
+    """The pushout of ``_span_onto`` a lawful presentation, with ``parts``
+    swapped in unchecked."""
+    return replace(pushout(*_span_onto(presentation(_ab()))), **parts)
+
+
+C2 = {"c2": battery()["c2"]}
+RAW_READS = {
+    "presentation": (_non_chaining, {
+        "enumerate_pres_morphisms": lambda p: enumerate_pres_morphisms(p, C2["c2"]),
+        "words_equal": lambda p: words_equal(p, empty_word("x"), empty_word("x"), C2),
+        "vertex_group_presentation": lambda p: vertex_group_presentation(p, "x"),
+        "identity_morphism": identity_morphism,
+        "pushout": lambda p: pushout(*_span_onto(p)),
+        "verify_pushout_universal": lambda p: verify_pushout_universal(_square(u=p), C2),
+    }),
+    "morphism": (_foreign_image, {
+        "_restricted": lambda f: _restricted(f, C2["c2"], []),
+        "pushout": lambda f: pushout(f, identity_morphism(f.source)),
+        "verify_pushout_universal": lambda f: verify_pushout_universal(
+            _square(f=f, g=identity_morphism(f.source), u=f.target, v=f.source), C2
+        ),
+    }),
+    "cover": (_torn_cover, {
+        "w": lambda c: c.w,
+        "check_cover": lambda c: check_cover(c, (0,)),
+        "vkt_square": lambda c: vkt_square(c, (0,), C2),
+    }),
+}
+RAW_CASES = [(kind, reader) for kind, (_, readers) in RAW_READS.items() for reader in readers]
+
+
+@pytest.mark.parametrize("kind, reader", RAW_CASES, ids=[f"{k}-{r}" for k, r in RAW_CASES])
+def test_a_raw_lawless_value_is_refused_by_every_reader(kind, reader):
+    build, readers = RAW_READS[kind]
+    raw = build()
+    with pytest.raises(ValidationError) as want:
+        build().validate()
+    for _ in range(2):  # a failed check leaves no mark behind
+        with pytest.raises(ValidationError) as info:
+            readers[reader](raw)
+        assert (str(info.value), info.value.witness) == (str(want.value), want.value.witness)
+        assert raw._view is None
+
+
+def test_the_raw_values_fail_where_validate_says():
+    errors = []
+    for build, _ in RAW_READS.values():
+        with pytest.raises(ValidationError) as info:
+            build().validate()
+        errors.append((str(info.value), info.value.witness))
+    assert errors == [
+        ("letters do not chain", (1, ("b", 1), "y")),
+        ("malformed letter", ("zz", 1)),
+        ("cover misses faces", ("f",)),
+    ]
+
+
+def _lawful():
+    p = presentation(_ab(), [(word(_ab(), [("a", 1)]), word(_ab(), [("b", 1)]))])
+    return {
+        "presentation": p,
+        "morphism": identity_morphism(p).validate(),
+        "cover": load_document(DATA / "wedge.cov").payload,
+    }
+
+
+@pytest.mark.parametrize("kind", ["presentation", "morphism", "cover"])
+def test_replaced_copies_start_without_a_view(kind):
+    value = _lawful()[kind]
+    assert value._view is not None
+    copy = replace(value)
+    assert copy._view is None
+    assert copy.validate() is copy and copy._view == value._view
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("presentation", lambda p: {"relations": _non_chaining().relations}),
+        ("morphism", lambda f: {"emap": _foreign_image().emap}),
+        ("cover", lambda c: {"u": Subcomplex(c.u.vertices, (), ())}),
+    ],
+    ids=["presentation", "morphism", "cover"],
+)
+def test_a_replaced_copy_that_breaks_a_law_is_refused(kind, change):
+    value = _lawful()[kind]
+    broken = replace(value, **change(value))
+    with pytest.raises(ValidationError):
+        broken.validate()
+    assert broken._view is None and value._view is not None
+
+
+def test_a_cover_keeps_its_w():
+    c = _lawful()["cover"]
+    ue, ve = set(c.u.edges), set(c.v.edges)
+    assert c.w is c._view is c.w
+    assert c.w.edges == tuple(e for e in c.x.edges if e in ue and e in ve)
+    assert c.w == cover(c.x, c.u.vertices + c.u.edges, c.v.vertices + c.v.edges).w
+
+
+@pytest.fixture
+def word_walks(monkeypatch):
+    """Each relation or edge-image word a presentation or morphism
+    ``validate`` walks, in order."""
+    walks = []
+    real = presentations._check_word
+
+    def spy(q, w, message, witness):
+        walks.append(w)
+        return real(q, w, message, witness)
+
+    monkeypatch.setattr(presentations, "_check_word", spy)
+    return walks
+
+
+def _same_words(walked, words):
+    return [id(w) for w in walked] == [id(w) for w in words]
+
+
+@pytest.mark.parametrize(
+    "load, base",
+    [
+        (lambda: load_document(DATA / "wedge.cov").payload, ("0",)),
+        # W holds both edges, so the inclusions send generators to words
+        (lambda: cover(_disc(), ["f"], ["a", "b"]), (0,)),
+    ],
+    ids=["wedge", "disc"],
+)
+def test_a_vkt_square_and_its_universality_walk_each_word_once(word_walks, load, base):
+    """The pieces and the whole come from ``_fundamental`` and are not
+    walked.  The inclusions, the apex, the injections and the bridge are
+    each walked once, when built: ``pushout`` finds its legs checked, and
+    ``verify_pushout_universal`` finds every part of the square checked."""
+    res = vkt_square(load(), base)
+    sq = res.square
+    images = [list(m.emap.values()) for m in (sq.f, sq.g, sq.inj_u, sq.inj_v, res.bridge)]
+    relations = [w for pair in sq.apex.relations for w in pair]
+    want = images[0] + images[1] + relations + images[2] + images[3] + images[4]
+    assert _same_words(word_walks, want)
+    assert max(Counter(map(id, word_walks)).values()) == 1
+    assert images[0] or images[2]  # some word is walked
+    verify_pushout_universal(sq)
+    assert _same_words(word_walks, want)
+
+
+PARSED = {
+    "u": "vertices: 0\nedges:\n  x: 0 0\nrelations:\n  x x = 1\n",
+    "v": "vertices: 0 1\nedges:\n  y: 0 1\n  z: 1 0\nrelations:\n  y z = 1\n",
+    "w": "vertices: 0\nedges:\n",
+}
+
+
+def test_parsed_presentations_are_not_walked_by_their_readers(word_walks):
+    pu, pv, pw = (parse_document(f"kind: presentation\n{PARSED[k]}").payload for k in "uvw")
+    for p in (pu, pv, pw):
+        v = p.quiver.vertices[0]
+        enumerate_pres_morphisms(p, C2["c2"])
+        vertex_group_presentation(p, v)
+        words_equal(p, empty_word(v), empty_word(v), C2)
+    assert word_walks == []
+    # the pushout walks the inclusions' images and its apex, whose
+    # relations are renamed copies, never a parsed relation
+    f, g = _name_inclusion(pw, pu, "u"), _name_inclusion(pw, pv, "v")
+    verify_pushout_universal(pushout(f, g), C2)
+    parsed = {id(w) for p in (pu, pv) for pair in p.relations for w in pair}
+    assert len(parsed) == 4 and word_walks and parsed.isdisjoint(map(id, word_walks))
+
+
+def test_a_loaded_cover_is_checked_once(monkeypatch):
+    """Its W is kept when the document is read: ``vkt_square`` and
+    ``check_cover`` check it again for free, and no reader builds W anew."""
+    c = load_document(DATA / "wedge.cov").payload
+    built = []
+    real = vankampen.Subcomplex
+
+    def spy(*args, **kwargs):
+        built.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vankampen, "Subcomplex", spy)
+    w = c._view
+    vkt_square(c, ("0",), C2)
+    check_cover(c, ("0",))
+    assert built == [] and c.w is w

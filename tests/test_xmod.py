@@ -88,6 +88,49 @@ def test_non_normal_subgroup_is_rejected_with_witness():
     assert m == swap and c not in {(0, 1, 2), swap}
 
 
+def old_normality_witness(sub, g):
+    """The first ``(m, x, m^x)`` leaving ``sub``, by the double loop
+    ``from_normal_subgroup`` ran before it built its action table once."""
+    cset = set(sub)
+    for m in sub:
+        for x in g.elements:
+            c = g.conj(m, x)
+            if c not in cset:
+                return (m, x, c)
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_subgroup_keeps_its_normality_witness_and_action(n):
+    """Every subgroup of s3 and s4 generated by at most two elements."""
+    g = symmetric_group(n)
+    seen = set()
+    for a, b in product(g.elements, repeat=2):
+        sub = tuple(x for x in g.elements if x in _generated(g, (a, b)))
+        if sub in seen:
+            continue
+        seen.add(sub)
+        want = old_normality_witness(sub, g)
+        if want is None:
+            xm = from_normal_subgroup(sub, g)
+            assert xm.action == {(m, x): g.conj(m, x) for m in sub for x in g.elements}
+            assert list(xm.action) == list(product(sub, g.elements))
+        else:
+            with pytest.raises(ValidationError) as info:
+                from_normal_subgroup(sub, g)
+            assert (str(info.value), info.value.witness) == ("subgroup is not normal", want)
+    assert any(old_normality_witness(sub, g) for sub in seen)
+
+
+def _generated(g, gens):
+    span = {g.unit}
+    while True:
+        more = span | {g.mul(x, y) for x in span for y in gens}
+        if more == span:
+            return span
+        span = more
+
+
 def test_peiffer_violation_is_witnessed():
     report = check_axioms(bad_xmod())
     assert not report.ok
