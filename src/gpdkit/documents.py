@@ -29,6 +29,12 @@ contain whitespace, ``:``, ``#``, ``=``, or ``^``.
 A ``ParseError`` names the line of the entry at fault: a bad name or
 ``degree`` at the line of its entry, a missing entry or section at the line
 of the section it belongs to, or line 1 at the top of a document.
+
+Quivers, complexes and presentations are read into the integer rows their
+checked values keep (see ``presentations`` and ``vankampen``): edge rows
+in bulk, each word token by token into signed edge indexes.  A complex
+builds no ``Word``; a presentation names its relation words from one
+letter table.
 """
 
 from __future__ import annotations
@@ -39,8 +45,15 @@ from .core import ValidationError, build_groupoid, finite_group, from_group
 from .core import perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
-from .presentations import GroupoidPresentation, Quiver, Word, empty_word, quiver
-from .vankampen import _complex_on, cover
+from .presentations import (
+    GroupoidPresentation,
+    Quiver,
+    Word,
+    _identity,
+    _letter_table,
+    _retracted,
+)
+from .vankampen import _complex_on, _distinct, cover
 from .xmod import CrossedModule, crossed_module
 
 
@@ -259,56 +272,76 @@ def _groupoid_of(node):
 
 
 def _quiver_of(node):
+    """The checked quiver a document spells.  The edge rows are read in
+    bulk; only when some row is bad are they read again one by one, so
+    the first bad row is reported as that reading finds it."""
     vertices = tuple(_names(*_value_of(node, "vertices")))
-    triples = []
-    for line, key, value, _, _ in _entries(_block(_need(node, "edges"))):
-        ends = _names(value, line)
-        if len(ends) != 2:
-            raise ParseError("edge rows are 'id: src tgt'", line)
-        if key == "1":
-            raise ParseError("edge name '1' is reserved for the empty word", line)
-        triples.append((key, ends[0], ends[1]))
-    return quiver(vertices, triples)
+    rows = _entries(_block(_need(node, "edges")))
+    edges = tuple(key for _, key, _, _, _ in rows)
+    values = [value for _, _, value, _, _ in rows]
+    ends = list(map(str.split, values))
+    text = "".join(values)
+    if (
+        {*map(len, ends)} - {2} or "1" in edges
+        or ":" in text or "=" in text or "^" in text or "#" in text
+    ):
+        for line, key, value, _, _ in rows:
+            if len(_names(value, line)) != 2:
+                raise ParseError("edge rows are 'id: src tgt'", line)
+            if key == "1":
+                raise ParseError("edge name '1' is reserved for the empty word", line)
+    src, tgt = zip(*ends) if ends else ((), ())
+    q = Quiver(vertices=vertices, edges=edges, esrc=dict(zip(edges, src)), etgt=dict(zip(edges, tgt)))
+    return q.validate()
 
 
-def _word_of(tokens, q, line, at=None):
-    """The word ``tokens`` spell over ``q``, built and checked in one pass
-    over the tokens: each is split off its ``^-1``, looked up, and chained
-    to the letter before it.  A break in the chain is reported only after
-    the last token, so an unknown edge anywhere in the word comes first.
-    ``at`` places the empty word ``1``."""
+def _row_of(tokens, q, line, at=None):
+    """The word ``tokens`` spell over the checked quiver ``q``, read in one
+    pass over the tokens into ``(src, tgt, row)``: vertex indexes and the
+    signed edge indexes of its letters (see ``presentations``).  Each token
+    is split off its ``^-1``, looked up, and chained to the letter before
+    it.  A break in the chain is reported only after the last token, so an
+    unknown edge anywhere in the word comes first.  ``at``, a vertex
+    index, places the empty word ``1``."""
     if tokens == ["1"]:
         if at is None:
             raise ParseError(
                 "an empty word is only allowed opposite a nonempty side", line
             )
-        return empty_word(at)
-    esrc, etgt = q.esrc, q.etgt
-    letters = []
+        return at, at, ()
+    _, epos, src, tgt, _ = q._view
+    row = []
     chained = True
     for t in tokens:
         if t.endswith("^-1"):
-            e, sign, head, tail = t[:-3], -1, etgt, esrc
+            j = epos.get(t[:-3])
+            if j is None:
+                raise ParseError(f"unknown edge {t[:-3]!r}", line)
+            if row and tgt[j] != here:
+                chained = False
+            here = src[j]
+            row.append(~j)
         else:
-            e, sign, head, tail = t, 1, esrc, etgt
-        if e not in esrc:
-            raise ParseError(f"unknown edge {e!r}", line)
-        if not letters:
-            src = head[e]
-        elif head[e] != tgt:
-            chained = False
-        tgt = tail[e]
-        letters.append((e, sign))
-    if not letters:
+            j = epos.get(t)
+            if j is None:
+                raise ParseError(f"unknown edge {t!r}", line)
+            if row and src[j] != here:
+                chained = False
+            here = tgt[j]
+            row.append(j)
+    if not row:
         raise ParseError("word does not chain: empty word needs a vertex", line)
     if not chained:
         raise ParseError("word does not chain: letters do not chain", line)
-    return Word(src, tgt, tuple(letters))
+    j = row[0]
+    return (src[j] if j >= 0 else tgt[~j]), here, tuple(row)
 
 
 def _presentation_of(node):
     q = _quiver_of(node)
-    relations = []
+    names, letters = q.vertices, _letter_table(q.edges)
+    identity = _identity(len(q.edges))
+    relations, rows = [], []
     rel_node = _find(node, "relations")
     if rel_node is not None:
         for line, _, value, _, _ in _raws(_block(rel_node)):
@@ -319,36 +352,48 @@ def _presentation_of(node):
             if lhs_tokens == ["1"] and rhs_tokens == ["1"]:
                 raise ParseError("a relation needs a nonempty side", line)
             if lhs_tokens == ["1"]:
-                rhs = _word_of(rhs_tokens, q, line)
-                lhs = _word_of(lhs_tokens, q, line, at=rhs.src)
+                rhs = _row_of(rhs_tokens, q, line)
+                lhs = _row_of(lhs_tokens, q, line, at=rhs[0])
             else:
-                lhs = _word_of(lhs_tokens, q, line)
-                rhs = _word_of(rhs_tokens, q, line, at=lhs.src)
-            if (lhs.src, lhs.tgt) != (rhs.src, rhs.tgt):
+                lhs = _row_of(lhs_tokens, q, line)
+                rhs = _row_of(rhs_tokens, q, line, at=lhs[0])
+            if lhs[:2] != rhs[:2]:
                 raise ParseError("relation sides are not coterminal", line)
-            relations.append((lhs, rhs))
-    # Each side was checked over ``q`` as it was built, and the sides are
-    # coterminal, so the presentation keeps ``q`` as its view at once.
+            relations.append(tuple(
+                Word(names[s], names[t], tuple(map(letters.__getitem__, row)))
+                for s, t, row in (lhs, rhs)
+            ))
+            relator = lhs[2] + tuple(~j for j in reversed(rhs[2]))
+            rows.append((lhs[0], _retracted(relator, identity)))
+    # Each side was read over ``q`` as it was built, and the sides are
+    # coterminal, so the presentation keeps its relator rows at once.
     p = GroupoidPresentation(quiver=q, relations=tuple(relations))
-    object.__setattr__(p, "_view", q)
+    object.__setattr__(p, "_view", tuple(rows))
     return p
 
 
 def _complex_of(node):
+    """The complex a document spells, its faces read straight into int
+    rows over the checked edge quiver: no word is named."""
     q = _quiver_of(node)
-    faces = []
+    vpos = q._view[0]
+    faces, fbase, frows = [], [], []
     faces_node = _find(node, "faces")
     if faces_node is not None:
         for line, key, value, _, _ in _entries(_block(faces_node)):
             tokens = value.split()
             if len(tokens) == 2 and tokens[0] == "1":  # an empty boundary
-                if tokens[1] not in q._view.keys():
+                b = vpos.get(tokens[1])
+                if b is None:
                     raise ParseError(f"unknown vertex {tokens[1]!r}", line)
-                w = empty_word(tokens[1])
+                row = ()
             else:
-                w = _word_of(tokens, q, line)
-            faces.append((key, w))
-    return _complex_on(q, faces, words_checked=True)
+                b, _, row = _row_of(tokens, q, line)
+            faces.append(key)
+            fbase.append(b)
+            frows.append(row)
+    _distinct(tuple(faces))
+    return _complex_on(q, faces, fbase, frows)
 
 
 def _cover_of(node):

@@ -9,15 +9,23 @@ are coterminal pairs of words.  Free reduction (cancel adjacent
 ``e e^-1`` pairs) computes the unique normal form in the free groupoid
 on a quiver.
 
-A quiver is validated on first read, then kept: ``Quiver.validate`` lists
-each vertex's ``(edge, sign, far end)`` triples in the pass that checks
-the endpoints, and keeps them as ``_view`` for ``spanning_tree`` to walk.
-So are presentations, keeping their checked quiver, and their morphisms,
-keeping their target's once source, target and images pass.  Every reader
-validates first, so a lawless value is refused with ``validate``'s error
-and a checked one is not walked again; the parser and
-``vankampen._fundamental``, which check each word as they build it, keep
-the view at once.
+A quiver is validated on first read, then kept: ``Quiver.validate``
+reads it into integers, the view ``(vpos, epos, src, tgt, incident)``:
+the index of each vertex and each edge, each edge's end vertex indexes as
+int rows, and each vertex's incident letters as signed edge indexes, ``j``
+for edge j leaving it and ``~j`` for edge j entering it (a loop once, as
+``j``).  A signed index reads off any table laid out as ``forward +
+reversed(backward)``, as ``_letter_table`` lays out the named letters, so
+``table[j]`` is edge j and ``table[~j]`` its reverse.  ``spanning_tree``
+walks the incidence and keeps parent pointers, roots and tree-edge flags
+as int arrays.  So are presentations validated and kept, keeping each
+relation as its base vertex index and its relator ``lhs rhs^-1`` in signed
+edge indexes, which ``vertex_group_presentation`` retracts and names at
+the end; and their morphisms, keeping their target's checked quiver once
+source, target and images pass.  Every reader validates first, so a
+lawless value is refused with ``validate``'s error and a checked one is
+not walked again; the parser and ``vankampen._fundamental``, which read
+each word into integers as they build it, keep the view at once.
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from collections import Counter, _tuplegetter, deque
 from dataclasses import dataclass, field, fields
-from itertools import chain, groupby, product, repeat
+from itertools import chain, compress, groupby, product, repeat
 from math import prod
 from operator import add, itemgetter
 
@@ -69,28 +77,33 @@ class Quiver:
     edges: tuple
     esrc: dict
     etgt: dict
-    # Each vertex's ``(edge, sign, far end)`` triples, a loop once, at its
-    # source; raw and ``replace``d quivers start without it.
-    _view: dict = field(default=None, init=False, compare=False, repr=False)
+    # ``(vpos, epos, src, tgt, incident)``, read into integers by the
+    # check (see the module docstring); raw and ``replace``d quivers start
+    # without it.
+    _view: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
         if self._view is not None:
             return self
-        incident = {v: [] for v in self.vertices}
-        if len(incident) != len(self.vertices):
-            raise ValidationError("duplicate vertices", witness=self.vertices)
-        if len(set(self.edges)) != len(self.edges):
-            raise ValidationError("duplicate edges", witness=self.edges)
+        vertices, edges = self.vertices, self.edges
+        vpos = {v: i for i, v in enumerate(vertices)}
+        if len(vpos) != len(vertices):
+            raise ValidationError("duplicate vertices", witness=vertices)
+        epos = {e: j for j, e in enumerate(edges)}
+        if len(epos) != len(edges):
+            raise ValidationError("duplicate edges", witness=edges)
         esrc, etgt = self.esrc, self.etgt
-        for e in self.edges:
-            s, t = esrc.get(e), etgt.get(e)
-            try:
-                incident[s].append((e, 1, t))
-                if t != s:
-                    incident[t].append((e, -1, s))
-            except KeyError:
-                raise ValidationError("edge with bad endpoints", witness=e) from None
-        object.__setattr__(self, "_view", incident)
+        src, tgt, incident = [], [], [[] for _ in vertices]
+        for j, e in enumerate(edges):
+            s, t = vpos.get(esrc.get(e, _ANY)), vpos.get(etgt.get(e, _ANY))
+            if s is None or t is None:
+                raise ValidationError("edge with bad endpoints", witness=e)
+            src.append(s)
+            tgt.append(t)
+            incident[s].append(j)
+            if t != s:
+                incident[t].append(~j)
+        object.__setattr__(self, "_view", (vpos, epos, src, tgt, incident))
         return self
 
     def letter_src(self, letter):
@@ -190,7 +203,7 @@ def _is_vertex(q, v):
     """Whether ``v`` is a vertex of ``q`` that can place an empty word
     (``None`` never can)."""
     try:
-        return v is not None and v in q.validate()._view.keys()
+        return v is not None and v in q.validate()._view[0]
     except TypeError:  # v, or a vertex of q, is unhashable
         return v in q.vertices
 
@@ -239,20 +252,55 @@ def _check_word(q, w, message, witness):
 
 def free_reduce(w):
     """Unique normal form: cancel adjacent ``(e,s)(e,-s)`` pairs."""
-    return Word(w.src, w.tgt, _retracted(w.letters, ()))
+    return Word(w.src, w.tgt, _reduced(w.letters))
 
 
-def _retracted(letters, dropped):
-    """``letters`` without the letters on the edges in ``dropped``, freely
-    reduced, in one stack pass."""
+def _reduced(letters):
+    """``letters`` freely reduced, in one stack pass."""
     stack = []
     for letter in letters:
-        if letter[0] in dropped:
-            continue
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
+    return tuple(stack)
+
+
+def _letter_table(edges):
+    """The named letters of ``edges`` by signed index: ``(e, 1)`` at j and
+    ``(e, -1)`` at ``~j`` for the j-th edge e, each built once."""
+    return [(e, 1) for e in edges] + [(e, -1) for e in reversed(edges)]
+
+
+def _letter(edges, j):
+    """The named letter of signed index ``j`` over ``edges``."""
+    return (edges[j], 1) if j >= 0 else (edges[~j], -1)
+
+
+def _row(epos, letters):
+    """Named letters as signed edge indexes."""
+    return tuple(epos[e] if s > 0 else ~epos[e] for e, s in letters)
+
+
+def _identity(n):
+    """The identity on the signed indexes of ``n`` edges, laid out by
+    signed index."""
+    return [*range(n), *range(-n, 0)]
+
+
+def _retracted(row, keep):
+    """The signed indexes of ``row`` sent through ``keep`` (laid out by
+    signed index), those it sends to None dropped, freely reduced in one
+    stack pass."""
+    stack = []
+    for j in row:
+        k = keep[j]
+        if k is None:
+            continue
+        if stack and stack[-1] == ~k:
+            stack.pop()
+        else:
+            stack.append(k)
     return tuple(stack)
 
 
@@ -284,14 +332,19 @@ class GroupoidPresentation:
 
     quiver: Quiver
     relations: tuple
-    # The checked quiver, kept once every relation is checked; raw and
-    # ``replace``d presentations start without it.
-    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
+    # Each relation as ``(base vertex index, relator)``, the relator
+    # ``lhs rhs^-1`` freely reduced, in signed edge indexes; kept once
+    # every relation is checked over the quiver, which is then checked
+    # too.  Raw and ``replace``d presentations start without it.
+    _view: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
         if self._view is not None:
             return self
         q = self.quiver.validate()
+        vpos, epos = q._view[:2]
+        identity = _identity(len(q.edges)) if self.relations else None
+        rows = []
         for lhs, rhs in self.relations:
             for w in (lhs, rhs):
                 _check_word(q, w, "malformed relation word", w)
@@ -299,7 +352,9 @@ class GroupoidPresentation:
                 raise ValidationError(
                     "relation sides are not coterminal", witness=(lhs, rhs)
                 )
-        object.__setattr__(self, "_view", q)
+            relator = _row(epos, lhs.letters + rhs.inverse().letters)
+            rows.append((vpos[lhs.src], _retracted(relator, identity)))
+        object.__setattr__(self, "_view", tuple(rows))
         return self
 
 
@@ -322,7 +377,7 @@ class PresentationMorphism:
     def validate(self):
         if self._view is not None:
             return self
-        sq, tq = self.source.validate()._view, self.target.validate()._view
+        sq, tq = self.source.validate().quiver, self.target.validate().quiver
         for v in sq.vertices:
             if self.vmap.get(v) not in tq.vertices:
                 raise ValidationError("vertex image missing", witness=v)
@@ -340,20 +395,12 @@ class PresentationMorphism:
 
 
 def identity_morphism(p):
-    q = p.validate()._view
+    q = p.validate().quiver
     return PresentationMorphism(
         source=p,
         target=p,
         vmap={v: v for v in q.vertices},
         emap={e: word(q, [(e, 1)]) for e in q.edges},
-    )
-
-
-def _positions(q):
-    """Index of each vertex and each edge of ``q``."""
-    return (
-        {v: i for i, v in enumerate(q.vertices)},
-        {e: i for i, e in enumerate(q.edges)},
     )
 
 
@@ -403,9 +450,10 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     slower on the pushout benchmark, bouquets of 2 to 4 loops by 10-30% and
     the wedges by about 30%, because their keys must come back as names.
     """
-    q = p.validate()._view
-    vpos, epos = _positions(q)
-    ends = [(vpos[q.esrc[e]], vpos[q.etgt[e]]) for e in q.edges]
+    q = p.validate().quiver
+    index_view(t)  # a lawless target is refused, not searched
+    vpos, epos, src, tgt, _ = q._view
+    ends = list(zip(src, tgt))
     plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
     checks = {}
     for lhs, rhs in p.relations:
@@ -621,8 +669,9 @@ def _restriction(f, t):
     single positive edge, else each image word is evaluated per morphism.
     When the gather is the identity (the i-th edge to the i-th edge, every
     target edge covered), the block's own edge-image list is returned."""
-    vpos, epos = _positions(f.validate()._view)
-    sq = f.source._view
+    vpos, epos, _, _, _ = f.validate()._view._view
+    index_view(t)  # a lawless target is refused, not searched
+    sq = f.source.quiver
     vgather = _gather([vpos[f.vmap[v]] for v in sq.vertices])
     words = [f.emap[e] for e in sq.edges]
     if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
@@ -683,7 +732,7 @@ def pushout(f, g):
         raise ValidationError("span legs have different sources")
     uq, vq = f.validate()._view, g.validate()._view
     w, u, v = f.source, f.target, g.target
-    wvs = w._view.vertices
+    wvs = w.quiver.vertices
 
     tagged = [("u", x) for x in uq.vertices] + [("v", x) for x in vq.vertices]
     blocks = skeleton_components(
@@ -714,7 +763,7 @@ def pushout(f, g):
         for lhs, rhs in v.relations
     ] + [
         (_rename_word(f.emap[e], uvname, uename), _rename_word(g.emap[e], vvname, vename))
-        for e in w._view.edges
+        for e in w.quiver.edges
     ]
     apex = presentation(q, relations)
 
@@ -824,34 +873,39 @@ class GroupPresentation:
 
 
 def spanning_tree(q, roots):
-    """Breadth-first forest rooted at ``roots``: maps each reached vertex to
-    the path of signed tree letters from its root, and lists tree edges.
+    """Breadth-first forest rooted at ``roots``, on the integer view of
+    ``q``: ``(parent, root_of, tree)``, where ``parent[v]`` is the signed
+    index of the tree letter that reaches vertex index v (None at a root
+    and off the forest), ``root_of[v]`` the index of its root (-1 off the
+    forest), and ``tree[j]`` is 1 on the tree edges.
 
-    Roots are processed in vertex order, edges in input order, so the
-    forest (and everything built from it) is deterministic.  The walk reads
-    the incidence that ``Quiver.validate`` keeps; a root that is not a
+    Roots are processed in vertex order, letters in the incidence order
+    ``Quiver.validate`` keeps (edges in input order), so the forest (and
+    everything built from it) is deterministic.  A root that is not a
     vertex raises "no such vertex".
     """
-    incident = q.validate()._view
-    vorder = {v: i for i, v in enumerate(incident)}
+    vpos, _, src, tgt, incident = q.validate()._view
     try:
-        roots = sorted(roots, key=vorder.__getitem__)
+        order = sorted(set(map(vpos.__getitem__, roots)))
     except (KeyError, TypeError):  # a root that is no vertex, or unhashable
         stray = next(r for r in roots if r not in q.vertices)
         raise ValidationError("no such vertex", witness=stray) from None
-    paths = {r: () for r in roots}
-    root_of = {r: r for r in roots}
-    tree_edges = set()
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        for e, sign, w in incident[v]:
-            if w not in paths:
-                paths[w] = paths[v] + ((e, sign),)
-                root_of[w] = root_of[v]
-                tree_edges.add(e)
-                queue.append(w)
-    return paths, root_of, tree_edges
+    far = tgt + src[::-1]  # the vertex each signed letter ends at
+    parent = [None] * len(incident)
+    root_of = [-1] * len(incident)
+    tree = bytearray(len(src))
+    for r in order:
+        root_of[r] = r
+    for v in order:  # grows as the walk reaches vertices
+        r = root_of[v]
+        for j in incident[v]:
+            w = far[j]
+            if root_of[w] < 0:
+                root_of[w] = r
+                parent[w] = j
+                tree[j if j >= 0 else ~j] = 1
+                order.append(w)
+    return parent, root_of, tree
 
 
 def vertex_group_presentation(p, x):
@@ -863,28 +917,38 @@ def vertex_group_presentation(p, x):
     Relations living on other components are dropped and reported in
     ``dropped_relations``.  A walk from ``x`` finds the component; it is
     walked again from its least vertex only when that is not ``x``.
-    ``p`` is validated first, so every relation is coterminal.
+    ``p`` is validated first, so every relation is coterminal, and its
+    kept relators are retracted as signed edge indexes and named at the
+    end.
     """
-    q = p.validate()._view
-    comp, _, tree_edges = spanning_tree(q, [x])  # keyed by the component
-    root = next(v for v in q.vertices if v in comp)
-    if root != x:
-        comp, _, tree_edges = spanning_tree(q, [root])
+    rows = p.validate()._view
+    q, letters = p.quiver, None
+    _, root_of, tree = spanning_tree(q, [x])  # keyed by the component
+    root = root_of.index(max(root_of))  # the one root, least in its component
+    if q.vertices[root] != x:
+        _, root_of, tree = spanning_tree(q, [q.vertices[root]])
+    src = q._view[2]
+    keep = None  # the kept relators are reduced: only tree letters can go
+    if any(tree):
+        keep = _identity(len(tree))  # by signed index, None on the tree
+        for j in compress(range(len(tree)), tree):
+            keep[j] = keep[~j] = None
     generators = tuple(
-        e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
+        e for e, t, s in zip(q.edges, tree, src) if not t and root_of[s] >= 0
     )
-
     relators = []
     dropped = []
-    for lhs, rhs in p.relations:
-        if lhs.src not in comp:
-            dropped.append((lhs, rhs))
+    for relation, (b, row) in zip(p.relations, rows):
+        if root_of[b] < 0:
+            dropped.append(relation)
             continue
-        # lhs . rhs^-1, read straight off the two letter tuples
-        inverse = ((e, -s) for e, s in reversed(rhs.letters))
-        rel = _retracted(chain(lhs.letters, inverse), tree_edges)
-        if rel:
-            relators.append(rel)
+        rel = row if keep is None else _retracted(row, keep)
+        lhs, rhs = relation
+        if rel and not rhs.letters and len(rel) == len(lhs.letters):
+            relators.append(lhs.letters)  # nothing dropped: the side as it stands
+        elif rel:
+            letters = letters or _letter_table(q.edges)
+            relators.append(tuple(map(letters.__getitem__, rel)))
     return GroupPresentation(
         generators=generators,
         relators=tuple(relators),
@@ -939,7 +1003,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
     """
     from .core import battery
 
-    q = p.validate()._view
+    q = p.validate().quiver
     u = word(q, u.letters, at=u.src)
     v = word(q, v.letters, at=v.src)
     if u.src != v.src or u.tgt != v.tgt:
@@ -953,7 +1017,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
             return WordVerdict("yes", "bounded rewriting", witness=(reached,))
     if targets is None:
         targets = battery()
-    vpos, epos = _positions(q)
+    vpos, epos, _, _, _ = q._view
     pu, pv = _program(ru, vpos, epos), _program(rv, vpos, epos)
     for tname, t in targets.items():
         for vimg, eimg in enumerate_pres_morphisms(p, t):
@@ -969,7 +1033,7 @@ def _vertex_at(q, w, i):
 
 
 def _bounded_rewrite_search(p, start, goal, max_steps, max_length):
-    q = p._view
+    q = p.quiver
     sides = []
     for lhs, rhs in p.relations:
         sides.append((free_reduce(lhs), free_reduce(rhs)))

@@ -2,13 +2,23 @@
 the pushout square induced by a two-piece cover.
 
 A 2-complex is a quiver plus faces, each face a closed word over the edge
-quiver.  A complex is validated on first read, then kept: its view is its
-edge quiver, kept once the faces pass the one check that ``validate``,
-``complex2`` and the parser share.  So is a cover, keeping W = U ∩ V once
-U and V cover every cell.  The fundamental groupoid on a
-base-point set S is presented by contracting a breadth-first spanning
-forest rooted at S: edges outside the forest become generators, face
-boundaries (rewritten through the forest) become relations.
+quiver.  A complex is validated on first read, then kept: its view is
+``(edge quiver, fbase, frows)``, the checked edge quiver (whose own view
+holds its int rows) and each face's base vertex index and boundary word
+as a tuple of signed edge indexes (see ``presentations``).  The parser
+and ``restrict`` write those rows straight from their input and name
+nothing: their complexes' ``fboundary`` is a read-only mapping that
+names a boundary word when it is read.  ``validate`` reads the words of
+a hand-built complex into the same rows.  So is a cover validated and
+kept, keeping W = U ∩ V once U and V hold only cells of the complex, are
+each incidence-closed and cover every cell.  ``close_cells``,
+``restrict`` and ``check_cover`` read the int rows.
+
+The fundamental groupoid on a base-point set S is presented by
+contracting a breadth-first spanning forest rooted at S: edges outside
+the forest become generators, face boundaries (rewritten through the
+forest on their int rows) become relations, named at the end from one
+letter table.
 
 For a cover X = U ∪ V with W = U ∩ V and S meeting every component of U,
 V, and W, the square of inclusion-induced morphisms is pushed out at the
@@ -20,7 +30,10 @@ evidence is relative to the battery used and the report says which one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import and_, not_, or_
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -34,9 +47,13 @@ from .presentations import (
     Quiver,
     Word,
     _check_word,
+    _letter,
+    _letter_table,
     _morphism_blocks,
+    _reduced,
     _restriction,
     _retracted,
+    _row,
     empty_word,
     pushout,
     quiver,
@@ -56,20 +73,68 @@ class Complex2:
     etgt: dict
     faces: tuple
     fboundary: dict
-    # The checked edge quiver, kept once every face is checked; raw,
-    # ``restrict``ed and ``replace``d complexes start without it.
-    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
+    # ``(edge quiver, fbase, frows)``, kept once every face is checked (see
+    # the module docstring); raw and ``replace``d complexes start without it.
+    _view: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def edge_quiver(self):
-        return self.validate()._view
+        return self.validate()._view[0]
 
     def validate(self):
-        """Check the edge quiver and every face boundary, and keep the
-        checked quiver, so a second call is free."""
+        """Check the edge quiver and every face boundary, read the words
+        into int rows and keep them, so a second call is free."""
         if self._view is not None:
             return self
         q = Quiver(vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt)
-        return _checked_faces(self, q.validate(), words_checked=False)
+        return _read_faces(self, q.validate())
+
+
+def _read_faces(x, q):
+    """Check the boundary words of ``x`` over its checked edge quiver ``q``
+    and read them into int rows, which ``x`` keeps."""
+    vpos, epos = q._view[:2]
+    _distinct(x.faces)
+    fbase, frows = [], []
+    for f in x.faces:
+        w = x.fboundary.get(f)
+        if w is None:
+            raise ValidationError("face without boundary", witness=f)
+        _check_word(q, w, "malformed boundary word", (f, w))
+        if w.src != w.tgt:
+            raise ValidationError("boundary word is not closed", witness=(f, w))
+        fbase.append(vpos[w.src])
+        frows.append(_row(epos, w.letters))
+    return _checked_faces(x, q, fbase, frows)
+
+
+class _Boundaries(Mapping):
+    """The boundary words of a complex read off its int rows: a read-only
+    mapping from face to ``Word``, each word named when it is read."""
+
+    __slots__ = ("_q", "_faces", "_at", "_fbase", "_frows")
+
+    def __init__(self, q, faces, fbase, frows):
+        self._q, self._faces, self._fbase, self._frows = q, faces, fbase, frows
+        self._at = {f: i for i, f in enumerate(faces)}
+
+    def __getitem__(self, f):
+        i, q = self._at[f], self._q
+        row, names, edges = self._frows[i], q.vertices, q.edges
+        start = names[self._fbase[i]]
+        if not row:
+            return empty_word(start)
+        _, _, src, tgt, _ = q._view
+        end = names[tgt[row[-1]] if row[-1] >= 0 else src[~row[-1]]]
+        return Word(start, end, tuple(_letter(edges, j) for j in row))
+
+    def __iter__(self):
+        return iter(self._faces)
+
+    def __len__(self):
+        return len(self._faces)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def complex2(vertices, edges, faces=()):
@@ -78,13 +143,6 @@ def complex2(vertices, edges, faces=()):
     ``(edge, sign)``.  Every boundary is checked."""
     q = quiver(vertices, edges)
     faces = [(f, w if isinstance(w, Word) else word(q, list(w))) for f, w in faces]
-    return _complex_on(q, faces, words_checked=False)
-
-
-def _complex_on(q, faces, words_checked):
-    """The checked complex on edge quiver ``q`` with ``(face, boundary)``
-    pairs ``faces``; the parser, having checked each word as it built it,
-    passes ``words_checked``."""
     x = Complex2(
         vertices=q.vertices,
         edges=q.edges,
@@ -93,23 +151,40 @@ def _complex_on(q, faces, words_checked):
         faces=tuple(f for f, _ in faces),
         fboundary=dict(faces),
     )
-    return _checked_faces(x, q, words_checked)
+    return _read_faces(x, q)
 
 
-def _checked_faces(x, q, words_checked):
-    """Check that the faces of ``x`` are distinct, each with a closed
-    boundary word over ``q``, and keep ``q`` as the view of ``x``."""
-    if len(set(x.faces)) != len(x.faces):
-        raise ValidationError("duplicate faces", witness=x.faces)
-    for f in x.faces:
-        w = x.fboundary.get(f)
-        if w is None:
-            raise ValidationError("face without boundary", witness=f)
-        if not words_checked:
-            _check_word(q, w, "malformed boundary word", (f, w))
-        if w.src != w.tgt:
-            raise ValidationError("boundary word is not closed", witness=(f, w))
-    object.__setattr__(x, "_view", q)
+def _complex_on(q, faces, fbase, frows):
+    """The complex on the checked edge quiver ``q`` whose faces ``faces``
+    have the base vertex indexes ``fbase`` and the boundary rows ``frows``,
+    each row a chain of signed edge indexes from its base vertex, and no
+    two faces alike; its ``fboundary`` names the rows when read."""
+    faces, fbase, frows = tuple(faces), tuple(fbase), tuple(frows)
+    x = Complex2(
+        vertices=q.vertices,
+        edges=q.edges,
+        esrc=q.esrc,
+        etgt=q.etgt,
+        faces=faces,
+        fboundary=_Boundaries(q, faces, fbase, frows),
+    )
+    return _checked_faces(x, q, fbase, frows)
+
+
+def _distinct(faces):
+    if len(set(faces)) != len(faces):
+        raise ValidationError("duplicate faces", witness=faces)
+
+
+def _checked_faces(x, q, fbase, frows):
+    """Check that each row of ``x``, read over ``q``, ends on its base
+    vertex, and keep ``(q, fbase, frows)`` as the view of ``x``."""
+    _, _, src, tgt, _ = q._view
+    far = tgt + src[::-1]  # the vertex each signed letter ends at
+    for f, b, row in zip(x.faces, fbase, frows):
+        if row and far[row[-1]] != b:
+            raise ValidationError("boundary word is not closed", witness=(f, x.fboundary[f]))
+    object.__setattr__(x, "_view", (q, tuple(fbase), tuple(frows)))
     return x
 
 
@@ -122,27 +197,70 @@ class Subcomplex:
     faces: tuple
 
 
+def _flags(x, vertices, edges, faces):
+    """The named cells of the checked complex ``x``, of each kind, as flags
+    by index."""
+    vpos, epos = x._view[0]._view[:2]
+    flags = [bytearray(len(vpos)), bytearray(len(epos)), bytearray(len(x.faces))]
+    for c in vertices:
+        flags[0][vpos[c]] = 1
+    for c in edges:
+        flags[1][epos[c]] = 1
+    if faces:
+        fpos = {f: i for i, f in enumerate(x.faces)}
+        for c in faces:
+            flags[2][fpos[c]] = 1
+    return flags
+
+
+def _strays(x, sub):
+    """The cells of ``sub`` that are no cell of the checked complex ``x``
+    of their kind."""
+    vpos, epos = x._view[0]._view[:2]
+    return {
+        *set(sub.vertices).difference(vpos), *set(sub.edges).difference(epos),
+        *set(sub.faces).difference(x.faces),
+    }
+
+
+def _close(x, vertices, edges, faces):
+    """Add to the selection flagged the boundary of each cell in it, in
+    place: a face's edges (its vertex, for an empty boundary), then each
+    edge's ends."""
+    q, fbase, frows = x._view
+    _, _, src, tgt, _ = q._view
+    for i in compress(range(len(faces)), faces):
+        for j in frows[i]:
+            edges[j if j >= 0 else ~j] = 1
+        if not frows[i]:
+            vertices[fbase[i]] = 1
+    for j in compress(range(len(edges)), edges):
+        vertices[src[j]] = vertices[tgt[j]] = 1
+
+
 def close_cells(x, cells):
     """Close a cell selection under incidence: faces bring their boundary
     edges, edges their endpoints."""
+    return _subcomplex(x, _closed_flags(x, cells))
+
+
+def _closed_flags(x, cells):
+    """The flags of the closure of the cells named in ``cells``."""
+    vpos, epos = x.validate()._view[0]._view[:2]
     cells = set(cells)
-    faces = tuple(f for f in x.faces if f in cells)
-    edges = set(e for e in x.edges if e in cells)
-    for f in faces:
-        for e, _ in x.fboundary[f].letters:
-            edges.add(e)
-    vertices = set(v for v in x.vertices if v in cells)
-    for e in edges:
-        vertices.add(x.esrc[e])
-        vertices.add(x.etgt[e])
-    for f in x.faces:
-        if f in cells and not x.fboundary[f].letters:
-            vertices.add(x.fboundary[f].src)
-    _refuse_unknown(cells - set(x.vertices) - set(x.edges) - set(x.faces))
+    faces = cells.intersection(x.faces)
+    _refuse_unknown(cells - vpos.keys() - epos.keys() - faces)
+    flags = _flags(x, cells & vpos.keys(), cells & epos.keys(), faces)
+    _close(x, *flags)
+    return flags
+
+
+def _subcomplex(x, flags):
+    vertices, edges, faces = flags
     return Subcomplex(
-        vertices=tuple(v for v in x.vertices if v in vertices),
-        edges=tuple(e for e in x.edges if e in edges),
-        faces=faces,
+        vertices=tuple(compress(x.vertices, vertices)),
+        edges=tuple(compress(x.edges, edges)),
+        faces=tuple(compress(x.faces, faces)),
     )
 
 
@@ -154,20 +272,39 @@ def _refuse_unknown(cells):
 
 
 def restrict(x, sub):
-    """The complex on the cells of ``sub``, each a cell of ``x`` of its kind."""
-    _refuse_unknown(
-        (set(sub.vertices) - set(x.vertices))
-        | (set(sub.edges) - set(x.edges))
-        | (set(sub.faces) - set(x.faces))
-    )
-    return Complex2(
+    """The complex on the cells of ``sub``, each a cell of ``x`` of its kind.
+
+    Its face rows are those of ``x`` renumbered, so no word is named or
+    walked again; a face whose boundary leaves ``sub`` is refused as its
+    word would be ("malformed letter" on the first letter off ``sub``, or
+    "empty word needs a vertex")."""
+    xq, fbase, frows = x.validate()._view
+    _refuse_unknown(_strays(x, sub))
+    q = Quiver(
         vertices=sub.vertices,
         edges=sub.edges,
         esrc={e: x.esrc[e] for e in sub.edges},
         etgt={e: x.etgt[e] for e in sub.edges},
-        faces=sub.faces,
-        fboundary={f: x.fboundary[f] for f in sub.faces},
-    )
+    ).validate()
+    _distinct(sub.faces)
+    base, rows = [], []
+    if sub.faces:
+        vpos, epos = q._view[:2]
+        keep = [epos.get(e) for e in xq.edges]  # by signed index
+        keep += [None if k is None else ~k for k in reversed(keep)]
+        fpos = {f: i for i, f in enumerate(x.faces)}
+        for f in sub.faces:
+            i = fpos[f]
+            row = tuple(map(keep.__getitem__, frows[i]))
+            if None in row:
+                j = frows[i][row.index(None)]
+                raise ValidationError("malformed letter", witness=_letter(xq.edges, j))
+            b = vpos.get(xq.vertices[fbase[i]])
+            if b is None:
+                raise ValidationError("empty word needs a vertex", witness=xq.vertices[fbase[i]])
+            base.append(b)
+            rows.append(row)
+    return _complex_on(q, sub.faces, base, rows)
 
 
 @dataclass(frozen=True)
@@ -186,25 +323,61 @@ class SubcomplexCover:
         return self.validate()._view
 
     def validate(self):
+        """Check that U and V hold only cells of X, are each
+        incidence-closed and together hold every cell, and keep W."""
         if self._view is not None:
             return self
-        self.x.validate()
-        w = {}
-        for kind in ("vertices", "edges", "faces"):
-            in_u, in_v = set(getattr(self.u, kind)), set(getattr(self.v, kind))
-            cells = getattr(self.x, kind)
-            if in_u | in_v != set(cells):
-                raise ValidationError(
-                    f"cover misses {kind}",
-                    witness=tuple(sorted(set(cells) - in_u - in_v, key=str)),
-                )
-            w[kind] = tuple(a for a in cells if a in in_u and a in in_v)
-        object.__setattr__(self, "_view", Subcomplex(**w))
-        return self
+        x = self.x.validate()
+        _refuse_unknown(_strays(x, self.u) | _strays(x, self.v))
+        pieces = []
+        for name, sub in (("U", self.u), ("V", self.v)):
+            flags = _flags(x, sub.vertices, sub.edges, sub.faces)
+            closed = [bytearray(f) for f in flags]
+            _close(x, *closed)
+            if closed != flags:
+                _refuse_open(x, name, *flags)
+            pieces.append(flags)
+        return _covering(self, *pieces)
+
+
+def _covering(c, u, v):
+    """Keep W for the cover ``c`` of its checked complex, whose U and V are
+    the incidence-closed selections flagged ``u`` and ``v``, once they hold
+    every cell."""
+    x, w = c.x, {}
+    for kind, cells, a, b in zip(("vertices", "edges", "faces"),
+                                 (x.vertices, x.edges, x.faces), u, v):
+        if 0 in map(or_, a, b):
+            missed = [c for c, i, j in zip(cells, a, b) if not (i or j)]
+            raise ValidationError(
+                f"cover misses {kind}", witness=tuple(sorted(missed, key=str))
+            )
+        w[kind] = tuple(compress(cells, map(and_, a, b)))
+    object.__setattr__(c, "_view", Subcomplex(**w))
+    return c
+
+
+def _refuse_open(x, piece, vertices, edges, faces):
+    """Refuse ``piece``, naming its first cell whose boundary leaves it (a
+    face, in face and letter order, before an edge) and the cell missing."""
+    q, fbase, frows = x._view
+    _, _, src, tgt, _ = q._view
+    gaps = []
+    for f, b, row in compress(zip(x.faces, fbase, frows), faces):
+        if row:
+            gaps += [(f, x.edges[k]) for k in (j if j >= 0 else ~j for j in row) if not edges[k]]
+        elif not vertices[b]:
+            gaps.append((f, x.vertices[b]))
+    for e, s, t in compress(zip(x.edges, src, tgt), edges):
+        gaps += [(e, x.vertices[v]) for v in (s, t) if not vertices[v]]
+    raise ValidationError("cover piece is not incidence-closed", witness=(piece, *gaps[0]))
 
 
 def cover(x, u_cells, v_cells):
-    return SubcomplexCover(x=x, u=close_cells(x, u_cells), v=close_cells(x, v_cells)).validate()
+    """The cover of ``x`` by the closures of two cell selections; closed
+    as built, it is checked only for holding every cell."""
+    u, v = _closed_flags(x, u_cells), _closed_flags(x, v_cells)
+    return _covering(SubcomplexCover(x=x, u=_subcomplex(x, u), v=_subcomplex(x, v)), u, v)
 
 
 @dataclass(frozen=True)
@@ -216,101 +389,145 @@ class CoverReport:
 
 def check_cover(c, base):
     """Check the theorem's hypothesis: the base-point set meets every
-    component of U, V, and W."""
+    component of U, V, and W, found on the complex's int rows."""
     c.validate()
     base = tuple(base)
     bad = [b for b in base if b not in c.x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    bset = set(base)
+    vpos, epos, src, tgt, _ = c.x._view[0]._view
+    at = {vpos[b] for b in base}
     missed = []
     pieces = []
     for name, sub in (("U", c.u), ("V", c.v), ("W", c.w)):
-        blocks = skeleton_components(sub.vertices, sub.edges, c.x.esrc, c.x.etgt)
+        blocks = skeleton_components(
+            list(map(vpos.__getitem__, sub.vertices)), map(epos.__getitem__, sub.edges), src, tgt
+        )
         pieces.append((name, len(blocks)))
         for block in blocks:
-            if not bset & set(block):
-                missed.append((name, block))
+            if at.isdisjoint(block):
+                missed.append((name, tuple(c.x.vertices[i] for i in block)))
     return CoverReport(ok=not missed, missed=tuple(missed), pieces=tuple(pieces))
 
 
 @dataclass(frozen=True)
 class ForestRetraction:
     """Contraction of a spanning forest rooted at the base points: sends a
-    word over the complex's edges to a word over the surviving generators."""
+    word over the complex's edges to a word over the surviving generators.
+
+    ``parent``, ``root_of`` and ``tree`` are the int arrays of
+    ``spanning_tree`` over the source quiver's view: the signed tree letter
+    into each vertex index, the index of its root, and the tree-edge flags.
+    """
 
     source_quiver: Quiver
     presentation_quiver: Quiver
     roots: tuple
-    paths: dict
-    root_of: dict
-    tree_edges: frozenset
+    parent: list
+    root_of: list
+    tree: bytearray
 
     def apply(self, w):
         """The free reduction of ``w`` with its tree letters dropped, on the
         roots of its ends."""
-        root_of = self.root_of
-        return Word(root_of[w.src], root_of[w.tgt], _retracted(w.letters, self.tree_edges))
+        q = self.source_quiver
+        vpos, epos, _, _, _ = q._view
+        root_of, tree, names = self.root_of, self.tree, q.vertices
+        kept = [letter for letter in w.letters if not tree[epos[letter[0]]]]
+        return Word(
+            names[root_of[vpos[w.src]]], names[root_of[vpos[w.tgt]]], _reduced(kept)
+        )
+
+    def _into(self, v):
+        """The tree path from the root of vertex ``v`` to ``v`` as a word,
+        read up the parent pointers."""
+        q, parent = self.source_quiver, self.parent
+        vpos, _, src, tgt, _ = q._view
+        i = vpos[v]
+        root, letters = self.root_of[i], []
+        while (j := parent[i]) is not None:
+            letters.append(_letter(q.edges, j))
+            i = src[j] if j >= 0 else tgt[~j]
+        letters.reverse()
+        return Word(q.vertices[root], v, tuple(letters))
 
     def carrier_word(self, e):
         """The loop-free word over the complex's edges that a generator
         stands for: tree path in, the edge, tree path back."""
         q = self.source_quiver
         s, t = q.esrc[e], q.etgt[e]
-        into = Word(self.root_of[s], s, self.paths[s])
-        back = Word(self.root_of[t], t, self.paths[t])
         middle = Word(s, t, ((e, 1),))
-        return into.concat(middle).concat(back.inverse())
+        return self._into(s).concat(middle).concat(self._into(t).inverse())
 
 
 def _fundamental(x, base):
     """The presentation of the fundamental groupoid of ``x`` on ``base``,
     and the forest retraction that built it.
 
-    The presentation keeps ``pq`` as its view at once, and its relations
-    are not walked by ``validate``: they are valid over ``pq`` by
-    construction.  A boundary word of ``x`` chains over its
+    The forest and the retraction run on the int rows of ``x``; the
+    relations are named at the end from one letter table of the
+    generators, so every letter of every relation is a shared tuple.  The
+    presentation keeps its relator rows as its view at once, and its
+    relations are not walked by ``validate``: they are valid over ``pq`` by
+    construction.  A boundary row of ``x`` chains over its
     edge quiver and is closed.  A tree edge joins two vertices of one tree,
-    so dropping its letters leaves each surviving letter ``(e, s)`` starting
-    on the root the previous one ends on, and ``e`` runs between the roots
+    so dropping its letters leaves each surviving letter starting
+    on the root the previous one ends on, and its edge runs between the roots
     of its ends in ``pq``.  Free reduction cancels adjacent inverse letters
     and keeps that chaining.  The retracted word therefore runs from the
     root of the boundary's base point back to it, and the empty word there
     is the coterminal other side, one shared word per base point.
     """
-    q = x.edge_quiver()
+    q, fbase, frows = x.validate()._view
+    vpos, _, src, tgt, _ = q._view
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    paths, root_of, tree_edges = spanning_tree(q, base)
+    parent, root_of, tree = spanning_tree(q, base)
     bset = set(base)
-    if len(paths) < len(x.vertices):  # name the first component missed
+    if -1 in root_of:  # name the first component missed
         block = next(
             b for b in skeleton_components(x.vertices, x.edges, x.esrc, x.etgt)
             if bset.isdisjoint(b)
         )
         raise HypothesisError(f"base points miss a component: {block!r}", report=block)
-    generators = tuple(e for e in x.edges if e not in tree_edges)
-    pq = quiver(
-        tuple(v for v in x.vertices if v in bset),
-        [(e, root_of[x.esrc[e]], root_of[x.etgt[e]]) for e in generators],
-    )
+    names = x.vertices
+    at = sorted(map(vpos.__getitem__, bset))  # the roots' indexes, in vertex order
+    roots = tuple(map(names.__getitem__, at))
+    generators = list(compress(range(len(tree)), map(not_, tree)))
+    edges = tuple(map(x.edges.__getitem__, generators))
+    pq = Quiver(  # each generator runs between the roots of its ends
+        vertices=roots,
+        edges=edges,
+        esrc={e: names[root_of[src[j]]] for e, j in zip(edges, generators)},
+        etgt={e: names[root_of[tgt[j]]] for e, j in zip(edges, generators)},
+    ).validate()
+    relations, rows = [], []
+    if frows:
+        # each edge of x by signed index to its generator's, None on the tree
+        keep = [None] * (2 * len(tree))
+        for k, j in enumerate(generators):
+            keep[j], keep[~j] = k, ~k
+        rpos = {r: k for k, r in enumerate(at)}
+        letters = _letter_table(pq.edges)
+        empty = [empty_word(r) for r in roots]
+        for b, row in zip(fbase, frows):
+            r = rpos[root_of[b]]
+            rel = _retracted(row, keep)
+            rows.append((r, rel))
+            w = Word(roots[r], roots[r], tuple(map(letters.__getitem__, rel)))
+            relations.append((w, empty[r]))
+    p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
+    object.__setattr__(p, "_view", tuple(rows))
     retraction = ForestRetraction(
         source_quiver=q,
         presentation_quiver=pq,
-        roots=tuple(v for v in x.vertices if v in bset),
-        paths=paths,
+        roots=roots,
+        parent=parent,
         root_of=root_of,
-        tree_edges=frozenset(tree_edges),
+        tree=tree,
     )
-    empty = {r: empty_word(r) for r in retraction.roots}
-    relations = []
-    for f in x.faces:
-        w = retraction.apply(x.fboundary[f])
-        relations.append((w, empty[w.src]))
-    p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
-    object.__setattr__(p, "_view", pq)
     return p, retraction
 
 

@@ -7,7 +7,11 @@ block order, forest paths and generator order included.
 
 ``old_spanning_tree`` is the body ``spanning_tree`` had while it built its
 incident lists inside the walk, kept verbatim as an oracle for the walk on
-the incidence that ``Quiver.validate`` builds and keeps.
+the incidence that ``Quiver.validate`` builds and keeps.  The library's
+forest is now int arrays (parent pointers, roots, tree-edge flags); it is
+compared through ``name_keyed.named_forest``, which reads it back as the
+old paths, roots and tree edges, and against ``name_keyed.spanning_tree``,
+the walk on the named incidence it replaced.
 """
 
 import random
@@ -32,6 +36,8 @@ from gpdkit.presentations import (
 from gpdkit.documents import parse_document
 from gpdkit.vankampen import fundamental_groupoid
 from gpdkit.vankampen import skeleton_components as vankampen_components
+from name_keyed import named_forest
+from name_keyed import spanning_tree as name_keyed_spanning_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import Grid  # noqa: E402
@@ -192,11 +198,12 @@ def test_components_match_oracle(q):
 def test_spanning_forest_matches_oracle(data):
     q = data.draw(quivers())
     roots = data.draw(st.lists(st.sampled_from(q.vertices), max_size=4))
-    paths, root_of, tree_edges = spanning_tree(q, roots)
+    paths, root_of, tree_edges = named_forest(q, spanning_tree(q, roots))
     want_paths, want_root_of, want_tree_edges = oracle_spanning_tree(q, roots)
-    assert list(paths.items()) == list(want_paths.items())
+    assert paths == want_paths
     assert root_of == want_root_of
     assert tree_edges == want_tree_edges
+    assert (paths, root_of, tree_edges) == name_keyed_spanning_tree(q, roots)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,6 +298,5 @@ WALKS = _complex_walks()
 def test_the_split_walk_matches_the_walk_that_built_its_lists(label, q, roots):
     for r in roots:
         want = old_spanning_tree(q, r)
-        got = spanning_tree(q, r)
-        assert list(got[0].items()) == list(want[0].items()), (label, r)
-        assert list(got[1].items()) == list(want[1].items()) and got[2] == want[2], (label, r)
+        assert name_keyed_spanning_tree(q, r) == want, (label, r)
+        assert named_forest(q, spanning_tree(q, r)) == want, (label, r)

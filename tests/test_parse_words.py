@@ -2,9 +2,11 @@
 
 The parser used to turn a face or relation side into letters with
 ``_letters_of`` and then build the word through ``presentations.word``;
-``_word_of`` now looks up and chains the tokens in one pass.  Its list
-version, which kept each letter's ends and compared them after the last
-token, and ``_names`` as it scanned every name of a row, are kept too.
+``_word_of`` then looked up and chained the tokens in one pass, and
+``_row_of`` now does so into signed edge indexes, named here by
+``_read_word`` for the comparison.  ``_word_of`` (in ``name_keyed``), its
+list version, which kept each letter's ends and compared them after the
+last token, and ``_names`` as it scanned every name of a row, are kept too.
 A parsed complex used to walk every face word again in
 ``Complex2.validate``; the fundamental groupoid's relations used to be
 filtered, then freely reduced into a second ``Word``, then walked again by
@@ -33,7 +35,7 @@ from gpdkit.documents import (
     _FORBIDDEN,
     ParseError,
     _names,
-    _word_of,
+    _row_of,
     parse_document,
     render_document,
 )
@@ -49,6 +51,7 @@ from gpdkit.presentations import (
     word,
 )
 from gpdkit.vankampen import _fundamental, complex2, fundamental_groupoid
+from name_keyed import named_forest, retracted, spanning_tree, word_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import Grid  # noqa: E402
@@ -133,13 +136,24 @@ def free_reduce_oracle(w):
     return Word(src=w.src, tgt=w.tgt, letters=tuple(stack))
 
 
+def _read_word(tokens, q, line, at=None):
+    """``_row_of`` read back as a word: ``at`` and the ends as vertex
+    names, the signed edge indexes as letters."""
+    vpos = q.validate()._view[0]
+    src, tgt, row = _row_of(tokens, q, line, None if at is None else vpos[at])
+    letters = tuple((q.edges[j], 1) if j >= 0 else (q.edges[~j], -1) for j in row)
+    return Word(q.vertices[src], q.vertices[tgt], letters)
+
+
 def apply_oracle(retraction, w):
-    """``ForestRetraction.apply`` as it was."""
-    letters = tuple(
-        (e, s) for e, s in w.letters if e not in retraction.tree_edges
+    """``ForestRetraction.apply`` as it was, on the forest read by name."""
+    _, root_of, tree_edges = named_forest(
+        retraction.source_quiver,
+        (retraction.parent, retraction.root_of, retraction.tree),
     )
+    letters = tuple((e, s) for e, s in w.letters if e not in tree_edges)
     return free_reduce_oracle(
-        Word(src=retraction.root_of[w.src], tgt=retraction.root_of[w.tgt], letters=letters)
+        Word(src=root_of[w.src], tgt=root_of[w.tgt], letters=letters)
     )
 
 
@@ -161,7 +175,7 @@ def vertex_group_oracle(p, x):
         b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
     )
     comp = set(block)
-    paths, _, tree_edges = presentations.spanning_tree(q, [block[0]])
+    paths, _, tree_edges = spanning_tree(q, [block[0]])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )
@@ -204,7 +218,7 @@ def vertex_group_components_oracle(p, x):
         b for b in skeleton_components(q.vertices, q.edges, q.esrc, q.etgt) if x in b
     )
     comp = set(block)
-    paths, _, tree_edges = presentations.spanning_tree(q, [block[0]])
+    paths, _, tree_edges = spanning_tree(q, [block[0]])
     generators = tuple(
         e for e in q.edges if e not in tree_edges and q.esrc[e] in comp
     )
@@ -221,7 +235,7 @@ def vertex_group_components_oracle(p, x):
             )
         # lhs . rhs^-1, read straight off the two letter tuples
         inverse = ((e, -s) for e, s in reversed(rhs.letters))
-        rel = presentations._retracted(chain(lhs.letters, inverse), tree_edges)
+        rel = retracted(chain(lhs.letters, inverse), tree_edges)
         if rel:
             relators.append(rel)
     return GroupPresentation(
@@ -305,7 +319,8 @@ def token_cases(draw):
 @given(case=token_cases(), line=st.integers(1, 40))
 def test_word_of_matches_the_two_pass_oracle(case, line):
     q, tokens, at = case
-    got = _outcome(_word_of, tokens, q, line, at)
+    got = _outcome(_read_word, tokens, q, line, at)
+    assert got == _outcome(word_of, tokens, q, line, at)
     assert got == _outcome(word_of_oracle, tokens, q, line, at)
     assert got == _outcome(word_of_lists_oracle, tokens, q, line, at)
 
@@ -368,7 +383,8 @@ CHAIN = quiver(VERTICES, [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v2", "v0"
 )
 def test_hand_picked_token_lists(tokens, at, expected):
     want = _outcome(word_of_oracle, tokens, CHAIN, 7, at)
-    assert _outcome(_word_of, tokens, CHAIN, 7, at) == want
+    assert _outcome(_read_word, tokens, CHAIN, 7, at) == want
+    assert _outcome(word_of, tokens, CHAIN, 7, at) == want
     assert _outcome(word_of_lists_oracle, tokens, CHAIN, 7, at) == want
     if isinstance(expected, Word):
         assert want == ("returned", expected)

@@ -867,12 +867,22 @@ def test_a_built_complex_is_checked_once(face_checks):
     assert len(face_checks) == 1
 
 
-def test_a_restricted_complex_is_still_checked(face_checks):
+def test_a_restricted_complex_keeps_renumbered_rows_and_walks_no_word(face_checks):
+    """``restrict`` renumbers the face rows of a checked complex and keeps
+    them, so its words are not walked again; the result equals the raw
+    restriction a reader would have to check."""
     x = _disc()
     whole = Subcomplex(vertices=x.vertices, edges=x.edges, faces=x.faces)
     face_checks.clear()
-    fundamental_groupoid(restrict(x, whole), (0,))
-    assert face_checks == [("f", x.fboundary["f"])]
+    sub = restrict(x, whole)
+    assert sub._view is not None
+    fundamental_groupoid(sub, (0,))
+    assert face_checks == []
+    raw = Complex2(
+        vertices=x.vertices, edges=x.edges, esrc=dict(x.esrc), etgt=dict(x.etgt),
+        faces=x.faces, fboundary={"f": x.fboundary["f"]},
+    )
+    assert sub == raw and raw.validate()._view[1:] == sub._view[1:]
 
 
 def test_a_restriction_that_drops_a_boundary_edge_is_rejected():

@@ -1,13 +1,15 @@
 """Where the library may keep or test a view (an IndexView, an XModView, a
-quiver's incidence, the checked quiver of a complex, a presentation or a
-presentation morphism, or a cover's W), read off the source's syntax tree.
+quiver's int rows, a complex's edge quiver and face rows, a presentation's
+relator rows, the checked quiver of a presentation morphism, or a cover's
+W), read off the source's syntax tree.
 
 Groups, groupoids, quivers, complexes, presentations, their morphisms and
 covers are validated on first read, then kept: the view in ``_view`` is set
 only by the code that validated the value or built it from checked parts
 (the parser and ``_fundamental`` check each relation word as they build
-it), and only the readers that validate on first read ask whether it is
-set yet.  Any other writer would lend a view to a value
+it, and ``cover`` builds its pieces closed, so ``_covering`` keeps W for
+it and for ``SubcomplexCover.validate``), and only the readers that
+validate on first read ask whether it is set yet.  Any other writer would lend a view to a value
 nobody checked, and any other test of ``_view`` would bring back a second
 path for values without one.  Nothing else is written onto a frozen value
 but the inverse map a group's validation reads off its table, so no side
@@ -24,8 +26,7 @@ SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
 WRITERS = {
     "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
     "Quiver.validate", "_checked_faces", "GroupoidPresentation.validate",
-    "PresentationMorphism.validate", "SubcomplexCover.validate", "_fundamental",
-    "_presentation_of",
+    "PresentationMorphism.validate", "_covering", "_fundamental", "_presentation_of",
 }
 TESTERS = {
     "FiniteGroup.validate", "index_view", "xmod_view", "Quiver.validate", "Complex2.validate",

@@ -23,6 +23,7 @@ import copy
 import json
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,8 @@ from gpdkit.core import ValidationError
 from gpdkit.documents import load_document
 from gpdkit.presentations import Word, empty_word
 from gpdkit.vankampen import fundamental_groupoid
+
+DATA = Path(__file__).parent / "data"
 
 # ------------------------------------------------------------------ oracle
 
@@ -263,8 +266,21 @@ def test_pi1_on_a_large_complex_builds_each_word_once(tmp_path, built, capsys):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"]["relations"] == 360
-    # 360 face words, 360 retracted relations and one empty word.
-    assert len(built) == 721
+    # 360 retracted relations and one empty word: the faces are read into
+    # int rows, and no face word is built.
+    assert len(built) == 361
+
+
+def test_parsing_a_complex_or_a_cover_builds_no_word(tmp_path, built):
+    path = tmp_path / "torus.cx"
+    path.write_text("\n".join(_torus(12)) + "\n", encoding="utf-8")
+    want = Word("v0_1", "v0_1", (("h0_1", 1), ("u0_2", 1), ("h1_1", -1), ("u0_1", -1)))
+    del built[:]
+    x = load_document(path).payload
+    c = load_document(DATA / "wedge.cov").payload
+    assert built == [] and c.x.validate() is c.x
+    # a boundary word is named when it is read
+    assert x.fboundary["f0_1"] == want and len(built) == 1
 
 
 def test_the_relations_share_one_empty_word_per_base_point(tmp_path):
