@@ -4,8 +4,9 @@ The format is line oriented and UTF-8 encoded.  ``#`` starts a comment,
 blank lines are ignored, and nesting is by indentation (spaces only,
 consistent within a block).  A line ``key: value`` is an entry; a line
 ``key:`` opens a nested block; a line without a colon is raw content
-(relation equations, array rows).  Keys may contain spaces where a table
-is keyed by several names, as in ``a b: c``.
+(relation equations, array rows); the rows of one table are all of one
+form.  Keys may contain spaces where a table is keyed by several names,
+as in ``a b: c``.
 
 Every document starts with ``kind: <kind>``.  The kinds:
 
@@ -23,23 +24,29 @@ Every document starts with ``kind: <kind>``.  The kinds:
   cube           a nested group and the twelve named edges
   eh             elements, unit1, unit2, and two operation tables
 
-Words use ``e`` for an edge and ``e^-1`` for its reverse.  Names may not
-contain whitespace, ``:``, ``#``, ``=``, or ``^``.
+Words use ``e`` for an edge and ``e^-1`` for its reverse.  Names, edge
+ids among them, may not contain whitespace, ``:``, ``#``, ``=``, or ``^``.
 
 A ``ParseError`` names the line of the entry at fault: a bad name or
 ``degree`` at the line of its entry, a missing entry or section at the line
 of the section it belongs to, or line 1 at the top of a document.
 
-Quivers, complexes and presentations are read into the integer rows their
-checked values keep (see ``presentations`` and ``vankampen``): edge rows
-in bulk, each word token by token into signed edge indexes.  A complex
-builds no ``Word``; a presentation names its relation words from one
-letter table.
+The flat ``key: value`` rows under a block header are kept as one slice
+of lines (``_Rows``), split with string methods over the whole block.
+Quivers, complexes and presentations read them into the integer rows
+their checked values keep (see ``presentations`` and ``vankampen``): edge
+rows in bulk, each word token by token into signed edge indexes.  A
+complex builds no ``Word``; a presentation names its relation words from
+one letter table.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress, islice, repeat
+from operator import indexOf
 
 from .core import ValidationError, build_groupoid, finite_group, from_group
 from .core import perm_mul
@@ -85,10 +92,13 @@ def _tree(text):
     """Indentation tree of entry and raw nodes, each the tuple ``(line, key,
     value, indent, children)``: ``key`` is None for a raw line and
     ``indent`` the column its text starts in.  Blank and comment-only
-    lines are skipped before the indentation is looked at."""
+    lines are skipped before the indentation is looked at.  A header's flat
+    rows are kept as one ``_Rows`` (``_flat``), other lines one by one."""
     root = (0, None, "", -1, [])
     stack = [root]
-    for lineno, content in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    numbered = enumerate(lines, start=1)
+    for i, content in numbered:
         if "#" in content:
             content = content.partition("#")[0]
         content = content.rstrip()
@@ -100,46 +110,134 @@ def _tree(text):
             rest = content[:indent].lstrip(" ")
             if rest:  # whitespace other than spaces after the leading ones
                 if "\t" in rest:
-                    raise ParseError("tabs are not allowed in indentation", lineno)
+                    raise ParseError("tabs are not allowed in indentation", i)
                 indent -= len(rest)
         key, colon, value = body.partition(":")
         if colon:
             key = key.strip()
             if not key:
-                raise ParseError("empty key", lineno)
-            node = (lineno, key, value.strip(), indent, [])
+                raise ParseError("empty key", i)
+            node = (i, key, value.strip(), indent, [])
         else:
-            node = (lineno, None, body, indent, [])
+            node = (i, None, body, indent, [])
         while indent <= stack[-1][3]:
             stack.pop()
         parent = stack[-1]
         siblings = parent[4]
         if siblings:
             if indent != siblings[0][3]:
-                raise ParseError("inconsistent indentation", lineno)
+                raise ParseError("inconsistent indentation", i)
         elif parent is not root:
             # The first child checks its parent once for all its siblings.
             if parent[1] is None:
-                raise ParseError("raw lines cannot have nested lines", lineno)
+                raise ParseError("raw lines cannot have nested lines", i)
             if parent[2]:
                 raise ParseError(
-                    f"entry {parent[1]!r} has both a value and nested lines", lineno
+                    f"entry {parent[1]!r} has both a value and nested lines", i
                 )
+        flat = colon and not node[2] and len(lines) >= i + _SHORT and _flat(lines, i, indent)
+        if flat:
+            # Kept off the stack: a later line deeper than the header but
+            # shallower than its rows is refused against its siblings.
+            siblings.append((*node[:4], flat[0]))
+            next(islice(numbered, flat[1] - i - 1, None))  # past its rows
+            continue
         siblings.append(node)
         stack.append(node)
     return root
 
 
-def _entries(node):
-    return [c for c in node[4] if c[1] is not None]
+# Flat ``key: value`` rows at one indent under a block header, as ``_tree``
+# keeps them: the rows' line numbers, indent, keys, and unstripped values.
+_Rows = namedtuple("_Rows", "lines indent keys values")
+# Fewer rows than this are read line by line: a slice would cost more.
+_SHORT = 32
+
+
+def _flat(lines, i, header):
+    """The rows from index ``i`` of ``lines`` on that a header at indent
+    ``header`` holds, up to the first line neither on the first row's
+    indent nor blank or comment-only, as ``(_Rows, index past them)``.
+    They are found, checked and split with string methods over the whole
+    slice.  None if they are few (``_SHORT``), a line is deeper (even a
+    blank one), or a row has no key or starts with other whitespace:
+    ``_tree`` then reads them one by one."""
+    n = len(lines)
+    if not lines[i + _SHORT - 1].startswith(" ", header):
+        return None
+    while i < n and not lines[i].partition("#")[0].strip():
+        i += 1
+    indent = len(lines[i]) - len(lines[i].lstrip(" ")) if i < n else 0
+    pad, end = " " * indent, i
+    if indent <= header or any(map(str.startswith, lines[i:i + _SHORT], repeat(pad + " "))):
+        return None  # a nested block shows a deeper line early
+    while True:  # runs of lines on ``pad``, maybe with blank lines between
+        end += indexOf(map(str.startswith, chain(islice(lines, end, None), [""]), repeat(pad)), False)
+        k = end
+        while k < n and not lines[k].partition("#")[0].strip():
+            k += 1
+        if k == n or not lines[k].startswith(pad):
+            break
+        end = k
+    if end - i < _SHORT:
+        return None
+    text = "\n".join(lines[i:end])
+    if "#" in text:
+        text = re.sub("#.*", "", text)
+    if "\n" + pad + " " in text:  # a deeper line (the first row is not)
+        return None
+    numbers = range(i + 1, end + 1)
+    rows = text.replace("\n" + pad, "\n")[indent:].split("\n")
+    if not all(map(str.strip, rows)):  # blank rows go
+        keep = list(map(str.strip, rows))
+        numbers, rows = list(compress(numbers, keep)), list(compress(rows, keep))
+    if (not text.isascii() or "\t" in text or "\x1f" in text) and any(
+        row[0].isspace() for row in rows  # whitespace other than spaces
+    ):
+        return None
+    keys, colons, values = zip(*map(str.partition, rows, repeat(":")))
+    keys = tuple(map(str.strip, keys))
+    if "" in colons or "" in keys:  # a raw line, or an empty key
+        return None
+    return _Rows(numbers, indent, keys, values), end
+
+
+def _kids(node):
+    """The children of ``node``, those of a ``_Rows`` as nodes (with no
+    children, ``()``)."""
+    k = node[4]
+    if type(k) is _Rows:
+        return list(zip(k.lines, k.keys, map(str.strip, k.values), repeat(k.indent), repeat(())))
+    return k
+
+
+def _rows(node):
+    """The line numbers, keys and values of the entries of ``node``, in
+    bulk from a ``_Rows``; a value may still need stripping."""
+    kids = node[4]
+    if type(kids) is _Rows:
+        return kids.lines, kids.keys, kids.values
+    return (*zip(*_entries(node)),)[:3] or ((), (), ())
+
+
+def _entries(node, raw=False):
+    """The children of ``node``: entries, or raw lines with ``raw``.  A
+    child of the other form is refused at its line."""
+    kids = _kids(node)
+    for c in kids:
+        if (c[1] is None) is not raw:
+            wrong = "an entry among raw lines" if raw else "a raw line among 'key: value' entries"
+            raise ParseError(wrong, c[0])
+    return kids
 
 
 def _raws(node):
-    return [c for c in node[4] if c[1] is None]
+    return _entries(node, raw=True)
 
 
 def _find(node, key):
-    hits = [c for c in node[4] if c[1] == key]
+    kids = node[4] if type(node[4]) is not _Rows else _kids(node)
+    hits = [c for c in kids if c[1] == key]
     if len(hits) > 1:
         raise ParseError(f"duplicate section {key!r}", hits[1][0])
     return hits[0] if hits else None
@@ -276,16 +374,17 @@ def _quiver_of(node):
     bulk; only when some row is bad are they read again one by one, so
     the first bad row is reported as that reading finds it."""
     vertices = tuple(_names(*_value_of(node, "vertices")))
-    rows = _entries(_block(_need(node, "edges")))
-    edges = tuple(key for _, key, _, _, _ in rows)
-    values = [value for _, _, value, _, _ in rows]
+    lines, edges, values = _rows(_block(_need(node, "edges")))
     ends = list(map(str.split, values))
-    text = "".join(values)
+    text, keys = "".join(values), " ".join(edges)
     if (
         {*map(len, ends)} - {2} or "1" in edges
         or ":" in text or "=" in text or "^" in text or "#" in text
+        or "=" in keys or "^" in keys or len(keys.split()) != len(edges)
     ):
-        for line, key, value, _, _ in rows:
+        for line, key, value in zip(lines, edges, values):
+            if [key] != key.split() or not _FORBIDDEN.isdisjoint(key):
+                raise ParseError(f"bad name {key!r}", line)
             if len(_names(value, line)) != 2:
                 raise ParseError("edge rows are 'id: src tgt'", line)
             if key == "1":
@@ -309,7 +408,7 @@ def _row_of(tokens, q, line, at=None):
                 "an empty word is only allowed opposite a nonempty side", line
             )
         return at, at, ()
-    _, epos, src, tgt, _ = q._view
+    _, epos, src, tgt = q._view
     row = []
     chained = True
     for t in tokens:
@@ -377,10 +476,11 @@ def _complex_of(node):
     rows over the checked edge quiver: no word is named."""
     q = _quiver_of(node)
     vpos = q._view[0]
-    faces, fbase, frows = [], [], []
+    faces, fbase, frows = (), [], []
     faces_node = _find(node, "faces")
     if faces_node is not None:
-        for line, key, value, _, _ in _entries(_block(faces_node)):
+        lines, faces, values = _rows(_block(faces_node))
+        for line, value in zip(lines, values):
             tokens = value.split()
             if len(tokens) == 2 and tokens[0] == "1":  # an empty boundary
                 b = vpos.get(tokens[1])
@@ -389,7 +489,6 @@ def _complex_of(node):
                 row = ()
             else:
                 b, _, row = _row_of(tokens, q, line)
-            faces.append(key)
             fbase.append(b)
             frows.append(row)
     _distinct(tuple(faces))

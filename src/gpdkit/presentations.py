@@ -10,15 +10,16 @@ are coterminal pairs of words.  Free reduction (cancel adjacent
 on a quiver.
 
 A quiver is validated on first read, then kept: ``Quiver.validate``
-reads it into integers, the view ``(vpos, epos, src, tgt, incident)``:
-the index of each vertex and each edge, each edge's end vertex indexes as
-int rows, and each vertex's incident letters as signed edge indexes, ``j``
-for edge j leaving it and ``~j`` for edge j entering it (a loop once, as
-``j``).  A signed index reads off any table laid out as ``forward +
+reads it into integers, the view ``(vpos, epos, src, tgt)``: the index of
+each vertex and each edge, and each edge's end vertex indexes as int
+rows.  A letter is a signed edge index, ``j`` for edge j and ``~j`` for
+its reverse.  A signed index reads off any table laid out as ``forward +
 reversed(backward)``, as ``_letter_table`` lays out the named letters, so
 ``table[j]`` is edge j and ``table[~j]`` its reverse.  ``spanning_tree``
-walks the incidence and keeps parent pointers, roots and tree-edge flags
-as int arrays.  So are presentations validated and kept, keeping each
+builds each vertex's incident letters from the end rows, ``j`` for edge
+j leaving it and ``~j`` for edge j entering it (a loop once, as ``j``),
+walks them, and keeps parent pointers, roots and tree-edge flags as int
+arrays.  So are presentations validated and kept, keeping each
 relation as its base vertex index and its relator ``lhs rhs^-1`` in signed
 edge indexes, which ``vertex_group_presentation`` retracts and names at
 the end; and their morphisms, keeping their target's checked quiver once
@@ -77,7 +78,7 @@ class Quiver:
     edges: tuple
     esrc: dict
     etgt: dict
-    # ``(vpos, epos, src, tgt, incident)``, read into integers by the
+    # ``(vpos, epos, src, tgt)``, read into integers by the
     # check (see the module docstring); raw and ``replace``d quivers start
     # without it.
     _view: tuple = field(default=None, init=False, compare=False, repr=False)
@@ -93,17 +94,14 @@ class Quiver:
         if len(epos) != len(edges):
             raise ValidationError("duplicate edges", witness=edges)
         esrc, etgt = self.esrc, self.etgt
-        src, tgt, incident = [], [], [[] for _ in vertices]
-        for j, e in enumerate(edges):
+        src, tgt = [], []
+        for e in edges:
             s, t = vpos.get(esrc.get(e, _ANY)), vpos.get(etgt.get(e, _ANY))
             if s is None or t is None:
                 raise ValidationError("edge with bad endpoints", witness=e)
             src.append(s)
             tgt.append(t)
-            incident[s].append(j)
-            if t != s:
-                incident[t].append(~j)
-        object.__setattr__(self, "_view", (vpos, epos, src, tgt, incident))
+        object.__setattr__(self, "_view", (vpos, epos, src, tgt))
         return self
 
     def letter_src(self, letter):
@@ -452,7 +450,7 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     """
     q = p.validate().quiver
     index_view(t)  # a lawless target is refused, not searched
-    vpos, epos, src, tgt, _ = q._view
+    vpos, epos, src, tgt = q._view
     ends = list(zip(src, tgt))
     plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
     checks = {}
@@ -669,7 +667,7 @@ def _restriction(f, t):
     single positive edge, else each image word is evaluated per morphism.
     When the gather is the identity (the i-th edge to the i-th edge, every
     target edge covered), the block's own edge-image list is returned."""
-    vpos, epos, _, _, _ = f.validate()._view._view
+    vpos, epos = f.validate()._view._view[:2]
     index_view(t)  # a lawless target is refused, not searched
     sq = f.source.quiver
     vgather = _gather([vpos[f.vmap[v]] for v in sq.vertices])
@@ -879,17 +877,22 @@ def spanning_tree(q, roots):
     and off the forest), ``root_of[v]`` the index of its root (-1 off the
     forest), and ``tree[j]`` is 1 on the tree edges.
 
-    Roots are processed in vertex order, letters in the incidence order
-    ``Quiver.validate`` keeps (edges in input order), so the forest (and
+    Roots are processed in vertex order, letters in incidence order (edges
+    in input order, see the module docstring), so the forest (and
     everything built from it) is deterministic.  A root that is not a
     vertex raises "no such vertex".
     """
-    vpos, _, src, tgt, incident = q.validate()._view
+    vpos, _, src, tgt = q.validate()._view
     try:
         order = sorted(set(map(vpos.__getitem__, roots)))
     except (KeyError, TypeError):  # a root that is no vertex, or unhashable
         stray = next(r for r in roots if r not in q.vertices)
         raise ValidationError("no such vertex", witness=stray) from None
+    incident = [[] for _ in vpos]
+    for j, (s, t) in enumerate(zip(src, tgt)):
+        incident[s].append(j)
+        if t != s:
+            incident[t].append(~j)
     far = tgt + src[::-1]  # the vertex each signed letter ends at
     parent = [None] * len(incident)
     root_of = [-1] * len(incident)
@@ -1017,7 +1020,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
             return WordVerdict("yes", "bounded rewriting", witness=(reached,))
     if targets is None:
         targets = battery()
-    vpos, epos, _, _, _ = q._view
+    vpos, epos = q._view[:2]
     pu, pv = _program(ru, vpos, epos), _program(rv, vpos, epos)
     for tname, t in targets.items():
         for vimg, eimg in enumerate_pres_morphisms(p, t):

@@ -123,7 +123,7 @@ class _Boundaries(Mapping):
         start = names[self._fbase[i]]
         if not row:
             return empty_word(start)
-        _, _, src, tgt, _ = q._view
+        _, _, src, tgt = q._view
         end = names[tgt[row[-1]] if row[-1] >= 0 else src[~row[-1]]]
         return Word(start, end, tuple(_letter(edges, j) for j in row))
 
@@ -179,7 +179,7 @@ def _distinct(faces):
 def _checked_faces(x, q, fbase, frows):
     """Check that each row of ``x``, read over ``q``, ends on its base
     vertex, and keep ``(q, fbase, frows)`` as the view of ``x``."""
-    _, _, src, tgt, _ = q._view
+    _, _, src, tgt = q._view
     far = tgt + src[::-1]  # the vertex each signed letter ends at
     for f, b, row in zip(x.faces, fbase, frows):
         if row and far[row[-1]] != b:
@@ -228,7 +228,7 @@ def _close(x, vertices, edges, faces):
     place: a face's edges (its vertex, for an empty boundary), then each
     edge's ends."""
     q, fbase, frows = x._view
-    _, _, src, tgt, _ = q._view
+    _, _, src, tgt = q._view
     for i in compress(range(len(faces)), faces):
         for j in frows[i]:
             edges[j if j >= 0 else ~j] = 1
@@ -361,7 +361,7 @@ def _refuse_open(x, piece, vertices, edges, faces):
     """Refuse ``piece``, naming its first cell whose boundary leaves it (a
     face, in face and letter order, before an edge) and the cell missing."""
     q, fbase, frows = x._view
-    _, _, src, tgt, _ = q._view
+    _, _, src, tgt = q._view
     gaps = []
     for f, b, row in compress(zip(x.faces, fbase, frows), faces):
         if row:
@@ -395,7 +395,7 @@ def check_cover(c, base):
     bad = [b for b in base if b not in c.x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    vpos, epos, src, tgt, _ = c.x._view[0]._view
+    vpos, epos, src, tgt = c.x._view[0]._view
     at = {vpos[b] for b in base}
     missed = []
     pieces = []
@@ -431,7 +431,7 @@ class ForestRetraction:
         """The free reduction of ``w`` with its tree letters dropped, on the
         roots of its ends."""
         q = self.source_quiver
-        vpos, epos, _, _, _ = q._view
+        vpos, epos = q._view[:2]
         root_of, tree, names = self.root_of, self.tree, q.vertices
         kept = [letter for letter in w.letters if not tree[epos[letter[0]]]]
         return Word(
@@ -442,7 +442,7 @@ class ForestRetraction:
         """The tree path from the root of vertex ``v`` to ``v`` as a word,
         read up the parent pointers."""
         q, parent = self.source_quiver, self.parent
-        vpos, _, src, tgt, _ = q._view
+        vpos, _, src, tgt = q._view
         i = vpos[v]
         root, letters = self.root_of[i], []
         while (j := parent[i]) is not None:
@@ -479,7 +479,7 @@ def _fundamental(x, base):
     is the coterminal other side, one shared word per base point.
     """
     q, fbase, frows = x.validate()._view
-    vpos, _, src, tgt, _ = q._view
+    vpos, _, src, tgt = q._view
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
     if bad:

@@ -79,7 +79,7 @@ def named_forest(q, forest):
     ``spanning_tree`` over ``q``, read as the old ``(paths, root_of,
     tree_edges)``, the paths followed up the parent pointers."""
     parent, root_of, tree = forest
-    _, _, src, tgt, _ = q.validate()._view
+    _, _, src, tgt = q.validate()._view
     paths = {}
     for i, r in enumerate(root_of):
         if r < 0:

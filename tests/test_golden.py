@@ -66,6 +66,9 @@ COMMANDS = [
     # The square carrier round trip over a 4-element fibre: 32 squares,
     # recovered and checked as an isomorphism.
     ("dgpd", "roundtrip", D + "c4c2.xm"),
+    # Comments and blank lines inside the edges: and faces: blocks, which
+    # are long enough to be read as slices of rows.
+    ("pi1", D + "grid-commented.cx", "--base", "v3_1,v0_0", "--vertex", "v0_0"),
 ]
 
 

@@ -259,9 +259,13 @@ BROKEN = {
 def test_broken_documents_fail_as_the_name_keyed_parser_fails(name):
     text = "kind: complex\n" + BROKEN[name]
     got = _outcome(_parse_complex, text)
+    if name == "edge-named-with-caret":
+        # The name-keyed parser declared an edge ``p^-1`` that no word can
+        # reach; an edge name is now held to the rule for names.
+        assert got == ("raised", ParseError, "line 4: bad name 'p^-1'", 4, None)
+        return
     assert got == _outcome(_old_parse_complex, text)
-    if name != "edge-named-with-caret":
-        assert got[0] == "raised"
+    assert got[0] == "raised"
 
 
 # ---------------------------------------------------------------- documents

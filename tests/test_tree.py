@@ -8,6 +8,12 @@ document, on seeded torus-grid complexes and covers, on the mutants of
 tabs, ``\\r``, ``\\x0c`` and Unicode whitespace, the library's ``_tree``
 must give the same ``(line, key, value, children)`` tree or raise a
 ``ParseError`` with the same message and line.
+
+The library keeps the flat rows under a block header as one ``_Rows``
+(the rows' line numbers, their indent, their keys, and their values as
+the rows have them after the colon) in place of its children.  ``_shape``
+turns such a slice back into one node per row, the value stripped as the
+oracle strips it, so the two trees compare node for node.
 """
 
 import random
@@ -18,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdkit.documents import ParseError, _tree
+from gpdkit.documents import ParseError, _Rows, _tree
 from test_fuzz import mutants
 
 DATA = Path(__file__).parent / "data"
@@ -74,9 +80,13 @@ def tree_oracle(text):
 
 def _shape(node):
     """``(line, key, value, children)`` of an oracle node, or of a library
-    node, the tuple ``(line, key, value, indent, children)``."""
+    node, the tuple ``(line, key, value, indent, children)`` whose
+    children may be a ``_Rows``."""
     if isinstance(node, tuple):
         line, key, value, _, children = node
+        if isinstance(children, _Rows):
+            rows = zip(children.lines, children.keys, children.values)
+            children = [(no, k, v.strip(), children.indent, []) for no, k, v in rows]
     else:
         line, key, value, children = node.line, node.key, node.value, node.children
     return (line, key, value, [_shape(c) for c in children])
