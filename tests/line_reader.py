@@ -5,8 +5,8 @@ Before ``documents._tree`` kept the flat ``key: value`` rows under a block
 header as one ``_Rows``, it built one node ``(line, key, value, indent,
 children)`` per line; ``_entries`` and ``_raws`` dropped the children of
 the other form without a word; ``_quiver_of`` never checked an edge's key;
-and ``_row_of`` looked up and chained a word's tokens one by one, which
-``_complex_of`` called for every face.  The bodies below are those, kept
+and ``_complex_of`` and ``_presentation_of`` read their rows from the
+nodes.  The bodies below are those, with the ``_row_of`` they call, kept
 verbatim but for the quiver view they unpack, which no longer keeps
 incidence lists.  ``parse_document`` reads a document with them: the
 quiver, presentation, complex and cover kinds through these readers,
