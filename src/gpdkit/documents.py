@@ -55,9 +55,9 @@ from .dblgpd import cube as build_cube
 from .presentations import (
     GroupoidPresentation,
     Quiver,
-    Word,
     _identity,
     _letter_table,
+    _named,
     _retracted,
 )
 from .vankampen import _complex_on, _distinct, cover
@@ -438,7 +438,7 @@ def _row_of(tokens, q, line, at=None):
 
 def _presentation_of(node):
     q = _quiver_of(node)
-    names, letters = q.vertices, _letter_table(q.edges)
+    letters = _letter_table(q.edges)
     identity = _identity(len(q.edges))
     relations, rows = [], []
     rel_node = _find(node, "relations")
@@ -458,10 +458,7 @@ def _presentation_of(node):
                 rhs = _row_of(rhs_tokens, q, line, at=lhs[0])
             if lhs[:2] != rhs[:2]:
                 raise ParseError("relation sides are not coterminal", line)
-            relations.append(tuple(
-                Word(names[s], names[t], tuple(map(letters.__getitem__, row)))
-                for s, t, row in (lhs, rhs)
-            ))
+            relations.append(tuple(_named(q, *side, letters) for side in (lhs, rhs)))
             relator = lhs[2] + tuple(~j for j in reversed(rhs[2]))
             rows.append((lhs[0], _retracted(relator, identity)))
     # Each side was read over ``q`` as it was built, and the sides are

@@ -19,14 +19,25 @@ reversed(backward)``, as ``_letter_table`` lays out the named letters, so
 builds each vertex's incident letters from the end rows, ``j`` for edge
 j leaving it and ``~j`` for edge j entering it (a loop once, as ``j``),
 walks them, and keeps parent pointers, roots and tree-edge flags as int
-arrays.  So are presentations validated and kept, keeping each
-relation as its base vertex index and its relator ``lhs rhs^-1`` in signed
-edge indexes, which ``vertex_group_presentation`` retracts and names at
-the end; and their morphisms, keeping their target's checked quiver once
-source, target and images pass.  Every reader validates first, so a
-lawless value is refused with ``validate``'s error and a checked one is
-not walked again; the parser and ``vankampen._fundamental``, which read
-each word into integers as they build it, keep the view at once.
+arrays.
+
+Every named word the library checks is read by one reader, ``_read``:
+in one pass over its letters, each looked up on the checked quiver's view
+and chained to the one before, into the vertex indexes it runs between,
+its signed edge indexes and its letters with normalised signs.  The first
+bad letter raises, in letter order.  ``word`` is what it reads;
+``_check_word`` reads a given word, compares it with what it read, and
+hands the indexes back.  ``_named`` turns a row read elsewhere back into
+a ``Word``, once, at the end.  So are
+presentations validated and kept, keeping each relation as its base
+vertex index and its relator ``lhs rhs^-1`` in signed edge indexes, which
+``vertex_group_presentation`` retracts and names at the end; and their
+morphisms, keeping their target's checked quiver and each edge image's
+start vertex index and row once source, target and images pass.  Every
+reader validates first, so a lawless value is refused with ``validate``'s
+error and a checked one is not walked again; the parser and
+``vankampen._fundamental``, which read each word into integers as they
+build it, keep the view at once.
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
@@ -35,9 +46,10 @@ presentation level: disjoint union, identify image vertices, add one
 relation ``f(e) = g(e)`` per generator of the common source.
 
 Morphisms into a finite groupoid are enumerated in blocks ``(vertex
-images, [edge images, ...])``, one per vertex assignment, each relation
-checked as soon as its last edge is assigned; a presentation morphism
-compiles into a map restricting such blocks along it.
+images, [edge images, ...])``, one per vertex assignment, each kept
+relator row checked against the identity as soon as its last edge is
+assigned; a presentation morphism compiles its kept image rows into a map
+restricting such blocks along it.
 ``enumerate_pres_morphisms`` reads them out as keys ``(vertex images, edge
 images)``.
 
@@ -96,7 +108,10 @@ class Quiver:
         esrc, etgt = self.esrc, self.etgt
         src, tgt = [], []
         for e in edges:
-            s, t = vpos.get(esrc.get(e, _ANY)), vpos.get(etgt.get(e, _ANY))
+            try:
+                s, t = vpos.get(esrc.get(e, _ANY)), vpos.get(etgt.get(e, _ANY))
+            except TypeError:  # an unhashable end is no vertex
+                s = None
             if s is None or t is None:
                 raise ValidationError("edge with bad endpoints", witness=e)
             src.append(s)
@@ -171,81 +186,84 @@ def empty_word(v):
     return Word(v, v, ())
 
 
-_ANY = object()  # ``_chain`` start: wherever the first letter starts
+_ANY = object()  # the end of an edge that ``esrc`` or ``etgt`` lacks
 
 
-def _chain(q, letters, here=_ANY):
-    """Source and target of ``letters``, tuples ``(edge, 1 | -1)`` with
-    ``int`` signs, read from vertex ``here``; the first letter that is
-    malformed or does not start where the chain stands raises."""
-    esrc, etgt = q.esrc, q.etgt
-    src = here
+def _read(q, letters, at=None):
+    """The named ``letters`` over quiver ``q``, read in one pass into
+    ``(src, tgt, row, letters)`` on the checked quiver's view: the indexes
+    of the vertices the word runs between, its letters as signed edge
+    indexes, and its letters with their signs normalised by ``int``.  The
+    first letter that is malformed (no ``(edge, sign)`` pair, an edge not
+    in ``q.edges``, a sign other than 1 or -1) or does not start where the
+    letters before it end raises; no letters read as the empty word at the
+    vertex ``at``, which None never is."""
+    letters = tuple(letters)
+    if not letters:
+        try:
+            i = None if at is None else q.validate()._view[0].get(at)
+        except TypeError:  # at, or a vertex of a raw q, is unhashable
+            i = q.vertices.index(at) if at in q.vertices else None
+        if i is None:
+            raise ValidationError("empty word needs a vertex", witness=at)
+        return i, i, (), ()
+    _, epos, src, tgt = q.validate()._view
+    row, normal = [], []
     for i, letter in enumerate(letters):
         try:
             e, s = letter
-            known = e in esrc
+            if s.__class__ is not int:  # an int is its own normal form
+                s = int(s)
         except (TypeError, ValueError):
-            known = False
-        if not (known and type(letter) is tuple and type(s) is int and s in (1, -1)):
-            raise ValidationError("malformed letter", witness=letter)
-        start = esrc[e] if s == 1 else etgt[e]
-        if here is _ANY:
-            src = start
+            raise ValidationError("malformed letter", witness=letter) from None
+        try:
+            j = epos[e]
+        except (KeyError, TypeError):  # no edge of q, or unhashable
+            raise ValidationError("malformed letter", witness=(e, s)) from None
+        if s == 1:
+            start, end = src[j], tgt[j]
+        elif s == -1:
+            start, end, j = tgt[j], src[j], ~j
+        else:
+            raise ValidationError("malformed letter", witness=(e, s))
+        if not row:
+            first = start
         elif start != here:
-            raise ValidationError("letters do not chain", witness=(i, letter, here))
-        here = etgt[e] if s == 1 else esrc[e]
-    return src, here
+            raise ValidationError("letters do not chain", witness=(i, (e, s), q.vertices[here]))
+        here = end
+        row.append(j)
+        normal.append((e, s))
+    return first, here, tuple(row), tuple(normal)
 
 
-def _is_vertex(q, v):
-    """Whether ``v`` is a vertex of ``q`` that can place an empty word
-    (``None`` never can)."""
-    try:
-        return v is not None and v in q.validate()._view[0]
-    except TypeError:  # v, or a vertex of q, is unhashable
-        return v in q.vertices
+def _named(q, src, tgt, row, letters=None):
+    """The ``Word`` over ``q`` from vertex index ``src`` to ``tgt`` whose
+    letters are the signed edge indexes ``row``, looked up in ``letters``
+    (laid out by ``_letter_table``) when given."""
+    names, edges = q.vertices, q.edges
+    if letters is None:
+        letters = [(edges[j], 1) if j >= 0 else (edges[~j], -1) for j in row]
+    else:
+        letters = map(letters.__getitem__, row)
+    return Word(names[src], names[tgt], tuple(letters))
 
 
 def word(q, letters, at=None):
     """Validated word over quiver ``q``; ``at`` places an empty word.
     Signs are normalised with ``int``, so ``("a", "1")`` reads as ``("a", 1)``."""
-    normal = []
-
-    def normalised():
-        for letter in letters:
-            try:
-                e, s = letter
-                letter = (e, int(s))
-            except (TypeError, ValueError):
-                raise ValidationError("malformed letter", witness=letter) from None
-            normal.append(letter)
-            yield letter
-
-    src, tgt = _chain(q, normalised())
-    if not normal:
-        if not _is_vertex(q, at):
-            raise ValidationError("empty word needs a vertex", witness=at)
-        return empty_word(at)
-    return Word(src, tgt, tuple(normal))
+    src, tgt, _, letters = _read(q, letters, at)
+    return Word(q.vertices[src], q.vertices[tgt], letters)
 
 
 def _check_word(q, w, message, witness):
-    """Raise ``ValidationError(message, witness)`` unless ``w`` is the word
-    ``word`` builds from its letters; a word that ``word`` rejects raises
-    ``word``'s own error.  A nonempty word whose letters walk from ``w.src``
-    to ``w.tgt``, or an empty word at a vertex of ``q``, passes in place; any
-    other is rebuilt for ``word``'s say."""
-    letters = w.letters
-    if type(w) is Word and type(letters) is tuple:
-        try:
-            if _chain(q, letters, w.src)[1] == w.tgt and (
-                letters or _is_vertex(q, w.src)
-            ):
-                return
-        except ValidationError:
-            pass
-    if word(q, letters, at=w.src) != w:
+    """``(src, tgt, row)``, the word ``w`` read once over ``q``.  Raise
+    ``ValidationError(message, witness)`` unless ``w`` is the word ``word``
+    builds from its letters; a word ``word`` rejects raises ``word``'s own
+    error."""
+    src, tgt, row, letters = _read(q, w.letters, w.src)
+    if (q.vertices[src], q.vertices[tgt], letters) != w:
         raise ValidationError(message, witness=witness)
+    return src, tgt, row
 
 
 def free_reduce(w):
@@ -268,16 +286,6 @@ def _letter_table(edges):
     """The named letters of ``edges`` by signed index: ``(e, 1)`` at j and
     ``(e, -1)`` at ``~j`` for the j-th edge e, each built once."""
     return [(e, 1) for e in edges] + [(e, -1) for e in reversed(edges)]
-
-
-def _letter(edges, j):
-    """The named letter of signed index ``j`` over ``edges``."""
-    return (edges[j], 1) if j >= 0 else (edges[~j], -1)
-
-
-def _row(epos, letters):
-    """Named letters as signed edge indexes."""
-    return tuple(epos[e] if s > 0 else ~epos[e] for e, s in letters)
 
 
 def _identity(n):
@@ -340,18 +348,16 @@ class GroupoidPresentation:
         if self._view is not None:
             return self
         q = self.quiver.validate()
-        vpos, epos = q._view[:2]
         identity = _identity(len(q.edges)) if self.relations else None
         rows = []
         for lhs, rhs in self.relations:
-            for w in (lhs, rhs):
-                _check_word(q, w, "malformed relation word", w)
+            a, b = (_check_word(q, w, "malformed relation word", w) for w in (lhs, rhs))
             if lhs.src != rhs.src or lhs.tgt != rhs.tgt:
                 raise ValidationError(
                     "relation sides are not coterminal", witness=(lhs, rhs)
                 )
-            relator = _row(epos, lhs.letters + rhs.inverse().letters)
-            rows.append((vpos[lhs.src], _retracted(relator, identity)))
+            relator = a[2] + tuple(~j for j in reversed(b[2]))
+            rows.append((a[0], _retracted(relator, identity)))
         object.__setattr__(self, "_view", tuple(rows))
         return self
 
@@ -368,9 +374,11 @@ class PresentationMorphism:
     target: GroupoidPresentation
     vmap: dict
     emap: dict
-    # The target's checked quiver, kept once source, target and images
-    # pass; raw and ``replace``d morphisms start without it.
-    _view: Quiver = field(default=None, init=False, compare=False, repr=False)
+    # ``(target quiver, images)``: the target's checked quiver and, per
+    # source edge, its image's start vertex index and signed edge indexes,
+    # kept once source, target and images pass; raw and ``replace``d
+    # morphisms start without it.
+    _view: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
         if self._view is not None:
@@ -379,16 +387,18 @@ class PresentationMorphism:
         for v in sq.vertices:
             if self.vmap.get(v) not in tq.vertices:
                 raise ValidationError("vertex image missing", witness=v)
+        images = []
         for e in sq.edges:
             w = self.emap.get(e)
             if w is None:
                 raise ValidationError("edge image missing", witness=e)
-            _check_word(tq, w, "edge image is malformed", (e, w))
+            start, _, row = _check_word(tq, w, "edge image is malformed", (e, w))
             if w.src != self.vmap[sq.esrc[e]] or w.tgt != self.vmap[sq.etgt[e]]:
                 raise ValidationError(
                     "edge image has wrong endpoints", witness=(e, w)
                 )
-        object.__setattr__(self, "_view", tq)
+            images.append((start, row))
+        object.__setattr__(self, "_view", (tq, tuple(images)))
         return self
 
 
@@ -402,19 +412,14 @@ def identity_morphism(p):
     )
 
 
-def _program(w, vpos, epos):
-    """A word compiled against positions: its start vertex position and
-    ``(edge position, sign)`` letters."""
-    return vpos[w.src], tuple((epos[e], s) for e, s in w.letters)
-
-
 def _evaluate(prog, vimg, eimg, t):
-    """Value in groupoid ``t`` of a compiled word, given the vertex and edge
-    images of a morphism key."""
-    start, letters = prog
+    """Value in groupoid ``t`` of the word ``prog``, its start vertex index
+    and signed edge indexes, given the vertex and edge images of a morphism
+    key."""
+    start, row = prog
     out = t.id_of[vimg[start]]
-    for i, s in letters:
-        out = t.comp[out, eimg[i] if s > 0 else t.inv[eimg[i]]]
+    for j in row:
+        out = t.comp[out, eimg[j] if j >= 0 else t.inv[eimg[~j]]]
     return out
 
 
@@ -439,7 +444,8 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     last edge is assigned; each segment extends the prefixes by one
     ``product`` over its edges' candidate arrows (the first segment's
     tuples are kept as they come), and the relations ending there are
-    checked at once.
+    checked at once: each relation's kept relator row must evaluate to
+    the identity at the image of its base vertex.
 
     This is the reader for presentations (the pushout and ``vkt`` paths).
     It shares only the vertex maps and the guard count, ``_vertex_plans``,
@@ -450,15 +456,13 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
     """
     q = p.validate().quiver
     index_view(t)  # a lawless target is refused, not searched
-    vpos, epos, src, tgt = q._view
+    _, _, src, tgt = q._view
     ends = list(zip(src, tgt))
     plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
     checks = {}
-    for lhs, rhs in p.relations:
-        last = max((epos[e] for e, _ in lhs.letters + rhs.letters), default=0)
-        checks.setdefault(min(last + 1, len(q.edges)), []).append(
-            (_program(lhs, vpos, epos), _program(rhs, vpos, epos))
-        )
+    for relator in p._view:
+        last = max((j if j >= 0 else ~j for j in relator[1]), default=0)
+        checks.setdefault(min(last + 1, len(q.edges)), []).append(relator)
     cuts = sorted({*checks, len(q.edges)})
     segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
     blocks = []
@@ -499,9 +503,10 @@ def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
 
 def _grow(prefixes, cands, rels, vimg, t):
     """Extend each edge-image prefix by every choice from ``cands``, lazily
-    and in order, keeping the extensions on which the relations ``rels``
-    hold.  ``prefixes`` None is the first segment: ``product``'s tuples
-    are the extensions of the empty prefix as they come."""
+    and in order, keeping the extensions on which the relator rows ``rels``
+    evaluate to the identity.  ``prefixes`` None is the first segment:
+    ``product``'s tuples are the extensions of the empty prefix as they
+    come."""
     if prefixes is None:
         grown = product(*cands)
     else:
@@ -512,8 +517,8 @@ def _grow(prefixes, cands, rels, vimg, t):
         return grown
 
     def holds(eimg):
-        for lhs, rhs in rels:
-            if _evaluate(lhs, vimg, eimg, t) != _evaluate(rhs, vimg, eimg, t):
+        for relator in rels:
+            if _evaluate(relator, vimg, eimg, t) != t.id_of[vimg[relator[0]]]:
                 return False
         return True
 
@@ -667,23 +672,21 @@ def _restriction(f, t):
     single positive edge, else each image word is evaluated per morphism.
     When the gather is the identity (the i-th edge to the i-th edge, every
     target edge covered), the block's own edge-image list is returned."""
-    vpos, epos = f.validate()._view._view[:2]
+    tq, images = f.validate()._view
     index_view(t)  # a lawless target is refused, not searched
-    sq = f.source.quiver
-    vgather = _gather([vpos[f.vmap[v]] for v in sq.vertices])
-    words = [f.emap[e] for e in sq.edges]
-    if all(len(w) == 1 and w.letters[0][1] > 0 for w in words):
-        positions = [epos[w.letters[0][0]] for w in words]
-        if positions == list(range(len(epos))):
+    vpos = tq._view[0]
+    vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
+    if all(len(row) == 1 and row[0] >= 0 for _, row in images):
+        positions = [row[0] for _, row in images]
+        if positions == list(range(len(tq.edges))):
             return lambda block: (vgather(block[0]), block[1])
         egather = _gather(positions)
         return lambda block: (vgather(block[0]), map(egather, block[1]))
-    progs = [_program(w, vpos, epos) for w in words]
 
     def restrict(block):
         vimg, eimgs = block
         return vgather(vimg), (
-            tuple(_evaluate(prog, vimg, eimg, t) for prog in progs) for eimg in eimgs
+            tuple(_evaluate(image, vimg, eimg, t) for image in images) for eimg in eimgs
         )
 
     return restrict
@@ -728,7 +731,7 @@ def pushout(f, g):
     """
     if f.source != g.source:
         raise ValidationError("span legs have different sources")
-    uq, vq = f.validate()._view, g.validate()._view
+    uq, vq = f.validate()._view[0], g.validate()._view[0]
     w, u, v = f.source, f.target, g.target
     wvs = w.quiver.vertices
 
@@ -767,7 +770,8 @@ def pushout(f, g):
 
     inj_u, inj_v = (
         PresentationMorphism(
-            source=p, target=apex, vmap=dict(vn), emap={e: word(q, [(en[e], 1)]) for e in pq.edges}
+            source=p, target=apex, vmap=dict(vn),
+            emap={e: Word(vn[pq.esrc[e]], vn[pq.etgt[e]], ((en[e], 1),)) for e in pq.edges},
         ).validate()
         for p, pq, vn, en in ((u, uq, uvname, uename), (v, vq, vvname, vename))
     )
@@ -1020,8 +1024,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
             return WordVerdict("yes", "bounded rewriting", witness=(reached,))
     if targets is None:
         targets = battery()
-    vpos, epos = q._view[:2]
-    pu, pv = _program(ru, vpos, epos), _program(rv, vpos, epos)
+    pu, pv = (_read(q, w.letters, w.src)[::2] for w in (ru, rv))
     for tname, t in targets.items():
         for vimg, eimg in enumerate_pres_morphisms(p, t):
             if _evaluate(pu, vimg, eimg, t) != _evaluate(pv, vimg, eimg, t):

@@ -5,14 +5,22 @@ A 2-complex is a quiver plus faces, each face a closed word over the edge
 quiver.  A complex is validated on first read, then kept: its view is
 ``(edge quiver, fbase, frows)``, the checked edge quiver (whose own view
 holds its int rows) and each face's base vertex index and boundary word
-as a tuple of signed edge indexes (see ``presentations``).  The parser
-and ``restrict`` write those rows straight from their input and name
-nothing: their complexes' ``fboundary`` is a read-only mapping that
-names a boundary word when it is read.  ``validate`` reads the words of
-a hand-built complex into the same rows.  So is a cover validated and
-kept, keeping W = U ∩ V once U and V hold only cells of the complex, are
-each incidence-closed and cover every cell.  ``close_cells``,
-``restrict`` and ``check_cover`` read the int rows.
+as a tuple of signed edge indexes (see ``presentations``).  ``complex2``,
+the parser and ``restrict`` build every complex the library makes
+through ``_complex_on``, from rows: ``complex2`` reads its words with
+the presentations' one word reader, the parser reads its tokens, and
+``restrict`` renumbers its complex's rows.  Their ``fboundary`` is one
+read-only mapping that names a boundary word when it is read.
+``validate`` reads the words of a hand-built complex into the same rows
+and leaves its dict as it is.
+
+A selection of cells takes one path: ``_flags`` flags the named cells by
+index, refusing every name that is no cell of its kind; ``_close`` closes
+the flags under incidence, or refuses a cover piece that is not closed;
+``_subcomplex`` names them, and ``_covering`` keeps W = U ∩ V once U and
+V cover every cell.  ``close_cells``, ``cover``, ``restrict`` and
+``SubcomplexCover.validate`` take it, and ``check_cover`` reads the int
+rows.
 
 The fundamental groupoid on a base-point set S is presented by
 contracting a breadth-first spanning forest rooted at S: edges outside
@@ -47,19 +55,18 @@ from .presentations import (
     Quiver,
     Word,
     _check_word,
-    _letter,
     _letter_table,
     _morphism_blocks,
+    _named,
+    _read,
     _reduced,
     _restriction,
     _retracted,
-    _row,
     empty_word,
     pushout,
     quiver,
     spanning_tree,
     vertex_group_presentation,
-    word,
 )
 
 
@@ -86,25 +93,32 @@ class Complex2:
         if self._view is not None:
             return self
         q = Quiver(vertices=self.vertices, edges=self.edges, esrc=self.esrc, etgt=self.etgt)
-        return _read_faces(self, q.validate())
+        faces = ((f, self.fboundary.get(f), None) for f in self.faces)
+        object.__setattr__(self, "_view", (q.validate(), *_read_faces(q, self.faces, faces)))
+        return self
 
 
-def _read_faces(x, q):
-    """Check the boundary words of ``x`` over its checked edge quiver ``q``
-    and read them into int rows, which ``x`` keeps."""
-    vpos, epos = q._view[:2]
-    _distinct(x.faces)
+def _read_faces(q, names, faces):
+    """The base vertex indexes and the rows of the boundaries of the faces
+    ``names``, no two alike, each a closed word over the checked quiver
+    ``q``, as tuples.  ``faces`` gives each face, in order, as ``(face,
+    word, read)``: its boundary ``Word`` to check (None when it has none),
+    or ``read``, the ``(src, tgt, row)`` its letters were read into."""
+    _distinct(names)
     fbase, frows = [], []
-    for f in x.faces:
-        w = x.fboundary.get(f)
-        if w is None:
-            raise ValidationError("face without boundary", witness=f)
-        _check_word(q, w, "malformed boundary word", (f, w))
-        if w.src != w.tgt:
-            raise ValidationError("boundary word is not closed", witness=(f, w))
-        fbase.append(vpos[w.src])
-        frows.append(_row(epos, w.letters))
-    return _checked_faces(x, q, fbase, frows)
+    for f, w, read in faces:
+        if read is None:
+            if w is None:
+                raise ValidationError("face without boundary", witness=f)
+            read = _check_word(q, w, "malformed boundary word", (f, w))
+        src, tgt, row = read
+        if src != tgt:
+            raise ValidationError(
+                "boundary word is not closed", witness=(f, _named(q, *read) if w is None else w)
+            )
+        fbase.append(src)
+        frows.append(row)
+    return tuple(fbase), tuple(frows)
 
 
 class _Boundaries(Mapping):
@@ -118,14 +132,8 @@ class _Boundaries(Mapping):
         self._at = {f: i for i, f in enumerate(faces)}
 
     def __getitem__(self, f):
-        i, q = self._at[f], self._q
-        row, names, edges = self._frows[i], q.vertices, q.edges
-        start = names[self._fbase[i]]
-        if not row:
-            return empty_word(start)
-        _, _, src, tgt = q._view
-        end = names[tgt[row[-1]] if row[-1] >= 0 else src[~row[-1]]]
-        return Word(start, end, tuple(_letter(edges, j) for j in row))
+        i = self._at[f]
+        return _named(self._q, self._fbase[i], self._fbase[i], self._frows[i])
 
     def __iter__(self):
         return iter(self._faces)
@@ -140,26 +148,33 @@ class _Boundaries(Mapping):
 def complex2(vertices, edges, faces=()):
     """Build a complex from edge triples and ``(face, boundary)`` pairs,
     where a boundary is a ``Word`` or a letter list and letters are
-    ``(edge, sign)``.  Every boundary is checked."""
+    ``(edge, sign)``.  Every boundary is checked: the letter lists first,
+    read as ``word`` reads them, then each face as ``Complex2.validate``
+    checks it.  The complex keeps the rows read, and its ``fboundary`` is
+    the read-only mapping that names them."""
     q = quiver(vertices, edges)
-    faces = [(f, w if isinstance(w, Word) else word(q, list(w))) for f, w in faces]
-    x = Complex2(
-        vertices=q.vertices,
-        edges=q.edges,
-        esrc=q.esrc,
-        etgt=q.etgt,
-        faces=tuple(f for f, _ in faces),
-        fboundary=dict(faces),
-    )
-    return _read_faces(x, q)
+    faces = [
+        (f, w, None) if isinstance(w, Word) else (f, None, _read(q, list(w))[:3])
+        for f, w in faces
+    ]
+    names = tuple(f for f, _, _ in faces)
+    return _complex_on(q, names, *_read_faces(q, names, faces))
 
 
 def _complex_on(q, faces, fbase, frows):
-    """The complex on the checked edge quiver ``q`` whose faces ``faces``
-    have the base vertex indexes ``fbase`` and the boundary rows ``frows``,
-    each row a chain of signed edge indexes from its base vertex, and no
-    two faces alike; its ``fboundary`` names the rows when read."""
+    """The complex on the checked edge quiver ``q`` whose faces ``faces``,
+    no two alike, have the base vertex indexes ``fbase`` and the boundary
+    rows ``frows``, each a chain of signed edge indexes from its base
+    vertex; its ``fboundary`` names the rows when read.  A row that does
+    not end on its base vertex is refused."""
     faces, fbase, frows = tuple(faces), tuple(fbase), tuple(frows)
+    _, _, src, tgt = q._view
+    far = tgt + src[::-1]  # the vertex each signed letter ends at
+    for f, b, row in zip(faces, fbase, frows):
+        if row and far[row[-1]] != b:
+            raise ValidationError(
+                "boundary word is not closed", witness=(f, _named(q, b, far[row[-1]], row))
+            )
     x = Complex2(
         vertices=q.vertices,
         edges=q.edges,
@@ -168,24 +183,13 @@ def _complex_on(q, faces, fbase, frows):
         faces=faces,
         fboundary=_Boundaries(q, faces, fbase, frows),
     )
-    return _checked_faces(x, q, fbase, frows)
+    object.__setattr__(x, "_view", (q, fbase, frows))
+    return x
 
 
 def _distinct(faces):
     if len(set(faces)) != len(faces):
         raise ValidationError("duplicate faces", witness=faces)
-
-
-def _checked_faces(x, q, fbase, frows):
-    """Check that each row of ``x``, read over ``q``, ends on its base
-    vertex, and keep ``(q, fbase, frows)`` as the view of ``x``."""
-    _, _, src, tgt = q._view
-    far = tgt + src[::-1]  # the vertex each signed letter ends at
-    for f, b, row in zip(x.faces, fbase, frows):
-        if row and far[row[-1]] != b:
-            raise ValidationError("boundary word is not closed", witness=(f, x.fboundary[f]))
-    object.__setattr__(x, "_view", (q, tuple(fbase), tuple(frows)))
-    return x
 
 
 @dataclass(frozen=True)
@@ -197,62 +201,81 @@ class Subcomplex:
     faces: tuple
 
 
-def _flags(x, vertices, edges, faces):
-    """The named cells of the checked complex ``x``, of each kind, as flags
-    by index."""
+def _flags(x, pieces, kinds=((0,), (1,), (2,))):
+    """The cells of the checked complex ``x`` that each piece names, as
+    flags by index of each kind (vertices, edges, faces).  A piece holds a
+    run of names per entry of ``kinds``, and a name is flagged as each cell
+    of the kinds in its entry that it names: a ``Subcomplex``'s vertices,
+    edges and faces, or, with ``kinds`` ``((0, 1, 2),)``, one run of cells
+    of any kind.  The names that name no cell, unhashable ones among them,
+    are refused at once over every piece, sorted by ``str`` (each once
+    when all are hashable)."""
     vpos, epos = x._view[0]._view[:2]
-    flags = [bytearray(len(vpos)), bytearray(len(epos)), bytearray(len(x.faces))]
-    for c in vertices:
-        flags[0][vpos[c]] = 1
-    for c in edges:
-        flags[1][epos[c]] = 1
-    if faces:
-        fpos = {f: i for i, f in enumerate(x.faces)}
-        for c in faces:
-            flags[2][fpos[c]] = 1
-    return flags
+    maps = (vpos, epos, {f: i for i, f in enumerate(x.faces)})
+    out, strays = [], []
+    for piece in pieces:
+        flags = [bytearray(len(m)) for m in maps]
+        for run, names in zip(kinds, piece):
+            for c in names:
+                hit = False
+                try:
+                    for k in run:
+                        i = maps[k].get(c)
+                        if i is not None:
+                            flags[k][i] = hit = True
+                except TypeError:  # an unhashable name is no cell
+                    pass
+                if not hit:
+                    strays.append(c)
+        out.append(flags)
+    if strays:
+        try:
+            strays = set(strays)
+        except TypeError:  # an unhashable name: each name as it comes
+            pass
+        raise ValidationError("cells not in the complex", witness=tuple(sorted(strays, key=str)))
+    return out
 
 
-def _strays(x, sub):
-    """The cells of ``sub`` that are no cell of the checked complex ``x``
-    of their kind."""
-    vpos, epos = x._view[0]._view[:2]
-    return {
-        *set(sub.vertices).difference(vpos), *set(sub.edges).difference(epos),
-        *set(sub.faces).difference(x.faces),
-    }
-
-
-def _close(x, vertices, edges, faces):
-    """Add to the selection flagged the boundary of each cell in it, in
-    place: a face's edges (its vertex, for an empty boundary), then each
-    edge's ends."""
+def _close(x, flags, piece=None):
+    """Close the selection ``flags`` of the checked complex ``x`` under
+    incidence, in place, and return it: each face brings its edges (its
+    vertex, for an empty boundary), then each edge its ends.  With a
+    ``piece`` named, a selection that is not closed is refused instead,
+    naming its first cell whose boundary leaves it (a face, in face and
+    letter order, before an edge) and the cell missing."""
     q, fbase, frows = x._view
     _, _, src, tgt = q._view
+    vertices, edges, faces = flags
+
+    def gap(cell, missing):
+        return ValidationError("cover piece is not incidence-closed", witness=(piece, cell, missing))
+
     for i in compress(range(len(faces)), faces):
         for j in frows[i]:
-            edges[j if j >= 0 else ~j] = 1
-        if not frows[i]:
+            k = j if j >= 0 else ~j
+            if not edges[k]:
+                if piece is not None:
+                    raise gap(x.faces[i], x.edges[k])
+                edges[k] = 1
+        if not frows[i] and not vertices[fbase[i]]:
+            if piece is not None:
+                raise gap(x.faces[i], x.vertices[fbase[i]])
             vertices[fbase[i]] = 1
     for j in compress(range(len(edges)), edges):
-        vertices[src[j]] = vertices[tgt[j]] = 1
+        for v in (src[j], tgt[j]):
+            if not vertices[v]:
+                if piece is not None:
+                    raise gap(x.edges[j], x.vertices[v])
+                vertices[v] = 1
+    return flags
 
 
 def close_cells(x, cells):
     """Close a cell selection under incidence: faces bring their boundary
     edges, edges their endpoints."""
-    return _subcomplex(x, _closed_flags(x, cells))
-
-
-def _closed_flags(x, cells):
-    """The flags of the closure of the cells named in ``cells``."""
-    vpos, epos = x.validate()._view[0]._view[:2]
-    cells = set(cells)
-    faces = cells.intersection(x.faces)
-    _refuse_unknown(cells - vpos.keys() - epos.keys() - faces)
-    flags = _flags(x, cells & vpos.keys(), cells & epos.keys(), faces)
-    _close(x, *flags)
-    return flags
+    (flags,) = _flags(x.validate(), [(cells,)], ((0, 1, 2),))
+    return _subcomplex(x, _close(x, flags))
 
 
 def _subcomplex(x, flags):
@@ -264,13 +287,6 @@ def _subcomplex(x, flags):
     )
 
 
-def _refuse_unknown(cells):
-    if cells:
-        raise ValidationError(
-            "cells not in the complex", witness=tuple(sorted(cells, key=str))
-        )
-
-
 def restrict(x, sub):
     """The complex on the cells of ``sub``, each a cell of ``x`` of its kind.
 
@@ -279,7 +295,7 @@ def restrict(x, sub):
     word would be ("malformed letter" on the first letter off ``sub``, or
     "empty word needs a vertex")."""
     xq, fbase, frows = x.validate()._view
-    _refuse_unknown(_strays(x, sub))
+    _flags(x, [(sub.vertices, sub.edges, sub.faces)])
     q = Quiver(
         vertices=sub.vertices,
         edges=sub.edges,
@@ -298,7 +314,7 @@ def restrict(x, sub):
             row = tuple(map(keep.__getitem__, frows[i]))
             if None in row:
                 j = frows[i][row.index(None)]
-                raise ValidationError("malformed letter", witness=_letter(xq.edges, j))
+                raise ValidationError("malformed letter", witness=_letter_table(xq.edges)[j])
             b = vpos.get(xq.vertices[fbase[i]])
             if b is None:
                 raise ValidationError("empty word needs a vertex", witness=xq.vertices[fbase[i]])
@@ -328,15 +344,9 @@ class SubcomplexCover:
         if self._view is not None:
             return self
         x = self.x.validate()
-        _refuse_unknown(_strays(x, self.u) | _strays(x, self.v))
-        pieces = []
-        for name, sub in (("U", self.u), ("V", self.v)):
-            flags = _flags(x, sub.vertices, sub.edges, sub.faces)
-            closed = [bytearray(f) for f in flags]
-            _close(x, *closed)
-            if closed != flags:
-                _refuse_open(x, name, *flags)
-            pieces.append(flags)
+        pieces = _flags(x, [(sub.vertices, sub.edges, sub.faces) for sub in (self.u, self.v)])
+        for name, flags in zip("UV", pieces):
+            _close(x, flags, name)
         return _covering(self, *pieces)
 
 
@@ -357,26 +367,11 @@ def _covering(c, u, v):
     return c
 
 
-def _refuse_open(x, piece, vertices, edges, faces):
-    """Refuse ``piece``, naming its first cell whose boundary leaves it (a
-    face, in face and letter order, before an edge) and the cell missing."""
-    q, fbase, frows = x._view
-    _, _, src, tgt = q._view
-    gaps = []
-    for f, b, row in compress(zip(x.faces, fbase, frows), faces):
-        if row:
-            gaps += [(f, x.edges[k]) for k in (j if j >= 0 else ~j for j in row) if not edges[k]]
-        elif not vertices[b]:
-            gaps.append((f, x.vertices[b]))
-    for e, s, t in compress(zip(x.edges, src, tgt), edges):
-        gaps += [(e, x.vertices[v]) for v in (s, t) if not vertices[v]]
-    raise ValidationError("cover piece is not incidence-closed", witness=(piece, *gaps[0]))
-
-
 def cover(x, u_cells, v_cells):
     """The cover of ``x`` by the closures of two cell selections; closed
     as built, it is checked only for holding every cell."""
-    u, v = _closed_flags(x, u_cells), _closed_flags(x, v_cells)
+    x.validate()
+    u, v = (_close(x, *_flags(x, [(cells,)], ((0, 1, 2),))) for cells in (u_cells, v_cells))
     return _covering(SubcomplexCover(x=x, u=_subcomplex(x, u), v=_subcomplex(x, v)), u, v)
 
 
@@ -443,13 +438,12 @@ class ForestRetraction:
         read up the parent pointers."""
         q, parent = self.source_quiver, self.parent
         vpos, _, src, tgt = q._view
-        i = vpos[v]
-        root, letters = self.root_of[i], []
+        i = end = vpos[v]
+        row = []
         while (j := parent[i]) is not None:
-            letters.append(_letter(q.edges, j))
+            row.append(j)
             i = src[j] if j >= 0 else tgt[~j]
-        letters.reverse()
-        return Word(q.vertices[root], v, tuple(letters))
+        return _named(q, self.root_of[end], end, row[::-1])
 
     def carrier_word(self, e):
         """The loop-free word over the complex's edges that a generator
@@ -516,8 +510,7 @@ def _fundamental(x, base):
             r = rpos[root_of[b]]
             rel = _retracted(row, keep)
             rows.append((r, rel))
-            w = Word(roots[r], roots[r], tuple(map(letters.__getitem__, rel)))
-            relations.append((w, empty[r]))
+            relations.append((_named(pq, r, r, rel, letters), empty[r]))
     p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
     object.__setattr__(p, "_view", tuple(rows))
     retraction = ForestRetraction(

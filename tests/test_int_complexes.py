@@ -304,7 +304,13 @@ def test_a_parsed_boundary_is_a_read_only_mapping_equal_to_the_built_one():
         x.fboundary["f"] = built.fboundary["f"]
     with pytest.raises(KeyError):
         x.fboundary["g"]
-    assert type(built.fboundary) is dict  # a complex built from words keeps them
+    # ``complex2`` keeps the same read-only mapping, equal to the dict of
+    # words it used to keep
+    assert type(built.fboundary) is type(x.fboundary) and built.fboundary == {"f": built.fboundary["f"]}
+    with pytest.raises(TypeError):
+        built.fboundary["f"] = x.fboundary["f"]
+    with pytest.raises(TypeError):
+        del built.fboundary["f"]
 
 
 def test_the_pi1_path_shares_one_letter_table():

@@ -181,14 +181,14 @@ def enumerate_group_morphisms_oracle(gp, group, guard=DEFAULT_SIZE_GUARD):
 def grow_oracle(prefixes, cands, rels, vimg, t):
     """Extend each edge-image prefix by every choice from ``cands``, lazily
     and in order, keeping the extensions on which the relations ``rels``
-    hold."""
+    hold (each a kept relator row, which must evaluate to the identity)."""
     grown = chain.from_iterable(map(add, repeat(pre), product(*cands)) for pre in prefixes)
     if not rels:
         return grown
 
     def holds(eimg):
-        for lhs, rhs in rels:
-            if _evaluate(lhs, vimg, eimg, t) != _evaluate(rhs, vimg, eimg, t):
+        for relator in rels:
+            if _evaluate(relator, vimg, eimg, t) != t.id_of[vimg[relator[0]]]:
                 return False
         return True
 

@@ -846,38 +846,40 @@ def _disc():
 
 
 @pytest.fixture
-def face_checks(monkeypatch):
-    """Record each face word ``Complex2.validate`` checks."""
+def reads(monkeypatch):
+    """The letters of each word the one word reader reads, in order, called
+    from either module."""
     calls = []
-    real = vankampen._check_word
+    real = presentations._read
 
-    def spy(q, w, message, witness):
-        calls.append(witness)
-        return real(q, w, message, witness)
+    def spy(q, letters, at=None):
+        calls.append(letters)
+        return real(q, letters, at)
 
-    monkeypatch.setattr(vankampen, "_check_word", spy)
+    monkeypatch.setattr(presentations, "_read", spy)
+    monkeypatch.setattr(vankampen, "_read", spy)
     return calls
 
 
-def test_a_built_complex_is_checked_once(face_checks):
+def test_a_built_complex_is_checked_once(reads):
     x = _disc()
-    assert len(face_checks) == 1
+    assert reads == [[("a", 1), ("b", -1)]]
     fundamental_groupoid(x, (0,))
     assert x.validate() is x
-    assert len(face_checks) == 1
+    assert len(reads) == 1
 
 
-def test_a_restricted_complex_keeps_renumbered_rows_and_walks_no_word(face_checks):
+def test_a_restricted_complex_keeps_renumbered_rows_and_walks_no_word(reads):
     """``restrict`` renumbers the face rows of a checked complex and keeps
     them, so its words are not walked again; the result equals the raw
     restriction a reader would have to check."""
     x = _disc()
     whole = Subcomplex(vertices=x.vertices, edges=x.edges, faces=x.faces)
-    face_checks.clear()
+    reads.clear()
     sub = restrict(x, whole)
     assert sub._view is not None
     fundamental_groupoid(sub, (0,))
-    assert face_checks == []
+    assert reads == []
     raw = Complex2(
         vertices=x.vertices, edges=x.edges, esrc=dict(x.esrc), etgt=dict(x.etgt),
         faces=x.faces, fboundary={"f": x.fboundary["f"]},
@@ -1129,23 +1131,9 @@ def test_a_cover_keeps_its_w():
     assert c.w == cover(c.x, c.u.vertices + c.u.edges, c.v.vertices + c.v.edges).w
 
 
-@pytest.fixture
-def word_walks(monkeypatch):
-    """Each relation or edge-image word a presentation or morphism
-    ``validate`` walks, in order."""
-    walks = []
-    real = presentations._check_word
-
-    def spy(q, w, message, witness):
-        walks.append(w)
-        return real(q, w, message, witness)
-
-    monkeypatch.setattr(presentations, "_check_word", spy)
-    return walks
-
-
 def _same_words(walked, words):
-    return [id(w) for w in walked] == [id(w) for w in words]
+    """Whether ``walked`` holds the letters of ``words``, in order."""
+    return [id(letters) for letters in walked] == [id(w.letters) for w in words]
 
 
 @pytest.mark.parametrize(
@@ -1157,21 +1145,24 @@ def _same_words(walked, words):
     ],
     ids=["wedge", "disc"],
 )
-def test_a_vkt_square_and_its_universality_walk_each_word_once(word_walks, load, base):
+def test_a_vkt_square_and_its_universality_walk_each_word_once(reads, load, base):
     """The pieces and the whole come from ``_fundamental`` and are not
     walked.  The inclusions, the apex, the injections and the bridge are
     each walked once, when built: ``pushout`` finds its legs checked, and
     ``verify_pushout_universal`` finds every part of the square checked."""
-    res = vkt_square(load(), base)
+    c = load()
+    reads.clear()  # a built cover reads its own faces
+    res = vkt_square(c, base)
     sq = res.square
     images = [list(m.emap.values()) for m in (sq.f, sq.g, sq.inj_u, sq.inj_v, res.bridge)]
     relations = [w for pair in sq.apex.relations for w in pair]
     want = images[0] + images[1] + relations + images[2] + images[3] + images[4]
-    assert _same_words(word_walks, want)
-    assert max(Counter(map(id, word_walks)).values()) == 1
+    assert _same_words(reads, want)
+    # () is one shared tuple, so only nonempty letters tell words apart
+    assert max(Counter(id(letters) for letters in reads if letters).values()) == 1
     assert images[0] or images[2]  # some word is walked
     verify_pushout_universal(sq)
-    assert _same_words(word_walks, want)
+    assert _same_words(reads, want)
 
 
 PARSED = {
@@ -1181,20 +1172,20 @@ PARSED = {
 }
 
 
-def test_parsed_presentations_are_not_walked_by_their_readers(word_walks):
+def test_parsed_presentations_are_not_walked_by_their_readers(reads):
     pu, pv, pw = (parse_document(f"kind: presentation\n{PARSED[k]}").payload for k in "uvw")
     for p in (pu, pv, pw):
         v = p.quiver.vertices[0]
         enumerate_pres_morphisms(p, C2["c2"])
         vertex_group_presentation(p, v)
         words_equal(p, empty_word(v), empty_word(v), C2)
-    assert word_walks == []
+    assert reads == [()] * 6  # words_equal reads its own two words, nothing else
     # the pushout walks the inclusions' images and its apex, whose
     # relations are renamed copies, never a parsed relation
     f, g = _name_inclusion(pw, pu, "u"), _name_inclusion(pw, pv, "v")
     verify_pushout_universal(pushout(f, g), C2)
-    parsed = {id(w) for p in (pu, pv) for pair in p.relations for w in pair}
-    assert len(parsed) == 4 and word_walks and parsed.isdisjoint(map(id, word_walks))
+    parsed = {id(w.letters) for p in (pu, pv) for pair in p.relations for w in pair if w.letters}
+    assert len(parsed) == 2 and reads[6:] and parsed.isdisjoint(map(id, reads))
 
 
 def test_a_loaded_cover_is_checked_once(monkeypatch):

@@ -6,9 +6,11 @@ W), read off the source's syntax tree.
 Groups, groupoids, quivers, complexes, presentations, their morphisms and
 covers are validated on first read, then kept: the view in ``_view`` is set
 only by the code that validated the value or built it from checked parts
-(the parser and ``_fundamental`` check each relation word as they build
-it, and ``cover`` builds its pieces closed, so ``_covering`` keeps W for
-it and for ``SubcomplexCover.validate``), and only the readers that
+(the parser and ``_fundamental`` read each relation word as they build
+it, ``complex2``, the parser and ``restrict`` build their complexes
+through ``_complex_on``, and ``cover`` builds its pieces closed, so
+``_covering`` keeps W for it and for ``SubcomplexCover.validate``), and
+only the readers that
 validate on first read ask whether it is set yet.  Any other writer would lend a view to a value
 nobody checked, and any other test of ``_view`` would bring back a second
 path for values without one.  Nothing else is written onto a frozen value
@@ -25,7 +27,7 @@ SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
 
 WRITERS = {
     "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
-    "Quiver.validate", "_checked_faces", "GroupoidPresentation.validate",
+    "Quiver.validate", "Complex2.validate", "_complex_on", "GroupoidPresentation.validate",
     "PresentationMorphism.validate", "_covering", "_fundamental", "_presentation_of",
 }
 TESTERS = {

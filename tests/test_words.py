@@ -1,15 +1,22 @@
-"""Differential tests for the in-place word check.
+"""Differential tests for the one word reader.
 
 ``_check_word`` used to rebuild every word through ``word`` and compare;
-it now walks the letters of the existing word and rebuilds only when the
-walk fails.  ``word`` itself now walks through the same ``_chain``.  The
-originals of both are kept here verbatim as ``word_oracle`` and
-``check_word_oracle``.  On random quivers, and on words that are well
-formed or broken in every way a caller can break them (list containers and
-list letters, ``str``, ``bool``, float and ±2 signs, unknown edges, letters
-that do not chain, wrong ``src``/``tgt``, empty words at unknown
-vertices), both functions must pass exactly where the oracle passes and
-otherwise raise the oracle's exception with the same message and witness.
+both now read a word's letters once, through ``_read``, into signed edge
+indexes on the checked quiver's view and its letters with normalised
+signs: ``word`` returns the letters as a word, ``_check_word`` compares
+them with the word and returns the indexes.  The originals of both are kept here verbatim as
+``word_oracle`` and ``check_word_oracle``.  On random quivers, and on
+words that are well formed or broken in every way a caller can break them
+(list containers and list letters, ``str``, ``bool``, float and ±2 signs,
+unknown edges, letters that do not chain, wrong ``src``/``tgt``, empty
+words at unknown vertices), both functions must pass exactly where the
+oracle passes and otherwise raise the oracle's exception with the same
+message and witness, and ``_check_word`` must return the word's row.
+
+The one difference is a letter on an edge that a raw quiver's ``esrc``
+names but its ``edges`` lack: the reader looks edges up on the view, so
+it is a "malformed letter", where the oracles, which looked in ``esrc``,
+raised ``KeyError`` or "letters do not chain" at it.
 """
 
 import pytest
@@ -18,7 +25,7 @@ from hypothesis import strategies as st
 
 from gpdkit import presentations
 from gpdkit.core import ValidationError
-from gpdkit.presentations import Quiver, Word, _check_word, empty_word, quiver, word
+from gpdkit.presentations import Quiver, Word, _check_word, empty_word, presentation, quiver, word
 
 # ------------------------------------------------------------------ oracles
 
@@ -66,6 +73,39 @@ def _outcome(f, *args):
         return ("returned", f(*args))
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return ("raised", type(exc), exc.args, getattr(exc, "witness", None))
+
+
+def _want(oracle, q, *args):
+    """The oracle's outcome over ``q``, but for a letter on an edge that
+    ``q.esrc`` names and ``q.edges`` lacks: that is a "malformed letter",
+    the outcome the oracle gives once ``esrc`` holds only the edges, and
+    only where the oracle over ``q`` raised ``KeyError`` or "letters do not
+    chain" at that letter."""
+    want = _outcome(oracle, q, *args)
+    edges_only = Quiver(
+        vertices=q.vertices, edges=q.edges,
+        esrc={e: q.esrc[e] for e in q.edges}, etgt=q.etgt,
+    )
+    fixed = _outcome(oracle, edges_only, *args)
+    if fixed != want:
+        letter = fixed[3]
+        assert fixed[2] == ("malformed letter",) and letter[0] in q.esrc
+        assert letter[0] not in q.edges
+        assert want[1] is KeyError or (
+            want[2] == ("letters do not chain",) and want[3][1] == letter
+        )
+    return fixed
+
+
+def check_word(q, w, message, witness):
+    """``_check_word``, which must return ``w`` read over ``q`` (its end
+    vertex indexes and signed edge indexes), with that dropped, as the
+    oracle returns nothing."""
+    src, tgt, row = _check_word(q, w, message, witness)
+    vertices = list(q.vertices)
+    assert (vertices[src], vertices[tgt]) == (w.src, w.tgt)
+    epos = {e: j for j, e in enumerate(q.edges)}
+    assert row == tuple(epos[e] if s > 0 else ~epos[e] for e, s in w.letters)
 
 
 # --------------------------------------------------------------- strategies
@@ -144,15 +184,15 @@ def cases(draw):
 def test_check_word_agrees_with_the_rebuilding_oracle(case):
     q, w = case
     witness = ("w", w)
-    want = _outcome(check_word_oracle, q, w, "bad word", witness)
-    assert _outcome(_check_word, q, w, "bad word", witness) == want
+    want = _want(check_word_oracle, q, w, "bad word", witness)
+    assert _outcome(check_word, q, w, "bad word", witness) == want
 
 
 @settings(max_examples=600, deadline=None)
 @given(case=cases(), at=st.sampled_from(VERTICES + ("nowhere", None)))
 def test_word_agrees_with_the_original(case, at):
     q, w = case
-    want = _outcome(word_oracle, q, w.letters, at)
+    want = _want(word_oracle, q, w.letters, at)
     assert _outcome(word, q, w.letters, at) == want
 
 
@@ -194,7 +234,7 @@ Q = quiver((0, 1), [("a", 0, 1), ("b", 1, 0)])
 )
 def test_check_word_agrees_on_hand_picked_words(w):
     want = _outcome(check_word_oracle, Q, w, "bad word", w)
-    assert _outcome(_check_word, Q, w, "bad word", w) == want
+    assert _outcome(check_word, Q, w, "bad word", w) == want
 
 
 # ``None`` is a vertex here, but it never places an empty word.
@@ -214,7 +254,7 @@ QN = quiver((None, 0), [("a", None, 0), ("b", 0, None)])
 )
 def test_none_as_a_vertex_agrees_with_the_oracle(w):
     want = _outcome(check_word_oracle, QN, w, "bad word", w)
-    assert _outcome(_check_word, QN, w, "bad word", w) == want
+    assert _outcome(check_word, QN, w, "bad word", w) == want
     assert _outcome(word, QN, w.letters, w.src) == _outcome(
         word_oracle, QN, w.letters, w.src
     )
@@ -225,58 +265,61 @@ def test_an_unhashable_vertex_of_a_raw_quiver_places_an_empty_word():
     raw = Quiver(vertices=([0], 1), edges=(), esrc={}, etgt={})
     for w in (empty_word([0]), empty_word([1]), empty_word(1)):
         want = _outcome(check_word_oracle, raw, w, "bad word", w)
-        assert _outcome(_check_word, raw, w, "bad word", w) == want
+        assert _outcome(check_word, raw, w, "bad word", w) == want
         assert _outcome(word, raw, (), w.src) == _outcome(word_oracle, raw, (), w.src)
     assert _outcome(word, raw, (), [0])[0] == "returned"
 
 
-def test_a_well_formed_word_is_checked_without_a_rebuild(monkeypatch):
-    calls = []
-    real = presentations.word
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(presentations, "word", spy)
-    _check_word(Q, Word(src=0, tgt=0, letters=(("a", 1), ("b", 1))), "bad", None)
-    assert calls == []
-    with pytest.raises(ValidationError) as info:
-        _check_word(Q, Word(src=0, tgt=1, letters=(("a", 1), ("b", 1))), "bad", "w")
-    assert (str(info.value), info.value.witness) == ("bad", "w")
-    assert len(calls) == 1
-
-
-
-def _spy_on_word(monkeypatch):
-    """The ``(args, kwargs)`` of every ``presentations.word`` call made
+def _spy(monkeypatch, name):
+    """The ``(args, kwargs)`` of every call of ``presentations.<name>`` made
     from now on."""
     calls = []
-    real = presentations.word
+    real = getattr(presentations, name)
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(presentations, "word", spy)
+    monkeypatch.setattr(presentations, name, spy)
     return calls
 
 
-def test_an_empty_word_at_a_vertex_is_checked_without_a_rebuild(monkeypatch):
-    calls = _spy_on_word(monkeypatch)
+def test_a_word_is_checked_in_one_read(monkeypatch):
+    reads, words = _spy(monkeypatch, "_read"), _spy(monkeypatch, "word")
+    good = Word(src=0, tgt=0, letters=(("a", 1), ("b", 1)))
+    assert _check_word(Q, good, "bad", None) == (0, 0, (0, 1))
+    assert reads == [((Q, good.letters, 0), {})]
+    with pytest.raises(ValidationError) as info:
+        _check_word(Q, Word(src=0, tgt=1, letters=good.letters), "bad", "w")
+    assert (str(info.value), info.value.witness) == ("bad", "w")
+    assert len(reads) == 2 and words == []
+
+
+def test_an_empty_word_is_checked_in_one_read(monkeypatch):
+    reads, words = _spy(monkeypatch, "_read"), _spy(monkeypatch, "word")
     for v in Q.vertices:
-        _check_word(Q, empty_word(v), "bad", None)
-    assert calls == []
+        assert _check_word(Q, empty_word(v), "bad", None) == (v, v, ())
     with pytest.raises(ValidationError) as info:
         _check_word(Q, Word(src=0, tgt=1, letters=()), "bad", "w")
     assert (str(info.value), info.value.witness) == ("bad", "w")
-    assert calls == [((Q, ()), {"at": 0})]
-
-
-def test_an_empty_word_at_a_missing_vertex_is_rebuilt_and_rejected(monkeypatch):
-    calls = _spy_on_word(monkeypatch)
     with pytest.raises(ValidationError) as info:
         _check_word(Q, empty_word("nowhere"), "bad", "w")
     assert str(info.value) == "empty word needs a vertex"
     assert info.value.witness == "nowhere"
-    assert calls == [((Q, ()), {"at": "nowhere"})]
+    assert [args[2] for args, _ in reads] == [0, 1, 0, "nowhere"] and words == []
+
+
+def test_a_letter_off_the_edges_is_malformed():
+    """A raw quiver whose end maps name an edge ``edges`` lacks: a letter on
+    it is refused as malformed, where the oracles raised ``KeyError``."""
+    raw = Quiver(vertices=(0,), edges=("a",), esrc={"a": 0, "stray": 0}, etgt={"a": 0, "stray": 0})
+    for letters in ([("stray", 1)], [("a", 1), ("stray", -1)]):
+        with pytest.raises(ValidationError) as info:
+            word(raw, letters)
+        assert (str(info.value), info.value.witness) == ("malformed letter", letters[-1])
+    assert _outcome(word_oracle, raw, [("stray", 1)]) == (
+        "returned", Word(src=0, tgt=0, letters=(("stray", 1),))
+    )
+    with pytest.raises(ValidationError) as info:
+        presentation(raw, [(Word(0, 0, (("stray", 1),)), empty_word(0))])
+    assert (str(info.value), info.value.witness) == ("malformed letter", ("stray", 1))
