@@ -159,18 +159,20 @@ def _flat(lines, i, header):
     ``header`` holds, up to the first line neither on the first row's
     indent nor blank or comment-only, as ``(_Rows, index past them)``.
     They are found, checked and split with string methods over the whole
-    slice.  None if they are few (``_SHORT``), a line is deeper (even a
-    blank one), or a row has no key or starts with other whitespace:
-    ``_tree`` then reads them one by one."""
-    n = len(lines)
-    if not lines[i + _SHORT - 1].startswith(" ", header):
+    slice.  None if they are few (``_SHORT``), a line with text on it is
+    deeper (blank and comment-only lines are skipped, as ``_tree`` skips
+    them), or a row has no key or starts with other whitespace: ``_tree``
+    then reads them one by one."""
+    n, last = len(lines), lines[i + _SHORT - 1]
+    if not last.startswith(" ", header) and last.partition("#")[0].strip():
         return None
     while i < n and not lines[i].partition("#")[0].strip():
         i += 1
     indent = len(lines[i]) - len(lines[i].lstrip(" ")) if i < n else 0
     pad, end = " " * indent, i
-    if indent <= header or any(map(str.startswith, lines[i:i + _SHORT], repeat(pad + " "))):
-        return None  # a nested block shows a deeper line early
+    deeper = (s.partition("#")[0].strip() for s in lines[i:i + _SHORT] if s.startswith(pad + " "))
+    if indent <= header or any(deeper):
+        return None  # a nested block shows a deeper line with text early
     while True:  # runs of lines on ``pad``, maybe with blank lines between
         end += indexOf(map(str.startswith, chain(islice(lines, end, None), [""]), repeat(pad)), False)
         k = end
@@ -184,8 +186,8 @@ def _flat(lines, i, header):
     text = "\n".join(lines[i:end])
     if "#" in text:
         text = re.sub("#.*", "", text)
-    if "\n" + pad + " " in text:  # a deeper line (the first row is not)
-        return None
+    if "\n" + pad + " " in text and re.search("\n" + pad + r" [^\S\n]*\S", text):
+        return None  # a deeper line with text on it (the first row is not)
     numbers = range(i + 1, end + 1)
     rows = text.replace("\n" + pad, "\n")[indent:].split("\n")
     if not all(map(str.strip, rows)):  # blank rows go

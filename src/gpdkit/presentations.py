@@ -15,11 +15,11 @@ each vertex and each edge, and each edge's end vertex indexes as int
 rows.  A letter is a signed edge index, ``j`` for edge j and ``~j`` for
 its reverse.  A signed index reads off any table laid out as ``forward +
 reversed(backward)``, as ``_letter_table`` lays out the named letters, so
-``table[j]`` is edge j and ``table[~j]`` its reverse.  ``spanning_tree``
+``table[j]`` is edge j and ``table[~j]`` its reverse.  ``_incidence``
 builds each vertex's incident letters from the end rows, ``j`` for edge
-j leaving it and ``~j`` for edge j entering it (a loop once, as ``j``),
-walks them, and keeps parent pointers, roots and tree-edge flags as int
-arrays.
+j leaving it and ``~j`` for edge j entering it (a loop once, as ``j``);
+``spanning_tree`` walks them and keeps parent pointers, roots and
+tree-edge flags as int arrays.
 
 Every named word the library checks is read by one reader, ``_read``:
 in one pass over its letters, each looked up on the checked quiver's view
@@ -45,11 +45,11 @@ maps between fundamental groupoids need.  Pushouts are computed at the
 presentation level: disjoint union, identify image vertices, add one
 relation ``f(e) = g(e)`` per generator of the common source.
 
-Morphisms into a finite groupoid are enumerated in blocks ``(vertex
-images, [edge images, ...])``, one per vertex assignment, each kept
+Morphisms into a finite groupoid are enumerated in lazy runs ``(vertex
+images, iterator of edge images)``, one per vertex assignment, each kept
 relator row checked against the identity as soon as its last edge is
 assigned; a presentation morphism compiles its kept image rows into a map
-restricting such blocks along it.
+restricting such runs along it.  ``_morphism_blocks`` lists the runs, and
 ``enumerate_pres_morphisms`` reads them out as keys ``(vertex images, edge
 images)``.
 
@@ -434,25 +434,29 @@ def enumerate_pres_morphisms(p, t, guard=DEFAULT_SIZE_GUARD):
 
 
 def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
-    """The morphisms of ``p`` into groupoid ``t`` as blocks ``(vertex
-    images, [edge images, ...])``: one block per assignment of the vertices
-    that has a morphism, blocks in canonical vertex-image order and edge
-    images in canonical order within each.
+    """The runs of ``_morphism_runs`` that have a morphism, as blocks
+    ``(vertex images, [edge images, ...])``."""
+    return [(vimg, eimgs) for vimg, run in _morphism_runs(p, t, guard) if (eimgs := list(run))]
 
-    The guard counts the whole product space of edge candidates.  The
-    edges, in order, are cut into segments that end where some relation's
-    last edge is assigned; each segment extends the prefixes by one
-    ``product`` over its edges' candidate arrows (the first segment's
-    tuples are kept as they come), and the relations ending there are
-    checked at once: each relation's kept relator row must evaluate to
-    the identity at the image of its base vertex.
+
+def _morphism_runs(p, t, guard=DEFAULT_SIZE_GUARD):
+    """The morphisms of ``p`` into groupoid ``t`` as lazy runs ``(vertex
+    images, iterator of edge images)``, one per vertex assignment (maybe
+    yielding none), in canonical order; each call gives them afresh.
+
+    Up front, ``p`` is validated, ``t`` read and the guard counts the
+    whole product space of edge candidates.  The edges, in order, are cut
+    into segments that end where some relation's last edge is assigned;
+    each segment extends the prefixes by one ``product`` over its edges'
+    candidate arrows (the first segment's tuples are yielded as they come),
+    and the relations ending there are checked at once: each relation's
+    kept relator row must evaluate to the identity at the image of its
+    base vertex.
 
     This is the reader for presentations (the pushout and ``vkt`` paths).
     It shares only the vertex maps and the guard count, ``_vertex_plans``,
-    with the functor search ``_functor_rows``; the candidate walks stay
-    apart.  A prototype that sent presentations through integer keys as well was
-    slower on the pushout benchmark, bouquets of 2 to 4 loops by 10-30% and
-    the wedges by about 30%, because their keys must come back as names.
+    with the functor search ``_functor_rows``.  Integer keys here were
+    slower on the pushout benchmark (10-30%): the keys come back as names.
     """
     q = p.validate().quiver
     index_view(t)  # a lawless target is refused, not searched
@@ -465,15 +469,13 @@ def _morphism_blocks(p, t, guard=DEFAULT_SIZE_GUARD):
         checks.setdefault(min(last + 1, len(q.edges)), []).append(relator)
     cuts = sorted({*checks, len(q.edges)})
     segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
-    blocks = []
+    runs = []
     for vimg, cands in plans:
         eimgs = None
         for lo, hi, rels in segments:
             eimgs = _grow(eimgs, cands[lo:hi], rels, vimg, t)
-        eimgs = list(eimgs)
-        if eimgs:
-            blocks.append((vimg, eimgs))
-    return blocks
+        runs.append((vimg, eimgs))
+    return runs
 
 
 def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
@@ -665,13 +667,14 @@ def _gather(positions):
 
 
 def _restriction(f, t):
-    """Compile ``f`` against groupoid ``t``: the map sending a block of
-    morphisms out of ``f.target`` to the block ``(vertex images, iterable
-    of edge images)`` of their composites with ``f``, in the same order.
-    Edge images are gathered by position when ``f`` sends every edge to a
-    single positive edge, else each image word is evaluated per morphism.
-    When the gather is the identity (the i-th edge to the i-th edge, every
-    target edge covered), the block's own edge-image list is returned."""
+    """Compile ``f`` against groupoid ``t``: the map sending a block (or a
+    run) of morphisms out of ``f.target`` to the run ``(vertex images,
+    iterable of edge images)`` of their composites with ``f``, in the same
+    order.  Edge images are gathered by position when ``f`` sends every
+    edge to a single positive edge, else each image word is evaluated per
+    morphism.  When the gather is the identity (the i-th edge to the i-th
+    edge, every target edge covered), the block's own edge images are
+    returned."""
     tq, images = f.validate()._view
     index_view(t)  # a lawless target is refused, not searched
     vpos = tq._view[0]
@@ -886,17 +889,28 @@ def spanning_tree(q, roots):
     everything built from it) is deterministic.  A root that is not a
     vertex raises "no such vertex".
     """
+    return _forest(q, _incidence(q), roots)
+
+
+def _incidence(q):
+    """Each vertex's incident letters on the checked view of ``q``."""
     vpos, _, src, tgt = q.validate()._view
-    try:
-        order = sorted(set(map(vpos.__getitem__, roots)))
-    except (KeyError, TypeError):  # a root that is no vertex, or unhashable
-        stray = next(r for r in roots if r not in q.vertices)
-        raise ValidationError("no such vertex", witness=stray) from None
     incident = [[] for _ in vpos]
     for j, (s, t) in enumerate(zip(src, tgt)):
         incident[s].append(j)
         if t != s:
             incident[t].append(~j)
+    return incident
+
+
+def _forest(q, incident, roots):
+    """``spanning_tree`` over the lists ``_incidence(q)`` built."""
+    vpos, _, src, tgt = q._view
+    try:
+        order = sorted(set(map(vpos.__getitem__, roots)))
+    except (KeyError, TypeError):  # a root that is no vertex, or unhashable
+        stray = next(r for r in roots if r not in q.vertices)
+        raise ValidationError("no such vertex", witness=stray) from None
     far = tgt + src[::-1]  # the vertex each signed letter ends at
     parent = [None] * len(incident)
     root_of = [-1] * len(incident)
@@ -923,17 +937,19 @@ def vertex_group_presentation(p, x):
     edges, relators the relation words rewritten through the tree.
     Relations living on other components are dropped and reported in
     ``dropped_relations``.  A walk from ``x`` finds the component; it is
-    walked again from its least vertex only when that is not ``x``.
+    walked again from its least vertex only when that is not ``x``, over
+    the same incidence lists.
     ``p`` is validated first, so every relation is coterminal, and its
     kept relators are retracted as signed edge indexes and named at the
     end.
     """
     rows = p.validate()._view
     q, letters = p.quiver, None
-    _, root_of, tree = spanning_tree(q, [x])  # keyed by the component
+    incident = _incidence(q)
+    _, root_of, tree = _forest(q, incident, [x])  # keyed by the component
     root = root_of.index(max(root_of))  # the one root, least in its component
     if q.vertices[root] != x:
-        _, root_of, tree = spanning_tree(q, [q.vertices[root]])
+        _, root_of, tree = _forest(q, incident, [q.vertices[root]])
     src = q._view[2]
     keep = None  # the kept relators are reduced: only tree letters can go
     if any(tree):

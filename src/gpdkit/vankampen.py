@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import and_, not_, or_
+from itertools import chain, compress
+from operator import and_, eq, indexOf, not_, or_
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -56,7 +56,7 @@ from .presentations import (
     Word,
     _check_word,
     _letter_table,
-    _morphism_blocks,
+    _morphism_runs,
     _named,
     _read,
     _reduced,
@@ -207,26 +207,28 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
     run of names per entry of ``kinds``, and a name is flagged as each cell
     of the kinds in its entry that it names: a ``Subcomplex``'s vertices,
     edges and faces, or, with ``kinds`` ``((0, 1, 2),)``, one run of cells
-    of any kind.  The names that name no cell, unhashable ones among them,
-    are refused at once over every piece, sorted by ``str`` (each once
-    when all are hashable)."""
+    of any kind.  Each run is taken as a set.  The names that name no cell,
+    unhashable ones among them, are refused at once over every piece,
+    sorted by ``str`` (each once when all are hashable)."""
     vpos, epos = x._view[0]._view[:2]
-    maps = (vpos, epos, {f: i for i, f in enumerate(x.faces)})
+    maps = (vpos, epos, dict(zip(x.faces, range(len(x.faces)))))
     out, strays = [], []
     for piece in pieces:
         flags = [bytearray(len(m)) for m in maps]
         for run, names in zip(kinds, piece):
-            for c in names:
-                hit = False
-                try:
-                    for k in run:
-                        i = maps[k].get(c)
-                        if i is not None:
-                            flags[k][i] = hit = True
-                except TypeError:  # an unhashable name is no cell
-                    pass
-                if not hit:
-                    strays.append(c)
+            try:
+                named, whole = set(names), True
+            except TypeError:  # an unhashable name is no cell
+                named, whole = set(filter(_hashable, names)), False
+            found = set()
+            for k in run:
+                cells, at = flags[k], maps[k]
+                hits = named & at.keys()
+                found |= hits
+                for c in hits:
+                    cells[at[c]] = 1
+            if not whole or len(found) < len(named):  # the loose names, as they come
+                strays += [c for c in names if not (_hashable(c) and c in found)]
         out.append(flags)
     if strays:
         try:
@@ -235,6 +237,14 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
             pass
         raise ValidationError("cells not in the complex", witness=tuple(sorted(strays, key=str)))
     return out
+
+
+def _hashable(c):
+    try:
+        hash(c)
+    except TypeError:
+        return False
+    return True
 
 
 def _close(x, flags, piece=None):
@@ -562,9 +572,9 @@ class VktResult:
     ``bridge`` maps apex generators to direct generators, and ``evidence``
     records, per battery target, whether precomposition with the bridge
     bijects the morphism sets.  The two sides are compared per vertex
-    image, as lists in the order the search enumerates them; only where
-    the lists differ, as when the bridge reorders generators, are the edge
-    images hashed and compared as sets.
+    image, in lockstep in the order the search enumerates them; only where
+    they differ, as when the bridge reorders generators, are the edge
+    images of that vertex image listed again and compared as sets.
     """
 
     cover_report: CoverReport
@@ -593,37 +603,44 @@ def _evidence(apex, direct, bridge, targets, guard):
     """Per target, whether precomposition with ``bridge`` (apex -> direct)
     bijects the morphisms out of ``direct`` onto those out of ``apex``.
 
-    The composites are collected per vertex image, in the order the direct
-    search lists them, and compared with the apex block of that vertex
-    image: as lists first, as sets only where the lists differ (a bridge
-    that reorders generators).  Equal lists have equal sets.  When the
-    vertex images met on the two sides are the same and every block
-    matches as a set, the composites cover every apex morphism; both
-    searches list each morphism once, so equal totals then make the
-    covering a bijection."""
+    Nothing is listed: each apex run is walked in lockstep with the
+    composites that land on its vertex images, both sides counted and each
+    pair dropped once compared.  Only a run with a pair that differs (a
+    bridge that reorders generators) is read again, from fresh runs, and
+    compared as a set.  Each composite lands on the vertex images of an
+    apex run, so when every run matches as a set, the composites cover
+    every apex morphism and nothing else; both searches list each morphism
+    once, so equal totals then make the covering a bijection."""
     evidence = []
     for tname, t in targets.items():
-        apex_blocks = dict(_morphism_blocks(apex, t, guard))
-        direct_blocks = _morphism_blocks(direct, t, guard)
-        pulled = {}
-        for vimg, eimgs in map(_restriction(bridge, t), direct_blocks):
-            pulled.setdefault(vimg, []).extend(eimgs)
-        apex_morphisms = sum(map(len, apex_blocks.values()))
-        direct_morphisms = sum(len(eimgs) for _, eimgs in direct_blocks)
-        evidence.append(
-            TargetEvidence(
-                target=tname,
-                apex_morphisms=apex_morphisms,
-                direct_morphisms=direct_morphisms,
-                ok=apex_morphisms == direct_morphisms
-                and pulled.keys() == apex_blocks.keys()
-                and all(
-                    eimgs == pulled[vimg] or set(eimgs) == set(pulled[vimg])
-                    for vimg, eimgs in apex_blocks.items()
-                ),
-            )
-        )
+        (runs, pulled), fresh = _runs(apex, direct, bridge, t, guard), None
+        ok, apex_morphisms, direct_morphisms = True, 0, 0
+        for i, (vimg, eimgs) in enumerate(runs):
+            # Up to the first pair that differs; the runs match when that is
+            # the pair of their ends, which equal nothing else.
+            xs, ys = chain(eimgs, [0]), chain(pulled.get(vimg, ()), [1])
+            a = d = indexOf(map(eq, xs, ys), False)
+            if next(xs, None) is not None or next(ys, None) is not None:
+                fresh = fresh or _runs(apex, direct, bridge, t, guard)
+                eimgs, composites = list(fresh[0][i][1]), list(fresh[1].get(vimg, ()))
+                ok = ok and set(eimgs) == set(composites)
+                a, d = len(eimgs), len(composites)
+            apex_morphisms += a
+            direct_morphisms += d
+        ok = ok and apex_morphisms == direct_morphisms
+        evidence.append(TargetEvidence(tname, apex_morphisms, direct_morphisms, ok))
     return tuple(evidence)
+
+
+def _runs(apex, direct, bridge, t, guard):
+    """The runs of morphisms out of ``apex`` into ``t``, and the composites
+    with ``bridge`` of those out of ``direct`` chained per vertex images:
+    the apex's errors come first, then the direct side's, then the
+    bridge's ``validate``."""
+    runs, direct_runs, pulled = _morphism_runs(apex, t, guard), _morphism_runs(direct, t, guard), {}
+    for vimg, composites in map(_restriction(bridge, t), direct_runs):
+        pulled.setdefault(vimg, []).append(composites)
+    return runs, {vimg: chain.from_iterable(its) for vimg, its in pulled.items()}
 
 
 def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):

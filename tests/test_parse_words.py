@@ -580,27 +580,38 @@ def test_vertex_groups_of_two_sided_relations_match_the_oracle(cx, cuts):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Record the roots of each ``spanning_tree`` walk, and fail on a call
-    to ``skeleton_components``, from ``presentations``."""
-    calls = []
-    real = presentations.spanning_tree
+    """Record the roots of each forest walk and the incidence lists built,
+    check that each walk goes over the lists built last and that its forest
+    is ``name_keyed``'s, and fail on a call to ``skeleton_components``, from
+    ``presentations``."""
+    calls, built = [], []
+    real_incidence, real_forest = presentations._incidence, presentations._forest
 
-    def spy(q, roots):
+    def incidence(q):
+        built.append(real_incidence(q))
+        return built[-1]
+
+    def forest(q, incident, roots):
         calls.append(tuple(roots))
-        return real(q, roots)
+        assert incident is built[-1]
+        got = real_forest(q, incident, roots)
+        assert named_forest(q, got) == spanning_tree(q, roots)
+        return got
 
     def unused(*args):
         raise AssertionError("skeleton_components was called")
 
-    monkeypatch.setattr(presentations, "spanning_tree", spy)
+    monkeypatch.setattr(presentations, "_incidence", incidence)
+    monkeypatch.setattr(presentations, "_forest", forest)
     monkeypatch.setattr(presentations, "skeleton_components", unused)
-    return calls
+    return calls, built
 
 
 def test_torus_bands_vertex_groups_take_one_walk_per_least_vertex(walks):
     """Two bands, three base points: the vertex group at each base point
     matches the oracles, and the component is walked again only from a
-    vertex that is not the least of it."""
+    vertex that is not the least of it, over the incidence lists built once
+    for the call."""
     x = parse_document(
         (Path(__file__).parent / "data" / "torus-bands.cx").read_text(encoding="utf-8")
     ).payload
@@ -608,11 +619,13 @@ def test_torus_bands_vertex_groups_take_one_walk_per_least_vertex(walks):
     q = pres.quiver
     blocks = skeleton_components(q.vertices, q.edges, q.esrc, q.etgt)
     assert len(blocks) == 2 and "v1_0_0" in q.vertices
+    calls, built = walks
     for v in q.vertices:
-        del walks[:]
+        del calls[:], built[:]
         gp = vertex_group_presentation(pres, v)
         least = next(b[0] for b in blocks if v in b)
-        assert walks == ([(v,)] if v == least else [(v,), (least,)])
+        assert len(built) == 1
+        assert calls == ([(v,)] if v == least else [(v,), (least,)])
         assert gp == vertex_group_components_oracle(pres, v)
         assert gp == vertex_group_oracle(pres, v)
         assert gp.dropped_relations  # the other band's faces

@@ -9,7 +9,8 @@ its callers used: ``PresMap``, ``eval_word``, ``presmap_key``,
 ``enumerate_group_morphisms_oracle``.  The segment step ``_grow`` as it
 was, when every segment, the first too, added each of ``product``'s tuples
 to a prefix (the first segment's prefix being ``()``), is kept as
-``grow_oracle``.
+``grow_oracle``.  The ``vankampen._evidence`` body that listed both sides'
+blocks and compared the lists is kept as ``evidence_lists_oracle``.
 
 The library's search yields blocks ``(vertex images, [edge images])``.
 Read out key by key they must be the oracle's ``presmap_key`` list in the
@@ -18,9 +19,11 @@ inputs; its compiled block restrictions must agree with
 ``_restriction_key``; ``vkt_square`` evidence (also over tampered bridges,
 bridges that reorder generators or meet extra relations, and random
 morphisms) and ``words_equal`` witnesses must be the ones the oracle
-gives.
+gives.  The streamed evidence must also be the listed body's, or raise
+its error with its text and witness, and it must never list a block.
 """
 
+import tracemalloc
 from dataclasses import dataclass, replace
 from itertools import chain, groupby, product, repeat
 from math import prod
@@ -32,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpdkit.presentations as presentations_module
+import gpdkit.vankampen as vankampen_module
 from gpdkit.cli import _name_inclusion
 from gpdkit.core import (
     DEFAULT_SIZE_GUARD,
@@ -203,6 +207,43 @@ def _blocks_with_grow_oracle(p, t):
 
     with mock.patch.object(presentations_module, "_grow", grow):
         return _morphism_blocks(p, t)
+
+
+def evidence_lists_oracle(apex, direct, bridge, targets, guard):
+    """Per target, whether precomposition with ``bridge`` (apex -> direct)
+    bijects the morphisms out of ``direct`` onto those out of ``apex``.
+
+    The composites are collected per vertex image, in the order the direct
+    search lists them, and compared with the apex block of that vertex
+    image: as lists first, as sets only where the lists differ (a bridge
+    that reorders generators).  Equal lists have equal sets.  When the
+    vertex images met on the two sides are the same and every block
+    matches as a set, the composites cover every apex morphism; both
+    searches list each morphism once, so equal totals then make the
+    covering a bijection."""
+    evidence = []
+    for tname, t in targets.items():
+        apex_blocks = dict(_morphism_blocks(apex, t, guard))
+        direct_blocks = _morphism_blocks(direct, t, guard)
+        pulled = {}
+        for vimg, eimgs in map(_restriction(bridge, t), direct_blocks):
+            pulled.setdefault(vimg, []).extend(eimgs)
+        apex_morphisms = sum(map(len, apex_blocks.values()))
+        direct_morphisms = sum(len(eimgs) for _, eimgs in direct_blocks)
+        evidence.append(
+            TargetEvidence(
+                target=tname,
+                apex_morphisms=apex_morphisms,
+                direct_morphisms=direct_morphisms,
+                ok=apex_morphisms == direct_morphisms
+                and pulled.keys() == apex_blocks.keys()
+                and all(
+                    eimgs == pulled[vimg] or set(eimgs) == set(pulled[vimg])
+                    for vimg, eimgs in apex_blocks.items()
+                ),
+            )
+        )
+    return tuple(evidence)
 
 
 # ----------------------------------------------------------------- helpers
@@ -567,8 +608,26 @@ def _evidence_oracle(apex, direct, bridge, targets):
     return tuple(evidence)
 
 
+def _evidence_outcome(body, *args):
+    """The evidence ``body`` gives, or the error it raises with its text
+    and witness (for the guard, the counts it names)."""
+    try:
+        return body(*args)
+    except SizeGuardExceeded as exc:
+        return (type(exc), str(exc), exc.needed, exc.allowed)
+    except ValidationError as exc:
+        return (type(exc), str(exc), exc.witness)
+
+
+def _same_as_lists(apex, direct, bridge, targets=TARGETS, guard=DEFAULT_SIZE_GUARD):
+    """The streamed evidence, or its error, which must be the list body's."""
+    got = _evidence_outcome(_evidence, apex, direct, bridge, targets, guard)
+    assert got == _evidence_outcome(evidence_lists_oracle, apex, direct, bridge, targets, guard)
+    return got
+
+
 def _same_evidence(apex, direct, bridge, targets=TARGETS):
-    got = _evidence(apex, direct, bridge, targets, DEFAULT_SIZE_GUARD)
+    got = _same_as_lists(apex, direct, bridge, targets)
     assert got == _evidence_oracle(apex, direct, bridge, targets)
     return got
 
@@ -626,6 +685,8 @@ def test_tampered_bridges_match_the_oracle():
             _evidence(apex, direct, bridge, TARGETS, DEFAULT_SIZE_GUARD)
         assert (str(info.value), info.value.witness) == (str(want.value), want.value.witness)
         assert bridge._view is None
+        want = (ValidationError, str(want.value), want.value.witness)
+        assert _same_as_lists(apex, direct, bridge) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -711,6 +772,77 @@ def test_an_apex_block_without_composites_fails():
     c2c2 = disjoint_union(TARGETS["c2"], TARGETS["c2"])
     (e,) = _same_evidence(apex, direct, bridge, {"c2+c2": c2c2})
     assert (e.apex_morphisms, e.direct_morphisms, e.ok) == (4, 4, False)
+
+
+def test_bouquet_evidence_is_the_lists_evidence():
+    """The ``pushout-search`` squares, bouquets of 2 to 5 loops and the
+    wedge, into every target: n^k morphisms on each side, all matched."""
+    for res in _bouquet_and_wedge_squares():
+        got = _same_as_lists(res.square.apex, res.direct, res.bridge)
+        assert all(e.ok and e.apex_morphisms == e.direct_morphisms for e in got)
+
+
+def test_a_guard_refusal_on_the_direct_side_only():
+    """An apex of one edge and a direct side of three: a guard between
+    their counts into s3 passes c2 and then refuses the direct search into
+    s3 only, before a lawless bridge is validated; a guard below the apex's
+    count refuses the apex first."""
+    q1 = quiver((0, 1), [("a", 0, 1)])
+    q3 = quiver((0, 1), [("x", 0, 1), ("y", 0, 0), ("z", 0, 0)])
+    apex, direct = presentation(q1), presentation(q3)
+    bridge = PresentationMorphism(
+        source=apex, target=direct, vmap={0: 0, 1: 1}, emap={"a": word(q3, [("x", 1)])}
+    ).validate()
+    lawless = replace(bridge, emap={"a": word(q3, [("x", -1)])})
+    c2, s3 = {"c2": TARGETS["c2"]}, {"s3": TARGETS["s3"]}
+    (e,) = _same_as_lists(apex, direct, bridge, c2, 6**2)
+    assert (e.apex_morphisms, e.direct_morphisms, e.ok) == (2, 8, False)
+    message = "presentation morphism search needs more than {} candidates"
+    for b, targets in ((bridge, {**c2, **s3}), (lawless, s3)):
+        assert _same_as_lists(apex, direct, b, targets, 6**2) == (
+            SizeGuardExceeded, message.format(6**2), 6**3, 6**2,
+        )
+    assert _same_as_lists(apex, direct, lawless, {**c2, **s3}, 1) == (
+        SizeGuardExceeded, message.format(1), 2, 1,
+    )
+    assert _same_as_lists(apex, direct, lawless, c2)[:2] == (
+        ValidationError, "edge image has wrong endpoints",
+    )
+
+
+def test_the_evidence_compares_without_collecting(monkeypatch):
+    """On the five-loop bouquet into s3, ``_evidence`` never asks for the
+    listed blocks, and its traced peak stays below the size of the one
+    block ``_morphism_blocks`` lists for the apex (6^5 edge images)."""
+    loops = [f"e{i}" for i in range(5)]
+    x = complex2(("*",), [(e, "*", "*") for e in loops])
+    res = vkt_square(cover(x, loops[:2], loops[2:]), ("*",), targets={})
+    apex, direct, bridge, s3 = res.square.apex, res.direct, res.bridge, TARGETS["s3"]
+    calls = []
+    real = presentations_module._morphism_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presentations_module, "_morphism_blocks", spy)
+    monkeypatch.setattr(vankampen_module, "_morphism_blocks", spy, raising=False)
+    real(apex, s3)  # every kept view and table is read before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        block = real(apex, s3)
+        size = tracemalloc.get_traced_memory()[0] - before
+        del block
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = _evidence(apex, direct, bridge, {"s3": s3}, DEFAULT_SIZE_GUARD)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == (TargetEvidence("s3", 6**5, 6**5, True),)
+    assert calls == []
+    assert 0 < peak < size
 
 
 # ---------------------------------------------------------- group wrapper

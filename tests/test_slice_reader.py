@@ -296,11 +296,34 @@ def test_short_blocks_are_read_line_by_line():
 
 
 def test_commented_and_blank_blocks_are_still_slices():
-    for name in ("comment-lines", "blank-lines", "trailing-comments", "crlf", "form-feed", "cover"):
+    # a deeper comment-only or blank line is skipped, as the line reader skips it
+    for name in (
+        "comment-lines", "blank-lines", "trailing-comments", "crlf", "form-feed", "cover",
+        "deeper-comment", "deeper-blank-line",
+    ):
         assert _slices(_widened(BLOCKS[name])) == ["edges", "faces"], name
-    # a deeper line, even a comment or blank, leaves the block to the line reader
-    for name in ("deeper-comment", "deeper-blank-line"):
-        assert _slices(_widened(BLOCKS[name])) == ["faces"], name
+
+
+@pytest.mark.parametrize(
+    "at, line, slices",
+    [
+        (31, "", ["edges"]),  # a blank line where the rows would run out
+        (31, "# an aside", ["edges"]),
+        (5, "   \t ", ["edges"]),  # deeper, and only whitespace
+        (5, "    \x1f", ["edges"]),
+        (5, "      # deeper", ["edges"]),
+        (5, "   \tz: 0 1", []),  # deeper text: the line reader refuses the tab
+        (5, "    z: 0 1", []),
+    ],
+)
+def test_skipped_lines_do_not_turn_a_slice_off(at, line, slices):
+    rows = [f"  e{k}: 0 1" for k in range(_SHORT + 2)]
+    rows.insert(at, line)
+    text = "\n".join(["kind: quiver", "vertices: 0 1", "edges:", *rows]) + "\n"
+    got = _assert_same(text)
+    assert (got[0] == "parsed") is bool(slices)
+    if slices:
+        assert _slices(text) == slices
 
 
 def test_a_slice_keeps_the_line_of_each_row():
