@@ -36,14 +36,16 @@ morphisms, keeping their target's checked quiver and each edge image's
 start vertex index and row once source, target and images pass.  Every
 reader validates first, so a lawless value is refused with ``validate``'s
 error and a checked one is not walked again; the parser and
-``vankampen._fundamental``, which read each word into integers as they
-build it, keep the view at once.
+``vankampen._presented``, which read each word into integers as they
+build it, keep the view at once, and so do ``pushout`` and
+``_morphism_on``, which build their rows from checked rows.
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
 maps between fundamental groupoids need.  Pushouts are computed at the
 presentation level: disjoint union, identify image vertices, add one
-relation ``f(e) = g(e)`` per generator of the common source.
+relation ``f(e) = g(e)`` per generator of the common source; the apex's
+relator rows are the legs' rows renumbered, and no word is read back.
 
 Morphisms into a finite groupoid are enumerated in lazy runs ``(vertex
 images, iterator of edge images)``, one per vertex assignment, each kept
@@ -695,6 +697,9 @@ def _restriction(f, t):
     return restrict
 
 
+_second = itemgetter(1)
+
+
 def _restricted(f, t, keys):
     """The keys ``keys`` of morphisms out of ``f.target`` restricted along
     ``f``, in order; each run of keys with the same vertex images passes
@@ -702,7 +707,7 @@ def _restricted(f, t, keys):
     restrict = _restriction(f, t)
     out = []
     for vimg, run in groupby(keys, itemgetter(0)):
-        v, eimgs = restrict((vimg, [eimg for _, eimg in run]))
+        v, eimgs = restrict((vimg, list(map(_second, run))))
         out.extend(zip(repeat(v), eimgs))
     return out
 
@@ -721,66 +726,111 @@ class PushoutSquare:
     inj_v: PresentationMorphism
 
 
-def _rename_word(w, vname, ename):
-    return Word(vname[w.src], vname[w.tgt], tuple((ename[e], s) for e, s in w.letters))
-
-
 def pushout(f, g):
     """Pushout of presentations along a common source.
 
     Vertices of U and V are tagged apart and then identified along the
     images of W's vertices; one relation ``f(e) = g(e)`` is added per
-    generator of W.
+    generator of W.  U's edges keep their signed indexes in the apex and
+    V's follow, so the apex keeps the relator rows of U and V renumbered,
+    then each ``f(e) g(e)^-1`` of the legs' image rows, reduced: the rows
+    ``validate`` would read off the renamed relations, which are not read.
     """
     if f.source != g.source:
         raise ValidationError("span legs have different sources")
-    uq, vq = f.validate()._view[0], g.validate()._view[0]
+    (uq, uimages), (vq, vimages) = f.validate()._view, g.validate()._view
     w, u, v = f.source, f.target, g.target
+    uvpos, _, usrc, utgt = uq._view
+    vvpos, _, vsrc, vtgt = vq._view
     wvs = w.quiver.vertices
+    nu, nue = len(uq.vertices), len(uq.edges)
 
-    tagged = [("u", x) for x in uq.vertices] + [("v", x) for x in vq.vertices]
+    # U's vertex indexes, then V's after them, joined along W's vertices
     blocks = skeleton_components(
-        tagged,
-        wvs,
-        {x: ("u", f.vmap[x]) for x in wvs},
-        {x: ("v", g.vmap[x]) for x in wvs},
+        range(nu + len(vq.vertices)),
+        range(len(wvs)),
+        [uvpos[f.vmap[x]] for x in wvs],
+        [nu + vvpos[g.vmap[x]] for x in wvs],
     )
+    at = [0] * (nu + len(vq.vertices))  # the apex vertex of each tagged one
+    for k, block in enumerate(blocks):
+        for i in block:
+            at[i] = k
+    uat, vat = at[:nu], at[nu:]
     # each block is named after its first tagged vertex
-    vertices = [f"{tag}:{x}" for tag, x in (block[0] for block in blocks)]
-    vname = {t: n for n, block in zip(vertices, blocks) for t in block}
-    uvname = {x: vname["u", x] for x in uq.vertices}
-    vvname = {x: vname["v", x] for x in vq.vertices}
-    uename = {e: f"u:{e}" for e in uq.edges}
-    vename = {e: f"v:{e}" for e in vq.edges}
-    edges = [
-        (uename[e], uvname[uq.esrc[e]], uvname[uq.etgt[e]]) for e in uq.edges
-    ] + [
-        (vename[e], vvname[vq.esrc[e]], vvname[vq.etgt[e]]) for e in vq.edges
-    ]
-    q = quiver(vertices, edges)
-
-    relations = [
-        (_rename_word(lhs, uvname, uename), _rename_word(rhs, uvname, uename))
-        for lhs, rhs in u.relations
-    ] + [
-        (_rename_word(lhs, vvname, vename), _rename_word(rhs, vvname, vename))
-        for lhs, rhs in v.relations
-    ] + [
-        (_rename_word(f.emap[e], uvname, uename), _rename_word(g.emap[e], vvname, vename))
-        for e in w.quiver.edges
-    ]
-    apex = presentation(q, relations)
-
-    inj_u, inj_v = (
-        PresentationMorphism(
-            source=p, target=apex, vmap=dict(vn),
-            emap={e: Word(vn[pq.esrc[e]], vn[pq.etgt[e]], ((en[e], 1),)) for e in pq.edges},
-        ).validate()
-        for p, pq, vn, en in ((u, uq, uvname, uename), (v, vq, vvname, vename))
+    vertices = tuple(
+        f"u:{uq.vertices[i]}" if i < nu else f"v:{vq.vertices[i - nu]}" for i, *_ in blocks
     )
+    uvname = dict(zip(uq.vertices, map(vertices.__getitem__, uat)))
+    vvname = dict(zip(vq.vertices, map(vertices.__getitem__, vat)))
+    edges = (*(f"u:{e}" for e in uq.edges), *(f"v:{e}" for e in vq.edges))
+    ne = len(edges)
+    srcs = [*map(uat.__getitem__, usrc), *map(vat.__getitem__, vsrc)]
+    tgts = [*map(uat.__getitem__, utgt), *map(vat.__getitem__, vtgt)]
+    q = Quiver(
+        vertices=vertices,
+        edges=edges,
+        esrc=dict(zip(edges, map(vertices.__getitem__, srcs))),
+        etgt=dict(zip(edges, map(vertices.__getitem__, tgts))),
+    ).validate()
+
+    relations, rows = [], []
+    if u.relations or v.relations or w.quiver.edges:
+        letters = _letter_table(edges)
+        uletters = dict(zip(_letter_table(uq.edges), letters[:nue] + letters[2 * ne - nue :]))
+        vletters = dict(zip(_letter_table(vq.edges), letters[nue : 2 * ne - nue]))
+
+        def renamed(word, vname, lname):
+            return Word(vname[word.src], vname[word.tgt], tuple(map(lname.__getitem__, word.letters)))
+
+        relations += [(renamed(a, uvname, uletters), renamed(b, uvname, uletters)) for a, b in u.relations]
+        relations += [(renamed(a, vvname, vletters), renamed(b, vvname, vletters)) for a, b in v.relations]
+        relations += [
+            (renamed(f.emap[e], uvname, uletters), renamed(g.emap[e], vvname, vletters))
+            for e in w.quiver.edges
+        ]
+        vshift = [*range(nue, ne), *range(-ne, -nue)]  # V's signed indexes in the apex
+        identity = _identity(ne)
+        rows += [(uat[b], row) for b, row in u._view]
+        rows += [(vat[b], tuple(map(vshift.__getitem__, row))) for b, row in v._view]
+        rows += [
+            (uat[b], _retracted(urow + tuple(~vshift[j] for j in reversed(vrow)), identity))
+            for (b, urow), (_, vrow) in zip(uimages, vimages)
+        ]
+    apex = GroupoidPresentation(quiver=q, relations=tuple(relations))
+    object.__setattr__(apex, "_view", tuple(rows))
+
+    # each injection sends an edge to its one letter in the apex
+    images = list(zip(srcs, zip(range(ne))))
+    words = list(map(
+        Word, map(vertices.__getitem__, srcs), map(vertices.__getitem__, tgts),
+        zip(zip(edges, repeat(1))),
+    ))
+    inj_u, inj_v = (
+        PresentationMorphism(source=p, target=apex, vmap=vmap, emap=dict(zip(pq.edges, words[cut])))
+        for p, pq, vmap, cut in ((u, uq, uvname, slice(nue)), (v, vq, vvname, slice(nue, ne)))
+    )
+    object.__setattr__(inj_u, "_view", (q, tuple(images[:nue])))
+    object.__setattr__(inj_v, "_view", (q, tuple(images[nue:])))
     return PushoutSquare(
         w=w, u=u, v=v, f=f, g=g, apex=apex, inj_u=inj_u, inj_v=inj_v
     )
+
+
+def _morphism_on(source, target, vmap, images):
+    """The morphism ``source -> target`` of checked presentations with the
+    vertex map ``vmap`` whose edge images are ``images``, built to chain
+    between the images of each edge's ends over the target's quiver: it
+    keeps them as its view at once, each named once."""
+    sq, tq = source.quiver, target.quiver
+    letters = _letter_table(tq.edges)
+    emap = {
+        e: Word(vmap[sq.esrc[e]], vmap[sq.etgt[e]], tuple(map(letters.__getitem__, row)))
+        for e, (_, row) in zip(sq.edges, images)
+    }
+    m = PresentationMorphism(source=source, target=target, vmap=vmap, emap=emap)
+    object.__setattr__(m, "_view", (tq, tuple(images)))
+    return m
 
 
 @dataclass(frozen=True)
@@ -804,15 +854,18 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
     exactly one mediating morphism out of the apex.
 
     Every apex morphism restricts to exactly one pair (its composites with
-    the two injections), so counting apex morphisms by that pair of
-    restriction keys gives each pair's mediator count by lookup.  The
-    morphisms out of V are indexed by their restriction to W, so each
-    morphism out of U meets only the morphisms out of V it is compatible
-    with.  Per target this costs O(|U| + |V| + |apex| + pairs) restrictions,
-    where |X| counts the morphisms out of X.  Pairs are visited in the
-    order of the morphisms out of U, then out of V, and the first pair
-    without exactly one mediator is the witness.  When every pair has one,
-    the pairs must also exhaust the apex morphisms ("count-mismatch").
+    the two injections).  The morphisms out of V are indexed by their
+    restriction to W, so each morphism out of U meets only the morphisms
+    out of V it is compatible with.  Pairs are visited in the order of the
+    morphisms out of U, then out of V, in lockstep with the apex morphisms'
+    restrictions: when the two sequences are equal, each pair has exactly
+    one mediator and the pairs exhaust the apex.  Only a target where they
+    differ (another vertex order, or a broken square) counts the apex
+    morphisms by their pair of restriction keys: the first pair without
+    exactly one mediator is the witness, and when every pair has one, the
+    pairs must also exhaust the apex morphisms ("count-mismatch").  Per
+    target this costs O(|U| + |V| + |apex| + pairs) restrictions, where
+    |X| counts the morphisms out of X.
 
     The verdict is relative to the supplied target battery, and says so.
     """
@@ -831,22 +884,23 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         over_w = {}
         for kv, kw in zip(mors_v, _restricted(square.g, t, mors_v)):
             over_w.setdefault(kw, []).append(kv)
-        mediators = Counter(
-            zip(_restricted(square.inj_u, t, mors_p), _restricted(square.inj_v, t, mors_p))
-        )
-        pairs = 0
-        ok = True
-        witness = None
+        # the compatible pairs, in order, as their U and V halves
+        first, second = [], []
         for ku, kw in zip(mors_u, _restricted(square.f, t, mors_u)):
-            for kv in over_w.get(kw, ()):
-                pairs += 1
+            kvs = over_w.get(kw, ())
+            first += repeat(ku, len(kvs))
+            second += kvs
+        on_u, on_v = (_restricted(inj, t, mors_p) for inj in (square.inj_u, square.inj_v))
+        pairs, ok, witness = len(first), True, None
+        if first != on_u or second != on_v:
+            mediators = Counter(zip(on_u, on_v))
+            for ku, kv in zip(first, second):
                 n = mediators[ku, kv]
-                if n != 1 and witness is None:
-                    ok = False
-                    witness = (ku, kv, n)
-        if ok and pairs != len(mors_p):
-            ok = False
-            witness = ("count-mismatch", pairs, len(mors_p))
+                if n != 1:
+                    ok, witness = False, (ku, kv, n)
+                    break
+            if ok and pairs != len(mors_p):
+                ok, witness = False, ("count-mismatch", pairs, len(mors_p))
         results.append(
             TargetUniversality(
                 target=tname,
@@ -892,11 +946,14 @@ def spanning_tree(q, roots):
     return _forest(q, _incidence(q), roots)
 
 
-def _incidence(q):
-    """Each vertex's incident letters on the checked view of ``q``."""
+def _incidence(q, edges=None):
+    """Each vertex's incident letters on the checked view of ``q``, from
+    every edge or, when given, from the edge indexes ``edges`` in their
+    order."""
     vpos, _, src, tgt = q.validate()._view
     incident = [[] for _ in vpos]
-    for j, (s, t) in enumerate(zip(src, tgt)):
+    for j in range(len(src)) if edges is None else edges:
+        s, t = src[j], tgt[j]
         incident[s].append(j)
         if t != s:
             incident[t].append(~j)
@@ -911,10 +968,15 @@ def _forest(q, incident, roots):
     except (KeyError, TypeError):  # a root that is no vertex, or unhashable
         stray = next(r for r in roots if r not in q.vertices)
         raise ValidationError("no such vertex", witness=stray) from None
-    far = tgt + src[::-1]  # the vertex each signed letter ends at
+    return _walk(incident, tgt + src[::-1], order)
+
+
+def _walk(incident, far, order):
+    """``spanning_tree``'s forest over ``incident`` from the root indexes
+    ``order``, in order; ``far`` is the vertex each signed letter ends at."""
     parent = [None] * len(incident)
     root_of = [-1] * len(incident)
-    tree = bytearray(len(src))
+    tree = bytearray(len(far) // 2)
     for r in order:
         root_of[r] = r
     for v in order:  # grows as the walk reaches vertices

@@ -20,7 +20,8 @@ the flags under incidence, or refuses a cover piece that is not closed;
 ``_subcomplex`` names them, and ``_covering`` keeps W = U ∩ V once U and
 V cover every cell.  ``close_cells``, ``cover``, ``restrict`` and
 ``SubcomplexCover.validate`` take it, and ``check_cover`` reads the int
-rows.
+rows.  Faces are found by the index ``_complex_on`` builds once with the
+view (``_faces_at``).
 
 The fundamental groupoid on a base-point set S is presented by
 contracting a breadth-first spanning forest rooted at S: edges outside
@@ -34,6 +35,12 @@ presentation level and compared against the directly computed presentation
 of X: a generator-level bridge morphism is produced, and precomposition
 with it must biject morphism sets into every finite battery target.  The
 evidence is relative to the battery used and the report says which one.
+
+The square is built on X's int rows and each word is named once: each
+piece is read off them in the cover's order, each carrier (tree path in,
+the edge, tree path back) retracted through the target piece's forest is
+an image row of an inclusion or the bridge, and ``pushout`` builds on the
+legs' rows.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import and_, eq, indexOf, not_, or_
+from operator import and_, eq, indexOf, invert, or_
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -55,13 +62,16 @@ from .presentations import (
     Quiver,
     Word,
     _check_word,
+    _incidence,
     _letter_table,
+    _morphism_on,
     _morphism_runs,
     _named,
     _read,
     _reduced,
     _restriction,
     _retracted,
+    _walk,
     empty_word,
     pushout,
     quiver,
@@ -211,7 +221,7 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
     unhashable ones among them, are refused at once over every piece,
     sorted by ``str`` (each once when all are hashable)."""
     vpos, epos = x._view[0]._view[:2]
-    maps = (vpos, epos, dict(zip(x.faces, range(len(x.faces)))))
+    maps = (vpos, epos, _faces_at(x))
     out, strays = [], []
     for piece in pieces:
         flags = [bytearray(len(m)) for m in maps]
@@ -237,6 +247,15 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
             pass
         raise ValidationError("cells not in the complex", witness=tuple(sorted(strays, key=str)))
     return out
+
+
+def _faces_at(x):
+    """Each face's index in the checked complex ``x``: the one ``_complex_on``
+    keeps in ``fboundary``, or, for a hand-built dict, built here."""
+    b = x.fboundary
+    if type(b) is _Boundaries and b._faces is x.faces:
+        return b._at
+    return dict(zip(x.faces, range(len(x.faces))))
 
 
 def _hashable(c):
@@ -318,7 +337,7 @@ def restrict(x, sub):
         vpos, epos = q._view[:2]
         keep = [epos.get(e) for e in xq.edges]  # by signed index
         keep += [None if k is None else ~k for k in reversed(keep)]
-        fpos = {f: i for i, f in enumerate(x.faces)}
+        fpos = _faces_at(x)
         for f in sub.faces:
             i = fpos[f]
             row = tuple(map(keep.__getitem__, frows[i]))
@@ -466,29 +485,13 @@ class ForestRetraction:
 
 def _fundamental(x, base):
     """The presentation of the fundamental groupoid of ``x`` on ``base``,
-    and the forest retraction that built it.
-
-    The forest and the retraction run on the int rows of ``x``; the
-    relations are named at the end from one letter table of the
-    generators, so every letter of every relation is a shared tuple.  The
-    presentation keeps its relator rows as its view at once, and its
-    relations are not walked by ``validate``: they are valid over ``pq`` by
-    construction.  A boundary row of ``x`` chains over its
-    edge quiver and is closed.  A tree edge joins two vertices of one tree,
-    so dropping its letters leaves each surviving letter starting
-    on the root the previous one ends on, and its edge runs between the roots
-    of its ends in ``pq``.  Free reduction cancels adjacent inverse letters
-    and keeps that chaining.  The retracted word therefore runs from the
-    root of the boundary's base point back to it, and the empty word there
-    is the coterminal other side, one shared word per base point.
-    """
-    q, fbase, frows = x.validate()._view
-    vpos, _, src, tgt = q._view
+    and the forest retraction that built it (see ``_presented``)."""
+    q, _, frows = x.validate()._view
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    parent, root_of, tree = spanning_tree(q, base)
+    parent, root_of, tree = forest = spanning_tree(q, base)
     bset = set(base)
     if -1 in root_of:  # name the first component missed
         block = next(
@@ -496,10 +499,38 @@ def _fundamental(x, base):
             if bset.isdisjoint(b)
         )
         raise HypothesisError(f"base points miss a component: {block!r}", report=block)
+    at = sorted(map(q._view[0].__getitem__, bset))  # the roots' indexes, in vertex order
+    p = _presented(x, forest, at, range(len(tree)), range(len(frows)))[0]
+    retraction = ForestRetraction(
+        source_quiver=q,
+        presentation_quiver=p.quiver,
+        roots=p.quiver.vertices,
+        parent=parent,
+        root_of=root_of,
+        tree=tree,
+    )
+    return p, retraction
+
+
+def _presented(x, forest, at, es, fs):
+    """``(p, generators, keep, rpos)`` for the piece of the checked complex
+    ``x`` with the edges ``es`` and faces ``fs`` (indexes, in its order),
+    contracted along its ``forest`` rooted at the vertex indexes ``at``:
+    its presentation, the edges off the forest, each signed edge index's
+    generator (None off them) and each root's index among the vertices.
+
+    Each face row is retracted (tree letters dropped, freely reduced) and
+    named at the end from one letter table.  Dropping the letters of a tree
+    edge, which joins two vertices of one tree, leaves each letter starting
+    on the root the one before ends on, so the row is a closed word at its
+    base point's root: the relations, and so the relator rows the
+    presentation keeps as its view at once, are valid by construction."""
+    q, fbase, frows = x._view
+    _, _, src, tgt = q._view
+    _, root_of, tree = forest
     names = x.vertices
-    at = sorted(map(vpos.__getitem__, bset))  # the roots' indexes, in vertex order
     roots = tuple(map(names.__getitem__, at))
-    generators = list(compress(range(len(tree)), map(not_, tree)))
+    generators = [j for j in es if not tree[j]]
     edges = tuple(map(x.edges.__getitem__, generators))
     pq = Quiver(  # each generator runs between the roots of its ends
         vertices=roots,
@@ -507,31 +538,22 @@ def _fundamental(x, base):
         esrc={e: names[root_of[src[j]]] for e, j in zip(edges, generators)},
         etgt={e: names[root_of[tgt[j]]] for e, j in zip(edges, generators)},
     ).validate()
+    keep = [None] * (2 * len(tree))  # by signed index, None off the generators
+    for k, j in enumerate(generators):
+        keep[j], keep[~j] = k, ~k
+    rpos = {r: k for k, r in enumerate(at)}
     relations, rows = [], []
-    if frows:
-        # each edge of x by signed index to its generator's, None on the tree
-        keep = [None] * (2 * len(tree))
-        for k, j in enumerate(generators):
-            keep[j], keep[~j] = k, ~k
-        rpos = {r: k for k, r in enumerate(at)}
-        letters = _letter_table(pq.edges)
+    if fs:
+        letters = _letter_table(edges)
         empty = [empty_word(r) for r in roots]
-        for b, row in zip(fbase, frows):
-            r = rpos[root_of[b]]
-            rel = _retracted(row, keep)
+        for i in fs:
+            r = rpos[root_of[fbase[i]]]
+            rel = _retracted(frows[i], keep)
             rows.append((r, rel))
             relations.append((_named(pq, r, r, rel, letters), empty[r]))
     p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
     object.__setattr__(p, "_view", tuple(rows))
-    retraction = ForestRetraction(
-        source_quiver=q,
-        presentation_quiver=pq,
-        roots=roots,
-        parent=parent,
-        root_of=root_of,
-        tree=tree,
-    )
-    return p, retraction
+    return p, generators, keep, rpos
 
 
 def fundamental_groupoid(x, base):
@@ -569,7 +591,8 @@ class VktResult:
 
     ``square`` holds the piece presentations and their pushout; ``direct``
     is the independently computed presentation of the whole complex;
-    ``bridge`` maps apex generators to direct generators, and ``evidence``
+    ``bridge`` maps apex generators to direct generators (each to its
+    carrier in U or V, retracted through the forest of X), and ``evidence``
     records, per battery target, whether precomposition with the bridge
     bijects the morphism sets.  The two sides are compared per vertex
     image, in lockstep in the order the search enumerates them; only where
@@ -588,15 +611,6 @@ class VktResult:
     @property
     def evidence_ok(self):
         return all(t.ok for t in self.evidence)
-
-
-def _inclusion_morphism(source_pres, source_ret, target_pres, target_ret):
-    return PresentationMorphism(
-        source=source_pres,
-        target=target_pres,
-        vmap={v: v for v in source_pres.quiver.vertices},
-        emap={e: target_ret.apply(source_ret.carrier_word(e)) for e in source_pres.quiver.edges},
-    ).validate()
 
 
 def _evidence(apex, direct, bridge, targets, guard):
@@ -643,6 +657,56 @@ def _runs(apex, direct, bridge, t, guard):
     return runs, {vimg: chain.from_iterable(its) for vimg, its in pulled.items()}
 
 
+def _piece(x, sub, base):
+    """``(forest, *_presented(...))`` for the cells ``sub`` of the checked
+    complex ``x`` (all of them when None), in ``sub``'s order, on the base
+    points they hold: what ``_fundamental`` gives on ``restrict(x, sub)``,
+    which refuses a cell named twice as this does."""
+    q = x._view[0]
+    vpos, epos, src, tgt = q._view
+    if sub is None:
+        cells = range(len(vpos)), range(len(epos)), range(len(x.faces))
+    else:
+        cells = (
+            list(map(vpos.__getitem__, sub.vertices)),
+            list(map(epos.__getitem__, sub.edges)),
+            list(map(_faces_at(x).__getitem__, sub.faces)),
+        )
+        for kind, found in zip(("vertices", "edges", "faces"), cells):
+            if len(set(found)) != len(found):
+                raise ValidationError(f"duplicate {kind}", witness=getattr(sub, kind))
+    vs, es, fs = cells
+    at = set(map(vpos.__getitem__, base))
+    roots = [v for v in vs if v in at]
+    forest = _walk(_incidence(q, es), tgt + src[::-1], list(roots))
+    return (forest, *_presented(x, forest, roots, es, fs))
+
+
+def _carriers(x, piece, target):
+    """Each generator of ``piece`` as ``(start vertex index, row)`` in the
+    presentation of the piece ``target`` that holds it: its carrier, as
+    ``ForestRetraction.carrier_word`` builds it, retracted through the
+    forest of ``target`` as ``ForestRetraction.apply`` retracts it."""
+    (parent, root_of, _), _, generators, _, _ = piece
+    (_, troot_of, _), _, _, keep, rpos = target
+    _, _, src, tgt = x._view[0]._view
+
+    def up(v):  # the tree letters from vertex v up to its root
+        row = []
+        while (j := parent[v]) is not None:
+            row.append(j)
+            v = src[j] if j >= 0 else tgt[~j]
+        return row
+
+    return [
+        (
+            rpos[troot_of[root_of[src[j]]]],
+            _retracted([*reversed(up(src[j])), j, *map(invert, up(tgt[j]))], keep),
+        )
+        for j in generators
+    ]
+
+
 def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
     """Compute the cover-induced pushout square and verify it presents the
     fundamental groupoid of the whole complex.
@@ -662,27 +726,22 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
             f"base points miss a component of {piece}: {block!r}", report=report
         )
 
-    pieces = []
-    for sub in (c.u, c.v, c.w):
-        vset = set(sub.vertices)
-        bsub = tuple(v for v in base if v in vset)
-        pieces.append(_fundamental(restrict(c.x, sub), bsub))
-    (pu, ru), (pv, rv), (pw, rw) = pieces
-
-    f = _inclusion_morphism(pw, rw, pu, ru)
-    g = _inclusion_morphism(pw, rw, pv, rv)
+    x = c.x
+    u, v, w, whole = (_piece(x, sub, base) for sub in (c.u, c.v, c.w, None))
+    pu, pv, pw = u[1], v[1], w[1]
+    f, g = (
+        _morphism_on(pw, p[1], {s: s for s in pw.quiver.vertices}, _carriers(x, w, p))
+        for p in (u, v)
+    )
     square = pushout(f, g)
+    direct = whole[1]
 
-    direct, rx = _fundamental(c.x, base)
-
-    hvmap, hemap = {}, {}
-    for p, r, inj in ((pu, ru, square.inj_u), (pv, rv, square.inj_v)):
+    hvmap = {}
+    for p, inj in ((pu, square.inj_u), (pv, square.inj_v)):
         hvmap.update((inj.vmap[s], s) for s in p.quiver.vertices)
-        for e in p.quiver.edges:
-            hemap[inj.emap[e].letters[0][0]] = rx.apply(r.carrier_word(e))
-    bridge = PresentationMorphism(
-        source=square.apex, target=direct, vmap=hvmap, emap=hemap
-    ).validate()
+    bridge = _morphism_on(
+        square.apex, direct, hvmap, _carriers(x, u, whole) + _carriers(x, v, whole)
+    )
 
     return VktResult(
         cover_report=report,

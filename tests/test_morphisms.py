@@ -48,7 +48,6 @@ from gpdkit.presentations import (
     _arrow_tree,
     _bounded_rewrite_search,
     _morphism_blocks,
-    _rename_word,
     _vertex_at,
     empty_word,
     enumerate_pres_morphisms,
@@ -58,7 +57,7 @@ from gpdkit.presentations import (
     quiver,
     word,
 )
-
+from square_build import _rename_word
 from test_presentations import (
     c2_free_product_span,
     glued_loops_span,

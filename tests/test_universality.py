@@ -2,18 +2,22 @@
 
 ``_verify_oracle`` is the original nested loop, which scans every apex
 morphism for every compatible pair, over the original enumerator
-(``test_search.enumerate_pres_morphisms_oracle``).  The library counts mediators by
-restriction, block by block, instead; both must produce the same
-UniversalityReport (verdict, per-target counts and witness) on genuine
-pushouts and on deliberately broken squares, into one-object targets and
-into targets with two objects.
+(``test_search.enumerate_pres_morphisms_oracle``).  The library walks the
+compatible pairs in lockstep with the apex morphisms' restrictions and
+counts mediators by their pair of restriction keys only for a target where
+the two sequences differ; both must produce the same UniversalityReport
+(verdict, per-target counts and witness) on genuine pushouts and on
+deliberately broken squares, into one-object targets and into targets with
+two objects.  A spy on ``Counter`` tells which targets took the count.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpdkit.presentations as presentations_module
 from gpdkit.core import DEFAULT_SIZE_GUARD, battery, disjoint_union, interval_groupoid
 from gpdkit.presentations import (
     PresentationMorphism,
@@ -134,7 +138,21 @@ def _inj_v_through_u(square):
     return replace(square, inj_v=inj_v)
 
 
-def test_genuine_pushouts_match_the_oracle():
+@pytest.fixture
+def counts(monkeypatch):
+    """The number of ``Counter``s ``verify_pushout_universal`` builds: one
+    per target whose pairs and apex restrictions differ."""
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(presentations_module, "Counter", spy)
+    return built
+
+
+def test_genuine_pushouts_match_the_oracle(counts):
     for square in (
         two_arc_circle_span(),
         wedge_span(),
@@ -142,26 +160,34 @@ def test_genuine_pushouts_match_the_oracle():
         glued_loops_span(),
     ):
         assert _same_report(square).ok
+    assert counts == []  # each target's pairs are its apex restrictions, in order
 
 
-def test_dropped_gluing_relation_is_a_count_mismatch():
+def test_a_genuine_wedge_into_the_battery_builds_no_counter(counts):
+    rep = verify_pushout_universal(_bouquet_square(1, 2))
+    assert rep.ok and len(rep.per_target) == len(battery()) and counts == []
+
+
+def test_dropped_gluing_relation_is_a_count_mismatch(counts):
     rep = _same_report(_drop_gluing(glued_loops_span()))
     assert not rep.ok
     by_name = {r.target: r for r in rep.per_target}
     # each compatible pair still has its one mediator, but the apex has
     # |T|^2 morphisms for only |T| pairs
     assert by_name["s3"].witness == ("count-mismatch", 6, 36)
+    assert len(counts) == len(battery())
 
 
-def test_extra_relation_leaves_pairs_without_a_mediator():
+def test_extra_relation_leaves_pairs_without_a_mediator(counts):
     rep = _same_report(_kill_u_loop(wedge_span()))
     assert not rep.ok
     for r in rep.per_target:
         assert not r.ok
         assert r.witness[2] == 0
+    assert len(counts) == len(battery())
 
 
-def test_swapped_inj_v_gives_many_mediators():
+def test_swapped_inj_v_gives_many_mediators(counts):
     rep = _same_report(_inj_v_through_u(wedge_span()))
     assert not rep.ok
     by_name = {r.target: r for r in rep.per_target}
@@ -169,6 +195,31 @@ def test_swapped_inj_v_gives_many_mediators():
     # apex's free V loop mediates it
     assert by_name["s3"].witness[2] == 6
     assert by_name["c2"].witness[2] == 2
+    assert len(counts) == len(battery())
+
+
+def _reordering_span():
+    """W has two vertices, sent to U's two ends of its edge ``a`` and both
+    to V's vertex 0, so V's vertex 1 is an apex vertex of its own, last:
+    the apex lists its morphisms by (vertex images, U's edge, V's edge)
+    while the pairs come by U's morphism first."""
+    w = presentation(quiver(("p", "q"), []))
+    u = presentation(quiver((0, 1), [("a", 0, 1)]))
+    v = presentation(quiver((0, 1), [("b", 1, 1)]))
+    f = PresentationMorphism(source=w, target=u, vmap={"p": 0, "q": 1}, emap={})
+    g = PresentationMorphism(source=w, target=v, vmap={"p": 0, "q": 0}, emap={})
+    return pushout(f, g)
+
+
+def test_an_apex_in_another_vertex_order_takes_the_count(counts):
+    square = _reordering_span()
+    assert square.apex.quiver.vertices == ("u:0", "v:1")
+    rep = _same_report(square, _SEVERAL_OBJECTS)
+    assert rep.ok
+    # only into c2+c3, where U's edge and V's loop each have several
+    # images, do the apex morphisms come in another order than the pairs
+    assert len(counts) == 1
+    assert _same_report(square).ok and len(counts) == 1
 
 
 # ------------------------------------------------------- hypothesis spans

@@ -6,7 +6,7 @@ W), read off the source's syntax tree.
 Groups, groupoids, quivers, complexes, presentations, their morphisms and
 covers are validated on first read, then kept: the view in ``_view`` is set
 only by the code that validated the value or built it from checked parts
-(the parser and ``_fundamental`` read each relation word as they build
+(the parser and ``_presented`` read each relation word as they build
 it, ``complex2``, the parser and ``restrict`` build their complexes
 through ``_complex_on``, and ``cover`` builds its pieces closed, so
 ``_covering`` keeps W for it and for ``SubcomplexCover.validate``), and
@@ -16,6 +16,20 @@ nobody checked, and any other test of ``_view`` would bring back a second
 path for values without one.  Nothing else is written onto a frozen value
 but the inverse map a group's validation reads off its table, so no side
 cache rides along with the view.
+
+The writers that build a value from checked parts, each on purpose:
+
+- ``_presented`` retracts the face rows of a checked complex through a
+  forest of its own edges, so each relator row is read off checked rows
+  (it took over from ``_fundamental``, which now calls it).
+- ``pushout`` renumbers the kept relator rows of its checked legs'
+  targets and the legs' kept image rows, so the apex's rows are those
+  ``GroupoidPresentation.validate`` would read off its relations, and
+  each injection sends an edge to its own letter of the apex.
+- ``_morphism_on`` keeps image rows built over a checked target to run
+  between the images of each edge's ends: the inclusions and the bridge
+  of ``vkt_square``, whose carriers are tree paths and edges of the
+  checked complex, retracted through a forest.
 """
 
 import ast
@@ -28,7 +42,8 @@ SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
 WRITERS = {
     "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
     "Quiver.validate", "Complex2.validate", "_complex_on", "GroupoidPresentation.validate",
-    "PresentationMorphism.validate", "_covering", "_fundamental", "_presentation_of",
+    "PresentationMorphism.validate", "_covering", "_presented", "_presentation_of",
+    "pushout", "_morphism_on",
 }
 TESTERS = {
     "FiniteGroup.validate", "index_view", "xmod_view", "Quiver.validate", "Complex2.validate",
