@@ -12,8 +12,9 @@ Conventions that hold across the whole package:
 - Connectivity has two routines: ``skeleton_components`` (union-find over
   any vertex and edge lists) partitions vertices into components, blocks
   ordered by their first vertex, each in vertex order; and
-  ``presentations.spanning_tree`` builds a rooted breadth-first forest with
-  each vertex's path from its root, for presentations and vertex groups.
+  ``presentations.spanning_tree`` builds a rooted breadth-first forest as
+  int arrays (each vertex's parent letter, its root and the tree-edge
+  flags), for presentations and vertex groups.
 - Groups and groupoids share one validator, a group being the one-object
   case: the table is read into integer rows once, and associativity is
   checked with Light's test at O(n^2 |S|) instead of O(n^3); a table that

@@ -27,7 +27,10 @@ The fundamental groupoid on a base-point set S is presented by
 contracting a breadth-first spanning forest rooted at S: edges outside
 the forest become generators, face boundaries (rewritten through the
 forest on their int rows) become relations, named at the end from one
-letter table.
+letter table.  ``_fundamental`` presents the whole complex (its forest is
+``spanning_tree``'s) and ``_piece`` a piece of a cover, both through
+``_presented``, as one tuple: the forest, the presentation, the
+generators and the two index maps the carriers are retracted through.
 
 For a cover X = U ∪ V with W = U ∩ V and S meeting every component of U,
 V, and W, the square of inclusion-induced morphisms is pushed out at the
@@ -68,7 +71,6 @@ from .presentations import (
     _morphism_runs,
     _named,
     _read,
-    _reduced,
     _restriction,
     _retracted,
     _walk,
@@ -217,7 +219,8 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
     run of names per entry of ``kinds``, and a name is flagged as each cell
     of the kinds in its entry that it names: a ``Subcomplex``'s vertices,
     edges and faces, or, with ``kinds`` ``((0, 1, 2),)``, one run of cells
-    of any kind.  Each run is taken as a set.  The names that name no cell,
+    of any kind.  Each run is read once, so an iterator of names is taken
+    as its list would be, then as a set.  The names that name no cell,
     unhashable ones among them, are refused at once over every piece,
     sorted by ``str`` (each once when all are hashable)."""
     vpos, epos = x._view[0]._view[:2]
@@ -226,6 +229,7 @@ def _flags(x, pieces, kinds=((0,), (1,), (2,))):
     for piece in pieces:
         flags = [bytearray(len(m)) for m in maps]
         for run, names in zip(kinds, piece):
+            names = list(names)
             try:
                 named, whole = set(names), True
             except TypeError:  # an unhashable name is no cell
@@ -434,82 +438,29 @@ def check_cover(c, base):
     return CoverReport(ok=not missed, missed=tuple(missed), pieces=tuple(pieces))
 
 
-@dataclass(frozen=True)
-class ForestRetraction:
-    """Contraction of a spanning forest rooted at the base points: sends a
-    word over the complex's edges to a word over the surviving generators.
-
-    ``parent``, ``root_of`` and ``tree`` are the int arrays of
-    ``spanning_tree`` over the source quiver's view: the signed tree letter
-    into each vertex index, the index of its root, and the tree-edge flags.
-    """
-
-    source_quiver: Quiver
-    presentation_quiver: Quiver
-    roots: tuple
-    parent: list
-    root_of: list
-    tree: bytearray
-
-    def apply(self, w):
-        """The free reduction of ``w`` with its tree letters dropped, on the
-        roots of its ends."""
-        q = self.source_quiver
-        vpos, epos = q._view[:2]
-        root_of, tree, names = self.root_of, self.tree, q.vertices
-        kept = [letter for letter in w.letters if not tree[epos[letter[0]]]]
-        return Word(
-            names[root_of[vpos[w.src]]], names[root_of[vpos[w.tgt]]], _reduced(kept)
-        )
-
-    def _into(self, v):
-        """The tree path from the root of vertex ``v`` to ``v`` as a word,
-        read up the parent pointers."""
-        q, parent = self.source_quiver, self.parent
-        vpos, _, src, tgt = q._view
-        i = end = vpos[v]
-        row = []
-        while (j := parent[i]) is not None:
-            row.append(j)
-            i = src[j] if j >= 0 else tgt[~j]
-        return _named(q, self.root_of[end], end, row[::-1])
-
-    def carrier_word(self, e):
-        """The loop-free word over the complex's edges that a generator
-        stands for: tree path in, the edge, tree path back."""
-        q = self.source_quiver
-        s, t = q.esrc[e], q.etgt[e]
-        middle = Word(s, t, ((e, 1),))
-        return self._into(s).concat(middle).concat(self._into(t).inverse())
-
-
 def _fundamental(x, base):
-    """The presentation of the fundamental groupoid of ``x`` on ``base``,
-    and the forest retraction that built it (see ``_presented``)."""
+    """``_piece`` for the whole of ``x`` on ``base``: the forest, then what
+    ``_presented`` gives, the presentation of the fundamental groupoid
+    first.  A base point outside ``x`` is refused, and so is a base set
+    that misses a component, naming the first one missed (found on the
+    int rows)."""
     q, _, frows = x.validate()._view
+    vpos, _, src, tgt = q._view
     base = tuple(dict.fromkeys(base))
     bad = [b for b in base if b not in x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    parent, root_of, tree = forest = spanning_tree(q, base)
-    bset = set(base)
-    if -1 in root_of:  # name the first component missed
+    forest = spanning_tree(q, base)
+    at = sorted(map(vpos.__getitem__, base))  # the roots' indexes, in vertex order
+    if -1 in forest[1]:  # name the first component missed
+        rooted = set(at)
         block = next(
-            b for b in skeleton_components(x.vertices, x.edges, x.esrc, x.etgt)
-            if bset.isdisjoint(b)
+            b for b in skeleton_components(range(len(vpos)), range(len(src)), src, tgt)
+            if rooted.isdisjoint(b)
         )
+        block = tuple(map(x.vertices.__getitem__, block))
         raise HypothesisError(f"base points miss a component: {block!r}", report=block)
-    at = sorted(map(q._view[0].__getitem__, bset))  # the roots' indexes, in vertex order
-    p = _presented(x, forest, at, range(len(tree)), range(len(frows)))[0]
-    retraction = ForestRetraction(
-        source_quiver=q,
-        presentation_quiver=p.quiver,
-        roots=p.quiver.vertices,
-        parent=parent,
-        root_of=root_of,
-        tree=tree,
-    )
-    return p, retraction
+    return (forest, *_presented(x, forest, at, range(len(src)), range(len(frows))))
 
 
 def _presented(x, forest, at, es, fs):
@@ -562,9 +513,10 @@ def fundamental_groupoid(x, base):
     The set must be nonempty and meet every component of the 1-skeleton;
     a missed component is named in the raised HypothesisError.
     """
-    if not tuple(base):
+    base = tuple(base)
+    if not base:
         raise HypothesisError("base-point set is empty")
-    return _fundamental(x, base)[0]
+    return _fundamental(x, base)[1]
 
 
 def pi1(x, base, v):
@@ -659,22 +611,19 @@ def _runs(apex, direct, bridge, t, guard):
 
 def _piece(x, sub, base):
     """``(forest, *_presented(...))`` for the cells ``sub`` of the checked
-    complex ``x`` (all of them when None), in ``sub``'s order, on the base
-    points they hold: what ``_fundamental`` gives on ``restrict(x, sub)``,
-    which refuses a cell named twice as this does."""
+    complex ``x``, in ``sub``'s order, on the base points they hold: what
+    ``_fundamental`` gives on ``restrict(x, sub)``, which refuses a cell
+    named twice as this does."""
     q = x._view[0]
     vpos, epos, src, tgt = q._view
-    if sub is None:
-        cells = range(len(vpos)), range(len(epos)), range(len(x.faces))
-    else:
-        cells = (
-            list(map(vpos.__getitem__, sub.vertices)),
-            list(map(epos.__getitem__, sub.edges)),
-            list(map(_faces_at(x).__getitem__, sub.faces)),
-        )
-        for kind, found in zip(("vertices", "edges", "faces"), cells):
-            if len(set(found)) != len(found):
-                raise ValidationError(f"duplicate {kind}", witness=getattr(sub, kind))
+    cells = (
+        list(map(vpos.__getitem__, sub.vertices)),
+        list(map(epos.__getitem__, sub.edges)),
+        list(map(_faces_at(x).__getitem__, sub.faces)),
+    )
+    for kind, found in zip(("vertices", "edges", "faces"), cells):
+        if len(set(found)) != len(found):
+            raise ValidationError(f"duplicate {kind}", witness=getattr(sub, kind))
     vs, es, fs = cells
     at = set(map(vpos.__getitem__, base))
     roots = [v for v in vs if v in at]
@@ -684,9 +633,10 @@ def _piece(x, sub, base):
 
 def _carriers(x, piece, target):
     """Each generator of ``piece`` as ``(start vertex index, row)`` in the
-    presentation of the piece ``target`` that holds it: its carrier, as
-    ``ForestRetraction.carrier_word`` builds it, retracted through the
-    forest of ``target`` as ``ForestRetraction.apply`` retracts it."""
+    presentation of the piece ``target`` that holds it: its carrier (the
+    tree path in from its start's root, the edge, the tree path back to
+    its end's root), retracted through the forest of ``target`` (tree
+    letters dropped, freely reduced)."""
     (parent, root_of, _), _, generators, _, _ = piece
     (_, troot_of, _), _, _, keep, rpos = target
     _, _, src, tgt = x._view[0]._view
@@ -727,7 +677,8 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
         )
 
     x = c.x
-    u, v, w, whole = (_piece(x, sub, base) for sub in (c.u, c.v, c.w, None))
+    u, v, w = (_piece(x, sub, base) for sub in (c.u, c.v, c.w))
+    whole = _fundamental(x, base)
     pu, pv, pw = u[1], v[1], w[1]
     f, g = (
         _morphism_on(pw, p[1], {s: s for s in pw.quiver.vertices}, _carriers(x, w, p))

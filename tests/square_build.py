@@ -8,11 +8,13 @@ with ``PresentationMorphism.validate``; ``pushout`` renamed every relation
 word with ``_rename_word`` and read each one back in ``presentation``;
 ``verify_pushout_universal`` counted the apex morphisms of every target by
 their pair of restriction keys in a ``Counter``.  The bodies below are
-those, kept verbatim but for the names they import.
+those, kept verbatim but for the names they import.  ``ForestRetraction``,
+once a public class of ``vankampen`` with a name-keyed carrier path
+(``apply``, ``_into``, ``carrier_word``), now lives only here.
 """
 
 from collections import Counter
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from operator import not_
 
@@ -33,6 +35,7 @@ from gpdkit.presentations import (
     Word,
     _letter_table,
     _named,
+    _reduced,
     _restricted,
     _retracted,
     empty_word,
@@ -42,7 +45,6 @@ from gpdkit.presentations import (
     spanning_tree,
 )
 from gpdkit.vankampen import (
-    ForestRetraction,
     VktResult,
     _evidence,
     check_cover,
@@ -176,6 +178,55 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
 
 
 # ------------------------------------------------------------------ vankampen
+
+
+@dataclass(frozen=True)
+class ForestRetraction:
+    """Contraction of a spanning forest rooted at the base points: sends a
+    word over the complex's edges to a word over the surviving generators.
+
+    ``parent``, ``root_of`` and ``tree`` are the int arrays of
+    ``spanning_tree`` over the source quiver's view: the signed tree letter
+    into each vertex index, the index of its root, and the tree-edge flags.
+    """
+
+    source_quiver: Quiver
+    presentation_quiver: Quiver
+    roots: tuple
+    parent: list
+    root_of: list
+    tree: bytearray
+
+    def apply(self, w):
+        """The free reduction of ``w`` with its tree letters dropped, on the
+        roots of its ends."""
+        q = self.source_quiver
+        vpos, epos = q._view[:2]
+        root_of, tree, names = self.root_of, self.tree, q.vertices
+        kept = [letter for letter in w.letters if not tree[epos[letter[0]]]]
+        return Word(
+            names[root_of[vpos[w.src]]], names[root_of[vpos[w.tgt]]], _reduced(kept)
+        )
+
+    def _into(self, v):
+        """The tree path from the root of vertex ``v`` to ``v`` as a word,
+        read up the parent pointers."""
+        q, parent = self.source_quiver, self.parent
+        vpos, _, src, tgt = q._view
+        i = end = vpos[v]
+        row = []
+        while (j := parent[i]) is not None:
+            row.append(j)
+            i = src[j] if j >= 0 else tgt[~j]
+        return _named(q, self.root_of[end], end, row[::-1])
+
+    def carrier_word(self, e):
+        """The loop-free word over the complex's edges that a generator
+        stands for: tree path in, the edge, tree path back."""
+        q = self.source_quiver
+        s, t = q.esrc[e], q.etgt[e]
+        middle = Word(s, t, ((e, 1),))
+        return self._into(s).concat(middle).concat(self._into(t).inverse())
 
 
 def _fundamental(x, base):

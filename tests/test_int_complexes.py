@@ -12,7 +12,7 @@ groups, or raise the same error with the same message, line and witness.
 """
 
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,6 @@ from gpdkit.core import (
 )
 from gpdkit.documents import ParseError, _tree, parse_document, render_document
 from gpdkit.presentations import (
-    Word,
     _restricted,
     enumerate_pres_morphisms,
     identity_morphism,
@@ -46,12 +45,12 @@ from gpdkit.presentations import (
     words_equal,
 )
 from gpdkit.vankampen import (
-    ForestRetraction,
     Subcomplex,
     SubcomplexCover,
     _fundamental,
     complex2,
     cover,
+    fundamental_groupoid,
     restrict,
     vkt_square,
 )
@@ -88,19 +87,15 @@ def _bases(x):
 
 def _agrees(x, base):
     """``_fundamental`` and each vertex group on ``x`` against the oracles;
-    the forest read by name, and each carrier word, against the old one."""
+    the forest read by name against the old one."""
     got = _outcome(_fundamental, x, base)
     want = _outcome(name_keyed.fundamental, x, base)
     if got[0] == "raised":
         assert got == want
         return None
-    (pres, retraction), (old_pres, old_forest) = got[1], want[1]
+    (forest, pres, *_), (old_pres, old_forest) = got[1], want[1]
     assert pres == old_pres and pres.validate() is pres
-    q = retraction.source_quiver
-    forest = name_keyed.named_forest(q, (retraction.parent, retraction.root_of, retraction.tree))
-    assert forest == old_forest
-    for e in pres.quiver.edges:
-        assert retraction.carrier_word(e) == name_keyed.carrier_word(q, old_forest, e)
+    assert name_keyed.named_forest(x.edge_quiver(), forest) == old_forest
     for v in pres.quiver.vertices:
         assert vertex_group_presentation(pres, v) == name_keyed.vertex_group_presentation(pres, v)
     return pres
@@ -182,6 +177,25 @@ def test_seeded_grids_parse_and_present_as_the_name_keyed_code(n, components):
     q = x.edge_quiver()
     for roots in ([], base[:1], base):
         assert name_keyed.named_forest(q, spanning_tree(q, roots)) == name_keyed.spanning_tree(q, roots)
+
+
+def _wholes():
+    """Each ``tests/data`` complex and each seeded grid, as ``(id, text)``."""
+    cases = [(p.name, p.read_text(encoding="utf-8")) for p in _data("complex")]
+    cases += [(f"n{n}-c{c}", torus_bands(random.Random(n * 10 + c), n, c)) for n, c in GRIDS]
+    return cases
+
+
+@pytest.mark.parametrize("text", [t for _, t in _wholes()], ids=[i for i, _ in _wholes()])
+def test_the_whole_complex_is_presented_on_its_spanning_tree(text):
+    """``_fundamental``'s forest is ``spanning_tree``'s on the edge quiver,
+    and its presentation, view and all, is ``fundamental_groupoid``'s."""
+    x = _parse_complex(text)
+    for base in _bases(x):
+        forest, pres, *_ = _fundamental(x, base)
+        assert forest == spanning_tree(x.edge_quiver(), base)
+        direct = fundamental_groupoid(x, base)
+        assert (pres, pres._view) == (direct, direct._view)
 
 
 # --------------------------------------------------------------- hypothesis
@@ -317,7 +331,7 @@ def test_the_pi1_path_shares_one_letter_table():
     """Every letter of the presentation and of its vertex group is an
     entry of one table: equal letters are the same tuple."""
     x = _parse_complex(torus_bands(random.Random(3), 12, 1))
-    pres = _fundamental(x, x.vertices[:1])[0]
+    pres = _fundamental(x, x.vertices[:1])[1]
     gp = vertex_group_presentation(pres, x.vertices[0])
     letters = [a for lhs, _ in pres.relations for a in lhs.letters]
     letters += [a for rel in gp.relators for a in rel]
@@ -419,17 +433,6 @@ def test_spanning_tree_is_an_int_forest():
     parent, root_of, tree = spanning_tree(q, ["a"])
     assert parent == [None, 0, ~1] and root_of == [0, 0, 0] and list(tree) == [1, 1, 0]
     assert presentations.spanning_tree(q, []) == ([None] * 3, [-1] * 3, bytearray(3))
-
-
-def test_a_forest_retraction_keeps_the_int_forest():
-    x = _parse_complex((DATA / "disc.cx").read_text(encoding="utf-8"))
-    pres, retraction = _fundamental(x, ("0",))
-    assert [f.name for f in fields(ForestRetraction)] == [
-        "source_quiver", "presentation_quiver", "roots", "parent", "root_of", "tree",
-    ]
-    assert (retraction.parent, retraction.root_of, list(retraction.tree)) == ([None, 0], [0, 0], [1, 0])
-    assert retraction.carrier_word("q") == Word("0", "0", (("q", 1), ("p", -1)))
-    assert retraction.apply(x.fboundary["f"]) == Word("0", "0", (("q", -1),))
 
 
 def test_restrict_refuses_a_face_that_leaves_the_subcomplex_when_called():

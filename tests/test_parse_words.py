@@ -145,26 +145,25 @@ def _read_word(tokens, q, line, at=None):
     return Word(q.vertices[src], q.vertices[tgt], letters)
 
 
-def apply_oracle(retraction, w):
-    """``ForestRetraction.apply`` as it was, on the forest read by name."""
-    _, root_of, tree_edges = named_forest(
-        retraction.source_quiver,
-        (retraction.parent, retraction.root_of, retraction.tree),
-    )
+def apply_oracle(q, forest, w):
+    """``ForestRetraction.apply`` as it was, on the forest of ``q`` read by
+    name."""
+    _, root_of, tree_edges = named_forest(q, forest)
     letters = tuple((e, s) for e, s in w.letters if e not in tree_edges)
     return free_reduce_oracle(
         Word(src=root_of[w.src], tgt=root_of[w.tgt], letters=letters)
     )
 
 
-def fundamental_oracle(x, retraction):
-    """The presentation ``_fundamental`` built: relations retracted by the
-    old ``apply`` and walked again by ``presentation``."""
+def fundamental_oracle(x, forest, pq):
+    """The presentation ``_fundamental`` built on ``forest`` over the
+    quiver ``pq``: relations retracted by the old ``apply`` and walked
+    again by ``presentation``."""
     relations = []
     for f in x.faces:
-        w = apply_oracle(retraction, x.fboundary[f])
+        w = apply_oracle(x.edge_quiver(), forest, x.fboundary[f])
         relations.append((w, empty_word(w.src)))
-    return presentation(retraction.presentation_quiver, relations)
+    return presentation(pq, relations)
 
 
 def vertex_group_oracle(p, x):
@@ -450,8 +449,8 @@ def _bases(x, draw_extra):
 def _check_pipeline(x, base):
     """``_fundamental`` on ``x`` against the oracles, and the vertex group
     at every base point against its oracle."""
-    pres, retraction = _fundamental(x, base)
-    want = fundamental_oracle(x, retraction)
+    forest, pres, *_ = _fundamental(x, base)
+    want = fundamental_oracle(x, forest, pres.quiver)
     assert pres == want
     assert pres.validate() is pres
     for v in pres.quiver.vertices:

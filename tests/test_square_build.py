@@ -230,10 +230,21 @@ def test_the_refusals_match_the_named_build():
 
 
 def test_the_whole_complex_presents_as_the_named_build():
+    """The forest and the presentation, with its views, that
+    ``_fundamental`` gives and that the old one kept in its retraction."""
+
+    def whole(x, base):
+        forest, p, *_ = _fundamental(x, base)
+        return forest, _views(p)
+
+    def named(x, base):
+        p, r = old._fundamental(x, base)
+        return (r.parent, r.root_of, r.tree), _views(p)
+
     for name in ("disc.cx", "circle.cx", "grid-commented.cx", "torus-bands.cx"):
         x = load_document(DATA / name).payload
         for base in (x.vertices, x.vertices[:1], ("zz",)):
-            assert _outcome(_fundamental, x, base) == _outcome(old._fundamental, x, base)
+            assert _outcome(whole, x, base) == _outcome(named, x, base)
 
 
 # ----------------------------------------------------------------- pushouts

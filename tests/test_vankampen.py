@@ -90,6 +90,32 @@ def test_cover_must_reach_every_cell():
         cover(x, ["a"], ["a"])
 
 
+def _outcome(f, *args):
+    """A call's value, or its error's type, message, witness and report."""
+    try:
+        return ("returned", f(*args))
+    except (ValidationError, HypothesisError) as exc:
+        detail = getattr(exc, "witness", None), getattr(exc, "report", None)
+        return ("raised", type(exc), str(exc), *detail)
+
+
+def test_an_iterator_of_cells_or_base_points_is_read_as_its_tuple():
+    """Each run of names is read once: an iterator gives what its tuple
+    gives, a stray name or a missed component refused alike."""
+    x, two = disc(), complex2(("p", "q"), [("x", "p", "p"), ("y", "q", "q")])
+    for cells in [("f",), ("a", "zz"), ("zz", ["u"], "a"), ()]:
+        assert _outcome(close_cells, x, iter(cells)) == _outcome(close_cells, x, cells)
+    for u, v in [(("a",), ("b", "f")), (("a", "zz"), ("b",)), (("a",), ("a",))]:
+        assert _outcome(cover, x, iter(u), iter(v)) == _outcome(cover, x, u, v)
+    for base in [("p", "q"), ("q", "p", "q"), ("p",), (), ("zz", "p")]:
+        want = _outcome(fundamental_groupoid, two, base)
+        assert _outcome(fundamental_groupoid, two, iter(base)) == want
+    assert _outcome(close_cells, x, iter(("a", "zz")))[1:] == (
+        ValidationError, "cells not in the complex", ("zz",), None,
+    )
+    assert _outcome(fundamental_groupoid, two, iter(("p", "q")))[0] == "returned"
+
+
 def test_circle_on_two_points_is_free_on_two_arrows():
     p = fundamental_groupoid(circle(), (0, 1))
     assert p.quiver.vertices == (0, 1)

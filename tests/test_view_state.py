@@ -21,7 +21,8 @@ The writers that build a value from checked parts, each on purpose:
 
 - ``_presented`` retracts the face rows of a checked complex through a
   forest of its own edges, so each relator row is read off checked rows
-  (it took over from ``_fundamental``, which now calls it).
+  (``_fundamental`` calls it on the whole complex's ``spanning_tree``
+  forest, ``_piece`` on a piece's).
 - ``pushout`` renumbers the kept relator rows of its checked legs'
   targets and the legs' kept image rows, so the apex's rows are those
   ``GroupoidPresentation.validate`` would read off its relations, and
