@@ -40,10 +40,10 @@ Conventions that hold across the whole package:
 - Exhaustive searches count their candidate space first and refuse loudly
   (SizeGuardExceeded) past ``DEFAULT_SIZE_GUARD`` candidates.  Functors
   and group homomorphisms (``enumerate_morphisms``, ``group_homs``) are
-  found by the integer search in ``presentations``, which assigns images
-  to the source's kept generators and extends them along a tree on its
-  ``IndexView`` rows, one row lookup per arrow and per relation, so the
-  guard counts the |h|^|generators| assignments the search examines.
+  found by the one staged search in ``presentations``, run on integers:
+  it assigns images to the source's kept generators and extends them
+  along a tree on its ``IndexView`` rows, one row lookup per arrow and per
+  relation, so the guard counts the |h|^|generators| assignments examined.
 """
 
 from __future__ import annotations

@@ -47,24 +47,22 @@ presentation level: disjoint union, identify image vertices, add one
 relation ``f(e) = g(e)`` per generator of the common source; the apex's
 relator rows are the legs' rows renumbered, and no word is read back.
 
-Morphisms into a finite groupoid are enumerated in lazy runs ``(vertex
-images, iterator of edge images)``, one per vertex assignment, each kept
-relator row checked against the identity as soon as its last edge is
-assigned; a presentation morphism compiles its kept image rows into a map
-restricting such runs along it.  ``_morphism_blocks`` lists the runs, and
-``enumerate_pres_morphisms`` reads them out as keys ``(vertex images, edge
-images)``.
-
-Functors (``enumerate_morphisms``) and group homomorphisms
-(``group_homs``) have their own search on integers, on the IndexViews of
-the source and target: the k generating arrows the source's view keeps,
-chosen greedily when its table was read, get candidate images, and a
-breadth-first tree from the identities and its off-tree pairs, each
-staged at the last generator its words use, extend and check each
-assignment by one row lookup per arrow or pair.  A search into a
-group H examines |H|^k candidates.  Both searches refuse past the guard
-with ``SizeGuardExceeded`` and "presentation morphism search needs more
-than {guard} candidates".
+Every Hom count is one staged search.  ``_vertex_plans`` gives each
+vertex map its generators' candidates, the arrows between the images of
+their ends, and is the one place the guard counts them: past it the search
+refuses with ``SizeGuardExceeded`` and "presentation morphism search
+needs more than {guard} candidates".  ``_search`` stages solved steps and
+checks at the generators they wait for and walks them in lazy runs
+``(vertex images, iterator of assignments)``, depth first, the first
+failing check pruning; generators with nothing to solve or check are one
+``product``, in C.  A presentation's edges are its generators, on names,
+each kept relator row checked at its last edge; ``enumerate_pres_morphisms``
+reads the runs out as keys ``(vertex images, edge images)``, and a
+presentation morphism compiles its image rows once into a map restricting
+them.  Functors and group homomorphisms run on the IndexViews' integers:
+the generators the source's view keeps, a breadth-first tree's arrows as
+solved steps and its off-tree pairs as checks, so a search into a group H
+examines |H|^k candidates for k generators.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from collections import Counter, _tuplegetter, deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, groupby, product, repeat
 from math import prod
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .core import (
     DEFAULT_SIZE_GUARD,
@@ -189,6 +187,7 @@ def empty_word(v):
 
 
 _ANY = object()  # the end of an edge that ``esrc`` or ``etgt`` lacks
+_INVERSE = object()  # the key of the inverse's row in a table read by name
 
 
 def _read(q, letters, at=None):
@@ -446,38 +445,36 @@ def _morphism_runs(p, t, guard=DEFAULT_SIZE_GUARD):
     images, iterator of edge images)``, one per vertex assignment (maybe
     yielding none), in canonical order; each call gives them afresh.
 
-    Up front, ``p`` is validated, ``t`` read and the guard counts the
-    whole product space of edge candidates.  The edges, in order, are cut
-    into segments that end where some relation's last edge is assigned;
-    each segment extends the prefixes by one ``product`` over its edges'
-    candidate arrows (the first segment's tuples are yielded as they come),
-    and the relations ending there are checked at once: each relation's
-    kept relator row must evaluate to the identity at the image of its
-    base vertex.
-
-    This is the reader for presentations (the pushout and ``vkt`` paths).
-    It shares only the vertex maps and the guard count, ``_vertex_plans``,
-    with the functor search ``_functor_rows``.  Integer keys here were
-    slower on the pushout benchmark (10-30%): the keys come back as names.
+    The edges are the generators; a kept relator row solves its prefixes
+    from the identity at its base vertex's image, an inverse letter from the
+    inverse's row, and checks at its last edge that it comes back to that
+    identity.  The search runs on names, reading ``t``'s table by name only
+    for a check: integer keys were slower on the pushout benchmark (10-30%).
     """
     q = p.validate().quiver
     index_view(t)  # a lawless target is refused, not searched
     _, _, src, tgt = q._view
-    ends = list(zip(src, tgt))
-    plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, len(q.vertices), ends, guard)
-    checks = {}
-    for relator in p._view:
-        last = max((j if j >= 0 else ~j for j in relator[1]), default=0)
-        checks.setdefault(min(last + 1, len(q.edges)), []).append(relator)
-    cuts = sorted({*checks, len(q.edges)})
-    segments = [(lo, hi, checks.get(hi, ())) for lo, hi in zip([0] + cuts, cuts)]
-    runs = []
-    for vimg, cands in plans:
-        eimgs = None
-        for lo, hi, rels in segments:
-            eimgs = _grow(eimgs, cands[lo:hi], rels, vimg, t)
-        runs.append((vimg, eimgs))
-    return runs
+    n, m = len(q.edges), len(q.vertices)
+    # the slots: the edges, each vertex's identity, the inverse's row key,
+    # then each inverted letter and each prefix of a nonempty relator row
+    image, steps, checks = [None] * (n + m) + [_INVERSE], [], []
+    for base, row in filter(_second, p._view):
+        y, at = n + base, 0
+        for j in row:
+            at = max(at, j if j >= 0 else ~j)
+            if j < 0:  # solved at its edge's stage
+                steps.append((~j, n + m, ~j, len(image)))
+                j = len(image)
+                image.append(None)
+            steps.append((at, y, j, len(image)))
+            y = len(image)
+            image.append(None)
+        checks.append((at, y, n + base, n + base))  # y then the identity is the identity
+    rows = {_INVERSE: t.inv}
+    for (a, b), c in t.comp.items() if checks else ():
+        rows.setdefault(a, {})[b] = c
+    plans = _vertex_plans(t.objects, t.arrows, t.src, t.tgt, m, list(zip(src, tgt)), guard)
+    return _search(plans, n, steps, checks, range(n, n + m), image, slice(0, n), rows, t.id_of)
 
 
 def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
@@ -505,28 +502,53 @@ def _vertex_plans(objects, arrows, src, tgt, count, ends, guard):
     return plans
 
 
-def _grow(prefixes, cands, rels, vimg, t):
-    """Extend each edge-image prefix by every choice from ``cands``, lazily
-    and in order, keeping the extensions on which the relator rows ``rels``
-    evaluate to the identity.  ``prefixes`` None is the first segment:
-    ``product``'s tuples are the extensions of the empty prefix as they
-    come."""
-    if prefixes is None:
-        grown = product(*cands)
-    else:
-        grown = chain.from_iterable(
-            map(add, repeat(pre), product(*cands)) for pre in prefixes
-        )
-    if not rels:
-        return grown
+def _search(plans, depth, steps, checks, ids, image, out, rows, units):
+    """The runs ``(vertex images, iterator of assignments)`` of the search
+    over ``depth`` generators, one per plan of ``_vertex_plans``.  Each of
+    ``steps`` and ``checks`` is ``(stage, y, j, z)``, done once generator
+    ``stage`` is assigned: a step sets slot z to slot y composed with slot
+    j, a check prunes unless that composite is slot z's value.  A stage
+    assigns its generators from one ``product``, so generators with nothing
+    of their own join the next stage, and with nothing at all (a
+    presentation without relators) the runs are ``product``'s tuples.  Each
+    run walks its own copy of ``image``, depth first, seeding the identity
+    ``units[x]`` at each vertex image x in the slots ``ids`` and yielding
+    the slots ``out`` of each assignment passing every check."""
+    staged = {}
+    for i, ops in enumerate((steps, checks)):
+        for k, *op in ops:
+            staged.setdefault(k, ([], []))[i].append(op)
+    if depth and not staged:
+        return [(vimg, product(*cands)) for vimg, cands in plans]
+    staged.setdefault(depth - 1, ([], []))  # the last stage takes every generator left
+    stages, lo = [], 0
+    for k in sorted(staged):
+        stages.append((slice(lo, k + 1), *staged[k]))
+        lo = k + 1
 
-    def holds(eimg):
-        for relator in rels:
-            if _evaluate(relator, vimg, eimg, t) != t.id_of[vimg[relator[0]]]:
-                return False
-        return True
+    def walk(vimg, cands):
+        img = image.copy()
+        for s, x in zip(ids, vimg):
+            img[s] = units[x]
+        level = [product(*cands[stages[0][0]])]  # the product read at each stage entered
+        while level:
+            cut, solve, check = stages[len(level) - 1]
+            for img[cut] in level[-1]:
+                for y, j, z in solve:
+                    img[z] = rows[img[y]][img[j]]
+                for y, j, z in check:
+                    if rows[img[y]][img[j]] != img[z]:
+                        break
+                else:
+                    if len(level) == len(stages):
+                        yield tuple(img[out])
+                        continue
+                    level.append(product(*cands[stages[len(level)][0]]))
+                    break
+            else:
+                level.pop()
 
-    return filter(holds, grown)
+    return [(vimg, walk(vimg, cands)) for vimg, cands in plans]
 
 
 def _arrow_tree(v):
@@ -567,52 +589,23 @@ def _functor_rows(gv, tree, hv, guard):
     with ``gv.units`` and ``gv.items``, object maps in ``product`` order and
     arrow images in lexicographic order; ``tree`` is ``_arrow_tree(gv)``.
 
-    ``_vertex_plans`` gives each generator its candidates (the arrows
-    between the images of its ends) and counts the guard, as for
-    ``_morphism_blocks``.  Then generator k takes each candidate in turn,
-    the tree arrows of stage k get their images by one row lookup each and
-    the pairs of stage k are checked by one lookup each, the first failure
-    pruning.  By induction on word length each assignment passing every
-    stage is one functor.  This walk shares no code with
-    ``_morphism_blocks`` (see there).
+    ``_search`` assigns the tree's generators (slots before the arrows'),
+    solves its steps and checks its off-tree pairs: by induction on word
+    length each assignment passing every check is one functor.
     """
     gens, steps, pairs = tree
-    staged = [([], []) for _ in gens]
-    for k, *step in steps:
-        staged[k][0].append(step)
-    for k, *pair in pairs:
-        staged[k][1].append(pair)
+    d = len(gens)
     ends = [(gv.src[s], gv.tgt[s]) for s in gens]
-    plans = [
-        (vimg, tuple(zip(cands, staged)))
-        for vimg, cands in _vertex_plans(
-            range(len(hv.units)), range(len(hv.items)), hv.src, hv.tgt,
-            len(gv.units), ends, guard,
-        )
-    ]
-    rows, depth, found = hv.rows, len(gens), []
-    img, e = [0] * len(gv.items), [0] * depth
-
-    def grow(levels, k, vimg):
-        if k == depth:
-            found.append((vimg, tuple(img)))
-            return
-        cands, (tree_steps, checks) = levels[k]
-        for c in cands:
-            e[k] = c
-            for z, y, j in tree_steps:
-                img[z] = rows[img[y]][e[j]]
-            for y, j, z in checks:
-                if rows[img[y]][e[j]] != img[z]:
-                    break
-            else:
-                grow(levels, k + 1, vimg)
-
-    for vimg, levels in plans:
-        for u, x in zip(gv.units, vimg):
-            img[u] = hv.units[x]
-        grow(levels, 0, vimg)
-    return found
+    plans = _vertex_plans(
+        range(len(hv.units)), range(len(hv.items)), hv.src, hv.tgt, len(gv.units), ends, guard
+    )
+    runs = _search(
+        plans, d,
+        [(k, d + y, j, d + z) for k, z, y, j in steps],
+        [(k, d + y, j, d + z) for k, y, j, z in pairs],
+        [d + u for u in gv.units], [None] * (d + len(gv.items)), slice(d, None), hv.rows, hv.units,
+    )
+    return [(vimg, img) for vimg, run in runs for img in run]
 
 
 def enumerate_morphisms(g, h, guard=DEFAULT_SIZE_GUARD):
@@ -668,43 +661,43 @@ def _gather(positions):
     return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
-def _restriction(f, t):
-    """Compile ``f`` against groupoid ``t``: the map sending a block (or a
-    run) of morphisms out of ``f.target`` to the run ``(vertex images,
-    iterable of edge images)`` of their composites with ``f``, in the same
-    order.  Edge images are gathered by position when ``f`` sends every
-    edge to a single positive edge, else each image word is evaluated per
-    morphism.  When the gather is the identity (the i-th edge to the i-th
-    edge, every target edge covered), the block's own edge images are
-    returned."""
+def _restriction(f):
+    """Compile ``f`` once: the map sending a groupoid ``t`` (a lawless one
+    is refused) to the map sending a block (or a run) of morphisms out of
+    ``f.target`` into ``t`` to the run ``(vertex images, iterable of edge
+    images)`` of their composites with ``f``, in the same order.  Edge
+    images are gathered by position when ``f`` sends every edge to a single
+    positive edge, else each image word is evaluated in ``t`` per morphism.
+    When the gather is the identity (the i-th edge to the i-th edge, every
+    target edge covered), the block's own edge images are returned."""
     tq, images = f.validate()._view
-    index_view(t)  # a lawless target is refused, not searched
     vpos = tq._view[0]
     vgather = _gather([vpos[f.vmap[v]] for v in f.source.quiver.vertices])
-    if all(len(row) == 1 and row[0] >= 0 for _, row in images):
-        positions = [row[0] for _, row in images]
-        if positions == list(range(len(tq.edges))):
+    positions = [row[0] for _, row in images if len(row) == 1 and row[0] >= 0]
+    egather, same = _gather(positions), positions == list(range(len(tq.edges)))
+
+    def along(t):
+        index_view(t)  # a lawless target is refused, not searched
+        if len(positions) < len(images):  # some image is a word
+            return lambda block: (vgather(block[0]), (
+                tuple(_evaluate(image, block[0], eimg, t) for image in images)
+                for eimg in block[1]
+            ))
+        if same:
             return lambda block: (vgather(block[0]), block[1])
-        egather = _gather(positions)
         return lambda block: (vgather(block[0]), map(egather, block[1]))
 
-    def restrict(block):
-        vimg, eimgs = block
-        return vgather(vimg), (
-            tuple(_evaluate(image, vimg, eimg, t) for image in images) for eimg in eimgs
-        )
-
-    return restrict
+    return along
 
 
 _second = itemgetter(1)
 
 
-def _restricted(f, t, keys):
-    """The keys ``keys`` of morphisms out of ``f.target`` restricted along
-    ``f``, in order; each run of keys with the same vertex images passes
-    through ``_restriction``'s map as one block."""
-    restrict = _restriction(f, t)
+def _restricted(along, t, keys):
+    """The keys ``keys`` of morphisms into ``t`` restricted, in order, by
+    the compiled ``_restriction`` ``along``; each run of keys with the
+    same vertex images passes through its map for ``t`` as one block."""
+    restrict = along(t)
     out = []
     for vimg, run in groupby(keys, itemgetter(0)):
         v, eimgs = restrict((vimg, list(map(_second, run))))
@@ -875,6 +868,7 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         getattr(square, part.name).validate()
     if targets is None:
         targets = battery()
+    f, g, inj_u, inj_v = map(_restriction, (square.f, square.g, square.inj_u, square.inj_v))
     results = []
     all_ok = True
     for tname, t in targets.items():
@@ -882,15 +876,15 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_v = enumerate_pres_morphisms(square.v, t, guard)
         mors_p = enumerate_pres_morphisms(square.apex, t, guard)
         over_w = {}
-        for kv, kw in zip(mors_v, _restricted(square.g, t, mors_v)):
+        for kv, kw in zip(mors_v, _restricted(g, t, mors_v)):
             over_w.setdefault(kw, []).append(kv)
         # the compatible pairs, in order, as their U and V halves
         first, second = [], []
-        for ku, kw in zip(mors_u, _restricted(square.f, t, mors_u)):
+        for ku, kw in zip(mors_u, _restricted(f, t, mors_u)):
             kvs = over_w.get(kw, ())
             first += repeat(ku, len(kvs))
             second += kvs
-        on_u, on_v = (_restricted(inj, t, mors_p) for inj in (square.inj_u, square.inj_v))
+        on_u, on_v = (_restricted(inj, t, mors_p) for inj in (inj_u, inj_v))
         pairs, ok, witness = len(first), True, None
         if first != on_u or second != on_v:
             mediators = Counter(zip(on_u, on_v))
@@ -1083,8 +1077,8 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
     """Three-valued word equality in a presented groupoid.
 
     "yes" comes with a derivation (free reduction, or bounded rewriting);
-    "no" comes with a separating morphism into a finite battery target;
-    anything the bounds cannot settle is "unknown".
+    "no" comes with the first separating morphism into a finite battery
+    target, read lazily; anything the bounds cannot settle is "unknown".
     """
     from .core import battery
 
@@ -1104,7 +1098,7 @@ def words_equal(p, u, v, targets=None, max_steps=2000, max_length=24):
         targets = battery()
     pu, pv = (_read(q, w.letters, w.src)[::2] for w in (ru, rv))
     for tname, t in targets.items():
-        for vimg, eimg in enumerate_pres_morphisms(p, t):
+        for vimg, eimg in chain.from_iterable(zip(repeat(v), run) for v, run in _morphism_runs(p, t)):
             if _evaluate(pu, vimg, eimg, t) != _evaluate(pv, vimg, eimg, t):
                 return WordVerdict(
                     "no", f"separated in {tname}", witness=(tname, (vimg, eimg))

@@ -419,11 +419,14 @@ def check_cover(c, base):
     """Check the theorem's hypothesis: the base-point set meets every
     component of U, V, and W, found on the complex's int rows."""
     c.validate()
+    vpos, epos, src, tgt = c.x._view[0]._view
     base = tuple(base)
-    bad = [b for b in base if b not in c.x.vertices]
+    try:
+        bad = [b for b in base if b not in vpos]
+    except TypeError:  # an unhashable point is no vertex
+        bad = [b for b in base if b not in c.x.vertices]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
-    vpos, epos, src, tgt = c.x._view[0]._view
     at = {vpos[b] for b in base}
     missed = []
     pieces = []
@@ -447,7 +450,7 @@ def _fundamental(x, base):
     q, _, frows = x.validate()._view
     vpos, _, src, tgt = q._view
     base = tuple(dict.fromkeys(base))
-    bad = [b for b in base if b not in x.vertices]
+    bad = [b for b in base if b not in vpos]
     if bad:
         raise ValidationError("base points outside the complex", witness=tuple(bad))
     forest = spanning_tree(q, base)
@@ -577,9 +580,11 @@ def _evidence(apex, direct, bridge, targets, guard):
     apex run, so when every run matches as a set, the composites cover
     every apex morphism and nothing else; both searches list each morphism
     once, so equal totals then make the covering a bijection."""
-    evidence = []
+    evidence, along, sides = [], None, (apex, direct)
     for tname, t in targets.items():
-        (runs, pulled), fresh = _runs(apex, direct, bridge, t, guard), None
+        runs = [_morphism_runs(p, t, guard) for p in sides]
+        along = along or _restriction(bridge)  # once, after two searches: their errors first
+        (runs, pulled), fresh = _runs(along(t), *runs), None
         ok, apex_morphisms, direct_morphisms = True, 0, 0
         for i, (vimg, eimgs) in enumerate(runs):
             # Up to the first pair that differs; the runs match when that is
@@ -587,7 +592,7 @@ def _evidence(apex, direct, bridge, targets, guard):
             xs, ys = chain(eimgs, [0]), chain(pulled.get(vimg, ()), [1])
             a = d = indexOf(map(eq, xs, ys), False)
             if next(xs, None) is not None or next(ys, None) is not None:
-                fresh = fresh or _runs(apex, direct, bridge, t, guard)
+                fresh = fresh or _runs(along(t), *(_morphism_runs(p, t, guard) for p in sides))
                 eimgs, composites = list(fresh[0][i][1]), list(fresh[1].get(vimg, ()))
                 ok = ok and set(eimgs) == set(composites)
                 a, d = len(eimgs), len(composites)
@@ -598,13 +603,11 @@ def _evidence(apex, direct, bridge, targets, guard):
     return tuple(evidence)
 
 
-def _runs(apex, direct, bridge, t, guard):
-    """The runs of morphisms out of ``apex`` into ``t``, and the composites
-    with ``bridge`` of those out of ``direct`` chained per vertex images:
-    the apex's errors come first, then the direct side's, then the
-    bridge's ``validate``."""
-    runs, direct_runs, pulled = _morphism_runs(apex, t, guard), _morphism_runs(direct, t, guard), {}
-    for vimg, composites in map(_restriction(bridge, t), direct_runs):
+def _runs(restrict, runs, direct_runs):
+    """The apex's ``runs``, and the composites under ``restrict`` of the
+    ``direct_runs``, chained per vertex images: what ``_evidence`` walks."""
+    pulled = {}
+    for vimg, composites in map(restrict, direct_runs):
         pulled.setdefault(vimg, []).append(composites)
     return runs, {vimg: chain.from_iterable(its) for vimg, its in pulled.items()}
 

@@ -204,15 +204,6 @@ def complex_of(node):
 # ------------------------------------------------------------ the pi1 path
 
 
-def carrier_word(q, forest, e):
-    """``ForestRetraction.carrier_word`` as it read the path tuples."""
-    paths, root_of, _ = forest
-    s, t = q.esrc[e], q.etgt[e]
-    into = Word(root_of[s], s, paths[s])
-    back = Word(root_of[t], t, paths[t])
-    return into.concat(Word(s, t, ((e, 1),))).concat(back.inverse())
-
-
 def fundamental(x, base):
     """``vankampen._fundamental`` as it ran on names: the presentation,
     unvalidated, and the named forest ``(paths, root_of, tree_edges)``."""

@@ -37,6 +37,7 @@ from gpdkit.presentations import (
     _named,
     _reduced,
     _restricted,
+    _restriction,
     _retracted,
     empty_word,
     enumerate_pres_morphisms,
@@ -146,15 +147,18 @@ def verify_pushout_universal(square, targets=None, guard=DEFAULT_SIZE_GUARD):
         mors_v = enumerate_pres_morphisms(square.v, t, guard)
         mors_p = enumerate_pres_morphisms(square.apex, t, guard)
         over_w = {}
-        for kv, kw in zip(mors_v, _restricted(square.g, t, mors_v)):
+        for kv, kw in zip(mors_v, _restricted(_restriction(square.g), t, mors_v)):
             over_w.setdefault(kw, []).append(kv)
         mediators = Counter(
-            zip(_restricted(square.inj_u, t, mors_p), _restricted(square.inj_v, t, mors_p))
+            zip(
+                _restricted(_restriction(square.inj_u), t, mors_p),
+                _restricted(_restriction(square.inj_v), t, mors_p),
+            )
         )
         pairs = 0
         ok = True
         witness = None
-        for ku, kw in zip(mors_u, _restricted(square.f, t, mors_u)):
+        for ku, kw in zip(mors_u, _restricted(_restriction(square.f), t, mors_u)):
             for kv in over_w.get(kw, ()):
                 pairs += 1
                 n = mediators[ku, kv]

@@ -33,6 +33,7 @@ from gpdkit.core import (
 from gpdkit.documents import ParseError, _tree, parse_document, render_document
 from gpdkit.presentations import (
     _restricted,
+    _restriction,
     enumerate_pres_morphisms,
     identity_morphism,
     presentation,
@@ -402,7 +403,7 @@ def _loop():
     "read",
     [
         lambda p, t: enumerate_pres_morphisms(p, t),
-        lambda p, t: _restricted(identity_morphism(p), t, []),
+        lambda p, t: _restricted(_restriction(identity_morphism(p)), t, []),
         lambda p, t: words_equal(p, word(p.quiver, [("a", 1)]), word(p.quiver, [], at="x"), {"bad": t}),
         lambda p, t: verify_pushout_universal(
             pushout(identity_morphism(p), identity_morphism(p)), {"bad": t}

@@ -9,7 +9,8 @@ its callers used: ``PresMap``, ``eval_word``, ``presmap_key``,
 ``enumerate_group_morphisms_oracle``.  The segment step ``_grow`` as it
 was, when every segment, the first too, added each of ``product``'s tuples
 to a prefix (the first segment's prefix being ``()``), is kept as
-``grow_oracle``.  The ``vankampen._evidence`` body that listed both sides'
+``grow_oracle``, run through the segment search ``two_searches`` keeps.
+The ``vankampen._evidence`` body that listed both sides'
 blocks and compared the lists is kept as ``evidence_lists_oracle``.
 
 The library's search yields blocks ``(vertex images, [edge images])``.
@@ -74,6 +75,7 @@ from gpdkit.vankampen import (
     vkt_square,
 )
 
+import two_searches
 from test_presentations import (
     c2_free_product_span,
     glued_loops_span,
@@ -200,13 +202,14 @@ def grow_oracle(prefixes, cands, rels, vimg, t):
 
 
 def _blocks_with_grow_oracle(p, t):
-    """``_morphism_blocks`` with every segment, the first from the prefix
-    ``()``, grown by ``grow_oracle``: the block lists as they were."""
+    """The blocks of ``two_searches._morphism_runs`` with every segment, the
+    first from the prefix ``()``, grown by ``grow_oracle``: the block lists
+    as they were."""
     def grow(prefixes, *rest):
         return grow_oracle([()] if prefixes is None else prefixes, *rest)
 
-    with mock.patch.object(presentations_module, "_grow", grow):
-        return _morphism_blocks(p, t)
+    with mock.patch.object(two_searches, "_grow", grow):
+        return [(v, eimgs) for v, run in two_searches._morphism_runs(p, t) if (eimgs := list(run))]
 
 
 def evidence_lists_oracle(apex, direct, bridge, targets, guard):
@@ -226,7 +229,7 @@ def evidence_lists_oracle(apex, direct, bridge, targets, guard):
         apex_blocks = dict(_morphism_blocks(apex, t, guard))
         direct_blocks = _morphism_blocks(direct, t, guard)
         pulled = {}
-        for vimg, eimgs in map(_restriction(bridge, t), direct_blocks):
+        for vimg, eimgs in map(_restriction(bridge)(t), direct_blocks):
             pulled.setdefault(vimg, []).extend(eimgs)
         apex_morphisms = sum(map(len, apex_blocks.values()))
         direct_morphisms = sum(len(eimgs) for _, eimgs in direct_blocks)
@@ -413,7 +416,7 @@ def _same_restrictions(f, targets=_SMALL):
     block per run of equal vertex images, and compare the whole restricted
     list, in order, with ``_restriction_key``'s."""
     for t in targets.values():
-        restrict = _restriction(f, t)
+        restrict = _restriction(f)(t)
         mors = enumerate_pres_morphisms_oracle(f.target, t)
         keys = [presmap_key(pm, f.target) for pm in mors]
         got = []
@@ -716,7 +719,7 @@ def test_restriction_hands_back_the_block_only_on_an_identity_gather():
         (ident.square.inj_u, ident.square.apex, False),  # covers u:x only
         (inverted, ident.direct, False),  # evaluates a word
     ):
-        restrict = _restriction(f, t)
+        restrict = _restriction(f)(t)
         for vimg, eimgs in _morphism_blocks(source, t):
             kept = list(eimgs)
             out = restrict((vimg, eimgs))[1]
@@ -734,7 +737,7 @@ def test_a_reordering_bridge_passes_on_the_set_comparison():
     t = TARGETS["c3"]
     ((vimg, eimgs),) = _morphism_blocks(res.direct, t)
     ((_, apex_eimgs),) = _morphism_blocks(res.square.apex, t)
-    pulled = list(_restriction(res.bridge, t)((vimg, eimgs))[1])
+    pulled = list(_restriction(res.bridge)(t)((vimg, eimgs))[1])
     assert pulled != apex_eimgs and set(pulled) == set(apex_eimgs)
     assert all(e.ok for e in _same_evidence(res.square.apex, res.direct, res.bridge))
     assert res.evidence_ok

@@ -63,6 +63,7 @@ from gpdkit.presentations import (
     Quiver,
     Word,
     _restricted,
+    _restriction,
     empty_word,
     enumerate_morphisms,
     enumerate_pres_morphisms,
@@ -1046,7 +1047,7 @@ RAW_READS = {
         "verify_pushout_universal": lambda p: verify_pushout_universal(_square(u=p), C2),
     }),
     "morphism": (_foreign_image, {
-        "_restricted": lambda f: _restricted(f, C2["c2"], []),
+        "_restricted": lambda f: _restricted(_restriction(f), C2["c2"], []),
         "pushout": lambda f: pushout(f, identity_morphism(f.source)),
         "verify_pushout_universal": lambda f: verify_pushout_universal(
             _square(f=f, g=identity_morphism(f.source), u=f.target, v=f.source), C2

@@ -358,3 +358,20 @@ def test_the_forest_first_check_names_the_union_find_block(case):
         fundamental_groupoid(x, base)
     assert str(exc.value) == f"base points miss a component: {block!r}"
     assert exc.value.report == block
+
+
+@pytest.mark.parametrize(
+    "base, witness",
+    [((0, "zz"), ("zz",)), ((7, 1), (7,)), ((["x"], 0, "zz"), (["x"], "zz")), (({},), ({},))],
+)
+def test_base_points_outside_the_complex_are_named_hashable_or_not(base, witness):
+    """A base point that is no vertex is named in order, and one that
+    cannot be hashed is no vertex: ``check_cover`` refuses it with the same
+    error and witness, not with a TypeError."""
+    readers = [lambda b: check_cover(circle_cover(), b)]
+    if all(isinstance(b, (int, str)) for b in base):
+        readers.append(lambda b: fundamental_groupoid(circle(), b))
+    for read in readers:
+        with pytest.raises(ValidationError) as info:
+            read(base)
+        assert (str(info.value), info.value.witness) == ("base points outside the complex", witness)
