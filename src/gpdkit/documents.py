@@ -58,7 +58,7 @@ from .presentations import (
     _identity,
     _letter_table,
     _named,
-    _retracted,
+    _relator,
 )
 from .vankampen import _complex_on, _distinct, cover
 from .xmod import CrossedModule, crossed_module
@@ -461,8 +461,7 @@ def _presentation_of(node):
             if lhs[:2] != rhs[:2]:
                 raise ParseError("relation sides are not coterminal", line)
             relations.append(tuple(_named(q, *side, letters) for side in (lhs, rhs)))
-            relator = lhs[2] + tuple(~j for j in reversed(rhs[2]))
-            rows.append((lhs[0], _retracted(relator, identity)))
+            rows.append((lhs[0], _relator(lhs[2], rhs[2], identity)))
     # Each side was read over ``q`` as it was built, and the sides are
     # coterminal, so the presentation keeps its relator rows at once.
     p = GroupoidPresentation(quiver=q, relations=tuple(relations))

@@ -30,15 +30,17 @@ bad letter raises, in letter order.  ``word`` is what it reads;
 hands the indexes back.  ``_named`` turns a row read elsewhere back into
 a ``Word``, once, at the end.  So are
 presentations validated and kept, keeping each relation as its base
-vertex index and its relator ``lhs rhs^-1`` in signed edge indexes, which
+vertex index and its relator ``lhs rhs^-1`` in signed edge indexes (one
+rule, ``_relator``, for ``validate``, the parser and ``pushout``), which
 ``vertex_group_presentation`` retracts and names at the end; and their
 morphisms, keeping their target's checked quiver and each edge image's
 start vertex index and row once source, target and images pass.  Every
 reader validates first, so a lawless value is refused with ``validate``'s
 error and a checked one is not walked again; the parser and
 ``vankampen._presented``, which read each word into integers as they
-build it, keep the view at once, and so do ``pushout`` and
-``_morphism_on``, which build their rows from checked rows.
+build it, keep the view at once, and so do ``pushout`` for its apex and
+``_morphism_on`` for every morphism built from checked rows (``pushout``'s
+injections, ``identity_morphism``, ``vkt_square``'s legs and bridge).
 
 Morphisms of presentations send vertices to vertices and each generating
 edge to a *word* of the target; that generality is what inclusion-induced
@@ -311,6 +313,13 @@ def _retracted(row, keep):
     return tuple(stack)
 
 
+def _relator(lhs, rhs, identity):
+    """The relator ``lhs rhs^-1`` of the coterminal rows ``lhs`` and
+    ``rhs`` (signed edge indexes), freely reduced; ``identity`` is
+    ``_identity`` of the quiver's edge count."""
+    return _retracted(lhs + tuple(~j for j in reversed(rhs)), identity)
+
+
 def count_reduced_words(q, x, k):
     """Number of reduced words with source ``x`` and length at most ``k``."""
     if x not in q.vertices:
@@ -357,8 +366,7 @@ class GroupoidPresentation:
                 raise ValidationError(
                     "relation sides are not coterminal", witness=(lhs, rhs)
                 )
-            relator = a[2] + tuple(~j for j in reversed(b[2]))
-            rows.append((a[0], _retracted(relator, identity)))
+            rows.append((a[0], _relator(a[2], b[2], identity)))
         object.__setattr__(self, "_view", tuple(rows))
         return self
 
@@ -405,12 +413,8 @@ class PresentationMorphism:
 
 def identity_morphism(p):
     q = p.validate().quiver
-    return PresentationMorphism(
-        source=p,
-        target=p,
-        vmap={v: v for v in q.vertices},
-        emap={e: word(q, [(e, 1)]) for e in q.edges},
-    )
+    images = [(s, (j,)) for j, s in enumerate(q._view[2])]  # each edge to its own letter
+    return _morphism_on(p, p, {v: v for v in q.vertices}, images)
 
 
 def _evaluate(prog, vimg, eimg, t):
@@ -787,26 +791,17 @@ def pushout(f, g):
         rows += [(uat[b], row) for b, row in u._view]
         rows += [(vat[b], tuple(map(vshift.__getitem__, row))) for b, row in v._view]
         rows += [
-            (uat[b], _retracted(urow + tuple(~vshift[j] for j in reversed(vrow)), identity))
+            (uat[b], _relator(urow, tuple(map(vshift.__getitem__, vrow)), identity))
             for (b, urow), (_, vrow) in zip(uimages, vimages)
         ]
     apex = GroupoidPresentation(quiver=q, relations=tuple(relations))
     object.__setattr__(apex, "_view", tuple(rows))
 
-    # each injection sends an edge to its one letter in the apex
-    images = list(zip(srcs, zip(range(ne))))
-    words = list(map(
-        Word, map(vertices.__getitem__, srcs), map(vertices.__getitem__, tgts),
-        zip(zip(edges, repeat(1))),
-    ))
-    inj_u, inj_v = (
-        PresentationMorphism(source=p, target=apex, vmap=vmap, emap=dict(zip(pq.edges, words[cut])))
-        for p, pq, vmap, cut in ((u, uq, uvname, slice(nue)), (v, vq, vvname, slice(nue, ne)))
-    )
-    object.__setattr__(inj_u, "_view", (q, tuple(images[:nue])))
-    object.__setattr__(inj_v, "_view", (q, tuple(images[nue:])))
+    images = list(zip(srcs, zip(range(ne))))  # each edge to its one letter in the apex
     return PushoutSquare(
-        w=w, u=u, v=v, f=f, g=g, apex=apex, inj_u=inj_u, inj_v=inj_v
+        w=w, u=u, v=v, f=f, g=g, apex=apex,
+        inj_u=_morphism_on(u, apex, uvname, images[:nue]),
+        inj_v=_morphism_on(v, apex, vvname, images[nue:]),
     )
 
 

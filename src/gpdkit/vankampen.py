@@ -31,6 +31,8 @@ letter table.  ``_fundamental`` presents the whole complex (its forest is
 ``spanning_tree``'s) and ``_piece`` a piece of a cover, both through
 ``_presented``, as one tuple: the forest, the presentation, the
 generators and the two index maps the carriers are retracted through.
+Every base-point set is read by ``_base_points``, which refuses a point
+that is no vertex, hashable or not: "base points outside the complex".
 
 For a cover X = U ∪ V with W = U ∩ V and S meeting every component of U,
 V, and W, the square of inclusion-induced morphisms is pushed out at the
@@ -420,14 +422,7 @@ def check_cover(c, base):
     component of U, V, and W, found on the complex's int rows."""
     c.validate()
     vpos, epos, src, tgt = c.x._view[0]._view
-    base = tuple(base)
-    try:
-        bad = [b for b in base if b not in vpos]
-    except TypeError:  # an unhashable point is no vertex
-        bad = [b for b in base if b not in c.x.vertices]
-    if bad:
-        raise ValidationError("base points outside the complex", witness=tuple(bad))
-    at = {vpos[b] for b in base}
+    at = set(_base_points(c.x, base)[1])
     missed = []
     pieces = []
     for name, sub in (("U", c.u), ("V", c.v), ("W", c.w)):
@@ -441,6 +436,22 @@ def check_cover(c, base):
     return CoverReport(ok=not missed, missed=tuple(missed), pieces=tuple(pieces))
 
 
+def _base_points(x, base):
+    """The distinct points of the base-point set ``base`` of the checked
+    complex ``x``, in order, and their vertex indexes.  The points that are
+    no vertex, unhashable ones included, are refused together, each named
+    once, in the order they first come."""
+    vpos = x._view[0]._view[0]
+    base = tuple(base)
+    try:
+        at = dict(zip(base, map(vpos.__getitem__, base)))
+    except (KeyError, TypeError):  # a point that is no vertex, or unhashable
+        bad = [b for b in base if not (_hashable(b) and b in vpos)]
+        bad = [b for i, b in enumerate(bad) if b not in bad[:i]]  # each once, unhashable or not
+        raise ValidationError("base points outside the complex", witness=tuple(bad)) from None
+    return tuple(at), tuple(at.values())
+
+
 def _fundamental(x, base):
     """``_piece`` for the whole of ``x`` on ``base``: the forest, then what
     ``_presented`` gives, the presentation of the fundamental groupoid
@@ -449,21 +460,16 @@ def _fundamental(x, base):
     int rows)."""
     q, _, frows = x.validate()._view
     vpos, _, src, tgt = q._view
-    base = tuple(dict.fromkeys(base))
-    bad = [b for b in base if b not in vpos]
-    if bad:
-        raise ValidationError("base points outside the complex", witness=tuple(bad))
+    base, at = _base_points(x, base)
     forest = spanning_tree(q, base)
-    at = sorted(map(vpos.__getitem__, base))  # the roots' indexes, in vertex order
-    if -1 in forest[1]:  # name the first component missed
-        rooted = set(at)
+    if -1 in forest[1]:  # name the first component missed: its vertices have no root
         block = next(
             b for b in skeleton_components(range(len(vpos)), range(len(src)), src, tgt)
-            if rooted.isdisjoint(b)
+            if forest[1][b[0]] < 0
         )
         block = tuple(map(x.vertices.__getitem__, block))
         raise HypothesisError(f"base points miss a component: {block!r}", report=block)
-    return (forest, *_presented(x, forest, at, range(len(src)), range(len(frows))))
+    return (forest, *_presented(x, forest, sorted(at), range(len(src)), range(len(frows))))
 
 
 def _presented(x, forest, at, es, fs):
@@ -524,7 +530,7 @@ def fundamental_groupoid(x, base):
 
 def pi1(x, base, v):
     """Vertex group presentation of the fundamental groupoid at ``v``."""
-    base = tuple(dict.fromkeys(base))
+    base = tuple(base)
     if v not in x.vertices:
         raise ValidationError("no such vertex", witness=v)
     if v not in base:
@@ -580,11 +586,11 @@ def _evidence(apex, direct, bridge, targets, guard):
     apex run, so when every run matches as a set, the composites cover
     every apex morphism and nothing else; both searches list each morphism
     once, so equal totals then make the covering a bijection."""
-    evidence, along, sides = [], None, (apex, direct)
+    evidence, along = [], None
     for tname, t in targets.items():
-        runs = [_morphism_runs(p, t, guard) for p in sides]
+        runs, direct_runs = _morphism_runs(apex, t, guard), _morphism_runs(direct, t, guard)
         along = along or _restriction(bridge)  # once, after two searches: their errors first
-        (runs, pulled), fresh = _runs(along(t), *runs), None
+        pulled, fresh = _runs(along(t), direct_runs), None
         ok, apex_morphisms, direct_morphisms = True, 0, 0
         for i, (vimg, eimgs) in enumerate(runs):
             # Up to the first pair that differs; the runs match when that is
@@ -592,7 +598,10 @@ def _evidence(apex, direct, bridge, targets, guard):
             xs, ys = chain(eimgs, [0]), chain(pulled.get(vimg, ()), [1])
             a = d = indexOf(map(eq, xs, ys), False)
             if next(xs, None) is not None or next(ys, None) is not None:
-                fresh = fresh or _runs(along(t), *(_morphism_runs(p, t, guard) for p in sides))
+                fresh = fresh or (
+                    _morphism_runs(apex, t, guard),
+                    _runs(along(t), _morphism_runs(direct, t, guard)),
+                )
                 eimgs, composites = list(fresh[0][i][1]), list(fresh[1].get(vimg, ()))
                 ok = ok and set(eimgs) == set(composites)
                 a, d = len(eimgs), len(composites)
@@ -603,20 +612,20 @@ def _evidence(apex, direct, bridge, targets, guard):
     return tuple(evidence)
 
 
-def _runs(restrict, runs, direct_runs):
-    """The apex's ``runs``, and the composites under ``restrict`` of the
-    ``direct_runs``, chained per vertex images: what ``_evidence`` walks."""
+def _runs(restrict, direct_runs):
+    """The composites under ``restrict`` of the ``direct_runs``, chained
+    per vertex images: what ``_evidence`` walks beside the apex's runs."""
     pulled = {}
     for vimg, composites in map(restrict, direct_runs):
         pulled.setdefault(vimg, []).append(composites)
-    return runs, {vimg: chain.from_iterable(its) for vimg, its in pulled.items()}
+    return {vimg: chain.from_iterable(its) for vimg, its in pulled.items()}
 
 
-def _piece(x, sub, base):
+def _piece(x, sub, at):
     """``(forest, *_presented(...))`` for the cells ``sub`` of the checked
-    complex ``x``, in ``sub``'s order, on the base points they hold: what
-    ``_fundamental`` gives on ``restrict(x, sub)``, which refuses a cell
-    named twice as this does."""
+    complex ``x``, in ``sub``'s order, on the base points they hold, given
+    as the set ``at`` of vertex indexes: what ``_fundamental`` gives on
+    ``restrict(x, sub)``, which refuses a cell named twice as this does."""
     q = x._view[0]
     vpos, epos, src, tgt = q._view
     cells = (
@@ -628,7 +637,6 @@ def _piece(x, sub, base):
         if len(set(found)) != len(found):
             raise ValidationError(f"duplicate {kind}", witness=getattr(sub, kind))
     vs, es, fs = cells
-    at = set(map(vpos.__getitem__, base))
     roots = [v for v in vs if v in at]
     forest = _walk(_incidence(q, es), tgt + src[::-1], list(roots))
     return (forest, *_presented(x, forest, roots, es, fs))
@@ -671,7 +679,7 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
 
     if targets is None:
         targets = battery()
-    base = tuple(dict.fromkeys(base))
+    base, at = _base_points(c.validate().x, base)
     report = check_cover(c, base)
     if not report.ok:
         piece, block = report.missed[0]
@@ -680,19 +688,16 @@ def vkt_square(c, base, targets=None, guard=DEFAULT_SIZE_GUARD):
         )
 
     x = c.x
-    u, v, w = (_piece(x, sub, base) for sub in (c.u, c.v, c.w))
+    u, v, w = (_piece(x, sub, set(at)) for sub in (c.u, c.v, c.w))
     whole = _fundamental(x, base)
-    pu, pv, pw = u[1], v[1], w[1]
+    pw, direct = w[1], whole[1]
     f, g = (
         _morphism_on(pw, p[1], {s: s for s in pw.quiver.vertices}, _carriers(x, w, p))
         for p in (u, v)
     )
     square = pushout(f, g)
-    direct = whole[1]
-
-    hvmap = {}
-    for p, inj in ((pu, square.inj_u), (pv, square.inj_v)):
-        hvmap.update((inj.vmap[s], s) for s in p.quiver.vertices)
+    # each apex vertex back to the base point it names
+    hvmap = {a: s for inj in (square.inj_u, square.inj_v) for s, a in inj.vmap.items()}
     bridge = _morphism_on(
         square.apex, direct, hvmap, _carriers(x, u, whole) + _carriers(x, v, whole)
     )

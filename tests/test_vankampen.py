@@ -362,16 +362,27 @@ def test_the_forest_first_check_names_the_union_find_block(case):
 
 @pytest.mark.parametrize(
     "base, witness",
-    [((0, "zz"), ("zz",)), ((7, 1), (7,)), ((["x"], 0, "zz"), (["x"], "zz")), (({},), ({},))],
+    [
+        ((0, "zz"), ("zz",)),
+        ((7, 1), (7,)),
+        ((["x"], 0, "zz"), (["x"], "zz")),
+        (({},), ({},)),
+        (("zz", ["x"], 0, "zz", ["x"], 7), ("zz", ["x"], 7)),
+    ],
 )
 def test_base_points_outside_the_complex_are_named_hashable_or_not(base, witness):
-    """A base point that is no vertex is named in order, and one that
-    cannot be hashed is no vertex: ``check_cover`` refuses it with the same
-    error and witness, not with a TypeError."""
-    readers = [lambda b: check_cover(circle_cover(), b)]
-    if all(isinstance(b, (int, str)) for b in base):
-        readers.append(lambda b: fundamental_groupoid(circle(), b))
+    """A base point that is no vertex is named once, in the order it first
+    comes, and one that cannot be hashed is no vertex: every reader of a
+    base-point set refuses it with the same error and witness, not with a
+    TypeError.  ``pi1`` is asked for the vertex group at 0, made a base
+    point, so that it reaches the base-point set."""
+    readers = [
+        lambda b: check_cover(circle_cover(), b),
+        lambda b: fundamental_groupoid(circle(), b),
+        lambda b: pi1(circle(), (*b, 0), 0),
+        lambda b: vkt_square(circle_cover(), b, targets={}),
+    ]
     for read in readers:
         with pytest.raises(ValidationError) as info:
-            read(base)
+            read(iter(base))
         assert (str(info.value), info.value.witness) == ("base points outside the complex", witness)

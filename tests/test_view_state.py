@@ -25,12 +25,14 @@ The writers that build a value from checked parts, each on purpose:
   forest, ``_piece`` on a piece's).
 - ``pushout`` renumbers the kept relator rows of its checked legs'
   targets and the legs' kept image rows, so the apex's rows are those
-  ``GroupoidPresentation.validate`` would read off its relations, and
-  each injection sends an edge to its own letter of the apex.
+  ``GroupoidPresentation.validate`` would read off its relations; it
+  writes only the apex's view.
 - ``_morphism_on`` keeps image rows built over a checked target to run
   between the images of each edge's ends: the inclusions and the bridge
   of ``vkt_square``, whose carriers are tree paths and edges of the
-  checked complex, retracted through a forest.
+  checked complex, retracted through a forest; ``pushout``'s injections,
+  each sending an edge to its own letter of the apex; and
+  ``identity_morphism``'s edges, each to its own letter.
 """
 
 import ast
