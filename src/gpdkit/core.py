@@ -23,12 +23,19 @@ Conventions that hold across the whole package:
   read once into an ``IndexView``, integer rows with inverses, identities,
   endpoints and the generators that ``_generators`` chose (for Light's
   test, ``xmod.check_axioms`` and the functor search) as indexes, kept in
-  ``_view``.  ``FiniteGroup.validate`` (which ``finite_group`` and
-  every group constructor call) and ``index_view`` (for groupoids) check
-  every law on the first read and keep the view; ``build_groupoid`` and
-  ``from_group`` (which shares ``g``'s view) keep it at once.  So every
-  kept view is lawful, and a value built raw or by ``dataclasses.replace``
-  is checked when it is first read.  The hot readers
+  ``_view``.  ``FiniteGroup.validate`` (which ``finite_group`` calls, for
+  name tables) reads the table into rows and checks them, and
+  ``index_view`` (for groupoids) checks every law on the first read; both
+  keep the view.  The library's group constructors (cyclic, symmetric,
+  alternating and trivial groups, ``subgroup``, ``one_object_group``,
+  ``vertex_group``, ``xmod.automorphism_group`` and the parser's
+  permutation groups) build their products as integer rows, and
+  ``_group_of_rows`` checks those with the same ``_group_view`` that
+  ``validate`` runs, then writes the name table and inverse map from them
+  and keeps the view.  ``build_groupoid`` and ``from_group`` (which shares
+  ``g``'s view) keep it at once.  So every kept view is lawful, and a
+  value built raw or by ``dataclasses.replace`` is checked when it is
+  first read.  The hot readers
   (``dblgpd.from_xmod``, ``xmod.automorphism_group``) compose through it,
   and ``xmod``'s laws, maps and ``dblgpd``'s squares run on the
   ``xmod.XModView`` built on top of these.
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import itemgetter
 
 DEFAULT_SIZE_GUARD = 10**6
@@ -241,9 +248,10 @@ class FiniteGroup:
         """Check the group laws, raising ValidationError with the first
         witness; a successful check keeps the view, so a second call is free.
 
-        The table is checked as a groupoid with one object, by the reader,
-        Light's test and inverse search ``build_groupoid`` uses.  The rows
-        are kept as the group's ``IndexView`` and the table's inverse map as
+        The table is read into integer rows (``_read_rows``), which
+        ``_group_view`` checks as a groupoid with one object, with the Light's
+        test and inverse search ``build_groupoid`` uses.  The rows are kept
+        as the group's ``IndexView`` and the table's inverse map as
         ``inverse``; a given map that differs fails at the first element
         whose entry differs, or else at its first extra key.
         """
@@ -252,25 +260,57 @@ class FiniteGroup:
         elems, table = self.elements, self.table
         ends = (0,) * len(elems)
         index, rows, gap = _read_rows(elems, ends, ends, table)
-        if len(index) != len(elems):
-            raise ValidationError("duplicate elements", witness=elems)
-        if self.unit not in index:
-            raise ValidationError("unit is not an element", witness=self.unit)
-        if gap:
-            if gap not in table:
-                raise ValidationError("table is not total", witness=gap)
-            raise ValidationError("table leaves the carrier", witness=(*gap, table[gap]))
-        u = index[self.unit]
-        for i, a in enumerate(elems):
-            if rows[u][i] != i or rows[i][u] != i:
-                raise ValidationError("unit law fails", witness=a)
-        view = _checked_view(elems, index, rows, (u,), ends, ends, "no two-sided inverse")
-        inverse = dict(zip(elems, map(elems.__getitem__, view.inverse)))
+        unread = gap and (
+            ValidationError("table is not total", witness=gap) if gap not in table
+            else ValidationError("table leaves the carrier", witness=(*gap, table[gap]))
+        )
+        view, inverse = _group_view(elems, index, rows, self.unit, unread)
         if self.inverse is not None:
             _agree(self.inverse, inverse, "inverse map contradicts the table")
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "_view", view)
         return self
+
+
+def _group_view(elements, index, rows, unit, unread=None):
+    """The IndexView and named inverse map of a group's integer ``rows``
+    on ``elements`` (``index`` maps each to its position), once every group
+    law holds; the first failure raises ValidationError with its witness.
+
+    In order: distinct elements, the unit an element, then ``unread`` (the
+    ValidationError for a table ``_read_rows`` could not read in full, or
+    None), the unit laws, associativity and inverses (``_checked_view``).
+    ``FiniteGroup.validate`` checks a name table's rows here, and
+    ``_group_of_rows`` the rows a constructor builds.
+    """
+    if len(index) != len(elements):
+        raise ValidationError("duplicate elements", witness=elements)
+    if unit not in index:
+        raise ValidationError("unit is not an element", witness=unit)
+    if unread:
+        raise unread
+    u = index[unit]
+    for i, a in enumerate(elements):
+        if rows[u][i] != i or rows[i][u] != i:
+            raise ValidationError("unit law fails", witness=a)
+    ends = (0,) * len(elements)
+    view = _checked_view(elements, index, rows, (u,), ends, ends, "no two-sided inverse")
+    return view, dict(zip(elements, map(elements.__getitem__, view.inverse)))
+
+
+def _group_of_rows(elements, rows, unit, name, table=None):
+    """The FiniteGroup on ``elements`` whose products are the integer
+    ``rows`` (``rows[i][j]`` is the index of "i-th then j-th"), checked
+    by ``_group_view`` and kept as its view.  The name table is written
+    from the checked rows in row-major order, unless ``table``, already
+    equal to it, is given."""
+    view, inverse = _group_view(elements, dict(zip(elements, range(len(elements)))), rows, unit)
+    if table is None:
+        products = map(elements.__getitem__, chain.from_iterable(rows))
+        table = dict(zip(product(elements, repeat=2), products))
+    g = FiniteGroup(elements, table, unit, inverse, name)
+    object.__setattr__(g, "_view", view)
+    return g
 
 
 def finite_group(elements, table, unit=None, name=""):
@@ -292,8 +332,8 @@ def finite_group(elements, table, unit=None, name=""):
 def cyclic_group(n, name=None):
     """Z/n, written additively on elements 0..n-1."""
     elements = tuple(range(n))
-    table = {(a, b): (a + b) % n for a in elements for b in elements}
-    return finite_group(elements, table, unit=0, name=name or f"c{n}")
+    rows = tuple(elements[a:] + elements[:a] for a in elements)
+    return _group_of_rows(elements, rows, 0, name or f"c{n}")
 
 
 def perm_mul(p, q):
@@ -302,8 +342,12 @@ def perm_mul(p, q):
 
 
 def _permutation_group(elements, n, name):
-    table = {(p, q): perm_mul(p, q) for p in elements for q in elements}
-    return finite_group(elements, table, unit=tuple(range(n)), name=name)
+    at = dict(zip(elements, range(len(elements)))).__getitem__
+    rows = ((0,),)  # below two points the one permutation is the unit
+    if n > 1:
+        # "p then q" is q read at p's images, itemgetter(*p)(q)
+        rows = tuple(tuple(map(at, map(itemgetter(*p), elements))) for p in elements)
+    return _group_of_rows(elements, rows, tuple(range(n)), name)
 
 
 def symmetric_group(n, name=None):
@@ -332,7 +376,7 @@ def alternating_group(n, name=None):
 
 
 def trivial_group(name="1"):
-    return finite_group(("1",), {("1", "1"): "1"}, unit="1", name=name)
+    return _group_of_rows(("1",), ((0,),), "1", name)
 
 
 def subgroup(g, carrier, name=""):
@@ -345,11 +389,19 @@ def subgroup(g, carrier, name=""):
         )
     if g.unit not in cset:
         raise ValidationError("carrier misses the unit", witness=g.unit)
-    table = {ab: g.table[ab] for ab in product(carrier, repeat=2)}
-    for ab, c in table.items():
-        if c not in cset:
-            raise ValidationError("carrier is not closed under products", witness=(*ab, c))
-    return finite_group(carrier, table, unit=g.unit, name=name)
+    v = g.validate()._view
+    at = list(map(v.index.__getitem__, carrier))
+    local = dict(zip(at, range(len(at)))).get
+    rows = []
+    for a, i in zip(carrier, at):
+        parent = v.rows[i]
+        row = tuple([local(parent[j]) for j in at])
+        if None in row:
+            k = row.index(None)
+            witness = (a, carrier[k], v.items[parent[at[k]]])
+            raise ValidationError("carrier is not closed under products", witness=witness)
+        rows.append(row)
+    return _group_of_rows(carrier, tuple(rows), g.unit, name)
 
 
 def generating_set(g):
@@ -561,20 +613,26 @@ def from_group(g, obj="*", name=""):
 
 
 def one_object_group(p):
-    """The group of a one-object groupoid's arrows, named as ``p``.  Like
-    every group it is validated on first read, then kept: ``validate``
-    checks ``p``'s table as a group's and keeps the group's own view."""
-    unit = p.id_of[p.objects[0]]
-    return FiniteGroup(elements=p.arrows, table=p.comp, unit=unit, name=p.name).validate()
+    """The group of a one-object groupoid's arrows, named as ``p``, with
+    ``p``'s table.  ``p`` is validated on first read, then kept
+    (``index_view``), and the group's own view is checked on its rows, so
+    a groupoid with more than one object fails the unit laws."""
+    v = index_view(p)
+    return _group_of_rows(p.arrows, v.rows, p.id_of[p.objects[0]], p.name, p.comp)
 
 
 def vertex_group(g, x):
-    """The group of loops of ``g`` at object ``x``."""
+    """The group of loops of ``g`` at object ``x``, read off the rows of
+    ``g``, which is validated on first read, then kept."""
     if x not in g.objects:
         raise ValidationError("no such object", witness=x)
-    loops = g.loops(x)
-    table = {(a, b): g.comp[(a, b)] for a in loops for b in loops}
-    return finite_group(loops, table, unit=g.id_of[x], name=f"{g.name or 'gpd'}@{x}")
+    v = index_view(g)
+    at = g.objects.index(x)
+    loops = [i for i, s, t in zip(range(len(v.items)), v.src, v.tgt) if s == t == at]
+    local = dict(zip(loops, range(len(loops)))).__getitem__
+    rows = tuple(tuple([local(v.rows[i][j]) for j in loops]) for i in loops)
+    elements = tuple(map(v.items.__getitem__, loops))
+    return _group_of_rows(elements, rows, g.id_of[x], f"{g.name or 'gpd'}@{x}")
 
 
 def skeleton_components(vertices, edges, src, tgt):

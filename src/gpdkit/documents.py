@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice, repeat
 from operator import indexOf
 
-from .core import ValidationError, build_groupoid, finite_group, from_group
+from .core import ValidationError, _group_of_rows, build_groupoid, finite_group, from_group
 from .core import perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
@@ -311,26 +311,24 @@ def _group_of(node):
                 raise ParseError(f"row is not a permutation of 0..{degree - 1}", line)
             if perm in lookup:
                 raise ParseError(
-                    f"rows {lookup[perm]!r} and {key!r} list the same permutation", line
+                    f"rows {elements[lookup[perm]]!r} and {key!r} list the same permutation", line
                 )
+            lookup[perm] = len(elements)
             elements.append(key)
             images[key] = perm
-            lookup[perm] = key
         if not elements:
             raise ParseError("perms section is empty", perms[0])
-        table = {}
+        rows = []
         for a in elements:
-            for b in elements:
-                prod = perm_mul(images[a], images[b])
-                if prod not in lookup:
-                    raise ParseError(
-                        f"product of {a!r} and {b!r} is not listed", perms[0]
-                    )
-                table[(a, b)] = lookup[prod]
+            row = tuple([lookup.get(perm_mul(images[a], images[b])) for b in elements])
+            if None in row:
+                b = elements[row.index(None)]
+                raise ParseError(f"product of {a!r} and {b!r} is not listed", perms[0])
+            rows.append(row)
         unit = lookup.get(tuple(range(degree)))
         if unit is None:
             raise ParseError("identity permutation is not listed", perms[0])
-        return finite_group(tuple(elements), table, unit=unit, name=name)
+        return _group_of_rows(tuple(elements), tuple(rows), elements[unit], name)
     elements = tuple(_names(*_value_of(node, "elements")))
     unit = _value_of(node, "unit", required=False)[0]
     tbl = _block(_need(node, "table"))

@@ -45,9 +45,9 @@ from .core import (
     IndexView,
     SizeGuardExceeded,
     ValidationError,
+    _group_of_rows,
     check_morphism,
     cyclic_group,
-    finite_group,
     from_group,
     index_view,
     perm_parity,
@@ -306,11 +306,18 @@ def from_normal_subgroup(carrier, g, name=""):
     if isinstance(carrier, FiniteGroup):
         carrier = carrier.elements
     sub = subgroup(g, tuple(carrier), name=name or "sub")
+    v = g._view
+    items, rows, at = v.items, v.rows, v.index
     cset = set(sub.elements)
-    action = {(m, x): g.conj(m, x) for m in sub.elements for x in g.elements}
-    for (m, x), c in action.items():
-        if c not in cset:
-            raise ValidationError("subgroup is not normal", witness=(m, x, c))
+    action = {}
+    for m in sub.elements:
+        i = at[m]
+        # m^x = x^-1 m x, read off the rows
+        for x, c in zip(items, [rows[rows[k][i]][j] for j, k in enumerate(v.inverse)]):
+            c = items[c]
+            if c not in cset:
+                raise ValidationError("subgroup is not normal", witness=(m, x, c))
+            action[(m, x)] = c
     return CrossedModule(
         p=from_group(g),
         m={"*": sub},
@@ -348,15 +355,14 @@ def automorphism_group(g, guard=DEFAULT_SIZE_GUARD):
     images = [a for a in _hom_rows(g, g, guard) if len(set(a)) == n]
     autos = [tuple(map(v.items.__getitem__, a)) for a in images]
     at_gens = _gather(v.gens)
-    by_gens = {at_gens(a): x for a, x in zip(images, autos)}
-    table = {}
-    for x, a in zip(autos, images):
+    by_gens = {at_gens(a): k for k, a in enumerate(images)}
+    rows = []
+    for a in images:
         # b read at a's generator images: (a then b) at the generators
         then = _gather(at_gens(a))
-        for y, b in zip(autos, images):
-            table[(x, y)] = by_gens[then(b)]
-    return finite_group(
-        tuple(autos), table, unit=tuple(g.elements), name=f"aut({g.name or 'group'})"
+        rows.append(tuple([by_gens[then(b)] for b in images]))
+    return _group_of_rows(
+        tuple(autos), tuple(rows), tuple(g.elements), f"aut({g.name or 'group'})"
     )
 
 

@@ -19,6 +19,13 @@ cache rides along with the view.
 
 The writers that build a value from checked parts, each on purpose:
 
+- ``_group_of_rows`` keeps the view of the integer rows a group
+  constructor builds (the library groups, subgroups, automorphism groups,
+  vertex and one-object groups, the parser's permutation groups) once
+  ``_group_view``, the one group law check ``FiniteGroup.validate`` runs on
+  a name table's rows, has passed them; the name table and inverse map are
+  written from the checked rows and handed to the constructor, so no
+  field but the view is set afterwards.
 - ``_presented`` retracts the face rows of a checked complex through a
   forest of its own edges, so each relator row is read off checked rows
   (``_fundamental`` calls it on the whole complex's ``spanning_tree``
@@ -43,7 +50,8 @@ import gpdkit
 SOURCES = sorted(Path(gpdkit.__file__).parent.glob("*.py"))
 
 WRITERS = {
-    "FiniteGroup.validate", "build_groupoid", "index_view", "from_group", "xmod_view", "to_xmod",
+    "FiniteGroup.validate", "_group_of_rows", "build_groupoid", "index_view", "from_group",
+    "xmod_view", "to_xmod",
     "Quiver.validate", "Complex2.validate", "_complex_on", "GroupoidPresentation.validate",
     "PresentationMorphism.validate", "_covering", "_presented", "_presentation_of",
     "pushout", "_morphism_on",
