@@ -1,294 +1,23 @@
 """Finite groupoid algebra: composition tables, presentations and their
 pushouts, fundamental groupoids of 2-complexes, crossed modules, and the
 square calculus of double groupoids, plus a line-oriented document format
-and CLI for driving the checks from files."""
+and CLI for driving the checks from files.
 
-from .core import (
-    DEFAULT_SIZE_GUARD,
-    CompositionError,
-    FiniteGroup,
-    FiniteGroupoid,
-    GroupoidMorphism,
-    HypothesisError,
-    SizeGuardExceeded,
-    ValidationError,
-    alternating_group,
-    battery,
-    build_groupoid,
-    check_morphism,
-    components,
-    cyclic_group,
-    disjoint_union,
-    finite_group,
-    from_group,
-    interval_groupoid,
-    subgroup,
-    symmetric_group,
-    trivial_group,
-    vertex_group,
-)
-from .dblgpd import (
-    CUBE_EDGES,
-    CUBE_FACES,
-    Cube,
-    CubeComposeReport,
-    CubeReport,
-    DoubleGroupoidXM,
-    EHReport,
-    InterchangeReport,
-    LabeledSquare,
-    boundary_word,
-    commutative_cube_check,
-    compose_array,
-    connection_neg,
-    connection_pos,
-    cube,
-    cube_compose_check,
-    cube_face,
-    cube_glue,
-    double_identity,
-    eckmann_hilton_check,
-    eh_instance_from_squares,
-    from_xmod,
-    hcompose,
-    hidentity,
-    hinverse,
-    identity_edge_squares,
-    interchange_check,
-    is_thin,
-    make_square,
-    perturb_cube,
-    random_commutative_cube,
-    random_cube_sharing,
-    round_trip_isomorphism,
-    row_uniqueness,
-    sample_grid,
-    square_base,
-    to_xmod,
-    vcompose,
-    videntity,
-    vinverse,
-)
-from .documents import (
-    KINDS,
-    CubeDoc,
-    Document,
-    EHDoc,
-    ParseError,
-    SquaresDoc,
-    load_document,
-    parse_document,
-    render_document,
-)
-from .presentations import (
-    GroupPresentation,
-    GroupoidPresentation,
-    PresentationMorphism,
-    PushoutSquare,
-    Quiver,
-    TargetUniversality,
-    UniversalityReport,
-    Word,
-    WordVerdict,
-    count_reduced_words,
-    empty_word,
-    enumerate_group_morphisms,
-    enumerate_morphisms,
-    enumerate_pres_morphisms,
-    free_loop_counts,
-    free_reduce,
-    group_homs,
-    identity_morphism,
-    presentation,
-    pushout,
-    quiver,
-    spanning_tree,
-    verify_pushout_universal,
-    vertex_group_presentation,
-    word,
-    words_equal,
-)
-from .vankampen import (
-    Complex2,
-    CoverReport,
-    Subcomplex,
-    SubcomplexCover,
-    TargetEvidence,
-    VktResult,
-    check_cover,
-    close_cells,
-    complex2,
-    cover,
-    fundamental_groupoid,
-    pi1,
-    restrict,
-    skeleton_components,
-    vkt_square,
-)
-from .xmod import (
-    CentralityReport,
-    CrossedModule,
-    FiberReport,
-    FreeXModPresentation,
-    GroupHom,
-    InducedXModPresentation,
-    LawReport,
-    XModMorphism,
-    automorphism_group,
-    automorphism_xmod,
-    bundled_xmods,
-    check_axioms,
-    check_xmod_morphism,
-    crossed_module,
-    free_xmod,
-    from_normal_subgroup,
-    group_hom,
-    identity_hom,
-    identity_xmod_morphism,
-    induced_xmod_presentation,
-    is_xmod_isomorphism,
-    kernel_central_check,
-    morphisms_from_free,
-    morphisms_over,
-    trivial_xmod,
-)
+Each module's ``__all__`` is its public surface; the package re-exports
+them, module by module."""
 
-__all__ = [
-    "CUBE_EDGES",
-    "CUBE_FACES",
-    "DEFAULT_SIZE_GUARD",
-    "KINDS",
-    "CentralityReport",
-    "Complex2",
-    "CompositionError",
-    "CoverReport",
-    "CrossedModule",
-    "Cube",
-    "CubeComposeReport",
-    "CubeDoc",
-    "CubeReport",
-    "Document",
-    "DoubleGroupoidXM",
-    "EHDoc",
-    "EHReport",
-    "FiberReport",
-    "FiniteGroup",
-    "FiniteGroupoid",
-    "FreeXModPresentation",
-    "GroupHom",
-    "GroupPresentation",
-    "GroupoidMorphism",
-    "GroupoidPresentation",
-    "HypothesisError",
-    "InducedXModPresentation",
-    "InterchangeReport",
-    "LabeledSquare",
-    "LawReport",
-    "ParseError",
-    "PresentationMorphism",
-    "PushoutSquare",
-    "Quiver",
-    "SizeGuardExceeded",
-    "SquaresDoc",
-    "Subcomplex",
-    "SubcomplexCover",
-    "TargetEvidence",
-    "TargetUniversality",
-    "UniversalityReport",
-    "ValidationError",
-    "VktResult",
-    "Word",
-    "WordVerdict",
-    "XModMorphism",
-    "alternating_group",
-    "automorphism_group",
-    "automorphism_xmod",
-    "battery",
-    "boundary_word",
-    "build_groupoid",
-    "bundled_xmods",
-    "check_axioms",
-    "check_cover",
-    "check_morphism",
-    "check_xmod_morphism",
-    "close_cells",
-    "commutative_cube_check",
-    "compose_array",
-    "components",
-    "connection_neg",
-    "connection_pos",
-    "count_reduced_words",
-    "cover",
-    "complex2",
-    "crossed_module",
-    "cube",
-    "cube_compose_check",
-    "cube_face",
-    "cube_glue",
-    "cyclic_group",
-    "disjoint_union",
-    "double_identity",
-    "eckmann_hilton_check",
-    "eh_instance_from_squares",
-    "empty_word",
-    "enumerate_group_morphisms",
-    "enumerate_morphisms",
-    "enumerate_pres_morphisms",
-    "finite_group",
-    "free_loop_counts",
-    "free_reduce",
-    "free_xmod",
-    "from_group",
-    "from_normal_subgroup",
-    "from_xmod",
-    "fundamental_groupoid",
-    "group_hom",
-    "group_homs",
-    "hcompose",
-    "hidentity",
-    "hinverse",
-    "identity_edge_squares",
-    "identity_hom",
-    "identity_morphism",
-    "identity_xmod_morphism",
-    "induced_xmod_presentation",
-    "interchange_check",
-    "interval_groupoid",
-    "is_thin",
-    "is_xmod_isomorphism",
-    "kernel_central_check",
-    "load_document",
-    "make_square",
-    "morphisms_from_free",
-    "morphisms_over",
-    "parse_document",
-    "perturb_cube",
-    "pi1",
-    "presentation",
-    "pushout",
-    "quiver",
-    "random_commutative_cube",
-    "random_cube_sharing",
-    "render_document",
-    "restrict",
-    "round_trip_isomorphism",
-    "row_uniqueness",
-    "sample_grid",
-    "skeleton_components",
-    "spanning_tree",
-    "square_base",
-    "subgroup",
-    "symmetric_group",
-    "to_xmod",
-    "trivial_group",
-    "trivial_xmod",
-    "verify_pushout_universal",
-    "vertex_group",
-    "vertex_group_presentation",
-    "vcompose",
-    "videntity",
-    "vinverse",
-    "vkt_square",
-    "word",
-    "words_equal",
-]
+from . import core, dblgpd, documents, presentations, vankampen, xmod
+from .core import *
+from .dblgpd import *
+from .documents import *
+from .presentations import *
+from .vankampen import *
+from .xmod import *
+
+__all__ = []
+__all__ += core.__all__
+__all__ += dblgpd.__all__
+__all__ += documents.__all__
+__all__ += presentations.__all__
+__all__ += vankampen.__all__
+__all__ += xmod.__all__

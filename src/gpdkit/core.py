@@ -60,6 +60,32 @@ from functools import cache
 from itertools import chain, permutations, product
 from operator import itemgetter
 
+__all__ = [
+    "DEFAULT_SIZE_GUARD",
+    "CompositionError",
+    "FiniteGroup",
+    "FiniteGroupoid",
+    "GroupoidMorphism",
+    "HypothesisError",
+    "SizeGuardExceeded",
+    "ValidationError",
+    "alternating_group",
+    "battery",
+    "build_groupoid",
+    "check_morphism",
+    "components",
+    "cyclic_group",
+    "disjoint_union",
+    "finite_group",
+    "from_group",
+    "interval_groupoid",
+    "skeleton_components",
+    "subgroup",
+    "symmetric_group",
+    "trivial_group",
+    "vertex_group",
+]
+
 DEFAULT_SIZE_GUARD = 10**6
 
 

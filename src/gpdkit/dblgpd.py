@@ -80,6 +80,49 @@ from .core import (
 )
 from .xmod import _ONE, CrossedModule, XModMorphism, XModView, xmod_view
 
+__all__ = [
+    "CUBE_EDGES",
+    "CUBE_FACES",
+    "Cube",
+    "CubeComposeReport",
+    "CubeReport",
+    "DoubleGroupoidXM",
+    "EHReport",
+    "InterchangeReport",
+    "LabeledSquare",
+    "boundary_word",
+    "commutative_cube_check",
+    "compose_array",
+    "connection_neg",
+    "connection_pos",
+    "cube",
+    "cube_compose_check",
+    "cube_face",
+    "cube_glue",
+    "double_identity",
+    "eckmann_hilton_check",
+    "eh_instance_from_squares",
+    "from_xmod",
+    "hcompose",
+    "hidentity",
+    "hinverse",
+    "identity_edge_squares",
+    "interchange_check",
+    "is_thin",
+    "make_square",
+    "perturb_cube",
+    "random_commutative_cube",
+    "random_cube_sharing",
+    "round_trip_isomorphism",
+    "row_uniqueness",
+    "sample_grid",
+    "square_base",
+    "to_xmod",
+    "vcompose",
+    "videntity",
+    "vinverse",
+]
+
 
 class LabeledSquare(NamedTuple):
     label: object

@@ -52,16 +52,21 @@ from .core import ValidationError, _group_of_rows, build_groupoid, finite_group,
 from .core import perm_mul
 from .dblgpd import CUBE_EDGES, Cube, LabeledSquare, make_square
 from .dblgpd import cube as build_cube
-from .presentations import (
-    GroupoidPresentation,
-    Quiver,
-    _identity,
-    _letter_table,
-    _named,
-    _relator,
-)
+from .presentations import Quiver, _identity, _letter_table, _named, _presentation_on, _relator
 from .vankampen import _complex_on, _distinct, cover
 from .xmod import CrossedModule, crossed_module
+
+__all__ = [
+    "KINDS",
+    "CubeDoc",
+    "Document",
+    "EHDoc",
+    "ParseError",
+    "SquaresDoc",
+    "load_document",
+    "parse_document",
+    "render_document",
+]
 
 
 class ParseError(Exception):
@@ -462,9 +467,7 @@ def _presentation_of(node):
             rows.append((lhs[0], _relator(lhs[2], rhs[2], identity)))
     # Each side was read over ``q`` as it was built, and the sides are
     # coterminal, so the presentation keeps its relator rows at once.
-    p = GroupoidPresentation(quiver=q, relations=tuple(relations))
-    object.__setattr__(p, "_view", tuple(rows))
-    return p
+    return _presentation_on(q, relations, rows)
 
 
 def _complex_of(node):

@@ -85,6 +85,35 @@ from .core import (
     skeleton_components,
 )
 
+__all__ = [
+    "GroupPresentation",
+    "GroupoidPresentation",
+    "PresentationMorphism",
+    "PushoutSquare",
+    "Quiver",
+    "TargetUniversality",
+    "UniversalityReport",
+    "Word",
+    "WordVerdict",
+    "count_reduced_words",
+    "empty_word",
+    "enumerate_group_morphisms",
+    "enumerate_morphisms",
+    "enumerate_pres_morphisms",
+    "free_loop_counts",
+    "free_reduce",
+    "group_homs",
+    "identity_morphism",
+    "presentation",
+    "pushout",
+    "quiver",
+    "spanning_tree",
+    "verify_pushout_universal",
+    "vertex_group_presentation",
+    "word",
+    "words_equal",
+]
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -794,8 +823,7 @@ def pushout(f, g):
             (uat[b], _relator(urow, tuple(map(vshift.__getitem__, vrow)), identity))
             for (b, urow), (_, vrow) in zip(uimages, vimages)
         ]
-    apex = GroupoidPresentation(quiver=q, relations=tuple(relations))
-    object.__setattr__(apex, "_view", tuple(rows))
+    apex = _presentation_on(q, relations, rows)
 
     images = list(zip(srcs, zip(range(ne))))  # each edge to its one letter in the apex
     return PushoutSquare(
@@ -803,6 +831,15 @@ def pushout(f, g):
         inj_u=_morphism_on(u, apex, uvname, images[:nue]),
         inj_v=_morphism_on(v, apex, vvname, images[nue:]),
     )
+
+
+def _presentation_on(q, relations, rows):
+    """The presentation on the checked quiver ``q`` with ``relations``,
+    whose relator rows ``rows`` were read or built over ``q`` with them:
+    it keeps them as its view at once."""
+    p = GroupoidPresentation(quiver=q, relations=tuple(relations))
+    object.__setattr__(p, "_view", tuple(rows))
+    return p
 
 
 def _morphism_on(source, target, vmap, images):

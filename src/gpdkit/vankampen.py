@@ -72,6 +72,7 @@ from .presentations import (
     _morphism_on,
     _morphism_runs,
     _named,
+    _presentation_on,
     _read,
     _restriction,
     _retracted,
@@ -82,6 +83,23 @@ from .presentations import (
     spanning_tree,
     vertex_group_presentation,
 )
+
+__all__ = [
+    "Complex2",
+    "CoverReport",
+    "Subcomplex",
+    "SubcomplexCover",
+    "TargetEvidence",
+    "VktResult",
+    "check_cover",
+    "close_cells",
+    "complex2",
+    "cover",
+    "fundamental_groupoid",
+    "pi1",
+    "restrict",
+    "vkt_square",
+]
 
 
 @dataclass(frozen=True)
@@ -511,9 +529,7 @@ def _presented(x, forest, at, es, fs):
             rel = _retracted(frows[i], keep)
             rows.append((r, rel))
             relations.append((_named(pq, r, r, rel, letters), empty[r]))
-    p = GroupoidPresentation(quiver=pq, relations=tuple(relations))
-    object.__setattr__(p, "_view", tuple(rows))
-    return p, generators, keep, rpos
+    return _presentation_on(pq, relations, rows), generators, keep, rpos
 
 
 def fundamental_groupoid(x, base):

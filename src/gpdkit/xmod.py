@@ -57,6 +57,34 @@ from .core import (
 )
 from .presentations import _gather, _hom_rows
 
+__all__ = [
+    "CentralityReport",
+    "CrossedModule",
+    "FiberReport",
+    "FreeXModPresentation",
+    "GroupHom",
+    "InducedXModPresentation",
+    "LawReport",
+    "XModMorphism",
+    "automorphism_group",
+    "automorphism_xmod",
+    "bundled_xmods",
+    "check_axioms",
+    "check_xmod_morphism",
+    "crossed_module",
+    "free_xmod",
+    "from_normal_subgroup",
+    "group_hom",
+    "identity_hom",
+    "identity_xmod_morphism",
+    "induced_xmod_presentation",
+    "is_xmod_isomorphism",
+    "kernel_central_check",
+    "morphisms_from_free",
+    "morphisms_over",
+    "trivial_xmod",
+]
+
 
 @dataclass(frozen=True)
 class XModView:

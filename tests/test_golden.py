@@ -69,6 +69,9 @@ COMMANDS = [
     # Comments and blank lines inside the edges: and faces: blocks, which
     # are long enough to be read as slices of rows.
     ("pi1", D + "grid-commented.cx", "--base", "v3_1,v0_0", "--vertex", "v0_0"),
+    # Glued along a shared edge, so each inclusion sends an edge to its
+    # one-letter word, and the apex gets the relation u:a = v:a.
+    ("pushout", D + "edge-u.pres", D + "edge-v.pres", D + "edge-w.pres"),
 ]
 
 
